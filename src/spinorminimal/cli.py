@@ -2,7 +2,9 @@
 
 Every command writes a JSON report (schema-stamped, complex numbers as
 [re, im] pairs, no timestamps) and optionally an OBJ mesh.  Exit codes:
-0 success, 2 verification failure, 1 usage error.
+0 success, 2 verification failure, 1 usage error.  Every meshing command
+fails verification when some grid cell's loop-closure residual reaches
+1e-6 of the mesh scale.
 """
 
 from __future__ import annotations
@@ -82,15 +84,23 @@ def _emit(args, payload: dict, name: str) -> None:
         print(json.dumps(body, sort_keys=True, indent=2))
 
 
-def _mesh_if_requested(args, data: WeierstrassData, basepoint, payload: dict):
+def _loop_gate(mesh) -> int:
+    """VERIFICATION_ERROR unless every grid cell closes to 1e-6 of the mesh scale."""
+    meta = mesh.metadata
+    return 0 if meta["loop_residual_max"] < 1e-6 * meta["mesh_scale"] else VERIFICATION_ERROR
+
+
+def _mesh_if_requested(args, data: WeierstrassData, basepoint, payload: dict) -> int:
+    """Mesh and export when --mesh is given; returns the loop-closure gate's code."""
     if not getattr(args, "mesh", None):
-        return
+        return 0
     grid = GridSpec(nx=args.grid, ny=args.grid, extent=getattr(args, "extent", 2.0))
     mesh = integrate_surface(data, grid, basepoint)
     export_obj(mesh, args.mesh)
     payload["mesh"] = {"path": str(args.mesh), **{k: v for k, v in mesh.metadata.items()
                                                   if k != "loop_residual_sample"}}
     print(f"wrote {args.mesh}")
+    return _loop_gate(mesh)
 
 
 def cmd_sphere4(args) -> int:
@@ -98,9 +108,9 @@ def cmd_sphere4(args) -> int:
     payload = fam.report()
     data = WeierstrassData(s1=fam.K_basis[0], s2=fam.K_basis[1],
                            end_clearance=args.eps)
-    _mesh_if_requested(args, data, -1.0 - 1.0j, payload)
+    rc = _mesh_if_requested(args, data, -1.0 - 1.0j, payload)
     _emit(args, payload, "sphere4")
-    return 0 if fam.residuals["pfaffian"] < 1e-10 else VERIFICATION_ERROR
+    return rc or (0 if fam.residuals["pfaffian"] < 1e-10 else VERIFICATION_ERROR)
 
 
 def cmd_sphere6(args) -> int:
@@ -124,14 +134,15 @@ def cmd_sphere6(args) -> int:
     payload["numeric_pfaffian"] = pf
     payload["vandermonde_normalized"] = normalized
     on_variety = abs(closed) < 1e-8 * max(1.0, sum(abs(s) for s in sigma) ** 4)
+    rc = 0
     if on_variety:
         (t1, t2), form, residuals = moduli.sphere6_K_basis(sigma, tol=args.tol * 10)
         payload["K_residuals"] = residuals
         if getattr(args, "mesh", None):
             data = WeierstrassData(s1=t1, s2=t2, end_clearance=args.eps)
-            _mesh_if_requested(args, data, -1.5 - 1.5j, payload)
+            rc = _mesh_if_requested(args, data, -1.5 - 1.5j, payload)
     _emit(args, payload, "sphere6")
-    return 0
+    return rc
 
 
 def cmd_rp2(args) -> int:
@@ -173,10 +184,10 @@ def cmd_torus4(args) -> int:
     data = WeierstrassData(s1=t4.s1, s2=t4.s2, end_clearance=args.eps)
     frac = round((args.grid - 1) / 2) / (args.grid - 1), round((args.grid - 1) / 4) / (args.grid - 1)
     base = frac[0] * 2 * ctx.omega1 + frac[1] * 2 * ctx.omega3
-    _mesh_if_requested(args, data, base, payload)
+    rc = _mesh_if_requested(args, data, base, payload)
     _emit(args, payload, "torus4")
     ok = t4.residuals["period1"] < 1e-7 and abs(t4.branch_condition) > 1e-3
-    return 0 if ok else VERIFICATION_ERROR
+    return rc or (0 if ok else VERIFICATION_ERROR)
 
 
 def cmd_klein4(args) -> int:
@@ -187,10 +198,10 @@ def cmd_klein4(args) -> int:
     n = args.grid
     frac = (round((n - 1) * 0.5) / (n - 1), round((n - 1) * 0.125) / (n - 1))
     base = frac[0] * 2 * ctx.omega1 + frac[1] * 2 * ctx.omega3
-    _mesh_if_requested(args, data, base, payload)
+    rc = _mesh_if_requested(args, data, base, payload)
     _emit(args, payload, "klein4")
     checks = ("period_equation", "gamma1_s1sq_quadrature", "gamma3_auto")
-    return 0 if all(kb.residuals[k] < 1e-8 for k in checks) else VERIFICATION_ERROR
+    return rc or (0 if all(kb.residuals[k] < 1e-8 for k in checks) else VERIFICATION_ERROR)
 
 
 def cmd_arf(args) -> int:
@@ -282,8 +293,7 @@ def cmd_mesh(args) -> int:
     meta = {k: v for k, v in mesh.metadata.items() if k != "loop_residual_sample"}
     _emit(args, {"construction": name, "obj": str(args.obj), **meta}, f"mesh-{name}")
     print(f"wrote {args.obj}")
-    scale = mesh.metadata["mesh_scale"]
-    return 0 if mesh.metadata["loop_residual_max"] < 1e-6 * scale else VERIFICATION_ERROR
+    return _loop_gate(mesh)
 
 
 def cmd_verify(args) -> int:

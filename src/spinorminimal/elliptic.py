@@ -29,7 +29,7 @@ Half-period labels follow omega2 = omega1 + omega3.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -101,6 +101,42 @@ class Lattice:
     @property
     def nome_q(self) -> complex:
         return np.exp(1j * np.pi * self.tau)
+
+    @cached_property
+    def reduced_periods(self):
+        """Lagrange-Gauss-reduced periods (b1, b2), |b1| <= |b2| <= |b2 +- b1|,
+        spanning the same lattice as (2*omega1, 2*omega3)."""
+        b1, b2 = 2 * self.omega1, 2 * self.omega3
+        if abs(b2) < abs(b1):
+            b1, b2 = b2, b1
+        while True:
+            mu = round((b2 * b1.conjugate()).real / abs(b1) ** 2)
+            b2 = b2 - mu * b1
+            if abs(b2) >= abs(b1):
+                return b1, b2
+            b1, b2 = b2, b1
+
+    @cached_property
+    def _neighbour_offsets(self) -> np.ndarray:
+        """i*b1 + j*b2 for i, j in {-1, 0, 1}, the centre first."""
+        b1, b2 = self.reduced_periods
+        return np.array([i * b1 + j * b2 for i in (0, -1, 1) for j in (0, -1, 1)])
+
+    def distance(self, u):
+        """Distance from u to the nearest lattice point: a float for a scalar,
+        elementwise for an array.
+
+        Coordinates are rounded in the reduced basis, where the nearest
+        lattice point is always one of the 3x3 neighbours of the rounded one.
+        """
+        u = np.asarray(u, dtype=complex)
+        b1, b2 = self.reduced_periods
+        det = b1.real * b2.imag - b1.imag * b2.real
+        x = (u.real * b2.imag - u.imag * b2.real) / det
+        y = (u.imag * b1.real - u.real * b1.imag) / det
+        red = u - np.round(x) * b1 - np.round(y) * b2
+        d = np.min(np.abs(red[..., None] - self._neighbour_offsets), axis=-1)
+        return float(d) if d.ndim == 0 else d
 
 
 def _divisor_sigma(n: int, k: int) -> int:
@@ -227,9 +263,9 @@ class EllipticContext:
         n = np.round(y)
         return u - m * p1 - n * p3, m, n
 
-    def lattice_distance(self, u) -> float:
-        red, _, _ = self.reduce(u)
-        return float(np.min(np.abs(red)))
+    def lattice_distance(self, u):
+        """Distance from u to the nearest lattice point (see Lattice.distance)."""
+        return self.lattice.distance(u)
 
 
 def build_context(omega1, omega3, terms: int = 64) -> EllipticContext:

@@ -845,8 +845,7 @@ def _klein_branch_floor(ctx, s1, s2, grid: int = 80) -> float:
     xs = np.linspace(0.01, 0.99, grid)
     X, Y = np.meshgrid(xs, xs)
     uu = (X * 2 * ctx.omega1 + Y * 2 * ctx.omega3).ravel()
-    keep = np.array([min(ctx.lattice_distance(u - p) for p in s1.domain.ends.points) > 0.08
-                     for u in uu])
+    keep = np.min([ctx.lattice_distance(uu - p) for p in s1.domain.ends.points], axis=0) > 0.08
     uu = uu[keep]
     weight = np.abs(1.0 / wp(ctx, uu))
     mag = (np.abs(s1.evaluate(uu)) ** 2 + np.abs(s2.evaluate(uu)) ** 2) * weight

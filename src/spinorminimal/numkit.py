@@ -232,17 +232,6 @@ _GL_ORDER = 16
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_ORDER)
 
 
-def _eval_on(f: Callable, z: np.ndarray) -> np.ndarray:
-    """Evaluate f on an array of points, vectorized when f supports it."""
-    try:
-        out = np.asarray(f(z), dtype=complex)
-        if out.shape == z.shape:
-            return out
-    except Exception:
-        pass
-    return np.array([f(zz) for zz in z], dtype=complex)
-
-
 def _gl_panels(f: Callable, param, dparam, panels: int):
     t0 = np.linspace(0.0, 1.0, panels + 1)
     mid = (t0[:-1, None] + t0[1:, None]) / 2.0
@@ -250,14 +239,17 @@ def _gl_panels(f: Callable, param, dparam, panels: int):
     t = (mid + half * _GL_NODES[None, :]).ravel()
     w = (half * _GL_WEIGHTS[None, :]).ravel()
     z = param(t)
-    vals = _eval_on(f, z)
-    contributions = vals * dparam(t) * w
+    contributions = np.asarray(f(z), dtype=complex) * dparam(t) * w
     return complex(np.sum(contributions)), float(np.sum(np.abs(contributions)))
 
 
 def contour_integral(f: Callable, path: QuadraturePath,
                      rel_tol: float = 1e-8, max_panels: int = 4096) -> complex:
-    """Integrate f dz along the path, doubling panels until stable."""
+    """Integrate f dz along the path, doubling panels until stable.
+
+    f is called on an array of path points and returns their values (or
+    one value that broadcasts to them).
+    """
     if path.kind == "segment":
         z0, z1 = path.start, path.end
         if path.orientation < 0:

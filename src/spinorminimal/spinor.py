@@ -124,7 +124,8 @@ class _DomainBase:
         """Points the qres contours must stay away from (chart singularities)."""
         return [p for p in self.ends.points if not is_infinity(p)]
 
-    def distance(self, p, q) -> float:
+    def distance(self, p, q):
+        """Chart distance; elementwise when p is an array."""
         return abs(p - q)
 
     def qres_radius(self, p) -> float:
@@ -153,7 +154,7 @@ class TwistedTorusDomain(_DomainBase):
     genus = 1
     h_dim = 1
 
-    def distance(self, p, q) -> float:
+    def distance(self, p, q):
         return self.ctx.lattice_distance(p - q)
 
     def singular_points(self):
@@ -170,7 +171,7 @@ class UntwistedTorusDomain(_DomainBase):
     genus = 1
     h_dim = 0
 
-    def distance(self, p, q) -> float:
+    def distance(self, p, q):
         return self.ctx.lattice_distance(p - q)
 
     def wp_r(self, u):

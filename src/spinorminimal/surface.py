@@ -2,12 +2,17 @@
 
 The mesh integrator lays a rectangular grid over the domain chart
 (square [-L, L]^2 on the sphere, the fundamental cell on a torus), drops
-cells within the end clearance, integrates the Weierstrass form along a
-spanning tree of grid edges from the basepoint, and reports loop-closure
-residuals as a built-in integrability check.  Edge quadrature is
-Gauss-Legendre; the per-edge work parallelizes across a thread pool
-capped by SPINOR_MINIMAL_THREADS, with index-keyed assembly so output is
-deterministic regardless of execution order.
+vertices within the end clearance, integrates the Weierstrass form along
+a spanning tree of grid edges from the basepoint, and reports
+loop-closure residuals as a built-in integrability check.  It works on
+whole grid arrays: the validity mask takes one array distance per end,
+edges between valid neighbours come from slices of that mask, the tree
+potential grows one breadth-first wavefront at a time, every cell's
+loop residual and face comes from array slices, and the normals from
+one batched Gauss map.  Edge quadrature is Gauss-Legendre in one batched
+call; its chunks run on a thread pool capped by SPINOR_MINIMAL_THREADS,
+with index-keyed assembly so output is deterministic regardless of
+execution order.
 """
 
 from __future__ import annotations
@@ -95,12 +100,9 @@ class WeierstrassData:
                          2.0 * f1 * f2 * mu])
 
     def end_distance(self, u):
+        """Chart distance from each point of u to the nearest finite end."""
         dom = self.domain
-        pts = [p for p in dom.ends.points if not is_infinity(p)]
-        if not pts:
-            return np.full(np.shape(np.atleast_1d(u)), np.inf)
-        u = np.atleast_1d(np.asarray(u, dtype=complex))
-        return np.array([min(dom.distance(x, p) for p in pts) for x in u])
+        return _nearest(dom, [p for p in dom.ends.points if not is_infinity(p)], u)
 
     def chart_singular_distance(self, u):
         """Distance to chart singularities that are not ends (e.g. the
@@ -109,10 +111,15 @@ class WeierstrassData:
         extra = [p for p in dom.singular_points()
                  if all(dom.distance(p, q) > 1e-9 for q in dom.ends.points
                         if not is_infinity(q))]
-        u = np.atleast_1d(np.asarray(u, dtype=complex))
-        if not extra:
-            return np.full(u.shape, np.inf)
-        return np.array([min(dom.distance(x, p) for p in extra) for x in u])
+        return _nearest(dom, extra, u)
+
+
+def _nearest(dom, points, u) -> np.ndarray:
+    """min over points p of dom.distance(u, p), one array distance per point."""
+    u = np.atleast_1d(np.asarray(u, dtype=complex))
+    if not points:
+        return np.full(u.shape, np.inf)
+    return np.min([dom.distance(u, p) for p in points], axis=0)
 
 
 @dataclass(frozen=True)
@@ -209,93 +216,76 @@ def integrate_surface(data: WeierstrassData, grid: GridSpec, basepoint) -> Surfa
     valid &= data.chart_singular_distance(U.ravel()).reshape(U.shape) > 1e-9
 
     base = complex(basepoint)
-    flat_idx = np.argmin(np.abs(U.ravel() - base))
-    bi, bj = np.unravel_index(int(flat_idx), U.shape)
-    if not valid[bi, bj]:
+    root = int(np.argmin(np.abs(U.ravel() - base)))
+    if not valid.flat[root]:
         raise ValueError("basepoint is inside an end clearance disk")
-    if abs(U[bi, bj] - base) > 1e-9 * max(1.0, abs(base)):
+    if abs(U.flat[root] - base) > 1e-9 * max(1.0, abs(base)):
         raise ValueError("basepoint must be a grid vertex")
 
-    # collect grid edges between valid vertices
-    edges = []
-    for i in range(nx):
-        for j in range(ny):
-            if not valid[i, j]:
-                continue
-            if i + 1 < nx and valid[i + 1, j]:
-                edges.append(((i, j), (i + 1, j)))
-            if j + 1 < ny and valid[i, j + 1]:
-                edges.append(((i, j), (i, j + 1)))
-    starts = np.array([U[a] for a, b in edges])
-    stops = np.array([U[b] for a, b in edges])
-    vals = _edge_integrals(data, starts, stops)
-    edge_val = {}
-    for (a, b), v in zip(edges, vals):
-        edge_val[(a, b)] = v
-        edge_val[(b, a)] = -v
+    # h[i, j] = Re int from U[i, j] to U[i+1, j], v[i, j] from U[i, j] to U[i, j+1],
+    # for edges between valid vertices; all are integrated in one call
+    has_h = valid[:-1, :] & valid[1:, :]
+    has_v = valid[:, :-1] & valid[:, 1:]
+    vals = _edge_integrals(data, np.concatenate([U[:-1, :][has_h], U[:, :-1][has_v]]),
+                           np.concatenate([U[1:, :][has_h], U[:, 1:][has_v]])).real
+    h, v = np.zeros((nx - 1, ny, 3)), np.zeros((nx, ny - 1, 3))
+    h[has_h], v[has_v] = vals[:has_h.sum()], vals[has_h.sum():]
 
-    # BFS spanning tree from the basepoint
-    X = {}
-    X[(bi, bj)] = np.zeros(3)
-    queue = [(bi, bj)]
-    neighbors = ((1, 0), (-1, 0), (0, 1), (0, -1))
-    while queue:
-        cur = queue.pop(0)
-        for di, dj in neighbors:
-            nxt = (cur[0] + di, cur[1] + dj)
-            if nxt in X or not (0 <= nxt[0] < nx and 0 <= nxt[1] < ny):
-                continue
-            if not valid[nxt]:
-                continue
-            if (cur, nxt) not in edge_val:
-                continue
-            X[nxt] = X[cur] + np.real(edge_val[(cur, nxt)])
-            queue.append(nxt)
+    # step[d] / rise[d]: whether and by how much X changes along the edge
+    # leaving each vertex in direction d = +i, -i, +j, -j
+    step = np.zeros((4, nx, ny), dtype=bool)
+    rise = np.zeros((4, nx, ny, 3))
+    step[0, :-1], step[1, 1:], step[2, :, :-1], step[3, :, 1:] = has_h, has_h, has_v, has_v
+    rise[0, :-1], rise[1, 1:], rise[2, :, :-1], rise[3, :, 1:] = h, -h, v, -v
+    step, rise = step.reshape(4, -1), rise.reshape(4, -1, 3)
+    shift = np.array([ny, -ny, 1, -1])
 
-    index = {}
-    verts, uvs, normals = [], [], []
-    for (i, j), pos in sorted(X.items()):
-        index[(i, j)] = len(verts)
-        verts.append(pos)
-        uvs.append(U[i, j])
-        normals.append(gauss_map(data, U[i, j]))
-    faces = []
-    cells = []
-    for i in range(nx - 1):
-        for j in range(ny - 1):
-            corners = [(i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1)]
-            if all(c in index for c in corners):
-                a, b, c, d = (index[c] for c in corners)
-                faces.append((a, b, c))
-                faces.append((a, c, d))
-                cells.append(corners)
+    # breadth-first spanning tree, one wavefront per level; each new vertex
+    # takes the first (frontier position, direction) that reaches it, the
+    # parent a first-in-first-out queue would give
+    X = np.zeros((nx * ny, 3))
+    seen = np.zeros(nx * ny, dtype=bool)
+    seen[root] = True
+    front = np.array([root])
+    while front.size:
+        pos, d = np.nonzero(step[:, front].T)
+        src = front[pos]
+        dst = src + shift[d]
+        new = ~seen[dst]
+        src, d, dst = src[new], d[new], dst[new]
+        first = np.sort(np.unique(dst, return_index=True)[1])
+        src, d, dst = src[first], d[first], dst[first]
+        X[dst] = X[src] + rise[d, src]
+        seen[dst] = True
+        front = dst
 
-    # loop-closure residuals over grid cells
-    def cell_residual(corners):
-        a, b, c, d = corners
-        loop = (edge_val.get((a, b), None), edge_val.get((b, c), None),
-                edge_val.get((c, d), None), edge_val.get((d, a), None))
-        if any(v is None for v in loop):
-            return None
-        return float(np.linalg.norm(np.real(sum(loop))))
+    index = np.cumsum(seen).reshape(nx, ny) - 1
+    seen = seen.reshape(nx, ny)
+    cell = seen[:-1, :-1] & seen[1:, :-1] & seen[1:, 1:] & seen[:-1, 1:]
+    i, j = np.nonzero(cell)
+    a, b, c, d = index[i, j], index[i + 1, j], index[i + 1, j + 1], index[i, j + 1]
+    faces = np.stack([a, b, c, a, c, d], axis=1).reshape(-1, 3)
 
+    # loop-closure residual of every cell: h[i,j] + v[i+1,j] - h[i,j+1] - v[i,j]
+    loop = ((h[:, :-1] + v[1:, :]) - h[:, 1:]) - v[:-1, :]
+    resid = np.linalg.norm(loop[cell], axis=-1)
     rng = np.random.default_rng(20)
-    resid_all = [r for r in (cell_residual(c) for c in cells) if r is not None]
-    sample = [resid_all[k] for k in rng.integers(0, len(resid_all), size=min(20, len(resid_all)))] \
-        if resid_all else []
-    span = np.ptp(np.array(verts), axis=0).max() if verts else 1.0
+    sample = resid[rng.integers(0, resid.size, size=min(20, resid.size))].tolist() \
+        if resid.size else []
+    verts = X[seen.ravel()]
+    uvs = U[seen]
     mesh = SurfaceMesh(
-        vertices=np.array(verts, dtype=float),
-        faces=np.array(faces, dtype=int).reshape(-1, 3),
-        gauss=np.array(normals, dtype=float),
-        domain_uv=np.array(uvs, dtype=complex),
+        vertices=verts,
+        faces=faces,
+        gauss=gauss_map(data, uvs),
+        domain_uv=uvs,
         metadata={
             "end_clearance": eps,
             "grid": (grid.nx, grid.ny, grid.extent),
             "basepoint": base,
-            "loop_residual_max": max(resid_all) if resid_all else 0.0,
+            "loop_residual_max": float(resid.max()) if resid.size else 0.0,
             "loop_residual_sample": sample,
-            "mesh_scale": float(span),
+            "mesh_scale": float(np.ptp(verts, axis=0).max()),
             "vertex_count": len(verts),
         })
     return mesh
@@ -319,19 +309,24 @@ def real_period(periods) -> np.ndarray:
 
 
 def gauss_map(data: WeierstrassData, u):
-    """Unit normal (2g, |g|^2 - 1)/(|g|^2 + 1) with g = s2/s1.
+    """Unit normal (2g, |g|^2 - 1)/(|g|^2 + 1) with g = s2/s1, shape u.shape + (3,).
 
-    At a pole of g (s1 = 0, s2 != 0) the limit (0, 0, 1) is returned.
+    s1 and s2 are evaluated once for all points.  At a pole of g
+    (s1 = 0, s2 != 0) the limit (0, 0, 1) is returned; a common zero
+    raises ValueError.
     """
-    f1 = complex(np.asarray(data.s1.evaluate(u), dtype=complex).reshape(()))
-    f2 = complex(np.asarray(data.s2.evaluate(u), dtype=complex).reshape(()))
-    if f1 == 0 and f2 == 0:
+    u = np.asarray(u, dtype=complex)
+    f1 = np.broadcast_to(np.asarray(data.s1.evaluate(u), dtype=complex), u.shape)
+    f2 = np.broadcast_to(np.asarray(data.s2.evaluate(u), dtype=complex), u.shape)
+    if np.any((f1 == 0) & (f2 == 0)):
         raise ValueError("gauss map undefined at a common zero (branch point)")
-    if abs(f1) <= 1e-15 * abs(f2):
-        return np.array([0.0, 0.0, 1.0])
-    g = f2 / f1
-    den = abs(g) ** 2 + 1.0
-    return np.array([2.0 * g.real / den, 2.0 * g.imag / den, (abs(g) ** 2 - 1.0) / den])
+    pole = np.abs(f1) <= 1e-15 * np.abs(f2)
+    g = f2 / np.where(pole, 1.0, f1)
+    g2 = np.abs(g) ** 2
+    den = g2 + 1.0
+    n = np.stack([2.0 * g.real / den, 2.0 * g.imag / den, (g2 - 1.0) / den], axis=-1)
+    n[pole] = (0.0, 0.0, 1.0)
+    return n
 
 
 def branch_points(data: WeierstrassData, resolution: int = 120,
@@ -383,29 +378,28 @@ def export_obj(mesh: SurfaceMesh, path) -> Path:
     """Wavefront OBJ with 17-significant-digit vertices and normals."""
     if mesh.vertices.size == 0:
         raise ValueError("cannot export an empty mesh")
-    path = Path(path)
-    lines = []
-    for v in mesh.vertices:
-        lines.append("v %.17g %.17g %.17g" % (v[0], v[1], v[2]))
-    for n in mesh.gauss:
-        lines.append("vn %.17g %.17g %.17g" % (n[0], n[1], n[2]))
-    for f in mesh.faces:
-        lines.append("f %d//%d %d//%d %d//%d"
-                     % (f[0] + 1, f[0] + 1, f[1] + 1, f[1] + 1, f[2] + 1, f[2] + 1))
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n")
-    return path
+    faces = np.repeat(mesh.faces + 1, 2, axis=1)
+    text = ("v %.17g %.17g %.17g\n" * len(mesh.vertices)
+            + "vn %.17g %.17g %.17g\n" * len(mesh.gauss)
+            + "f %d//%d %d//%d %d//%d\n" * len(faces)) \
+        % tuple(mesh.vertices.ravel().tolist() + mesh.gauss.ravel().tolist()
+                + faces.ravel().tolist())
+    return _write(path, text)
 
 
 def export_csv(mesh: SurfaceMesh, path) -> Path:
     """CSV of (u, X, n) samples: re(u), im(u), x, y, z, nx, ny, nz."""
+    rows = np.column_stack([mesh.domain_uv.real, mesh.domain_uv.imag,
+                            mesh.vertices, mesh.gauss])
+    text = "re_u,im_u,x,y,z,nx,ny,nz\n" \
+        + ("%.17g," * 7 + "%.17g\n") * len(rows) % tuple(rows.ravel().tolist())
+    return _write(path, text)
+
+
+def _write(path, text: str) -> Path:
     path = Path(path)
-    rows = ["re_u,im_u,x,y,z,nx,ny,nz"]
-    for u, v, n in zip(mesh.domain_uv, mesh.vertices, mesh.gauss):
-        rows.append(",".join("%.17g" % x for x in
-                             (u.real, u.imag, v[0], v[1], v[2], n[0], n[1], n[2])))
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(rows) + "\n")
+    path.write_text(text)
     return path
 
 

@@ -101,3 +101,32 @@ class TestCommands:
         assert main(["mesh", "enneper", str(obj), "--grid", "17"]) == 0
         lines = obj.read_text().splitlines()
         assert sum(1 for l in lines if l.startswith("v ")) == 17 * 17
+
+
+SPHERE6_ON_VARIETY = ["0", "1.4907119849998598", "0"]
+
+
+class TestMeshGate:
+    @pytest.mark.parametrize("grid,code", [("33", 2), ("65", 0)])
+    def test_sphere6_loop_closure_gate(self, tmp_path, capsys, grid, code):
+        # at grid 33 the end clearance (0.036) is below the grid step
+        # (0.125) and cells next to an end do not close
+        obj = tmp_path / "s6.obj"
+        assert main(["sphere6", *SPHERE6_ON_VARIETY, "--mesh", str(obj), "--grid", grid,
+                     "--out", str(tmp_path)]) == code
+        report = json.loads((tmp_path / "sphere6.json").read_text())
+        mesh = report["mesh"]
+        assert (mesh["loop_residual_max"] >= 1e-6 * mesh["mesh_scale"]) == (code == 2)
+        assert obj.exists()
+
+    def test_outputs_identical_across_thread_counts(self, tmp_path, monkeypatch, capsys):
+        outputs = []
+        for threads in ("1", "2"):
+            d = tmp_path / threads
+            d.mkdir()
+            monkeypatch.chdir(d)
+            monkeypatch.setenv("SPINOR_MINIMAL_THREADS", threads)
+            assert main(["torus4", "1.1-0.2j", "0.3+0.9j", "--mesh", "t.obj", "--grid", "33",
+                         "--out", "."]) == 0
+            outputs.append(((d / "t.obj").read_bytes(), (d / "torus4.json").read_bytes()))
+        assert outputs[0] == outputs[1]

@@ -201,3 +201,64 @@ def test_legendre_holds_for_hypothesis_lattices(x, y, aspect):
     resid = dp**2 - (4 * p**3 - ctx.g2 * p - ctx.g3)
     scale = abs(dp) ** 2 + abs(4 * p**3) + abs(ctx.g2 * p) + abs(ctx.g3)
     assert abs(resid) < 1e-8 * scale
+
+
+def _brute_lattice_distance(w1, w3, u):
+    """Nearest lattice point by scanning every point that can be nearest."""
+    p1, p3 = 2 * complex(w1), 2 * complex(w3)
+    area = abs((p1.conjugate() * p3).imag)
+    x = (u * p3.conjugate()).imag / -(p1.conjugate() * p3).imag
+    y = (u * p1.conjugate()).imag / (p1.conjugate() * p3).imag
+    centre = np.round(x) * p1 + np.round(y) * p3
+    # the nearest point lies within |p1| + |p3| of the rounded one, so its
+    # coordinates differ from the rounded ones by at most that over the
+    # shorter cell height
+    k = int(np.ceil((abs(p1) + abs(p3)) / (area / max(abs(p1), abs(p3))))) + 1
+    n = np.arange(-k, k + 1)
+    best = np.full(u.shape, np.inf)
+    for m in n:
+        lam = centre[:, None] + m * p1 + n[None, :] * p3
+        best = np.minimum(best, np.min(np.abs(u[:, None] - lam), axis=1))
+    return best
+
+
+class TestLatticeDistance:
+    @given(st.floats(-1.5, 1.5), st.floats(0.05, 2.0), st.floats(0.3, 3.0),
+           st.floats(-np.pi, np.pi), st.integers(0, 2**16))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_brute_force_on_random_lattices(self, re_tau, im_tau, size, angle, seed):
+        w1 = size * np.exp(1j * angle)
+        w3 = w1 * complex(re_tau, im_tau)
+        rng = np.random.default_rng(seed)
+        u = rng.uniform(-2, 2, 300) * 2 * w1 + rng.uniform(-2, 2, 300) * 2 * w3
+        got = Lattice(w1, w3).distance(u)
+        assert got.shape == u.shape
+        want = _brute_lattice_distance(w1, w3, u)
+        assert np.max(np.abs(got - want)) <= 1e-12 * (abs(w1) + abs(w3))
+
+    def test_context_uses_the_exact_distance(self, ctx):
+        u = interior_points(ctx, 50) * 3.1 - 0.7 * ctx.omega3
+        assert np.array_equal(ctx.lattice_distance(u), ctx.lattice.distance(u))
+
+    def test_scalar_gives_float_and_matches_array(self):
+        ctx = build_context(1.0, 0.5 + 0.1j)
+        u = np.array([0.3 + 0.05j, 0.904 + 0.049j, 1.7 - 0.4j])
+        d = ctx.lattice_distance(u)
+        for uk, dk in zip(u, d):
+            got = ctx.lattice_distance(uk)
+            assert isinstance(got, float) and got == dk
+
+    def test_skewed_lattice_point_off_the_rounded_one(self):
+        # (1, 0.5+0.1i): rounding in the given basis picks the lattice
+        # point 0, 1.0 away, while 2*omega3 - 2*omega1 is at distance 0.2
+        ctx = build_context(1.0, 0.5 + 0.1j)
+        assert ctx.lattice_distance(-1.0) == pytest.approx(0.2, abs=1e-14)
+
+    def test_reduced_periods_span_the_lattice(self, ctx):
+        b1, b2 = ctx.lattice.reduced_periods
+        assert abs(b1) <= abs(b2) <= min(abs(b2 - b1), abs(b2 + b1)) + 1e-15
+        for b in (b1, b2):
+            assert ctx.lattice_distance(b) < 1e-12
+        area = abs((b1.conjugate() * b2).imag)
+        cell = abs(((2 * ctx.omega1).conjugate() * 2 * ctx.omega3).imag)
+        assert area == pytest.approx(cell, rel=1e-12)

@@ -207,6 +207,16 @@ class TestTwistedBasis:
         with pytest.raises(ValueError):
             basis_F_torus_twisted(ctx, EndDivisor((0.0, 2 * ctx.omega1 + 1e-12, 0.5)))
 
+    def test_oracle_on_skewed_lattice(self):
+        # (1, 0.5+0.1i) is far from reduced; a qres radius from rounding in
+        # that basis let the oracle's contour enclose a second end
+        ctx = build_context(1.0, 0.5 + 0.1j)
+        basis = basis_F_torus_twisted(ctx, EndDivisor((0.0, 0.904 + 0.049j, 0.815 + 0.063j)))
+        pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
+        exact = np.array([omega_pair(basis[i], basis[j]) for i, j in pairs])
+        oracle = np.array([omega_qres_oracle(basis[i], basis[j]) for i, j in pairs])
+        assert np.max(np.abs(oracle - exact)) < 1e-9 * max(1.0, np.max(np.abs(exact)))
+
     def test_laurent_consistency(self, ctx):
         basis = basis_F_torus_twisted(ctx, EndDivisor((0.0, 0.4 + 0.33j, 1.1 + 0.7j)))
         for s in basis:

@@ -239,6 +239,17 @@ class TestExports:
         with pytest.raises(ValueError):
             export_obj(mesh, tmp_path / "empty.obj")
 
+    def test_obj_and_csv_lines(self, tmp_path):
+        mesh = integrate_surface(enneper_data(), GridSpec(nx=4, ny=3, extent=1.0), -1.0 - 1.0j)
+        g = lambda xs: " ".join("%.17g" % x for x in xs)
+        want = ["v " + g(v) for v in mesh.vertices] + ["vn " + g(n) for n in mesh.gauss] \
+            + ["f " + " ".join("%d//%d" % (k + 1, k + 1) for k in f) for f in mesh.faces]
+        assert export_obj(mesh, tmp_path / "m.obj").read_text() == "\n".join(want) + "\n"
+        rows = ["re_u,im_u,x,y,z,nx,ny,nz"] + [
+            ",".join("%.17g" % x for x in (u.real, u.imag, *v, *n))
+            for u, v, n in zip(mesh.domain_uv, mesh.vertices, mesh.gauss)]
+        assert export_csv(mesh, tmp_path / "m.csv").read_text() == "\n".join(rows) + "\n"
+
     def test_csv(self, tmp_path):
         mesh = integrate_surface(enneper_data(), GridSpec(nx=3, ny=3, extent=1.0), 0.0)
         path = export_csv(mesh, tmp_path / "m.csv")
@@ -259,3 +270,119 @@ class TestTorusMesh:
         mesh = integrate_surface(data, GridSpec(nx=49, ny=49), base)
         assert mesh.metadata["vertex_count"] > 1000
         assert mesh.metadata["loop_residual_max"] < 1e-6 * mesh.metadata["mesh_scale"]
+
+
+@pytest.fixture(scope="module")
+def torus4_generic():
+    from spinorminimal.elliptic import build_context
+    from spinorminimal.moduli import torus4_construct
+    t4 = torus4_construct(build_context(1.1 - 0.2j, 0.3 + 0.9j))
+    data = WeierstrassData(s1=t4.s1, s2=t4.s2)
+    base = (16 / 32) * 2 * t4.ctx.omega1 + (8 / 32) * 2 * t4.ctx.omega3
+    return data, base, integrate_surface(data, GridSpec(nx=33, ny=33), base)
+
+
+@pytest.fixture(scope="module")
+def sphere4_mesh(sphere4_data):
+    _, data = sphere4_data
+    return data, -1.0 - 1.0j, integrate_surface(data, GridSpec(nx=65, ny=65), -1.0 - 1.0j)
+
+
+def _scalar_gauss(data, u):
+    """Per-point reference in Python complex arithmetic."""
+    f1 = complex(np.asarray(data.s1.evaluate(u), dtype=complex).reshape(()))
+    f2 = complex(np.asarray(data.s2.evaluate(u), dtype=complex).reshape(()))
+    if abs(f1) <= 1e-15 * abs(f2):
+        return np.array([0.0, 0.0, 1.0])
+    g = f2 / f1
+    den = abs(g) ** 2 + 1.0
+    return np.array([2.0 * g.real / den, 2.0 * g.imag / den, (abs(g) ** 2 - 1.0) / den])
+
+
+class TestArrayGaussMap:
+    def test_equals_stacked_scalar_calls(self, sphere4_data):
+        _, data = sphere4_data
+        rng = np.random.default_rng(5)
+        u = rng.uniform(-2, 2, 40) + 1j * rng.uniform(-2, 2, 40)
+        u = u[data.end_distance(u) > 0.05]
+        n = gauss_map(data, u)
+        assert n.shape == (len(u), 3)
+        want = np.array([_scalar_gauss(data, x) for x in u])
+        assert np.max(np.abs(n - want)) < 1e-14
+
+    def test_keeps_shape(self, sphere4_data):
+        _, data = sphere4_data
+        u = np.array([[0.3 + 0.1j, -0.2 + 0.7j], [1.1j, -1.3 - 0.2j]])
+        assert gauss_map(data, u).shape == (2, 2, 3)
+        assert gauss_map(data, u[0, 0]).shape == (3,)
+
+    def test_pole_limit_in_an_array(self):
+        dom = SphereDomain(ends=EndDivisor(()))
+        s1 = SpinorSection(domain=dom, label="z", evaluate=lambda z: np.asarray(z, dtype=complex),
+                           derivative=lambda z: np.ones_like(np.asarray(z, dtype=complex)),
+                           expansions=())
+        s2 = SpinorSection(domain=dom, label="1",
+                           evaluate=lambda z: np.ones_like(np.asarray(z, dtype=complex)),
+                           derivative=lambda z: np.zeros_like(np.asarray(z, dtype=complex)),
+                           expansions=())
+        data = WeierstrassData(s1=s1, s2=s2, end_clearance=0.1)
+        u = np.array([0.5, 0.0, 1j])
+        n = gauss_map(data, u)
+        assert np.array_equal(n[1], [0.0, 0.0, 1.0])
+        for k in (0, 2):
+            assert np.allclose(n[k], _scalar_gauss(data, u[k]), atol=1e-15)
+
+    def test_branch_point_in_an_array_raises(self):
+        dom = SphereDomain(ends=EndDivisor(()))
+        zsec = SpinorSection(domain=dom, label="z phi",
+                             evaluate=lambda z: np.asarray(z, dtype=complex),
+                             derivative=lambda z: np.ones_like(np.asarray(z, dtype=complex)),
+                             expansions=())
+        data = WeierstrassData(s1=zsec, s2=zsec, end_clearance=0.05)
+        with pytest.raises(ValueError):
+            gauss_map(data, np.array([0.5, 0.0, 1j]))
+
+
+def _clear_segment(data, a, b, margin):
+    t = np.linspace(0.0, 1.0, 201)
+    path = a + (b - a) * t
+    return min(data.end_distance(path).min(), data.chart_singular_distance(path).min()) > margin
+
+
+class TestArrayMeshPipeline:
+    @pytest.mark.parametrize("which", ["sphere4", "torus4"])
+    def test_vertices_match_straight_path_quadrature(self, which, sphere4_mesh, torus4_generic):
+        data, base, mesh = sphere4_mesh if which == "sphere4" else torus4_generic
+        scale = mesh.metadata["mesh_scale"]
+        rng = np.random.default_rng(17)
+        picked = 0
+        for k in rng.permutation(len(mesh.vertices)):
+            u = mesh.domain_uv[k]
+            if abs(u - base) < 0.5 or not _clear_segment(data, base, u, 0.15):
+                continue
+            x = integrate_position(data, [QuadraturePath.segment(base, u)])
+            assert np.max(np.abs(mesh.vertices[k] - x)) < 1e-9 * scale
+            picked += 1
+            if picked == 2:
+                break
+        assert picked == 2
+
+    @pytest.mark.parametrize("which", ["sphere4", "torus4"])
+    def test_counts_follow_the_validity_mask(self, which, sphere4_mesh, torus4_generic):
+        data, _, mesh = sphere4_mesh if which == "sphere4" else torus4_generic
+        nx, ny, extent = mesh.metadata["grid"]
+        if which == "sphere4":
+            xs = np.linspace(-extent, extent, nx)
+            U = xs[:, None] + 1j * xs[None, :]
+        else:
+            ctx = data.domain.ctx
+            f = np.linspace(0.0, 1.0, nx)
+            U = f[:, None] * 2 * ctx.omega1 + f[None, :] * 2 * ctx.omega3
+        valid = (data.end_distance(U.ravel()) > data.end_clearance) \
+            & (data.chart_singular_distance(U.ravel()) > 1e-9)
+        valid = valid.reshape(U.shape)
+        cells = valid[:-1, :-1] & valid[1:, :-1] & valid[1:, 1:] & valid[:-1, 1:]
+        assert mesh.metadata["vertex_count"] == len(mesh.vertices) == int(valid.sum())
+        assert len(mesh.faces) == 2 * int(cells.sum())
+        assert len(mesh.gauss) == len(mesh.domain_uv) == len(mesh.vertices)
+        assert np.array_equal(mesh.domain_uv, U[valid])

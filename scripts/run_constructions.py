@@ -7,52 +7,47 @@ Usage: python scripts/run_constructions.py [outdir]
 import sys
 from pathlib import Path
 
-from spinorminimal.elliptic import build_context
-from spinorminimal.moduli import klein4_construct, sphere4_solve, sphere6_K_basis, \
-    torus4_construct
-from spinorminimal.reportio import write_report
-from spinorminimal.surface import GridSpec, WeierstrassData, export_obj, integrate_surface
-
 import numpy as np
+
+from spinorminimal.cli import CONSTRUCTIONS
+from spinorminimal.reportio import write_report
+from spinorminimal.surface import GridSpec, export_obj, integrate_surface
+
+
+def _mesh(name, built, grid, out):
+    entry = CONSTRUCTIONS[name]
+    data = entry.weierstrass(built)
+    mesh = integrate_surface(data, grid, entry.basepoint(data.domain, grid.nx))
+    export_obj(mesh, out / f"{name}.obj")
+    return mesh
 
 
 def main(outdir="constructions"):
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
 
-    fam = sphere4_solve()
+    fam = CONSTRUCTIONS["sphere4"].build()
     write_report(fam.report(), out / "sphere4.json")
-    data = WeierstrassData(s1=fam.K_basis[0], s2=fam.K_basis[1])
-    mesh = integrate_surface(data, GridSpec(nx=81, ny=81, extent=2.0), -1.0 - 1.0j)
-    export_obj(mesh, out / "sphere4.obj")
+    mesh = _mesh("sphere4", fam, GridSpec(nx=81, ny=81, extent=2.0), out)
     print(f"sphere4: pfaffian residual {fam.residuals['pfaffian']:.2e}, "
           f"mesh loops {mesh.metadata['loop_residual_max']:.2e}")
 
     sigma = (0.0, 2.0 * np.sqrt(5.0) / 3.0, 0.0)
-    (t1, t2), form, residuals = sphere6_K_basis(sigma)
+    built6 = CONSTRUCTIONS["sphere6"].build(sigma)
+    residuals = built6[2]
     write_report({"sigma": sigma, "residuals": residuals}, out / "sphere6.json")
-    data6 = WeierstrassData(s1=t1, s2=t2)
-    mesh6 = integrate_surface(data6, GridSpec(nx=81, ny=81, extent=2.5), -2.0 - 2.0j)
-    export_obj(mesh6, out / "sphere6.obj")
+    _mesh("sphere6", built6, GridSpec(nx=81, ny=81, extent=2.5), out)
     print(f"sphere6: K residuals {max(residuals.values()):.2e}")
 
-    t4 = torus4_construct(build_context(1.0, 1.0j))
+    t4 = CONSTRUCTIONS["torus4"].build()
     write_report(t4.report(), out / "torus4.json")
-    ctx = t4.ctx
-    base = 0.5 * 2 * ctx.omega1 + 0.25 * 2 * ctx.omega3
-    data4 = WeierstrassData(s1=t4.s1, s2=t4.s2)
-    mesh4 = integrate_surface(data4, GridSpec(nx=65, ny=65), base)
-    export_obj(mesh4, out / "torus4.obj")
+    _mesh("torus4", t4, GridSpec(nx=65, ny=65), out)
     print(f"torus4: period residual {t4.residuals['period1']:.2e}, "
           f"branch condition |{abs(t4.branch_condition):.3f}|")
 
-    kb = klein4_construct()
+    kb = CONSTRUCTIONS["klein4"].build()
     write_report(kb.report(), out / "klein4.json")
-    ctx = kb.ctx
-    base = 0.5 * 2 * ctx.omega1 + 0.125 * 2 * ctx.omega3
-    datak = WeierstrassData(s1=kb.s1, s2=kb.s2)
-    meshk = integrate_surface(datak, GridSpec(nx=65, ny=65), base)
-    export_obj(meshk, out / "klein4.obj")
+    _mesh("klein4", kb, GridSpec(nx=65, ny=65), out)
     print(f"klein4: period residual {kb.residuals['period_equation']:.2e}, "
           f"gamma3 auto {kb.residuals['gamma3_auto']:.2e}")
     print(f"all reports and meshes in {out}/")

@@ -12,29 +12,12 @@ from collections import Counter
 
 import numpy as np
 
-from spinorminimal.moduli import rp2_boundary_point, rp2_symmetry_group, rp2_variety
-
-
-def variety_slice(n):
-    """Real points (c1, c2, c3) on the variety with |c_i| <= 1."""
-    points = []
-    for c1 in np.linspace(-0.95, 0.95, n):
-        for c2 in np.linspace(-0.95, 0.95, n):
-            kq = (c1 * c1 + 3.0) * (c2 * c2 + 3.0)
-            a, b, c = kq, -32.0 * c1 * c2, 3.0 * kq - 32.0
-            disc = b * b - 4 * a * c
-            if disc < 0:
-                continue
-            for sgn in (1.0, -1.0):
-                c3 = (-b + sgn * np.sqrt(disc)) / (2 * a)
-                if abs(c3) <= 1.0:
-                    points.append((float(c1), float(c2), float(c3)))
-    return points
+from spinorminimal.moduli import rp2_boundary_point, rp2_slice, rp2_symmetry_group, rp2_variety
 
 
 def main(n=41):
     n = int(n)
-    points = variety_slice(n)
+    points = rp2_slice(n)
     labels = Counter(rp2_symmetry_group(p) for p in points)
     print(f"{len(points)} variety points on a {n}x{n} slice grid")
     for label, count in labels.most_common():

@@ -8,21 +8,19 @@ are pinned here, next to the checks that use them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import arf as arfmod
-from .elliptic import build_context, wp, wp_prime, zeta
-from .numkit import ComplexPolynomial, QuadraturePath, SkewMatrix, contour_integral, \
-    pfaffian, poly_roots, skew_rank_kernel
+from .elliptic import build_context, wp, wp_prime
+from .numkit import QuadraturePath, SkewMatrix, pfaffian, skew_rank_kernel
 from .spinor import (
     INF,
     EndDivisor,
     basis_F_sphere,
     basis_F_torus_twisted,
     basis_F_torus_untwisted_paired,
-    check_planar_end,
     extract_K,
     omega_matrix,
     omega_pair,
@@ -36,8 +34,6 @@ from .surface import (
     enneper_data,
     integrate_position,
     integrate_surface,
-    period_vector,
-    real_period,
 )
 
 __all__ = ["CheckResult", "run", "SUITES", "ACCEPTANCE_LATTICES"]

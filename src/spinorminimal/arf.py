@@ -26,7 +26,6 @@ from itertools import combinations
 
 __all__ = [
     "HyperellipticSpin",
-    "QuadraticFormZ2",
     "q_value",
     "arf_bruteforce",
     "arf_closed_form",
@@ -63,17 +62,6 @@ class HyperellipticSpin:
     @property
     def g(self) -> int:
         return (len(self.branch) - 1) // 2
-
-
-@dataclass(frozen=True)
-class QuadraticFormZ2:
-    """Z2-valued quadratic form on even subsets of a (2g+1)-set."""
-
-    g: int
-    spin: HyperellipticSpin
-
-    def __call__(self, C) -> int:
-        return q_value(self.spin, C)
 
 
 def q_value(spin: HyperellipticSpin, C) -> int:

@@ -14,6 +14,7 @@ import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -32,33 +33,50 @@ from .spinor import (
     extract_K,
     omega_matrix,
 )
-from .surface import GridSpec, WeierstrassData, export_obj, integrate_surface
+from .surface import GridSpec, WeierstrassData, enneper_data, export_obj, integrate_surface
 
 USAGE_ERROR, VERIFICATION_ERROR = 1, 2
 
 
+def _lattice_point(fx, fy):
+    """The vertex of an n x n torus grid at the lattice fractions (fx, fy),
+    each snapped to the nearest grid line."""
+    def basepoint(domain, n):
+        ctx = domain.ctx
+        return (round((n - 1) * fx) / (n - 1) * 2 * ctx.omega1
+                + round((n - 1) * fy) / (n - 1) * 2 * ctx.omega3)
+    return basepoint
+
+
 @dataclass(frozen=True)
-class RunConfig:
-    """Validated shared run options; identical configs give identical
-    outputs byte-for-byte (reports carry no timestamps)."""
+class Construction:
+    """How a named construction is built, the spinor pair it meshes, and
+    the basepoint rule (domain, grid size) -> chart point of its meshes:
+    a fixed sphere-chart point, or lattice fractions on a torus."""
 
-    command: str
-    tol: float = 1e-9
-    grid: int = 65
-    eps: float = None
-    extent: float = 2.0
-    seed: int = 0
-    out: str = None
+    build: Callable
+    pair: Callable
+    basepoint: Callable
 
-    def __post_init__(self):
-        if not self.tol > 0:
-            raise ValueError("tolerance must be positive")
-        if self.eps is not None and not self.eps > 0:
-            raise ValueError("end clearance must be positive")
-        if self.grid < 2:
-            raise ValueError("grid resolution must be at least 2")
-        if self.extent <= 0:
-            raise ValueError("extent must be positive")
+    def weierstrass(self, built, eps=None) -> WeierstrassData:
+        s1, s2 = self.pair(built)
+        return WeierstrassData(s1=s1, s2=s2, end_clearance=eps)
+
+
+# builds look their moduli function up at call time, so that a function
+# replaced on the module (a wrapper or a test double) is the one called
+CONSTRUCTIONS = {
+    "enneper": Construction(enneper_data, lambda d: (d.s1, d.s2), lambda dom, n: 0.0),
+    "sphere4": Construction(lambda tol=1e-9: moduli.sphere4_solve(tol),
+                            lambda fam: fam.K_basis, lambda dom, n: -1.0 - 1.0j),
+    "sphere6": Construction(lambda sigma, tol=1e-8: moduli.sphere6_K_basis(sigma, tol),
+                            lambda built: built[0], lambda dom, n: -1.5 - 1.5j),
+    "torus4": Construction(lambda omega1=1.0, omega3=1.0j, choice=(1, 2, 3):
+                           moduli.torus4_construct(build_context(omega1, omega3), choice),
+                           lambda t4: (t4.s1, t4.s2), _lattice_point(0.5, 0.25)),
+    "klein4": Construction(lambda tol=1e-8: moduli.klein4_construct(tol),
+                           lambda kb: (kb.s1, kb.s2), _lattice_point(0.5, 0.125)),
+}
 
 
 def parse_complex(text: str) -> complex:
@@ -90,12 +108,14 @@ def _loop_gate(mesh) -> int:
     return 0 if meta["loop_residual_max"] < 1e-6 * meta["mesh_scale"] else VERIFICATION_ERROR
 
 
-def _mesh_if_requested(args, data: WeierstrassData, basepoint, payload: dict) -> int:
+def _mesh_if_requested(args, name: str, built, payload: dict) -> int:
     """Mesh and export when --mesh is given; returns the loop-closure gate's code."""
     if not getattr(args, "mesh", None):
         return 0
-    grid = GridSpec(nx=args.grid, ny=args.grid, extent=getattr(args, "extent", 2.0))
-    mesh = integrate_surface(data, grid, basepoint)
+    entry = CONSTRUCTIONS[name]
+    data = entry.weierstrass(built, args.eps)
+    grid = GridSpec(nx=args.grid, ny=args.grid, extent=args.extent)
+    mesh = integrate_surface(data, grid, entry.basepoint(data.domain, args.grid))
     export_obj(mesh, args.mesh)
     payload["mesh"] = {"path": str(args.mesh), **{k: v for k, v in mesh.metadata.items()
                                                   if k != "loop_residual_sample"}}
@@ -104,11 +124,9 @@ def _mesh_if_requested(args, data: WeierstrassData, basepoint, payload: dict) ->
 
 
 def cmd_sphere4(args) -> int:
-    fam = moduli.sphere4_solve(tol=args.tol)
+    fam = CONSTRUCTIONS["sphere4"].build(tol=args.tol)
     payload = fam.report()
-    data = WeierstrassData(s1=fam.K_basis[0], s2=fam.K_basis[1],
-                           end_clearance=args.eps)
-    rc = _mesh_if_requested(args, data, -1.0 - 1.0j, payload)
+    rc = _mesh_if_requested(args, "sphere4", fam, payload)
     _emit(args, payload, "sphere4")
     return rc or (0 if fam.residuals["pfaffian"] < 1e-10 else VERIFICATION_ERROR)
 
@@ -136,35 +154,18 @@ def cmd_sphere6(args) -> int:
     on_variety = abs(closed) < 1e-8 * max(1.0, sum(abs(s) for s in sigma) ** 4)
     rc = 0
     if on_variety:
-        (t1, t2), form, residuals = moduli.sphere6_K_basis(sigma, tol=args.tol * 10)
-        payload["K_residuals"] = residuals
-        if getattr(args, "mesh", None):
-            data = WeierstrassData(s1=t1, s2=t2, end_clearance=args.eps)
-            rc = _mesh_if_requested(args, data, -1.5 - 1.5j, payload)
+        built = CONSTRUCTIONS["sphere6"].build(sigma, tol=args.tol * 10)
+        payload["K_residuals"] = built[2]
+        rc = _mesh_if_requested(args, "sphere6", built, payload)
     _emit(args, payload, "sphere6")
     return rc
 
 
 def cmd_rp2(args) -> int:
     if args.boundary_scan:
-        rows = []
-        grid = np.linspace(-0.95, 0.95, args.boundary_scan)
-        for c1 in grid:
-            for c2 in grid:
-                kq = (c1 * c1 + 3.0) * (c2 * c2 + 3.0)
-                # quadratic in c3: kq (c3^2 + 3) ... expanded variety equation
-                aa = kq
-                bb = -32.0 * c1 * c2
-                cc = 3.0 * kq - 32.0
-                disc = bb * bb - 4 * aa * cc
-                if disc < 0:
-                    continue
-                for sgn in (1.0, -1.0):
-                    c3 = (-bb + sgn * np.sqrt(disc)) / (2 * aa)
-                    if abs(c3) <= 1.0:
-                        c = (float(c1), float(c2), float(c3))
-                        rows.append({"c": c, "variety": moduli.rp2_variety(c),
-                                     "stabilizer": moduli.rp2_symmetry_group(c)})
+        rows = [{"c": c, "variety": moduli.rp2_variety(c),
+                 "stabilizer": moduli.rp2_symmetry_group(c)}
+                for c in moduli.rp2_slice(args.boundary_scan)]
         _emit(args, {"boundary_points": rows, "count": len(rows)}, "rp2-scan")
         return 0
     c = tuple(float(x) for x in args.c)
@@ -177,28 +178,19 @@ def cmd_rp2(args) -> int:
 
 
 def cmd_torus4(args) -> int:
-    ctx = build_context(parse_complex(args.omega1), parse_complex(args.omega3))
-    choice = tuple(int(ch) for ch in args.choice)
-    t4 = moduli.torus4_construct(ctx, choice)
+    t4 = CONSTRUCTIONS["torus4"].build(parse_complex(args.omega1), parse_complex(args.omega3),
+                                       tuple(int(ch) for ch in args.choice))
     payload = t4.report()
-    data = WeierstrassData(s1=t4.s1, s2=t4.s2, end_clearance=args.eps)
-    frac = round((args.grid - 1) / 2) / (args.grid - 1), round((args.grid - 1) / 4) / (args.grid - 1)
-    base = frac[0] * 2 * ctx.omega1 + frac[1] * 2 * ctx.omega3
-    rc = _mesh_if_requested(args, data, base, payload)
+    rc = _mesh_if_requested(args, "torus4", t4, payload)
     _emit(args, payload, "torus4")
     ok = t4.residuals["period1"] < 1e-7 and abs(t4.branch_condition) > 1e-3
     return rc or (0 if ok else VERIFICATION_ERROR)
 
 
 def cmd_klein4(args) -> int:
-    kb = moduli.klein4_construct(tol=args.tol * 10)
+    kb = CONSTRUCTIONS["klein4"].build(tol=args.tol * 10)
     payload = kb.report()
-    data = WeierstrassData(s1=kb.s1, s2=kb.s2, end_clearance=args.eps)
-    ctx = kb.ctx
-    n = args.grid
-    frac = (round((n - 1) * 0.5) / (n - 1), round((n - 1) * 0.125) / (n - 1))
-    base = frac[0] * 2 * ctx.omega1 + frac[1] * 2 * ctx.omega3
-    rc = _mesh_if_requested(args, data, base, payload)
+    rc = _mesh_if_requested(args, "klein4", kb, payload)
     _emit(args, payload, "klein4")
     checks = ("period_equation", "gamma1_s1sq_quadrature", "gamma3_auto")
     return rc or (0 if all(kb.residuals[k] < 1e-8 for k in checks) else VERIFICATION_ERROR)
@@ -260,35 +252,10 @@ def cmd_omega(args) -> int:
 
 def cmd_mesh(args) -> int:
     name = args.construction
-    if name == "enneper":
-        from .surface import enneper_data
-        data = enneper_data()
-        base = 0.0
-        extent = args.extent
-    elif name == "sphere4":
-        fam = moduli.sphere4_solve()
-        data = WeierstrassData(s1=fam.K_basis[0], s2=fam.K_basis[1],
-                               end_clearance=args.eps)
-        base, extent = -1.0 - 1.0j, args.extent
-    elif name == "torus4":
-        t4 = moduli.torus4_construct(build_context(1.0, 1.0j))
-        data = WeierstrassData(s1=t4.s1, s2=t4.s2, end_clearance=args.eps)
-        n = args.grid
-        base = (round((n - 1) / 2) / (n - 1)) * 2 * t4.ctx.omega1 \
-            + (round((n - 1) / 4) / (n - 1)) * 2 * t4.ctx.omega3
-        extent = args.extent
-    elif name == "klein4":
-        kb = moduli.klein4_construct()
-        data = WeierstrassData(s1=kb.s1, s2=kb.s2, end_clearance=args.eps)
-        n = args.grid
-        base = (round((n - 1) * 0.5) / (n - 1)) * 2 * kb.ctx.omega1 \
-            + (round((n - 1) * 0.125) / (n - 1)) * 2 * kb.ctx.omega3
-        extent = args.extent
-    else:
-        print(f"unknown construction {name!r}", file=sys.stderr)
-        return USAGE_ERROR
-    mesh = integrate_surface(data, GridSpec(nx=args.grid, ny=args.grid, extent=extent),
-                             base)
+    entry = CONSTRUCTIONS[name]
+    data = entry.weierstrass(entry.build(), args.eps)
+    mesh = integrate_surface(data, GridSpec(nx=args.grid, ny=args.grid, extent=args.extent),
+                             entry.basepoint(data.domain, args.grid))
     export_obj(mesh, args.obj)
     meta = {k: v for k, v in mesh.metadata.items() if k != "loop_residual_sample"}
     _emit(args, {"construction": name, "obj": str(args.obj), **meta}, f"mesh-{name}")
@@ -388,9 +355,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
-        args.config = RunConfig(command=args.command, tol=args.tol, grid=args.grid,
-                                eps=args.eps, extent=args.extent, seed=args.seed,
-                                out=args.out)
+        if not args.tol > 0:
+            raise ValueError("tolerance must be positive")
+        if args.eps is not None and not args.eps > 0:
+            raise ValueError("end clearance must be positive")
+        if args.grid < 2:
+            raise ValueError("grid resolution must be at least 2")
+        if args.extent <= 0:
+            raise ValueError("extent must be positive")
         return args.fn(args)
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

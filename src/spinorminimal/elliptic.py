@@ -8,7 +8,10 @@ q = exp(i*pi*tau),
     zeta(u) = eta1*u/omega1 + (pi/(2*omega1)) * theta1'(z)/theta1(z)
     wp(u)   = -d(zeta)/du,   wp'(u) = d(wp)/du,
 
-which forces eta1 = -(pi^2/(12*omega1)) * theta1'''(0)/theta1'(0).
+which forces eta1 = -(pi^2/(12*omega1)) * theta1'''(0)/theta1'(0).  One theta
+frame (theta1 and its first three derivatives at the reduced points)
+gives zeta, wp and wp' alike, so callers that need several of them at
+the same points take one frame from _theta_frame.
 
 The g2 and eta1 q-series are summed in the normalization
 
@@ -213,11 +216,6 @@ class _Theta:
         t3 = -2.0 * np.sum(self.c * k1**3 * c, axis=-1)
         return t0, t1, t2, t3
 
-    def derivatives_at_zero(self):
-        t1 = 2.0 * np.sum(self.c * self.k)
-        t3 = -2.0 * np.sum(self.c * self.k**3)
-        return complex(t1), complex(t3)
-
 
 @dataclass(frozen=True)
 class EllipticContext:
@@ -329,39 +327,57 @@ def _validate(ctx: EllipticContext, e1_series: complex):
     return None
 
 
-def _theta_frame(ctx: EllipticContext, u, need_pole_check=True):
-    u = np.asarray(u, dtype=complex)
-    scalar = u.ndim == 0
-    uu = np.atleast_1d(u)
-    red, m, n = ctx.reduce(uu)
-    if need_pole_check:
-        tol = POLE_DISTANCE_TOL * max(1.0, abs(2 * ctx.omega1), abs(2 * ctx.omega3))
-        if np.any(np.abs(red) < tol):
-            raise PoleEvaluationError("evaluation point within 1e-12 of a lattice point")
-    z = np.pi * red / (2 * ctx.omega1)
-    t0, t1, t2, t3 = ctx._theta.batch(z)
-    return scalar, red, m, n, t0, t1, t2, t3
+class _Frame:
+    """theta1 and its first three z-derivatives at the lattice-reduced points
+    of u; zeta, wp and wp' of those points all finish from this one frame."""
+
+    def __init__(self, ctx: EllipticContext, u, need_pole_check=True):
+        u = np.asarray(u, dtype=complex)
+        self.ctx = ctx
+        self.scalar = u.ndim == 0
+        self.red, self.m, self.n = ctx.reduce(np.atleast_1d(u))
+        if need_pole_check:
+            tol = POLE_DISTANCE_TOL * max(1.0, abs(2 * ctx.omega1), abs(2 * ctx.omega3))
+            if np.any(np.abs(self.red) < tol):
+                raise PoleEvaluationError("evaluation point within 1e-12 of a lattice point")
+        self.t0, self.t1, self.t2, self.t3 = ctx._theta.batch(np.pi * self.red / (2 * ctx.omega1))
+
+    def zeta(self):
+        ctx = self.ctx
+        c = np.pi / (2 * ctx.omega1)
+        val = ctx.eta1 * self.red / ctx.omega1 + c * self.t1 / self.t0
+        return val + 2.0 * self.m * ctx.eta1 + 2.0 * self.n * ctx.eta3
+
+    def wp(self):
+        ctx, t0, t1 = self.ctx, self.t0, self.t1
+        c = np.pi / (2 * ctx.omega1)
+        return -ctx.eta1 / ctx.omega1 - c**2 * (self.t2 * t0 - t1**2) / t0**2
+
+    def wp_prime(self):
+        t0, t1, t2 = self.t0, self.t1, self.t2
+        c = np.pi / (2 * self.ctx.omega1)
+        g = t1 / t0
+        return -(c**3) * (self.t3 / t0 - 3 * t2 * t1 / t0**2 + 2 * g**3)
+
+    def result(self, arr):
+        """arr as a Python complex for a scalar argument, else as is."""
+        return complex(arr[0]) if self.scalar else arr
 
 
-def _maybe_scalar(scalar, arr):
-    return complex(arr[0]) if scalar else arr
+def _theta_frame(ctx: EllipticContext, u, need_pole_check=True) -> _Frame:
+    return _Frame(ctx, u, need_pole_check)
 
 
 def wp(ctx: EllipticContext, u):
     """Weierstrass p-function on the context's lattice."""
-    scalar, red, _, _, t0, t1, t2, _ = _theta_frame(ctx, u)
-    c = np.pi / (2 * ctx.omega1)
-    val = -ctx.eta1 / ctx.omega1 - c**2 * (t2 * t0 - t1**2) / t0**2
-    return _maybe_scalar(scalar, val)
+    frame = _theta_frame(ctx, u)
+    return frame.result(frame.wp())
 
 
 def wp_prime(ctx: EllipticContext, u):
     """Derivative of wp."""
-    scalar, red, _, _, t0, t1, t2, t3 = _theta_frame(ctx, u)
-    c = np.pi / (2 * ctx.omega1)
-    g = t1 / t0
-    val = -(c**3) * (t3 / t0 - 3 * t2 * t1 / t0**2 + 2 * g**3)
-    return _maybe_scalar(scalar, val)
+    frame = _theta_frame(ctx, u)
+    return frame.result(frame.wp_prime())
 
 
 def wp_second(ctx: EllipticContext, u):
@@ -372,11 +388,8 @@ def wp_second(ctx: EllipticContext, u):
 
 def zeta(ctx: EllipticContext, u):
     """Weierstrass zeta, quasi-periodic: zeta(u+2w_i) = zeta(u) + 2 eta_i."""
-    scalar, red, m, n, t0, t1, _, _ = _theta_frame(ctx, u)
-    c = np.pi / (2 * ctx.omega1)
-    val = ctx.eta1 * red / ctx.omega1 + c * t1 / t0
-    val = val + 2.0 * m * ctx.eta1 + 2.0 * n * ctx.eta3
-    return _maybe_scalar(scalar, val)
+    frame = _theta_frame(ctx, u)
+    return frame.result(frame.zeta())
 
 
 def zeta_quasi_addition(ctx: EllipticContext, u, v):

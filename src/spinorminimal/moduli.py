@@ -21,21 +21,13 @@ Conventions pinned here (each cross-checked numerically at build time):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
 
-from . import elliptic
-from .elliptic import EllipticContext, build_context, wp, wp_inverse, wp_prime, zeta
-from .numkit import (
-    ComplexPolynomial,
-    QuadraturePath,
-    SkewMatrix,
-    contour_integral,
-    pfaffian,
-    poly_roots,
-)
+from .elliptic import EllipticContext, build_context, wp, wp_inverse, wp_prime
+from .numkit import ComplexPolynomial, QuadraturePath, pfaffian, poly_roots, skew_rank_kernel
 from .spinor import (
     INF,
     EndDivisor,
@@ -48,8 +40,10 @@ from .spinor import (
     check_planar_end,
     extract_K,
     omega_matrix,
-    rational_sphere_section,
+    period_integral,
+    rational_sphere_basis,
     section_combination,
+    section_values,
 )
 
 __all__ = [
@@ -63,6 +57,7 @@ __all__ = [
     "sphere6_numeric_pfaffian",
     "sphere6_K_basis",
     "rp2_variety",
+    "rp2_slice",
     "rp2_symmetry_group",
     "rp2_boundary_point",
     "rp2_apply",
@@ -80,10 +75,6 @@ __all__ = [
 ]
 
 
-def _cplx(x):
-    return complex(x)
-
-
 def _vandermonde(points):
     points = list(points)
     out = 1.0 + 0.0j
@@ -99,19 +90,6 @@ def _torus_cycle(ctx: EllipticContext, k: int, offset_frac: float = 0.2371) -> Q
     other = ctx.omega3 if k == 1 else ctx.omega1
     c = offset_frac * other
     return QuadraturePath.segment(-wk + c, wk + c, samples=96)
-
-
-def _form_weight(section: SpinorSection):
-    dom = section.domain
-    if hasattr(dom, "wp_r"):
-        return lambda u: 1.0 / dom.wp_r(u)
-    return lambda u: np.ones_like(np.asarray(u, dtype=complex))
-
-
-def _period(sa: SpinorSection, sb: SpinorSection, path: QuadraturePath, rel_tol=1e-10):
-    mu = _form_weight(sa)
-    return contour_integral(lambda u: sa.evaluate(u) * sb.evaluate(u) * mu(u),
-                            path, rel_tol=rel_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -147,8 +125,8 @@ def sphere4_quartic() -> ComplexPolynomial:
 def sphere4_printed_K(dom: SphereDomain):
     """The published K basis for ends {a, 1/a, 0, inf} at a = (sqrt3+i)/2."""
     s3 = np.sqrt(3.0)
-    t1 = rational_sphere_section(dom, [-1.0, s3], [0.0, 1.0, -s3, 1.0], "t1")
-    t2 = rational_sphere_section(dom, [0.0, -s3, 1.0], [1.0, -s3, 1.0], "t2")
+    t1, t2 = rational_sphere_basis(dom, [([-1.0, s3], [0.0, 1.0, -s3, 1.0]),
+                                         ([0.0, -s3, 1.0], [1.0, -s3, 1.0])], ("t1", "t2"))
     return t1, t2
 
 
@@ -248,8 +226,8 @@ def sphere6_K_basis(sigma, tol: float = 1e-8):
     # t1 = (b3 z^3 + ... + b0) / (z * quartic), t2 = z (c3 z^3 + ... + c0) / quartic
     quartic_asc = np.array((1.0, -s3, -s2, -s1, 1.0), dtype=complex)
     z_quartic = np.concatenate([[0.0 + 0.0j], quartic_asc])
-    t1 = rational_sphere_section(dom, list(b), z_quartic, "t1")
-    t2 = rational_sphere_section(dom, [0.0] + list(c), quartic_asc, "t2")
+    t1, t2 = rational_sphere_basis(dom, [(list(b), z_quartic), ([0.0] + list(c), quartic_asc)],
+                                   ("t1", "t2"))
     form = omega_matrix(basis)
     residuals = {}
     for t, name in ((t1, "t1"), (t2, "t2")):
@@ -292,9 +270,6 @@ def rp2_apply(element, c):
     return tuple(s[i] * c[perm[i]] for i in range(3))
 
 
-_rp2_apply = rp2_apply
-
-
 def rp2_symmetry_group(c, tol: float = 1e-8) -> str:
     """Label of the stabilizer of c under the 24-element action.
 
@@ -331,6 +306,25 @@ def rp2_symmetry_group(c, tol: float = 1e-8) -> str:
     return f"order-{order}"
 
 
+def rp2_slice(n: int):
+    """Real points (c1, c2, c3) on the variety with |c_i| <= 1, solving the
+    quadratic in c3 over an n x n grid of (c1, c2) in [-0.95, 0.95]^2."""
+    points = []
+    grid = np.linspace(-0.95, 0.95, n)
+    for c1 in grid:
+        for c2 in grid:
+            kq = (c1 * c1 + 3.0) * (c2 * c2 + 3.0)
+            a, b, c = kq, -32.0 * c1 * c2, 3.0 * kq - 32.0
+            disc = b * b - 4 * a * c
+            if disc < 0:
+                continue
+            for sgn in (1.0, -1.0):
+                c3 = (-b + sgn * np.sqrt(disc)) / (2 * a)
+                if abs(c3) <= 1.0:
+                    points.append((float(c1), float(c2), float(c3)))
+    return points
+
+
 def rp2_boundary_point(kind: str = "D3") -> tuple:
     """Special points on the variety: 'Z2xZ2' -> (sqrt5/3, 0, 0);
     'D3' -> (c, c, -c) with the root of (c^2+3)^3 = 32 (1 - c^3) in (0, 1)."""
@@ -358,18 +352,9 @@ def mobius_strip_spinor():
     """
     sqrt_i = np.exp(1j * np.pi / 4.0)
     dom = SphereDomain(ends=EndDivisor((0.0, INF)))
-    s1 = SpinorSection(
-        domain=dom, label="mobius_s1",
-        evaluate=lambda w: sqrt_i * (-(np.asarray(w, dtype=complex) + 1.0)
-                                     / np.asarray(w, dtype=complex) ** 2),
-        derivative=lambda w: sqrt_i * ((np.asarray(w, dtype=complex) + 2.0)
-                                       / np.asarray(w, dtype=complex) ** 3),
-        expansions=None)
-    s2 = SpinorSection(
-        domain=dom, label="mobius_s2",
-        evaluate=lambda w: sqrt_i * (np.asarray(w, dtype=complex) - 1.0),
-        derivative=lambda w: sqrt_i * np.ones_like(np.asarray(w, dtype=complex)),
-        expansions=None)
+    s1, s2 = rational_sphere_basis(dom, [(-sqrt_i * np.ones(2), [0.0, 0.0, 1.0]),
+                                         (sqrt_i * np.array([-1.0, 1.0]), [1.0])],
+                                   ("mobius_s1", "mobius_s2"), laurent=False)
     return s1, s2
 
 
@@ -444,7 +429,7 @@ def _select_epsilon(ctx: EllipticContext, a1, a2):
         resid = 0.0
         for k in (1, 3):
             eta_k = ctx.eta1 if k == 1 else ctx.eta3
-            q = _period(t1h, t2h, _torus_cycle(ctx, k))
+            q = period_integral(t1h, t2h, _torus_cycle(ctx, k))
             resid = max(resid, abs(q + 6.0 * eta_k) / max(abs(6.0 * eta_k), 1e-300))
         results[label] = resid
     label = min(results, key=results.get)
@@ -548,13 +533,13 @@ def torus4_construct(ctx: EllipticContext, choice=(1, 2, 3)) -> TorusFourEnd:
         path = _torus_cycle(ctx, kk)
         for m in range(3):
             closed = -8.0 * (eta_k + w_k * ctx.e(m + 1))
-            quad = _period(that[m], that[m], path)
+            quad = period_integral(that[m], that[m], path)
             periods_closed[f"P{kk}^{m + 1}{m + 1}"] = closed
             periods_quad[f"P{kk}^{m + 1}{m + 1}"] = quad
             worst_diag = max(worst_diag, abs(quad - closed) / abs(closed))
         for m in range(3):
             for mm in range(m + 1, 3):
-                q = _period(that[m], that[mm], path)
+                q = period_integral(that[m], that[mm], path)
                 periods_quad[f"P{kk}^{m + 1}{mm + 1}"] = q
                 worst_off = max(worst_off, abs(q))
     residuals["period_diag_rel"] = worst_diag
@@ -574,9 +559,9 @@ def torus4_construct(ctx: EllipticContext, choice=(1, 2, 3)) -> TorusFourEnd:
     period1_res = 0.0
     for kk in (1, 3):
         path = _torus_cycle(ctx, kk)
-        q11 = _period(s1, s1, path)
-        q22 = _period(s2, s2, path)
-        q12 = _period(s1, s2, path)
+        q11 = period_integral(s1, s1, path)
+        q22 = period_integral(s2, s2, path)
+        q12 = period_integral(s1, s2, path)
         scale = max(abs(q11), abs(q22), 1e-300)
         period1_res = max(period1_res, abs(q11 - np.conj(q22)) / scale,
                           abs(q12.real) / scale)
@@ -731,18 +716,16 @@ def klein4_construct(tol: float = 1e-8) -> KleinFourEnd:
     a = _locate_a(ctx, r)
     residuals = {}
     half, ends8, wp8, wpp8 = _klein_table3(ctx, r, a)
-    table_err = 0.0
-    for u, pv, dv in zip(ends8, wp8, wpp8):
-        table_err = max(table_err, abs(wp(ctx, u) - pv), abs(wp_prime(ctx, u) - dv))
-    residuals["table3"] = table_err
+    u8 = np.array(ends8)
+    wp_ends = wp(ctx, u8)
+    residuals["table3"] = float(max(np.max(np.abs(wp_ends - wp8)),
+                                    np.max(np.abs(wp_prime(ctx, u8) - wpp8))))
     I = lambda u: np.conj(u) + ctx.omega1
-    residuals["deck_pairing"] = max(
-        ctx.lattice_distance(I(ends8[m]) - ends8[(4, 5, 3, 2, 0, 1, 7, 6)[m]])
-        for m in range(8))
+    residuals["deck_pairing"] = float(np.max(
+        ctx.lattice_distance(I(u8) - u8[[4, 5, 3, 2, 0, 1, 7, 6]])))
 
     basis = basis_F_torus_untwisted_paired(ctx, 2, half)
     form = omega_matrix(basis)
-    from .numkit import skew_rank_kernel
     rank, _ = skew_rank_kernel(form.matrix, tol, scale=form.alpha_scale)
     if rank != 4:
         raise RuntimeError(f"rank Omega = {rank}, expected 4 at the quartic root")
@@ -775,14 +758,11 @@ def klein4_construct(tol: float = 1e-8) -> KleinFourEnd:
     rng = np.random.default_rng(17)
     pts = (rng.uniform(0.04, 0.96, 50) * 2 * ctx.omega1
            + rng.uniform(0.04, 0.96, 50) * 2 * ctx.omega3)
-    def conj_deck_pull(sec, u):
-        return np.conj(sec.evaluate(I(u))) * wp_prime(ctx, u) / (2.0 * (wp(ctx, u) + 1.0))
-    deck_err = 0.0
-    for sh, ch in ((s3h, s1h), (s4h, s2h)):
-        lhs = np.array([sh.evaluate(u) for u in pts])
-        rhs = np.array([1j * conj_deck_pull(ch, u) for u in pts])
-        deck_err = max(deck_err, float(np.max(np.abs(lhs - rhs)) / np.max(np.abs(lhs))))
-    residuals["deck_conjugate"] = deck_err
+    lhs = section_values((s3h, s4h), pts)
+    pull = wp_prime(ctx, pts) / (2.0 * (wp(ctx, pts) + 1.0))
+    rhs = 1j * np.conj(section_values((s1h, s2h), I(pts))) * pull
+    residuals["deck_conjugate"] = float(max(
+        np.max(np.abs(lhs[k] - rhs[k])) / np.max(np.abs(lhs[k])) for k in range(2)))
 
     A = -32.0 * r**2 * (r**4 + 4 * r**2 + 1.0) / 3.0
     B = 4.0 * r * (r**2 + 1.0) ** 3
@@ -801,28 +781,25 @@ def klein4_construct(tol: float = 1e-8) -> KleinFourEnd:
     s2 = section_combination([np.conj(x1), np.conj(x2)], [s3h, s4h], "s2")
     gamma1 = QuadraturePath.segment(-ctx.omega1, ctx.omega1, samples=128)
     gamma3 = QuadraturePath.segment(-ctx.omega3, ctx.omega3, samples=128)
-    q11 = _period(s1, s1, gamma1)
-    q12 = _period(s1, s2, gamma1)
-    q22 = _period(s2, s2, gamma1)
+    q11 = period_integral(s1, s1, gamma1)
+    q12 = period_integral(s1, s2, gamma1)
+    q22 = period_integral(s2, s2, gamma1)
     scale = sum(abs(x) for x in (P11, P12, P22)) * max(abs(x1), 1.0) ** 2
     residuals["gamma1_s1sq_quadrature"] = float(abs(q11) / scale)
     residuals["gamma1_s1s2_quadrature"] = float(abs(q12) / scale)
     residuals["gamma1_conj_pair"] = float(abs(q11 - np.conj(q22)) / scale)
-    g11 = _period(s1, s1, gamma3)
-    g12 = _period(s1, s2, gamma3)
-    g22 = _period(s2, s2, gamma3)
+    g11 = period_integral(s1, s1, gamma3)
+    g12 = period_integral(s1, s2, gamma3)
+    g22 = period_integral(s2, s2, gamma3)
     residuals["gamma3_auto"] = float(
         max(abs(g11 - np.conj(g22)), abs(g12.real)) / scale)
 
     # numeric A, B, C from the 8-end principal parts (factor 2 vs printed)
-    Ds = []
-    for k, p in enumerate(ends8):
-        am1 = s1h.expansions[k][0]
-        Ds.append(am1 * am1 * wp(ctx, p))
+    poles = np.array([am1 for am1, _ in s1h.expansions])
+    Ds = poles * poles * wp_ends
     probe = 0.31 * 2 * ctx.omega1 + 0.17 * 2 * ctx.omega3
-    const = (s1h.evaluate(probe) ** 2 / wp(ctx, probe)
-             - sum(D * wp(ctx, probe - p) for D, p in zip(Ds, ends8)))
-    A_num, B_num = -2.0 * sum(Ds), 2.0 * const
+    const = s1h.evaluate(probe) ** 2 / wp(ctx, probe) - np.sum(Ds * wp(ctx, probe - u8))
+    A_num, B_num = -2.0 * np.sum(Ds), 2.0 * const
     residuals["ABC_ratio"] = float(max(abs(A_num / A - 2.0), abs(B_num / B - 2.0)))
 
     # unbranched: zeros of s1 must not be I-paired; scan the weighted
@@ -838,8 +815,8 @@ def klein4_construct(tol: float = 1e-8) -> KleinFourEnd:
 def _klein_branch_floor(ctx, s1, s2, grid: int = 80) -> float:
     """Minimum over the fundamental domain of the invariant |s1|^2 + |s2|^2.
 
-    Section magnitudes are chart-weighted by |1/wp| so the comparison is
-    chart-free; ends are masked out.  A common zero would drive the floor
+    Section magnitudes are weighted by the chart weight |mu| so the
+    comparison is chart-free; ends are masked out.  A common zero would drive the floor
     to zero; bounded-below means unbranched at this resolution.
     """
     xs = np.linspace(0.01, 0.99, grid)
@@ -847,7 +824,7 @@ def _klein_branch_floor(ctx, s1, s2, grid: int = 80) -> float:
     uu = (X * 2 * ctx.omega1 + Y * 2 * ctx.omega3).ravel()
     keep = np.min([ctx.lattice_distance(uu - p) for p in s1.domain.ends.points], axis=0) > 0.08
     uu = uu[keep]
-    weight = np.abs(1.0 / wp(ctx, uu))
-    mag = (np.abs(s1.evaluate(uu)) ** 2 + np.abs(s2.evaluate(uu)) ** 2) * weight
+    f1, f2 = section_values((s1, s2), uu)
+    mag = (np.abs(f1) ** 2 + np.abs(f2) ** 2) * np.abs(s1.domain.form_weight(uu))
     norm = np.median(mag)
     return float(mag.min() / norm)

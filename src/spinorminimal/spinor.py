@@ -1,8 +1,19 @@
 """Spinor sections, the spaces F/H/K, the skew form Omega, and the spin cover.
 
-A section s is stored as its chart function f = s/phi_dom, where phi_dom
-is the family's reference spinor: phi^2 = dz on the sphere, phi0^2 = du on
-the twisted torus, phi_r^2 = du/wp_r(u) on the untwisted tori.  Per-end
+A section is (basis, coefficients): a coefficient vector on the rows of
+one Basis.  Each family of F has one basis kernel: phi/(z - a_i) and phi
+on the sphere; one zeta-difference form zeta(u - a_i) - zeta(u) + c_i
+(with an optional constant row) on the twisted and untwisted tori;
+wp_r/(wp_r - p_i) and wp'/(wp_r - p_i) for paired untwisted ends; and
+N/D rows for rational sphere sections.  A kernel evaluates only the rows
+some coefficient uses, one theta frame per distinct shift, and adds each
+row into every section it evaluates.  Omega, the K test and the periods
+are linear in the section, so a linear combination is a coefficient sum
+and its Laurent data is the same sum of the basis's Laurent rows.
+
+Rows are chart functions f = s/phi_dom, where phi_dom is the family's
+reference spinor: phi^2 = dz on the sphere, phi0^2 = du on the twisted
+torus, phi_r^2 = du/wp_r(u) on the untwisted tori.  Per-end
 Laurent data (alpha_-1, alpha_0) is stored in an honest local chart at
 each end, i.e. one whose coordinate differential is the square of the
 local reference spinor.  For the untwisted tori phi_r is not a square
@@ -25,11 +36,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from numpy.polynomial import polynomial as P
 
+from . import elliptic
 from .elliptic import EllipticContext, wp, wp_prime, wp_second, zeta
 from .numkit import QuadraturePath, SkewMatrix, contour_integral, skew_rank_kernel
 
@@ -40,6 +52,7 @@ __all__ = [
     "SphereDomain",
     "TwistedTorusDomain",
     "UntwistedTorusDomain",
+    "Basis",
     "SpinorSection",
     "OmegaForm",
     "SectionDataError",
@@ -56,7 +69,9 @@ __all__ = [
     "extract_K",
     "check_planar_end",
     "section_combination",
-    "rational_sphere_section",
+    "section_values",
+    "period_integral",
+    "rational_sphere_basis",
     "evaluation_matrix",
     "verify_laurent_consistency",
 ]
@@ -116,9 +131,13 @@ class EndDivisor:
 class _DomainBase:
     ends: EndDivisor
 
+    def form_weight(self, u):
+        """mu(u) in s t = f g mu du: 1 except on the untwisted tori."""
+        return 1.0
+
     def chart_weight(self, p):
         """(mu, mu'/(2 mu)) at a finite point: s s = f f * mu * du."""
-        return 1.0 + 0.0j, 0.0 + 0.0j
+        return complex(self.form_weight(p)), 0.0 + 0.0j
 
     def singular_points(self):
         """Points the qres contours must stay away from (chart singularities)."""
@@ -177,43 +196,210 @@ class UntwistedTorusDomain(_DomainBase):
     def wp_r(self, u):
         return wp(self.ctx, u) - self.ctx.e(self.r)
 
+    def form_weight(self, u):
+        return 1.0 / self.wp_r(u)
+
     def chart_weight(self, p):
-        mu = 1.0 / self.wp_r(p)
-        half_dlog = -wp_prime(self.ctx, p) / (2.0 * self.wp_r(p))
-        return mu, half_dlog
+        return self.form_weight(p), -wp_prime(self.ctx, p) / (2.0 * self.wp_r(p))
 
     def singular_points(self):
         return list(self.ends.points) + [0.0, self.ctx.half_period(self.r)]
 
 
-@dataclass(frozen=True)
-class SpinorSection:
-    """Meromorphic section of the domain's spin structure.
+@dataclass(eq=False)
+class Basis:
+    """Rows of one family spanning F (or some limit sections) over a domain.
 
-    evaluate/derivative act on the chart function f = s/phi_dom;
-    expansions[k] = (alpha_-1, alpha_0) at the k-th end of the divisor,
-    in the honest local chart (see module docstring).
+    laurent[j][k] = (alpha_-1, alpha_0) of row j at the k-th end, or None
+    for rows outside F.  A family adds its row data and _rows(active, u,
+    derivative), which yields (j, f_j(u), f_j'(u) or None) for each active j.
     """
 
     domain: _DomainBase
+    labels: tuple
+    laurent: Optional[list]
+
+    def members(self):
+        """The basis sections: unit coefficients and their own Laurent rows."""
+        n = len(self.labels)
+        return [SpinorSection(self, tuple(1.0 + 0.0j if i == j else 0.0j for i in range(n)),
+                              label, None if self.laurent is None else self.laurent[j])
+                for j, label in enumerate(self.labels)]
+
+    def section(self, coefficients, label):
+        """sum_j coefficients[j] * row j, its Laurent data the same sum of rows."""
+        c = np.asarray(coefficients, dtype=complex)
+        exps = None
+        if self.laurent is not None:
+            rows = np.array(self.laurent, dtype=complex).reshape(len(c), self.domain.ends.n, 2)
+            table = np.sum(c[:, None, None] * rows, axis=0)
+            exps = tuple((complex(am1), complex(a0)) for am1, a0 in table)
+        return SpinorSection(self, tuple(complex(x) for x in c), label, exps)
+
+    def evaluate(self, coefficients, u, derivative=False):
+        """Sections with the given coefficient rows at u, shape (rows,) + u.shape;
+        (values, derivatives) when derivative is set.
+
+        Basis rows are evaluated one at a time, and only where some
+        coefficient is nonzero, then added into each section.
+        """
+        C = np.asarray(coefficients, dtype=complex).reshape(-1, len(self.labels))
+        u = np.asarray(u, dtype=complex)
+        out = np.zeros((2 if derivative else 1, len(C), u.size), dtype=complex)
+        for j, *jet in self._rows(np.flatnonzero(C.any(axis=0)), u.reshape(-1), derivative):
+            for k in np.flatnonzero(C[:, j]):
+                for acc, f in zip(out, jet):
+                    acc[k] += C[k, j] * f
+        out = out.reshape(out.shape[:2] + u.shape)
+        return (out[0], out[1]) if derivative else out[0]
+
+
+@dataclass(eq=False)
+class _SphereBasis(Basis):
+    """phi/(z - a_i) for the finite ends a_i, then phi."""
+
+    poles: list
+
+    def _rows(self, active, z, derivative):
+        for j in active:
+            if j == len(self.poles):
+                yield j, 1.0, 0.0
+                continue
+            d = z - self.poles[j]
+            yield j, 1.0 / d, (-1.0 / d**2 if derivative else None)
+
+
+@dataclass(eq=False)
+class _ZetaBasis(Basis):
+    """(zeta(u - a_i) - zeta(u) + c_i) phi_dom, after an optional constant row.
+
+    zeta(u) is one frame shared by all rows; each shift a_i gives zeta and
+    wp from one frame.  A shift of None marks the constant row.
+    """
+
+    shifts: list
+    constants: list
+
+    def _rows(self, active, u, derivative):
+        ctx = self.domain.ctx
+        zeta_u = None
+        for j in active:
+            if self.shifts[j] is None:
+                yield j, 1.0, 0.0
+                continue
+            if zeta_u is None:
+                zeta_u, wp_u = _zeta_wp(ctx, u, derivative)
+            zeta_s, wp_s = _zeta_wp(ctx, u - self.shifts[j], derivative)
+            yield j, zeta_s - zeta_u + self.constants[j], (wp_u - wp_s if derivative else None)
+
+
+def _zeta_wp(ctx, u, derivative):
+    """zeta(u) and, when asked, wp(u), from one theta frame."""
+    frame = elliptic._theta_frame(ctx, u)
+    return frame.zeta(), (frame.wp() if derivative else None)
+
+
+@dataclass(eq=False)
+class _PairedBasis(Basis):
+    """wp_r/(wp_r - p_i) phi_r, then wp'/(wp_r - p_i) phi_r, from one frame."""
+
+    pvals: list
+
+    def _rows(self, active, u, derivative):
+        if not active.size:
+            return
+        ctx = self.domain.ctx
+        frame = elliptic._theta_frame(ctx, u)
+        p, dp = frame.wp(), frame.wp_prime()
+        del frame  # the rows need none of its theta arrays
+        pr = p - ctx.e(self.domain.r)
+        m = len(self.pvals)
+        for j in active:
+            p_i = self.pvals[j % m]
+            den = pr - p_i
+            if j < m:
+                yield j, pr / den, (-p_i * dp / den**2 if derivative else None)
+            else:
+                ddp = 6.0 * p * p - ctx.g2 / 2.0 if derivative else None
+                yield j, dp / den, ((ddp * den - dp * dp) / den**2 if derivative else None)
+
+
+@dataclass(eq=False)
+class _RationalBasis(Basis):
+    """Rows (N_j(z)/D_j(z)) phi on the sphere, ascending coefficient arrays."""
+
+    fractions: list
+
+    def _rows(self, active, z, derivative):
+        for j in active:
+            numer, denom = self.fractions[j]
+            D = P.polyval(z, denom)
+            N = P.polyval(z, numer)
+            yield j, N / D, ((P.polyval(z, P.polyder(numer)) * D
+                              - N * P.polyval(z, P.polyder(denom))) / D**2
+                             if derivative else None)
+
+
+@dataclass(frozen=True, eq=False)
+class SpinorSection:
+    """The section sum_j coefficients[j] * (row j of basis).
+
+    evaluate/derivative act on the chart function f = s/phi_dom;
+    expansions[k] = (alpha_-1, alpha_0) at the k-th end of the divisor,
+    in the honest local chart (see module docstring), None outside F.
+    """
+
+    basis: Basis
+    coefficients: tuple
     label: str
-    evaluate: Callable
-    derivative: Callable
     expansions: Optional[tuple] = None
-    coefficients: Optional[tuple] = None
+
+    @property
+    def domain(self):
+        return self.basis.domain
 
     def alpha(self, p):
         """(alpha_-1, alpha_0) at an end given by value or integer index."""
         k = self.domain.ends.index_of(p)
         return self.expansions[k]
 
+    def evaluate(self, u):
+        return self.basis.evaluate([self.coefficients], u)[0]
+
+    def derivative(self, u):
+        return self.basis.evaluate([self.coefficients], u, derivative=True)[1][0]
+
     def __call__(self, u):
         return self.evaluate(u)
 
 
+def _shared_basis(sections) -> Basis:
+    basis = sections[0].basis
+    if any(s.basis is not basis for s in sections):
+        raise SectionDataError("sections must share a basis")
+    return basis
+
+
+def section_values(sections, u, derivative=False):
+    """Sections on one basis evaluated in one pass: shape (len(sections),) +
+    u.shape, and (values, derivatives) when derivative is set."""
+    return _shared_basis(sections).evaluate([s.coefficients for s in sections], u, derivative)
+
+
+def period_integral(s: SpinorSection, t: SpinorSection, path: QuadraturePath, rel_tol=1e-10):
+    """Integral of the 1-form s t = f g mu du along the path."""
+    dom = s.domain
+
+    def integrand(u):
+        f, g = section_values((s, t), u)
+        return f * g * dom.form_weight(u)
+    return contour_integral(integrand, path, rel_tol=rel_tol)
+
+
 @dataclass(frozen=True)
 class OmegaForm:
-    """Matrix of Omega on a basis of F, with the known H coefficient vectors.
+    """Matrix of Omega on the members of one basis of F, with the known H
+    coefficient vectors; kernel vectors are coefficients on that basis.
 
     alpha_scale is the natural magnitude Omega entries would have for this
     basis; rank decisions measure against it so that an Omega that is pure
@@ -303,8 +489,7 @@ def omega_qres_oracle(s: SpinorSection, t: SpinorSection, rel_tol: float = 1e-9)
     domain chart the Hopf integrand is mu(u) (f g' - g f')(u), and
     qres_p = (1/2 pi i) * integral of (u - p) times that around p.
     """
-    if s.domain.ends != t.domain.ends:
-        raise SectionDataError("sections must share a divisor")
+    _shared_basis((s, t))
     dom = s.domain
     total = 0.0 + 0.0j
     for p in dom.ends.points:
@@ -312,9 +497,7 @@ def omega_qres_oracle(s: SpinorSection, t: SpinorSection, rel_tol: float = 1e-9)
         if is_infinity(p):
             # w = 1/z chart with phi = (i/w) phi_w:  F(w) = i f(1/w) / w
             def integrand(w):
-                z = 1.0 / w
-                fs, ft = s.evaluate(z), t.evaluate(z)
-                dfs, dft = s.derivative(z), t.derivative(z)
+                (fs, ft), (dfs, dft) = section_values((s, t), 1.0 / w, derivative=True)
                 F = 1j * fs / w
                 G = 1j * ft / w
                 dF = -1j * (dfs / w**3 + fs / w**2)
@@ -323,9 +506,8 @@ def omega_qres_oracle(s: SpinorSection, t: SpinorSection, rel_tol: float = 1e-9)
             path = QuadraturePath.circle(0.0, rad, samples=64)
         else:
             def integrand(u):
-                mu = dom.chart_weight(u)[0] if isinstance(dom, UntwistedTorusDomain) else 1.0
-                return (u - p) * mu * (s.evaluate(u) * t.derivative(u)
-                                       - t.evaluate(u) * s.derivative(u))
+                (f, g), (df, dg) = section_values((s, t), u, derivative=True)
+                return (u - p) * dom.form_weight(u) * (f * dg - g * df)
             path = QuadraturePath.circle(p, rad, samples=64)
         total += contour_integral(integrand, path, rel_tol=rel_tol) / (2j * np.pi)
     return -0.5 * total
@@ -345,27 +527,10 @@ def check_planar_end(s1: SpinorSection, s2: SpinorSection, p, tol: float = 1e-8)
 
 
 def section_combination(coefficients, sections, label="combo"):
-    """Linear combination of sections over a common divisor."""
-    coefficients = tuple(complex(c) for c in coefficients)
-    dom = sections[0].domain
-    evs = [s.evaluate for s in sections]
-    ders = [s.derivative for s in sections]
-
-    def evaluate(u):
-        return sum(c * f(u) for c, f in zip(coefficients, evs))
-
-    def derivative(u):
-        return sum(c * f(u) for c, f in zip(coefficients, ders))
-
-    n = dom.ends.n
-    expansions = []
-    for k in range(n):
-        am1 = sum(c * s.expansions[k][0] for c, s in zip(coefficients, sections))
-        a0 = sum(c * s.expansions[k][1] for c, s in zip(coefficients, sections))
-        expansions.append((am1, a0))
-    return SpinorSection(domain=dom, label=label, evaluate=evaluate,
-                         derivative=derivative, expansions=tuple(expansions),
-                         coefficients=coefficients)
+    """Linear combination of sections on one basis: the coefficient sum."""
+    c = np.asarray(coefficients, dtype=complex)
+    rows = np.array([s.coefficients for s in sections])
+    return _shared_basis(sections).section(np.sum(c[:, None] * rows, axis=0), label)
 
 
 # ---------------------------------------------------------------------------
@@ -385,25 +550,12 @@ def basis_F_sphere(divisor: EndDivisor):
         raise ValueError("sphere basis requires an end at infinity")
     finite = [p for p in pts if not is_infinity(p)]
     divisor = EndDivisor(tuple(finite) + (INF,))
-    dom = SphereDomain(ends=divisor)
-    sections = []
-    for i, a in enumerate(finite):
-        exps = []
-        for j, b in enumerate(finite):
-            exps.append((1.0 + 0.0j, 0.0 + 0.0j) if j == i else (0.0j, 1.0 / (b - a)))
-        exps.append((0.0j, 1j))
-        sections.append(SpinorSection(
-            domain=dom, label=f"phi/(z-a{i + 1})",
-            evaluate=(lambda a: (lambda z: 1.0 / (np.asarray(z, dtype=complex) - a)))(a),
-            derivative=(lambda a: (lambda z: -1.0 / (np.asarray(z, dtype=complex) - a) ** 2))(a),
-            expansions=tuple(exps)))
-    exps = [(0.0j, 1.0 + 0.0j) for _ in finite] + [(1j, 0.0j)]
-    sections.append(SpinorSection(
-        domain=dom, label="phi",
-        evaluate=lambda z: np.ones_like(np.asarray(z, dtype=complex)),
-        derivative=lambda z: np.zeros_like(np.asarray(z, dtype=complex)),
-        expansions=tuple(exps)))
-    return sections
+    laurent = [tuple((1.0 + 0.0j, 0.0 + 0.0j) if j == i else (0.0j, 1.0 / (b - a))
+                     for j, b in enumerate(finite)) + ((0.0j, 1j),)
+               for i, a in enumerate(finite)]
+    laurent.append(tuple((0.0j, 1.0 + 0.0j) for _ in finite) + ((1j, 0.0j),))
+    labels = [f"phi/(z-a{i + 1})" for i in range(len(finite))] + ["phi"]
+    return _SphereBasis(SphereDomain(ends=divisor), labels, laurent, finite).members()
 
 
 def basis_F_torus_twisted(ctx: EllipticContext, divisor: EndDivisor):
@@ -421,31 +573,15 @@ def basis_F_torus_twisted(ctx: EllipticContext, divisor: EndDivisor):
         if ctx.lattice_distance(p) < 1e-9:
             raise ValueError("nonzero ends must be off-lattice")
     divisor = EndDivisor((0.0,) + tuple(others))
-    dom = TwistedTorusDomain(ends=divisor, ctx=ctx)
-    sections = [SpinorSection(
-        domain=dom, label="phi0",
-        evaluate=lambda u: np.ones_like(np.asarray(u, dtype=complex)),
-        derivative=lambda u: np.zeros_like(np.asarray(u, dtype=complex)),
-        expansions=tuple((0.0j, 1.0 + 0.0j) for _ in divisor.points))]
-    for i, a in enumerate(others):
-        zeta_a = zeta(ctx, a)
-
-        def evaluate(u, a=a, zeta_a=zeta_a):
-            return zeta(ctx, np.asarray(u, dtype=complex) - a) - zeta(ctx, u) + zeta_a
-
-        def derivative(u, a=a):
-            return wp(ctx, u) - wp(ctx, np.asarray(u, dtype=complex) - a)
-
-        exps = [(-1.0 + 0.0j, 0.0j)]
-        for j, b in enumerate(others):
-            if j == i:
-                exps.append((1.0 + 0.0j, 0.0j))
-            else:
-                exps.append((0.0j, complex(evaluate(b))))
-        sections.append(SpinorSection(domain=dom, label=f"t{i + 1}",
-                                      evaluate=evaluate, derivative=derivative,
-                                      expansions=tuple(exps)))
-    return sections
+    constants = [zeta(ctx, a) for a in others]
+    laurent = [tuple((0.0j, 1.0 + 0.0j) for _ in divisor.points)]
+    for i, (a, c) in enumerate(zip(others, constants)):
+        laurent.append(((-1.0 + 0.0j, 0.0j),) + tuple(
+            (1.0 + 0.0j, 0.0j) if j == i else (0.0j, complex(zeta(ctx, b - a) - zeta(ctx, b) + c))
+            for j, b in enumerate(others)))
+    labels = ["phi0"] + [f"t{i + 1}" for i in range(len(others))]
+    return _ZetaBasis(TwistedTorusDomain(ends=divisor, ctx=ctx), labels, laurent,
+                      [None] + others, [0.0] + constants).members()
 
 
 def basis_F_torus_untwisted(ctx: EllipticContext, r: int, divisor: EndDivisor):
@@ -461,28 +597,14 @@ def basis_F_torus_untwisted(ctx: EllipticContext, r: int, divisor: EndDivisor):
             raise ValueError("untwisted ends must avoid 0 and omega_r (mod lattice)")
     dom = UntwistedTorusDomain(ends=divisor, ctx=ctx, r=r)
     zeta_wr = zeta(ctx, wr)
-    sections = []
-    for i, a in enumerate(divisor.points):
-        zeta_shift = -zeta(ctx, wr - a) + zeta_wr
-
-        def evaluate(u, a=a, zeta_shift=zeta_shift):
-            u = np.asarray(u, dtype=complex)
-            return zeta(ctx, u - a) - zeta(ctx, u) + zeta_shift
-
-        def derivative(u, a=a):
-            u = np.asarray(u, dtype=complex)
-            return wp(ctx, u) - wp(ctx, u - a)
-
-        exps = []
-        for j, b in enumerate(divisor.points):
-            if j == i:
-                exps.append((1.0 / dom.wp_r(a), 0.0j))
-            else:
-                exps.append((0.0j, complex(evaluate(b))))
-        sections.append(SpinorSection(domain=dom, label=f"t{i + 1}",
-                                      evaluate=evaluate, derivative=derivative,
-                                      expansions=tuple(exps)))
-    return sections
+    ends = list(divisor.points)
+    constants = [-zeta(ctx, wr - a) + zeta_wr for a in ends]
+    laurent = [tuple((1.0 / dom.wp_r(a), 0.0j) if j == i
+                     else (0.0j, complex(zeta(ctx, b - a) - zeta(ctx, b) + c))
+                     for j, b in enumerate(ends))
+               for i, (a, c) in enumerate(zip(ends, constants))]
+    labels = [f"t{i + 1}" for i in range(len(ends))]
+    return _ZetaBasis(dom, labels, laurent, ends, constants).members()
 
 
 def basis_F_torus_untwisted_paired(ctx: EllipticContext, r: int, half_points):
@@ -500,80 +622,44 @@ def basis_F_torus_untwisted_paired(ctx: EllipticContext, r: int, half_points):
     for p in ends:
         if ctx.lattice_distance(p) < 1e-9 or ctx.lattice_distance(p - wr) < 1e-9:
             raise ValueError("untwisted ends must avoid 0 and omega_r (mod lattice)")
-    dom = UntwistedTorusDomain(ends=divisor, ctx=ctx, r=r)
     er = ctx.e(r)
     pvals = [wp(ctx, a) - er for a in half_points]
     dpvals = [wp_prime(ctx, a) for a in half_points]
     ddvals = [wp_second(ctx, a) for a in half_points]
-    sections = []
-    for i, (a, p_i, dp_i, dd_i) in enumerate(zip(half_points, pvals, dpvals, ddvals)):
-        def ev_p(u, p_i=p_i):
-            pr = wp(ctx, u) - er
-            return pr / (pr - p_i)
-
-        def der_p(u, p_i=p_i):
-            pr = wp(ctx, u) - er
-            return -p_i * wp_prime(ctx, u) / (pr - p_i) ** 2
-
-        exps = []
-        for j, (b, p_j) in enumerate(zip(list(divisor.points), pvals + pvals)):
-            if j == i:  # pole at a_i
-                exps.append((1.0 / dp_i, 0.5 - p_i * dd_i / (2.0 * dp_i**2)))
-            elif j == m + i:  # pole at -a_i
-                exps.append((-1.0 / dp_i, 0.5 - p_i * dd_i / (2.0 * dp_i**2)))
-            else:
-                exps.append((0.0j, p_j / (p_j - p_i)))
-        sections.append(SpinorSection(domain=dom, label=f"that{i + 1}",
-                                      evaluate=ev_p, derivative=der_p,
-                                      expansions=tuple(exps)))
-    for i, (a, p_i, dp_i, dd_i) in enumerate(zip(half_points, pvals, dpvals, ddvals)):
-        def ev_q(u, p_i=p_i):
-            pr = wp(ctx, u) - er
-            return wp_prime(ctx, u) / (pr - p_i)
-
-        def der_q(u, p_i=p_i):
-            pr = wp(ctx, u) - er
-            dp = wp_prime(ctx, u)
-            return (wp_second(ctx, u) * (pr - p_i) - dp * dp) / (pr - p_i) ** 2
-
-        exps = []
-        for j in range(2 * m):
-            p_j = (pvals + pvals)[j]
-            dp_j = (dpvals + dpvals)[j]
-            sgn = 1.0 if j < m else -1.0
-            if j == i:
-                exps.append((1.0 / p_i, dd_i / (2.0 * dp_i) - dp_i / (2.0 * p_i)))
-            elif j == m + i:
-                exps.append((1.0 / p_i, -dd_i / (2.0 * dp_i) + dp_i / (2.0 * p_i)))
-            else:
-                exps.append((0.0j, sgn * dp_j / (p_j - p_i)))
-        sections.append(SpinorSection(domain=dom, label=f"that{m + i + 1}",
-                                      evaluate=ev_q, derivative=der_q,
-                                      expansions=tuple(exps)))
-    return sections
+    # poles at a_i and -a_i (ends i and m + i); values elsewhere
+    laurent = []
+    for i, (p_i, dp_i, dd_i) in enumerate(zip(pvals, dpvals, ddvals)):
+        a0 = 0.5 - p_i * dd_i / (2.0 * dp_i**2)
+        laurent.append(tuple((1.0 / dp_i, a0) if j == i else (-1.0 / dp_i, a0) if j == m + i
+                             else (0.0j, p_j / (p_j - p_i)) for j, p_j in enumerate(pvals * 2)))
+    for i, (p_i, dp_i, dd_i) in enumerate(zip(pvals, dpvals, ddvals)):
+        a0 = dd_i / (2.0 * dp_i) - dp_i / (2.0 * p_i)
+        laurent.append(tuple(
+            (1.0 / p_i, a0) if j == i else (1.0 / p_i, -a0) if j == m + i
+            else (0.0j, (1.0 if j < m else -1.0) * dp_j / (p_j - p_i))
+            for j, (p_j, dp_j) in enumerate(zip(pvals * 2, dpvals * 2))))
+    labels = [f"that{i + 1}" for i in range(2 * m)]
+    return _PairedBasis(UntwistedTorusDomain(ends=divisor, ctx=ctx, r=r), labels, laurent,
+                        pvals).members()
 
 
-def rational_sphere_section(dom: SphereDomain, numer, denom, label="rational"):
-    """Section (N(z)/D(z)) phi with analytically derived Laurent data.
+def rational_sphere_basis(dom: SphereDomain, fractions, labels, laurent=True):
+    """Sections (N_j(z)/D_j(z)) phi, one per (numer, denom) pair of ascending
+    coefficients, with analytically derived Laurent data.
 
     Poles of N/D must lie among the finite ends; the expansion at
-    infinity comes from the w = 1/z chart series of i f(1/w)/w.
+    infinity comes from the w = 1/z chart series of i f(1/w)/w.  With
+    laurent=False the rows need not lie in F and carry no Laurent table.
     """
-    numer = np.atleast_1d(np.asarray(numer, dtype=complex))
-    denom = np.atleast_1d(np.asarray(denom, dtype=complex))
+    fractions = [(np.atleast_1d(np.asarray(n, dtype=complex)),
+                  np.atleast_1d(np.asarray(d, dtype=complex))) for n, d in fractions]
+    table = [_rational_laurent(dom, n, d) for n, d in fractions] if laurent else None
+    return _RationalBasis(dom, labels, table, fractions).members()
 
-    def evaluate(z):
-        z = np.asarray(z, dtype=complex)
-        return P.polyval(z, numer) / P.polyval(z, denom)
 
+def _rational_laurent(dom: SphereDomain, numer, denom):
+    """(alpha_-1, alpha_0) of (N/D) phi at each end of the domain."""
     dn = P.polyder(numer)
-    dd = P.polyder(denom)
-
-    def derivative(z):
-        z = np.asarray(z, dtype=complex)
-        D = P.polyval(z, denom)
-        return (P.polyval(z, dn) * D - P.polyval(z, numer) * P.polyval(z, dd)) / D**2
-
     exps = []
     scale_d = max(np.abs(denom))
     for p0 in dom.ends.points:
@@ -589,8 +675,7 @@ def rational_sphere_section(dom: SphereDomain, numer, denom, label="rational"):
             exps.append((complex(am1), complex(a0)))
         else:
             exps.append((0.0j, complex(P.polyval(p0, numer) / P.polyval(p0, denom))))
-    return SpinorSection(domain=dom, label=label, evaluate=evaluate,
-                         derivative=derivative, expansions=tuple(exps))
+    return tuple(exps)
 
 
 def _rational_infinity_alpha(numer, denom):
@@ -676,7 +761,7 @@ def extract_K(form: OmegaForm, tol: float = 1e-9):
         mags = np.abs(v)
         first = int(np.argmax(mags > 1e-8 * mags.max()))
         v = v / v[first]
-        sec = section_combination(tuple(v), form.basis, label=f"K{idx + 1}")
+        sec = form.basis[0].basis.section(v, f"K{idx + 1}")
         a0_max = max(abs(a0) for (_, a0) in sec.expansions)
         am1_max = max(abs(am1) for (am1, _) in sec.expansions)
         if a0_max > max(tol * 100, 1e-6) * max(am1_max, 1.0):
@@ -688,17 +773,18 @@ def extract_K(form: OmegaForm, tol: float = 1e-9):
 
 def evaluation_matrix(sections, probes):
     """Matrix of section chart values at probe points (independence checks)."""
-    return np.array([[s.evaluate(z) for s in sections] for z in probes], dtype=complex)
+    return section_values(sections, np.asarray(probes, dtype=complex)).T
 
 
 def verify_laurent_consistency(section: SpinorSection, rtol: float = 1e-6):
     """Richardson check of alpha_-1 against the evaluator at each pole end.
 
-    Circle-averages (u - p) f(u) at radii 1e-3 and 1e-4 (in units of the
-    local scale), Richardson-extrapolates in the radius, and compares with
-    the stored alpha_-1 mapped back to raw chart coefficients.
+    Circle-averages (u - p) f(u) over 8 points at radii 1e-3 and 1e-4 (in
+    units of the local scale), Richardson-extrapolates in the radius, and
+    compares with the stored alpha_-1 mapped back to raw chart coefficients.
     """
     dom = section.domain
+    circle = np.exp(2j * np.pi * np.arange(8) / 8.0)
     worst = 0.0
     for k, p in enumerate(dom.ends.points):
         am1, _ = section.expansions[k]
@@ -710,15 +796,11 @@ def verify_laurent_consistency(section: SpinorSection, rtol: float = 1e-6):
             target = am1
             unit = 1.0
         else:
-            mu, _ = dom.chart_weight(p)
             def g(du, p=p):
                 return du * section.evaluate(p + du)
-            target = am1 / mu
+            target = am1 / dom.chart_weight(p)[0]
             unit = dom.qres_radius(p) * 4.0
-        vals = []
-        for rho in (1e-3 * unit, 1e-4 * unit):
-            angles = np.exp(2j * np.pi * np.arange(8) / 8.0)
-            vals.append(np.mean([g(rho * w) for w in angles]))
+        vals = np.mean(g(np.outer([1e-3 * unit, 1e-4 * unit], circle)), axis=1)
         richardson = (10.0 * vals[1] - vals[0]) / 9.0
         err = abs(richardson - target) / max(abs(target), 1e-30)
         worst = max(worst, err)

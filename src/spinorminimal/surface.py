@@ -24,8 +24,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .numkit import QuadraturePath, contour_integral
-from .spinor import EndDivisor, SpinorSection, UntwistedTorusDomain, is_infinity
+from .numkit import QuadraturePath
+from .spinor import (
+    EndDivisor,
+    SectionDataError,
+    SphereDomain,
+    SpinorSection,
+    is_infinity,
+    period_integral,
+    rational_sphere_basis,
+    section_values,
+)
 
 __all__ = [
     "WeierstrassData",
@@ -56,15 +65,15 @@ def _thread_cap() -> int:
 
 @dataclass(frozen=True)
 class WeierstrassData:
-    """A spinor pair with its domain and an end clearance (chart units)."""
+    """A spinor pair on one basis with an end clearance (chart units)."""
 
     s1: SpinorSection
     s2: SpinorSection
     end_clearance: float = None
 
     def __post_init__(self):
-        if self.s1.domain.ends != self.s2.domain.ends:
-            raise ValueError("sections must share a divisor")
+        if self.s1.basis is not self.s2.basis:
+            raise SectionDataError("sections must share a basis")
         if self.end_clearance is None:
             eps = 0.05 * self._min_end_separation()
             object.__setattr__(self, "end_clearance", eps)
@@ -83,18 +92,11 @@ class WeierstrassData:
     def domain(self):
         return self.s1.domain
 
-    def form_weight(self, u):
-        dom = self.domain
-        if isinstance(dom, UntwistedTorusDomain):
-            return 1.0 / dom.wp_r(u)
-        return np.ones_like(np.asarray(u, dtype=complex))
-
     def omega(self, u):
         """The three 1-form coefficients of dX at u, shape (3, ...)."""
         u = np.asarray(u, dtype=complex)
-        f1 = np.asarray(self.s1.evaluate(u), dtype=complex)
-        f2 = np.asarray(self.s2.evaluate(u), dtype=complex)
-        mu = self.form_weight(u)
+        f1, f2 = section_values((self.s1, self.s2), u)
+        mu = self.domain.form_weight(u)
         return np.stack([(f1 * f1 - f2 * f2) * mu,
                          1j * (f1 * f1 + f2 * f2) * mu,
                          2.0 * f1 * f2 * mu])
@@ -158,7 +160,7 @@ class SurfaceMesh:
 
 def _grid_coordinates(data: WeierstrassData, grid: GridSpec):
     dom = data.domain
-    if isinstance(dom, UntwistedTorusDomain) or hasattr(dom, "ctx"):
+    if dom.genus == 1:
         ctx = dom.ctx
         fx = np.linspace(0.0, 1.0, grid.nx)
         fy = np.linspace(0.0, 1.0, grid.ny)
@@ -293,12 +295,9 @@ def integrate_surface(data: WeierstrassData, grid: GridSpec, basepoint) -> Surfa
 
 def period_vector(data: WeierstrassData, loop: QuadraturePath, rel_tol=1e-9):
     """(int s1^2, int s2^2, int s1 s2) along the loop."""
-    mu = data.form_weight
-    f1, f2 = data.s1.evaluate, data.s2.evaluate
-    i11 = contour_integral(lambda u: f1(u) ** 2 * mu(u), loop, rel_tol=rel_tol)
-    i22 = contour_integral(lambda u: f2(u) ** 2 * mu(u), loop, rel_tol=rel_tol)
-    i12 = contour_integral(lambda u: f1(u) * f2(u) * mu(u), loop, rel_tol=rel_tol)
-    return i11, i22, i12
+    s1, s2 = data.s1, data.s2
+    return (period_integral(s1, s1, loop, rel_tol), period_integral(s2, s2, loop, rel_tol),
+            period_integral(s1, s2, loop, rel_tol))
 
 
 def real_period(periods) -> np.ndarray:
@@ -311,13 +310,11 @@ def real_period(periods) -> np.ndarray:
 def gauss_map(data: WeierstrassData, u):
     """Unit normal (2g, |g|^2 - 1)/(|g|^2 + 1) with g = s2/s1, shape u.shape + (3,).
 
-    s1 and s2 are evaluated once for all points.  At a pole of g
+    s1 and s2 are evaluated in one pass over all points.  At a pole of g
     (s1 = 0, s2 != 0) the limit (0, 0, 1) is returned; a common zero
     raises ValueError.
     """
-    u = np.asarray(u, dtype=complex)
-    f1 = np.broadcast_to(np.asarray(data.s1.evaluate(u), dtype=complex), u.shape)
-    f2 = np.broadcast_to(np.asarray(data.s2.evaluate(u), dtype=complex), u.shape)
+    f1, f2 = section_values((data.s1, data.s2), u)
     if np.any((f1 == 0) & (f2 == 0)):
         raise ValueError("gauss map undefined at a common zero (branch point)")
     pole = np.abs(f1) <= 1e-15 * np.abs(f2)
@@ -349,9 +346,8 @@ def branch_points(data: WeierstrassData, resolution: int = 120,
     pts = pts[keep]
 
     def magnitude(u):
-        f1 = np.asarray(data.s1.evaluate(u), dtype=complex)
-        f2 = np.asarray(data.s2.evaluate(u), dtype=complex)
-        return (np.abs(f1) ** 2 + np.abs(f2) ** 2) * np.abs(data.form_weight(u))
+        f1, f2 = section_values((data.s1, data.s2), u)
+        return (np.abs(f1) ** 2 + np.abs(f2) ** 2) * np.abs(dom.form_weight(u))
 
     mags = magnitude(pts)
     norm = float(np.median(mags))
@@ -413,16 +409,8 @@ def integrate_position(data: WeierstrassData, paths) -> np.ndarray:
 
 def enneper_data(clearance: float = 0.05) -> WeierstrassData:
     """Enneper data s1 = phi, s2 = z phi on the sphere (no ends)."""
-    from .spinor import SphereDomain
-    dom = SphereDomain(ends=EndDivisor(()))
-    s1 = SpinorSection(domain=dom, label="phi",
-                       evaluate=lambda z: np.ones_like(np.asarray(z, dtype=complex)),
-                       derivative=lambda z: np.zeros_like(np.asarray(z, dtype=complex)),
-                       expansions=())
-    s2 = SpinorSection(domain=dom, label="z phi",
-                       evaluate=lambda z: np.asarray(z, dtype=complex),
-                       derivative=lambda z: np.ones_like(np.asarray(z, dtype=complex)),
-                       expansions=())
+    s1, s2 = rational_sphere_basis(SphereDomain(ends=EndDivisor(())),
+                                   [([1.0], [1.0]), ([0.0, 1.0], [1.0])], ("phi", "z phi"))
     return WeierstrassData(s1=s1, s2=s2, end_clearance=clearance)
 
 
@@ -433,10 +421,7 @@ def total_curvature_estimate(data: WeierstrassData, grid: GridSpec) -> float:
     keep = (data.end_distance(pts) > data.end_clearance) \
         & (data.chart_singular_distance(pts) > 1e-9)
     pts = pts[keep]
-    f1 = np.asarray(data.s1.evaluate(pts), dtype=complex)
-    f2 = np.asarray(data.s2.evaluate(pts), dtype=complex)
-    d1 = np.asarray(data.s1.derivative(pts), dtype=complex)
-    d2 = np.asarray(data.s2.derivative(pts), dtype=complex)
+    (f1, f2), (d1, d2) = section_values((data.s1, data.s2), pts, derivative=True)
     gp = (d2 * f1 - f2 * d1)
     dens = 4.0 * np.abs(gp) ** 2 / (np.abs(f1) ** 2 + np.abs(f2) ** 2) ** 2
     du = abs(U[1, 0] - U[0, 0]) * abs(U[0, 1] - U[0, 0])

@@ -1,0 +1,178 @@
+"""Sections as (basis, coefficients): row kernels, combinations, frame counts."""
+
+import numpy as np
+import pytest
+
+from spinorminimal import elliptic
+from spinorminimal.elliptic import build_context, wp, wp_prime, zeta
+from spinorminimal.moduli import klein4_construct, torus4_construct
+from spinorminimal.spinor import (
+    INF,
+    EndDivisor,
+    SectionDataError,
+    SphereDomain,
+    basis_F_sphere,
+    basis_F_torus_twisted,
+    basis_F_torus_untwisted,
+    basis_F_torus_untwisted_paired,
+    omega_qres_oracle,
+    rational_sphere_basis,
+    section_combination,
+)
+from spinorminimal.surface import WeierstrassData
+
+
+@pytest.fixture(scope="module")
+def ctx():
+    return build_context(1.1, 0.2 + 0.9j)
+
+
+@pytest.fixture(scope="module")
+def klein():
+    return klein4_construct()
+
+
+def _points(ctx, n=7, seed=0):
+    rng = np.random.default_rng(seed)
+    return rng.uniform(0.05, 0.95, n) * 2 * ctx.omega1 + rng.uniform(0.05, 0.95, n) * 2 * ctx.omega3
+
+
+def _check_rows(basis, formulas, points):
+    """Each member's array values and derivatives against scalar formulas."""
+    assert len(basis) == len(formulas)
+    for s, (f, df) in zip(basis, formulas):
+        want = np.array([f(u) for u in points])
+        dwant = np.array([df(u) for u in points])
+        assert np.max(np.abs(s.evaluate(points) - want)) <= 1e-12 * np.max(np.abs(want))
+        assert np.max(np.abs(s.derivative(points) - dwant)) <= 1e-12 * np.max(np.abs(dwant))
+
+
+class TestBasisRows:
+    def test_sphere(self):
+        finite = [0.4 + 0.1j, -1.2, 0.3 - 0.8j]
+        basis = basis_F_sphere(EndDivisor(tuple(finite) + (INF,)))
+        formulas = [(lambda z, a=a: 1.0 / (z - a), lambda z, a=a: -1.0 / (z - a) ** 2)
+                    for a in finite] + [(lambda z: 1.0 + 0j, lambda z: 0.0j)]
+        rng = np.random.default_rng(1)
+        _check_rows(basis, formulas, rng.standard_normal(7) + 1j * rng.standard_normal(7))
+
+    def test_twisted(self, ctx):
+        others = [0.4 + 0.33j, 1.1 + 0.7j, 0.5 + 1.4j]
+        basis = basis_F_torus_twisted(ctx, EndDivisor((0.0,) + tuple(others)))
+        formulas = [(lambda u: 1.0 + 0j, lambda u: 0.0j)] + [
+            (lambda u, a=a: zeta(ctx, u - a) - zeta(ctx, u) + zeta(ctx, a),
+             lambda u, a=a: wp(ctx, u) - wp(ctx, u - a)) for a in others]
+        _check_rows(basis, formulas, _points(ctx))
+
+    def test_untwisted(self, ctx):
+        ends = [0.31 + 0.4j, 0.9 + 0.77j, 1.3 + 0.2j]
+        for r in (1, 2, 3):
+            wr = ctx.half_period(r)
+            basis = basis_F_torus_untwisted(ctx, r, EndDivisor(tuple(ends)))
+            formulas = [(lambda u, a=a: zeta(ctx, u - a) - zeta(ctx, u)
+                         - zeta(ctx, wr - a) + zeta(ctx, wr),
+                         lambda u, a=a: wp(ctx, u) - wp(ctx, u - a)) for a in ends]
+            _check_rows(basis, formulas, _points(ctx, seed=r))
+
+    def test_paired(self, ctx):
+        half = [0.31 + 0.4j, 0.9 + 0.77j]
+        basis = basis_F_torus_untwisted_paired(ctx, 1, half)
+        er = ctx.e(1)
+        pr = lambda u: wp(ctx, u) - er
+        wpp = lambda u: 6.0 * wp(ctx, u) ** 2 - ctx.g2 / 2.0
+        ps = [pr(a) for a in half]
+        formulas = [(lambda u, p=p: pr(u) / (pr(u) - p),
+                     lambda u, p=p: -p * wp_prime(ctx, u) / (pr(u) - p) ** 2) for p in ps]
+        formulas += [(lambda u, p=p: wp_prime(ctx, u) / (pr(u) - p),
+                      lambda u, p=p: (wpp(u) * (pr(u) - p) - wp_prime(ctx, u) ** 2)
+                      / (pr(u) - p) ** 2) for p in ps]
+        _check_rows(basis, formulas, _points(ctx, seed=4))
+
+    def test_rational(self):
+        dom = SphereDomain(ends=EndDivisor((0.5, INF)))
+        basis = rational_sphere_basis(dom, [([1.0, 2.0], [-0.5, 1.0]), ([3.0, 0.0, 1.0], [1.0])],
+                                      ("a", "b"), laurent=False)
+        formulas = [(lambda z: (1 + 2 * z) / (z - 0.5), lambda z: -2.0 / (z - 0.5) ** 2),
+                    (lambda z: 3 + z * z, lambda z: 2 * z)]
+        rng = np.random.default_rng(2)
+        _check_rows(basis, formulas, rng.standard_normal(7) + 1j * rng.standard_normal(7))
+
+    def test_members_have_unit_coefficients(self, ctx):
+        basis = basis_F_torus_twisted(ctx, EndDivisor((0.0, 0.4 + 0.33j, 1.1 + 0.7j)))
+        for j, s in enumerate(basis):
+            assert s.coefficients == tuple(1.0 + 0j if i == j else 0j for i in range(3))
+            assert s.expansions == s.basis.laurent[j]
+
+    def test_shape_follows_u(self, ctx):
+        s = basis_F_torus_twisted(ctx, EndDivisor((0.0, 0.4 + 0.33j)))[1]
+        u = _points(ctx, 6).reshape(2, 3)
+        assert s.evaluate(u).shape == (2, 3) and s.derivative(u).shape == (2, 3)
+        assert np.ndim(s.evaluate(u[0, 0])) == 0
+
+
+class TestCombinations:
+    def test_nested_equals_flattened(self, ctx):
+        basis = basis_F_torus_twisted(ctx, EndDivisor((0.0, 0.4 + 0.33j, 1.1 + 0.7j, 0.5 + 1.4j)))
+        c1 = np.array([0.0, 1.0, -0.5 + 1j, 2.0])
+        c2 = np.array([0.3j, 0.0, 1.5, -1.0])
+        a = section_combination(c1, basis)
+        b = section_combination(c2, basis)
+        nested = section_combination([2.0 - 1j, 0.25j], [a, b])
+        flat = section_combination((2.0 - 1j) * c1 + 0.25j * c2, basis)
+        assert np.allclose(nested.coefficients, flat.coefficients, rtol=0, atol=1e-15)
+        assert np.allclose(nested.expansions, flat.expansions, rtol=1e-14, atol=1e-14)
+        u = _points(ctx)
+        assert np.allclose(nested.evaluate(u), flat.evaluate(u), rtol=1e-13, atol=0)
+
+    def test_klein_s1_is_flat(self, klein):
+        x1, x2 = klein.solution
+        s1h, s2h = klein.sections[:2]
+        want = x1 * np.asarray(s1h.coefficients) + x2 * np.asarray(s2h.coefficients)
+        assert np.allclose(klein.s1.coefficients, want, rtol=1e-15, atol=0)
+        assert klein.s1.basis is s1h.basis and len(klein.s1.coefficients) == 8
+        assert not np.any(klein.s1.coefficients[4:])
+
+    def test_mixed_bases_rejected(self, ctx):
+        b1 = basis_F_sphere(EndDivisor((0.0, 1.0, INF)))
+        b2 = basis_F_sphere(EndDivisor((0.0, 1.0, INF)))
+        with pytest.raises(SectionDataError):
+            section_combination([1.0, 1.0], [b1[0], b2[1]])
+        with pytest.raises(SectionDataError):
+            WeierstrassData(s1=b1[0], s2=b2[1])
+        with pytest.raises(SectionDataError):
+            omega_qres_oracle(b1[0], b2[1])
+
+
+class TestChartWeight:
+    def test_chart_weight_is_form_weight(self, ctx):
+        p = 0.37 + 0.21j
+        doms = [basis_F_sphere(EndDivisor((0.0, INF)))[0].domain,
+                basis_F_torus_twisted(ctx, EndDivisor((0.0, 0.4 + 0.33j)))[0].domain]
+        doms += [basis_F_torus_untwisted(ctx, r, EndDivisor((0.9 + 0.77j,)))[0].domain
+                 for r in (1, 2, 3)]
+        for dom in doms:
+            assert dom.chart_weight(p)[0] == dom.form_weight(p)
+        assert doms[-1].form_weight(p) == 1.0 / (wp(ctx, p) - ctx.e(3))
+
+
+class TestFrameCounts:
+    """One WeierstrassData.omega call takes one theta frame per distinct shift."""
+
+    @staticmethod
+    def _frames(monkeypatch, data, u):
+        calls = []
+        frame = elliptic._theta_frame
+        monkeypatch.setattr(elliptic, "_theta_frame",
+                            lambda *a, **k: calls.append(1) or frame(*a, **k))
+        data.omega(u)
+        return len(calls)
+
+    def test_torus4(self, monkeypatch):
+        t4 = torus4_construct(build_context(1.0, 1.0j))
+        u = _points(t4.ctx, 40)
+        # zeta(u) plus one frame per end at a half period
+        assert self._frames(monkeypatch, WeierstrassData(s1=t4.s1, s2=t4.s2), u) == 4
+
+    def test_klein4(self, monkeypatch, klein):
+        u = _points(klein.ctx, 40)
+        assert self._frames(monkeypatch, WeierstrassData(s1=klein.s1, s2=klein.s2), u) <= 2

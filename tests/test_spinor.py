@@ -21,7 +21,7 @@ from spinorminimal.spinor import (
     omega_matrix,
     omega_pair,
     omega_qres_oracle,
-    rational_sphere_section,
+    rational_sphere_basis,
     residue_pair,
     section_combination,
     sigma_map,
@@ -111,13 +111,11 @@ class TestResiduePair:
     def test_values(self):
         div = EndDivisor((0.3, INF))
         dom = SphereDomain(ends=div)
-        make = lambda am1, a0: rational_sphere_section(dom, [1.0], [1.0]).__class__(
-            domain=dom, label="x", evaluate=lambda z: z, derivative=lambda z: 1.0,
-            expansions=((complex(am1), complex(a0)), (0.0j, 0.0j)))
-        s = make(2.0, 3.0)
+        # am1/(z - 0.3) + a0 for (am1, a0) = (2, 3), (1, 0), (0, 1)
+        s, s1, s2 = rational_sphere_basis(
+            dom, [([2.0 - 0.9, 3.0], [-0.3, 1.0]), ([1.0], [-0.3, 1.0]), ([1.0], [1.0])],
+            ("x", "x1", "x2"))
         assert residue_pair(s, s, 0.3) == pytest.approx(12.0)
-        s1 = make(1.0, 0.0)
-        s2 = make(0.0, 1.0)
         assert residue_pair(s1, s2, 0.3) == pytest.approx(1.0)
         assert residue_pair(s1, s1, 0.3) == 0.0
 

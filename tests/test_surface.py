@@ -5,7 +5,7 @@ import pytest
 
 from spinorminimal.moduli import klein4_construct, sphere4_solve
 from spinorminimal.numkit import QuadraturePath
-from spinorminimal.spinor import EndDivisor, SphereDomain, SpinorSection
+from spinorminimal.spinor import EndDivisor, SphereDomain, rational_sphere_basis
 from spinorminimal.surface import (
     GridSpec,
     SurfaceMesh,
@@ -129,13 +129,7 @@ class TestGaussMap:
 
     def test_pole_of_g(self):
         dom = SphereDomain(ends=EndDivisor(()))
-        s1 = SpinorSection(domain=dom, label="z", evaluate=lambda z: np.asarray(z, dtype=complex),
-                           derivative=lambda z: np.ones_like(np.asarray(z, dtype=complex)),
-                           expansions=())
-        s2 = SpinorSection(domain=dom, label="1",
-                           evaluate=lambda z: np.ones_like(np.asarray(z, dtype=complex)),
-                           derivative=lambda z: np.zeros_like(np.asarray(z, dtype=complex)),
-                           expansions=())
+        s1, s2 = rational_sphere_basis(dom, [([0.0, 1.0], [1.0]), ([1.0], [1.0])], ("z", "1"))
         data = WeierstrassData(s1=s1, s2=s2, end_clearance=0.1)
         assert np.allclose(gauss_map(data, 0.0), [0, 0, 1])
 
@@ -152,10 +146,7 @@ class TestGaussMap:
 class TestBranchDetection:
     def test_common_zero_detected(self):
         dom = SphereDomain(ends=EndDivisor(()))
-        zsec = SpinorSection(domain=dom, label="z phi",
-                             evaluate=lambda z: np.asarray(z, dtype=complex),
-                             derivative=lambda z: np.ones_like(np.asarray(z, dtype=complex)),
-                             expansions=())
+        (zsec,) = rational_sphere_basis(dom, [([0.0, 1.0], [1.0])], ("z phi",))
         data = WeierstrassData(s1=zsec, s2=zsec, end_clearance=0.05)
         found = branch_points(data, resolution=60)
         assert len(found) == 1
@@ -318,13 +309,7 @@ class TestArrayGaussMap:
 
     def test_pole_limit_in_an_array(self):
         dom = SphereDomain(ends=EndDivisor(()))
-        s1 = SpinorSection(domain=dom, label="z", evaluate=lambda z: np.asarray(z, dtype=complex),
-                           derivative=lambda z: np.ones_like(np.asarray(z, dtype=complex)),
-                           expansions=())
-        s2 = SpinorSection(domain=dom, label="1",
-                           evaluate=lambda z: np.ones_like(np.asarray(z, dtype=complex)),
-                           derivative=lambda z: np.zeros_like(np.asarray(z, dtype=complex)),
-                           expansions=())
+        s1, s2 = rational_sphere_basis(dom, [([0.0, 1.0], [1.0]), ([1.0], [1.0])], ("z", "1"))
         data = WeierstrassData(s1=s1, s2=s2, end_clearance=0.1)
         u = np.array([0.5, 0.0, 1j])
         n = gauss_map(data, u)
@@ -334,10 +319,7 @@ class TestArrayGaussMap:
 
     def test_branch_point_in_an_array_raises(self):
         dom = SphereDomain(ends=EndDivisor(()))
-        zsec = SpinorSection(domain=dom, label="z phi",
-                             evaluate=lambda z: np.asarray(z, dtype=complex),
-                             derivative=lambda z: np.ones_like(np.asarray(z, dtype=complex)),
-                             expansions=())
+        (zsec,) = rational_sphere_basis(dom, [([0.0, 1.0], [1.0])], ("z phi",))
         data = WeierstrassData(s1=zsec, s2=zsec, end_clearance=0.05)
         with pytest.raises(ValueError):
             gauss_map(data, np.array([0.5, 0.0, 1j]))

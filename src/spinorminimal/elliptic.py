@@ -1,37 +1,46 @@
 """Weierstrass elliptic layer: lattices, invariants, and p/p'/zeta evaluators.
 
-Evaluation strategy: reduce the argument to the fundamental cell by
-quasi-periodicity, then sum Jacobi theta series (geometric convergence
-since |q| < 1).  With z = pi*u/(2*omega1) and theta1 at nome
-q = exp(i*pi*tau),
+Every series is summed, and every argument rounded, in one basis: the
+Lagrange-Gauss-reduced periods (b1, b2) of Lattice.reduced_periods,
+oriented so that tau = b2/b1 has Im(tau) > 0.  That tau lies in the
+standard fundamental domain, so on every lattice, however skewed or thin
+the given basis, the theta nome q = exp(i*pi*tau) has
+|q| <= exp(-pi*sqrt(3)/2) ~ 0.066 and the q-series nome Q = q^2 has
+|Q| <= 0.0043.
 
-    zeta(u) = eta1*u/omega1 + (pi/(2*omega1)) * theta1'(z)/theta1(z)
+Evaluation: Lattice.reduce takes the argument to the reduced cell, then
+Jacobi theta series are summed.  With w = b1/2, z = pi*u/(2*w) and theta1
+at nome q,
+
+    zeta(u) = eta*u/w + (pi/(2*w)) * theta1'(z)/theta1(z)
     wp(u)   = -d(zeta)/du,   wp'(u) = d(wp)/du,
 
-which forces eta1 = -(pi^2/(12*omega1)) * theta1'''(0)/theta1'(0).  One theta
-frame (theta1 and its first three derivatives at the reduced points)
+where eta = (zeta(u + b1) - zeta(u))/2 is the quasi-period of w.  One
+theta frame (theta1 and its first three derivatives at the reduced points)
 gives zeta, wp and wp' alike, so callers that need several of them at
 the same points take one frame from _theta_frame.
 
-The g2 and eta1 q-series are summed in the normalization
+The invariants come from the q-series
 
-    g2   = pi^4/(12 w1^4) * (1 + 240 sum sigma3(n) Q^n)
-    eta1 = pi^2/(12 w1)   * (1 -  24 sum sigma1(n) Q^n)
-    e1   = pi^2/(6 w1^2)  * (1 +  24 sum tau_odd(n) Q^n)
+    g2    = pi^4/(12 w^4) * (1 + 240 sum sigma3(n) Q^n)
+    eta   = pi^2/(12 w)   * (1 -  24 sum sigma1(n) Q^n)
+    wp(w) = pi^2/(6 w^2)  * (1 +  24 sum tau_odd(n) Q^n)
 
-whose nome Q is resolved at build time: Q = exp(2*i*pi*tau) is tried
-first and cross-validated against a direct Eisenstein lattice sum for g2;
-on disagreement the builder retries with Q = exp(i*pi*tau).  The chosen
-convention is recorded on the context.  eta3 is then derived from the
-Legendre relation eta1*w3 - eta3*w1 = i*pi/2 so that the identity holds
-to the accuracy of eta1 itself.
+and the quasi-period of b2/2 from the Legendre relation.  The given labels
+are kept: e_i = wp(omega_i), and eta1, eta3 are the integer combinations of
+the reduced quasi-periods that 2*omega1 and 2*omega3 are of b1 and b2
+(DLMF 23.18), so the Legendre relation eta1*omega3 - eta3*omega1 = i*pi/2
+holds in them too.  Every build checks e1+e2+e3 = 0, g2 = -4*sum(ei*ej),
+the series wp(w) and the wp ODE; a check that fails or reads NaN or inf
+raises DegenerateLatticeError.  That happens once Im(tau) passes about 50,
+where the theta terms overflow double precision.
 
 Half-period labels follow omega2 = omega1 + omega3.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -40,7 +49,6 @@ __all__ = [
     "Lattice",
     "EllipticContext",
     "DegenerateLatticeError",
-    "ConventionError",
     "PoleEvaluationError",
     "DegeneratePairError",
     "build_context",
@@ -53,16 +61,12 @@ __all__ = [
     "wp_inverse",
 ]
 
-THETA_TERM_CAP = 240
 POLE_DISTANCE_TOL = 1e-12
 
 
 class DegenerateLatticeError(ValueError):
-    """The two generators do not span a lattice."""
-
-
-class ConventionError(RuntimeError):
-    """No nome convention reproduced the lattice invariants."""
+    """The two generators do not span a lattice, or it is too thin for the
+    invariants to pass their checks in double precision."""
 
 
 class PoleEvaluationError(ValueError):
@@ -101,14 +105,10 @@ class Lattice:
     def tau(self) -> complex:
         return self.omega3 / self.omega1
 
-    @property
-    def nome_q(self) -> complex:
-        return np.exp(1j * np.pi * self.tau)
-
     @cached_property
     def reduced_periods(self):
-        """Lagrange-Gauss-reduced periods (b1, b2), |b1| <= |b2| <= |b2 +- b1|,
-        spanning the same lattice as (2*omega1, 2*omega3)."""
+        """Lagrange-Gauss-reduced periods (b1, b2), |b1| <= |b2| <= |b2 +- b1|
+        and Im(b2/b1) > 0, spanning the same lattice as (2*omega1, 2*omega3)."""
         b1, b2 = 2 * self.omega1, 2 * self.omega3
         if abs(b2) < abs(b1):
             b1, b2 = b2, b1
@@ -116,7 +116,7 @@ class Lattice:
             mu = round((b2 * b1.conjugate()).real / abs(b1) ** 2)
             b2 = b2 - mu * b1
             if abs(b2) >= abs(b1):
-                return b1, b2
+                return (b1, b2) if (b2 / b1).imag > 0 else (b1, -b2)
             b1, b2 = b2, b1
 
     @cached_property
@@ -125,19 +125,24 @@ class Lattice:
         b1, b2 = self.reduced_periods
         return np.array([i * b1 + j * b2 for i in (0, -1, 1) for j in (0, -1, 1)])
 
+    def reduce(self, u):
+        """(red, m, n) with u = red + m*b1 + n*b2 and the coordinates of red
+        in the reduced basis rounded into [-1/2, 1/2]; elementwise for an array."""
+        u = np.asarray(u, dtype=complex)
+        b1, b2 = self.reduced_periods
+        det = b1.real * b2.imag - b1.imag * b2.real
+        m = np.round((u.real * b2.imag - u.imag * b2.real) / det)
+        n = np.round((u.imag * b1.real - u.real * b1.imag) / det)
+        return u - m * b1 - n * b2, m, n
+
     def distance(self, u):
         """Distance from u to the nearest lattice point: a float for a scalar,
         elementwise for an array.
 
-        Coordinates are rounded in the reduced basis, where the nearest
-        lattice point is always one of the 3x3 neighbours of the rounded one.
+        In the reduced basis the nearest lattice point is always one of the
+        3x3 neighbours of the one that reduce() rounds to.
         """
-        u = np.asarray(u, dtype=complex)
-        b1, b2 = self.reduced_periods
-        det = b1.real * b2.imag - b1.imag * b2.real
-        x = (u.real * b2.imag - u.imag * b2.real) / det
-        y = (u.imag * b1.real - u.real * b1.imag) / det
-        red = u - np.round(x) * b1 - np.round(y) * b2
+        red = self.reduce(u)[0]
         d = np.min(np.abs(red[..., None] - self._neighbour_offsets), axis=-1)
         return float(d) if d.ndim == 0 else d
 
@@ -150,52 +155,34 @@ def _odd_divisor_sum(n: int) -> int:
     return sum(d for d in range(1, n + 1, 2) if n % d == 0)
 
 
-@lru_cache(maxsize=8)
-def _series_coeffs(terms: int):
-    s3 = np.array([_divisor_sigma(n, 3) for n in range(1, terms + 1)], dtype=float)
-    s1 = np.array([_divisor_sigma(n, 1) for n in range(1, terms + 1)], dtype=float)
-    todd = np.array([_odd_divisor_sum(n) for n in range(1, terms + 1)], dtype=float)
+@lru_cache(maxsize=1)
+def _series_coeffs():
+    """sigma3(n), sigma1(n) and the odd-divisor sum for n = 1..64: at
+    |Q| <= 0.0043 the 64th term is far below rounding."""
+    s3 = np.array([_divisor_sigma(n, 3) for n in range(1, 65)], dtype=float)
+    s1 = np.array([_divisor_sigma(n, 1) for n in range(1, 65)], dtype=float)
+    todd = np.array([_odd_divisor_sum(n) for n in range(1, 65)], dtype=float)
     return s3, s1, todd
 
 
-def _qseries(omega1: complex, Q: complex, terms: int = 64):
-    """(g2, eta1, e1) from the sigma3/sigma1/odd-divisor q-series."""
-    s3, s1, todd = _series_coeffs(terms)
-    qn = Q ** np.arange(1, terms + 1)
-    g2 = np.pi**4 / (12 * omega1**4) * (1 + 240 * np.sum(s3 * qn))
-    eta1 = np.pi**2 / (12 * omega1) * (1 - 24 * np.sum(s1 * qn))
-    e1 = np.pi**2 / (6 * omega1**2) * (1 + 24 * np.sum(todd * qn))
-    return complex(g2), complex(eta1), complex(e1)
-
-
-def _g2_lattice_sum(lat: Lattice) -> complex:
-    """g2 = 60 * sum' lambda^-4, Richardson-extrapolated in the cutoff.
-
-    The truncation error of the disk sum scales like R^-2, so two cutoffs
-    M and 2M give the extrapolation S + (S_2M - S_M)/3.
-    """
-    p1, p3 = 2 * lat.omega1, 2 * lat.omega3
-
-    def partial(M):
-        m = np.arange(-M, M + 1)
-        mm, nn = np.meshgrid(m, m)
-        lam = mm * p1 + nn * p3
-        lam = lam[(mm != 0) | (nn != 0)]
-        return np.sum(lam**-4.0)
-
-    s1 = partial(256)
-    s2 = partial(512)
-    return complex(60.0 * (s2 + (s2 - s1) / 3.0))
+def _qseries(w: complex, Q: complex):
+    """(g2, eta, wp(w)) from the sigma3/sigma1/odd-divisor q-series at the
+    half-period w."""
+    s3, s1, todd = _series_coeffs()
+    qn = Q ** np.arange(1, 65)
+    g2 = np.pi**4 / (12 * w**4) * (1 + 240 * np.sum(s3 * qn))
+    eta = np.pi**2 / (12 * w) * (1 - 24 * np.sum(s1 * qn))
+    e = np.pi**2 / (6 * w**2) * (1 + 24 * np.sum(todd * qn))
+    return complex(g2), complex(eta), complex(e)
 
 
 class _Theta:
-    """theta1 and its first three z-derivatives at fixed nome q."""
+    """theta1 and its first three z-derivatives at fixed nome q, |q| < 1."""
 
     def __init__(self, q: complex):
-        self.q = q
         terms = []
         n = 0
-        while n < THETA_TERM_CAP:
+        while True:
             coeff = (-1) ** n * q ** ((n + 0.5) ** 2)
             terms.append((2 * n + 1, coeff))
             if abs(coeff) * (2 * n + 1) ** 3 < 1e-22 and n >= 4:
@@ -219,7 +206,11 @@ class _Theta:
 
 @dataclass(frozen=True)
 class EllipticContext:
-    """Immutable lattice context with invariants and evaluator state."""
+    """Immutable lattice context with invariants and evaluator state.
+
+    eta1, eta3 are the quasi-periods of the given half-periods; the theta
+    frames read _eta_reduced, those of the reduced half-periods b1/2, b2/2.
+    """
 
     lattice: Lattice
     g2: complex
@@ -229,7 +220,7 @@ class EllipticContext:
     e3: complex
     eta1: complex
     eta3: complex
-    nome_convention: str
+    _eta_reduced: tuple
     _theta: _Theta
 
     @property
@@ -250,81 +241,64 @@ class EllipticContext:
     def e(self, i: int) -> complex:
         return (self.e1, self.e2, self.e3)[i - 1]
 
-    def reduce(self, u):
-        """Reduce modulo the lattice: u = u_red + 2*m*w1 + 2*n*w3."""
-        u = np.asarray(u, dtype=complex)
-        p1, p3 = 2 * self.omega1, 2 * self.omega3
-        det = p1.real * p3.imag - p1.imag * p3.real
-        x = (u.real * p3.imag - u.imag * p3.real) / det
-        y = (u.imag * p1.real - u.real * p1.imag) / det
-        m = np.round(x)
-        n = np.round(y)
-        return u - m * p1 - n * p3, m, n
-
     def lattice_distance(self, u):
         """Distance from u to the nearest lattice point (see Lattice.distance)."""
         return self.lattice.distance(u)
 
 
-def build_context(omega1, omega3, terms: int = 64) -> EllipticContext:
-    """Build an EllipticContext, resolving the q-series nome convention.
+def build_context(omega1, omega3) -> EllipticContext:
+    """Build an EllipticContext from the q-series in the reduced basis.
 
-    Validation: the series g2 must match a direct Eisenstein lattice sum;
-    then e1+e2+e3 = 0, g2 = -4*sum(ei*ej), the series e1, and the wp ODE
-    must all hold.  A convention that fails any check is discarded; if
-    both fail a ConventionError is raised.
+    Raises DegenerateLatticeError when the generators do not span a lattice
+    or a check of the invariants fails (see _validate).
     """
     lat = Lattice(complex(omega1), complex(omega3))
-    tau = lat.tau
-    g2_direct = _g2_lattice_sum(lat)
-    failures = []
-    for name, Q in (("q=exp(2*i*pi*tau)", np.exp(2j * np.pi * tau)),
-                    ("q=exp(i*pi*tau)", np.exp(1j * np.pi * tau))):
-        g2s, eta1s, e1s = _qseries(lat.omega1, Q, terms)
-        rel = abs(g2s - g2_direct) / max(abs(g2_direct), 1e-300)
-        if rel > 1e-6:
-            failures.append(f"{name}: series g2 off lattice sum by {rel:.2e}")
-            continue
-        ctx = _assemble(lat, g2s, eta1s, name)
-        err = _validate(ctx, e1s)
-        if err is None:
-            return ctx
-        failures.append(f"{name}: {err}")
-    raise ConventionError("; ".join(failures))
-
-
-def _assemble(lat: Lattice, g2: complex, eta1: complex, convention: str) -> EllipticContext:
-    theta = _Theta(complex(lat.nome_q))
-    eta3 = (eta1 * lat.omega3 - 1j * np.pi / 2.0) / lat.omega1
+    b1, b2 = lat.reduced_periods
+    w, tau = b1 / 2, b2 / b1
+    g2, eta_a, wp_w = _qseries(w, np.exp(2j * np.pi * tau))
+    eta_b = (eta_a * (b2 / 2) - 1j * np.pi / 2.0) / w
+    eta1, eta3 = (complex(m * eta_a + n * eta_b)
+                  for _, m, n in (lat.reduce(2 * lat.omega1), lat.reduce(2 * lat.omega3)))
     ctx = EllipticContext(lattice=lat, g2=g2, g3=0.0, e1=0.0, e2=0.0, e3=0.0,
-                          eta1=eta1, eta3=eta3, nome_convention=convention, _theta=theta)
-    e1 = complex(wp(ctx, lat.omega1))
-    e2 = complex(wp(ctx, lat.omega1 + lat.omega3))
-    e3 = complex(wp(ctx, lat.omega3))
-    g3 = 4.0 * e1 * e2 * e3
-    return EllipticContext(lattice=lat, g2=g2, g3=g3, e1=e1, e2=e2, e3=e3,
-                           eta1=eta1, eta3=eta3, nome_convention=convention, _theta=theta)
+                          eta1=eta1, eta3=eta3, _eta_reduced=(eta_a, eta_b),
+                          _theta=_Theta(complex(np.exp(1j * np.pi * tau))))
+    # past the double-precision range the theta terms overflow; _validate
+    # turns the NaN and inf that follow into DegenerateLatticeError
+    with np.errstate(all="ignore"):
+        e1 = complex(wp(ctx, lat.omega1))
+        e2 = complex(wp(ctx, lat.omega1 + lat.omega3))
+        e3 = complex(wp(ctx, lat.omega3))
+        ctx = replace(ctx, g3=4.0 * e1 * e2 * e3, e1=e1, e2=e2, e3=e3)
+        _validate(ctx, wp_w)
+    return ctx
 
 
-def _validate(ctx: EllipticContext, e1_series: complex):
-    scale = max(abs(ctx.e1), abs(ctx.e2), abs(ctx.e3), 1e-300)
-    if abs(ctx.e1 + ctx.e2 + ctx.e3) > 1e-10 * scale:
-        return f"e1+e2+e3 = {abs(ctx.e1 + ctx.e2 + ctx.e3):.2e}"
-    g2_from_e = -4.0 * (ctx.e1 * ctx.e2 + ctx.e1 * ctx.e3 + ctx.e2 * ctx.e3)
-    if abs(g2_from_e - ctx.g2) > 1e-9 * max(abs(ctx.g2), 1e-300):
-        return f"g2 from e_i off series by {abs(g2_from_e - ctx.g2):.2e}"
-    if abs(e1_series - ctx.e1) > 1e-8 * max(abs(ctx.e1), 1e-300):
-        return f"e1 series off wp(omega1) by {abs(e1_series - ctx.e1):.2e}"
+def _validate(ctx: EllipticContext, wp_w_series: complex):
+    """Check e1+e2+e3 = 0, g2 = -4*sum(ei*ej), the series wp(b1/2) and the
+    wp ODE; raise DegenerateLatticeError naming the first that fails.  A
+    check passes only when its tolerance is finite and its error at most
+    that tolerance, so NaN and inf fail."""
+    e1, e2, e3, g2 = ctx.e1, ctx.e2, ctx.e3, ctx.g2
+    b1, b2 = ctx.lattice.reduced_periods
+    scale = max(abs(e1), abs(e2), abs(e3), 1e-300)
+    wp_w = complex(wp(ctx, b1 / 2))
     rng = np.random.default_rng(7)
     pts = (rng.uniform(0.07, 0.43, 6) * 2 * ctx.omega1
            + rng.uniform(0.07, 0.43, 6) * 2 * ctx.omega3)
     p = wp(ctx, pts)
     dp = wp_prime(ctx, pts)
-    resid = dp**2 - (4 * p**3 - ctx.g2 * p - ctx.g3)
-    ode_scale = np.max(np.abs(dp) ** 2 + np.abs(4 * p**3) + abs(ctx.g2) * np.abs(p))
-    if np.max(np.abs(resid)) > 1e-8 * ode_scale:
-        return f"wp ODE residual {np.max(np.abs(resid)):.2e}"
-    return None
+    resid = dp**2 - (4 * p**3 - g2 * p - ctx.g3)
+    ode_scale = np.max(np.abs(dp) ** 2 + np.abs(4 * p**3) + abs(g2) * np.abs(p))
+    for check, err, tol in (
+            ("e1+e2+e3 = 0", abs(e1 + e2 + e3), 1e-10 * scale),
+            ("g2 = -4*sum(ei*ej)", abs(-4.0 * (e1 * e2 + e1 * e3 + e2 * e3) - g2),
+             1e-9 * max(abs(g2), scale**2)),
+            ("series wp(b1/2)", abs(wp_w_series - wp_w), 1e-8 * max(abs(wp_w), 1e-300)),
+            ("wp ODE", np.max(np.abs(resid)), 1e-8 * ode_scale)):
+        if not err <= tol < np.inf:
+            raise DegenerateLatticeError(
+                f"{check} fails by {err:.2e} (tolerance {tol:.2e}) in the reduced basis, "
+                f"tau = {b2 / b1:.6g}: the lattice is too thin for double precision")
 
 
 class _Frame:
@@ -335,29 +309,27 @@ class _Frame:
         u = np.asarray(u, dtype=complex)
         self.ctx = ctx
         self.scalar = u.ndim == 0
-        self.red, self.m, self.n = ctx.reduce(np.atleast_1d(u))
+        self.red, self.m, self.n = ctx.lattice.reduce(np.atleast_1d(u))
+        b1, b2 = ctx.lattice.reduced_periods
         if need_pole_check:
-            tol = POLE_DISTANCE_TOL * max(1.0, abs(2 * ctx.omega1), abs(2 * ctx.omega3))
-            if np.any(np.abs(self.red) < tol):
+            if np.any(np.abs(self.red) < POLE_DISTANCE_TOL * max(1.0, abs(b2))):
                 raise PoleEvaluationError("evaluation point within 1e-12 of a lattice point")
-        self.t0, self.t1, self.t2, self.t3 = ctx._theta.batch(np.pi * self.red / (2 * ctx.omega1))
+        self.w, self.c = b1 / 2, np.pi / b1
+        self.t0, self.t1, self.t2, self.t3 = ctx._theta.batch(np.pi * self.red / b1)
 
     def zeta(self):
-        ctx = self.ctx
-        c = np.pi / (2 * ctx.omega1)
-        val = ctx.eta1 * self.red / ctx.omega1 + c * self.t1 / self.t0
-        return val + 2.0 * self.m * ctx.eta1 + 2.0 * self.n * ctx.eta3
+        eta_a, eta_b = self.ctx._eta_reduced
+        val = eta_a * self.red / self.w + self.c * self.t1 / self.t0
+        return val + 2.0 * self.m * eta_a + 2.0 * self.n * eta_b
 
     def wp(self):
-        ctx, t0, t1 = self.ctx, self.t0, self.t1
-        c = np.pi / (2 * ctx.omega1)
-        return -ctx.eta1 / ctx.omega1 - c**2 * (self.t2 * t0 - t1**2) / t0**2
+        t0, t1 = self.t0, self.t1
+        return -self.ctx._eta_reduced[0] / self.w - self.c**2 * (self.t2 * t0 - t1**2) / t0**2
 
     def wp_prime(self):
         t0, t1, t2 = self.t0, self.t1, self.t2
-        c = np.pi / (2 * self.ctx.omega1)
         g = t1 / t0
-        return -(c**3) * (self.t3 / t0 - 3 * t2 * t1 / t0**2 + 2 * g**3)
+        return -(self.c**3) * (self.t3 / t0 - 3 * t2 * t1 / t0**2 + 2 * g**3)
 
     def result(self, arr):
         """arr as a Python complex for a scalar argument, else as is."""

@@ -88,6 +88,17 @@ class TestCommands:
     def test_usage_error_exit_code(self):
         assert main(["not-a-command"]) == 1
 
+    def test_torus4_on_thin_lattice(self, capsys):
+        assert main(["torus4", "1", "0.5+0.05j", "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["residuals"]["planar_ends"]
+
+    def test_too_thin_lattice_is_a_usage_error(self, capsys):
+        # a lattice past double precision ends in a one-line error, exit 1
+        assert main(["torus4", "1", "0.5+0.002j"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "too thin" in err and "Traceback" not in err
+
     def test_determinism(self, tmp_path, capsys):
         d1, d2 = tmp_path / "a", tmp_path / "b"
         for d in (d1, d2):

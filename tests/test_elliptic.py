@@ -1,5 +1,6 @@
 """Weierstrass layer tests: invariants, identities, and parities."""
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -43,9 +44,6 @@ def interior_points(ctx, count, seed=11):
 
 
 class TestBuildContext:
-    def test_nome_convention_resolved(self, ctx):
-        assert ctx.nome_convention == "q=exp(2*i*pi*tau)"
-
     def test_e_sum_zero(self, ctx):
         scale = max(abs(ctx.e1), abs(ctx.e3))
         assert abs(ctx.e1 + ctx.e2 + ctx.e3) < 1e-10 * scale
@@ -68,6 +66,12 @@ class TestBuildContext:
         assert abs(ctx.e2) < 1e-12
         assert ctx.e3 == pytest.approx(-ctx.e1, rel=1e-12)
 
+    def test_hexagonal_lattice_builds(self):
+        # g2 = 0 here, so the g2 check must be scaled by the e_i, not by g2
+        ctx = build_context(1.0, np.exp(1j * np.pi / 3))
+        assert abs(ctx.g2) < 1e-9 * abs(ctx.e1) ** 2
+        assert abs(ctx.e1 + ctx.e2 + ctx.e3) < 1e-10 * abs(ctx.e1)
+
     def test_degenerate_lattice_rejected(self):
         with pytest.raises(DegenerateLatticeError):
             Lattice(1.0, 2.0)
@@ -77,6 +81,22 @@ class TestBuildContext:
     def test_orientation_flip(self):
         lat = Lattice(1.0, -1.0j)
         assert lat.tau.imag > 0
+
+    @pytest.mark.parametrize("omega3", [0.5 + 0.05j, 0.5 + 0.02j])
+    def test_thin_lattice_builds(self, omega3):
+        # reduced tau = -0.5+5i and -0.5+12.5i: far from the square, but
+        # well inside the range the reduced-basis series cover
+        ctx = build_context(1.0, omega3)
+        b1, b2 = ctx.lattice.reduced_periods
+        g2 = _g2_lattice_sum(b1, b2)
+        assert abs(ctx.g2 - g2) <= 1e-6 * abs(g2)
+        assert abs(ctx.eta1 * ctx.omega3 - ctx.eta3 * ctx.omega1 - 1j * np.pi / 2) < 1e-10
+
+    def test_too_thin_lattice_raises_typed_error(self):
+        # reduced tau = -0.5+125i: the theta terms overflow, and the NaN
+        # invariants must fail their checks instead of being returned
+        with pytest.raises(DegenerateLatticeError, match="tau = -0.5\\+125j"):
+            build_context(1.0, 0.5 + 0.002j)
 
 
 class TestEvaluators:
@@ -257,8 +277,108 @@ class TestLatticeDistance:
     def test_reduced_periods_span_the_lattice(self, ctx):
         b1, b2 = ctx.lattice.reduced_periods
         assert abs(b1) <= abs(b2) <= min(abs(b2 - b1), abs(b2 + b1)) + 1e-15
+        assert (b2 / b1).imag > 0
         for b in (b1, b2):
             assert ctx.lattice_distance(b) < 1e-12
         area = abs((b1.conjugate() * b2).imag)
         cell = abs(((2 * ctx.omega1).conjugate() * 2 * ctx.omega3).imag)
         assert area == pytest.approx(cell, rel=1e-12)
+
+
+def _g2_lattice_sum(b1, b2):
+    """g2 = 60 * sum' lambda^-4 over lambda = m*b1 + n*b2, |m|, |n| <= M,
+    Richardson-extrapolated in the cutoff.
+
+    The truncation error of the sum scales like M^-2, so two cutoffs M and
+    2M give the extrapolation S_2M + (S_2M - S_M)/3.  Take it on a reduced
+    basis: on a skewed one the box |m|, |n| <= M is a thin sliver of the
+    plane, and on (1, 0.5+0.05i) the extrapolation was off by 2.8e-6.
+    """
+    def partial(M):
+        m = np.arange(-M, M + 1)
+        mm, nn = np.meshgrid(m, m)
+        lam = mm * b1 + nn * b2
+        lam = lam[(mm != 0) | (nn != 0)]
+        return np.sum(lam**-4.0)
+
+    s1 = partial(256)
+    s2 = partial(512)
+    return complex(60.0 * (s2 + (s2 - s1) / 3.0))
+
+
+class _MpWeierstrass:
+    """wp, zeta and the quasi-periods of the lattice {b1, b2} from
+    mpmath.jtheta at 30 digits and nome exp(i*pi*b2/b1), evaluated at the
+    point given, with no argument reduction."""
+
+    def __init__(self, b1, b2):
+        with mpmath.workdps(30):
+            self.b1, self.b2 = mpmath.mpc(b1), mpmath.mpc(b2)
+            self.q = mpmath.exp(1j * mpmath.pi * self.b2 / self.b1)
+            self.c = mpmath.pi / self.b1
+            d1 = mpmath.jtheta(1, 0, self.q, 1)
+            d3 = mpmath.jtheta(1, 0, self.q, 3)
+            # quasi-periods of b1/2 and b2/2, the second by the Legendre relation
+            self.eta_b1 = -(mpmath.pi**2 / (6 * self.b1)) * d3 / d1
+            self.eta_b2 = (self.eta_b1 * self.b2 - 1j * mpmath.pi) / self.b1
+
+    def _theta(self, u):
+        z = self.c * mpmath.mpc(u)
+        return [mpmath.jtheta(1, z, self.q, k) for k in range(3)]
+
+    def wp(self, u):
+        with mpmath.workdps(30):
+            t0, t1, t2 = self._theta(u)
+            return complex(-2 * self.eta_b1 / self.b1 + self.c**2 * ((t1 / t0) ** 2 - t2 / t0))
+
+    def zeta(self, u):
+        with mpmath.workdps(30):
+            t0, t1, _ = self._theta(u)
+            return complex(2 * self.eta_b1 * mpmath.mpc(u) / self.b1 + self.c * t1 / t0)
+
+
+class TestOracles:
+    """build_context against the lattice sum and mpmath on random lattices:
+    a reduced basis (b1, b2) with tau = b2/b1 in the fundamental domain and
+    Im(tau) up to 25, rotated and scaled, then given to build_context in the
+    skewed basis (2*omega1, 2*omega3) = (a*b1 + b*b2, c*b1 + d*b2) with
+    (a, b, c, d) = (1, k1, k2, 1 + k1*k2), of determinant 1."""
+
+    @given(st.floats(-0.5, 0.5), st.floats(0.0, 1.0), st.floats(0.3, 3.0),
+           st.floats(-np.pi, np.pi), st.integers(-2, 2), st.integers(-2, 2),
+           st.integers(0, 2**16))
+    @settings(max_examples=20, deadline=None)
+    def test_random_lattices(self, re_tau, thinness, size, angle, k1, k2, seed):
+        lo = np.sqrt(1.0 - re_tau**2)
+        tau = complex(re_tau, lo * (25.0 / lo) ** thinness)
+        b1 = size * np.exp(1j * angle)
+        b2 = b1 * tau
+        a, b, c, d = 1, k1, k2, 1 + k1 * k2
+        ctx = build_context((a * b1 + b * b2) / 2, (c * b1 + d * b2) / 2)
+        g2 = _g2_lattice_sum(b1, b2)
+        assert abs(ctx.g2 - g2) <= 1e-6 * abs(g2)
+
+        mp = _MpWeierstrass(b1, b2)
+        e_scale = max(abs(ctx.e1), abs(ctx.e2), abs(ctx.e3))
+        eta_scale = abs(mp.eta_b1) + abs(mp.eta_b2)
+
+        def close(got, want, scale):
+            return abs(got - want) <= 1e-10 * max(abs(want), scale)
+
+        for i in (1, 2, 3):
+            assert close(ctx.e(i), mp.wp(ctx.half_period(i)), e_scale)
+            assert ctx.e(i) == wp(ctx, ctx.half_period(i))
+        # the quasi-periods of the given half-periods, by the same matrix
+        assert close(ctx.eta1, complex(a * mp.eta_b1 + b * mp.eta_b2), eta_scale)
+        assert close(ctx.eta3, complex(c * mp.eta_b1 + d * mp.eta_b2), eta_scale)
+        legendre = ctx.eta1 * ctx.omega3 - ctx.eta3 * ctx.omega1 - 1j * np.pi / 2
+        assert abs(legendre) <= 1e-12 * (abs(ctx.eta1 * ctx.omega3) + abs(ctx.eta3 * ctx.omega1))
+
+        rng = np.random.default_rng(seed)
+        u = rng.uniform(-1.5, 1.5, 4) * b1 + rng.uniform(-1.5, 1.5, 4) * b2
+        for uk, pk, zk in zip(u, wp(ctx, u), zeta(ctx, u)):
+            assert close(pk, mp.wp(uk), e_scale)
+            assert close(zk, mp.zeta(uk), eta_scale)
+        for w, eta in ((ctx.omega1, ctx.eta1), (ctx.omega3, ctx.eta3)):
+            jump = zeta(ctx, u + 2 * w) - zeta(ctx, u)
+            assert np.max(np.abs(jump - 2 * eta)) <= 1e-10 * max(abs(eta), eta_scale)

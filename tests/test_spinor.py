@@ -215,6 +215,16 @@ class TestTwistedBasis:
         oracle = np.array([omega_qres_oracle(basis[i], basis[j]) for i, j in pairs])
         assert np.max(np.abs(oracle - exact)) < 1e-9 * max(1.0, np.max(np.abs(exact)))
 
+    def test_oracle_on_thin_lattice(self):
+        # (1, 0.5+0.05i) has reduced tau = -0.5+5i, whose q-series in the
+        # given basis (|Q| = 0.73) did not converge to the invariants
+        ctx = build_context(1.0, 0.5 + 0.05j)
+        basis = basis_F_torus_twisted(ctx, EndDivisor((0.0, 0.904 + 0.049j, 0.815 + 0.063j)))
+        pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
+        exact = np.array([omega_pair(basis[i], basis[j]) for i, j in pairs])
+        oracle = np.array([omega_qres_oracle(basis[i], basis[j]) for i, j in pairs])
+        assert np.max(np.abs(oracle - exact)) < 1e-9 * max(1.0, np.max(np.abs(exact)))
+
     def test_laurent_consistency(self, ctx):
         basis = basis_F_torus_twisted(ctx, EndDivisor((0.0, 0.4 + 0.33j, 1.1 + 0.7j)))
         for s in basis:
@@ -260,6 +270,30 @@ class TestUntwistedBasis:
         basis = basis_F_torus_untwisted_paired(ctx, 1, [0.31 + 0.4j, 0.9 + 0.77j])
         for s in basis:
             verify_laurent_consistency(s, 1e-6)
+
+
+@given(st.floats(-0.5, 0.5), st.floats(0.0, 1.0), st.floats(0.3, 3.0), st.floats(-np.pi, np.pi),
+       st.integers(-2, 2), st.integers(-2, 2), st.integers(0, 2**16))
+@settings(max_examples=12, deadline=None)
+def test_oracle_on_random_skewed_lattices(re_tau, thinness, size, angle, k1, k2, seed):
+    # a reduced basis (b1, b2), Im(tau) up to 4, given in the skewed basis
+    # (b1 + k1 b2, b2 + k2 (b1 + k1 b2)) of determinant 1; ends at
+    # jittered reduced-cell fractions, away from each other and the half-lattice
+    lo = np.sqrt(1.0 - re_tau**2)
+    b1 = size * np.exp(1j * angle)
+    b2 = b1 * complex(re_tau, lo * (4.0 / lo) ** thinness)
+    p1 = b1 + k1 * b2
+    ctx = build_context(p1 / 2, (b2 + k2 * p1) / 2)
+    rng = np.random.default_rng(seed)
+    fractions = np.array([(0.13, 0.21), (0.62, 0.37), (0.31, 0.78)]) + rng.uniform(-0.05, 0.05, (3, 2))
+    ends = tuple(complex(fx * b1 + fy * b2) for fx, fy in fractions)
+    bases = [basis_F_torus_twisted(ctx, EndDivisor((0.0,) + ends))]
+    bases += [basis_F_torus_untwisted(ctx, r, EndDivisor(ends)) for r in (1, 2, 3)]
+    for basis in bases:
+        for i in range(len(basis)):
+            for j in range(i + 1, len(basis)):
+                exact = omega_pair(basis[i], basis[j])
+                assert abs(omega_qres_oracle(basis[i], basis[j]) - exact) < 1e-9 * max(1.0, abs(exact))
 
 
 class TestOmegaPairProperties:

@@ -34,6 +34,8 @@ from .surface import (
     enneper_data,
     integrate_position,
     integrate_surface,
+    quadrature_edges,
+    quadrature_loop_residual,
 )
 
 __all__ = ["CheckResult", "run", "SUITES", "ACCEPTANCE_LATTICES"]
@@ -324,10 +326,10 @@ def criterion_10_geometry():
                       float(np.max(np.abs(d - np.array([2 / 3, 0.0, 1.0])))), 1e-8))
     fam = moduli.sphere4_solve()
     data = WeierstrassData(s1=fam.K_basis[0], s2=fam.K_basis[1])
-    mesh4 = integrate_surface(data, GridSpec(nx=61, ny=61, extent=2.0), -1.0 - 1.0j)
+    grid61 = GridSpec(nx=61, ny=61, extent=2.0)
+    mesh4 = integrate_surface(data, grid61, -1.0 - 1.0j)
     out.append(_check("10b sphere-4 mesh loop periods",
-                      mesh4.metadata["loop_residual_max"]
-                      / mesh4.metadata["mesh_scale"], 1e-7))
+                      quadrature_loop_residual(data, grid61) / mesh4.metadata["mesh_scale"], 1e-7))
     rng = np.random.default_rng(5)
     z = rng.standard_normal(200) + 1j * rng.standard_normal(200)
     keep = data.end_distance(z) > 0.05
@@ -350,6 +352,19 @@ def criterion_10_geometry():
     out.append(_check("10d planar-end best-fit plane residual decreasing",
                       0.0 if monotone else 1.0, 0.0,
                       detail="residuals " + ", ".join(f"{r:.4f}" for r in residuals)))
+    # every closed-form edge increment X(b) - X(a) against its Gauss-Legendre integral
+    t4 = moduli.torus4_construct(build_context(1.0, 1.0j))
+    worst = 0.0
+    for d, grid, b in ((data, grid61, base), (WeierstrassData(s1=t4.s1, s2=t4.s2),
+                                              GridSpec(nx=33, ny=33), 1.0 + 0.5j)):
+        valid, h, v = quadrature_edges(d, grid)
+        mesh = integrate_surface(d, grid, b)
+        X = np.full(valid.shape + (3,), np.nan)
+        X[valid] = mesh.vertices
+        gap = max(np.nanmax(np.abs(X[1:] - X[:-1] - h)), np.nanmax(np.abs(X[:, 1:] - X[:, :-1] - v)))
+        worst = max(worst, gap / mesh.metadata["mesh_scale"])
+    out.append(_check("10e closed-form mesh edges vs Gauss-Legendre (sphere-4 grid 61, "
+                      "torus-4 grid 33)", worst, 1e-9))
     return out
 
 

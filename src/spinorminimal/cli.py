@@ -3,8 +3,9 @@
 Every command writes a JSON report (schema-stamped, complex numbers as
 [re, im] pairs, no timestamps) and optionally an OBJ mesh.  Exit codes:
 0 success, 2 verification failure, 1 usage error.  Every meshing command
-fails verification when some grid cell's loop-closure residual reaches
-1e-6 of the mesh scale.
+fails verification unless the closed form's identity residual and end
+residues, and every grid cell's loop closure relative to the mesh scale,
+are below 1e-6.
 """
 
 from __future__ import annotations
@@ -102,14 +103,17 @@ def _emit(args, payload: dict, name: str) -> None:
         print(json.dumps(body, sort_keys=True, indent=2))
 
 
-def _loop_gate(mesh) -> int:
-    """VERIFICATION_ERROR unless every grid cell closes to 1e-6 of the mesh scale."""
+def _mesh_gate(mesh) -> int:
+    """VERIFICATION_ERROR unless the identity residual and the end residues
+    are below 1e-6, and every grid cell closes to 1e-6 of the mesh scale."""
     meta = mesh.metadata
-    return 0 if meta["loop_residual_max"] < 1e-6 * meta["mesh_scale"] else VERIFICATION_ERROR
+    ok = meta["identity_residual_max"] < 1e-6 and meta["end_residue_max"] < 1e-6 \
+        and meta["loop_residual_max"] < 1e-6 * meta["mesh_scale"]
+    return 0 if ok else VERIFICATION_ERROR
 
 
 def _mesh_if_requested(args, name: str, built, payload: dict) -> int:
-    """Mesh and export when --mesh is given; returns the loop-closure gate's code."""
+    """Mesh and export when --mesh is given; returns the mesh gate's code."""
     if not getattr(args, "mesh", None):
         return 0
     entry = CONSTRUCTIONS[name]
@@ -117,10 +121,9 @@ def _mesh_if_requested(args, name: str, built, payload: dict) -> int:
     grid = GridSpec(nx=args.grid, ny=args.grid, extent=args.extent)
     mesh = integrate_surface(data, grid, entry.basepoint(data.domain, args.grid))
     export_obj(mesh, args.mesh)
-    payload["mesh"] = {"path": str(args.mesh), **{k: v for k, v in mesh.metadata.items()
-                                                  if k != "loop_residual_sample"}}
+    payload["mesh"] = {"path": str(args.mesh), **mesh.metadata}
     print(f"wrote {args.mesh}")
-    return _loop_gate(mesh)
+    return _mesh_gate(mesh)
 
 
 def cmd_sphere4(args) -> int:
@@ -257,10 +260,9 @@ def cmd_mesh(args) -> int:
     mesh = integrate_surface(data, GridSpec(nx=args.grid, ny=args.grid, extent=args.extent),
                              entry.basepoint(data.domain, args.grid))
     export_obj(mesh, args.obj)
-    meta = {k: v for k, v in mesh.metadata.items() if k != "loop_residual_sample"}
-    _emit(args, {"construction": name, "obj": str(args.obj), **meta}, f"mesh-{name}")
+    _emit(args, {"construction": name, "obj": str(args.obj), **mesh.metadata}, f"mesh-{name}")
     print(f"wrote {args.obj}")
-    return _loop_gate(mesh)
+    return _mesh_gate(mesh)
 
 
 def cmd_verify(args) -> int:

@@ -57,7 +57,6 @@ __all__ = [
     "wp_second",
     "zeta",
     "zeta_quasi_addition",
-    "principal_part_reconstruct",
     "wp_inverse",
 ]
 
@@ -372,18 +371,6 @@ def zeta_quasi_addition(ctx: EllipticContext, u, v):
     if np.min(np.abs(np.atleast_1d(den))) < 1e-12 * scale:
         raise DegeneratePairError("wp(u) = wp(v)")
     return 0.5 * (wp_prime(ctx, u) + wp_prime(ctx, v)) / den
-
-
-def principal_part_reconstruct(ctx: EllipticContext, poles, probe):
-    """sum_i a_i * wp(probe - a_i) for second-order residue-free poles.
-
-    The caller supplies the additive constant; this is the wp-sum part of
-    the standard principal-part expansion of an elliptic function.
-    """
-    total = 0.0 + 0.0j
-    for location, coefficient in poles:
-        total += coefficient * wp(ctx, probe - location)
-    return total
 
 
 def wp_inverse(ctx: EllipticContext, value, seed_grid: int = 36):

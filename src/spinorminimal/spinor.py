@@ -9,7 +9,9 @@ N/D rows for rational sphere sections.  A kernel evaluates only the rows
 some coefficient uses, one theta frame per distinct shift, and adds each
 row into every section it evaluates.  Omega, the K test and the periods
 are linear in the section, so a linear combination is a coefficient sum
-and its Laurent data is the same sum of the basis's Laurent rows.
+and its Laurent data is the same sum of the basis's Laurent rows.  The
+same data gives form_primitive: for pairs whose forms s t have no
+residues, the primitive of s t in closed form (see FormPrimitive).
 
 Rows are chart functions f = s/phi_dom, where phi_dom is the family's
 reference spinor: phi^2 = dz on the sphere, phi0^2 = du on the twisted
@@ -34,8 +36,9 @@ phi_w, the sign fixed once globally.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -71,6 +74,8 @@ __all__ = [
     "section_combination",
     "section_values",
     "period_integral",
+    "FormPrimitive",
+    "form_primitive",
     "rational_sphere_basis",
     "evaluation_matrix",
     "verify_laurent_consistency",
@@ -253,6 +258,12 @@ class Basis:
         out = out.reshape(out.shape[:2] + u.shape)
         return (out[0], out[1]) if derivative else out[0]
 
+    def _polynomial_part(self, pairs):
+        """Ascending coefficients, shape (degree + 1, pairs), of the polynomial
+        part of f g for each pair; None on a torus, where it is a constant
+        that form_primitive fixes at a probe point."""
+        return None
+
 
 @dataclass(eq=False)
 class _SphereBasis(Basis):
@@ -267,6 +278,10 @@ class _SphereBasis(Basis):
                 continue
             d = z - self.poles[j]
             yield j, 1.0 / d, (-1.0 / d**2 if derivative else None)
+
+    def _polynomial_part(self, pairs):
+        n = len(self.poles)
+        return np.array([[s.coefficients[n] * t.coefficients[n] for s, t in pairs]])
 
 
 @dataclass(eq=False)
@@ -339,6 +354,18 @@ class _RationalBasis(Basis):
                               - N * P.polyval(z, P.polyder(denom))) / D**2
                              if derivative else None)
 
+    def _polynomial_part(self, pairs):
+        """Sum over the rows i, j of each pair of the quotients of N_i N_j by D_i D_j."""
+        out = np.zeros((1, len(pairs)), dtype=complex)
+        for k, (s, t) in enumerate(pairs):
+            for (i, a), (j, b) in itertools.product(enumerate(s.coefficients),
+                                                    enumerate(t.coefficients)):
+                (ni, di), (nj, dj) = self.fractions[i], self.fractions[j]
+                q = a * b * P.polydiv(P.polymul(ni, nj), P.polymul(di, dj))[0]
+                out = np.pad(out, ((0, max(0, len(q) - len(out))), (0, 0)))
+                out[:len(q), k] += q
+        return out
+
 
 @dataclass(frozen=True, eq=False)
 class SpinorSection:
@@ -394,6 +421,82 @@ def period_integral(s: SpinorSection, t: SpinorSection, path: QuadraturePath, re
         f, g = section_values((s, t), u)
         return f * g * dom.form_weight(u)
     return contour_integral(integrand, path, rel_tol=rel_tol)
+
+
+# relative end residue above which a pair has a log end; the mesh gate
+# holds smaller residues to 1e-6
+LOG_END_TOL = 1e-4
+
+
+@dataclass(frozen=True)
+class FormPrimitive:
+    """Closed-form primitives of residue-free 1-forms s t, one row per pair.
+
+    With c[p, k] = alpha_-1(s, k) alpha_-1(t, k) / mu(a_k) at the finite
+    ends a_k, pair p's form is (P_p(u) + sum_k c[p, k] W(u - a_k)) du and
+    its primitive Phi_p(u) = (int P_p)(u) - sum_k c[p, k] Z(u - a_k), with
+    (Z, W) = (zeta, wp) on a torus and (1/z, 1/z^2) on the sphere.  The
+    columns of poly hold the ascending coefficients of the P_p.
+    """
+
+    domain: _DomainBase
+    ends: tuple
+    poly: np.ndarray
+    c: np.ndarray
+    end_residue_max: float
+
+    def evaluate(self, u):
+        """(Phi, form, size) at u, each of shape (pairs,) + u.shape, from one
+        theta frame per end on a torus; size = |P| + sum_k |c_k W(u - a_k)|
+        sets the scale of the form's rounding error."""
+        u = np.asarray(u, dtype=complex)
+        Z = np.zeros((len(self.ends),) + u.shape, dtype=complex)
+        W = np.zeros_like(Z)
+        for k, a in enumerate(self.ends):
+            if self.domain.genus == 1:
+                frame = elliptic._theta_frame(self.domain.ctx, u - a)
+                Z[k], W[k] = frame.result(frame.zeta()), frame.result(frame.wp())
+            else:
+                Z[k] = 1.0 / (u - a)
+                W[k] = Z[k] * Z[k]
+        poly = P.polyval(u, self.poly)
+        return (P.polyval(u, P.polyint(self.poly)) - np.tensordot(self.c, Z, 1),
+                poly + np.tensordot(self.c, W, 1),
+                np.abs(poly) + np.tensordot(np.abs(self.c), np.abs(W), 1))
+
+
+def form_primitive(pairs) -> FormPrimitive:
+    """FormPrimitive of the forms s t for pairs (s, t) on one basis.
+
+    A residue above LOG_END_TOL of the pair's alpha scale is a log end,
+    which the closed form does not cover: SectionDataError names the end.
+    On a torus P_p is a constant: f g mu minus the wp sum at the one of
+    7 x 7 lattice fractions farthest from the chart's singular points.
+    """
+    basis = _shared_basis([x for pair in pairs for x in pair])
+    dom, n = basis.domain, basis.domain.ends.n
+    if any(x.expansions is None for pair in pairs for x in pair):
+        raise SectionDataError("a closed-form primitive needs the sections' Laurent data")
+    res = np.array([[abs(residue_pair(s, t, k)) / _alpha_scale(s, t) for k in range(n)]
+                    for s, t in pairs]).reshape(len(pairs), n)
+    if np.any(res > LOG_END_TOL):
+        p, k = np.unravel_index(np.argmax(res), res.shape)
+        raise SectionDataError(f"the 1-form {pairs[p][0].label} {pairs[p][1].label} has residue "
+                               f"{res[p, k]:.2e} at the end {dom.ends.points[k]}: a log end")
+    finite = [k for k, p in enumerate(dom.ends.points) if not is_infinity(p)]
+    ends = tuple(dom.ends.points[k] for k in finite)
+    c = np.array([[s.expansions[k][0] * t.expansions[k][0] for k in finite] for s, t in pairs],
+                 dtype=complex).reshape(len(pairs), -1) / dom.form_weight(np.array(ends, complex))
+    poly = basis._polynomial_part(pairs)
+    prim = FormPrimitive(dom, ends, np.zeros((1, len(pairs))) if poly is None else poly, c,
+                         float(res.max(initial=0.0)))
+    if poly is None:
+        frac = (np.arange(7) + 0.5) / 7
+        grid = (frac[:, None] * 2 * dom.ctx.omega1 + frac * 2 * dom.ctx.omega3).ravel()
+        u0 = grid[np.argmax(np.min([dom.distance(grid, q) for q in dom.singular_points()], 0))]
+        fg = np.array([np.prod(section_values(pair, u0)) for pair in pairs]) * dom.form_weight(u0)
+        prim = replace(prim, poly=(fg - prim.evaluate(u0)[1])[None, :])
+    return prim
 
 
 @dataclass(frozen=True)

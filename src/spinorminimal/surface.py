@@ -1,24 +1,22 @@
 """Geometry from a spinor pair: X = Re int (s1^2 - s2^2, i(s1^2 + s2^2), 2 s1 s2).
 
-The mesh integrator lays a rectangular grid over the domain chart
-(square [-L, L]^2 on the sphere, the fundamental cell on a torus), drops
-vertices within the end clearance, integrates the Weierstrass form along
-a spanning tree of grid edges from the basepoint, and reports
-loop-closure residuals as a built-in integrability check.  It works on
-whole grid arrays: the validity mask takes one array distance per end,
-edges between valid neighbours come from slices of that mask, the tree
-potential grows one breadth-first wavefront at a time, every cell's
-loop residual and face comes from array slices, and the normals from
-one batched Gauss map.  Edge quadrature is Gauss-Legendre in one batched
-call; its chunks run on a thread pool capped by SPINOR_MINIMAL_THREADS,
-with index-keyed assembly so output is deterministic regardless of
-execution order.
+The mesh lays a rectangular grid over the domain chart (square [-L, L]^2
+on the sphere, the fundamental cell on a torus) and drops vertices within
+the end clearance.  For a pair in K the forms s1^2, s2^2 and s1 s2 have
+no residues, so each has the closed-form primitive of
+spinor.form_primitive, and every vertex is X = Re sigma(Phi(u) -
+Phi(basepoint)) at once: no quadrature, no spanning tree and no thread
+pool (SPINOR_MINIMAL_THREADS is accepted and changes nothing).  The
+metadata carries the closed form's evidence: the identity residual of the
+forms at every vertex, the end residues, and every cell's loop closure.
+Faces come from slices of the validity mask and the normals from the
+section values already computed at the vertices.  Gauss-Legendre edge
+quadrature stays as the oracle: quadrature_edges and
+quadrature_loop_residual integrate every grid edge independently.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -30,6 +28,7 @@ from .spinor import (
     SectionDataError,
     SphereDomain,
     SpinorSection,
+    form_primitive,
     is_infinity,
     period_integral,
     rational_sphere_basis,
@@ -41,6 +40,8 @@ __all__ = [
     "GridSpec",
     "SurfaceMesh",
     "integrate_surface",
+    "quadrature_edges",
+    "quadrature_loop_residual",
     "period_vector",
     "real_period",
     "branch_points",
@@ -54,13 +55,6 @@ __all__ = [
 
 _GL_EDGE = 12
 _EDGE_NODES, _EDGE_WEIGHTS = np.polynomial.legendre.leggauss(_GL_EDGE)
-
-
-def _thread_cap() -> int:
-    try:
-        return max(1, int(os.environ.get("SPINOR_MINIMAL_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 @dataclass(frozen=True)
@@ -174,49 +168,33 @@ def _grid_coordinates(data: WeierstrassData, grid: GridSpec):
     return U
 
 
-def _edge_integrals(data: WeierstrassData, starts, ends):
-    """Integrate omega along straight chart edges; returns (E, 3) complex."""
-    starts = np.asarray(starts, dtype=complex)
-    ends = np.asarray(ends, dtype=complex)
-    mid = (starts[:, None] + ends[:, None]) / 2.0
-    half = (ends[:, None] - starts[:, None]) / 2.0
-    nodes = mid + half * _EDGE_NODES[None, :]
+def _valid_mask(data: WeierstrassData, U) -> np.ndarray:
+    """Grid vertices outside the end clearance and off chart singularities
+    (the lattice point and omega_r when those are not ends; the form itself
+    is regular there)."""
+    valid = data.end_distance(U.ravel()) > data.end_clearance
+    valid &= data.chart_singular_distance(U.ravel()) > 1e-9
+    return valid.reshape(U.shape)
 
-    def worker(idx):
-        u = nodes[idx].ravel()
-        w = data.omega(u).reshape(3, len(idx), _GL_EDGE)
-        return np.einsum("kej,j,e->ek", w, _EDGE_WEIGHTS, half[idx, 0])
 
-    cap = _thread_cap()
-    chunks = np.array_split(np.arange(len(starts)), max(1, min(cap * 4, len(starts))))
-    chunks = [c for c in chunks if len(c)]
-    if cap == 1 or len(chunks) == 1:
-        results = [worker(c) for c in chunks]
-    else:
-        with ThreadPoolExecutor(max_workers=cap) as pool:
-            results = list(pool.map(worker, chunks))
-    out = np.zeros((len(starts), 3), dtype=complex)
-    for c, r in zip(chunks, results):
-        out[c] = r
-    return out
+def _loop_residuals(h, v) -> np.ndarray:
+    """Closure h[i,j] + v[i+1,j] - h[i,j+1] - v[i,j] of every cell, shape (nx-1, ny-1)."""
+    return np.linalg.norm(((h[:, :-1] + v[1:, :]) - h[:, 1:]) - v[:-1, :], axis=-1)
 
 
 def integrate_surface(data: WeierstrassData, grid: GridSpec, basepoint) -> SurfaceMesh:
-    """Spanning-tree integration of Re(omega) over the masked chart grid.
+    """Closed-form mesh X = Re sigma(Phi(u) - Phi(basepoint)) over the masked chart grid.
 
+    Phi holds the primitives of s1^2, s2^2 and s1 s2 (spinor.form_primitive).
     The basepoint must be a grid vertex at clearance distance from every
-    end; its image is the origin.  Loop-closure residuals over random
-    grid cells are recorded in the metadata (20 cells, plus the maximum
-    over all cells).
+    end; its image is the origin.  The metadata records the closed form's
+    own evidence: the largest identity residual |f g mu - form| at a
+    vertex, relative to |f g mu| plus the size of the form's terms there;
+    the largest relative end residue; and the largest loop closure of a
+    cell's four edge increments.
     """
     U = _grid_coordinates(data, grid)
-    nx, ny = U.shape
-    eps = data.end_clearance
-    valid = data.end_distance(U.ravel()).reshape(U.shape) > eps
-    # drop vertices sitting exactly on chart singularities (lattice point,
-    # omega_r) when those are not ends; the form itself is regular there
-    valid &= data.chart_singular_distance(U.ravel()).reshape(U.shape) > 1e-9
-
+    valid = _valid_mask(data, U)
     base = complex(basepoint)
     root = int(np.argmin(np.abs(U.ravel() - base)))
     if not valid.flat[root]:
@@ -224,73 +202,63 @@ def integrate_surface(data: WeierstrassData, grid: GridSpec, basepoint) -> Surfa
     if abs(U.flat[root] - base) > 1e-9 * max(1.0, abs(base)):
         raise ValueError("basepoint must be a grid vertex")
 
-    # h[i, j] = Re int from U[i, j] to U[i+1, j], v[i, j] from U[i, j] to U[i, j+1],
-    # for edges between valid vertices; all are integrated in one call
-    has_h = valid[:-1, :] & valid[1:, :]
-    has_v = valid[:, :-1] & valid[:, 1:]
-    vals = _edge_integrals(data, np.concatenate([U[:-1, :][has_h], U[:, :-1][has_v]]),
-                           np.concatenate([U[1:, :][has_h], U[:, 1:][has_v]])).real
-    h, v = np.zeros((nx - 1, ny, 3)), np.zeros((nx, ny - 1, 3))
-    h[has_h], v[has_v] = vals[:has_h.sum()], vals[has_h.sum():]
+    index = np.cumsum(valid).reshape(valid.shape) - 1
+    uvs = U[valid]
+    s1, s2 = data.s1, data.s2
+    prim = form_primitive(((s1, s1), (s2, s2), (s1, s2)))
+    phi, form, size = prim.evaluate(uvs)
+    f1, f2 = section_values((s1, s2), uvs)
+    products = np.stack([f1 * f1, f2 * f2, f1 * f2]) * data.domain.form_weight(uvs)
+    identity = np.max(np.abs(products - form) / np.maximum(np.abs(products) + size, 1e-300),
+                      initial=0.0)
+    verts = real_period(phi - phi[:, index.flat[root], None]).T
 
-    # step[d] / rise[d]: whether and by how much X changes along the edge
-    # leaving each vertex in direction d = +i, -i, +j, -j
-    step = np.zeros((4, nx, ny), dtype=bool)
-    rise = np.zeros((4, nx, ny, 3))
-    step[0, :-1], step[1, 1:], step[2, :, :-1], step[3, :, 1:] = has_h, has_h, has_v, has_v
-    rise[0, :-1], rise[1, 1:], rise[2, :, :-1], rise[3, :, 1:] = h, -h, v, -v
-    step, rise = step.reshape(4, -1), rise.reshape(4, -1, 3)
-    shift = np.array([ny, -ny, 1, -1])
-
-    # breadth-first spanning tree, one wavefront per level; each new vertex
-    # takes the first (frontier position, direction) that reaches it, the
-    # parent a first-in-first-out queue would give
-    X = np.zeros((nx * ny, 3))
-    seen = np.zeros(nx * ny, dtype=bool)
-    seen[root] = True
-    front = np.array([root])
-    while front.size:
-        pos, d = np.nonzero(step[:, front].T)
-        src = front[pos]
-        dst = src + shift[d]
-        new = ~seen[dst]
-        src, d, dst = src[new], d[new], dst[new]
-        first = np.sort(np.unique(dst, return_index=True)[1])
-        src, d, dst = src[first], d[first], dst[first]
-        X[dst] = X[src] + rise[d, src]
-        seen[dst] = True
-        front = dst
-
-    index = np.cumsum(seen).reshape(nx, ny) - 1
-    seen = seen.reshape(nx, ny)
-    cell = seen[:-1, :-1] & seen[1:, :-1] & seen[1:, 1:] & seen[:-1, 1:]
+    cell = valid[:-1, :-1] & valid[1:, :-1] & valid[1:, 1:] & valid[:-1, 1:]
     i, j = np.nonzero(cell)
     a, b, c, d = index[i, j], index[i + 1, j], index[i + 1, j + 1], index[i, j + 1]
     faces = np.stack([a, b, c, a, c, d], axis=1).reshape(-1, 3)
-
-    # loop-closure residual of every cell: h[i,j] + v[i+1,j] - h[i,j+1] - v[i,j]
-    loop = ((h[:, :-1] + v[1:, :]) - h[:, 1:]) - v[:-1, :]
-    resid = np.linalg.norm(loop[cell], axis=-1)
-    rng = np.random.default_rng(20)
-    sample = resid[rng.integers(0, resid.size, size=min(20, resid.size))].tolist() \
-        if resid.size else []
-    verts = X[seen.ravel()]
-    uvs = U[seen]
-    mesh = SurfaceMesh(
+    X = np.zeros(U.shape + (3,))
+    X[valid] = verts
+    resid = _loop_residuals(X[1:] - X[:-1], X[:, 1:] - X[:, :-1])[cell]
+    return SurfaceMesh(
         vertices=verts,
         faces=faces,
-        gauss=gauss_map(data, uvs),
+        gauss=_normals(f1, f2),
         domain_uv=uvs,
         metadata={
-            "end_clearance": eps,
+            "end_clearance": data.end_clearance,
             "grid": (grid.nx, grid.ny, grid.extent),
             "basepoint": base,
             "loop_residual_max": float(resid.max()) if resid.size else 0.0,
-            "loop_residual_sample": sample,
+            "identity_residual_max": float(identity),
+            "end_residue_max": prim.end_residue_max,
             "mesh_scale": float(np.ptp(verts, axis=0).max()),
             "vertex_count": len(verts),
         })
-    return mesh
+
+
+def quadrature_edges(data: WeierstrassData, grid: GridSpec):
+    """(valid, h, v): the vertex mask and Re int omega by 12-node Gauss-Legendre
+    quadrature along every grid edge, h[i, j] from U[i, j] to U[i+1, j] and
+    v[i, j] from U[i, j] to U[i, j+1], NaN where an edge leaves the mask.
+
+    The test oracle for integrate_surface."""
+    U = _grid_coordinates(data, grid)
+    valid = _valid_mask(data, U)
+    h = np.full((U.shape[0] - 1, U.shape[1], 3), np.nan)
+    v = np.full((U.shape[0], U.shape[1] - 1, 3), np.nan)
+    for out, start, end, has in ((h, U[:-1], U[1:], valid[:-1] & valid[1:]),
+                                 (v, U[:, :-1], U[:, 1:], valid[:, :-1] & valid[:, 1:])):
+        mid, half = (start[has] + end[has]) / 2.0, (end[has] - start[has]) / 2.0
+        w = data.omega(mid[:, None] + half[:, None] * _EDGE_NODES).reshape(3, -1, _GL_EDGE)
+        out[has] = np.einsum("kej,j,e->ek", w, _EDGE_WEIGHTS, half).real
+    return valid, h, v
+
+
+def quadrature_loop_residual(data: WeierstrassData, grid: GridSpec) -> float:
+    """Largest Gauss-Legendre loop closure over the cells of the masked grid."""
+    _, h, v = quadrature_edges(data, grid)
+    return float(np.nanmax(_loop_residuals(h, v), initial=0.0))
 
 
 def period_vector(data: WeierstrassData, loop: QuadraturePath, rel_tol=1e-9):
@@ -314,7 +282,11 @@ def gauss_map(data: WeierstrassData, u):
     (s1 = 0, s2 != 0) the limit (0, 0, 1) is returned; a common zero
     raises ValueError.
     """
-    f1, f2 = section_values((data.s1, data.s2), u)
+    return _normals(*section_values((data.s1, data.s2), u))
+
+
+def _normals(f1, f2):
+    """gauss_map from the section values f1, f2."""
     if np.any((f1 == 0) & (f2 == 0)):
         raise ValueError("gauss map undefined at a common zero (branch point)")
     pole = np.abs(f1) <= 1e-15 * np.abs(f2)
@@ -417,10 +389,7 @@ def enneper_data(clearance: float = 0.05) -> WeierstrassData:
 def total_curvature_estimate(data: WeierstrassData, grid: GridSpec) -> float:
     """Diagnostic Riemann-sum estimate of -int 4 |g'|^2/(1+|g|^2)^2 dA."""
     U = _grid_coordinates(data, grid)
-    pts = U.ravel()
-    keep = (data.end_distance(pts) > data.end_clearance) \
-        & (data.chart_singular_distance(pts) > 1e-9)
-    pts = pts[keep]
+    pts = U[_valid_mask(data, U)]
     (f1, f2), (d1, d2) = section_values((data.s1, data.s2), pts, derivative=True)
     gp = (d2 * f1 - f2 * d1)
     dens = 4.0 * np.abs(gp) ** 2 / (np.abs(f1) ** 2 + np.abs(f2) ** 2) ** 2

@@ -3,7 +3,7 @@
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from spinorminimal.elliptic import (
     DegenerateLatticeError,
@@ -12,7 +12,6 @@ from spinorminimal.elliptic import (
     Lattice,
     PoleEvaluationError,
     build_context,
-    principal_part_reconstruct,
     wp,
     wp_inverse,
     wp_prime,
@@ -20,6 +19,7 @@ from spinorminimal.elliptic import (
     zeta,
     zeta_quasi_addition,
 )
+from spinorminimal.spinor import EndDivisor, FormPrimitive, TwistedTorusDomain
 
 # square, 2:1 and 3:1 rectangles, rhombic, generic
 LATTICES = [
@@ -186,18 +186,29 @@ class TestZetaQuasiAddition:
             zeta_quasi_addition(ctx, u, -u)
 
 
+def _principal_part(ctx, poles, probe):
+    """(Phi, form) of a FormPrimitive with no constant and the given
+    (location, coefficient) double poles, at the probe."""
+    dom = TwistedTorusDomain(ends=EndDivisor(tuple(a for a, _ in poles)), ctx=ctx)
+    prim = FormPrimitive(dom, dom.ends.points, np.zeros((1, 1)),
+                         np.array([[c for _, c in poles]], dtype=complex), 0.0)
+    phi, form, _ = prim.evaluate(probe)
+    return phi[0], form[0]
+
+
 class TestPrincipalPart:
     def test_single_pole(self, ctx):
         probe = 0.31 * 2 * ctx.omega1 + 0.17 * 2 * ctx.omega3
-        val = principal_part_reconstruct(ctx, [(0.0, 1.0)], probe)
+        phi, val = _principal_part(ctx, [(0.0, 1.0)], probe)
         assert val == pytest.approx(wp(ctx, probe), rel=1e-12)
+        assert phi == pytest.approx(-zeta(ctx, probe), rel=1e-12)
 
     def test_opposite_poles_even(self, ctx):
         a = 0.2 * 2 * ctx.omega1 + 0.1 * 2 * ctx.omega3
         poles = [(a, 0.7), (-a, 0.7)]
         probe = 0.37 * 2 * ctx.omega1 + 0.29 * 2 * ctx.omega3
-        plus = principal_part_reconstruct(ctx, poles, probe)
-        minus = principal_part_reconstruct(ctx, poles, -probe)
+        plus = _principal_part(ctx, poles, probe)[1]
+        minus = _principal_part(ctx, poles, -probe)[1]
         assert plus == pytest.approx(minus, rel=1e-10)
 
 
@@ -348,6 +359,9 @@ class TestOracles:
            st.floats(-np.pi, np.pi), st.integers(-2, 2), st.integers(-2, 2),
            st.integers(0, 2**16))
     @settings(max_examples=20, deadline=None)
+    # the hexagonal lattice, where g2 = 0 and the truncated lattice sum
+    # leaves a cancellation error of size e_i^2, not of size g2
+    @example(re_tau=0.5, thinness=0.0, size=1.0, angle=0.0, k1=0, k2=0, seed=0)
     def test_random_lattices(self, re_tau, thinness, size, angle, k1, k2, seed):
         lo = np.sqrt(1.0 - re_tau**2)
         tau = complex(re_tau, lo * (25.0 / lo) ** thinness)
@@ -355,11 +369,11 @@ class TestOracles:
         b2 = b1 * tau
         a, b, c, d = 1, k1, k2, 1 + k1 * k2
         ctx = build_context((a * b1 + b * b2) / 2, (c * b1 + d * b2) / 2)
+        e_scale = max(abs(ctx.e1), abs(ctx.e2), abs(ctx.e3))
         g2 = _g2_lattice_sum(b1, b2)
-        assert abs(ctx.g2 - g2) <= 1e-6 * abs(g2)
+        assert abs(ctx.g2 - g2) <= 1e-6 * max(abs(g2), e_scale**2)
 
         mp = _MpWeierstrass(b1, b2)
-        e_scale = max(abs(ctx.e1), abs(ctx.e2), abs(ctx.e3))
         eta_scale = abs(mp.eta_b1) + abs(mp.eta_b2)
 
         def close(got, want, scale):

@@ -325,27 +325,22 @@ class TestKlein:
         assert "residuals" in payload and len(text) > 100
 
     def test_s1hat_squared_principal_part_reconstruction(self, klein):
-        # shat1^2/du = sum_g D_g wp(u - a_g) + const, with the wp-sum
-        # evaluated through principal_part_reconstruct at random probes
-        from spinorminimal.elliptic import principal_part_reconstruct, wp
-        ctx = klein.ctx
+        # shat1^2 = (B + sum_g D_g wp(u - a_g)) du: the closed-form primitive's
+        # wp sum, subtracted from the form at random probes, leaves B
+        from spinorminimal.spinor import form_primitive
         s1h = klein.sections[0]
-        ends = list(s1h.domain.ends.points)
-        poles = []
-        for k, p in enumerate(ends):
-            am1 = s1h.expansions[k][0]
-            poles.append((p, am1 * am1 * wp(ctx, p)))  # u-chart double-pole coeff
-        probes = [0.29 * 2 * ctx.omega1 + 0.18 * 2 * ctx.omega3,
-                  0.12 * 2 * ctx.omega1 + 0.43 * 2 * ctx.omega3]
-        consts = []
-        for probe in probes:
-            direct = s1h.evaluate(probe) ** 2 / wp(ctx, probe)
-            consts.append(direct - principal_part_reconstruct(ctx, poles, probe))
+        prim = form_primitive([(s1h, s1h)])
+        ctx = klein.ctx
+        probes = np.array([0.29 * 2 * ctx.omega1 + 0.18 * 2 * ctx.omega3,
+                           0.12 * 2 * ctx.omega1 + 0.43 * 2 * ctx.omega3])
+        direct = s1h.evaluate(probes) ** 2 * s1h.domain.form_weight(probes)
+        consts = direct - (prim.evaluate(probes)[1][0] - prim.poly[0, 0])
         scale = max(abs(c) for c in consts)
         assert abs(consts[0] - consts[1]) < 1e-8 * scale
         # the u-chart constant is exactly the printed period coefficient B
         A, B, C = klein.period_coeffs
         assert consts[0] == pytest.approx(B, rel=1e-8)
+        assert prim.poly[0, 0] == pytest.approx(B, rel=1e-8)
 
 
 class TestMobiusCurvature:

@@ -18,6 +18,7 @@ from spinorminimal.surface import (
     integrate_position,
     integrate_surface,
     period_vector,
+    quadrature_loop_residual,
     real_period,
     total_curvature_estimate,
 )
@@ -46,7 +47,9 @@ class TestEnneper:
 
     def test_loop_residuals(self, enneper_mesh):
         scale = enneper_mesh.metadata["mesh_scale"]
-        assert enneper_mesh.metadata["loop_residual_max"] < 1e-7 * scale
+        grid = GridSpec(nx=65, ny=65, extent=2.0)
+        assert quadrature_loop_residual(enneper_data(), grid) < 1e-7 * scale
+        assert enneper_mesh.metadata["identity_residual_max"] < 1e-12
 
     def test_entire_loops_vanish(self):
         data = enneper_data()
@@ -166,8 +169,10 @@ class TestSphere4Geometry:
 
     def test_mesh_loops(self, sphere4_data):
         _, data = sphere4_data
-        mesh = integrate_surface(data, GridSpec(nx=61, ny=61, extent=2.0), -1.0 - 1.0j)
-        assert mesh.metadata["loop_residual_max"] < 1e-7 * mesh.metadata["mesh_scale"]
+        grid = GridSpec(nx=61, ny=61, extent=2.0)
+        mesh = integrate_surface(data, grid, -1.0 - 1.0j)
+        assert quadrature_loop_residual(data, grid) < 1e-7 * mesh.metadata["mesh_scale"]
+        assert mesh.metadata["identity_residual_max"] < 1e-12
 
     def test_planar_end_flattening(self, sphere4_data):
         fam, data = sphere4_data
@@ -260,7 +265,9 @@ class TestTorusMesh:
         base = (24 / 48) * 2 * t4.ctx.omega1 + (12 / 48) * 2 * t4.ctx.omega3
         mesh = integrate_surface(data, GridSpec(nx=49, ny=49), base)
         assert mesh.metadata["vertex_count"] > 1000
-        assert mesh.metadata["loop_residual_max"] < 1e-6 * mesh.metadata["mesh_scale"]
+        scale = mesh.metadata["mesh_scale"]
+        assert quadrature_loop_residual(data, GridSpec(nx=49, ny=49)) < 1e-6 * scale
+        assert mesh.metadata["identity_residual_max"] < 1e-12
 
 
 @pytest.fixture(scope="module")

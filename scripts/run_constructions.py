@@ -11,13 +11,11 @@ import numpy as np
 
 from spinorminimal.cli import CONSTRUCTIONS
 from spinorminimal.reportio import write_report
-from spinorminimal.surface import GridSpec, export_obj, integrate_surface
+from spinorminimal.surface import GridSpec, export_obj
 
 
 def _mesh(name, built, grid, out):
-    entry = CONSTRUCTIONS[name]
-    data = entry.weierstrass(built)
-    mesh = integrate_surface(data, grid, entry.basepoint(data.domain, grid.nx))
+    mesh = CONSTRUCTIONS[name].mesh(built, grid)
     export_obj(mesh, out / f"{name}.obj")
     return mesh
 

@@ -121,9 +121,10 @@ def spin_structure_counts(g: int):
     B ~ complement identification, one per structure) and applies the
     closed form; the totals match 2^{2g-1} +- 2^{g-1}.
     """
+    if g < 0:
+        raise ValueError("genus must be >= 0")
     if g > 6:
         raise ValueError("enumeration limited to g <= 6")
-    branch = tuple(range(2 * g + 1))
     plus = minus = 0
     for b in range(0, g + 1):
         count = math.comb(2 * g + 1, b)

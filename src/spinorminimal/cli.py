@@ -63,6 +63,11 @@ class Construction:
         s1, s2 = self.pair(built)
         return WeierstrassData(s1=s1, s2=s2, end_clearance=eps)
 
+    def mesh(self, built, grid: GridSpec, eps=None):
+        """The closed-form mesh of the built construction on the grid."""
+        data = self.weierstrass(built, eps)
+        return integrate_surface(data, grid, self.basepoint(data.domain, grid.nx))
+
 
 # builds look their moduli function up at call time, so that a function
 # replaced on the module (a wrapper or a test double) is the one called
@@ -116,10 +121,8 @@ def _mesh_if_requested(args, name: str, built, payload: dict) -> int:
     """Mesh and export when --mesh is given; returns the mesh gate's code."""
     if not getattr(args, "mesh", None):
         return 0
-    entry = CONSTRUCTIONS[name]
-    data = entry.weierstrass(built, args.eps)
-    grid = GridSpec(nx=args.grid, ny=args.grid, extent=args.extent)
-    mesh = integrate_surface(data, grid, entry.basepoint(data.domain, args.grid))
+    mesh = CONSTRUCTIONS[name].mesh(
+        built, GridSpec(nx=args.grid, ny=args.grid, extent=args.extent), args.eps)
     export_obj(mesh, args.mesh)
     payload["mesh"] = {"path": str(args.mesh), **mesh.metadata}
     print(f"wrote {args.mesh}")
@@ -256,9 +259,8 @@ def cmd_omega(args) -> int:
 def cmd_mesh(args) -> int:
     name = args.construction
     entry = CONSTRUCTIONS[name]
-    data = entry.weierstrass(entry.build(), args.eps)
-    mesh = integrate_surface(data, GridSpec(nx=args.grid, ny=args.grid, extent=args.extent),
-                             entry.basepoint(data.domain, args.grid))
+    mesh = entry.mesh(entry.build(), GridSpec(nx=args.grid, ny=args.grid, extent=args.extent),
+                      args.eps)
     export_obj(mesh, args.obj)
     _emit(args, {"construction": name, "obj": str(args.obj), **mesh.metadata}, f"mesh-{name}")
     print(f"wrote {args.obj}")

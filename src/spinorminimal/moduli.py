@@ -39,8 +39,9 @@ from .spinor import (
     basis_F_torus_untwisted_paired,
     check_planar_end,
     extract_K,
+    form_primitive,
     omega_matrix,
-    period_integral,
+    period_matrix,
     rational_sphere_basis,
     section_combination,
     section_values,
@@ -422,16 +423,15 @@ def _select_epsilon(ctx: EllipticContext, a1, a2):
     """
     divisor = EndDivisor((0.0, complex(a1), complex(a2)))
     tw = basis_F_torus_twisted(ctx, divisor)
-    results = {}
-    for label, eps in EPSILON_CANDIDATES.items():
-        t1h = section_combination([0.0, 1.0, eps], tw, "t1hat")
-        t2h = section_combination([0.0, 1.0, eps * eps], tw, "t2hat")
-        resid = 0.0
-        for k in (1, 3):
-            eta_k = ctx.eta1 if k == 1 else ctx.eta3
-            q = period_integral(t1h, t2h, _torus_cycle(ctx, k))
-            resid = max(resid, abs(q + 6.0 * eta_k) / max(abs(6.0 * eta_k), 1e-300))
-        results[label] = resid
+    # (t1hat, t2hat) of both candidates in one period matrix per cycle
+    sections = [section_combination([0.0, 1.0, c], tw, "that")
+                for eps in EPSILON_CANDIDATES.values() for c in (eps, eps * eps)]
+    results = dict.fromkeys(EPSILON_CANDIDATES, 0.0)
+    for k, eta_k in ((1, ctx.eta1), (3, ctx.eta3)):
+        M = period_matrix(sections, _torus_cycle(ctx, k))
+        for m, label in enumerate(results):
+            rel = abs(M[2 * m, 2 * m + 1] + 6.0 * eta_k) / max(abs(6.0 * eta_k), 1e-300)
+            results[label] = max(results[label], rel)
     label = min(results, key=results.get)
     return EPSILON_CANDIDATES[label], label, results
 
@@ -525,26 +525,6 @@ def torus4_construct(ctx: EllipticContext, choice=(1, 2, 3)) -> TorusFourEnd:
     that = [section_combination(np.concatenate([[0.0], TORUS4_MIX[m]]), tw, f"that{m + 1}")
             for m in range(3)]
 
-    periods_closed, periods_quad = {}, {}
-    worst_diag, worst_off = 0.0, 0.0
-    for kk in (1, 3):
-        eta_k = ctx.eta1 if kk == 1 else ctx.eta3
-        w_k = ctx.omega1 if kk == 1 else ctx.omega3
-        path = _torus_cycle(ctx, kk)
-        for m in range(3):
-            closed = -8.0 * (eta_k + w_k * ctx.e(m + 1))
-            quad = period_integral(that[m], that[m], path)
-            periods_closed[f"P{kk}^{m + 1}{m + 1}"] = closed
-            periods_quad[f"P{kk}^{m + 1}{m + 1}"] = quad
-            worst_diag = max(worst_diag, abs(quad - closed) / abs(closed))
-        for m in range(3):
-            for mm in range(m + 1, 3):
-                q = period_integral(that[m], that[mm], path)
-                periods_quad[f"P{kk}^{m + 1}{mm + 1}"] = q
-                worst_off = max(worst_off, abs(q))
-    residuals["period_diag_rel"] = worst_diag
-    residuals["period_offdiag"] = worst_off
-
     A = np.array([[ctx.eta1, ctx.omega1], [ctx.eta3, ctx.omega3]], dtype=complex)
     B = np.linalg.solve(A, np.conj(A))
     rhs = B @ np.array([1.0, np.conj(ctx.e(k))])
@@ -556,15 +536,27 @@ def torus4_construct(ctx: EllipticContext, choice=(1, 2, 3)) -> TorusFourEnd:
     coeff = x_i * TORUS4_MIX[i - 1] + x_j * TORUS4_MIX[j - 1]
     s1 = section_combination(np.concatenate([[0.0], coeff]), tw, "s1")
     s2 = that[k - 1]
-    period1_res = 0.0
-    for kk in (1, 3):
-        path = _torus_cycle(ctx, kk)
-        q11 = period_integral(s1, s1, path)
-        q22 = period_integral(s2, s2, path)
-        q12 = period_integral(s1, s2, path)
+
+    # one period matrix per cycle on (that1, that2, that3, s1); s2 = that_k
+    periods_closed, periods_quad = {}, {}
+    worst_diag, worst_off, period1_res = 0.0, 0.0, 0.0
+    for kk, eta_k, w_k in ((1, ctx.eta1, ctx.omega1), (3, ctx.eta3, ctx.omega3)):
+        M = period_matrix(that + [s1], _torus_cycle(ctx, kk))
+        for m in range(3):
+            closed = -8.0 * (eta_k + w_k * ctx.e(m + 1))
+            periods_closed[f"P{kk}^{m + 1}{m + 1}"] = closed
+            periods_quad[f"P{kk}^{m + 1}{m + 1}"] = M[m, m]
+            worst_diag = max(worst_diag, abs(M[m, m] - closed) / abs(closed))
+        for m in range(3):
+            for mm in range(m + 1, 3):
+                periods_quad[f"P{kk}^{m + 1}{mm + 1}"] = M[m, mm]
+                worst_off = max(worst_off, abs(M[m, mm]))
+        q11, q22, q12 = M[3, 3], M[k - 1, k - 1], M[3, k - 1]
         scale = max(abs(q11), abs(q22), 1e-300)
         period1_res = max(period1_res, abs(q11 - np.conj(q22)) / scale,
                           abs(q12.real) / scale)
+    residuals["period_diag_rel"] = worst_diag
+    residuals["period_offdiag"] = worst_off
     residuals["period1"] = period1_res
     residuals["planar_ends"] = all(check_planar_end(s1, s2, m) for m in range(4))
     return TorusFourEnd(ctx=ctx, choice=tuple(choice), ends=divisor,
@@ -779,27 +771,21 @@ def klein4_construct(tol: float = 1e-8) -> KleinFourEnd:
 
     s1 = section_combination([x1, x2], [s1h, s2h], "s1")
     s2 = section_combination([np.conj(x1), np.conj(x2)], [s3h, s4h], "s2")
-    gamma1 = QuadraturePath.segment(-ctx.omega1, ctx.omega1, samples=128)
-    gamma3 = QuadraturePath.segment(-ctx.omega3, ctx.omega3, samples=128)
-    q11 = period_integral(s1, s1, gamma1)
-    q12 = period_integral(s1, s2, gamma1)
-    q22 = period_integral(s2, s2, gamma1)
+    (q11, q12), (_, q22) = period_matrix(
+        (s1, s2), QuadraturePath.segment(-ctx.omega1, ctx.omega1, samples=128))
     scale = sum(abs(x) for x in (P11, P12, P22)) * max(abs(x1), 1.0) ** 2
     residuals["gamma1_s1sq_quadrature"] = float(abs(q11) / scale)
     residuals["gamma1_s1s2_quadrature"] = float(abs(q12) / scale)
     residuals["gamma1_conj_pair"] = float(abs(q11 - np.conj(q22)) / scale)
-    g11 = period_integral(s1, s1, gamma3)
-    g12 = period_integral(s1, s2, gamma3)
-    g22 = period_integral(s2, s2, gamma3)
+    (g11, g12), (_, g22) = period_matrix(
+        (s1, s2), QuadraturePath.segment(-ctx.omega3, ctx.omega3, samples=128))
     residuals["gamma3_auto"] = float(
         max(abs(g11 - np.conj(g22)), abs(g12.real)) / scale)
 
-    # numeric A, B, C from the 8-end principal parts (factor 2 vs printed)
-    poles = np.array([am1 for am1, _ in s1h.expansions])
-    Ds = poles * poles * wp_ends
-    probe = 0.31 * 2 * ctx.omega1 + 0.17 * 2 * ctx.omega3
-    const = s1h.evaluate(probe) ** 2 / wp(ctx, probe) - np.sum(Ds * wp(ctx, probe - u8))
-    A_num, B_num = -2.0 * np.sum(Ds), 2.0 * const
+    # numeric A, B, C from the 8-end principal parts of s1hat^2 (factor 2
+    # vs printed): its wp sum and its constant
+    prim = form_primitive(((s1h, s1h),))
+    A_num, B_num = -2.0 * np.sum(prim.c), 2.0 * prim.poly[0, 0]
     residuals["ABC_ratio"] = float(max(abs(A_num / A - 2.0), abs(B_num / B - 2.0)))
 
     # unbranched: zeros of s1 must not be I-paired; scan the weighted

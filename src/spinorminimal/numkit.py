@@ -5,7 +5,8 @@ computed by skew-symmetric Gaussian elimination with pivoting (O(n^3));
 the term expansions for small sizes live only in the test suite, as
 oracles.  Polynomial roots come from the companion matrix with one Newton
 polish per root.  Contour integrals use composite Gauss-Legendre panels
-with panel doubling until the result is stable.
+with panel doubling until the result is stable; a vector integrand gives
+m integrals from one set of path points, stopping when every entry is.
 """
 
 from __future__ import annotations
@@ -238,17 +239,19 @@ def _gl_panels(f: Callable, param, dparam, panels: int):
     half = (t0[1:, None] - t0[:-1, None]) / 2.0
     t = (mid + half * _GL_NODES[None, :]).ravel()
     w = (half * _GL_WEIGHTS[None, :]).ravel()
-    z = param(t)
-    contributions = np.asarray(f(z), dtype=complex) * dparam(t) * w
-    return complex(np.sum(contributions)), float(np.sum(np.abs(contributions)))
+    contributions = np.asarray(f(param(t)), dtype=complex) * dparam(t) * w
+    return np.sum(contributions, axis=-1), np.sum(np.abs(contributions), axis=-1)
 
 
 def contour_integral(f: Callable, path: QuadraturePath,
-                     rel_tol: float = 1e-8, max_panels: int = 4096) -> complex:
+                     rel_tol: float = 1e-8, max_panels: int = 4096):
     """Integrate f dz along the path, doubling panels until stable.
 
     f is called on an array of path points and returns their values (or
-    one value that broadcasts to them).
+    one value that broadcasts to them), or an (m, points) array for m
+    integrands at once.  Each entry must pass the stopping rule with its
+    own L1 floor; the result is a complex for a scalar integrand and an
+    (m,) array for a vector one.
     """
     if path.kind == "segment":
         z0, z1 = path.start, path.end
@@ -267,8 +270,8 @@ def contour_integral(f: Callable, path: QuadraturePath,
         panels *= 2
         cur, l1 = _gl_panels(f, param, dparam, panels)
         # the L1 term is a rounding-noise floor for integrals that vanish
-        if abs(cur - prev) <= rel_tol * abs(cur) + 500 * np.finfo(float).eps * l1:
-            return cur
+        if np.all(np.abs(cur - prev) <= rel_tol * np.abs(cur) + 500 * np.finfo(float).eps * l1):
+            return complex(cur) if cur.ndim == 0 else cur
         prev = cur
     raise NonConvergenceError(
         f"contour integral did not stabilize to {rel_tol:.1e} within {max_panels} panels")

@@ -7,11 +7,14 @@ on the sphere; one zeta-difference form zeta(u - a_i) - zeta(u) + c_i
 wp_r/(wp_r - p_i) and wp'/(wp_r - p_i) for paired untwisted ends; and
 N/D rows for rational sphere sections.  A kernel evaluates only the rows
 some coefficient uses, one theta frame per distinct shift, and adds each
-row into every section it evaluates.  Omega, the K test and the periods
-are linear in the section, so a linear combination is a coefficient sum
-and its Laurent data is the same sum of the basis's Laurent rows.  The
-same data gives form_primitive: for pairs whose forms s t have no
-residues, the primitive of s t in closed form (see FormPrimitive).
+row into every section it evaluates.  A linear combination is a
+coefficient sum, and its Laurent data is the same sum of the basis's
+Laurent rows.  Omega and the periods int s t are bilinear in the
+sections: period_matrix gives int s_i s_j along a path for every pair of
+sections on one basis from one quadrature, each node evaluating the
+basis rows once.  The Laurent data gives form_primitive: for pairs whose
+forms s t have no residues, the primitive of s t in closed form (see
+FormPrimitive).
 
 Rows are chart functions f = s/phi_dom, where phi_dom is the family's
 reference spinor: phi^2 = dz on the sphere, phi0^2 = du on the twisted
@@ -73,7 +76,7 @@ __all__ = [
     "check_planar_end",
     "section_combination",
     "section_values",
-    "period_integral",
+    "period_matrix",
     "FormPrimitive",
     "form_primitive",
     "rational_sphere_basis",
@@ -413,14 +416,18 @@ def section_values(sections, u, derivative=False):
     return _shared_basis(sections).evaluate([s.coefficients for s in sections], u, derivative)
 
 
-def period_integral(s: SpinorSection, t: SpinorSection, path: QuadraturePath, rel_tol=1e-10):
-    """Integral of the 1-form s t = f g mu du along the path."""
-    dom = s.domain
+def period_matrix(sections, path: QuadraturePath, rel_tol=1e-10) -> np.ndarray:
+    """Symmetric M[i, j] = int s_i s_j = int f_i f_j mu du along the path for
+    sections on one basis: one quadrature of the upper triangle gives all."""
+    dom = _shared_basis(sections).domain
+    i, j = np.triu_indices(len(sections))
 
     def integrand(u):
-        f, g = section_values((s, t), u)
-        return f * g * dom.form_weight(u)
-    return contour_integral(integrand, path, rel_tol=rel_tol)
+        f = section_values(sections, u)
+        return f[i] * f[j] * dom.form_weight(u)
+    M = np.zeros((len(sections), len(sections)), dtype=complex)
+    M[i, j] = M[j, i] = contour_integral(integrand, path, rel_tol=rel_tol)
+    return M
 
 
 # relative end residue above which a pair has a log end; the mesh gate

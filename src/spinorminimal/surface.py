@@ -30,7 +30,7 @@ from .spinor import (
     SpinorSection,
     form_primitive,
     is_infinity,
-    period_integral,
+    period_matrix,
     rational_sphere_basis,
     section_values,
 )
@@ -262,10 +262,9 @@ def quadrature_loop_residual(data: WeierstrassData, grid: GridSpec) -> float:
 
 
 def period_vector(data: WeierstrassData, loop: QuadraturePath, rel_tol=1e-9):
-    """(int s1^2, int s2^2, int s1 s2) along the loop."""
-    s1, s2 = data.s1, data.s2
-    return (period_integral(s1, s1, loop, rel_tol), period_integral(s2, s2, loop, rel_tol),
-            period_integral(s1, s2, loop, rel_tol))
+    """(int s1^2, int s2^2, int s1 s2) along the loop, from one period matrix."""
+    (i11, i12), (_, i22) = period_matrix((data.s1, data.s2), loop, rel_tol)
+    return i11, i22, i12
 
 
 def real_period(periods) -> np.ndarray:

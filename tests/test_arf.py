@@ -98,6 +98,10 @@ class TestCounts:
         assert spin_structure_counts(1) == (3, 1)
         assert spin_structure_counts(2) == (10, 6)
 
+    def test_negative_genus_rejected(self):
+        with pytest.raises(ValueError, match="genus must be >= 0"):
+            spin_structure_counts(-1)
+
     def test_formula(self):
         for g in range(0, 5):
             plus, minus = spin_structure_counts(g)

@@ -56,6 +56,12 @@ class TestCommands:
         payload = json.loads(out[out.index("{"):])
         assert payload["arf_bruteforce"] == payload["arf_closed_form"]
 
+    def test_negative_genus_is_a_usage_error(self, capsys):
+        assert main(["arf", "-1"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "genus must be >= 0" in err
+        assert "Traceback" not in err
+
     def test_omega_command(self, tmp_path):
         code = main(["omega", "--domain", "sphere",
                      "--ends", "0.5+0.3j;-1.2;inf", "--out", str(tmp_path)])

@@ -171,6 +171,19 @@ class TestContourIntegral:
         val = contour_integral(lambda z: 1.0 / z, path)
         assert val == pytest.approx(-2j * np.pi, rel=1e-10)
 
+    def test_vector_integrand_matches_scalar_calls(self):
+        # each entry to rel_tol of its own scalar integral, with its own
+        # stopping test: the oscillating entry needs more panels than the
+        # first, and the zero entry passes on its L1 floor
+        path = QuadraturePath.segment(0.1, 1.7 + 0.1j)
+        fs = [lambda z: 1.0 / (z + 2.0), np.exp, lambda z: np.sin(120 * z), lambda z: 0 * z]
+        vec = contour_integral(lambda z: np.array([f(z) for f in fs]), path, rel_tol=1e-10)
+        assert isinstance(vec, np.ndarray) and vec.shape == (4,)
+        for f, v in zip(fs, vec):
+            scalar = contour_integral(f, path, rel_tol=1e-10)
+            assert type(scalar) is complex
+            assert abs(v - scalar) <= 1e-10 * max(abs(scalar), 1e-300)
+
     def test_nonconvergence_signalled(self):
         # |z|^(1/2)-type kink on the path: never stabilizes at 1e-14
         path = QuadraturePath.segment(-1.0, 1.0)

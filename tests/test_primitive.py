@@ -6,11 +6,14 @@ from hypothesis import given, settings, strategies as st
 
 from spinorminimal.cli import CONSTRUCTIONS
 from spinorminimal.elliptic import build_context
+from spinorminimal import moduli, spinor
 from spinorminimal.moduli import (
     _torus_cycle,
     klein4_construct,
     sphere4_solve,
     sphere6_K_basis,
+    torus3_admissible_pair,
+    torus3_degeneracy,
     torus4_construct,
 )
 from spinorminimal.numkit import QuadraturePath
@@ -20,6 +23,7 @@ from spinorminimal.spinor import (
     basis_F_sphere,
     form_primitive,
     is_infinity,
+    period_matrix,
 )
 from spinorminimal.surface import (
     GridSpec,
@@ -114,6 +118,58 @@ def test_quasi_periods(which):
         assert np.max(np.abs(jump - closed)) <= 1e-12 * scale
         assert np.max(np.abs(quad - closed)) <= 1e-8 * scale
         assert np.max(np.abs(real_period(closed))) <= 1e-8 * scale
+
+
+class TestPeriodMatrix:
+    """period_matrix against the closed-form quasi-periods of form_primitive."""
+
+    @pytest.fixture(scope="class")
+    def klein(self):
+        return klein4_construct()
+
+    @pytest.mark.parametrize("which", ["square", "generic", "klein"])
+    def test_every_pair_matches_the_quasi_period(self, which, request):
+        # M[i, j] on the cycle along 2 w_j is 2 (C w_j - eta_j sum_k c_k) of
+        # the primitive of s_i s_j, diagonal and off-diagonal alike
+        if which == "klein":
+            kb = request.getfixturevalue("klein")
+            sections = (kb.s1, kb.s2)
+        else:
+            t4 = torus4_construct(build_context(
+                *{"square": (1.0, 1.0j), "generic": (1.1 - 0.2j, 0.3 + 0.9j)}[which]))
+            sections = tuple(t4.K_basis) + (t4.s1,)
+        ctx = sections[0].domain.ctx
+        i, j = np.triu_indices(len(sections))
+        prim = form_primitive([(sections[a], sections[b]) for a, b in zip(i, j)])
+        for k, w, eta in ((1, ctx.omega1, ctx.eta1), (3, ctx.omega3, ctx.eta3)):
+            M = period_matrix(sections, _torus_cycle(ctx, k))
+            assert np.array_equal(M, M.T)
+            closed = 2 * (prim.poly[0] * w - eta * prim.c.sum(axis=1))
+            scale = np.abs(prim.poly[0] * w) + np.abs(eta * prim.c).sum(axis=1)
+            assert np.all(np.abs(M[i, j] - closed) <= 1e-9 * scale)
+
+    def test_sections_on_two_bases_rejected(self):
+        s, _, _ = basis_F_sphere(EndDivisor((0.5, -1.0, complex(np.inf, 0.0))))
+        t, _, _ = basis_F_sphere(EndDivisor((0.5, -1.0, complex(np.inf, 0.0))))
+        with pytest.raises(SectionDataError, match="share a basis"):
+            period_matrix((s, t), QuadraturePath.circle(0.0, 2.0))
+
+    @staticmethod
+    def _quadratures(monkeypatch, fn):
+        calls = []
+        quad = spinor.contour_integral
+        monkeypatch.setattr(spinor, "contour_integral",
+                            lambda *a, **k: calls.append(1) or quad(*a, **k))
+        fn()
+        return len(calls)
+
+    def test_one_quadrature_per_cycle(self, monkeypatch):
+        ctx = build_context(1.0, 1.0j)
+        a1 = 0.3 + 0.2j
+        a2 = torus3_admissible_pair(ctx, a1)
+        for fn in (lambda: torus4_construct(ctx), moduli.klein4_construct,
+                   lambda: torus3_degeneracy(ctx, a1, a2)):
+            assert self._quadratures(monkeypatch, fn) == 2
 
 
 def _sphere6_mesh():

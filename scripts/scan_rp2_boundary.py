@@ -18,7 +18,7 @@ from spinorminimal.moduli import rp2_boundary_point, rp2_slice, rp2_symmetry_gro
 def main(n=41):
     n = int(n)
     points = rp2_slice(n)
-    labels = Counter(rp2_symmetry_group(p) for p in points)
+    labels = Counter(rp2_symmetry_group(points))
     print(f"{len(points)} variety points on a {n}x{n} slice grid")
     for label, count in labels.most_common():
         print(f"  {label:10s} {count}")

@@ -158,6 +158,8 @@ def cmd_sphere6(args) -> int:
     payload["numeric_pfaffian"] = pf
     payload["vandermonde_normalized"] = normalized
     on_variety = abs(closed) < 1e-8 * max(1.0, sum(abs(s) for s in sigma) ** 4)
+    if args.mesh and not on_variety:
+        raise ValueError(f"--mesh needs sigma on the pfaffian variety (value {closed:.3e})")
     rc = 0
     if on_variety:
         built = CONSTRUCTIONS["sphere6"].build(sigma, tol=args.tol * 10)
@@ -169,9 +171,10 @@ def cmd_sphere6(args) -> int:
 
 def cmd_rp2(args) -> int:
     if args.boundary_scan:
-        rows = [{"c": c, "variety": moduli.rp2_variety(c),
-                 "stabilizer": moduli.rp2_symmetry_group(c)}
-                for c in moduli.rp2_slice(args.boundary_scan)]
+        points = moduli.rp2_slice(args.boundary_scan)
+        rows = [{"c": c, "variety": v, "stabilizer": label} for c, v, label in zip(
+            points.tolist(), moduli.rp2_variety(points).tolist(),
+            moduli.rp2_symmetry_group(points))]
         _emit(args, {"boundary_points": rows, "count": len(rows)}, "rp2-scan")
         return 0
     c = tuple(float(x) for x in args.c)

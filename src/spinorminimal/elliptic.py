@@ -304,15 +304,14 @@ class _Frame:
     """theta1 and its first three z-derivatives at the lattice-reduced points
     of u; zeta, wp and wp' of those points all finish from this one frame."""
 
-    def __init__(self, ctx: EllipticContext, u, need_pole_check=True):
+    def __init__(self, ctx: EllipticContext, u):
         u = np.asarray(u, dtype=complex)
         self.ctx = ctx
         self.scalar = u.ndim == 0
         self.red, self.m, self.n = ctx.lattice.reduce(np.atleast_1d(u))
         b1, b2 = ctx.lattice.reduced_periods
-        if need_pole_check:
-            if np.any(np.abs(self.red) < POLE_DISTANCE_TOL * max(1.0, abs(b2))):
-                raise PoleEvaluationError("evaluation point within 1e-12 of a lattice point")
+        if np.any(np.abs(self.red) < POLE_DISTANCE_TOL * max(1.0, abs(b2))):
+            raise PoleEvaluationError("evaluation point within 1e-12 of a lattice point")
         self.w, self.c = b1 / 2, np.pi / b1
         self.t0, self.t1, self.t2, self.t3 = ctx._theta.batch(np.pi * self.red / b1)
 
@@ -335,8 +334,8 @@ class _Frame:
         return complex(arr[0]) if self.scalar else arr
 
 
-def _theta_frame(ctx: EllipticContext, u, need_pole_check=True) -> _Frame:
-    return _Frame(ctx, u, need_pole_check)
+def _theta_frame(ctx: EllipticContext, u) -> _Frame:
+    return _Frame(ctx, u)
 
 
 def wp(ctx: EllipticContext, u):
@@ -373,12 +372,12 @@ def zeta_quasi_addition(ctx: EllipticContext, u, v):
     return 0.5 * (wp_prime(ctx, u) + wp_prime(ctx, v)) / den
 
 
-def wp_inverse(ctx: EllipticContext, value, seed_grid: int = 36):
+def wp_inverse(ctx: EllipticContext, value):
     """One point u (up to sign and lattice) with wp(u) = value.
 
-    Coarse fundamental-domain scan followed by Newton on wp(u) - value.
+    Coarse 36 x 36 fundamental-domain scan followed by Newton on wp(u) - value.
     """
-    xs = np.linspace(0.04, 0.96, seed_grid)
+    xs = np.linspace(0.04, 0.96, 36)
     X, Y = np.meshgrid(xs, xs)
     grid = X.ravel() * 2 * ctx.omega1 + Y.ravel() * 2 * ctx.omega3
     vals = wp(ctx, grid)

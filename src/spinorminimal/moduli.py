@@ -85,11 +85,12 @@ def _vandermonde(points):
     return out
 
 
-def _torus_cycle(ctx: EllipticContext, k: int, offset_frac: float = 0.2371) -> QuadraturePath:
-    """Closed cycle parallel to omega_k, offset off the half-lattice lines."""
+def _torus_cycle(ctx: EllipticContext, k: int) -> QuadraturePath:
+    """Closed cycle parallel to omega_k, offset by 0.2371 of the other
+    half-period off the half-lattice lines."""
     wk = ctx.omega1 if k == 1 else ctx.omega3
     other = ctx.omega3 if k == 1 else ctx.omega1
-    c = offset_frac * other
+    c = 0.2371 * other
     return QuadraturePath.segment(-wk + c, wk + c, samples=96)
 
 
@@ -247,100 +248,77 @@ def sphere6_K_basis(sigma, tol: float = 1e-8):
 # projective planes with three ends
 # ---------------------------------------------------------------------------
 
-def rp2_variety(c) -> float:
-    """(c1^2+3)(c2^2+3)(c3^2+3) - 32 (c1 c2 c3 + 1) on direction cosines."""
-    c1, c2, c3 = (float(x) for x in c)
+def rp2_variety(c):
+    """(c1^2+3)(c2^2+3)(c3^2+3) - 32 (c1 c2 c3 + 1) on direction cosines,
+    elementwise over the last axis."""
+    c1, c2, c3 = np.moveaxis(np.asarray(c, dtype=float), -1, 0)
     return (c1 * c1 + 3.0) * (c2 * c2 + 3.0) * (c3 * c3 + 3.0) - 32.0 * (c1 * c2 * c3 + 1.0)
 
 
-def _rp2_group_elements():
-    """The order-24 action: coordinate permutations and double sign flips."""
-    flips = [(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)]
-    elements = []
-    for perm in permutations(range(3)):
-        for s in flips:
-            elements.append((perm, s))
-    return elements
+# the order-24 action as signed permutation matrices M[i, perm[i]] = s_i:
+# coordinate permutations times the double sign flips
+RP2_GROUP = np.array([np.eye(3)[list(perm)] * np.array(s, dtype=float)[:, None]
+                      for perm in permutations(range(3))
+                      for s in ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))])
+_RP2_INVOLUTION = np.all(RP2_GROUP @ RP2_GROUP == np.eye(3), axis=(1, 2))
+_RP2_TOL = 1e-8
+# label by stabilizer order; the last entry is the order-4 group with an
+# element that does not square to the identity
+_RP2_LABELS = np.array([{1: "trivial", 2: "Z2", 4: "Z2xZ2", 6: "S3", 24: "S4-point"}
+                        .get(k, f"order-{k}") for k in range(25)] + ["Z4"])
 
 
-RP2_GROUP = _rp2_group_elements()
+def rp2_apply(g, c):
+    return g @ np.asarray(c, dtype=float)
 
 
-def rp2_apply(element, c):
-    perm, s = element
-    return tuple(s[i] * c[perm[i]] for i in range(3))
-
-
-def rp2_symmetry_group(c, tol: float = 1e-8) -> str:
-    """Label of the stabilizer of c under the 24-element action.
+def rp2_symmetry_group(c):
+    """Label of the stabilizer of c under the 24-element action: a str for
+    one point, a list for an (n, 3) array of points.
 
     Labels: trivial | Z2 | Z2xZ2 | Z4 | S3 | S4-point, decided by the
-    stabilizer's order and element orders.
+    stabilizer's order and, at order 4, by whether one of its elements
+    does not square to the identity (Z4).
     """
-    if abs(rp2_variety(c)) > 1e-6 * 32.0:
+    c = np.asarray(c, dtype=float)
+    pts = np.atleast_2d(c)
+    if not np.all(np.abs(rp2_variety(pts)) <= 1e-6 * 32.0):
         raise ValueError("point is off the admissibility variety")
-    c = tuple(float(x) for x in c)
-    stab = [g for g in RP2_GROUP
-            if max(abs(a - b) for a, b in zip(rp2_apply(g, c), c)) < tol]
-    order = len(stab)
-    if order == 1:
-        return "trivial"
-    if order == 2:
-        return "Z2"
-    if order == 4:
-        # distinguish Z4 from Z2xZ2 by element orders
-        def element_order(g):
-            cur, k = g, 1
-            while not (cur[0] == (0, 1, 2) and cur[1] == (1, 1, 1)):
-                perm = tuple(cur[0][g[0][i]] for i in range(3))
-                sign = tuple(cur[1][g[0][i]] * g[1][i] for i in range(3))
-                cur, k = (perm, sign), k + 1
-                if k > 8:
-                    break
-            return k
-        has4 = any(element_order(g) == 4 for g in stab)
-        return "Z4" if has4 else "Z2xZ2"
-    if order == 6:
-        return "S3"
-    if order == 24:
-        return "S4-point"
-    return f"order-{order}"
+    order = np.zeros(len(pts), dtype=int)
+    z4 = np.zeros(len(pts), dtype=bool)
+    for g, involution in zip(RP2_GROUP, _RP2_INVOLUTION):
+        fixed = np.max(np.abs(pts @ g.T - pts), axis=1) < _RP2_TOL
+        order += fixed
+        z4 |= fixed & ~involution
+    labels = _RP2_LABELS[np.where(z4 & (order == 4), len(_RP2_LABELS) - 1, order)].tolist()
+    return labels[0] if c.ndim == 1 else labels
 
 
-def rp2_slice(n: int):
-    """Real points (c1, c2, c3) on the variety with |c_i| <= 1, solving the
-    quadratic in c3 over an n x n grid of (c1, c2) in [-0.95, 0.95]^2."""
-    points = []
+def rp2_slice(n: int) -> np.ndarray:
+    """Real points (c1, c2, c3) on the variety with |c_i| <= 1, as an (m, 3)
+    array: the quadratic in c3 solved on an n x n grid of (c1, c2) in
+    [-0.95, 0.95]^2, rows ordered by c1, then c2, then the root (+ first)."""
     grid = np.linspace(-0.95, 0.95, n)
-    for c1 in grid:
-        for c2 in grid:
-            kq = (c1 * c1 + 3.0) * (c2 * c2 + 3.0)
-            a, b, c = kq, -32.0 * c1 * c2, 3.0 * kq - 32.0
-            disc = b * b - 4 * a * c
-            if disc < 0:
-                continue
-            for sgn in (1.0, -1.0):
-                c3 = (-b + sgn * np.sqrt(disc)) / (2 * a)
-                if abs(c3) <= 1.0:
-                    points.append((float(c1), float(c2), float(c3)))
-    return points
+    c1, c2 = np.meshgrid(grid, grid, indexing="ij")
+    kq = (c1 * c1 + 3.0) * (c2 * c2 + 3.0)
+    a, b, c = kq, -32.0 * c1 * c2, 3.0 * kq - 32.0
+    disc = b * b - 4 * a * c
+    root = np.sqrt(np.maximum(disc, 0.0))[..., None] * np.array([1.0, -1.0])
+    c3 = (-b[..., None] + root) / (2 * a[..., None])
+    keep = (disc >= 0)[..., None] & (np.abs(c3) <= 1.0)
+    points = np.stack(np.broadcast_arrays(c1[..., None], c2[..., None], c3), axis=-1)
+    return points[keep]
 
 
 def rp2_boundary_point(kind: str = "D3") -> tuple:
     """Special points on the variety: 'Z2xZ2' -> (sqrt5/3, 0, 0);
-    'D3' -> (c, c, -c) with the root of (c^2+3)^3 = 32 (1 - c^3) in (0, 1)."""
+    'D3' -> (c, c, -c) with the root of (c^2+3)^3 = 32 (1 - c^3) in (0, 1),
+    that is of c^6 + 9 c^4 + 32 c^3 + 27 c^2 - 5."""
     if kind == "Z2xZ2":
         return (np.sqrt(5.0) / 3.0, 0.0, 0.0)
     if kind == "D3":
-        f = lambda c: (c * c + 3.0) ** 3 - 32.0 * (1.0 - c**3)
-        lo, hi = 0.0, 1.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if f(lo) * f(mid) <= 0:
-                hi = mid
-            else:
-                lo = mid
-        c = 0.5 * (lo + hi)
+        roots = poly_roots(ComplexPolynomial((-5.0, 0.0, 27.0, 32.0, 9.0, 0.0, 1.0)))
+        c = next(r.real for r in roots if 0.0 < r.real < 1.0)
         return (c, c, -c)
     raise ValueError(f"unknown special point {kind!r}")
 
@@ -798,14 +776,15 @@ def klein4_construct(tol: float = 1e-8) -> KleinFourEnd:
                         s1=s1, s2=s2, residuals=residuals)
 
 
-def _klein_branch_floor(ctx, s1, s2, grid: int = 80) -> float:
-    """Minimum over the fundamental domain of the invariant |s1|^2 + |s2|^2.
+def _klein_branch_floor(ctx, s1, s2) -> float:
+    """Minimum over an 80 x 80 grid of the fundamental domain of the
+    invariant |s1|^2 + |s2|^2.
 
     Section magnitudes are weighted by the chart weight |mu| so the
     comparison is chart-free; ends are masked out.  A common zero would drive the floor
     to zero; bounded-below means unbranched at this resolution.
     """
-    xs = np.linspace(0.01, 0.99, grid)
+    xs = np.linspace(0.01, 0.99, 80)
     X, Y = np.meshgrid(xs, xs)
     uu = (X * 2 * ctx.omega1 + Y * 2 * ctx.omega3).ravel()
     keep = np.min([ctx.lattice_distance(uu - p) for p in s1.domain.ends.points], axis=0) > 0.08

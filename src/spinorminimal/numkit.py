@@ -199,10 +199,11 @@ def skew_rank_kernel(a: SkewMatrix, tol: float = 1e-9, scale: float = None):
     return rank, kernel
 
 
-def poly_roots(p: ComplexPolynomial, newton_steps: int = 2, residual_tol: float = 1e-10):
-    """All complex roots (with multiplicity) via companion matrix plus polish.
+def poly_roots(p: ComplexPolynomial):
+    """All complex roots (with multiplicity) via companion matrix plus two
+    damped Newton steps.
 
-    The residual |p(r)| is required to be below residual_tol times the
+    The residual |p(r)| is required to be below 1e-10 times the
     evaluation scale sum(|c_k| |r|^k); otherwise the solve is reported as
     non-convergent.
     """
@@ -211,7 +212,7 @@ def poly_roots(p: ComplexPolynomial, newton_steps: int = 2, residual_tol: float 
     desc = np.array(p.coeffs[::-1], dtype=complex)
     roots = np.roots(desc)
     dp = p.deriv()
-    for _ in range(newton_steps):
+    for _ in range(2):
         pv = np.array([p(r) for r in roots])
         dv = np.array([dp(r) for r in roots])
         safe = np.abs(dv) > 0
@@ -223,9 +224,9 @@ def poly_roots(p: ComplexPolynomial, newton_steps: int = 2, residual_tol: float 
         roots = roots - step
     for r in roots:
         scale = sum(abs(c) * abs(r) ** k for k, c in enumerate(p.coeffs))
-        if abs(p(r)) > residual_tol * max(scale, 1e-300):
+        if abs(p(r)) > 1e-10 * max(scale, 1e-300):
             raise NonConvergenceError(
-                f"root {r} has residual {abs(p(r)):.3e} above {residual_tol:.1e} * scale")
+                f"root {r} has residual {abs(p(r)):.3e} above 1.0e-10 * scale")
     return [complex(r) for r in roots]
 
 

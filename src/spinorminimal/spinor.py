@@ -143,10 +143,6 @@ class _DomainBase:
         """mu(u) in s t = f g mu du: 1 except on the untwisted tori."""
         return 1.0
 
-    def chart_weight(self, p):
-        """(mu, mu'/(2 mu)) at a finite point: s s = f f * mu * du."""
-        return complex(self.form_weight(p)), 0.0 + 0.0j
-
     def singular_points(self):
         """Points the qres contours must stay away from (chart singularities)."""
         return [p for p in self.ends.points if not is_infinity(p)]
@@ -206,9 +202,6 @@ class UntwistedTorusDomain(_DomainBase):
 
     def form_weight(self, u):
         return 1.0 / self.wp_r(u)
-
-    def chart_weight(self, p):
-        return self.form_weight(p), -wp_prime(self.ctx, p) / (2.0 * self.wp_r(p))
 
     def singular_points(self):
         return list(self.ends.points) + [0.0, self.ctx.half_period(self.r)]
@@ -508,8 +501,9 @@ def form_primitive(pairs) -> FormPrimitive:
 
 @dataclass(frozen=True)
 class OmegaForm:
-    """Matrix of Omega on the members of one basis of F, with the known H
-    coefficient vectors; kernel vectors are coefficients on that basis.
+    """Matrix of Omega on the members of one basis of F; kernel vectors are
+    coefficients on that basis, and the known H subspace is spanned by its
+    leading h_dim members (phi0 on the twisted torus).
 
     alpha_scale is the natural magnitude Omega entries would have for this
     basis; rank decisions measure against it so that an Omega that is pure
@@ -518,10 +512,15 @@ class OmegaForm:
 
     matrix: SkewMatrix
     basis: tuple
-    divisor: EndDivisor
-    h_dim: int
-    h_vectors: tuple = ()
     alpha_scale: float = 1.0
+
+    @property
+    def divisor(self) -> EndDivisor:
+        return self.basis[0].domain.ends
+
+    @property
+    def h_dim(self) -> int:
+        return self.basis[0].domain.h_dim
 
 
 def sigma_map(z1, z2):
@@ -578,7 +577,7 @@ def residue_pair(s: SpinorSection, t: SpinorSection, p):
     return am1_s * a0_t + a0_s * am1_t
 
 
-def omega_pair(s: SpinorSection, t: SpinorSection, residue_tol: float = 1e-8):
+def omega_pair(s: SpinorSection, t: SpinorSection):
     """Omega(s, t) = sum over ends of alpha_0(s) alpha_-1(t).
 
     The residues of the meromorphic 1-form s t must sum to zero over the
@@ -587,7 +586,7 @@ def omega_pair(s: SpinorSection, t: SpinorSection, residue_tol: float = 1e-8):
     if s.domain.ends != t.domain.ends:
         raise SectionDataError("sections must share a divisor")
     res_sum = sum(residue_pair(s, t, k) for k in range(s.domain.ends.n))
-    if abs(res_sum) > residue_tol * _alpha_scale(s, t):
+    if abs(res_sum) > 1e-8 * _alpha_scale(s, t):
         raise SectionDataError(f"residue sum {abs(res_sum):.2e} over ends is not zero")
     return sum(a0_s * am1_t for (_, a0_s), (am1_t, _) in zip(s.expansions, t.expansions))
 
@@ -807,28 +806,18 @@ def _rational_infinity_alpha(numer, denom):
     return (0.0j, 0.0j)
 
 
-def omega_matrix(basis, divisor: EndDivisor = None, h_dim: int = None) -> OmegaForm:
+def omega_matrix(basis) -> OmegaForm:
     """Fill Omega on the basis via omega_pair and antisymmetrize."""
     n = len(basis)
-    dom = basis[0].domain
-    divisor = divisor if divisor is not None else dom.ends
-    if h_dim is None:
-        h_dim = dom.h_dim
     m = np.zeros((n, n), dtype=complex)
     for i in range(n):
         for j in range(i + 1, n):
             m[i, j] = omega_pair(basis[i], basis[j])
             m[j, i] = omega_pair(basis[j], basis[i])
     skew = SkewMatrix.antisymmetrize(m)
-    h_vectors = ()
-    if h_dim == 1 and isinstance(dom, TwistedTorusDomain):
-        e0 = np.zeros(n, dtype=complex)
-        e0[0] = 1.0
-        h_vectors = (tuple(e0),)
     scale = max(_alpha_scale(basis[i], basis[j])
                 for i in range(n) for j in range(n) if i != j) if n > 1 else 1.0
-    return OmegaForm(matrix=skew, basis=tuple(basis), divisor=divisor,
-                     h_dim=h_dim, h_vectors=h_vectors, alpha_scale=scale)
+    return OmegaForm(matrix=skew, basis=tuple(basis), alpha_scale=scale)
 
 
 def extract_K(form: OmegaForm, tol: float = 1e-9):
@@ -841,23 +830,11 @@ def extract_K(form: OmegaForm, tol: float = 1e-9):
     if len(kernel) < form.h_dim:
         raise SectionDataError(
             f"kernel dimension {len(kernel)} below h_dim {form.h_dim}")
-    h_basis = []
-    for hv in form.h_vectors:
-        h = np.asarray(hv, dtype=complex)
-        for g in h_basis:
-            h = h - np.vdot(g, h) * g
-        norm = np.linalg.norm(h)
-        if norm > 1e-12:
-            h_basis.append(h / norm)
-    projected = []
-    for v in kernel:
-        w = np.asarray(v, dtype=complex)
-        for g in h_basis:
-            w = w - np.vdot(g, w) * g
-        projected.append(w)
-    if projected:
-        # rows of vh span the row space of the stacked projected vectors
-        stack = np.array(projected)
+    if kernel:
+        # project out H (the leading h_dim coordinates); rows of vh span
+        # the row space of the stacked projected vectors
+        stack = np.array(kernel, dtype=complex)
+        stack[:, :form.h_dim] = 0.0
         u, s, vh = np.linalg.svd(stack)
         keep = [vh[i, :] for i in range(len(s)) if s[i] > 1e-8 * max(s[0], 1e-30)]
     else:
@@ -908,7 +885,7 @@ def verify_laurent_consistency(section: SpinorSection, rtol: float = 1e-6):
         else:
             def g(du, p=p):
                 return du * section.evaluate(p + du)
-            target = am1 / dom.chart_weight(p)[0]
+            target = am1 / dom.form_weight(p)
             unit = dom.qres_radius(p) * 4.0
         vals = np.mean(g(np.outer([1e-3 * unit, 1e-4 * unit], circle)), axis=1)
         richardson = (10.0 * vals[1] - vals[0]) / 9.0

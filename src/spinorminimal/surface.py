@@ -297,19 +297,18 @@ def _normals(f1, f2):
     return n
 
 
-def branch_points(data: WeierstrassData, resolution: int = 120,
-                  magnitude_tol: float = 1e-8, extent: float = 2.0):
+def branch_points(data: WeierstrassData, resolution: int = 120):
     """Common zeros of (s1, s2) by grid scan plus local subdivision.
 
     The scanned quantity is the chart-independent weighted magnitude
-    (|f1|^2 + |f2|^2) |mu|; local minima below a loose multiple of
-    sqrt(magnitude_tol) survive successive rounds of 12x12 subdivision
-    and are reported when the refined value drops below magnitude_tol
-    times the median magnitude.  Best-effort: the resolution bounds what
+    (|f1|^2 + |f2|^2) |mu| on the default grid extent; local minima below
+    1e-3 of the median survive successive rounds of 12x12 subdivision
+    and are reported when the refined value drops below 1e-8 times the
+    median magnitude.  Best-effort: the resolution bounds what
     can be detected.
     """
     dom = data.domain
-    U = _grid_coordinates(data, GridSpec(nx=resolution, ny=resolution, extent=extent))
+    U = _grid_coordinates(data, GridSpec(nx=resolution, ny=resolution))
     pts = U.ravel()
     spacing = abs(U[1, 0] - U[0, 0])
     keep = (data.end_distance(pts) > data.end_clearance) \
@@ -325,7 +324,7 @@ def branch_points(data: WeierstrassData, resolution: int = 120,
     if norm == 0:
         norm = 1.0
     h = max(abs(pts[1] - pts[0]), abs(U[1, 0] - U[0, 0]))
-    candidates = pts[mags < np.sqrt(magnitude_tol) * norm * 10]
+    candidates = pts[mags < np.sqrt(1e-8) * norm * 10]
     found = []
     for c in candidates:
         u, size = c, h
@@ -335,7 +334,7 @@ def branch_points(data: WeierstrassData, resolution: int = 120,
             m = magnitude(local)
             u = local[int(np.argmin(m))]
             size /= 5.0
-        if magnitude(np.array([u]))[0] < magnitude_tol * norm:
+        if magnitude(np.array([u]))[0] < 1e-8 * norm:
             if not any(dom.distance(u, f) < 10 * h for f in found):
                 found.append(complex(u))
     return found

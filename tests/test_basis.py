@@ -150,9 +150,11 @@ class TestChartWeight:
                 basis_F_torus_twisted(ctx, EndDivisor((0.0, 0.4 + 0.33j)))[0].domain]
         doms += [basis_F_torus_untwisted(ctx, r, EndDivisor((0.9 + 0.77j,)))[0].domain
                  for r in (1, 2, 3)]
-        for dom in doms:
-            assert dom.chart_weight(p)[0] == dom.form_weight(p)
-        assert doms[-1].form_weight(p) == 1.0 / (wp(ctx, p) - ctx.e(3))
+        # mu is 1 on the sphere and the twisted torus, 1/(wp - e_r) on the
+        # untwisted tori: s t = f g mu du
+        assert [dom.form_weight(p) for dom in doms[:2]] == [1.0, 1.0]
+        for r, dom in zip((1, 2, 3), doms[2:]):
+            assert dom.form_weight(p) == 1.0 / (wp(ctx, p) - ctx.e(r))
 
 
 class TestFrameCounts:

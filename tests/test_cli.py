@@ -62,6 +62,15 @@ class TestCommands:
         assert err.count("error:") == 1 and "genus must be >= 0" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("sigma", [("0.3", "1.1", "0.2"), ("0", "1.4907129849998598", "0")])
+    def test_sphere6_mesh_off_variety_is_a_usage_error(self, tmp_path, capsys, sigma):
+        obj = tmp_path / "s6.obj"
+        assert main(["sphere6", *sigma, "--mesh", str(obj), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "pfaffian variety (value " in err
+        assert "Traceback" not in err
+        assert not obj.exists() and not (tmp_path / "sphere6.json").exists()
+
     def test_omega_command(self, tmp_path):
         code = main(["omega", "--domain", "sphere",
                      "--ends", "0.5+0.3j;-1.2;inf", "--out", str(tmp_path)])

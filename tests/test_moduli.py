@@ -1,5 +1,7 @@
 """Constructions: spheres, RP^2, tori, the Klein bottle, degeneracy scans."""
 
+from itertools import permutations
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from spinorminimal.moduli import (
     mobius_strip_spinor,
     rp2_apply,
     rp2_boundary_point,
+    rp2_slice,
     rp2_symmetry_group,
     rp2_variety,
     RP2_GROUP,
@@ -163,6 +166,135 @@ class TestRP2:
     def test_off_variety_rejected(self):
         with pytest.raises(ValueError):
             rp2_symmetry_group((0.0, 0.0, 0.0))
+
+
+# the group as (perm, sign) tuples, stabilizers point by point, element
+# orders by composition and the slice by a double loop: the oracle for the
+# array forms in moduli
+_ORACLE_GROUP = [(perm, s) for perm in permutations(range(3))
+                 for s in ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))]
+
+
+def _oracle_variety(c):
+    c1, c2, c3 = (float(x) for x in c)
+    return (c1 * c1 + 3.0) * (c2 * c2 + 3.0) * (c3 * c3 + 3.0) - 32.0 * (c1 * c2 * c3 + 1.0)
+
+
+def _oracle_apply(element, c):
+    perm, s = element
+    return tuple(s[i] * c[perm[i]] for i in range(3))
+
+
+def _oracle_element_order(g):
+    cur, k = g, 1
+    while not (cur[0] == (0, 1, 2) and cur[1] == (1, 1, 1)):
+        perm = tuple(cur[0][g[0][i]] for i in range(3))
+        sign = tuple(cur[1][g[0][i]] * g[1][i] for i in range(3))
+        cur, k = (perm, sign), k + 1
+    return k
+
+
+def _oracle_label(c, tol=1e-8):
+    c = tuple(float(x) for x in c)
+    stab = [g for g in _ORACLE_GROUP
+            if max(abs(a - b) for a, b in zip(_oracle_apply(g, c), c)) < tol]
+    order = len(stab)
+    if order == 4:
+        return "Z4" if any(_oracle_element_order(g) == 4 for g in stab) else "Z2xZ2"
+    return {1: "trivial", 2: "Z2", 6: "S3", 24: "S4-point"}.get(order, f"order-{order}")
+
+
+def _oracle_slice(n):
+    points = []
+    grid = np.linspace(-0.95, 0.95, n)
+    for c1 in grid:
+        for c2 in grid:
+            kq = (c1 * c1 + 3.0) * (c2 * c2 + 3.0)
+            a, b, c = kq, -32.0 * c1 * c2, 3.0 * kq - 32.0
+            disc = b * b - 4 * a * c
+            if disc < 0:
+                continue
+            for sgn in (1.0, -1.0):
+                c3 = (-b + sgn * np.sqrt(disc)) / (2 * a)
+                if abs(c3) <= 1.0:
+                    points.append((float(c1), float(c2), float(c3)))
+    return points
+
+
+class TestRP2Arrays:
+    @pytest.fixture(scope="class")
+    def scan(self):
+        return rp2_slice(41)
+
+    def test_group_matches_the_tuples(self):
+        assert RP2_GROUP.shape == (24, 3, 3)
+        c = (0.3, -0.7, 0.11)
+        for g, element in zip(RP2_GROUP, _ORACLE_GROUP):
+            assert tuple(rp2_apply(g, c)) == _oracle_apply(element, c)
+        # g g = 1 exactly for the elements of order 1 and 2
+        assert [np.array_equal(g @ g, np.eye(3)) for g in RP2_GROUP] \
+            == [_oracle_element_order(e) <= 2 for e in _ORACLE_GROUP]
+
+    def test_slice_equals_the_double_loop(self, scan):
+        oracle = np.array(_oracle_slice(41))
+        assert scan.shape == oracle.shape == (2250, 3)
+        assert np.array_equal(scan, oracle)
+        assert np.array_equal(rp2_slice(2), np.array(_oracle_slice(2)).reshape(-1, 3))
+
+    def test_variety_is_elementwise(self, scan):
+        batch = rp2_variety(scan)
+        assert batch.shape == (2250,)
+        assert batch.tolist() == [_oracle_variety(c) for c in scan]
+        assert rp2_variety(tuple(scan[7])) == batch[7]
+
+    def test_labels_equal_the_per_point_oracle(self, scan):
+        labels = rp2_symmetry_group(scan)
+        oracle = [_oracle_label(c) for c in scan]
+        assert labels == oracle
+        assert {"trivial", "Z2", "Z2xZ2"} <= set(labels)
+        special = np.array([rp2_boundary_point("Z2xZ2"), rp2_boundary_point("D3")])
+        assert rp2_symmetry_group(special) == [_oracle_label(c) for c in special] \
+            == ["Z2xZ2", "S3"]
+
+    def test_labels_of_the_images(self, scan):
+        # an image g c has the conjugate stabilizer, hence the label of c
+        images = np.concatenate([scan @ g.T for g in RP2_GROUP])
+        labels = rp2_symmetry_group(images)
+        assert labels == rp2_symmetry_group(scan) * 24
+        nontrivial = [k for k, lab in enumerate(labels) if lab != "trivial"]
+        assert len(nontrivial) == 162 * 24
+        assert [labels[k] for k in nontrivial] == [_oracle_label(images[k]) for k in nontrivial]
+
+    def test_one_point_gives_a_str_and_rows_a_list(self, scan):
+        rows = scan[[0, len(scan) // 2]]
+        labels = rp2_symmetry_group(rows)
+        assert labels == [_oracle_label(c) for c in rows] == ["Z2", "Z2xZ2"]
+        for row, label in zip(rows, labels):
+            assert rp2_symmetry_group(tuple(row)) == label
+            assert type(rp2_symmetry_group(row)) is str
+        assert rp2_symmetry_group(scan[:1]) == labels[:1]
+
+    def test_one_off_variety_row_raises(self, scan):
+        rows = scan[:5].copy()
+        rows[3, 2] += 1e-3
+        with pytest.raises(ValueError):
+            rp2_symmetry_group(rows)
+        with pytest.raises(ValueError):
+            rp2_symmetry_group(np.array([rows[0], (np.nan, 0.0, 0.0)]))
+
+    def test_d3_root_matches_a_bisection(self):
+        f = lambda c: (c * c + 3.0) ** 3 - 32.0 * (1.0 - c**3)
+        lo, hi = 0.0, 1.0
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if f(lo) * f(mid) <= 0:
+                hi = mid
+            else:
+                lo = mid
+        c = rp2_boundary_point("D3")
+        assert c == (c[0], c[0], -c[0])
+        assert abs(c[0] - 0.5 * (lo + hi)) < 1e-15
+        assert rp2_symmetry_group(c) == "S3"
 
 
 class TestMobius:

@@ -11,7 +11,10 @@ are below 1e-6.
 from __future__ import annotations
 
 import argparse
+import cmath
+import functools
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,7 +26,7 @@ from . import acceptance, moduli
 from .arf import HyperellipticSpin, arf_bruteforce, arf_closed_form, \
     spin_structure_counts, torus_spin_table
 from .elliptic import build_context
-from .numkit import pfaffian
+from .numkit import NonConvergenceError, pfaffian
 from .reportio import SCHEMA, jsonify, write_report
 from .spinor import (
     INF,
@@ -117,12 +120,11 @@ def _mesh_gate(mesh) -> int:
     return 0 if ok else VERIFICATION_ERROR
 
 
-def _mesh_if_requested(args, name: str, built, payload: dict) -> int:
+def _mesh_if_requested(args, built, payload: dict, grid: GridSpec) -> int:
     """Mesh and export when --mesh is given; returns the mesh gate's code."""
-    if not getattr(args, "mesh", None):
+    if not args.mesh:
         return 0
-    mesh = CONSTRUCTIONS[name].mesh(
-        built, GridSpec(nx=args.grid, ny=args.grid, extent=args.extent), args.eps)
+    mesh = CONSTRUCTIONS[args.command].mesh(built, grid, args.eps)
     export_obj(mesh, args.mesh)
     payload["mesh"] = {"path": str(args.mesh), **mesh.metadata}
     print(f"wrote {args.mesh}")
@@ -132,12 +134,14 @@ def _mesh_if_requested(args, name: str, built, payload: dict) -> int:
 def cmd_sphere4(args) -> int:
     fam = CONSTRUCTIONS["sphere4"].build(tol=args.tol)
     payload = fam.report()
-    rc = _mesh_if_requested(args, "sphere4", fam, payload)
+    rc = _mesh_if_requested(args, fam, payload, GridSpec(args.grid, args.grid, args.extent))
     _emit(args, payload, "sphere4")
     return rc or (0 if fam.residuals["pfaffian"] < 1e-10 else VERIFICATION_ERROR)
 
 
 def cmd_sphere6(args) -> int:
+    if len(args.sigma) != (0 if args.scan else 3):
+        raise ValueError("sphere6 takes sigma1 sigma2 sigma3, or no values with --scan")
     if args.scan:
         rng = np.random.default_rng(args.seed)
         rows = []
@@ -151,7 +155,7 @@ def cmd_sphere6(args) -> int:
         worst = max(abs(r["ratio"] + 1.0) for r in rows)
         _emit(args, {"scan": rows, "worst_ratio_deviation": worst}, "sphere6-scan")
         return 0 if worst < 1e-6 else VERIFICATION_ERROR
-    sigma = tuple(parse_complex(s) for s in args.sigma)
+    sigma = tuple(args.sigma)
     closed = moduli.sphere6_pfaffian(sigma)
     payload = {"sigma": sigma, "closed_form_pfaffian": closed}
     pf, normalized = moduli.sphere6_numeric_pfaffian(sigma)
@@ -164,12 +168,14 @@ def cmd_sphere6(args) -> int:
     if on_variety:
         built = CONSTRUCTIONS["sphere6"].build(sigma, tol=args.tol * 10)
         payload["K_residuals"] = built[2]
-        rc = _mesh_if_requested(args, "sphere6", built, payload)
+        rc = _mesh_if_requested(args, built, payload, GridSpec(args.grid, args.grid, args.extent))
     _emit(args, payload, "sphere6")
     return rc
 
 
 def cmd_rp2(args) -> int:
+    if len(args.c) != (0 if args.boundary_scan else 3):
+        raise ValueError("rp2 takes c1 c2 c3, or no values with --boundary-scan")
     if args.boundary_scan:
         points = moduli.rp2_slice(args.boundary_scan)
         rows = [{"c": c, "variety": v, "stabilizer": label} for c, v, label in zip(
@@ -177,7 +183,7 @@ def cmd_rp2(args) -> int:
             moduli.rp2_symmetry_group(points))]
         _emit(args, {"boundary_points": rows, "count": len(rows)}, "rp2-scan")
         return 0
-    c = tuple(float(x) for x in args.c)
+    c = tuple(args.c)
     value = moduli.rp2_variety(c)
     payload = {"c": c, "variety_value": value}
     if abs(value) < 1e-6 * 32.0:
@@ -187,10 +193,9 @@ def cmd_rp2(args) -> int:
 
 
 def cmd_torus4(args) -> int:
-    t4 = CONSTRUCTIONS["torus4"].build(parse_complex(args.omega1), parse_complex(args.omega3),
-                                       tuple(int(ch) for ch in args.choice))
+    t4 = CONSTRUCTIONS["torus4"].build(args.omega1, args.omega3, args.choice)
     payload = t4.report()
-    rc = _mesh_if_requested(args, "torus4", t4, payload)
+    rc = _mesh_if_requested(args, t4, payload, GridSpec(args.grid, args.grid))
     _emit(args, payload, "torus4")
     ok = t4.residuals["period1"] < 1e-7 and abs(t4.branch_condition) > 1e-3
     return rc or (0 if ok else VERIFICATION_ERROR)
@@ -199,7 +204,7 @@ def cmd_torus4(args) -> int:
 def cmd_klein4(args) -> int:
     kb = CONSTRUCTIONS["klein4"].build(tol=args.tol * 10)
     payload = kb.report()
-    rc = _mesh_if_requested(args, "klein4", kb, payload)
+    rc = _mesh_if_requested(args, kb, payload, GridSpec(args.grid, args.grid))
     _emit(args, payload, "klein4")
     checks = ("period_equation", "gamma1_s1sq_quadrature", "gamma3_auto")
     return rc or (0 if all(kb.residuals[k] < 1e-8 for k in checks) else VERIFICATION_ERROR)
@@ -208,12 +213,10 @@ def cmd_klein4(args) -> int:
 def cmd_arf(args) -> int:
     g = args.genus
     if args.branch:
-        branch = tuple(range(2 * g + 1))
-        B = frozenset(int(k) for k in args.branch.split(","))
-        spin = HyperellipticSpin(branch, B)
-        payload = {"genus": g, "B": sorted(B),
+        spin = HyperellipticSpin(tuple(range(2 * g + 1)), args.branch)
+        payload = {"genus": g, "B": sorted(args.branch),
                    "arf_bruteforce": arf_bruteforce(spin),
-                   "arf_closed_form": arf_closed_form(g, len(B))}
+                   "arf_closed_form": arf_closed_form(g, len(args.branch))}
         _emit(args, payload, "arf")
         return 0
     plus, minus = spin_structure_counts(g)
@@ -232,17 +235,15 @@ def cmd_arf(args) -> int:
 
 
 def cmd_omega(args) -> int:
-    ends = [parse_complex(s) for s in args.ends.split(";")]
+    divisor = EndDivisor(args.ends)
     if args.domain == "sphere":
-        basis = basis_F_sphere(EndDivisor(tuple(ends)))
+        basis = basis_F_sphere(divisor)
     else:
-        ctx = build_context(parse_complex(args.omega1), parse_complex(args.omega3))
+        ctx = build_context(args.omega1, args.omega3)
         if args.domain == "twisted":
-            basis = basis_F_torus_twisted(ctx, EndDivisor(tuple(ends)))
-        elif args.domain == "untwisted":
-            basis = basis_F_torus_untwisted(ctx, args.r, EndDivisor(tuple(ends)))
+            basis = basis_F_torus_twisted(ctx, divisor)
         else:
-            raise ValueError(f"unknown domain {args.domain!r}")
+            basis = basis_F_torus_untwisted(ctx, args.r, divisor)
     form = omega_matrix(basis)
     K = extract_K(form, args.tol)
     payload = {
@@ -262,8 +263,7 @@ def cmd_omega(args) -> int:
 def cmd_mesh(args) -> int:
     name = args.construction
     entry = CONSTRUCTIONS[name]
-    mesh = entry.mesh(entry.build(), GridSpec(nx=args.grid, ny=args.grid, extent=args.extent),
-                      args.eps)
+    mesh = entry.mesh(entry.build(), GridSpec(args.grid, args.grid, args.extent), args.eps)
     export_obj(mesh, args.obj)
     _emit(args, {"construction": name, "obj": str(args.obj), **mesh.metadata}, f"mesh-{name}")
     print(f"wrote {args.obj}")
@@ -288,90 +288,117 @@ def cmd_verify(args) -> int:
     return 0 if not failed else VERIFICATION_ERROR
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=1e-9, help="rank/kernel tolerance")
-    common.add_argument("--grid", type=int, default=65, help="mesh grid resolution")
-    common.add_argument("--eps", type=float, default=None, help="end clearance override")
-    common.add_argument("--extent", type=float, default=2.0, help="sphere chart half-width")
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
-    common.add_argument("--out", type=str, default=None, help="directory for JSON reports")
-    common.add_argument("--json", action="store_true", help="print the JSON report")
-    common.add_argument("--mesh", type=str, default=None, help="write an OBJ mesh here")
+def _checked(parse, ok, what):
+    """An argparse type: parse(text) when the value passes ok, else a usage
+    error that names what the option takes."""
+    def convert(text):
+        try:
+            value = parse(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+    return convert
 
+
+_POSITIVE = _checked(float, lambda x: 0.0 < x < math.inf, "a positive finite number")
+_REAL = _checked(float, math.isfinite, "a finite number")
+_COMPLEX = _checked(parse_complex, cmath.isfinite, "a finite complex number")
+# only the tokens 'inf', 'oo' and 'infinity' give the INF object; an
+# overflow such as 1e400 parses to a different, infinite complex
+_END = _checked(parse_complex, lambda z: z is INF or cmath.isfinite(z),
+                "a finite complex number or inf")
+_PERMUTATION = _checked(lambda text: tuple(int(ch) for ch in text),
+                        lambda p: sorted(p) == [1, 2, 3], "a permutation of 123")
+_GRID = _checked(int, lambda n: n >= 2, "an integer >= 2")
+_COUNT = _checked(int, lambda n: n >= 0, "an integer >= 0")
+_INDICES = _checked(lambda text: frozenset(int(k) for k in text.split(",")), bool,
+                    "a comma-separated list of indices")
+
+
+# every option a subcommand can take; each subcommand names the ones it reads
+_OPTIONS = {
+    "--tol": dict(type=_POSITIVE, default=1e-9, help="rank/kernel tolerance"),
+    "--grid": dict(type=_GRID, default=65, help="mesh grid resolution"),
+    "--eps": dict(type=_POSITIVE, default=None, help="end clearance override"),
+    "--extent": dict(type=_POSITIVE, default=2.0, help="sphere chart half-width"),
+    "--seed": dict(type=int, default=0, help="seed for randomized checks"),
+    "--out": dict(default=None, help="directory for JSON reports"),
+    "--json": dict(action="store_true", help="print the JSON report"),
+    "--mesh": dict(default=None, help="write an OBJ mesh here"),
+}
+
+
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once: each subcommand takes exactly the options it reads."""
     parser = argparse.ArgumentParser(
         prog="spinor-minimal",
         description="Minimal surfaces with embedded planar ends via the spinor representation")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("sphere4", parents=[common],
-                   help="4-ended minimal sphere").set_defaults(fn=cmd_sphere4)
+    def command(name, fn, options, summary):
+        p = sub.add_parser(name, help=summary)
+        for flag in options.split():
+            p.add_argument(flag, **_OPTIONS[flag])
+        p.set_defaults(fn=fn)
+        return p
 
-    p6 = sub.add_parser("sphere6", parents=[common], help="6-ended sphere family")
-    p6.add_argument("sigma", nargs="*", default=[], help="sigma1 sigma2 sigma3")
-    p6.add_argument("--scan", type=int, default=0, help="random-sigma pfaffian scan")
-    p6.set_defaults(fn=cmd_sphere6)
+    command("sphere4", cmd_sphere4, "--tol --grid --eps --extent --mesh --out --json",
+            "4-ended minimal sphere")
 
-    prp = sub.add_parser("rp2", parents=[common],
-                         help="projective-plane admissibility variety")
-    prp.add_argument("c", nargs="*", type=float, default=[], help="c1 c2 c3")
-    prp.add_argument("--boundary-scan", type=int, default=0, help="grid scan of the variety")
-    prp.set_defaults(fn=cmd_rp2)
+    p6 = command("sphere6", cmd_sphere6, "--seed --tol --grid --eps --extent --mesh --out --json",
+                 "6-ended sphere family")
+    p6.add_argument("sigma", nargs="*", type=_COMPLEX, help="sigma1 sigma2 sigma3")
+    p6.add_argument("--scan", type=_COUNT, default=0, help="random-sigma pfaffian scan")
 
-    pt4 = sub.add_parser("torus4", parents=[common], help="4-ended minimal torus")
-    pt4.add_argument("omega1", help="half-period omega1 (complex)")
-    pt4.add_argument("omega3", help="half-period omega3 (complex)")
-    pt4.add_argument("--choice", default="123", help="permutation ijk")
-    pt4.set_defaults(fn=cmd_torus4)
+    prp = command("rp2", cmd_rp2, "--out --json", "projective-plane admissibility variety")
+    prp.add_argument("c", nargs="*", type=_REAL, help="c1 c2 c3")
+    prp.add_argument("--boundary-scan", type=_COUNT, default=0, help="grid scan of the variety")
 
-    sub.add_parser("klein4", parents=[common],
-                   help="4-ended minimal Klein bottle").set_defaults(fn=cmd_klein4)
+    pt4 = command("torus4", cmd_torus4, "--grid --eps --mesh --out --json",
+                  "4-ended minimal torus")
+    pt4.add_argument("omega1", type=_COMPLEX, help="half-period omega1 (complex)")
+    pt4.add_argument("omega3", type=_COMPLEX, help="half-period omega3 (complex)")
+    pt4.add_argument("--choice", type=_PERMUTATION, default="123", help="permutation ijk")
 
-    pa = sub.add_parser("arf", parents=[common],
-                        help="Arf invariants and the torus spin table")
+    command("klein4", cmd_klein4, "--tol --grid --eps --mesh --out --json",
+            "4-ended minimal Klein bottle")
+
+    pa = command("arf", cmd_arf, "--out --json", "Arf invariants and the torus spin table")
     pa.add_argument("genus", type=int)
-    pa.add_argument("branch", nargs="?", default=None,
+    pa.add_argument("branch", nargs="?", default=None, type=_INDICES,
                     help="comma-separated B indices, e.g. '0,2'")
-    pa.set_defaults(fn=cmd_arf)
 
-    po = sub.add_parser("omega", parents=[common],
-                        help="Omega matrix and kernel on a divisor")
+    po = command("omega", cmd_omega, "--tol --out --json", "Omega matrix and kernel on a divisor")
     po.add_argument("--domain", choices=("sphere", "twisted", "untwisted"), required=True)
-    po.add_argument("--ends", required=True, help="semicolon-separated ends; 'inf' allowed")
-    po.add_argument("--omega1", default="1")
-    po.add_argument("--omega3", default="1j")
-    po.add_argument("--r", type=int, default=1, help="untwisted spin label r")
-    po.set_defaults(fn=cmd_omega)
+    po.add_argument("--ends", required=True,
+                    type=lambda text: tuple(_END(s) for s in text.split(";")),
+                    help="semicolon-separated ends; 'inf' allowed")
+    po.add_argument("--omega1", type=_COMPLEX, default="1")
+    po.add_argument("--omega3", type=_COMPLEX, default="1j")
+    po.add_argument("--r", type=int, choices=(1, 2, 3), default=1, help="untwisted spin label r")
 
-    pm = sub.add_parser("mesh", parents=[common], help="mesh a construction and export OBJ")
+    pm = command("mesh", cmd_mesh, "--grid --eps --extent --out --json",
+                 "mesh a construction and export OBJ")
     pm.add_argument("construction", choices=("enneper", "sphere4", "torus4", "klein4"))
     pm.add_argument("obj", help="output OBJ path")
-    pm.set_defaults(fn=cmd_mesh)
 
-    pv = sub.add_parser("verify", parents=[common], help="run a verification suite")
+    pv = command("verify", cmd_verify, "--seed --out", "run a verification suite")
     pv.add_argument("suite", nargs="?", default="acceptance",
                     help="one of: " + ", ".join(sorted(acceptance.SUITES)))
-    pv.set_defaults(fn=cmd_verify)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
-        if not args.tol > 0:
-            raise ValueError("tolerance must be positive")
-        if args.eps is not None and not args.eps > 0:
-            raise ValueError("end clearance must be positive")
-        if args.grid < 2:
-            raise ValueError("grid resolution must be at least 2")
-        if args.extent <= 0:
-            raise ValueError("extent must be positive")
         return args.fn(args)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, ArithmeticError, NonConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

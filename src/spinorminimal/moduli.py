@@ -48,6 +48,7 @@ from .spinor import (
 )
 
 __all__ = [
+    "ConstructionError",
     "SphereFamily",
     "TorusFourEnd",
     "KleinFourEnd",
@@ -74,6 +75,11 @@ __all__ = [
     "KLEIN_M",
     "square_context_e1_normalized",
 ]
+
+
+class ConstructionError(ValueError):
+    """A construction fails its kernel or rank check at the given
+    tolerance or lattice."""
 
 
 def _vandermonde(points):
@@ -147,7 +153,7 @@ def sphere4_solve(tol: float = 1e-9) -> SphereFamily:
     pf = pfaffian(form.matrix)
     K = extract_K(form, tol)
     if len(K) != 2:
-        raise RuntimeError(f"sphere4 kernel has dimension {len(K)}, expected 2")
+        raise ConstructionError(f"sphere4 kernel has dimension {len(K)}, expected 2")
     residuals = {"pfaffian": abs(pf)}
     all_roots_pf = []
     for r in roots:
@@ -240,7 +246,7 @@ def sphere6_K_basis(sigma, tol: float = 1e-8):
             max(abs(a0) for (_, a0) in t.expansions)
             / max(max(abs(am1) for (am1, _) in t.expansions), 1e-300))
     if max(residuals.values()) > tol:
-        raise RuntimeError(f"printed K basis fails kernel/K test: {residuals}")
+        raise ConstructionError(f"printed K basis fails kernel/K test: {residuals}")
     return (t1, t2), form, residuals
 
 
@@ -260,12 +266,11 @@ def rp2_variety(c):
 RP2_GROUP = np.array([np.eye(3)[list(perm)] * np.array(s, dtype=float)[:, None]
                       for perm in permutations(range(3))
                       for s in ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))])
-_RP2_INVOLUTION = np.all(RP2_GROUP @ RP2_GROUP == np.eye(3), axis=(1, 2))
 _RP2_TOL = 1e-8
-# label by stabilizer order; the last entry is the order-4 group with an
-# element that does not square to the identity
-_RP2_LABELS = np.array([{1: "trivial", 2: "Z2", 4: "Z2xZ2", 6: "S3", 24: "S4-point"}
-                        .get(k, f"order-{k}") for k in range(25)] + ["Z4"])
+# label by stabilizer order; an order-4 stabilizer is Z2xZ2, because each
+# order-4 element fixes only the origin, which is off the variety
+_RP2_LABELS = np.array([{1: "trivial", 2: "Z2", 4: "Z2xZ2", 6: "S3"}.get(k, f"order-{k}")
+                        for k in range(25)])
 
 
 def rp2_apply(g, c):
@@ -276,21 +281,16 @@ def rp2_symmetry_group(c):
     """Label of the stabilizer of c under the 24-element action: a str for
     one point, a list for an (n, 3) array of points.
 
-    Labels: trivial | Z2 | Z2xZ2 | Z4 | S3 | S4-point, decided by the
-    stabilizer's order and, at order 4, by whether one of its elements
-    does not square to the identity (Z4).
+    Labels: trivial | Z2 | Z2xZ2 | S3, by the stabilizer's order.
     """
     c = np.asarray(c, dtype=float)
     pts = np.atleast_2d(c)
     if not np.all(np.abs(rp2_variety(pts)) <= 1e-6 * 32.0):
         raise ValueError("point is off the admissibility variety")
     order = np.zeros(len(pts), dtype=int)
-    z4 = np.zeros(len(pts), dtype=bool)
-    for g, involution in zip(RP2_GROUP, _RP2_INVOLUTION):
-        fixed = np.max(np.abs(pts @ g.T - pts), axis=1) < _RP2_TOL
-        order += fixed
-        z4 |= fixed & ~involution
-    labels = _RP2_LABELS[np.where(z4 & (order == 4), len(_RP2_LABELS) - 1, order)].tolist()
+    for g in RP2_GROUP:
+        order += np.max(np.abs(pts @ g.T - pts), axis=1) < _RP2_TOL
+    labels = _RP2_LABELS[order].tolist()
     return labels[0] if c.ndim == 1 else labels
 
 
@@ -499,7 +499,7 @@ def torus4_construct(ctx: EllipticContext, choice=(1, 2, 3)) -> TorusFourEnd:
     residuals = {"omega_zero": float(np.max(np.abs(form.matrix.entries)))}
     K = extract_K(form, 1e-9)
     if len(K) != 3:
-        raise RuntimeError(f"torus4 kernel has dimension {len(K)}, expected 3")
+        raise ConstructionError(f"torus4 kernel has dimension {len(K)}, expected 3")
     that = [section_combination(np.concatenate([[0.0], TORUS4_MIX[m]]), tw, f"that{m + 1}")
             for m in range(3)]
 
@@ -698,7 +698,7 @@ def klein4_construct(tol: float = 1e-8) -> KleinFourEnd:
     form = omega_matrix(basis)
     rank, _ = skew_rank_kernel(form.matrix, tol, scale=form.alpha_scale)
     if rank != 4:
-        raise RuntimeError(f"rank Omega = {rank}, expected 4 at the quartic root")
+        raise ConstructionError(f"rank Omega = {rank}, expected 4 at the quartic root")
     W_num = -2.0 * form.matrix.entries[:4, 4:]
     residuals["W_match"] = float(np.max(np.abs(W_num - klein_W(r))))
 

@@ -14,25 +14,59 @@ import numpy as np
 
 SCHEMA = "spinor-minimal/1"
 
-__all__ = ["jsonify", "write_report", "SCHEMA"]
+__all__ = ["jsonify", "write_report", "ReportValueError", "SCHEMA"]
+
+
+class ReportValueError(ValueError):
+    """A report value JSON cannot carry: a NaN, in the field at `path`."""
+
+    def __init__(self):
+        super().__init__()
+        self.path = []
+
+    def __str__(self):
+        return f"report field {'.'.join(self.path)} is NaN"
 
 
 def jsonify(obj):
-    """Recursively convert to JSON-ready values; complex -> [re, im]."""
+    """Recursively convert to JSON-ready values; complex -> [re, im].
+
+    A NaN raises ReportValueError naming its field.  Infinities stay:
+    [Infinity, 0.0] encodes the end at infinity.
+    """
+    if isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        if x != x:
+            raise ReportValueError()
+        return x
     if isinstance(obj, dict):
-        return {str(k): jsonify(v) for k, v in obj.items()}
+        out = {}
+        for k, v in obj.items():
+            try:
+                out[str(k)] = jsonify(v)
+            except ReportValueError as exc:
+                exc.path.insert(0, str(k))
+                raise
+        return out
     if isinstance(obj, (list, tuple)):
-        return [jsonify(v) for v in obj]
+        out = []
+        for i, v in enumerate(obj):
+            try:
+                out.append(jsonify(v))
+            except ReportValueError as exc:
+                exc.path.insert(0, str(i))
+                raise
+        return out
     if isinstance(obj, np.ndarray):
         return jsonify(obj.tolist())
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
     if isinstance(obj, (int, np.integer)):
         return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        return float(obj)
     if isinstance(obj, (complex, np.complexfloating)):
         z = complex(obj)
+        if z != z:
+            raise ReportValueError()
         re = math.inf if math.isinf(z.real) else z.real
         return [re, z.imag]
     if obj is None or isinstance(obj, str):

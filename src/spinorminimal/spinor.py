@@ -143,9 +143,14 @@ class _DomainBase:
         """mu(u) in s t = f g mu du: 1 except on the untwisted tori."""
         return 1.0
 
+    def chart_singularities(self):
+        """Chart points where the form weight is singular and the forms
+        are regular: none, except 0 and omega_r on the untwisted tori."""
+        return []
+
     def singular_points(self):
-        """Points the qres contours must stay away from (chart singularities)."""
-        return [p for p in self.ends.points if not is_infinity(p)]
+        """The finite ends and the chart singularities, which qres contours avoid."""
+        return [p for p in self.ends.points if not is_infinity(p)] + self.chart_singularities()
 
     def distance(self, p, q):
         """Chart distance; elementwise when p is an array."""
@@ -180,9 +185,6 @@ class TwistedTorusDomain(_DomainBase):
     def distance(self, p, q):
         return self.ctx.lattice_distance(p - q)
 
-    def singular_points(self):
-        return list(self.ends.points)
-
 
 @dataclass(frozen=True)
 class UntwistedTorusDomain(_DomainBase):
@@ -203,8 +205,8 @@ class UntwistedTorusDomain(_DomainBase):
     def form_weight(self, u):
         return 1.0 / self.wp_r(u)
 
-    def singular_points(self):
-        return list(self.ends.points) + [0.0, self.ctx.half_period(self.r)]
+    def chart_singularities(self):
+        return [0.0, self.ctx.half_period(self.r)]
 
 
 @dataclass(eq=False)
@@ -679,8 +681,8 @@ def basis_F_torus_twisted(ctx: EllipticContext, divisor: EndDivisor):
         raise ValueError("twisted basis requires exactly one end on the lattice (at 0)")
     others = [p for k, p in enumerate(pts) if k != zero_idx[0]]
     for p in others:
-        if ctx.lattice_distance(p) < 1e-9:
-            raise ValueError("nonzero ends must be off-lattice")
+        if is_infinity(p) or ctx.lattice_distance(p) < 1e-9:
+            raise ValueError("nonzero ends must be finite and off-lattice")
     divisor = EndDivisor((0.0,) + tuple(others))
     constants = [zeta(ctx, a) for a in others]
     laurent = [tuple((0.0j, 1.0 + 0.0j) for _ in divisor.points)]
@@ -702,8 +704,9 @@ def basis_F_torus_untwisted(ctx: EllipticContext, r: int, divisor: EndDivisor):
     """
     wr = ctx.half_period(r)
     for p in divisor.points:
-        if ctx.lattice_distance(p) < 1e-9 or ctx.lattice_distance(p - wr) < 1e-9:
-            raise ValueError("untwisted ends must avoid 0 and omega_r (mod lattice)")
+        if is_infinity(p) or ctx.lattice_distance(p) < 1e-9 \
+                or ctx.lattice_distance(p - wr) < 1e-9:
+            raise ValueError("untwisted ends must be finite and avoid 0 and omega_r (mod lattice)")
     dom = UntwistedTorusDomain(ends=divisor, ctx=ctx, r=r)
     zeta_wr = zeta(ctx, wr)
     ends = list(divisor.points)

@@ -101,13 +101,9 @@ class WeierstrassData:
         return _nearest(dom, [p for p in dom.ends.points if not is_infinity(p)], u)
 
     def chart_singular_distance(self, u):
-        """Distance to chart singularities that are not ends (e.g. the
-        lattice point and omega_r for the untwisted torus chart)."""
-        dom = self.domain
-        extra = [p for p in dom.singular_points()
-                 if all(dom.distance(p, q) > 1e-9 for q in dom.ends.points
-                        if not is_infinity(q))]
-        return _nearest(dom, extra, u)
+        """Distance to the domain's chart singularities (the lattice point
+        and omega_r on the untwisted tori, whose ends avoid both)."""
+        return _nearest(self.domain, self.domain.chart_singularities(), u)
 
 
 def _nearest(dom, points, u) -> np.ndarray:

@@ -235,6 +235,15 @@ class TestRP2Arrays:
         assert [np.array_equal(g @ g, np.eye(3)) for g in RP2_GROUP] \
             == [_oracle_element_order(e) <= 2 for e in _ORACLE_GROUP]
 
+    def test_order_four_elements_fix_only_the_origin(self):
+        # so no point of the variety has a Z4 stabilizer: the origin is off it
+        eye = np.eye(3)
+        order4 = [g for g in RP2_GROUP if not np.array_equal(g @ g, eye)
+                  and np.array_equal(np.linalg.matrix_power(g, 4), eye)]
+        assert len(order4) == 6
+        assert [np.linalg.matrix_rank(g - eye) for g in order4] == [3] * 6
+        assert rp2_variety((0.0, 0.0, 0.0)) == -5.0
+
     def test_slice_equals_the_double_loop(self, scan):
         oracle = np.array(_oracle_slice(41))
         assert scan.shape == oracle.shape == (2250, 3)

@@ -5,11 +5,13 @@ import pytest
 
 from spinorminimal.moduli import klein4_construct, sphere4_solve
 from spinorminimal.numkit import QuadraturePath
-from spinorminimal.spinor import EndDivisor, SphereDomain, rational_sphere_basis
+from spinorminimal.spinor import EndDivisor, SphereDomain, is_infinity, rational_sphere_basis
 from spinorminimal.surface import (
     GridSpec,
     SurfaceMesh,
     WeierstrassData,
+    _grid_coordinates,
+    _valid_mask,
     branch_points,
     enneper_data,
     export_csv,
@@ -375,3 +377,25 @@ class TestArrayMeshPipeline:
         assert len(mesh.faces) == 2 * int(cells.sum())
         assert len(mesh.gauss) == len(mesh.domain_uv) == len(mesh.vertices)
         assert np.array_equal(mesh.domain_uv, U[valid])
+
+    @pytest.mark.parametrize("which", ["sphere4", "torus4", "klein4"])
+    def test_valid_mask_equals_the_filtered_singular_points(self, which, sphere4_data,
+                                                            torus4_generic):
+        # the oracle: every singular point that is not an end, found by one
+        # scalar distance per (point, end) pair
+        if which == "klein4":
+            kb = klein4_construct()
+            data = WeierstrassData(s1=kb.s1, s2=kb.s2)
+        else:
+            data = sphere4_data[1] if which == "sphere4" else torus4_generic[0]
+        dom = data.domain
+        ends = [q for q in dom.ends.points if not is_infinity(q)]
+        extra = [p for p in dom.singular_points()
+                 if all(dom.distance(p, q) > 1e-9 for q in ends)]
+        assert len(extra) == (2 if which == "klein4" else 0)
+        U = _grid_coordinates(data, GridSpec(nx=33, ny=33))
+        u = U.ravel()
+        singular = np.min([dom.distance(u, p) for p in extra], axis=0) if extra \
+            else np.full(u.shape, np.inf)
+        oracle = (data.end_distance(u) > data.end_clearance) & (singular > 1e-9)
+        assert np.array_equal(_valid_mask(data, U), oracle.reshape(U.shape))

@@ -20,6 +20,20 @@ theta frame (theta1 and its first three derivatives at the reduced points)
 gives zeta, wp and wp' alike, so callers that need several of them at
 the same points take one frame from _theta_frame.
 
+A frame costs one complex exponential per point.  With
+theta1 = 2 sum_n c_n sin(kz), k = 2n+1, c_n = (-1)^n q^((n+1/2)^2) (K terms),
+_Theta.batch takes E = exp(iz), forms E^k and E^-k by repeated
+multiplication with E^2 and E^-2, and weighs them by constant vectors
+built once per context, through 2 cos(kz) = E^k + E^-k and
+2 sin(kz) = -i (E^k - E^-k).  theta1 itself is summed as
+-i (E - 1/E) sum_n c_n sin(kz)/sin(z), where
+sin(kz)/sin(z) = 1 + sum_{j<n} (E^(2j+2) + E^-(2j+2)) and E - 1 comes from
+expm1 near z = 0: it keeps its relative precision where it vanishes, and
+so do wp and zeta next to a lattice point.  The sums are einsum calls and
+never BLAS, so a point gives bitwise the same value alone or in any batch.
+|E^k| and |E^-k| are the magnitudes that complex sin(kz) and cos(kz) form
+internally, so the overflow described below sets in where it did with them.
+
 The invariants come from the q-series
 
     g2    = pi^4/(12 w^4) * (1 + 240 sum sigma3(n) Q^n)
@@ -187,19 +201,41 @@ class _Theta:
             if abs(coeff) * (2 * n + 1) ** 3 < 1e-22 and n >= 4:
                 break
             n += 1
-        self.k = np.array([t[0] for t in terms], dtype=float)
-        self.c = np.array([t[1] for t in terms], dtype=complex)
+        k = np.array([t[0] for t in terms], dtype=float)
+        c = np.array([t[1] for t in terms], dtype=complex)
+        # with E = exp(iz), 2 cos(kz) = E^k + E^-k and 2 sin(kz) = -i (E^k - E^-k),
+        # so theta1', theta1'', theta1''' weigh (E^k, E^-k) by these, shape (3, K, 2)
+        self.odd_weights = np.ascontiguousarray(np.transpose(
+            [[c * k, c * k], [1j * c * k**2, -1j * c * k**2], [-c * k**3, -c * k**3]], (0, 2, 1)))
+        # theta1 = -i (E - 1/E) sum_n c_n sin(kz)/sin(z), and sin(kz)/sin(z)
+        # = 1 + sum_{j<n} (E^(2j+2) + E^-(2j+2)): the even powers weigh the
+        # tail sums of c, -i folded in.  Both weight arrays are contiguous:
+        # einsum picks its summation loop by strides, and with a strided
+        # operand a single point took another loop, and rounding, than a batch
+        self.even_constant = -1j * complex(np.sum(c))
+        self.even_weights = np.repeat(-1j * np.cumsum(c[::-1])[::-1][1:, None], 2, axis=1)
 
     def batch(self, z: np.ndarray):
-        """Return theta1, theta1', theta1'', theta1''' at each z."""
-        kz = np.multiply.outer(z, self.k)
-        s = np.sin(kz)
-        c = np.cos(kz)
-        k1 = self.k
-        t0 = 2.0 * np.sum(self.c * s, axis=-1)
-        t1 = 2.0 * np.sum(self.c * k1 * c, axis=-1)
-        t2 = -2.0 * np.sum(self.c * k1**2 * s, axis=-1)
-        t3 = -2.0 * np.sum(self.c * k1**3 * c, axis=-1)
+        """Return theta1, theta1', theta1'', theta1''' at each z, from one
+        exponential E = exp(iz) per point; each value is independent of the
+        rest of the batch."""
+        iz = 1j * z
+        e = np.exp(iz)
+        # E - 1, from expm1 where the difference cancels (|E - 1| ~ |z|)
+        m = e - 1.0
+        near = np.abs(z) < 0.5
+        m[near] = np.expm1(iz[near])
+        odd = np.empty(self.odd_weights.shape[1:] + z.shape, dtype=complex)
+        odd[0, 0] = e
+        odd[0, 1] = 1.0 / e
+        step = odd[0] ** 2
+        for j in range(1, len(odd)):  # E^k and E^-k, k = 1, 3, 5, ...
+            np.multiply(odd[j - 1], step, out=odd[j])
+        even = odd[:-1] * odd[0]  # E^(k+1) and E^-(k+1)
+        # E - 1/E = (E - 1)(E + 1)/E keeps its relative precision near z = 0
+        t0 = m * (m + 2.0) * odd[0, 1] * (
+            self.even_constant + np.einsum("ks...,ks->...", even, self.even_weights))
+        t1, t2, t3 = np.einsum("ks...,jks->j...", odd, self.odd_weights)
         return t0, t1, t2, t3
 
 

@@ -258,7 +258,9 @@ def rp2_variety(c):
     """(c1^2+3)(c2^2+3)(c3^2+3) - 32 (c1 c2 c3 + 1) on direction cosines,
     elementwise over the last axis."""
     c1, c2, c3 = np.moveaxis(np.asarray(c, dtype=float), -1, 0)
-    return (c1 * c1 + 3.0) * (c2 * c2 + 3.0) * (c3 * c3 + 3.0) - 32.0 * (c1 * c2 * c3 + 1.0)
+    # a large c overflows to inf, or to NaN (inf - inf), which the report rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (c1 * c1 + 3.0) * (c2 * c2 + 3.0) * (c3 * c3 + 3.0) - 32.0 * (c1 * c2 * c3 + 1.0)
 
 
 # the order-24 action as signed permutation matrices M[i, perm[i]] = s_i:
@@ -481,6 +483,16 @@ class TorusFourEnd:
 TORUS4_MIX = np.array([[1, -1, -1], [-1, 1, -1], [-1, -1, 1]], dtype=complex)
 
 
+def _principal_root(x2) -> complex:
+    """Principal square root of x2, read as real when its imaginary part is
+    at rounding level (at most 1e-12 of |x2|): on a real lattice x_i^2 is
+    real, and the sign of its rounding noise must not pick the branch."""
+    x2 = complex(x2)
+    if abs(x2.imag) <= 1e-12 * abs(x2):
+        x2 = complex(x2.real, 0.0)
+    return complex(np.sqrt(x2))
+
+
 def torus4_construct(ctx: EllipticContext, choice=(1, 2, 3)) -> TorusFourEnd:
     """Four-ended twisted torus at ends {0, w1, w2, w3}.
 
@@ -508,7 +520,7 @@ def torus4_construct(ctx: EllipticContext, choice=(1, 2, 3)) -> TorusFourEnd:
     rhs = B @ np.array([1.0, np.conj(ctx.e(k))])
     M2 = np.array([[1.0, 1.0], [ctx.e(i), ctx.e(j)]], dtype=complex)
     xi2, xj2 = np.linalg.solve(M2, rhs)
-    x_i, x_j = np.sqrt(xi2), np.sqrt(xj2)  # principal branches
+    x_i, x_j = _principal_root(xi2), _principal_root(xj2)
     branch = (ctx.e(k) - ctx.e(i)) * xi2 - (ctx.e(k) - ctx.e(j)) * xj2
 
     coeff = x_i * TORUS4_MIX[i - 1] + x_j * TORUS4_MIX[j - 1]

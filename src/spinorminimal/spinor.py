@@ -160,8 +160,9 @@ class _DomainBase:
         if is_infinity(p):
             ws = [abs(1.0 / q) for q in self.singular_points() if q != 0]
             return 0.25 * min(ws) if ws else 0.5
-        ds = [self.distance(p, q) for q in self.singular_points() if self.distance(p, q) > 1e-12]
-        return 0.25 * min(ds) if ds else 0.5
+        ds = self.distance(p, np.array(self.singular_points(), dtype=complex))
+        ds = ds[ds > 1e-12]
+        return 0.25 * float(np.min(ds)) if ds.size else 0.5
 
 
 @dataclass(frozen=True)
@@ -676,20 +677,22 @@ def basis_F_torus_twisted(ctx: EllipticContext, divisor: EndDivisor):
     H = C phi0 for this spin structure.
     """
     pts = list(divisor.points)
+    if any(is_infinity(p) for p in pts):
+        raise ValueError("twisted ends must be finite")
     zero_idx = [k for k, p in enumerate(pts) if ctx.lattice_distance(p) < 1e-10]
     if len(zero_idx) != 1:
         raise ValueError("twisted basis requires exactly one end on the lattice (at 0)")
     others = [p for k, p in enumerate(pts) if k != zero_idx[0]]
     for p in others:
-        if is_infinity(p) or ctx.lattice_distance(p) < 1e-9:
-            raise ValueError("nonzero ends must be finite and off-lattice")
+        if ctx.lattice_distance(p) < 1e-9:
+            raise ValueError("nonzero ends must be off-lattice")
     divisor = EndDivisor((0.0,) + tuple(others))
-    constants = [zeta(ctx, a) for a in others]
+    constants, shifted = _zeta_table(ctx, others, others)
     laurent = [tuple((0.0j, 1.0 + 0.0j) for _ in divisor.points)]
-    for i, (a, c) in enumerate(zip(others, constants)):
+    for i, c in enumerate(constants):
         laurent.append(((-1.0 + 0.0j, 0.0j),) + tuple(
-            (1.0 + 0.0j, 0.0j) if j == i else (0.0j, complex(zeta(ctx, b - a) - zeta(ctx, b) + c))
-            for j, b in enumerate(others)))
+            (1.0 + 0.0j, 0.0j) if j == i else (0.0j, complex(shifted[i, j] - zeta_b + c))
+            for j, zeta_b in enumerate(constants)))
     labels = ["phi0"] + [f"t{i + 1}" for i in range(len(others))]
     return _ZetaBasis(TwistedTorusDomain(ends=divisor, ctx=ctx), labels, laurent,
                       [None] + others, [0.0] + constants).members()
@@ -708,15 +711,30 @@ def basis_F_torus_untwisted(ctx: EllipticContext, r: int, divisor: EndDivisor):
                 or ctx.lattice_distance(p - wr) < 1e-9:
             raise ValueError("untwisted ends must be finite and avoid 0 and omega_r (mod lattice)")
     dom = UntwistedTorusDomain(ends=divisor, ctx=ctx, r=r)
-    zeta_wr = zeta(ctx, wr)
     ends = list(divisor.points)
-    constants = [-zeta(ctx, wr - a) + zeta_wr for a in ends]
-    laurent = [tuple((1.0 / dom.wp_r(a), 0.0j) if j == i
-                     else (0.0j, complex(zeta(ctx, b - a) - zeta(ctx, b) + c))
-                     for j, b in enumerate(ends))
-               for i, (a, c) in enumerate(zip(ends, constants))]
-    labels = [f"t{i + 1}" for i in range(len(ends))]
+    n = len(ends)
+    zeta_at, shifted = _zeta_table(ctx, [wr] + [wr - a for a in ends] + ends, ends)
+    constants = [-z + zeta_at[0] for z in zeta_at[1:n + 1]]
+    wp_r = dom.wp_r(np.array(ends, dtype=complex))
+    laurent = [tuple((1.0 / complex(wp_r[i]), 0.0j) if j == i
+                     else (0.0j, complex(shifted[i, j] - zeta_b + c))
+                     for j, zeta_b in enumerate(zeta_at[n + 1:]))
+               for i, c in enumerate(constants)]
+    labels = [f"t{i + 1}" for i in range(n)]
     return _ZetaBasis(dom, labels, laurent, ends, constants).members()
+
+
+def _zeta_table(ctx: EllipticContext, points, ends):
+    """zeta at each of points, as a list of complex, and the matrix
+    Z[i, j] = zeta(ends[j] - ends[i]) off the diagonal, from one array call
+    (values bitwise equal to scalar calls, which the frames guarantee)."""
+    a = np.array(ends, dtype=complex)
+    off = ~np.eye(len(ends), dtype=bool)
+    values = zeta(ctx, np.concatenate([np.array(points, dtype=complex),
+                                       (a[None, :] - a[:, None])[off]]))
+    shifted = np.zeros((len(ends), len(ends)), dtype=complex)
+    shifted[off] = values[len(points):]
+    return [complex(v) for v in values[:len(points)]], shifted
 
 
 def basis_F_torus_untwisted_paired(ctx: EllipticContext, r: int, half_points):

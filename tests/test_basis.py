@@ -97,6 +97,28 @@ class TestBasisRows:
         rng = np.random.default_rng(2)
         _check_rows(basis, formulas, rng.standard_normal(7) + 1j * rng.standard_normal(7))
 
+    def test_laurent_tables_equal_scalar_zeta(self, ctx):
+        # the tables come from one array zeta call per basis; each value is
+        # bitwise the scalar call's
+        others = [0.4 + 0.33j, 1.1 + 0.7j, 0.5 + 1.4j]
+        table = basis_F_torus_twisted(ctx, EndDivisor((0.0,) + tuple(others)))[0].basis.laurent
+        assert table[0] == tuple((0.0j, 1.0 + 0.0j) for _ in range(4))
+        for i, a in enumerate(others):
+            assert table[i + 1] == ((-1.0 + 0.0j, 0.0j),) + tuple(
+                (1.0 + 0.0j, 0.0j) if j == i
+                else (0.0j, complex(zeta(ctx, b - a) - zeta(ctx, b) + zeta(ctx, a)))
+                for j, b in enumerate(others))
+        ends = [0.31 + 0.4j, 0.9 + 0.77j, 1.3 + 0.2j]
+        for r in (1, 2, 3):
+            wr = ctx.half_period(r)
+            table = basis_F_torus_untwisted(ctx, r, EndDivisor(tuple(ends)))[0].basis.laurent
+            for i, a in enumerate(ends):
+                c = -zeta(ctx, wr - a) + zeta(ctx, wr)
+                assert table[i] == tuple(
+                    (1.0 / (wp(ctx, a) - ctx.e(r)), 0.0j) if j == i
+                    else (0.0j, complex(zeta(ctx, b - a) - zeta(ctx, b) + c))
+                    for j, b in enumerate(ends))
+
     def test_members_have_unit_coefficients(self, ctx):
         basis = basis_F_torus_twisted(ctx, EndDivisor((0.0, 0.4 + 0.33j, 1.1 + 0.7j)))
         for j, s in enumerate(basis):
@@ -157,6 +179,21 @@ class TestChartWeight:
             assert dom.form_weight(p) == 1.0 / (wp(ctx, p) - ctx.e(r))
 
 
+class TestQresRadius:
+    def test_equals_the_per_point_minimum(self, ctx):
+        doms = [basis_F_sphere(EndDivisor((0.0, 0.7 - 0.2j, -1.1j, INF)))[0].domain,
+                basis_F_torus_twisted(ctx, EndDivisor((0.0, 0.4 + 0.33j, 1.1 + 0.7j)))[0].domain]
+        doms += [basis_F_torus_untwisted(ctx, r, EndDivisor((0.31 + 0.4j, 0.9 + 0.77j)))[0].domain
+                 for r in (1, 2, 3)]
+        for dom in doms:
+            for p in dom.ends.points:
+                if p == INF:
+                    continue
+                ds = [dom.distance(p, q) for q in dom.singular_points()
+                      if dom.distance(p, q) > 1e-12]
+                assert dom.qres_radius(p) == 0.25 * min(ds)
+
+
 class TestFrameCounts:
     """One WeierstrassData.omega call takes one theta frame per distinct shift."""
 
@@ -178,3 +215,14 @@ class TestFrameCounts:
     def test_klein4(self, monkeypatch, klein):
         u = _points(klein.ctx, 40)
         assert self._frames(monkeypatch, WeierstrassData(s1=klein.s1, s2=klein.s2), u) <= 2
+
+    def test_zeta_bases_build_from_one_zeta_frame(self, monkeypatch, ctx):
+        calls = []
+        frame = elliptic._theta_frame
+        monkeypatch.setattr(elliptic, "_theta_frame",
+                            lambda *a, **k: calls.append(1) or frame(*a, **k))
+        basis_F_torus_twisted(ctx, EndDivisor((0.0, 0.4 + 0.33j, 1.1 + 0.7j, 0.5 + 1.4j)))
+        assert len(calls) == 1
+        # the zeta table and the pole data 1/wp_r(a_i)
+        basis_F_torus_untwisted(ctx, 2, EndDivisor((0.31 + 0.4j, 0.9 + 0.77j, 1.3 + 0.2j)))
+        assert len(calls) == 3

@@ -7,12 +7,16 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import spinorminimal
 from spinorminimal.cli import build_parser, main
 from spinorminimal.reportio import ReportValueError, jsonify
 from spinorminimal.spinor import INF
@@ -96,6 +100,20 @@ class TestOptionSets:
         code, err, files = _run(argv, tmp_path)
         assert code == 1 and "unrecognized arguments: --mesh" in err
         assert files == []
+
+
+@pytest.mark.parametrize("argv", [["rp2", "1e300", "1e300", "1e300"],
+                                  ["omega", "--domain", "twisted", "--ends=0,0;inf"]],
+                         ids=["rp2-overflow", "twisted-end-at-inf"])
+def test_stderr_holds_only_the_error_line(tmp_path, argv):
+    # in a fresh interpreter, where numpy's RuntimeWarnings would print
+    src = str(Path(spinorminimal.__file__).resolve().parent.parent)
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-m", "spinorminimal.cli", *argv, "--out", str(tmp_path)],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 1
+    assert len(run.stderr.splitlines()) == 1 and run.stderr.startswith("error: "), run.stderr
 
 
 def test_a_nan_report_field_is_named():

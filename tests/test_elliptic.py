@@ -93,10 +93,11 @@ class TestBuildContext:
         assert abs(ctx.eta1 * ctx.omega3 - ctx.eta3 * ctx.omega1 - 1j * np.pi / 2) < 1e-10
 
     def test_too_thin_lattice_raises_typed_error(self):
-        # reduced tau = -0.5+125i: the theta terms overflow, and the NaN
-        # invariants must fail their checks instead of being returned
-        with pytest.raises(DegenerateLatticeError, match="tau = -0.5\\+125j"):
-            build_context(1.0, 0.5 + 0.002j)
+        # reduced tau = -0.5 + i*im_tau: the theta terms overflow, and the
+        # NaN invariants must fail their checks instead of being returned
+        for im_tau in (60, 125):
+            with pytest.raises(DegenerateLatticeError, match=f"tau = -0.5\\+{im_tau}j"):
+                build_context(1.0, 0.5 + 0.25j / im_tau)
 
 
 class TestEvaluators:
@@ -396,3 +397,54 @@ class TestOracles:
         for w, eta in ((ctx.omega1, ctx.eta1), (ctx.omega3, ctx.eta3)):
             jump = zeta(ctx, u + 2 * w) - zeta(ctx, u)
             assert np.max(np.abs(jump - 2 * eta)) <= 1e-10 * max(abs(eta), eta_scale)
+
+
+class TestThetaKernel:
+    """_Theta.batch, which sums theta1 and its derivatives from one
+    exponential per point: against mpmath.jtheta at 30 digits, and alone
+    against in a batch."""
+
+    # the thin lattice has reduced tau = -0.5+25i
+    @pytest.mark.parametrize("periods", [(1.0, 1j), (1.0, np.exp(1j * np.pi / 3)),
+                                         (1.1 - 0.2j, 0.3 + 0.9j), (1.0, 0.5 + 0.01j)],
+                             ids=["square", "hexagonal", "generic", "thin"])
+    def test_matches_mpmath(self, periods):
+        ctx = build_context(*periods)
+        b1, b2 = ctx.lattice.reduced_periods
+        tau = b2 / b1
+        rng = np.random.default_rng(3)
+        x, y = rng.uniform(-0.5, 0.5, (2, 40))
+        z = np.pi * (x + y * tau)
+        got = ctx._theta.batch(z)
+        with mpmath.workdps(30):
+            q = mpmath.exp(1j * mpmath.pi * mpmath.mpc(tau))
+            for zk, *values in zip(z, *got):
+                zm = mpmath.mpc(zk)
+                for d, value in enumerate(values):
+                    want = complex(mpmath.jtheta(1, zm, q, d))
+                    # the size of the series' terms, 2 |q^((n+1/2)^2)| k^d cosh(k Im z)
+                    size = float(sum(2 * abs(q) ** ((n + 0.5) ** 2) * (2 * n + 1) ** d
+                                     * mpmath.cosh((2 * n + 1) * zm.imag) for n in range(8)))
+                    assert abs(value - want) <= 1e-13 * size
+
+    def test_theta1_keeps_its_precision_near_zero(self, ctx):
+        # theta1 ~ theta1'(0) z: E^k - E^-k alone would lose about
+        # log10(1/|z|) digits there, and wp, zeta near a lattice point with them
+        b1, b2 = ctx.lattice.reduced_periods
+        z = np.array([r * np.exp(1j * phi) for r in (1e-3, 1e-6, 1e-9, 1e-12)
+                      for phi in (0.3, 1.9, -2.4)])
+        t0 = ctx._theta.batch(z)[0]
+        with mpmath.workdps(30):
+            q = mpmath.exp(1j * mpmath.pi * mpmath.mpc(b2 / b1))
+            for zk, value in zip(z, t0):
+                want = complex(mpmath.jtheta(1, mpmath.mpc(zk), q))
+                assert abs(value - want) <= 1e-13 * abs(want)
+
+    def test_a_point_alone_equals_its_batch_entry(self, ctx):
+        s = np.linspace(-1.3, 1.3, 33)
+        u = (s[:, None] + 0.013) * 2 * ctx.omega1 + (s[None, :] + 0.029) * 2 * ctx.omega3
+        batch = [f(ctx, u) for f in (wp, wp_prime, zeta)]
+        rng = np.random.default_rng(4)
+        for i, j in zip(rng.integers(0, 33, 64), rng.integers(0, 33, 64)):
+            for f, values in zip((wp, wp_prime, zeta), batch):
+                assert f(ctx, u[i, j]) == values[i, j]

@@ -8,6 +8,7 @@ import pytest
 from spinorminimal.elliptic import build_context, wp, wp_prime
 from spinorminimal.moduli import (
     KLEIN_M,
+    _principal_root,
     klein4_construct,
     klein_W,
     klein_det_w_closed,
@@ -400,6 +401,24 @@ class TestTorus4:
     def test_invalid_choice(self):
         with pytest.raises(ValueError):
             torus4_construct(build_context(1.0, 1.0j), choice=(1, 1, 3))
+
+    @pytest.mark.parametrize("x2", [0.4569465810444635, -2.645386196270941, -1.095530039890875,
+                                    1.3815076406835285 + 0.4571353760332737j])
+    def test_root_ignores_rounding_noise(self, x2):
+        # on a real lattice x^2 is real up to ~1e-17 of noise, whose sign
+        # must not choose between +x and -x
+        x = _principal_root(x2)
+        for noise in (1e-30j, -1e-30j, 1e-18j * abs(x2), -1e-18j * abs(x2)):
+            assert _principal_root(x2 + noise) == x
+        assert x * x == pytest.approx(x2, rel=1e-15)
+
+    @pytest.mark.parametrize("omega3", [1j, 2j])
+    def test_real_lattice_roots_are_real_or_upper_imaginary(self, omega3):
+        t4 = torus4_construct(build_context(1.0, omega3))
+        (xi2, xj2), (x_i, x_j) = t4.x_squares, t4.x
+        assert xi2.real > 0 > xj2.real
+        assert x_i.imag == 0.0 and x_i.real > 0
+        assert x_j.real == 0.0 and x_j.imag > 0
 
 
 class TestKlein:

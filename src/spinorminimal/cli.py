@@ -15,6 +15,7 @@ import cmath
 import functools
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -185,6 +186,8 @@ def cmd_rp2(args) -> int:
         return 0
     c = tuple(args.c)
     value = moduli.rp2_variety(c)
+    if not math.isfinite(value):
+        raise OverflowError(f"the variety value at c = {c} overflows")
     payload = {"c": c, "variety_value": value}
     if abs(value) < 1e-6 * 32.0:
         payload["stabilizer"] = moduli.rp2_symmetry_group(c)
@@ -340,6 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def command(name, fn, options, summary):
         p = sub.add_parser(name, help=summary)
+        # any '-<digit>' or '-.<digit>' is a value, so '-1e-3', '-1+1j', '-0.5,1'
+        p._negative_number_matcher = re.compile(r"^-\.?\d")
         for flag in options.split():
             p.add_argument(flag, **_OPTIONS[flag])
         p.set_defaults(fn=fn)

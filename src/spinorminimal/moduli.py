@@ -155,11 +155,9 @@ def sphere4_solve(tol: float = 1e-9) -> SphereFamily:
     if len(K) != 2:
         raise ConstructionError(f"sphere4 kernel has dimension {len(K)}, expected 2")
     residuals = {"pfaffian": abs(pf)}
-    all_roots_pf = []
-    for r in roots:
-        f_r = omega_matrix(basis_F_sphere(EndDivisor((r, 1.0 / r, 0.0, INF))))
-        all_roots_pf.append(abs(pfaffian(f_r.matrix)))
-    residuals["pfaffian_all_roots"] = max(all_roots_pf)
+    residuals["pfaffian_all_roots"] = max(
+        abs(pfaffian(omega_matrix(basis_F_sphere(EndDivisor((r, 1.0 / r, 0.0, INF)))).matrix))
+        for r in roots)
     t1, t2 = sphere4_printed_K(basis[0].domain)
     Kmat = np.array([k.coefficients for k in K]).T
     worst = 0.0
@@ -176,11 +174,9 @@ def sphere4_solve(tol: float = 1e-9) -> SphereFamily:
 
 
 def _sphere_coefficients(section: SpinorSection):
-    """Coefficients of a sphere section on the basis {phi/(z-a_i), phi}."""
-    n = section.domain.ends.n
-    coeffs = [section.expansions[k][0] for k in range(n - 1)]
-    coeffs.append(section.expansions[n - 1][0] / 1j)
-    return np.array(coeffs, dtype=complex)
+    """Coefficients on the basis {phi/(z-a_i), phi}: alpha_-1 at each end, over i at inf."""
+    am1 = section.expansions[:, 0]
+    return np.append(am1[:-1], am1[-1] / 1j)
 
 
 # ---------------------------------------------------------------------------
@@ -242,9 +238,8 @@ def sphere6_K_basis(sigma, tol: float = 1e-8):
         v = _sphere_coefficients(t)
         residuals[f"{name}_kernel"] = float(
             np.linalg.norm(form.matrix.entries @ v) / max(np.linalg.norm(v), 1e-300))
-        residuals[f"{name}_alpha0"] = float(
-            max(abs(a0) for (_, a0) in t.expansions)
-            / max(max(abs(am1) for (am1, _) in t.expansions), 1e-300))
+        am1, a0 = np.hypot(t.expansions.real, t.expansions.imag).T
+        residuals[f"{name}_alpha0"] = float(a0.max() / max(am1.max(), 1e-300))
     if max(residuals.values()) > tol:
         raise ConstructionError(f"printed K basis fails kernel/K test: {residuals}")
     return (t1, t2), form, residuals
@@ -258,7 +253,7 @@ def rp2_variety(c):
     """(c1^2+3)(c2^2+3)(c3^2+3) - 32 (c1 c2 c3 + 1) on direction cosines,
     elementwise over the last axis."""
     c1, c2, c3 = np.moveaxis(np.asarray(c, dtype=float), -1, 0)
-    # a large c overflows to inf, or to NaN (inf - inf), which the report rejects
+    # a large c overflows to inf, or to NaN (inf - inf); cmd_rp2 rejects either
     with np.errstate(over="ignore", invalid="ignore"):
         return (c1 * c1 + 3.0) * (c2 * c2 + 3.0) * (c3 * c3 + 3.0) - 32.0 * (c1 * c2 * c3 + 1.0)
 

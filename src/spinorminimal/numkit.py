@@ -203,30 +203,33 @@ def poly_roots(p: ComplexPolynomial):
     """All complex roots (with multiplicity) via companion matrix plus two
     damped Newton steps.
 
-    The residual |p(r)| is required to be below 1e-10 times the
+    The residual |p(r)| is required to be finite and below 1e-10 times the
     evaluation scale sum(|c_k| |r|^k); otherwise the solve is reported as
-    non-convergent.
+    non-convergent.  Overflow on the way shows only in that residual: no
+    floating-point warning escapes.
     """
     if p.degree < 1:
         raise ValueError("degree must be >= 1")
     desc = np.array(p.coeffs[::-1], dtype=complex)
-    roots = np.roots(desc)
     dp = p.deriv()
-    for _ in range(2):
-        pv = np.array([p(r) for r in roots])
-        dv = np.array([dp(r) for r in roots])
-        safe = np.abs(dv) > 0
-        step = np.zeros_like(roots)
-        step[safe] = pv[safe] / dv[safe]
-        # damp the correction to avoid ping-ponging between clustered roots
-        big = np.abs(step) > 0.5 * (1.0 + np.abs(roots))
-        step[big] = 0.0
-        roots = roots - step
-    for r in roots:
-        scale = sum(abs(c) * abs(r) ** k for k, c in enumerate(p.coeffs))
-        if abs(p(r)) > 1e-10 * max(scale, 1e-300):
-            raise NonConvergenceError(
-                f"root {r} has residual {abs(p(r)):.3e} above 1.0e-10 * scale")
+    with np.errstate(all="ignore"):
+        roots = np.roots(desc)
+        for _ in range(2):
+            pv = np.array([p(r) for r in roots])
+            dv = np.array([dp(r) for r in roots])
+            safe = np.abs(dv) > 0
+            step = np.zeros_like(roots)
+            step[safe] = pv[safe] / dv[safe]
+            # damp the correction to avoid ping-ponging between clustered roots
+            big = np.abs(step) > 0.5 * (1.0 + np.abs(roots))
+            step[big] = 0.0
+            roots = roots - step
+        for r in roots:
+            scale = sum(abs(c) * abs(r) ** k for k, c in enumerate(p.coeffs))
+            res = abs(p(r))
+            if not (np.isfinite(res) and res <= 1e-10 * max(scale, 1e-300)):
+                raise NonConvergenceError(
+                    f"root {r} has residual {res:.3e} above 1.0e-10 * scale")
     return [complex(r) for r in roots]
 
 

@@ -8,13 +8,16 @@ wp_r/(wp_r - p_i) and wp'/(wp_r - p_i) for paired untwisted ends; and
 N/D rows for rational sphere sections.  A kernel evaluates only the rows
 some coefficient uses, one theta frame per distinct shift, and adds each
 row into every section it evaluates.  A linear combination is a
-coefficient sum, and its Laurent data is the same sum of the basis's
-Laurent rows.  Omega and the periods int s t are bilinear in the
-sections: period_matrix gives int s_i s_j along a path for every pair of
-sections on one basis from one quadrature, each node evaluating the
-basis rows once.  The Laurent data gives form_primitive: for pairs whose
-forms s t have no residues, the primitive of s t in closed form (see
-FormPrimitive).
+coefficient sum.  The Laurent data of a basis is one (rows, ends, 2)
+table T of (alpha_-1, alpha_0); a section's table is its coefficients
+contracted with T.  Omega, its residue-sum check, the K test and the
+log-end residues and pole coefficients of form_primitive all contract
+the stacked tables of the sections they read: Omega(s_i, s_j) is
+einsum('ik,jk->ij', A_0, A_-1), antisymmetrized.  The periods int s t are
+bilinear too: period_matrix gives int s_i s_j along a path for every pair
+of sections on one basis from one quadrature, each node evaluating the
+basis rows once.  For pairs whose forms s t have no residues,
+form_primitive gives the primitive of s t in closed form (see FormPrimitive).
 
 Rows are chart functions f = s/phi_dom, where phi_dom is the family's
 reference spinor: phi^2 = dz on the sphere, phi0^2 = du on the twisted
@@ -64,7 +67,6 @@ __all__ = [
     "SectionDataError",
     "sigma_map",
     "spin_cover",
-    "residue_pair",
     "omega_pair",
     "omega_qres_oracle",
     "basis_F_sphere",
@@ -214,31 +216,33 @@ class UntwistedTorusDomain(_DomainBase):
 class Basis:
     """Rows of one family spanning F (or some limit sections) over a domain.
 
-    laurent[j][k] = (alpha_-1, alpha_0) of row j at the k-th end, or None
-    for rows outside F.  A family adds its row data and _rows(active, u,
-    derivative), which yields (j, f_j(u), f_j'(u) or None) for each active j.
+    laurent is the complex (rows, ends, 2) table T, T[j, k] = (alpha_-1,
+    alpha_0) of row j at the k-th end, or None for rows outside F.  A family
+    adds its row data and _rows(active, u, derivative), which yields
+    (j, f_j(u), f_j'(u) or None) for each active j.
     """
 
     domain: _DomainBase
     labels: tuple
-    laurent: Optional[list]
+    laurent: Optional[np.ndarray]
 
     def members(self):
-        """The basis sections: unit coefficients and their own Laurent rows."""
-        n = len(self.labels)
-        return [SpinorSection(self, tuple(1.0 + 0.0j if i == j else 0.0j for i in range(n)),
-                              label, None if self.laurent is None else self.laurent[j])
-                for j, label in enumerate(self.labels)]
+        """The basis sections: unit coefficient rows."""
+        return [self.section(row, label)
+                for row, label in zip(np.eye(len(self.labels), dtype=complex), self.labels)]
 
     def section(self, coefficients, label):
-        """sum_j coefficients[j] * row j, its Laurent data the same sum of rows."""
-        c = np.asarray(coefficients, dtype=complex)
-        exps = None
-        if self.laurent is not None:
-            rows = np.array(self.laurent, dtype=complex).reshape(len(c), self.domain.ends.n, 2)
-            table = np.sum(c[:, None, None] * rows, axis=0)
-            exps = tuple((complex(am1), complex(a0)) for am1, a0 in table)
-        return SpinorSection(self, tuple(complex(x) for x in c), label, exps)
+        """sum_j coefficients[j] * row j."""
+        return SpinorSection(self, tuple(complex(x) for x in np.asarray(coefficients, complex)),
+                             label)
+
+    def table(self, coefficients):
+        """Laurent tables sum_j C[i, j] T[j] of the sections with coefficient
+        rows C, shape (rows of C, ends, 2)."""
+        if self.laurent is None:
+            raise SectionDataError("the basis rows carry no Laurent data")
+        C = np.asarray(coefficients, dtype=complex).reshape(-1, len(self.labels))
+        return np.sum(C[:, :, None, None] * self.laurent, axis=1)
 
     def evaluate(self, coefficients, u, derivative=False):
         """Sections with the given coefficient rows at u, shape (rows,) + u.shape;
@@ -370,24 +374,27 @@ class _RationalBasis(Basis):
 class SpinorSection:
     """The section sum_j coefficients[j] * (row j of basis).
 
-    evaluate/derivative act on the chart function f = s/phi_dom;
-    expansions[k] = (alpha_-1, alpha_0) at the k-th end of the divisor,
-    in the honest local chart (see module docstring), None outside F.
+    evaluate/derivative act on the chart function f = s/phi_dom; its
+    Laurent data is derived from the basis table (see expansions).
     """
 
     basis: Basis
     coefficients: tuple
     label: str
-    expansions: Optional[tuple] = None
 
     @property
     def domain(self):
         return self.basis.domain
 
+    @property
+    def expansions(self):
+        """(ends, 2) array of (alpha_-1, alpha_0) at each end in its honest
+        local chart (see module docstring), from the basis table; None outside F."""
+        return None if self.basis.laurent is None else self.basis.table(self.coefficients)[0]
+
     def alpha(self, p):
         """(alpha_-1, alpha_0) at an end given by value or integer index."""
-        k = self.domain.ends.index_of(p)
-        return self.expansions[k]
+        return self.expansions[self.domain.ends.index_of(p)]
 
     def evaluate(self, u):
         return self.basis.evaluate([self.coefficients], u)[0]
@@ -404,6 +411,12 @@ def _shared_basis(sections) -> Basis:
     if any(s.basis is not basis for s in sections):
         raise SectionDataError("sections must share a basis")
     return basis
+
+
+def _end_sizes(tables):
+    """|alpha_-1| + |alpha_0| at each end, by hypot, as abs() rounds; the
+    alpha scales of pairs, sums of their products, size Omega and residues."""
+    return np.hypot(tables.real, tables.imag).sum(axis=-1)
 
 
 def section_values(sections, u, derivative=False):
@@ -477,19 +490,25 @@ def form_primitive(pairs) -> FormPrimitive:
     7 x 7 lattice fractions farthest from the chart's singular points.
     """
     basis = _shared_basis([x for pair in pairs for x in pair])
-    dom, n = basis.domain, basis.domain.ends.n
-    if any(x.expansions is None for pair in pairs for x in pair):
-        raise SectionDataError("a closed-form primitive needs the sections' Laurent data")
-    res = np.array([[abs(residue_pair(s, t, k)) / _alpha_scale(s, t) for k in range(n)]
-                    for s, t in pairs]).reshape(len(pairs), n)
+    dom = basis.domain
+    tables = basis.table([[x.coefficients for x in pair] for pair in pairs]).reshape(
+        len(pairs), 2, dom.ends.n, 2)
+    s, t = tables[:, 0], tables[:, 1]
+    # res_k(s t) = alpha_-1(s) alpha_0(t) + alpha_0(s) alpha_-1(t), relative
+    # to the pair's alpha scale
+    res = np.einsum("pkl,pkl->pk", s, t[..., ::-1])
+    scale = np.einsum("pk,pk->p", _end_sizes(s), _end_sizes(t))
+    res = np.hypot(res.real, res.imag) / np.maximum(scale, 1e-30)[:, None]
     if np.any(res > LOG_END_TOL):
         p, k = np.unravel_index(np.argmax(res), res.shape)
         raise SectionDataError(f"the 1-form {pairs[p][0].label} {pairs[p][1].label} has residue "
                                f"{res[p, k]:.2e} at the end {dom.ends.points[k]}: a log end")
     finite = [k for k, p in enumerate(dom.ends.points) if not is_infinity(p)]
     ends = tuple(dom.ends.points[k] for k in finite)
-    c = np.array([[s.expansions[k][0] * t.expansions[k][0] for k in finite] for s, t in pairs],
-                 dtype=complex).reshape(len(pairs), -1) / dom.form_weight(np.array(ends, complex))
+    # einsum rounds as the scalar product does; the layout of c sets how
+    # FormPrimitive.evaluate's tensordot sums, so it is fixed to C order
+    c = np.einsum("pk,pk->pk", s[:, finite, 0], t[:, finite, 0], order="C") \
+        / dom.form_weight(np.array(ends, complex))
     poly = basis._polynomial_part(pairs)
     prim = FormPrimitive(dom, ends, np.zeros((1, len(pairs))) if poly is None else poly, c,
                          float(res.max(initial=0.0)))
@@ -554,44 +573,31 @@ def spin_cover(a):
     det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
     if det == 0:
         raise ValueError("spin_cover requires det A != 0")
-    adj = _adjugate2(a)
-    cols = []
-    for x in _PAULI:
-        y = a @ x @ adj
-        x1 = -(y[0, 1] + y[1, 0]) / 2.0
-        x2 = (y[0, 1] - y[1, 0]) / 2j
-        x3 = y[0, 0]
-        cols.append([x1, x2, x3])
-    t = np.array(cols, dtype=complex).T
+    y = np.array([a @ x @ _adjugate2(a) for x in _PAULI])
+    t = np.array([-(y[:, 0, 1] + y[:, 1, 0]) / 2.0, (y[:, 0, 1] - y[:, 1, 0]) / 2j, y[:, 0, 0]])
     return complex(det), t / det
 
 
-def _alpha_scale(s: SpinorSection, t: SpinorSection) -> float:
-    total = 0.0
-    for (am1_s, a0_s), (am1_t, a0_t) in zip(s.expansions, t.expansions):
-        total += (abs(am1_s) + abs(a0_s)) * (abs(am1_t) + abs(a0_t))
-    return max(total, 1e-30)
-
-
-def residue_pair(s: SpinorSection, t: SpinorSection, p):
-    """res_p(s t) = alpha_-1(s) alpha_0(t) + alpha_0(s) alpha_-1(t)."""
-    am1_s, a0_s = s.alpha(p)
-    am1_t, a0_t = t.alpha(p)
-    return am1_s * a0_t + a0_s * am1_t
+def _omega_table(tables):
+    """Raw M[i, j] = sum over ends of alpha_0(s_i) alpha_-1(s_j) and alpha
+    scales S[i, j] of stacked tables.  Off the diagonal M + M^T holds the
+    residue sums of the forms s_i s_j: above 1e-8 S the data is inconsistent."""
+    M = np.einsum("ik,jk->ij", tables[..., 1], tables[..., 0])
+    B = _end_sizes(tables)
+    S = np.einsum("ik,jk->ij", B, B)
+    res_sum = np.abs(M + M.T)
+    np.fill_diagonal(res_sum, 0.0)
+    bad = res_sum > 1e-8 * S
+    if bad.any():
+        raise SectionDataError(f"residue sum {res_sum[bad][0]:.2e} over ends is not zero")
+    return M, S
 
 
 def omega_pair(s: SpinorSection, t: SpinorSection):
-    """Omega(s, t) = sum over ends of alpha_0(s) alpha_-1(t).
-
-    The residues of the meromorphic 1-form s t must sum to zero over the
-    ends; that sanity check guards against inconsistent section data.
-    """
-    if s.domain.ends != t.domain.ends:
-        raise SectionDataError("sections must share a divisor")
-    res_sum = sum(residue_pair(s, t, k) for k in range(s.domain.ends.n))
-    if abs(res_sum) > 1e-8 * _alpha_scale(s, t):
-        raise SectionDataError(f"residue sum {abs(res_sum):.2e} over ends is not zero")
-    return sum(a0_s * am1_t for (_, a0_s), (am1_t, _) in zip(s.expansions, t.expansions))
+    """Omega(s, t) = sum over ends of alpha_0(s) alpha_-1(t), for sections on
+    one basis: the two-section case of omega_matrix's contraction, before
+    antisymmetrizing, with the same residue-sum check."""
+    return _omega_table(_shared_basis((s, t)).table([s.coefficients, t.coefficients]))[0][0, 1]
 
 
 def omega_qres_oracle(s: SpinorSection, t: SpinorSection, rel_tol: float = 1e-9):
@@ -631,8 +637,7 @@ def check_planar_end(s1: SpinorSection, s2: SpinorSection, p, tol: float = 1e-8)
     alpha_0 of both sections vanishes and at least one has a pole;
     equivalently res_p of s1^2, s1 s2, s2^2 all vanish with a pole present.
     """
-    am1_1, a0_1 = s1.alpha(p)
-    am1_2, a0_2 = s2.alpha(p)
+    (am1_1, a0_1), (am1_2, a0_2) = s1.alpha(p), s2.alpha(p)
     scale = max(abs(am1_1), abs(am1_2), abs(a0_1), abs(a0_2), 1e-30)
     has_pole = max(abs(am1_1), abs(am1_2)) > tol * scale
     return has_pole and abs(a0_1) <= tol * scale and abs(a0_2) <= tol * scale
@@ -662,10 +667,10 @@ def basis_F_sphere(divisor: EndDivisor):
         raise ValueError("sphere basis requires an end at infinity")
     finite = [p for p in pts if not is_infinity(p)]
     divisor = EndDivisor(tuple(finite) + (INF,))
-    laurent = [tuple((1.0 + 0.0j, 0.0 + 0.0j) if j == i else (0.0j, 1.0 / (b - a))
-                     for j, b in enumerate(finite)) + ((0.0j, 1j),)
-               for i, a in enumerate(finite)]
-    laurent.append(tuple((0.0j, 1.0 + 0.0j) for _ in finite) + ((1j, 0.0j),))
+    laurent = np.array([[(1.0, 0.0) if j == i else (0.0, 1.0 / (b - a))
+                         for j, b in enumerate(finite)] + [(0.0, 1j)]
+                        for i, a in enumerate(finite)]
+                       + [[(0.0, 1.0)] * len(finite) + [(1j, 0.0)]], dtype=complex)
     labels = [f"phi/(z-a{i + 1})" for i in range(len(finite))] + ["phi"]
     return _SphereBasis(SphereDomain(ends=divisor), labels, laurent, finite).members()
 
@@ -688,11 +693,10 @@ def basis_F_torus_twisted(ctx: EllipticContext, divisor: EndDivisor):
             raise ValueError("nonzero ends must be off-lattice")
     divisor = EndDivisor((0.0,) + tuple(others))
     constants, shifted = _zeta_table(ctx, others, others)
-    laurent = [tuple((0.0j, 1.0 + 0.0j) for _ in divisor.points)]
-    for i, c in enumerate(constants):
-        laurent.append(((-1.0 + 0.0j, 0.0j),) + tuple(
-            (1.0 + 0.0j, 0.0j) if j == i else (0.0j, complex(shifted[i, j] - zeta_b + c))
-            for j, zeta_b in enumerate(constants)))
+    laurent = np.array([[(0.0, 1.0)] * divisor.n] + [
+        [(-1.0, 0.0)] + [(1.0, 0.0) if j == i else (0.0, shifted[i, j] - zeta_b + c)
+                         for j, zeta_b in enumerate(constants)]
+        for i, c in enumerate(constants)], dtype=complex)
     labels = ["phi0"] + [f"t{i + 1}" for i in range(len(others))]
     return _ZetaBasis(TwistedTorusDomain(ends=divisor, ctx=ctx), labels, laurent,
                       [None] + others, [0.0] + constants).members()
@@ -716,10 +720,10 @@ def basis_F_torus_untwisted(ctx: EllipticContext, r: int, divisor: EndDivisor):
     zeta_at, shifted = _zeta_table(ctx, [wr] + [wr - a for a in ends] + ends, ends)
     constants = [-z + zeta_at[0] for z in zeta_at[1:n + 1]]
     wp_r = dom.wp_r(np.array(ends, dtype=complex))
-    laurent = [tuple((1.0 / complex(wp_r[i]), 0.0j) if j == i
-                     else (0.0j, complex(shifted[i, j] - zeta_b + c))
-                     for j, zeta_b in enumerate(zeta_at[n + 1:]))
-               for i, c in enumerate(constants)]
+    laurent = np.array([[(1.0 / complex(wp_r[i]), 0.0) if j == i
+                         else (0.0, shifted[i, j] - zeta_b + c)
+                         for j, zeta_b in enumerate(zeta_at[n + 1:])]
+                        for i, c in enumerate(constants)], dtype=complex)
     labels = [f"t{i + 1}" for i in range(n)]
     return _ZetaBasis(dom, labels, laurent, ends, constants).members()
 
@@ -769,8 +773,8 @@ def basis_F_torus_untwisted_paired(ctx: EllipticContext, r: int, half_points):
             else (0.0j, (1.0 if j < m else -1.0) * dp_j / (p_j - p_i))
             for j, (p_j, dp_j) in enumerate(zip(pvals * 2, dpvals * 2))))
     labels = [f"that{i + 1}" for i in range(2 * m)]
-    return _PairedBasis(UntwistedTorusDomain(ends=divisor, ctx=ctx, r=r), labels, laurent,
-                        pvals).members()
+    return _PairedBasis(UntwistedTorusDomain(ends=divisor, ctx=ctx, r=r), labels,
+                        np.array(laurent, dtype=complex), pvals).members()
 
 
 def rational_sphere_basis(dom: SphereDomain, fractions, labels, laurent=True):
@@ -783,7 +787,8 @@ def rational_sphere_basis(dom: SphereDomain, fractions, labels, laurent=True):
     """
     fractions = [(np.atleast_1d(np.asarray(n, dtype=complex)),
                   np.atleast_1d(np.asarray(d, dtype=complex))) for n, d in fractions]
-    table = [_rational_laurent(dom, n, d) for n, d in fractions] if laurent else None
+    table = np.array([_rational_laurent(dom, n, d) for n, d in fractions],
+                     dtype=complex) if laurent else None
     return _RationalBasis(dom, labels, table, fractions).members()
 
 
@@ -828,17 +833,12 @@ def _rational_infinity_alpha(numer, denom):
 
 
 def omega_matrix(basis) -> OmegaForm:
-    """Fill Omega on the basis via omega_pair and antisymmetrize."""
-    n = len(basis)
-    m = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(i + 1, n):
-            m[i, j] = omega_pair(basis[i], basis[j])
-            m[j, i] = omega_pair(basis[j], basis[i])
-    skew = SkewMatrix.antisymmetrize(m)
-    scale = max(_alpha_scale(basis[i], basis[j])
-                for i in range(n) for j in range(n) if i != j) if n > 1 else 1.0
-    return OmegaForm(matrix=skew, basis=tuple(basis), alpha_scale=scale)
+    """Omega on sections of one basis, their tables contracted and
+    antisymmetrized; alpha_scale is the largest off-diagonal alpha scale."""
+    M, S = _omega_table(_shared_basis(basis).table([s.coefficients for s in basis]))
+    np.fill_diagonal(S, 0.0)
+    scale = max(float(S.max()), 1e-30) if len(basis) > 1 else 1.0
+    return OmegaForm(matrix=SkewMatrix.antisymmetrize(M), basis=tuple(basis), alpha_scale=scale)
 
 
 def extract_K(form: OmegaForm, tol: float = 1e-9):
@@ -864,19 +864,16 @@ def extract_K(form: OmegaForm, tol: float = 1e-9):
     if len(keep) != expected:
         raise SectionDataError(
             f"K dimension {len(keep)} does not match kernel {len(kernel)} minus h_dim {form.h_dim}")
-    out = []
-    for idx, v in enumerate(keep):
-        mags = np.abs(v)
-        first = int(np.argmax(mags > 1e-8 * mags.max()))
-        v = v / v[first]
-        sec = form.basis[0].basis.section(v, f"K{idx + 1}")
-        a0_max = max(abs(a0) for (_, a0) in sec.expansions)
-        am1_max = max(abs(am1) for (am1, _) in sec.expansions)
-        if a0_max > max(tol * 100, 1e-6) * max(am1_max, 1.0):
-            raise SectionDataError(
-                f"extracted kernel vector fails the K test (alpha0 max {a0_max:.2e})")
-        out.append(sec)
-    return out
+    basis = form.basis[0].basis
+    V = np.array([v / v[np.argmax(np.abs(v) > 1e-8 * np.abs(v).max())] for v in keep],
+                 dtype=complex).reshape(-1, len(basis.labels))
+    mags = np.abs(basis.table(V))
+    a0_max, am1_max = mags[..., 1].max(axis=1), mags[..., 0].max(axis=1)
+    failed = a0_max > max(tol * 100, 1e-6) * np.maximum(am1_max, 1.0)
+    if failed.any():
+        raise SectionDataError(
+            f"extracted kernel vector fails the K test (alpha0 max {a0_max[failed][0]:.2e})")
+    return [basis.section(v, f"K{idx + 1}") for idx, v in enumerate(V)]
 
 
 def evaluation_matrix(sections, probes):
@@ -889,13 +886,12 @@ def verify_laurent_consistency(section: SpinorSection, rtol: float = 1e-6):
 
     Circle-averages (u - p) f(u) over 8 points at radii 1e-3 and 1e-4 (in
     units of the local scale), Richardson-extrapolates in the radius, and
-    compares with the stored alpha_-1 mapped back to raw chart coefficients.
+    compares with the table's alpha_-1 mapped back to raw chart coefficients.
     """
     dom = section.domain
     circle = np.exp(2j * np.pi * np.arange(8) / 8.0)
     worst = 0.0
-    for k, p in enumerate(dom.ends.points):
-        am1, _ = section.expansions[k]
+    for p, (am1, _) in zip(dom.ends.points, section.expansions):
         if abs(am1) == 0.0:
             continue
         if is_infinity(p):

@@ -102,28 +102,28 @@ class TestBasisRows:
         # bitwise the scalar call's
         others = [0.4 + 0.33j, 1.1 + 0.7j, 0.5 + 1.4j]
         table = basis_F_torus_twisted(ctx, EndDivisor((0.0,) + tuple(others)))[0].basis.laurent
-        assert table[0] == tuple((0.0j, 1.0 + 0.0j) for _ in range(4))
+        assert np.array_equal(table[0], [(0.0j, 1.0 + 0.0j)] * 4)
         for i, a in enumerate(others):
-            assert table[i + 1] == ((-1.0 + 0.0j, 0.0j),) + tuple(
+            assert np.array_equal(table[i + 1], ((-1.0 + 0.0j, 0.0j),) + tuple(
                 (1.0 + 0.0j, 0.0j) if j == i
                 else (0.0j, complex(zeta(ctx, b - a) - zeta(ctx, b) + zeta(ctx, a)))
-                for j, b in enumerate(others))
+                for j, b in enumerate(others)))
         ends = [0.31 + 0.4j, 0.9 + 0.77j, 1.3 + 0.2j]
         for r in (1, 2, 3):
             wr = ctx.half_period(r)
             table = basis_F_torus_untwisted(ctx, r, EndDivisor(tuple(ends)))[0].basis.laurent
             for i, a in enumerate(ends):
                 c = -zeta(ctx, wr - a) + zeta(ctx, wr)
-                assert table[i] == tuple(
+                assert np.array_equal(table[i], tuple(
                     (1.0 / (wp(ctx, a) - ctx.e(r)), 0.0j) if j == i
                     else (0.0j, complex(zeta(ctx, b - a) - zeta(ctx, b) + c))
-                    for j, b in enumerate(ends))
+                    for j, b in enumerate(ends)))
 
     def test_members_have_unit_coefficients(self, ctx):
         basis = basis_F_torus_twisted(ctx, EndDivisor((0.0, 0.4 + 0.33j, 1.1 + 0.7j)))
         for j, s in enumerate(basis):
             assert s.coefficients == tuple(1.0 + 0j if i == j else 0j for i in range(3))
-            assert s.expansions == s.basis.laurent[j]
+            assert np.array_equal(s.expansions, s.basis.laurent[j])
 
     def test_shape_follows_u(self, ctx):
         s = basis_F_torus_twisted(ctx, EndDivisor((0.0, 0.4 + 0.33j)))[1]

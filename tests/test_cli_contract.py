@@ -61,6 +61,7 @@ PROBES = [
     ["torus4", "1e200", "1e200j"],
     ["torus4", "1", "30j"],
     ["rp2", "1e300", "1e300", "1e300"],
+    ["rp2", "1e100", "1e100", "1"],
 ]
 
 
@@ -102,18 +103,55 @@ class TestOptionSets:
         assert files == []
 
 
-@pytest.mark.parametrize("argv", [["rp2", "1e300", "1e300", "1e300"],
-                                  ["omega", "--domain", "twisted", "--ends=0,0;inf"]],
-                         ids=["rp2-overflow", "twisted-end-at-inf"])
-def test_stderr_holds_only_the_error_line(tmp_path, argv):
-    # in a fresh interpreter, where numpy's RuntimeWarnings would print
+def _subprocess(argv, d):
+    """The CLI on argv with --out d in a fresh interpreter, where numpy's
+    RuntimeWarnings would print."""
     src = str(Path(spinorminimal.__file__).resolve().parent.parent)
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    run = subprocess.run([sys.executable, "-m", "spinorminimal.cli", *argv, "--out", str(tmp_path)],
-                         env=env, capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, "-m", "spinorminimal.cli", *argv, "--out", str(d)],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("argv", [["rp2", "1e300", "1e300", "1e300"],
+                                  ["rp2", "1e100", "1e100", "1"],
+                                  ["sphere6", "1e300", "0", "0"],
+                                  ["omega", "--domain", "twisted", "--ends=0,0;inf"]],
+                         ids=["rp2-overflow", "rp2-infinite-value", "sphere6-root-overflow",
+                              "twisted-end-at-inf"])
+def test_stderr_holds_only_the_error_line(tmp_path, argv):
+    run = _subprocess(argv, tmp_path)
     assert run.returncode == 1
     assert len(run.stderr.splitlines()) == 1 and run.stderr.startswith("error: "), run.stderr
+
+
+TWISTED_SMALL = ["omega", "--domain", "twisted", "--ends", "0;4e-4+3.3e-4j;1.1e-3+0.7e-3j"]
+
+
+@pytest.mark.parametrize("argv, spelled", [
+    (["sphere6", "-1.5e-1", "1", "0"], ["sphere6", " -1.5e-1", "1", "0"]),
+    (["sphere6", "-0.5,1", "1", "0"], ["sphere6", " -0.5,1", "1", "0"]),
+    ([*TWISTED_SMALL, "--omega1", "-1e-3", "--omega3", "1e-3j"],
+     [*TWISTED_SMALL, "--omega1=-1e-3", "--omega3", "1e-3j"]),
+], ids=["exponent", "comma", "option-value"])
+def test_a_negative_number_is_a_value(tmp_path, argv, spelled):
+    # the spelled form (a leading space, or --flag=value) parsed at every version
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    code, err, files = _run(argv, tmp_path / "a")
+    assert (code, err) == (0, "") and files == _run(spelled, tmp_path / "b")[2]
+    for name in files:
+        assert (tmp_path / "a" / name).read_text() == (tmp_path / "b" / name).read_text()
+
+
+def test_a_negative_complex_half_period_gives_the_spelled_x_squares(tmp_path):
+    runs = []
+    for k, omega3 in enumerate(["-1+1j", " -1+1j"]):
+        (tmp_path / str(k)).mkdir()
+        run = _subprocess(["torus4", "1", omega3], tmp_path / str(k))
+        report = json.loads((tmp_path / str(k) / "torus4.json").read_text())
+        runs.append((run.returncode, run.stderr, report["x_squares"]))
+    assert runs[0] == runs[1]
 
 
 def test_a_nan_report_field_is_named():
@@ -129,7 +167,8 @@ def _mostly(valid, bad):
 
 
 BAD = st.sampled_from(["nan", "inf", "-inf", "1e300", "-1e300", "1e-300", "-1e-200", "1e400",
-                       "x", "", "1+", "(1+2j", "1,,2", "nan+1j", "1e300j", "oo", "0", "-1"])
+                       "x", "", "1+", "(1+2j", "1,,2", "nan+1j", "1e300j", "oo", "0", "-1",
+                       "-1.5e-1", "-1e-3", "-1+1j", "-0.5,1"])
 NUMBER = _mostly(st.floats(-3.0, 3.0).map(repr), BAD)
 COMPLEX = _mostly(st.builds("{!r},{!r}".format, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
                   NUMBER | st.builds("{},{}".format, NUMBER, NUMBER))

@@ -5,6 +5,8 @@ skew matrices (sums over perfect matchings with crossing signs); the
 production code never touches them.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -150,6 +152,14 @@ class TestPolyRoots:
             for r in poly_roots(p):
                 scale = sum(abs(c) * abs(r) ** k for k, c in enumerate(p.coeffs))
                 assert abs(p(r)) <= 1e-10 * scale
+
+    def test_an_overflowing_residual_is_not_convergence(self):
+        # z^2 (1 + 1e-300 z): at the root -1e300 both the residual and the
+        # scale overflow to inf, and inf <= inf must not pass
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonConvergenceError, match="residual inf"):
+                poly_roots(ComplexPolynomial((0.0, 0.0, 1.0, 1e-300)))
 
     def test_degree_zero_rejected(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spinorminimal.elliptic import build_context, wp, wp_prime
-from spinorminimal.numkit import pfaffian, skew_rank_kernel
+from spinorminimal.numkit import SkewMatrix, pfaffian, skew_rank_kernel
 from spinorminimal.spinor import (
     INF,
     EndDivisor,
@@ -18,11 +18,11 @@ from spinorminimal.spinor import (
     check_planar_end,
     evaluation_matrix,
     extract_K,
+    form_primitive,
     omega_matrix,
     omega_pair,
     omega_qres_oracle,
     rational_sphere_basis,
-    residue_pair,
     section_combination,
     sigma_map,
     spin_cover,
@@ -107,7 +107,7 @@ class TestSigmaAndCover:
             spin_cover(np.array([[1.0, 1.0], [1.0, 1.0]]))
 
 
-class TestResiduePair:
+class TestTableResidues:
     def test_values(self):
         div = EndDivisor((0.3, INF))
         dom = SphereDomain(ends=div)
@@ -115,9 +115,18 @@ class TestResiduePair:
         s, s1, s2 = rational_sphere_basis(
             dom, [([2.0 - 0.9, 3.0], [-0.3, 1.0]), ([1.0], [-0.3, 1.0]), ([1.0], [1.0])],
             ("x", "x1", "x2"))
-        assert residue_pair(s, s, 0.3) == pytest.approx(12.0)
-        assert residue_pair(s1, s2, 0.3) == pytest.approx(1.0)
-        assert residue_pair(s1, s1, 0.3) == 0.0
+        # res_k(s_i s_j) = alpha_-1(s_i) alpha_0(s_j) + alpha_0(s_i) alpha_-1(s_j)
+        T = s.basis.laurent
+        res = np.einsum("ik,jk->ijk", T[..., 0], T[..., 1])
+        res = res + res.transpose(1, 0, 2)
+        assert res[0, 0, 0] == pytest.approx(12.0)
+        assert res[1, 2, 0] == pytest.approx(1.0)
+        assert res[1, 1, 0] == 0.0
+        # form_primitive reads the same residues: s1^2 has none, s s and s1 s2 log ends
+        assert form_primitive([(s1, s1)]).end_residue_max == 0.0
+        for pair in ((s, s), (s1, s2)):
+            with pytest.raises(SectionDataError, match=r"at the end \(0\.3\+0j\): a log end"):
+                form_primitive([pair])
 
 
 class TestSphereBasis:
@@ -272,6 +281,23 @@ class TestUntwistedBasis:
             verify_laurent_consistency(s, 1e-6)
 
 
+def _pairwise_omega(basis):
+    """Raw Omega, residue sums over the ends and alpha scales of a basis,
+    by loops over pairs and ends on scalar Laurent data."""
+    tables = [[(complex(am1), complex(a0)) for am1, a0 in s.expansions] for s in basis]
+    n = len(basis)
+    raw = np.zeros((n, n), dtype=complex)
+    res_sum = np.zeros((n, n))
+    scale = np.zeros((n, n))
+    for i, ti in enumerate(tables):
+        for j, tj in enumerate(tables):
+            raw[i, j] = sum(a0 * bm1 for (_, a0), (bm1, _) in zip(ti, tj))
+            res_sum[i, j] = abs(sum(am1 * b0 + a0 * bm1 for (am1, a0), (bm1, b0) in zip(ti, tj)))
+            scale[i, j] = sum((abs(am1) + abs(a0)) * (abs(bm1) + abs(b0))
+                              for (am1, a0), (bm1, b0) in zip(ti, tj))
+    return raw, res_sum, scale
+
+
 @given(st.floats(-0.5, 0.5), st.floats(0.0, 1.0), st.floats(0.3, 3.0), st.floats(-np.pi, np.pi),
        st.integers(-2, 2), st.integers(-2, 2), st.integers(0, 2**16))
 @settings(max_examples=12, deadline=None)
@@ -294,6 +320,45 @@ def test_oracle_on_random_skewed_lattices(re_tau, thinness, size, angle, k1, k2,
             for j in range(i + 1, len(basis)):
                 exact = omega_pair(basis[i], basis[j])
                 assert abs(omega_qres_oracle(basis[i], basis[j]) - exact) < 1e-9 * max(1.0, abs(exact))
+
+
+@given(st.floats(-0.5, 0.5), st.floats(0.0, 1.0), st.floats(0.3, 3.0), st.floats(-np.pi, np.pi),
+       st.integers(-2, 2), st.integers(-2, 2), st.integers(0, 2**16))
+@settings(max_examples=12, deadline=None)
+def test_table_on_random_lattices(re_tau, thinness, size, angle, k1, k2, seed):
+    # the skewed lattices of the test above with Im(tau) up to 25, and every
+    # family.  The ends lie at the jittered cell fractions, scaled along b2
+    # to within |b1| of the b1 axis: farther along a thin cell the rows'
+    # differences are exponentially small next to their values, and neither
+    # the tables nor the oracle resolve them (the paired rows fail already
+    # at Im(tau) = 3.7 on the whole cell)
+    lo = np.sqrt(1.0 - re_tau**2)
+    b1 = size * np.exp(1j * angle)
+    im_tau = lo * (25.0 / lo) ** thinness
+    b2 = b1 * complex(re_tau, im_tau)
+    p1 = b1 + k1 * b2
+    ctx = build_context(p1 / 2, (b2 + k2 * p1) / 2)
+    rng = np.random.default_rng(seed)
+    fractions = np.array([(0.13, 0.21), (0.62, 0.37), (0.31, 0.78)]) + rng.uniform(-0.05, 0.05, (3, 2))
+    ends = tuple(complex(fx * b1 + fy * min(1.0, 1.0 / im_tau) * b2) for fx, fy in fractions)
+    bases = [basis_F_sphere(EndDivisor(ends + (INF,))),
+             basis_F_torus_twisted(ctx, EndDivisor((0.0,) + ends)),
+             basis_F_torus_untwisted_paired(ctx, int(rng.integers(1, 4)), ends[:2])]
+    bases += [basis_F_torus_untwisted(ctx, r, EndDivisor(ends)) for r in (1, 2, 3)]
+    for basis in bases:
+        n = len(basis)
+        form = omega_matrix(basis)
+        raw, res_sum, scale = _pairwise_omega(basis)
+        off = ~np.eye(n, dtype=bool)
+        # the table contraction is the pairwise sum to the bit
+        assert np.array_equal(form.matrix.entries, SkewMatrix.antisymmetrize(raw).entries)
+        assert all(omega_pair(basis[i], basis[j]) == raw[i, j] for i, j in zip(*np.nonzero(off)))
+        assert form.alpha_scale == pytest.approx(scale[off].max(), rel=1e-14)
+        assert np.all(res_sum[off] <= 1e-8 * scale[off])
+        assert np.all(np.abs(raw + raw.T)[off] <= 1e-8 * scale[off])
+        for i, j in zip(*np.triu_indices(n, 1)):
+            exact = form.matrix.entries[i, j]
+            assert abs(omega_qres_oracle(basis[i], basis[j]) - exact) < 1e-9 * max(1.0, abs(exact))
 
 
 class TestOmegaPairProperties:

@@ -362,10 +362,12 @@ def build_parser() -> argparse.ArgumentParser:
     prp.add_argument("c", nargs="*", type=_REAL, help="c1 c2 c3")
     prp.add_argument("--boundary-scan", type=_COUNT, default=0, help="grid scan of the variety")
 
+    thin = f"reduced Im(tau) <= {moduli.TORUS4_MAX_IM_TAU:g}"
     pt4 = command("torus4", cmd_torus4, "--grid --eps --mesh --out --json",
-                  "4-ended minimal torus")
+                  f"4-ended minimal torus, on lattices of {thin}")
     pt4.add_argument("omega1", type=_COMPLEX, help="half-period omega1 (complex)")
-    pt4.add_argument("omega3", type=_COMPLEX, help="half-period omega3 (complex)")
+    pt4.add_argument("omega3", type=_COMPLEX,
+                     help=f"half-period omega3 (complex); the lattice needs {thin}")
     pt4.add_argument("--choice", type=_PERMUTATION, default="123", help="permutation ijk")
 
     command("klein4", cmd_klein4, "--tol --grid --eps --mesh --out --json",

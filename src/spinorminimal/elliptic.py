@@ -17,8 +17,8 @@ at nome q,
 
 where eta = (zeta(u + b1) - zeta(u))/2 is the quasi-period of w.  One
 theta frame (theta1 and its first three derivatives at the reduced points)
-gives zeta, wp and wp' alike, so callers that need several of them at
-the same points take one frame from _theta_frame.
+gives zeta, wp and wp' alike, so callers that need several of them take
+one frame from _theta_frame, on all their points and shifts stacked.
 
 A frame costs one complex exponential per point.  With
 theta1 = 2 sum_n c_n sin(kz), k = 2n+1, c_n = (-1)^n q^((n+1/2)^2) (K terms),
@@ -31,6 +31,9 @@ sin(kz)/sin(z) = 1 + sum_{j<n} (E^(2j+2) + E^-(2j+2)) and E - 1 comes from
 expm1 near z = 0: it keeps its relative precision where it vanishes, and
 so do wp and zeta next to a lattice point.  The sums are einsum calls and
 never BLAS, so a point gives bitwise the same value alone or in any batch.
+A complex product whose right operand is a temporary is an np.multiply
+call: from 256 KiB up, numpy reuses such a temporary in place with the
+operands swapped, and the two orders of a complex product round differently.
 |E^k| and |E^-k| are the magnitudes that complex sin(kz) and cos(kz) form
 internally, so the overflow described below sets in where it did with them.
 
@@ -233,7 +236,7 @@ class _Theta:
             np.multiply(odd[j - 1], step, out=odd[j])
         even = odd[:-1] * odd[0]  # E^(k+1) and E^-(k+1)
         # E - 1/E = (E - 1)(E + 1)/E keeps its relative precision near z = 0
-        t0 = m * (m + 2.0) * odd[0, 1] * (
+        t0 = np.multiply(m, m + 2.0) * odd[0, 1] * (
             self.even_constant + np.einsum("ks...,ks->...", even, self.even_weights))
         t1, t2, t3 = np.einsum("ks...,jks->j...", odd, self.odd_weights)
         return t0, t1, t2, t3
@@ -300,9 +303,8 @@ def build_context(omega1, omega3) -> EllipticContext:
     # past the double-precision range the theta terms overflow; _validate
     # turns the NaN and inf that follow into DegenerateLatticeError
     with np.errstate(all="ignore"):
-        e1 = complex(wp(ctx, lat.omega1))
-        e2 = complex(wp(ctx, lat.omega1 + lat.omega3))
-        e3 = complex(wp(ctx, lat.omega3))
+        e1, e2, e3 = (complex(e) for e in wp(
+            ctx, np.array([lat.omega1, lat.omega1 + lat.omega3, lat.omega3])))
         ctx = replace(ctx, g3=4.0 * e1 * e2 * e3, e1=e1, e2=e2, e3=e3)
         _validate(ctx, wp_w)
     return ctx
@@ -320,8 +322,8 @@ def _validate(ctx: EllipticContext, wp_w_series: complex):
     rng = np.random.default_rng(7)
     pts = (rng.uniform(0.07, 0.43, 6) * 2 * ctx.omega1
            + rng.uniform(0.07, 0.43, 6) * 2 * ctx.omega3)
-    p = wp(ctx, pts)
-    dp = wp_prime(ctx, pts)
+    frame = _theta_frame(ctx, pts)
+    p, dp = frame.wp(), frame.wp_prime()
     resid = dp**2 - (4 * p**3 - g2 * p - ctx.g3)
     ode_scale = np.max(np.abs(dp) ** 2 + np.abs(4 * p**3) + abs(g2) * np.abs(p))
     for check, err, tol in (
@@ -349,7 +351,12 @@ class _Frame:
         if np.any(np.abs(self.red) < POLE_DISTANCE_TOL * max(1.0, abs(b2))):
             raise PoleEvaluationError("evaluation point within 1e-12 of a lattice point")
         self.w, self.c = b1 / 2, np.pi / b1
-        self.t0, self.t1, self.t2, self.t3 = ctx._theta.batch(np.pi * self.red / b1)
+        # the theta sums hold (terms, 2) values per point: 2^14 points at a
+        # time bound that memory on a stack of shifted meshes
+        z = (np.pi * self.red / b1).ravel()
+        parts = [ctx._theta.batch(z[i:i + 16384]) for i in range(0, max(z.size, 1), 16384)]
+        self.t0, self.t1, self.t2, self.t3 = (
+            np.concatenate(t).reshape(self.red.shape) for t in zip(*parts))
 
     def zeta(self):
         eta_a, eta_b = self.ctx._eta_reduced
@@ -358,12 +365,13 @@ class _Frame:
 
     def wp(self):
         t0, t1 = self.t0, self.t1
-        return -self.ctx._eta_reduced[0] / self.w - self.c**2 * (self.t2 * t0 - t1**2) / t0**2
+        return -self.ctx._eta_reduced[0] / self.w \
+            - np.multiply(self.c**2, self.t2 * t0 - t1**2) / t0**2
 
     def wp_prime(self):
         t0, t1, t2 = self.t0, self.t1, self.t2
         g = t1 / t0
-        return -(self.c**3) * (self.t3 / t0 - 3 * t2 * t1 / t0**2 + 2 * g**3)
+        return np.multiply(-(self.c**3), self.t3 / t0 - 3 * t2 * t1 / t0**2 + 2 * g**3)
 
     def result(self, arr):
         """arr as a Python complex for a scalar argument, else as is."""

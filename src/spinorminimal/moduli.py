@@ -68,6 +68,7 @@ __all__ = [
     "torus3_admissible_pair",
     "torus3_degeneracy",
     "torus4_construct",
+    "TORUS4_MAX_IM_TAU",
     "klein4_construct",
     "klein_W",
     "klein_det_w_closed",
@@ -488,6 +489,14 @@ def _principal_root(x2) -> complex:
     return complex(np.sqrt(x2))
 
 
+# The closed-form periods -8 (eta_k + w_k e_i) cancel as the lattice thins:
+# their mismatch with quadrature grows about as eps * exp(pi Im tau) in the
+# reduced tau.  At 7 the period checks hold (period1 1.8e-8 against its 1e-7
+# gate, period_diag_rel 7e-8); at 8 both fail, at 13 a period rounds to 0,
+# and from about 20 the quadrature stops converging.
+TORUS4_MAX_IM_TAU = 7.0
+
+
 def torus4_construct(ctx: EllipticContext, choice=(1, 2, 3)) -> TorusFourEnd:
     """Four-ended twisted torus at ends {0, w1, w2, w3}.
 
@@ -496,10 +505,17 @@ def torus4_construct(ctx: EllipticContext, choice=(1, 2, 3)) -> TorusFourEnd:
     cross-check, solves the period equations for (x_i^2, x_j^2), and
     evaluates the branch-point necessary condition
     (e_k - e_i) x_i^2 - (e_k - e_j) x_j^2 (nonzero for an immersion).
+    A lattice whose reduced Im tau exceeds TORUS4_MAX_IM_TAU raises
+    ConstructionError before any of it.
     """
     i, j, k = choice
     if sorted(choice) != [1, 2, 3]:
         raise ValueError("choice must be a permutation of (1, 2, 3)")
+    b1, b2 = ctx.lattice.reduced_periods
+    if (b2 / b1).imag > TORUS4_MAX_IM_TAU:
+        raise ConstructionError(
+            f"torus4 takes lattices of reduced Im(tau) <= {TORUS4_MAX_IM_TAU:g}; this one has "
+            f"{(b2 / b1).imag:.6g}, too thin for its closed-form periods")
     divisor = EndDivisor((0.0, ctx.omega1, ctx.omega2, ctx.omega3))
     tw = basis_F_torus_twisted(ctx, divisor)
     form = omega_matrix(tw)

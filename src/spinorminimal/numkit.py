@@ -12,6 +12,7 @@ m integrals from one set of path points, stopping when every entry is.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -237,14 +238,28 @@ _GL_ORDER = 16
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_ORDER)
 
 
-def _gl_panels(f: Callable, param, dparam, panels: int):
+@lru_cache(maxsize=None)
+def _gl_rule(panels: int):
+    """Composite Gauss-Legendre nodes t and weights w on [0, 1] for a panel
+    count, as read-only arrays."""
     t0 = np.linspace(0.0, 1.0, panels + 1)
     mid = (t0[:-1, None] + t0[1:, None]) / 2.0
     half = (t0[1:, None] - t0[:-1, None]) / 2.0
     t = (mid + half * _GL_NODES[None, :]).ravel()
     w = (half * _GL_WEIGHTS[None, :]).ravel()
+    t.flags.writeable = w.flags.writeable = False
+    return t, w
+
+
+def _gl_panels(f: Callable, param, dparam, *panel_counts):
+    """(sum, L1 sum) of the contributions for each panel count, from one call
+    of f on the nodes of all counts together.  f acts pointwise, so each
+    count's sums are those of a call on its own nodes alone."""
+    t, w = (np.concatenate(x) for x in zip(*map(_gl_rule, panel_counts)))
     contributions = np.asarray(f(param(t)), dtype=complex) * dparam(t) * w
-    return np.sum(contributions, axis=-1), np.sum(np.abs(contributions), axis=-1)
+    ends = np.cumsum([_GL_ORDER * n for n in panel_counts])
+    return [(np.sum(c, axis=-1), np.sum(np.abs(c), axis=-1))
+            for c in np.split(contributions, ends[:-1], axis=-1)]
 
 
 def contour_integral(f: Callable, path: QuadraturePath,
@@ -255,7 +270,8 @@ def contour_integral(f: Callable, path: QuadraturePath,
     one value that broadcasts to them), or an (m, points) array for m
     integrands at once.  Each entry must pass the stopping rule with its
     own L1 floor; the result is a complex for a scalar integrand and an
-    (m,) array for a vector one.
+    (m,) array for a vector one.  The first level and its doubling take
+    one call of f on both levels' points; each later doubling takes one.
     """
     if path.kind == "segment":
         z0, z1 = path.start, path.end
@@ -269,13 +285,14 @@ def contour_integral(f: Callable, path: QuadraturePath,
         dparam = lambda t: 2j * np.pi * sgn * r * np.exp(2j * np.pi * sgn * t)
 
     panels = max(1, int(np.ceil(path.samples / _GL_ORDER)))
-    prev, _ = _gl_panels(f, param, dparam, panels)
-    while panels <= max_panels:
-        panels *= 2
-        cur, l1 = _gl_panels(f, param, dparam, panels)
+    levels = _gl_panels(f, param, dparam, panels, 2 * panels) if panels <= max_panels else []
+    while levels:
+        (prev, _), (cur, l1) = levels
         # the L1 term is a rounding-noise floor for integrals that vanish
         if np.all(np.abs(cur - prev) <= rel_tol * np.abs(cur) + 500 * np.finfo(float).eps * l1):
             return complex(cur) if cur.ndim == 0 else cur
-        prev = cur
+        panels *= 2
+        levels = [(cur, l1)] + _gl_panels(f, param, dparam, 2 * panels) \
+            if panels <= max_panels else []
     raise NonConvergenceError(
         f"contour integral did not stabilize to {rel_tol:.1e} within {max_panels} panels")

@@ -6,8 +6,8 @@ on the sphere; one zeta-difference form zeta(u - a_i) - zeta(u) + c_i
 (with an optional constant row) on the twisted and untwisted tori;
 wp_r/(wp_r - p_i) and wp'/(wp_r - p_i) for paired untwisted ends; and
 N/D rows for rational sphere sections.  A kernel evaluates only the rows
-some coefficient uses, one theta frame per distinct shift, and adds each
-row into every section it evaluates.  A linear combination is a
+some coefficient uses, from one theta frame on all their shifts, and adds
+each row into every section it evaluates.  A linear combination is a
 coefficient sum.  The Laurent data of a basis is one (rows, ends, 2)
 table T of (alpha_-1, alpha_0); a section's table is its coefficients
 contracted with T.  Omega, its residue-sum check, the K test and the
@@ -291,30 +291,27 @@ class _SphereBasis(Basis):
 class _ZetaBasis(Basis):
     """(zeta(u - a_i) - zeta(u) + c_i) phi_dom, after an optional constant row.
 
-    zeta(u) is one frame shared by all rows; each shift a_i gives zeta and
-    wp from one frame.  A shift of None marks the constant row.
+    One theta frame on u and u - a_i for every active shift gives zeta, and
+    wp when the derivative is asked, for all rows.  A shift of None marks
+    the constant row, row 0.
     """
 
     shifts: list
     constants: list
 
     def _rows(self, active, u, derivative):
-        ctx = self.domain.ctx
-        zeta_u = None
-        for j in active:
-            if self.shifts[j] is None:
-                yield j, 1.0, 0.0
-                continue
-            if zeta_u is None:
-                zeta_u, wp_u = _zeta_wp(ctx, u, derivative)
-            zeta_s, wp_s = _zeta_wp(ctx, u - self.shifts[j], derivative)
-            yield j, zeta_s - zeta_u + self.constants[j], (wp_u - wp_s if derivative else None)
-
-
-def _zeta_wp(ctx, u, derivative):
-    """zeta(u) and, when asked, wp(u), from one theta frame."""
-    frame = elliptic._theta_frame(ctx, u)
-    return frame.zeta(), (frame.wp() if derivative else None)
+        shifted = [j for j in active if self.shifts[j] is not None]
+        if len(shifted) < len(active):
+            yield 0, 1.0, 0.0
+        if not shifted:
+            return
+        frame = elliptic._theta_frame(self.domain.ctx, np.concatenate(
+            [u] + [u - self.shifts[j] for j in shifted]))
+        zeta_s = frame.zeta().reshape(-1, u.size)
+        wp_s = frame.wp().reshape(-1, u.size) if derivative else None
+        for i, j in enumerate(shifted, 1):
+            yield j, zeta_s[i] - zeta_s[0] + self.constants[j], \
+                (wp_s[0] - wp_s[i] if derivative else None)
 
 
 @dataclass(eq=False)
@@ -463,18 +460,16 @@ class FormPrimitive:
 
     def evaluate(self, u):
         """(Phi, form, size) at u, each of shape (pairs,) + u.shape, from one
-        theta frame per end on a torus; size = |P| + sum_k |c_k W(u - a_k)|
-        sets the scale of the form's rounding error."""
+        theta frame on u - a_k for all ends on a torus; size = |P| +
+        sum_k |c_k W(u - a_k)| sets the scale of the form's rounding error."""
         u = np.asarray(u, dtype=complex)
-        Z = np.zeros((len(self.ends),) + u.shape, dtype=complex)
-        W = np.zeros_like(Z)
-        for k, a in enumerate(self.ends):
-            if self.domain.genus == 1:
-                frame = elliptic._theta_frame(self.domain.ctx, u - a)
-                Z[k], W[k] = frame.result(frame.zeta()), frame.result(frame.wp())
-            else:
-                Z[k] = 1.0 / (u - a)
-                W[k] = Z[k] * Z[k]
+        d = u - np.array(self.ends, dtype=complex).reshape((-1,) + (1,) * u.ndim)
+        if self.domain.genus == 1:
+            frame = elliptic._theta_frame(self.domain.ctx, d.ravel())
+            Z, W = frame.zeta().reshape(d.shape), frame.wp().reshape(d.shape)
+        else:
+            Z = 1.0 / d
+            W = Z * Z
         poly = P.polyval(u, self.poly)
         return (P.polyval(u, P.polyint(self.poly)) - np.tensordot(self.c, Z, 1),
                 poly + np.tensordot(self.c, W, 1),

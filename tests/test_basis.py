@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from numpy.polynomial import polynomial as P
 
 from spinorminimal import elliptic
 from spinorminimal.elliptic import build_context, wp, wp_prime, zeta
@@ -15,9 +17,13 @@ from spinorminimal.spinor import (
     basis_F_torus_twisted,
     basis_F_torus_untwisted,
     basis_F_torus_untwisted_paired,
+    extract_K,
+    form_primitive,
+    omega_matrix,
     omega_qres_oracle,
     rational_sphere_basis,
     section_combination,
+    section_values,
 )
 from spinorminimal.surface import WeierstrassData
 
@@ -195,26 +201,30 @@ class TestQresRadius:
 
 
 class TestFrameCounts:
-    """One WeierstrassData.omega call takes one theta frame per distinct shift."""
+    """One WeierstrassData.omega call, and one FormPrimitive.evaluate call,
+    takes one theta frame for all shifts."""
 
     @staticmethod
-    def _frames(monkeypatch, data, u):
+    def _frames(monkeypatch, fn, u):
         calls = []
         frame = elliptic._theta_frame
         monkeypatch.setattr(elliptic, "_theta_frame",
                             lambda *a, **k: calls.append(1) or frame(*a, **k))
-        data.omega(u)
+        fn(u)
         return len(calls)
 
     def test_torus4(self, monkeypatch):
         t4 = torus4_construct(build_context(1.0, 1.0j))
         u = _points(t4.ctx, 40)
-        # zeta(u) plus one frame per end at a half period
-        assert self._frames(monkeypatch, WeierstrassData(s1=t4.s1, s2=t4.s2), u) == 4
+        # zeta(u) and the three ends at half periods share one frame
+        assert self._frames(monkeypatch, WeierstrassData(s1=t4.s1, s2=t4.s2).omega, u) == 1
+        # so do the primitive's four ends
+        prim = form_primitive(((t4.s1, t4.s1), (t4.s2, t4.s2), (t4.s1, t4.s2)))
+        assert self._frames(monkeypatch, prim.evaluate, u) == 1
 
     def test_klein4(self, monkeypatch, klein):
         u = _points(klein.ctx, 40)
-        assert self._frames(monkeypatch, WeierstrassData(s1=klein.s1, s2=klein.s2), u) <= 2
+        assert self._frames(monkeypatch, WeierstrassData(s1=klein.s1, s2=klein.s2).omega, u) <= 2
 
     def test_zeta_bases_build_from_one_zeta_frame(self, monkeypatch, ctx):
         calls = []
@@ -226,3 +236,75 @@ class TestFrameCounts:
         # the zeta table and the pole data 1/wp_r(a_i)
         basis_F_torus_untwisted(ctx, 2, EndDivisor((0.31 + 0.4j, 0.9 + 0.77j, 1.3 + 0.2j)))
         assert len(calls) == 3
+
+
+def _per_shift_values(basis, C, u):
+    """Values and derivatives of the sections with coefficient rows C on a
+    zeta basis, from one theta frame per shift, each row added in turn."""
+    ctx = basis.domain.ctx
+    u = np.reshape(u, -1)
+    at_u = elliptic._theta_frame(ctx, u)
+    out = np.zeros((2, len(C), u.size), dtype=complex)
+    for j, (a, c) in enumerate(zip(basis.shifts, basis.constants)):
+        if not C[:, j].any():
+            continue
+        if a is None:
+            f, df = 1.0, 0.0
+        else:
+            at_s = elliptic._theta_frame(ctx, u - a)
+            f, df = at_s.zeta() - at_u.zeta() + c, at_u.wp() - at_s.wp()
+        for k in np.flatnonzero(C[:, j]):
+            out[0, k] += C[k, j] * f
+            out[1, k] += C[k, j] * df
+    return out
+
+
+def _per_end_primitive(prim, u):
+    """FormPrimitive.evaluate on a torus from one theta frame per end."""
+    u = np.asarray(u, dtype=complex)
+    Z = np.zeros((len(prim.ends),) + u.shape, dtype=complex)
+    W = np.zeros_like(Z)
+    for k, a in enumerate(prim.ends):
+        frame = elliptic._theta_frame(prim.domain.ctx, u - a)
+        Z[k], W[k] = frame.result(frame.zeta()), frame.result(frame.wp())
+    poly = P.polyval(u, prim.poly)
+    return (P.polyval(u, P.polyint(prim.poly)) - np.tensordot(prim.c, Z, 1),
+            poly + np.tensordot(prim.c, W, 1),
+            np.abs(poly) + np.tensordot(np.abs(prim.c), np.abs(W), 1))
+
+
+@given(st.floats(-0.5, 0.5), st.floats(0.0, 1.0), st.floats(0.3, 3.0), st.floats(-np.pi, np.pi),
+       st.integers(-2, 2), st.integers(-2, 2), st.integers(0, 2**16))
+@settings(max_examples=12, deadline=None)
+def test_one_frame_equals_a_frame_per_shift(re_tau, thinness, size, angle, k1, k2, seed):
+    # the skewed lattices of test_spinor's oracle test, reduced Im(tau) up to
+    # 4: every value from the stacked frame is bitwise the per-shift one
+    lo = np.sqrt(1.0 - re_tau**2)
+    b1 = size * np.exp(1j * angle)
+    b2 = b1 * complex(re_tau, lo * (4.0 / lo) ** thinness)
+    p1 = b1 + k1 * b2
+    ctx = build_context(p1 / 2, (b2 + k2 * p1) / 2)
+    rng = np.random.default_rng(seed)
+    fractions = np.array([(0.13, 0.21), (0.62, 0.37), (0.31, 0.78)]) + rng.uniform(-0.05, 0.05, (3, 2))
+    ends = tuple(complex(fx * b1 + fy * b2) for fx, fy in fractions)
+    u = rng.uniform(-1, 1, 30) * b1 + rng.uniform(-1, 1, 30) * b2
+    bases = [basis_F_torus_twisted(ctx, EndDivisor((0.0,) + ends))]
+    bases += [basis_F_torus_untwisted(ctx, r, EndDivisor(ends)) for r in (1, 2, 3)]
+    for members in bases:
+        basis = members[0].basis
+        # the members, and a combination that leaves a row out
+        combo = rng.standard_normal(len(members)) + 1j * rng.standard_normal(len(members))
+        combo[rng.integers(len(members))] = 0.0
+        sections = list(members) + [basis.section(combo, "combo")]
+        C = np.array([s.coefficients for s in sections])
+        for at in (u, u[0]):
+            want = _per_shift_values(basis, C, at).reshape((2, len(C)) + np.shape(at))
+            assert np.array_equal(section_values(sections, at), want[0])
+            got = section_values(sections, at, derivative=True)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    K = extract_K(omega_matrix(basis_F_torus_twisted(
+        ctx, EndDivisor((0.0, ctx.omega1, ctx.omega2, ctx.omega3)))))
+    prim = form_primitive([(K[0], K[0]), (K[1], K[2]), (K[0], K[2])])
+    for at in (u, u[0]):
+        for got, want in zip(prim.evaluate(at), _per_end_primitive(prim, at)):
+            assert np.array_equal(got, want)

@@ -116,13 +116,24 @@ def _subprocess(argv, d):
 @pytest.mark.parametrize("argv", [["rp2", "1e300", "1e300", "1e300"],
                                   ["rp2", "1e100", "1e100", "1"],
                                   ["sphere6", "1e300", "0", "0"],
-                                  ["omega", "--domain", "twisted", "--ends=0,0;inf"]],
+                                  ["omega", "--domain", "twisted", "--ends=0,0;inf"],
+                                  ["torus4", "1", "13j"],
+                                  ["torus4", "1", "30j"]],
                          ids=["rp2-overflow", "rp2-infinite-value", "sphere6-root-overflow",
-                              "twisted-end-at-inf"])
+                              "twisted-end-at-inf", "torus4-period-rounds-to-0",
+                              "torus4-quadrature-diverges"])
 def test_stderr_holds_only_the_error_line(tmp_path, argv):
     run = _subprocess(argv, tmp_path)
     assert run.returncode == 1
     assert len(run.stderr.splitlines()) == 1 and run.stderr.startswith("error: "), run.stderr
+
+
+def test_a_lattice_at_the_torus4_limit_keeps_its_exit_code(tmp_path):
+    # reduced Im(tau) = 7, the largest torus4 takes: the construction runs
+    # and its branch condition fails the gate, as before the limit was stated
+    run = _subprocess(["torus4", "1", "7j"], tmp_path)
+    assert run.returncode == 2 and run.stderr == ""
+    assert json.loads((tmp_path / "torus4.json").read_text())["residuals"]["period1"] < 1e-7
 
 
 TWISTED_SMALL = ["omega", "--domain", "twisted", "--ends", "0;4e-4+3.3e-4j;1.1e-3+0.7e-3j"]

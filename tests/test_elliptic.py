@@ -441,10 +441,13 @@ class TestThetaKernel:
                 assert abs(value - want) <= 1e-13 * abs(want)
 
     def test_a_point_alone_equals_its_batch_entry(self, ctx):
-        s = np.linspace(-1.3, 1.3, 33)
-        u = (s[:, None] + 0.013) * 2 * ctx.omega1 + (s[None, :] + 0.029) * 2 * ctx.omega3
-        batch = [f(ctx, u) for f in (wp, wp_prime, zeta)]
-        rng = np.random.default_rng(4)
-        for i, j in zip(rng.integers(0, 33, 64), rng.integers(0, 33, 64)):
-            for f, values in zip((wp, wp_prime, zeta), batch):
-                assert f(ctx, u[i, j]) == values[i, j]
+        # 131^2 points pass the 256 KiB from which numpy computes a product
+        # with a temporary in place
+        for n in (33, 131):
+            s = np.linspace(-1.3, 1.3, n)
+            u = (s[:, None] + 0.013) * 2 * ctx.omega1 + (s[None, :] + 0.029) * 2 * ctx.omega3
+            batch = [f(ctx, u) for f in (wp, wp_prime, zeta)]
+            rng = np.random.default_rng(4)
+            for i, j in zip(rng.integers(0, n, 64), rng.integers(0, n, 64)):
+                for f, values in zip((wp, wp_prime, zeta), batch):
+                    assert f(ctx, u[i, j]) == values[i, j]

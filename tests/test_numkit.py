@@ -5,6 +5,7 @@ skew matrices (sums over perfect matchings with crossing signs); the
 production code never touches them.
 """
 
+import math
 import warnings
 
 import numpy as np
@@ -166,6 +167,42 @@ class TestPolyRoots:
             poly_roots(ComplexPolynomial((3.0,)))
 
 
+_GL = 16
+
+
+def _per_level_integral(f, path, rel_tol):
+    """contour_integral's rule with one call of f per level of panels:
+    (the integral, the number of nodes of each call)."""
+    if path.kind == "segment":
+        z0, z1 = (path.start, path.end)[::path.orientation]
+        param = lambda t: z0 + (z1 - z0) * t
+        dparam = lambda t: (z1 - z0) * np.ones_like(t)
+    else:
+        c, r, sgn = path.center, path.radius, path.orientation
+        param = lambda t: c + r * np.exp(2j * np.pi * sgn * t)
+        dparam = lambda t: 2j * np.pi * sgn * r * np.exp(2j * np.pi * sgn * t)
+    x, wx = np.polynomial.legendre.leggauss(_GL)
+    sizes = []
+
+    def level(panels):
+        t0 = np.linspace(0.0, 1.0, panels + 1)
+        mid = (t0[:-1, None] + t0[1:, None]) / 2.0
+        half = (t0[1:, None] - t0[:-1, None]) / 2.0
+        t = (mid + half * x[None, :]).ravel()
+        sizes.append(t.size)
+        terms = np.asarray(f(param(t)), dtype=complex) * dparam(t) * (half * wx[None, :]).ravel()
+        return np.sum(terms, axis=-1), np.sum(np.abs(terms), axis=-1)
+
+    panels = math.ceil(path.samples / _GL)
+    prev, _ = level(panels)
+    while True:
+        panels *= 2
+        cur, l1 = level(panels)
+        if np.all(np.abs(cur - prev) <= rel_tol * np.abs(cur) + 500 * np.finfo(float).eps * l1):
+            return (complex(cur) if cur.ndim == 0 else cur), sizes
+        prev = cur
+
+
 class TestContourIntegral:
     def test_residue_theorem(self):
         path = QuadraturePath.circle(0.0, 1.0)
@@ -200,6 +237,34 @@ class TestContourIntegral:
         with pytest.raises(NonConvergenceError):
             contour_integral(lambda z: np.sqrt(np.abs(z)), path,
                              rel_tol=1e-14, max_panels=64)
+
+    @given(st.integers(0, 3), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_first_doubling_takes_one_call(self, rows, data):
+        # the first level and its doubling come from one call of f on both
+        # levels' nodes, each later level from one call, and the result is
+        # bitwise that of one call per level; rows = 0 is a scalar integrand
+        cx = st.complex_numbers(max_magnitude=3, allow_nan=False, allow_infinity=False)
+        samples = data.draw(st.integers(8, 112))
+        if data.draw(st.booleans()):
+            path = QuadraturePath.circle(data.draw(cx), data.draw(st.floats(0.1, 2.0)),
+                                         data.draw(st.sampled_from([1, -1])), samples)
+        else:
+            path = QuadraturePath.segment(data.draw(cx), data.draw(cx), samples)
+        terms = [(data.draw(cx), data.draw(cx), data.draw(cx), data.draw(st.integers(0, 6)))
+                 for _ in range(max(rows, 1))]
+        rel_tol = data.draw(st.sampled_from([1e-8, 1e-10, 1e-12]))
+
+        def f(z):
+            values = np.array([c * np.exp(a * z) + d * z**p for a, c, d, p in terms])
+            return values if rows else values[0]
+        calls = []
+        got = contour_integral(lambda z: calls.append(z.size) or f(z), path, rel_tol=rel_tol)
+        want, sizes = _per_level_integral(f, path, rel_tol)
+        assert np.array_equal(got, want) and type(got) is (np.ndarray if rows else complex)
+        base = _GL * math.ceil(samples / _GL)
+        assert sizes[:2] == [base, 2 * base]
+        assert calls == [3 * base] + sizes[2:]
 
     def test_path_validation(self):
         with pytest.raises(ValueError):

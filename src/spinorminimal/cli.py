@@ -200,7 +200,10 @@ def cmd_torus4(args) -> int:
     payload = t4.report()
     rc = _mesh_if_requested(args, t4, payload, GridSpec(args.grid, args.grid))
     _emit(args, payload, "torus4")
-    ok = t4.residuals["period1"] < 1e-7 and abs(t4.branch_condition) > 1e-3
+    # the branch condition scales as lambda^-2 with the lattice: gated times
+    # |omega1|^2, as on the same lattice scaled to |omega1| = 1
+    branch = abs(t4.branch_condition) * abs(t4.ctx.omega1) ** 2
+    ok = t4.residuals["period1"] < 1e-7 and branch > 1e-3
     return rc or (0 if ok else VERIFICATION_ERROR)
 
 

@@ -6,7 +6,8 @@ the term expansions for small sizes live only in the test suite, as
 oracles.  Polynomial roots come from the companion matrix with one Newton
 polish per root.  Contour integrals use composite Gauss-Legendre panels
 with panel doubling until the result is stable; a vector integrand gives
-m integrals from one set of path points, stopping when every entry is.
+m integrals from one set of path points, stopping when every entry is,
+and a stack of m circles gives m integrals that each stop on their own.
 """
 
 from __future__ import annotations
@@ -97,7 +98,9 @@ class ComplexPolynomial:
 
 @dataclass(frozen=True)
 class QuadraturePath:
-    """A straight segment or a circle, with orientation and a sample hint."""
+    """A straight segment or a circle, with orientation and a sample hint.
+    A circle with array centre and radius is a stack of m circles, held as
+    (m, 1) arrays."""
 
     kind: str  # "segment" | "circle"
     start: complex = 0.0
@@ -112,7 +115,7 @@ class QuadraturePath:
             raise ValueError(f"unknown path kind {self.kind!r}")
         if self.samples < 8:
             raise ValueError("samples must be >= 8")
-        if self.kind == "circle" and not self.radius > 0:
+        if self.kind == "circle" and not np.all(np.asarray(self.radius) > 0):
             raise ValueError("circle radius must be positive")
         if self.orientation not in (1, -1):
             raise ValueError("orientation must be +1 or -1")
@@ -123,7 +126,11 @@ class QuadraturePath:
 
     @classmethod
     def circle(cls, center, radius, orientation: int = 1, samples: int = 32) -> "QuadraturePath":
-        return cls(kind="circle", center=complex(center), radius=float(radius),
+        if np.ndim(center):
+            center, radius = np.asarray(center, complex)[:, None], np.asarray(radius, float)[:, None]
+        else:
+            center, radius = complex(center), float(radius)
+        return cls(kind="circle", center=center, radius=radius,
                    orientation=orientation, samples=samples)
 
 
@@ -269,9 +276,13 @@ def contour_integral(f: Callable, path: QuadraturePath,
     f is called on an array of path points and returns their values (or
     one value that broadcasts to them), or an (m, points) array for m
     integrands at once.  Each entry must pass the stopping rule with its
-    own L1 floor; the result is a complex for a scalar integrand and an
-    (m,) array for a vector one.  The first level and its doubling take
-    one call of f on both levels' points; each later doubling takes one.
+    own L1 floor, all at the same level; the result is a complex for a
+    scalar integrand and an (m,) array for a vector one.  On a stack of m
+    circles f gets an (m, points) array, row k on circle k, and each row is
+    its own integral: it keeps the value of the first level at which it
+    passes, bitwise that of a call on its circle alone.  The first level
+    and its doubling take one call of f on both levels' points; each later
+    doubling takes one.
     """
     if path.kind == "segment":
         z0, z1 = path.start, path.end
@@ -286,11 +297,18 @@ def contour_integral(f: Callable, path: QuadraturePath,
 
     panels = max(1, int(np.ceil(path.samples / _GL_ORDER)))
     levels = _gl_panels(f, param, dparam, panels, 2 * panels) if panels <= max_panels else []
+    stack = np.ndim(path.center) > 0
+    result, done = 0.0, False
     while levels:
         (prev, _), (cur, l1) = levels
         # the L1 term is a rounding-noise floor for integrals that vanish
-        if np.all(np.abs(cur - prev) <= rel_tol * np.abs(cur) + 500 * np.finfo(float).eps * l1):
-            return complex(cur) if cur.ndim == 0 else cur
+        passed = np.abs(cur - prev) <= rel_tol * np.abs(cur) + 500 * np.finfo(float).eps * l1
+        if stack:  # each circle keeps the value of the first level it passes at
+            result, done = np.where(done, result, cur), done | passed
+        else:
+            result, done = cur, passed
+        if np.all(done):
+            return complex(result) if result.ndim == 0 else result
         panels *= 2
         levels = [(cur, l1)] + _gl_panels(f, param, dparam, 2 * panels) \
             if panels <= max_panels else []

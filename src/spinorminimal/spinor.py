@@ -45,6 +45,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -165,6 +166,11 @@ class _DomainBase:
         ds = self.distance(p, np.array(self.singular_points(), dtype=complex))
         ds = ds[ds > 1e-12]
         return 0.25 * float(np.min(ds)) if ds.size else 0.5
+
+    @cached_property
+    def qres_radii(self) -> np.ndarray:
+        """qres_radius of each end, in the order of the ends, once per domain."""
+        return np.array([self.qres_radius(p) for p in self.ends.points])
 
 
 @dataclass(frozen=True)
@@ -600,29 +606,34 @@ def omega_qres_oracle(s: SpinorSection, t: SpinorSection, rel_tol: float = 1e-9)
 
     Independent of the Laurent tables: uses only the evaluators.  In the
     domain chart the Hopf integrand is mu(u) (f g' - g f')(u), and
-    qres_p = (1/2 pi i) * integral of (u - p) times that around p.
+    qres_p = (1/2 pi i) * integral of (u - p) times that around p, on a
+    circle of radius qres_radius(p).  One quadrature on the stack of all
+    the ends' circles gives every qres_p, each row its own integral, from
+    one section_values pass per integrand call; the end at infinity is its
+    row in the chart w = 1/z.  Swapping s and t negates every product, so
+    the oracle is skew to the bit.
     """
     _shared_basis((s, t))
     dom = s.domain
-    total = 0.0 + 0.0j
-    for p in dom.ends.points:
-        rad = dom.qres_radius(p)
-        if is_infinity(p):
+    ends = np.array(dom.ends.points, dtype=complex)
+    at_inf = np.isinf(ends)
+    path = QuadraturePath.circle(np.where(at_inf, 0.0, ends), dom.qres_radii, samples=64)
+
+    def integrand(u):
+        z = u.copy()
+        z[at_inf] = 1.0 / u[at_inf]
+        (f, g), (df, dg) = section_values((s, t), z, derivative=True)
+        hopf = (u - path.center) * dom.form_weight(z) * (f * dg - g * df)
+        if at_inf.any():
             # w = 1/z chart with phi = (i/w) phi_w:  F(w) = i f(1/w) / w
-            def integrand(w):
-                (fs, ft), (dfs, dft) = section_values((s, t), 1.0 / w, derivative=True)
-                F = 1j * fs / w
-                G = 1j * ft / w
-                dF = -1j * (dfs / w**3 + fs / w**2)
-                dG = -1j * (dft / w**3 + ft / w**2)
-                return w * (F * dG - G * dF)
-            path = QuadraturePath.circle(0.0, rad, samples=64)
-        else:
-            def integrand(u):
-                (f, g), (df, dg) = section_values((s, t), u, derivative=True)
-                return (u - p) * dom.form_weight(u) * (f * dg - g * df)
-            path = QuadraturePath.circle(p, rad, samples=64)
-        total += contour_integral(integrand, path, rel_tol=rel_tol) / (2j * np.pi)
+            w, f, g, df, dg = (x[at_inf] for x in (u, f, g, df, dg))
+            F, G = 1j * f / w, 1j * g / w
+            dF, dG = -1j * (df / w**3 + f / w**2), -1j * (dg / w**3 + g / w**2)
+            hopf[at_inf] = w * (F * dG - G * dF)
+        return hopf
+    total = 0.0 + 0.0j
+    for qres in contour_integral(integrand, path, rel_tol=rel_tol):
+        total += complex(qres) / (2j * np.pi)
     return -0.5 * total
 
 

@@ -205,32 +205,26 @@ class TestFrameCounts:
     takes one theta frame for all shifts."""
 
     @staticmethod
-    def _frames(monkeypatch, fn, u):
-        calls = []
-        frame = elliptic._theta_frame
-        monkeypatch.setattr(elliptic, "_theta_frame",
-                            lambda *a, **k: calls.append(1) or frame(*a, **k))
+    def _frames(count_calls, fn, u):
+        calls = count_calls(elliptic, "_theta_frame")
         fn(u)
         return len(calls)
 
-    def test_torus4(self, monkeypatch):
+    def test_torus4(self, count_calls):
         t4 = torus4_construct(build_context(1.0, 1.0j))
         u = _points(t4.ctx, 40)
         # zeta(u) and the three ends at half periods share one frame
-        assert self._frames(monkeypatch, WeierstrassData(s1=t4.s1, s2=t4.s2).omega, u) == 1
+        assert self._frames(count_calls, WeierstrassData(s1=t4.s1, s2=t4.s2).omega, u) == 1
         # so do the primitive's four ends
         prim = form_primitive(((t4.s1, t4.s1), (t4.s2, t4.s2), (t4.s1, t4.s2)))
-        assert self._frames(monkeypatch, prim.evaluate, u) == 1
+        assert self._frames(count_calls, prim.evaluate, u) == 1
 
-    def test_klein4(self, monkeypatch, klein):
+    def test_klein4(self, count_calls, klein):
         u = _points(klein.ctx, 40)
-        assert self._frames(monkeypatch, WeierstrassData(s1=klein.s1, s2=klein.s2).omega, u) <= 2
+        assert self._frames(count_calls, WeierstrassData(s1=klein.s1, s2=klein.s2).omega, u) <= 2
 
-    def test_zeta_bases_build_from_one_zeta_frame(self, monkeypatch, ctx):
-        calls = []
-        frame = elliptic._theta_frame
-        monkeypatch.setattr(elliptic, "_theta_frame",
-                            lambda *a, **k: calls.append(1) or frame(*a, **k))
+    def test_zeta_bases_build_from_one_zeta_frame(self, count_calls, ctx):
+        calls = count_calls(elliptic, "_theta_frame")
         basis_F_torus_twisted(ctx, EndDivisor((0.0, 0.4 + 0.33j, 1.1 + 0.7j, 0.5 + 1.4j)))
         assert len(calls) == 1
         # the zeta table and the pole data 1/wp_r(a_i)

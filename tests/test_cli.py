@@ -183,3 +183,17 @@ class TestMeshGate:
         mesh = json.loads((tmp_path / "torus4.json").read_text())["mesh"]
         assert mesh["identity_residual_max"] > 1e-6
         assert mesh["loop_residual_max"] < 1e-12 * mesh["mesh_scale"]
+
+
+TORUS4_CHOICES = ("123", "132", "213", "231", "312", "321")
+
+
+@pytest.mark.parametrize("scale", [0.01, 100.0])
+def test_torus4_exit_code_does_not_depend_on_scale(tmp_path, capsys, scale):
+    # the branch condition scales as scale^-2; the gate reads it times |omega1|^2
+    def exit_code(lam, choice):
+        return main(["torus4", repr(lam), repr(lam * 1j), "--choice", choice,
+                     "--out", str(tmp_path)])
+    unit = [exit_code(1.0, choice) for choice in TORUS4_CHOICES]
+    assert unit == [0, 2, 0, 0, 2, 0]
+    assert [exit_code(scale, choice) for choice in TORUS4_CHOICES] == unit

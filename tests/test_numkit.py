@@ -10,7 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from spinorminimal.numkit import (
     ComplexPolynomial,
@@ -239,8 +239,9 @@ class TestContourIntegral:
                              rel_tol=1e-14, max_panels=64)
 
     @given(st.integers(0, 3), st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_first_doubling_takes_one_call(self, rows, data):
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_first_doubling_takes_one_call(self, count_calls, rows, data):
         # the first level and its doubling come from one call of f on both
         # levels' nodes, each later level from one call, and the result is
         # bitwise that of one call per level; rows = 0 is a scalar integrand
@@ -258,13 +259,37 @@ class TestContourIntegral:
         def f(z):
             values = np.array([c * np.exp(a * z) + d * z**p for a, c, d, p in terms])
             return values if rows else values[0]
-        calls = []
-        got = contour_integral(lambda z: calls.append(z.size) or f(z), path, rel_tol=rel_tol)
+        calls = count_calls(f)
+        got = contour_integral(calls.fn, path, rel_tol=rel_tol)
         want, sizes = _per_level_integral(f, path, rel_tol)
         assert np.array_equal(got, want) and type(got) is (np.ndarray if rows else complex)
         base = _GL * math.ceil(samples / _GL)
         assert sizes[:2] == [base, 2 * base]
-        assert calls == [3 * base] + sizes[2:]
+        assert [z.size for z, in calls] == [3 * base] + sizes[2:]
+
+    def test_stacked_circles_are_separate_integrals(self, count_calls):
+        # the poles sit at different distances from their circles, so the rows
+        # pass at 16, 32 and 128 panels; each keeps the value of its own level,
+        # bitwise the call on its circle alone, and the stack takes one call of
+        # f per level of the slowest row
+        centers = np.array([0.0, 0.5 + 0.2j, -1.0 + 2j])
+        radii = np.array([1.0, 0.3, 0.9])
+        poles = centers + radii * np.array([1.9, 1.3, 1.05])
+        calls = count_calls(lambda z: np.exp(z) / (z - poles[:, None]))
+        got = contour_integral(calls.fn, QuadraturePath.circle(centers, radii), rel_tol=1e-12)
+        alone, sizes = [], []
+        for c, r, a in zip(centers, radii, poles):
+            row = count_calls(lambda z, a=a: np.exp(z) / (z - a))
+            alone.append(contour_integral(row.fn, QuadraturePath.circle(c, r), rel_tol=1e-12))
+            sizes.append([z.size for z, in row])
+        assert got.shape == (3,) and np.array_equal(got, alone)
+        assert [len(x) for x in sizes] == [3, 4, 6]
+        assert [z.shape for z, in calls] == [(3, n) for n in sizes[-1]]
+        with pytest.raises(NonConvergenceError):
+            contour_integral(calls.fn, QuadraturePath.circle(centers, radii), rel_tol=1e-12,
+                             max_panels=32)
+        with pytest.raises(ValueError):
+            QuadraturePath.circle(centers, np.array([1.0, 0.0, 1.0]))
 
     def test_path_validation(self):
         with pytest.raises(ValueError):

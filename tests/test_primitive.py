@@ -155,21 +155,18 @@ class TestPeriodMatrix:
             period_matrix((s, t), QuadraturePath.circle(0.0, 2.0))
 
     @staticmethod
-    def _quadratures(monkeypatch, fn):
-        calls = []
-        quad = spinor.contour_integral
-        monkeypatch.setattr(spinor, "contour_integral",
-                            lambda *a, **k: calls.append(1) or quad(*a, **k))
+    def _quadratures(count_calls, fn):
+        calls = count_calls(spinor, "contour_integral")
         fn()
         return len(calls)
 
-    def test_one_quadrature_per_cycle(self, monkeypatch):
+    def test_one_quadrature_per_cycle(self, count_calls):
         ctx = build_context(1.0, 1.0j)
         a1 = 0.3 + 0.2j
         a2 = torus3_admissible_pair(ctx, a1)
         for fn in (lambda: torus4_construct(ctx), moduli.klein4_construct,
                    lambda: torus3_degeneracy(ctx, a1, a2)):
-            assert self._quadratures(monkeypatch, fn) == 2
+            assert self._quadratures(count_calls, fn) == 2
 
 
 def _sphere6_mesh():

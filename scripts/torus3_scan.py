@@ -14,23 +14,16 @@ import sys
 
 import numpy as np
 
+from spinorminimal.acceptance import ACCEPTANCE_LATTICES
 from spinorminimal.elliptic import build_context
 from spinorminimal.moduli import torus3_admissible_pair, torus3_degeneracy
-
-LATTICES = [
-    ("square", (1.0, 1.0j)),
-    ("rect 2:1", (1.0, 2.0j)),
-    ("rect 3:1", (1.5, 0.5j)),
-    ("rhombic", (1.0 + 0.4j, 1.0 - 0.4j)),
-    ("generic", (1.1 - 0.2j, 0.3 + 0.9j)),
-]
 
 
 def main(n_pairs=50):
     n_pairs = int(n_pairs)
     rng = np.random.default_rng(0)
     any_existence = False
-    for name, (o1, o3) in LATTICES:
+    for name, (o1, o3) in ACCEPTANCE_LATTICES:
         ctx = build_context(o1, o3)
         degs, abs_as, tried = [], [], 0
         while len(degs) < n_pairs and tried < 4 * n_pairs:

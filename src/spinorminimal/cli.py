@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import cmath
 import functools
-import json
 import math
 import re
 import sys
@@ -28,7 +27,7 @@ from .arf import HyperellipticSpin, arf_bruteforce, arf_closed_form, \
     spin_structure_counts, torus_spin_table
 from .elliptic import build_context
 from .numkit import NonConvergenceError, pfaffian
-from .reportio import SCHEMA, jsonify, write_report
+from .reportio import report_text, write_report
 from .spinor import (
     INF,
     EndDivisor,
@@ -107,9 +106,7 @@ def _emit(args, payload: dict, name: str) -> None:
         path = write_report(payload, Path(args.out) / f"{name}.json")
         print(f"wrote {path}")
     if args.json or not args.out:
-        body = {"schema": SCHEMA}
-        body.update(jsonify(payload))
-        print(json.dumps(body, sort_keys=True, indent=2))
+        print(report_text(payload), end="")
 
 
 def _mesh_gate(mesh) -> int:

@@ -3,7 +3,8 @@ the 4-ended Klein bottle, and the 3-ended-torus degeneracy evaluators.
 
 Each construction returns a dataclass bundling its inputs, the Omega
 matrix, the kernel sections, and the residuals of every identity it
-checked; `.report()` serializes that to a JSON-ready dict.
+checked; the sphere, torus-4 and Klein dataclasses serialize that to a
+JSON-ready dict with `.report()`.
 
 Conventions pinned here (each cross-checked numerically at build time):
 
@@ -358,19 +359,6 @@ class Torus3Report:
     epsilon_label: str
     epsilon_residuals: dict
 
-    def report(self):
-        from .reportio import jsonify
-        return jsonify({
-            "a1": self.a1, "a2": self.a2,
-            "g2_condition": self.g2_condition,
-            "degeneracy": self.degeneracy,
-            "abs_a": self.abs_a,
-            "q1q2_identity": self.q1q2_identity,
-            "epsilon": self.epsilon,
-            "epsilon_label": self.epsilon_label,
-            "epsilon_residuals": self.epsilon_residuals,
-        })
-
 
 def torus3_admissible_pair(ctx: EllipticContext, a1) -> complex:
     """Given a1, return a2 != -a1 with wp'(a1) + wp'(a2) = 0.
@@ -702,7 +690,8 @@ def klein4_construct(tol: float = 1e-8) -> KleinFourEnd:
     basis and check rank(Omega) = 4 and the W block; assemble the kernel
     sections s-hat (the deck conjugates live on the wp'-type half of the
     basis); solve the single period equation with the closed-form A, B, C
-    and cross-check every identity by quadrature.
+    and cross-check every identity by quadrature.  Whether the pair is
+    unbranched is surface.branch_points's question (acceptance 9g).
     """
     ctx = square_context_e1_normalized()
     r = klein_fourth_quadrant_root()
@@ -788,31 +777,9 @@ def klein4_construct(tol: float = 1e-8) -> KleinFourEnd:
     prim = form_primitive(((s1h, s1h),))
     A_num, B_num = -2.0 * np.sum(prim.c), 2.0 * prim.poly[0, 0]
     residuals["ABC_ratio"] = float(max(abs(A_num / A - 2.0), abs(B_num / B - 2.0)))
-
-    # unbranched: zeros of s1 must not be I-paired; scan the weighted
-    # magnitude |s1|^2 + |s2|^2 (common zeros would pull it to zero)
-    residuals["branch_scan_min"] = _klein_branch_floor(ctx, s1, s2)
     return KleinFourEnd(ctx=ctx, r=r, a=a, ends=form.divisor, W=W_num, form=form,
                         sections=(s1h, s2h, s3h, s4h),
                         period_coeffs=(complex(A), complex(B), complex(C)),
                         solution=(complex(x1), complex(x2)),
                         s1=s1, s2=s2, residuals=residuals)
 
-
-def _klein_branch_floor(ctx, s1, s2) -> float:
-    """Minimum over an 80 x 80 grid of the fundamental domain of the
-    invariant |s1|^2 + |s2|^2.
-
-    Section magnitudes are weighted by the chart weight |mu| so the
-    comparison is chart-free; ends are masked out.  A common zero would drive the floor
-    to zero; bounded-below means unbranched at this resolution.
-    """
-    xs = np.linspace(0.01, 0.99, 80)
-    X, Y = np.meshgrid(xs, xs)
-    uu = (X * 2 * ctx.omega1 + Y * 2 * ctx.omega3).ravel()
-    keep = np.min([ctx.lattice_distance(uu - p) for p in s1.domain.ends.points], axis=0) > 0.08
-    uu = uu[keep]
-    f1, f2 = section_values((s1, s2), uu)
-    mag = (np.abs(f1) ** 2 + np.abs(f2) ** 2) * np.abs(s1.domain.form_weight(uu))
-    norm = np.median(mag)
-    return float(mag.min() / norm)

@@ -14,7 +14,7 @@ import numpy as np
 
 SCHEMA = "spinor-minimal/1"
 
-__all__ = ["jsonify", "write_report", "ReportValueError", "SCHEMA"]
+__all__ = ["jsonify", "report_text", "write_report", "ReportValueError", "SCHEMA"]
 
 
 class ReportValueError(ValueError):
@@ -74,11 +74,17 @@ def jsonify(obj):
     return str(obj)
 
 
-def write_report(payload: dict, path) -> Path:
-    """Write a schema-stamped, sorted-keys JSON report."""
-    path = Path(path)
+def report_text(payload: dict) -> str:
+    """The schema-stamped, sorted-keys JSON text of a report."""
     body = {"schema": SCHEMA}
     body.update(jsonify(payload))
+    return json.dumps(body, sort_keys=True, indent=2) + "\n"
+
+
+def write_report(payload: dict, path) -> Path:
+    """Write the report text of payload to path."""
+    path = Path(path)
+    text = report_text(payload)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(body, sort_keys=True, indent=2) + "\n")
+    path.write_text(text)
     return path

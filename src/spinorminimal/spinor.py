@@ -725,13 +725,25 @@ def basis_F_torus_untwisted(ctx: EllipticContext, r: int, divisor: EndDivisor):
     n = len(ends)
     zeta_at, shifted = _zeta_table(ctx, [wr] + [wr - a for a in ends] + ends, ends)
     constants = [-z + zeta_at[0] for z in zeta_at[1:n + 1]]
-    wp_r = dom.wp_r(np.array(ends, dtype=complex))
+    wp_r = _checked_wp_r(r, ends, dom.wp_r(np.array(ends, dtype=complex)))
     laurent = np.array([[(1.0 / complex(wp_r[i]), 0.0) if j == i
                          else (0.0, shifted[i, j] - zeta_b + c)
                          for j, zeta_b in enumerate(zeta_at[n + 1:])]
                         for i, c in enumerate(constants)], dtype=complex)
     labels = [f"t{i + 1}" for i in range(n)]
     return _ZetaBasis(dom, labels, laurent, ends, constants).members()
+
+
+def _checked_wp_r(r, ends, values):
+    """values, wp(a) - e_r at the ends a.  The ends have passed the distance
+    check against omega_r, so an exact 0 means e_r rounded onto another root
+    of the cubic: the lattice is too thin for double precision."""
+    for a, v in zip(ends, values):
+        if v == 0:
+            raise elliptic.DegenerateLatticeError(
+                f"wp(a) = e{r} at the end a = {a}: e{r} rounds onto another root, "
+                "the lattice is too thin for double precision")
+    return values
 
 
 def _zeta_table(ctx: EllipticContext, points, ends):
@@ -763,7 +775,7 @@ def basis_F_torus_untwisted_paired(ctx: EllipticContext, r: int, half_points):
         if ctx.lattice_distance(p) < 1e-9 or ctx.lattice_distance(p - wr) < 1e-9:
             raise ValueError("untwisted ends must avoid 0 and omega_r (mod lattice)")
     er = ctx.e(r)
-    pvals = [wp(ctx, a) - er for a in half_points]
+    pvals = _checked_wp_r(r, half_points, [wp(ctx, a) - er for a in half_points])
     dpvals = [wp_prime(ctx, a) for a in half_points]
     ddvals = [wp_second(ctx, a) for a in half_points]
     # poles at a_i and -a_i (ends i and m + i); values elsewhere

@@ -297,10 +297,11 @@ def branch_points(data: WeierstrassData, resolution: int = 120):
     """Common zeros of (s1, s2) by grid scan plus local subdivision.
 
     The scanned quantity is the chart-independent weighted magnitude
-    (|f1|^2 + |f2|^2) |mu| on the default grid extent; local minima below
-    1e-3 of the median survive successive rounds of 12x12 subdivision
-    and are reported when the refined value drops below 1e-8 times the
-    median magnitude.  Best-effort: the resolution bounds what
+    (|f1|^2 + |f2|^2) |mu| on the default grid extent; grid points below
+    1e-3 of the median are candidates, each of 8 rounds moves every
+    candidate to the minimum of its 12x12 subdivision in one evaluation,
+    and a candidate is reported when its refined value drops below 1e-8
+    times the median magnitude.  Best-effort: the resolution bounds what
     can be detected.
     """
     dom = data.domain
@@ -320,19 +321,19 @@ def branch_points(data: WeierstrassData, resolution: int = 120):
     if norm == 0:
         norm = 1.0
     h = max(abs(pts[1] - pts[0]), abs(U[1, 0] - U[0, 0]))
-    candidates = pts[mags < np.sqrt(1e-8) * norm * 10]
+    u = pts[mags < np.sqrt(1e-8) * norm * 10]
+    if u.size == 0:
+        return []
+    rows, size = np.arange(u.size), h
+    for _ in range(8):
+        dx = np.linspace(-size, size, 12)
+        local = (u[:, None, None] + dx[:, None] + 1j * dx[None, :]).reshape(u.size, -1)
+        u = local[rows, np.argmin(magnitude(local), axis=1)]
+        size /= 5.0
     found = []
-    for c in candidates:
-        u, size = c, h
-        for _ in range(8):
-            dx = np.linspace(-size, size, 12)
-            local = (u + dx[:, None] + 1j * dx[None, :]).ravel()
-            m = magnitude(local)
-            u = local[int(np.argmin(m))]
-            size /= 5.0
-        if magnitude(np.array([u]))[0] < 1e-8 * norm:
-            if not any(dom.distance(u, f) < 10 * h for f in found):
-                found.append(complex(u))
+    for c in u[magnitude(u) < 1e-8 * norm]:
+        if not any(dom.distance(c, f) < 10 * h for f in found):
+            found.append(complex(c))
     return found
 
 

@@ -471,9 +471,6 @@ class TestKlein:
     def test_abc_factor_two(self, klein):
         assert klein.residuals["ABC_ratio"] < 1e-10
 
-    def test_branch_floor(self, klein):
-        assert klein.residuals["branch_scan_min"] > 1e-3
-
     def test_planar_ends(self, klein):
         for k in range(8):
             assert check_planar_end(klein.s1, klein.s2, k)

@@ -1,11 +1,13 @@
 """The qres oracle: one quadrature per pair on the stack of every end's circle."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from spinorminimal import spinor
-from spinorminimal.elliptic import build_context
+from spinorminimal.elliptic import DegenerateLatticeError, build_context
 from spinorminimal.numkit import NonConvergenceError, QuadraturePath, contour_integral
 from spinorminimal.spinor import (
     INF,
@@ -102,12 +104,9 @@ def test_matches_the_per_end_quadratures(re_tau, thinness, size, angle, k1, k2, 
                 assert abs(got - want) <= 1e-13 * max(abs(want), scale)
 
 
-def test_thin_cell_end_raises():
-    # the draw (re tau, thinness, size, angle, k1, k2, seed) = (-0.2, 0.58,
-    # 2.0, -1.4, 0, 2, 7) of test_oracle_on_random_skewed_lattices with Im(tau)
-    # up to 25, so Im(tau) = 6.41, and the ends over the whole thin cell: the
-    # pair (1, 2) cancels below its quadrature's noise floor at the far end
-    re_tau, thinness, size, angle, k1, k2, seed = -0.2, 0.58, 2.0, -1.4, 0, 2, 7
+def _thin_cell(re_tau, thinness, size, angle, k1, k2, seed):
+    """A draw of test_oracle_on_random_skewed_lattices with Im(tau) up to 25
+    and the ends over the whole thin cell: (context, b1, b2, ends)."""
     lo = np.sqrt(1.0 - re_tau**2)
     b1 = size * np.exp(1j * angle)
     b2 = b1 * complex(re_tau, lo * (25.0 / lo) ** thinness)
@@ -115,7 +114,13 @@ def test_thin_cell_end_raises():
     ctx = build_context(p1 / 2, (b2 + k2 * p1) / 2)
     rng = np.random.default_rng(seed)
     fractions = np.array([(0.13, 0.21), (0.62, 0.37), (0.31, 0.78)]) + rng.uniform(-0.05, 0.05, (3, 2))
-    ends = tuple(complex(fx * b1 + fy * b2) for fx, fy in fractions)
+    return ctx, b1, b2, tuple(complex(fx * b1 + fy * b2) for fx, fy in fractions)
+
+
+def test_thin_cell_end_raises():
+    # Im(tau) = 6.41: the pair (1, 2) cancels below its quadrature's noise
+    # floor at the far end
+    ctx, b1, b2, ends = _thin_cell(-0.2, 0.58, 2.0, -1.4, 0, 2, 7)
     basis = basis_F_torus_twisted(ctx, EndDivisor((0.0,) + ends))
     assert abs((b2 / b1).imag - 6.41) < 0.01
     with pytest.raises(NonConvergenceError):
@@ -123,3 +128,18 @@ def test_thin_cell_end_raises():
     with pytest.raises(NonConvergenceError):
         _per_end_oracle(basis[1], basis[2])
     assert np.isfinite(omega_qres_oracle(basis[0], basis[1]))
+
+
+def test_untwisted_end_on_a_merged_root_raises():
+    # Im(tau) = 20.01, where e2 == e3 in double precision: wp(a) - e_r is
+    # exactly 0 at the end 4.689-4.186i for r = 2 and 3
+    ctx, b1, b2, ends = _thin_cell(-0.30278123165500404, 0.9318454232641952, 0.9585205319721941,
+                                   -2.217560357914752, -2, -1, 23979)
+    rb1, rb2 = ctx.lattice.reduced_periods
+    assert abs((rb2 / rb1).imag - 20.01) < 0.01 and ctx.e2 == ctx.e3
+    for r in (2, 3):
+        for build in (lambda: basis_F_torus_untwisted(ctx, r, EndDivisor(ends)),
+                      lambda: basis_F_torus_untwisted_paired(ctx, r, ends)):
+            with pytest.raises(DegenerateLatticeError, match=re.escape(f"e{r} at the end a = {ends[1]}")):
+                build()
+    assert len(basis_F_torus_untwisted(ctx, 1, EndDivisor(ends))) == 3

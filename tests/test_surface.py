@@ -3,9 +3,17 @@
 import numpy as np
 import pytest
 
-from spinorminimal.moduli import klein4_construct, sphere4_solve
+from spinorminimal.elliptic import build_context
+from spinorminimal.moduli import klein4_construct, sphere4_solve, torus4_construct
 from spinorminimal.numkit import QuadraturePath
-from spinorminimal.spinor import EndDivisor, SphereDomain, is_infinity, rational_sphere_basis
+from spinorminimal.spinor import (
+    EndDivisor,
+    SphereDomain,
+    is_infinity,
+    rational_sphere_basis,
+    section_combination,
+    section_values,
+)
 from spinorminimal.surface import (
     GridSpec,
     SurfaceMesh,
@@ -160,6 +168,63 @@ class TestBranchDetection:
     def test_sphere4_unbranched(self, sphere4_data):
         _, data = sphere4_data
         assert branch_points(data, resolution=80) == []
+
+
+def _per_candidate_branch_points(data, resolution):
+    """branch_points as one refinement loop per candidate: the reference."""
+    dom = data.domain
+    U = _grid_coordinates(data, GridSpec(nx=resolution, ny=resolution))
+    pts = U.ravel()
+    spacing = abs(U[1, 0] - U[0, 0])
+    keep = (data.end_distance(pts) > data.end_clearance) \
+        & (data.chart_singular_distance(pts) > spacing / 4.0)
+    pts = pts[keep]
+
+    def magnitude(u):
+        f1, f2 = section_values((data.s1, data.s2), u)
+        return (np.abs(f1) ** 2 + np.abs(f2) ** 2) * np.abs(dom.form_weight(u))
+
+    mags = magnitude(pts)
+    norm = float(np.median(mags))
+    if norm == 0:
+        norm = 1.0
+    h = max(abs(pts[1] - pts[0]), abs(U[1, 0] - U[0, 0]))
+    found = []
+    for c in pts[mags < np.sqrt(1e-8) * norm * 10]:
+        u, size = c, h
+        for _ in range(8):
+            dx = np.linspace(-size, size, 12)
+            local = (u + dx[:, None] + 1j * dx[None, :]).ravel()
+            u = local[int(np.argmin(magnitude(local)))]
+            size /= 5.0
+        if magnitude(np.array([u]))[0] < 1e-8 * norm:
+            if not any(dom.distance(u, f) < 10 * h for f in found):
+                found.append(complex(u))
+    return found, h
+
+
+@pytest.fixture(scope="module")
+def torus_zero_sections():
+    """(label, s, number of zeros the scan finds at resolution 90)."""
+    out = []
+    for name, o3 in (("square", 1j), ("skew", 0.5 + 0.1j)):
+        t4 = torus4_construct(build_context(1.0, o3))
+        out += [(f"torus4-{name}-s1", t4.s1, 4), (f"torus4-{name}-s2", t4.s2, 2)]
+    return out + [("klein-s1", klein4_construct().s1, 4)]
+
+
+class TestBranchPointsOnTori:
+    def test_zeros_of_a_section_against_the_per_candidate_loop(self, torus_zero_sections):
+        # (s, c s) has a common zero exactly where s vanishes
+        for label, s, count in torus_zero_sections:
+            data = WeierstrassData(s1=s, s2=section_combination([0.6 - 0.8j], [s]))
+            found = branch_points(data, resolution=90)
+            want, h = _per_candidate_branch_points(data, 90)
+            assert len(found) == count, label
+            assert found == want, label
+            (f,), (df,) = section_values((s,), np.array(found), derivative=True)
+            # Newton's distance to the zero is within the last round's grid step
+            assert np.all(np.abs(f / df) < 2 * h / 5**7 / 11), label
 
 
 class TestSphere4Geometry:

@@ -94,12 +94,12 @@ def _vandermonde(points):
 
 
 def _torus_cycle(ctx: EllipticContext, k: int) -> QuadraturePath:
-    """Closed cycle parallel to omega_k, offset by 0.2371 of the other
-    half-period off the half-lattice lines."""
+    """Closed cycle parallel to omega_k as a period path, offset by 0.2371
+    of the other half-period off the half-lattice lines."""
     wk = ctx.omega1 if k == 1 else ctx.omega3
     other = ctx.omega3 if k == 1 else ctx.omega1
     c = 0.2371 * other
-    return QuadraturePath.segment(-wk + c, wk + c, samples=96)
+    return QuadraturePath.period(-wk + c, wk + c, samples=64)
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,10 @@ Everything here is a pure function on immutable inputs.  The pfaffian is
 computed by skew-symmetric Gaussian elimination with pivoting (O(n^3));
 the term expansions for small sizes live only in the test suite, as
 oracles.  Polynomial roots come from the companion matrix with one Newton
-polish per root.  Contour integrals use composite Gauss-Legendre panels
-with panel doubling until the result is stable; a vector integrand gives
-m integrals from one set of path points, stopping when every entry is,
-and a stack of m circles gives m integrals that each stop on their own.
+polish per root.  Contour integrals double their nodes until stable:
+Gauss-Legendre panels on open segments, the geometrically convergent
+trapezoid on periodic paths; a vector integrand gives m integrals from one
+set of path points, stopping when every entry is.
 """
 
 from __future__ import annotations
@@ -98,40 +98,30 @@ class ComplexPolynomial:
 
 @dataclass(frozen=True)
 class QuadraturePath:
-    """A straight segment or a circle, with orientation and a sample hint.
-    A circle with array centre and radius is a stack of m circles, held as
-    (m, 1) arrays."""
+    """A straight path from start to end with a sample hint: an open segment
+    for Gauss-Legendre panels, or a period path, across which the integrand
+    is periodic, for the trapezoid on start + (k / N)(end - start), k < N."""
 
-    kind: str  # "segment" | "circle"
+    kind: str  # "segment" | "period"
     start: complex = 0.0
     end: complex = 0.0
-    center: complex = 0.0
-    radius: float = 0.0
-    orientation: int = 1
     samples: int = 32
 
     def __post_init__(self):
-        if self.kind not in ("segment", "circle"):
+        if self.kind not in ("segment", "period"):
             raise ValueError(f"unknown path kind {self.kind!r}")
         if self.samples < 8:
             raise ValueError("samples must be >= 8")
-        if self.kind == "circle" and not np.all(np.asarray(self.radius) > 0):
-            raise ValueError("circle radius must be positive")
-        if self.orientation not in (1, -1):
-            raise ValueError("orientation must be +1 or -1")
+        if self.kind == "period" and (self.samples % 2 or self.start == self.end):
+            raise ValueError("a period path needs an even sample count and start != end")
 
     @classmethod
     def segment(cls, start, end, samples: int = 32) -> "QuadraturePath":
         return cls(kind="segment", start=complex(start), end=complex(end), samples=samples)
 
     @classmethod
-    def circle(cls, center, radius, orientation: int = 1, samples: int = 32) -> "QuadraturePath":
-        if np.ndim(center):
-            center, radius = np.asarray(center, complex)[:, None], np.asarray(radius, float)[:, None]
-        else:
-            center, radius = complex(center), float(radius)
-        return cls(kind="circle", center=center, radius=radius,
-                   orientation=orientation, samples=samples)
+    def period(cls, start, end, samples: int = 32) -> "QuadraturePath":
+        return cls(kind="period", start=complex(start), end=complex(end), samples=samples)
 
 
 def pfaffian(a: SkewMatrix) -> complex:
@@ -258,59 +248,67 @@ def _gl_rule(panels: int):
     return t, w
 
 
-def _gl_panels(f: Callable, param, dparam, *panel_counts):
-    """(sum, L1 sum) of the contributions for each panel count, from one call
-    of f on the nodes of all counts together.  f acts pointwise, so each
-    count's sums are those of a call on its own nodes alone."""
-    t, w = (np.concatenate(x) for x in zip(*map(_gl_rule, panel_counts)))
-    contributions = np.asarray(f(param(t)), dtype=complex) * dparam(t) * w
-    ends = np.cumsum([_GL_ORDER * n for n in panel_counts])
-    return [(np.sum(c, axis=-1), np.sum(np.abs(c), axis=-1))
-            for c in np.split(contributions, ends[:-1], axis=-1)]
+def _gl_levels(f: Callable, path: QuadraturePath, max_panels: int):
+    """(previous, current, L1) sums of the Gauss-Legendre panels at each
+    doubling.  The first two levels take one call of f; f acts pointwise, so
+    each level's sums are those of a call on its own nodes alone."""
+    z0, span = path.start, path.end - path.start
+
+    def sums(*panel_counts):
+        t, w = (np.concatenate(x) for x in zip(*map(_gl_rule, panel_counts)))
+        terms = np.asarray(f(z0 + span * t), dtype=complex) * span * w
+        ends = np.cumsum([_GL_ORDER * n for n in panel_counts])[:-1]
+        return [(np.sum(c, axis=-1), np.sum(np.abs(c), axis=-1))
+                for c in np.split(terms, ends, axis=-1)]
+    panels = max(1, int(np.ceil(path.samples / _GL_ORDER)))
+    levels = sums(panels, 2 * panels) if panels <= max_panels else []
+    while levels:
+        (prev, _), (cur, l1) = levels
+        yield prev, cur, l1
+        panels *= 2
+        levels = [(cur, l1)] + sums(2 * panels) if panels <= max_panels else []
+
+
+def _trapezoid_levels(f: Callable, path: QuadraturePath, max_points: int):
+    """(previous, current, L1) sums of the trapezoid at each doubling of its
+    N nodes.  The first call takes N nodes, of which the even-indexed half
+    is the level before; each doubling evaluates only the N new nodes."""
+    z0, span, n = path.start, path.end - path.start, path.samples
+
+    def sums(t):
+        out = f(z0 + span * t)
+        values, mags = out if isinstance(out, tuple) else (out, np.abs(out))
+        return values, np.sum(values, axis=-1), np.sum(mags, axis=-1)
+    if n <= max_points:
+        values, total, l1 = sums(np.arange(n) / n)
+        prev = np.sum(values[..., ::2], axis=-1) * (2 * span / n)
+    while n <= max_points:
+        cur = total * (span / n)
+        yield prev, cur, l1 * abs(span / n)
+        if 2 * n <= max_points:
+            _, new, new_l1 = sums((np.arange(n) + 0.5) / n)
+            total, l1 = total + new, l1 + new_l1
+        prev, n = cur, 2 * n
 
 
 def contour_integral(f: Callable, path: QuadraturePath,
                      rel_tol: float = 1e-8, max_panels: int = 4096):
-    """Integrate f dz along the path, doubling panels until stable.
+    """Integrate f dz along the path, doubling its nodes until stable.
 
-    f is called on an array of path points and returns their values (or
-    one value that broadcasts to them), or an (m, points) array for m
-    integrands at once.  Each entry must pass the stopping rule with its
-    own L1 floor, all at the same level; the result is a complex for a
-    scalar integrand and an (m,) array for a vector one.  On a stack of m
-    circles f gets an (m, points) array, row k on circle k, and each row is
-    its own integral: it keeps the value of the first level at which it
-    passes, bitwise that of a call on its circle alone.  The first level
-    and its doubling take one call of f on both levels' points; each later
-    doubling takes one.
+    f is called on an array of path points and returns their values, or
+    an (m, points) array for m integrands at once.  Each entry must pass
+    the stopping rule with its own L1 floor, all at the same level; the
+    result is a complex for a scalar integrand and an (m,) array for a
+    vector one.  A segment's lower level takes at most max_panels panels,
+    a period path at most 16 * max_panels nodes.  On a period path f may
+    return (values, magnitudes), the magnitudes of uncancelled terms >=
+    |values|, whose L1 sum then sets the floor.
     """
-    if path.kind == "segment":
-        z0, z1 = path.start, path.end
-        if path.orientation < 0:
-            z0, z1 = z1, z0
-        param = lambda t: z0 + (z1 - z0) * t
-        dparam = lambda t: (z1 - z0) * np.ones_like(t)
-    else:
-        c, r, sgn = path.center, path.radius, path.orientation
-        param = lambda t: c + r * np.exp(2j * np.pi * sgn * t)
-        dparam = lambda t: 2j * np.pi * sgn * r * np.exp(2j * np.pi * sgn * t)
-
-    panels = max(1, int(np.ceil(path.samples / _GL_ORDER)))
-    levels = _gl_panels(f, param, dparam, panels, 2 * panels) if panels <= max_panels else []
-    stack = np.ndim(path.center) > 0
-    result, done = 0.0, False
-    while levels:
-        (prev, _), (cur, l1) = levels
+    levels = (_gl_levels(f, path, max_panels) if path.kind == "segment"
+              else _trapezoid_levels(f, path, _GL_ORDER * max_panels))
+    for prev, cur, l1 in levels:
         # the L1 term is a rounding-noise floor for integrals that vanish
-        passed = np.abs(cur - prev) <= rel_tol * np.abs(cur) + 500 * np.finfo(float).eps * l1
-        if stack:  # each circle keeps the value of the first level it passes at
-            result, done = np.where(done, result, cur), done | passed
-        else:
-            result, done = cur, passed
-        if np.all(done):
-            return complex(result) if result.ndim == 0 else result
-        panels *= 2
-        levels = [(cur, l1)] + _gl_panels(f, param, dparam, 2 * panels) \
-            if panels <= max_panels else []
+        if np.all(np.abs(cur - prev) <= rel_tol * np.abs(cur) + 500 * np.finfo(float).eps * l1):
+            return complex(cur) if np.ndim(cur) == 0 else cur
     raise NonConvergenceError(
         f"contour integral did not stabilize to {rel_tol:.1e} within {max_panels} panels")

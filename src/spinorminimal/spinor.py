@@ -182,8 +182,19 @@ class SphereDomain(_DomainBase):
     h_dim = 0
 
 
+class _TorusDomain(_DomainBase):
+    """A torus chart u modulo the lattice of ctx."""
+
+    def distance(self, p, q):
+        return self.ctx.lattice_distance(p - q)
+
+    def qres_radius(self, p) -> float:
+        # the distances leave out p itself, and with it its translates p +- b1
+        return min(super().qres_radius(p), 0.25 * abs(self.ctx.lattice.reduced_periods[0]))
+
+
 @dataclass(frozen=True)
-class TwistedTorusDomain(_DomainBase):
+class TwistedTorusDomain(_TorusDomain):
     """Torus with spin structure du (Arf -1); phi0^2 = du."""
 
     ends: EndDivisor
@@ -191,12 +202,9 @@ class TwistedTorusDomain(_DomainBase):
     genus = 1
     h_dim = 1
 
-    def distance(self, p, q):
-        return self.ctx.lattice_distance(p - q)
-
 
 @dataclass(frozen=True)
-class UntwistedTorusDomain(_DomainBase):
+class UntwistedTorusDomain(_TorusDomain):
     """Torus with spin structure (wp - e_r) du; phi_r^2 = du / wp_r(u)."""
 
     ends: EndDivisor
@@ -204,9 +212,6 @@ class UntwistedTorusDomain(_DomainBase):
     r: int
     genus = 1
     h_dim = 0
-
-    def distance(self, p, q):
-        return self.ctx.lattice_distance(p - q)
 
     def wp_r(self, u):
         return wp(self.ctx, u) - self.ctx.e(self.r)
@@ -606,35 +611,31 @@ def omega_qres_oracle(s: SpinorSection, t: SpinorSection, rel_tol: float = 1e-9)
 
     Independent of the Laurent tables: uses only the evaluators.  In the
     domain chart the Hopf integrand is mu(u) (f g' - g f')(u), and
-    qres_p = (1/2 pi i) * integral of (u - p) times that around p, on a
-    circle of radius qres_radius(p).  One quadrature on the stack of all
-    the ends' circles gives every qres_p, each row its own integral, from
-    one section_values pass per integrand call; the end at infinity is its
-    row in the chart w = 1/z.  Swapping s and t negates every product, so
-    the oracle is skew to the bit.
+    qres_p = (1/2 pi i) * integral of (u - p) times that around p, on the
+    circle u = p + r e^(2 pi i x), r = qres_radius(p): the integral over x
+    in [0, 1) of the periodic lead (f g' - g f'), lead = (u - p)^2 mu, and
+    u^2 at infinity, where the chart is 1/u = r e^(2 pi i x).  One trapezoid
+    on the stack of all the ends' circles, its rows summed, gives sum_p
+    qres_p; its floor is the L1 of |lead| (|f g'| + |g f'|).  Swapping s
+    and t negates every product, so the oracle is skew to the bit.
     """
     _shared_basis((s, t))
     dom = s.domain
     ends = np.array(dom.ends.points, dtype=complex)
     at_inf = np.isinf(ends)
-    path = QuadraturePath.circle(np.where(at_inf, 0.0, ends), dom.qres_radii, samples=64)
+    center, radius = np.where(at_inf, 0.0, ends)[:, None], dom.qres_radii[:, None]
 
-    def integrand(u):
-        z = u.copy()
-        z[at_inf] = 1.0 / u[at_inf]
-        (f, g), (df, dg) = section_values((s, t), z, derivative=True)
-        hopf = (u - path.center) * dom.form_weight(z) * (f * dg - g * df)
-        if at_inf.any():
-            # w = 1/z chart with phi = (i/w) phi_w:  F(w) = i f(1/w) / w
-            w, f, g, df, dg = (x[at_inf] for x in (u, f, g, df, dg))
-            F, G = 1j * f / w, 1j * g / w
-            dF, dG = -1j * (df / w**3 + f / w**2), -1j * (dg / w**3 + g / w**2)
-            hopf[at_inf] = w * (F * dG - G * dF)
-        return hopf
-    total = 0.0 + 0.0j
-    for qres in contour_integral(integrand, path, rel_tol=rel_tol):
-        total += complex(qres) / (2j * np.pi)
-    return -0.5 * total
+    def integrand(x):
+        du = radius * np.exp(2j * np.pi * x)
+        u = center + du
+        u[at_inf] = 1.0 / du[at_inf]
+        (f, g), (df, dg) = section_values((s, t), u, derivative=True)
+        lead = du * du * dom.form_weight(u)
+        lead[at_inf] = u[at_inf] ** 2
+        return (np.sum(lead * (f * dg - g * df), axis=0),
+                np.sum(np.abs(lead) * (np.abs(f * dg) + np.abs(g * df)), axis=0))
+    return -0.5 * contour_integral(integrand, QuadraturePath.period(0.0, 1.0, samples=64),
+                                   rel_tol=rel_tol)
 
 
 def check_planar_end(s1: SpinorSection, s2: SpinorSection, p, tol: float = 1e-8) -> bool:

@@ -186,6 +186,15 @@ class TestChartWeight:
 
 
 class TestQresRadius:
+    @staticmethod
+    def _radius(dom, p):
+        """A quarter of the distance to the nearest other singular point,
+        and on a torus at most a quarter of |b1|, the distance to p's own
+        nearest translates."""
+        ds = [dom.distance(p, q) for q in dom.singular_points() if dom.distance(p, q) > 1e-12]
+        ctx = getattr(dom, "ctx", None)
+        return min([0.25 * min(ds)] + ([0.25 * abs(ctx.lattice.reduced_periods[0])] if ctx else []))
+
     def test_equals_the_per_point_minimum(self, ctx):
         doms = [basis_F_sphere(EndDivisor((0.0, 0.7 - 0.2j, -1.1j, INF)))[0].domain,
                 basis_F_torus_twisted(ctx, EndDivisor((0.0, 0.4 + 0.33j, 1.1 + 0.7j)))[0].domain]
@@ -195,9 +204,29 @@ class TestQresRadius:
             for p in dom.ends.points:
                 if p == INF:
                     continue
-                ds = [dom.distance(p, q) for q in dom.singular_points()
-                      if dom.distance(p, q) > 1e-12]
-                assert dom.qres_radius(p) == 0.25 * min(ds)
+                assert dom.qres_radius(p) == self._radius(dom, p)
+
+    def test_the_cap_binds_on_a_thin_cell(self, thin_cell):
+        # Im(tau) = 19.48: every other singular point of the ends 0 and 3 lies
+        # farther than |b1| = 0.844, so a circle of a quarter of that distance
+        # would hold the translates p +- b1 of its own end; the oracle agrees
+        # with omega_matrix on the capped circles
+        ctx, _, _, ends = thin_cell(-0.011652168953543596, 0.9224461272890361,
+                                    0.8440363058200007, 1.4623115112963072, -1, 0, 16458)
+        b1 = abs(ctx.lattice.reduced_periods[0])
+        assert abs(b1 - 0.844) < 1e-3
+        basis = basis_F_torus_twisted(ctx, EndDivisor((0.0,) + ends))
+        dom = basis[0].domain
+        for k in (0, 3):
+            p = dom.ends.points[k]
+            assert min(dom.distance(p, q) for q in dom.singular_points() if q != p) > b1
+        for p in dom.ends.points:
+            assert dom.qres_radius(p) == self._radius(dom, p) == 0.25 * b1
+        omega = omega_matrix(basis).matrix.entries
+        for i in range(len(basis)):
+            for j in range(i + 1, len(basis)):
+                assert abs(omega_qres_oracle(basis[i], basis[j]) - omega[i, j]) \
+                    <= 1e-12 * max(1.0, abs(omega[i, j]))
 
 
 class TestFrameCounts:

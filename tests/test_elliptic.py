@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from spinorminimal.acceptance import ACCEPTANCE_LATTICES
 from spinorminimal.elliptic import (
     DegenerateLatticeError,
     DegeneratePairError,
@@ -21,17 +22,8 @@ from spinorminimal.elliptic import (
 )
 from spinorminimal.spinor import EndDivisor, FormPrimitive, TwistedTorusDomain
 
-# square, 2:1 and 3:1 rectangles, rhombic, generic
-LATTICES = [
-    (1.0, 1.0j),
-    (1.0, 2.0j),
-    (1.5, 0.5j),
-    (1.0 + 0.4j, 1.0 - 0.4j),
-    (1.1 - 0.2j, 0.3 + 0.9j),
-]
-
-
-@pytest.fixture(scope="module", params=LATTICES, ids=["square", "rect2", "rect3", "rhombic", "generic"])
+@pytest.fixture(scope="module", params=[lattice for _, lattice in ACCEPTANCE_LATTICES],
+                ids=[name for name, _ in ACCEPTANCE_LATTICES])
 def ctx(request):
     return build_context(*request.param)
 

@@ -171,52 +171,111 @@ _GL = 16
 
 
 def _per_level_integral(f, path, rel_tol):
-    """contour_integral's rule with one call of f per level of panels:
+    """contour_integral's rule with one call of f on every node of each level:
     (the integral, the number of nodes of each call)."""
-    if path.kind == "segment":
-        z0, z1 = (path.start, path.end)[::path.orientation]
-        param = lambda t: z0 + (z1 - z0) * t
-        dparam = lambda t: (z1 - z0) * np.ones_like(t)
-    else:
-        c, r, sgn = path.center, path.radius, path.orientation
-        param = lambda t: c + r * np.exp(2j * np.pi * sgn * t)
-        dparam = lambda t: 2j * np.pi * sgn * r * np.exp(2j * np.pi * sgn * t)
-    x, wx = np.polynomial.legendre.leggauss(_GL)
+    z0, z1 = path.start, path.end
     sizes = []
+    if path.kind == "segment":
+        x, wx = np.polynomial.legendre.leggauss(_GL)
 
-    def level(panels):
-        t0 = np.linspace(0.0, 1.0, panels + 1)
-        mid = (t0[:-1, None] + t0[1:, None]) / 2.0
-        half = (t0[1:, None] - t0[:-1, None]) / 2.0
-        t = (mid + half * x[None, :]).ravel()
+        def level(n):
+            panels = n // _GL
+            t0 = np.linspace(0.0, 1.0, panels + 1)
+            mid = (t0[:-1, None] + t0[1:, None]) / 2.0
+            half = (t0[1:, None] - t0[:-1, None]) / 2.0
+            t = (mid + half * x[None, :]).ravel()
+            return t, (z1 - z0) * np.ones_like(t), (half * wx[None, :]).ravel()
+        n = _GL * math.ceil(path.samples / _GL)
+    else:
+        def level(n):
+            return np.arange(n) / n, np.full(n, (z1 - z0) / n), 1.0
+        n = path.samples // 2
+
+    def sums(n):
+        t, dz, w = level(n)
         sizes.append(t.size)
-        terms = np.asarray(f(param(t)), dtype=complex) * dparam(t) * (half * wx[None, :]).ravel()
+        terms = np.asarray(f(z0 + (z1 - z0) * t), dtype=complex) * dz * w
         return np.sum(terms, axis=-1), np.sum(np.abs(terms), axis=-1)
 
-    panels = math.ceil(path.samples / _GL)
-    prev, _ = level(panels)
+    prev, _ = sums(n)
     while True:
-        panels *= 2
-        cur, l1 = level(panels)
+        n *= 2
+        cur, l1 = sums(n)
         if np.all(np.abs(cur - prev) <= rel_tol * np.abs(cur) + 500 * np.finfo(float).eps * l1):
             return (complex(cur) if cur.ndim == 0 else cur), sizes
         prev = cur
 
 
+def _circle(c, r, f):
+    """f dz/dx on the circle z = c + r e^(2 pi i x), for a period path on [0, 1]."""
+    def on_circle(x):
+        dz = 2j * np.pi * r * np.exp(2j * np.pi * x)
+        return f(c + dz / (2j * np.pi)) * dz
+    return on_circle
+
+
 class TestContourIntegral:
     def test_residue_theorem(self):
-        path = QuadraturePath.circle(0.0, 1.0)
-        val = contour_integral(lambda z: 1.0 / z, path)
-        assert val == pytest.approx(2j * np.pi, rel=1e-10)
+        # e^z / (z - a) around a circle that holds a
+        a = 0.3 - 0.2j
+        f = _circle(0.1j, 1.2, lambda z: np.exp(z) / (z - a))
+        val = contour_integral(f, QuadraturePath.period(0.0, 1.0), rel_tol=1e-12)
+        assert val == pytest.approx(2j * np.pi * np.exp(a), rel=1e-13)
 
     def test_segment(self):
         path = QuadraturePath.segment(0.0, 1.0)
         assert contour_integral(lambda z: z, path) == pytest.approx(0.5, rel=1e-12)
 
     def test_orientation(self):
-        path = QuadraturePath.circle(0.0, 1.0, orientation=-1)
-        val = contour_integral(lambda z: 1.0 / z, path)
-        assert val == pytest.approx(-2j * np.pi, rel=1e-10)
+        # the period path from 1 to 0 runs the circle clockwise
+        a = 0.3 - 0.2j
+        f = _circle(0.1j, 1.2, lambda z: np.exp(z) / (z - a))
+        val = contour_integral(f, QuadraturePath.period(1.0, 0.0), rel_tol=1e-12)
+        assert val == pytest.approx(-2j * np.pi * np.exp(a), rel=1e-13)
+
+    @given(st.integers(4, 64), st.integers(0, 2**16))
+    @settings(max_examples=40, deadline=None)
+    def test_trigonometric_polynomials_are_exact(self, half, seed):
+        # N nodes integrate e^(2 pi i k x) exactly for 0 < |k| < N, so both
+        # levels of the first call hold the mean of a degree < N/2 polynomial
+        # to rounding, and it passes there
+        rng = np.random.default_rng(seed)
+        degree = int(rng.integers(0, half))
+        c = rng.standard_normal(2 * degree + 1) + 1j * rng.standard_normal(2 * degree + 1)
+        k = np.arange(-degree, degree + 1)
+        start, span = complex(*rng.uniform(-2, 2, 2)), complex(*rng.uniform(-2, 2, 2))
+        f = lambda z: np.exp(2j * np.pi * np.outer((z - start) / span, k)) @ c
+        calls = []
+        got = contour_integral(lambda z: calls.append(z.size) or f(z),
+                               QuadraturePath.period(start, start + span, 2 * half),
+                               rel_tol=1e-12)
+        assert calls == [2 * half]
+        assert abs(got - span * c[degree]) <= 1e-13 * abs(span) * np.sum(np.abs(c))
+
+    def test_doublings_evaluate_only_the_new_nodes(self, count_calls):
+        # 1 / (1 - 0.9 e^(2 pi i x)) has mean 1 and Fourier coefficients 0.9^k:
+        # it passes at 1024 nodes, and the calls hold each node once
+        calls = count_calls(lambda x: 1.0 / (1.0 - 0.9 * np.exp(2j * np.pi * x)))
+        got = contour_integral(calls.fn, QuadraturePath.period(0.0, 1.0, 16), rel_tol=1e-12)
+        assert got == pytest.approx(1.0, rel=1e-13)
+        assert [x.size for x, in calls] == [16, 16, 32, 64, 128, 256, 512]
+        nodes = np.sort(np.concatenate([x.real for x, in calls]))
+        assert np.array_equal(nodes, np.arange(1024) / 1024)
+
+    def test_cancelling_integrand_passes_on_its_magnitudes(self):
+        # K e^z e^-z - K is rounding noise of size eps K: its own L1 gives a
+        # floor of order eps^2 K that the noise never meets, and the
+        # magnitudes of the two uncancelled terms give one of order eps K
+        K = 1e6
+        z = lambda x: 3.0 * np.exp(2j * np.pi * x)
+        terms = lambda x: (K * np.exp(z(x)) * np.exp(-z(x)), np.full(x.shape, K))
+        path = QuadraturePath.period(0.0, 1.0)
+        with pytest.raises(NonConvergenceError):
+            contour_integral(lambda x: terms(x)[0] - terms(x)[1], path, rel_tol=1e-12)
+        got = contour_integral(lambda x: (terms(x)[0] - terms(x)[1],
+                                          np.abs(terms(x)[0]) + np.abs(terms(x)[1])),
+                               path, rel_tol=1e-12)
+        assert abs(got) <= 1e-13 * K
 
     def test_vector_integrand_matches_scalar_calls(self):
         # each entry to rel_tol of its own scalar integral, with its own
@@ -231,68 +290,68 @@ class TestContourIntegral:
             assert type(scalar) is complex
             assert abs(v - scalar) <= 1e-10 * max(abs(scalar), 1e-300)
 
-    def test_nonconvergence_signalled(self):
-        # |z|^(1/2)-type kink on the path: never stabilizes at 1e-14
+    def test_nonconvergence_signalled(self, count_calls):
+        # |z|^(1/2)-type kink on the segment, and |sin(pi x)| across the
+        # period path: neither stabilizes at 1e-14; the period path stops at
+        # 16 * max_panels points
         path = QuadraturePath.segment(-1.0, 1.0)
         with pytest.raises(NonConvergenceError):
             contour_integral(lambda z: np.sqrt(np.abs(z)), path,
                              rel_tol=1e-14, max_panels=64)
+        calls = count_calls(lambda x: np.abs(np.sin(np.pi * x)))
+        with pytest.raises(NonConvergenceError):
+            contour_integral(calls.fn, QuadraturePath.period(0.0, 1.0), rel_tol=1e-14,
+                             max_panels=64)
+        assert sum(x.size for x, in calls) == 1024
 
     @given(st.integers(0, 3), st.data())
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_first_doubling_takes_one_call(self, count_calls, rows, data):
-        # the first level and its doubling come from one call of f on both
-        # levels' nodes, each later level from one call, and the result is
-        # bitwise that of one call per level; rows = 0 is a scalar integrand
+        # the first level and its doubling come from one call of f on the
+        # nodes of both levels, each later level from one call; on a segment
+        # the result is bitwise that of one call per level, and on a period
+        # path, whose later calls take only the new nodes, equal to rounding;
+        # rows = 0 is a scalar integrand
         cx = st.complex_numbers(max_magnitude=3, allow_nan=False, allow_infinity=False)
-        samples = data.draw(st.integers(8, 112))
-        if data.draw(st.booleans()):
-            path = QuadraturePath.circle(data.draw(cx), data.draw(st.floats(0.1, 2.0)),
-                                         data.draw(st.sampled_from([1, -1])), samples)
-        else:
-            path = QuadraturePath.segment(data.draw(cx), data.draw(cx), samples)
+        periodic = data.draw(st.booleans())
+        samples = 2 * data.draw(st.integers(4, 56))
+        start = data.draw(cx)
+        end = data.draw(cx.filter(lambda z: abs(z - start) > 0.1) if periodic else cx)
+        path = (QuadraturePath.period if periodic else QuadraturePath.segment)(start, end, samples)
         terms = [(data.draw(cx), data.draw(cx), data.draw(cx), data.draw(st.integers(0, 6)))
                  for _ in range(max(rows, 1))]
         rel_tol = data.draw(st.sampled_from([1e-8, 1e-10, 1e-12]))
 
         def f(z):
-            values = np.array([c * np.exp(a * z) + d * z**p for a, c, d, p in terms])
+            # on a period path, exp(a cos) and z^p of the angle across it
+            # (a segment may have start == end, so the angle is only taken on
+            # a period path, whose ends are drawn apart)
+            if periodic:
+                z = np.exp(2j * np.pi * ((z - start) / (end - start)).real)
+            values = np.array([c * np.exp(a * z.real) + d * z**p for a, c, d, p in terms])
             return values if rows else values[0]
         calls = count_calls(f)
         got = contour_integral(calls.fn, path, rel_tol=rel_tol)
         want, sizes = _per_level_integral(f, path, rel_tol)
-        assert np.array_equal(got, want) and type(got) is (np.ndarray if rows else complex)
-        base = _GL * math.ceil(samples / _GL)
-        assert sizes[:2] == [base, 2 * base]
-        assert [z.size for z, in calls] == [3 * base] + sizes[2:]
-
-    def test_stacked_circles_are_separate_integrals(self, count_calls):
-        # the poles sit at different distances from their circles, so the rows
-        # pass at 16, 32 and 128 panels; each keeps the value of its own level,
-        # bitwise the call on its circle alone, and the stack takes one call of
-        # f per level of the slowest row
-        centers = np.array([0.0, 0.5 + 0.2j, -1.0 + 2j])
-        radii = np.array([1.0, 0.3, 0.9])
-        poles = centers + radii * np.array([1.9, 1.3, 1.05])
-        calls = count_calls(lambda z: np.exp(z) / (z - poles[:, None]))
-        got = contour_integral(calls.fn, QuadraturePath.circle(centers, radii), rel_tol=1e-12)
-        alone, sizes = [], []
-        for c, r, a in zip(centers, radii, poles):
-            row = count_calls(lambda z, a=a: np.exp(z) / (z - a))
-            alone.append(contour_integral(row.fn, QuadraturePath.circle(c, r), rel_tol=1e-12))
-            sizes.append([z.size for z, in row])
-        assert got.shape == (3,) and np.array_equal(got, alone)
-        assert [len(x) for x in sizes] == [3, 4, 6]
-        assert [z.shape for z, in calls] == [(3, n) for n in sizes[-1]]
-        with pytest.raises(NonConvergenceError):
-            contour_integral(calls.fn, QuadraturePath.circle(centers, radii), rel_tol=1e-12,
-                             max_panels=32)
-        with pytest.raises(ValueError):
-            QuadraturePath.circle(centers, np.array([1.0, 0.0, 1.0]))
+        assert type(got) is (np.ndarray if rows else complex)
+        if periodic:
+            scale = abs(end - start) * sum(abs(c) * np.exp(abs(a.real)) + abs(d)
+                                           for a, c, d, _ in terms)
+            assert np.all(np.abs(got - want) <= 1e-13 * scale)
+            assert [z.size for z, in calls] == [samples] + [n // 2 for n in sizes[2:]]
+        else:
+            assert np.array_equal(got, want)
+            base = _GL * math.ceil(samples / _GL)
+            assert [z.size for z, in calls] == [3 * base] + sizes[2:]
+        assert sizes[:2] == [sizes[1] // 2, sizes[1]]
 
     def test_path_validation(self):
         with pytest.raises(ValueError):
-            QuadraturePath.circle(0.0, -1.0)
+            QuadraturePath.period(0.0, 1.0, samples=33)
+        with pytest.raises(ValueError):
+            QuadraturePath.period(1.0, 1.0)
         with pytest.raises(ValueError):
             QuadraturePath.segment(0.0, 1.0, samples=4)
+        with pytest.raises(ValueError):
+            QuadraturePath("circle", 0.0, 1.0)

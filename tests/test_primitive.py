@@ -152,7 +152,7 @@ class TestPeriodMatrix:
         s, _, _ = basis_F_sphere(EndDivisor((0.5, -1.0, complex(np.inf, 0.0))))
         t, _, _ = basis_F_sphere(EndDivisor((0.5, -1.0, complex(np.inf, 0.0))))
         with pytest.raises(SectionDataError, match="share a basis"):
-            period_matrix((s, t), QuadraturePath.circle(0.0, 2.0))
+            period_matrix((s, t), QuadraturePath.segment(0.0, 2.0))
 
     @staticmethod
     def _quadratures(count_calls, fn):

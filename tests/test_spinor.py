@@ -302,18 +302,25 @@ def _pairwise_omega(basis):
        st.integers(-2, 2), st.integers(-2, 2), st.integers(0, 2**16))
 @settings(max_examples=12, deadline=None)
 def test_oracle_on_random_skewed_lattices(re_tau, thinness, size, angle, k1, k2, seed):
-    # a reduced basis (b1, b2), Im(tau) up to 4, given in the skewed basis
+    # a reduced basis (b1, b2) given in the skewed basis
     # (b1 + k1 b2, b2 + k2 (b1 + k1 b2)) of determinant 1; ends at
-    # jittered reduced-cell fractions, away from each other and the half-lattice
-    lo = np.sqrt(1.0 - re_tau**2)
-    b1 = size * np.exp(1j * angle)
-    b2 = b1 * complex(re_tau, lo * (4.0 / lo) ** thinness)
-    p1 = b1 + k1 * b2
-    ctx = build_context(p1 / 2, (b2 + k2 * p1) / 2)
+    # jittered reduced-cell fractions, away from each other and the
+    # half-lattice.  The twisted ends lie over the whole cell with Im(tau) up
+    # to 25; the untwisted ones with Im(tau) up to 4, where their chart
+    # weight wp - e_r keeps its digits
     rng = np.random.default_rng(seed)
     fractions = np.array([(0.13, 0.21), (0.62, 0.37), (0.31, 0.78)]) + rng.uniform(-0.05, 0.05, (3, 2))
-    ends = tuple(complex(fx * b1 + fy * b2) for fx, fy in fractions)
+    lo = np.sqrt(1.0 - re_tau**2)
+    b1 = size * np.exp(1j * angle)
+
+    def cell(im_tau_max):
+        b2 = b1 * complex(re_tau, lo * (im_tau_max / lo) ** thinness)
+        p1 = b1 + k1 * b2
+        return (build_context(p1 / 2, (b2 + k2 * p1) / 2),
+                tuple(complex(fx * b1 + fy * b2) for fx, fy in fractions))
+    ctx, ends = cell(25.0)
     bases = [basis_F_torus_twisted(ctx, EndDivisor((0.0,) + ends))]
+    ctx, ends = cell(4.0)
     bases += [basis_F_torus_untwisted(ctx, r, EndDivisor(ends)) for r in (1, 2, 3)]
     for basis in bases:
         for i in range(len(basis)):

@@ -22,12 +22,11 @@ from typing import Callable
 
 import numpy as np
 
-from . import acceptance, moduli
+from . import acceptance, moduli, reportio
 from .arf import HyperellipticSpin, arf_bruteforce, arf_closed_form, \
     spin_structure_counts, torus_spin_table
 from .elliptic import build_context
 from .numkit import NonConvergenceError, pfaffian
-from .reportio import report_text, write_report
 from .spinor import (
     INF,
     EndDivisor,
@@ -102,11 +101,13 @@ def parse_complex(text: str) -> complex:
 def _emit(args, payload: dict, name: str) -> None:
     payload = dict(payload)
     payload.setdefault("command", name)
-    if args.out:
-        path = write_report(payload, Path(args.out) / f"{name}.json")
-        print(f"wrote {path}")
-    if args.json or not args.out:
-        print(report_text(payload), end="")
+    if not args.out:
+        print(reportio.report_text(payload), end="")
+        return
+    path = reportio.write_report(payload, Path(args.out) / f"{name}.json")
+    print(f"wrote {path}")
+    if args.json:
+        print(path.read_text(), end="")
 
 
 def _mesh_gate(mesh) -> int:
@@ -285,7 +286,7 @@ def cmd_verify(args) -> int:
                "results": [{"name": r.name, "passed": r.passed,
                             "value": r.value, "tol": r.tol} for r in results]}
     if args.out:
-        write_report(payload, Path(args.out) / f"verify-{args.suite}.json")
+        reportio.write_report(payload, Path(args.out) / f"verify-{args.suite}.json")
     failed = [r for r in results if not r.passed]
     print(f"{len(results) - len(failed)}/{len(results)} checks passed")
     return 0 if not failed else VERIFICATION_ERROR

@@ -8,17 +8,20 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import spinorminimal
+from spinorminimal import reportio
 from spinorminimal.cli import build_parser, main
-from spinorminimal.reportio import ReportValueError, jsonify
+from spinorminimal.reportio import SCHEMA, ReportValueError, jsonify, report_text
 from spinorminimal.spinor import INF
 
 OPTIONS = {
@@ -249,3 +252,100 @@ def test_no_input_ends_in_a_traceback_or_a_nan_report(argv):
 for _probe in PROBES:
     test_no_input_ends_in_a_traceback_or_a_nan_report = example(argv=_probe)(
         test_no_input_ends_in_a_traceback_or_a_nan_report)
+
+
+def _reference_text(payload):
+    """A report's text by jsonify and json.dumps, the byte contract of
+    reportio.report_text."""
+    return json.dumps({"schema": SCHEMA, **jsonify(payload)}, sort_keys=True, indent=2) + "\n"
+
+
+# escapes, a '%' (the row template's format character), non-ASCII and a
+# character outside the BMP (a surrogate pair under ensure_ascii)
+TEXT = st.text(st.sampled_from('ab%"\\\n\t\x7fé€\U0001d11e'), max_size=4)
+FLOAT = st.floats(allow_nan=False) | st.sampled_from(
+    [0.0, -0.0, math.inf, -math.inf, 5e-324, -2.2250738585072014e-308, 1e300, -1e300])
+LEAVES = {"float": FLOAT, "int": st.integers(-2**70, 2**70), "bool": st.booleans(),
+          "none": st.none(), "str": TEXT}
+# a value of another type than its field has in the other rows, which
+# leaves the row's list to json.dumps
+MISFIT = st.one_of(FLOAT.map(np.float64), st.builds(complex, FLOAT, FLOAT), st.integers(),
+                   st.booleans(), FLOAT, st.lists(FLOAT, max_size=2))
+# a row field: a leaf kind, or (kind, length, list or tuple) for a flat list
+FIELD = st.sampled_from(sorted(LEAVES)) | st.tuples(
+    st.sampled_from(sorted(LEAVES)), st.integers(0, 3), st.sampled_from([list, tuple]))
+
+
+@st.composite
+def _rows(draw):
+    """Rows of one shape: scalar fields and flat lists of one leaf kind, and
+    now and then one row with another type in one field."""
+    shape = draw(st.dictionaries(TEXT, FIELD, max_size=4))
+
+    def value(field):
+        if isinstance(field, str):
+            return draw(LEAVES[field])
+        kind, n, seq = field
+        return seq(draw(LEAVES[kind]) for _ in range(n))
+    rows = [{k: value(field) for k, field in shape.items()}
+            for _ in range(draw(st.integers(1, 5)))]
+    if shape and draw(st.booleans()):
+        row = draw(st.sampled_from(rows))
+        row[draw(st.sampled_from(sorted(shape)))] = draw(MISFIT)
+    return rows
+
+
+LEAF = st.one_of(*LEAVES.values(), FLOAT.map(np.float64), st.builds(complex, FLOAT, FLOAT))
+VALUE = st.recursive(LEAF | st.lists(LEAF, max_size=3) | _rows() | st.just([]) | st.just({}),
+                     lambda inner: st.dictionaries(TEXT, inner, max_size=4), max_leaves=12)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(payload=st.dictionaries(TEXT, _rows() | VALUE, max_size=5))
+def test_report_text_is_the_json_dumps_text(payload):
+    assert report_text(payload) == _reference_text(payload)
+
+
+def _scan_rows(n):
+    return [{"c": [0.25 * k, -1.0, 2.0], "variety": 1.0 / (k + 1), "stabilizer": "C1"}
+            for k in range(n)]
+
+
+@pytest.mark.parametrize("row, field, where", [(17, "variety", "17.variety"), (3, "c", "3.c.2")])
+def test_a_nan_in_a_row_is_named(row, field, where):
+    rows = _scan_rows(20)
+    if field == "c":
+        rows[row]["c"][2] = math.nan
+    else:
+        rows[row][field] = math.nan
+    with pytest.raises(ReportValueError,
+                       match=rf"^report field boundary_points\.{re.escape(where)} is NaN$"):
+        report_text({"boundary_points": rows, "count": len(rows)})
+
+
+@pytest.mark.parametrize("value", [np.float64(0.1), math.inf, -math.inf],
+                         ids=["float64", "inf", "-inf"])
+def test_a_float64_or_an_infinity_in_a_row_keeps_the_json_text(value):
+    rows = _scan_rows(3)
+    rows[1]["variety"] = value
+    payload = {"boundary_points": rows, "count": len(rows)}
+    assert report_text(payload) == _reference_text(payload)
+
+
+@pytest.mark.parametrize("argv", [
+    ["rp2", "--boundary-scan", "11"],
+    ["sphere6", "--scan", "10", "--seed", "3"],
+    ["omega", "--domain", "sphere", "--ends", "0.5j;1;-1;inf"],
+    ["torus4", "1", "1j"],
+    ["klein4"],
+    ["arf", "2"],
+], ids=["rp2-scan", "sphere6-scan", "omega", "torus4", "klein4", "arf"])
+def test_a_printed_report_is_the_json_dumps_text_rendered_once(argv, tmp_path, count_calls,
+                                                               capsys):
+    calls = count_calls(reportio, "report_text")
+    main(argv + ["--out", str(tmp_path), "--json"])
+    assert len(calls) == 1
+    text = _reference_text(calls[0][0])
+    path = next(tmp_path.iterdir())
+    assert capsys.readouterr().out == f"wrote {path}\n" + text
+    assert path.read_text() == text

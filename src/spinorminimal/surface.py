@@ -10,7 +10,9 @@ pool (SPINOR_MINIMAL_THREADS is accepted and changes nothing).  The
 metadata carries the closed form's evidence: the identity residual of the
 forms at every vertex, the end residues, and every cell's loop closure.
 Faces come from slices of the validity mask and the normals from the
-section values already computed at the vertices.  Gauss-Legendre edge
+section values already computed at the vertices.  The per-vertex stage
+and the exporters work on blocks of _BLOCK vertices: their temporaries stay
+bounded and every bit is what one whole-array pass gives.  Gauss-Legendre edge
 quadrature stays as the oracle: quadrature_edges and
 quadrature_loop_residual integrate every grid edge independently.
 """
@@ -54,6 +56,12 @@ __all__ = [
 ]
 
 _GL_EDGE = 12
+# vertices per block of integrate_surface's per-vertex stage and of the
+# exporters' rows, which bounds their memory.  Every step is pointwise; only
+# the zgemm under FormPrimitive.evaluate's tensordot rounds the last n mod 4
+# points of a call (n mod 8 on some CPUs) in a tail kernel, so any multiple
+# of 16 gives a mesh the same bits
+_BLOCK = 8192
 _EDGE_NODES, _EDGE_WEIGHTS = np.polynomial.legendre.leggauss(_GL_EDGE)
 
 
@@ -202,11 +210,17 @@ def integrate_surface(data: WeierstrassData, grid: GridSpec, basepoint) -> Surfa
     uvs = U[valid]
     s1, s2 = data.s1, data.s2
     prim = form_primitive(((s1, s1), (s2, s2), (s1, s2)))
-    phi, form, size = prim.evaluate(uvs)
-    f1, f2 = section_values((s1, s2), uvs)
-    products = np.stack([f1 * f1, f2 * f2, f1 * f2]) * data.domain.form_weight(uvs)
-    identity = np.max(np.abs(products - form) / np.maximum(np.abs(products) + size, 1e-300),
-                      initial=0.0)
+    phi, f = np.empty((3, len(uvs)), complex), np.empty((2, len(uvs)), complex)
+    identity = 0.0
+    for k in range(0, len(uvs), _BLOCK):
+        block = slice(k, k + _BLOCK)
+        phi[:, block], form, size = prim.evaluate(uvs[block])
+        f[:, block] = section_values((s1, s2), uvs[block])
+        f1, f2 = f[:, block]
+        products = np.stack([f1 * f1, f2 * f2, f1 * f2]) * data.domain.form_weight(uvs[block])
+        identity = np.maximum(identity, np.max(
+            np.abs(products - form) / np.maximum(np.abs(products) + size, 1e-300), initial=0.0))
+    f1, f2 = f
     verts = real_period(phi - phi[:, index.flat[root], None]).T
 
     cell = valid[:-1, :-1] & valid[1:, :-1] & valid[1:, 1:] & valid[:-1, 1:]
@@ -339,30 +353,34 @@ def branch_points(data: WeierstrassData, resolution: int = 120):
 
 def export_obj(mesh: SurfaceMesh, path) -> Path:
     """Wavefront OBJ with 17-significant-digit vertices and normals."""
-    if mesh.vertices.size == 0:
-        raise ValueError("cannot export an empty mesh")
-    faces = np.repeat(mesh.faces + 1, 2, axis=1)
-    text = ("v %.17g %.17g %.17g\n" * len(mesh.vertices)
-            + "vn %.17g %.17g %.17g\n" * len(mesh.gauss)
-            + "f %d//%d %d//%d %d//%d\n" * len(faces)) \
-        % tuple(mesh.vertices.ravel().tolist() + mesh.gauss.ravel().tolist()
-                + faces.ravel().tolist())
-    return _write(path, text)
+    v, n, f = mesh.vertices, mesh.gauss, mesh.faces
+    return _write_rows(mesh, path, "", (
+        ("v %.17g %.17g %.17g\n", len(v), v.__getitem__),
+        ("vn %.17g %.17g %.17g\n", len(n), n.__getitem__),
+        ("f %d//%d %d//%d %d//%d\n", len(f), lambda s: np.repeat(f[s] + 1, 2, axis=1))))
 
 
 def export_csv(mesh: SurfaceMesh, path) -> Path:
     """CSV of (u, X, n) samples: re(u), im(u), x, y, z, nx, ny, nz."""
-    rows = np.column_stack([mesh.domain_uv.real, mesh.domain_uv.imag,
-                            mesh.vertices, mesh.gauss])
-    text = "re_u,im_u,x,y,z,nx,ny,nz\n" \
-        + ("%.17g," * 7 + "%.17g\n") * len(rows) % tuple(rows.ravel().tolist())
-    return _write(path, text)
+    uv, v, n = mesh.domain_uv, mesh.vertices, mesh.gauss
+    return _write_rows(mesh, path, "re_u,im_u,x,y,z,nx,ny,nz\n", (
+        ("%.17g," * 7 + "%.17g\n", len(v),
+         lambda s: np.column_stack([uv[s].real, uv[s].imag, v[s], n[s]])),))
 
 
-def _write(path, text: str) -> Path:
+def _write_rows(mesh: SurfaceMesh, path, header: str, tables) -> Path:
+    """The header, then each (line, count, rows) table as line * len(b) % b
+    for the blocks b = rows(slice) of _BLOCK rows, one line per row."""
+    if mesh.vertices.size == 0:
+        raise ValueError("cannot export an empty mesh")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    with path.open("w") as fh:
+        fh.write(header)
+        for line, count, rows in tables:
+            for k in range(0, count, _BLOCK):
+                block = rows(slice(k, k + _BLOCK))
+                fh.write(line * len(block) % tuple(block.ravel().tolist()))
     return path
 
 

@@ -1,7 +1,15 @@
 """Weierstrass integration, periods, branch detection, meshes, exports."""
 
+import tempfile
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from spinorminimal import surface
+from spinorminimal.cli import CONSTRUCTIONS
 
 from spinorminimal.elliptic import build_context
 from spinorminimal.moduli import klein4_construct, sphere4_solve, torus4_construct
@@ -303,10 +311,14 @@ class TestExports:
         assert np.array_equal(verts, enneper_mesh.vertices)
 
     def test_empty_mesh_rejected(self, tmp_path):
+        # by both exporters, before a file or its directory is made
         mesh = SurfaceMesh(vertices=np.zeros((0, 3)), faces=np.zeros((0, 3), dtype=int),
                            gauss=np.zeros((0, 3)), domain_uv=np.zeros(0, dtype=complex))
-        with pytest.raises(ValueError):
-            export_obj(mesh, tmp_path / "empty.obj")
+        path = tmp_path / "out" / "empty"
+        for export in (export_obj, export_csv):
+            with pytest.raises(ValueError, match="empty mesh"):
+                export(mesh, path)
+            assert not path.exists() and not path.parent.exists()
 
     def test_obj_and_csv_lines(self, tmp_path):
         mesh = integrate_surface(enneper_data(), GridSpec(nx=4, ny=3, extent=1.0), -1.0 - 1.0j)
@@ -325,6 +337,87 @@ class TestExports:
         lines = path.read_text().splitlines()
         assert lines[0].startswith("re_u,im_u")
         assert len(lines) == 1 + 9
+
+
+B = surface._BLOCK
+# zeros, the smallest subnormal, the largest magnitudes and an integer
+# beyond 2**53 among the random values
+SPECIAL = np.array([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 2.0**53 + 1])
+
+
+def _random_values(rng, shape):
+    """Random signs and exponents over the whole double range, a fifth SPECIAL."""
+    x = rng.choice([-1.0, 1.0], shape) * np.ldexp(rng.uniform(1.0, 2.0, shape),
+                                                  rng.integers(-1074, 1023, shape))
+    return np.where(rng.random(shape) < 0.2, rng.choice(SPECIAL, shape), x)
+
+
+def _one_template_texts(mesh):
+    """The OBJ and CSV texts written as one template over the whole mesh."""
+    faces = np.repeat(mesh.faces + 1, 2, axis=1)
+    obj = ("v %.17g %.17g %.17g\n" * len(mesh.vertices)
+           + "vn %.17g %.17g %.17g\n" * len(mesh.gauss)
+           + "f %d//%d %d//%d %d//%d\n" * len(faces)) \
+        % tuple(mesh.vertices.ravel().tolist() + mesh.gauss.ravel().tolist()
+                + faces.ravel().tolist())
+    rows = np.column_stack([mesh.domain_uv.real, mesh.domain_uv.imag,
+                            mesh.vertices, mesh.gauss])
+    csv = "re_u,im_u,x,y,z,nx,ny,nz\n" \
+        + ("%.17g," * 7 + "%.17g\n") * len(rows) % tuple(rows.ravel().tolist())
+    return obj, csv
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 2 * B + 1])
+    @settings(derandomize=True, max_examples=3, deadline=None)
+    @given(m=st.sampled_from([0, 1, B, B + 1, 2 * B + 1]), seed=st.integers(0, 2**32 - 1))
+    def test_exports_are_the_one_template_text(self, n, m, seed):
+        rng = np.random.default_rng(seed)
+        mesh = SurfaceMesh(vertices=_random_values(rng, (n, 3)),
+                           faces=rng.integers(0, 10**6, (m, 3)),
+                           gauss=_random_values(rng, (n, 3)),
+                           domain_uv=_random_values(rng, n) + 1j * _random_values(rng, n))
+        obj, csv = _one_template_texts(mesh)
+        with tempfile.TemporaryDirectory() as d:
+            assert export_obj(mesh, Path(d) / "m.obj").read_bytes() == obj.encode()
+            assert export_csv(mesh, Path(d) / "m.csv").read_bytes() == csv.encode()
+
+    @pytest.mark.parametrize("name, build, grid", [
+        ("sphere4", {}, 33),
+        ("torus4", {"omega1": 1.0, "omega3": 0.5 + 0.1j}, 33),
+        ("klein4", {}, 17),
+    ])
+    def test_a_mesh_does_not_depend_on_the_block_size(self, monkeypatch, name, build, grid):
+        # a block of 16, the smallest that keeps the bits on every BLAS tail
+        # width the comment on surface._BLOCK names
+        entry = CONSTRUCTIONS[name]
+        built = entry.build(**build)
+        want = entry.mesh(built, GridSpec(grid, grid))
+        monkeypatch.setattr(surface, "_BLOCK", 16)
+        got = entry.mesh(built, GridSpec(grid, grid))
+        assert len(got.vertices) > 16 * 10
+        for key in ("vertices", "gauss", "faces"):
+            a, b = getattr(want, key), getattr(got, key)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), key
+        assert repr(got.metadata) == repr(want.metadata)
+
+    def test_export_memory_is_bounded_by_the_block(self, tmp_path):
+        # face indices below 256 are Python's cached ints, which keeps the
+        # traced allocations, and so the test's time, to the floats
+        peaks = []
+        for n in (3 * B, 6 * B):
+            rng = np.random.default_rng(n)
+            mesh = SurfaceMesh(vertices=rng.standard_normal((n, 3)),
+                               faces=rng.integers(0, 256, (2 * n, 3)),
+                               gauss=rng.standard_normal((n, 3)),
+                               domain_uv=np.zeros(n, dtype=complex))
+            tracemalloc.start()
+            try:
+                export_obj(mesh, tmp_path / "m.obj")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < 2**20, peaks
 
 
 class TestTorusMesh:

@@ -1,9 +1,10 @@
 """The acceptance gate: every criterion as a runnable check.
 
-Each criterion function returns a list of CheckResult records; `run`
-executes a named suite (or everything) and is shared by the pytest
-acceptance module and the `spinor-minimal verify` command.  Tolerances
-are pinned here, next to the checks that use them.
+Each criterion function takes a seed (unused where it draws nothing) and
+returns a list of CheckResult records; `run` executes a named suite (or
+everything) and is shared by the pytest acceptance module and the
+`spinor-minimal verify` command.  Tolerances are pinned here, next to the
+checks that use them.
 """
 
 from __future__ import annotations
@@ -178,7 +179,7 @@ def criterion_3_oracle(seed=0):
     return [_check(f"3 omega_pair vs qres oracle ({pairs} pairs)", worst, 1e-6)]
 
 
-def criterion_4_sphere4():
+def criterion_4_sphere4(seed=0):
     fam = moduli.sphere4_solve()
     out = [
         _check("4a |pfaffian| at a = (sqrt3+i)/2", fam.residuals["pfaffian"], 1e-10),
@@ -228,7 +229,7 @@ def criterion_6_rp2(seed=0):
     return out
 
 
-def criterion_7_arf():
+def criterion_7_arf(seed=0):
     out = []
     from itertools import combinations
     mismatch = 0
@@ -270,7 +271,7 @@ def criterion_7_arf():
     return out
 
 
-def criterion_8_torus4():
+def criterion_8_torus4(seed=0):
     out = []
     worst_diag = worst_off = worst_p1 = 0.0
     for name, (o1, o3) in [("square", (1.0, 1.0j)), ("rect2", (1.0, 2.0j)),
@@ -318,7 +319,7 @@ def criterion_9_klein(seed=0):
     return out
 
 
-def criterion_10_geometry():
+def criterion_10_geometry(seed=0):
     out = []
     mesh = integrate_surface(enneper_data(), GridSpec(nx=65, ny=65, extent=2.0), 0.0)
     d = mesh.vertices[mesh.vertex_at(1.0)] - mesh.vertices[mesh.vertex_at(0.0)]
@@ -418,8 +419,9 @@ def run(suite: str = "acceptance", seed: int = 0):
     results = []
     for fn in SUITES[suite]:
         try:
-            results.extend(fn(seed) if "seed" in fn.__code__.co_varnames else fn())
+            results.extend(fn(seed))
         except Exception as exc:  # a crashed criterion is a failed criterion
             results.append(CheckResult(name=f"{fn.__name__} crashed", passed=False,
-                                       value=float("inf"), tol=0.0, detail=repr(exc)))
+                                       value=float("inf"), tol=0.0,
+                                       detail=f"{type(exc).__name__}: {exc} (seed {seed})"))
     return results

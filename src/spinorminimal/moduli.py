@@ -1,10 +1,12 @@
 """Explicit constructions: 4/6-ended spheres, RP^2 variety, 4-ended tori,
 the 4-ended Klein bottle, and the 3-ended-torus degeneracy evaluators.
 
-Each construction returns a dataclass bundling its inputs, the Omega
-matrix, the kernel sections, and the residuals of every identity it
-checked; the sphere, torus-4 and Klein dataclasses serialize that to a
+sphere4_solve, torus3_degeneracy, torus4_construct and klein4_construct
+each return a dataclass bundling the inputs, the results (Omega, kernel
+sections, periods, as each construction has them) and the residuals of
+every identity checked; all but the 3-ended torus serialize it to a
 JSON-ready dict with `.report()`.
+sphere6_K_basis returns the tuple ((t1, t2), form, residuals).
 
 Conventions pinned here (each cross-checked numerically at build time):
 
@@ -38,11 +40,11 @@ from .spinor import (
     basis_F_sphere,
     basis_F_torus_twisted,
     basis_F_torus_untwisted_paired,
-    check_planar_end,
     extract_K,
     form_primitive,
     omega_matrix,
     period_matrix,
+    planar_ends,
     rational_sphere_basis,
     section_combination,
     section_values,
@@ -109,7 +111,7 @@ def _torus_cycle(ctx: EllipticContext, k: int) -> QuadraturePath:
 @dataclass(frozen=True)
 class SphereFamily:
     n: int
-    parameter: tuple  # (a,) for n=4, (s1, s2, s3) for n=6
+    parameter: tuple  # (a,): sphere4_solve builds the only family, n = 4
     ends: EndDivisor
     form: OmegaForm
     K_basis: tuple
@@ -168,9 +170,9 @@ def sphere4_solve(tol: float = 1e-9) -> SphereFamily:
         sol, *_ = np.linalg.lstsq(Kmat, v, rcond=None)
         worst = max(worst, float(np.linalg.norm(Kmat @ sol - v) / np.linalg.norm(v)))
     residuals["printed_K_span"] = worst
-    residuals["planar_ends"] = all(
-        check_planar_end(K[0], K[1], k) for k in range(divisor.n))
-    residuals["t1_sq_residue_at_0"] = abs(2 * t1.alpha(0.0)[0] * t1.alpha(0.0)[1])
+    residuals["planar_ends"] = bool(planar_ends(K[0], K[1]).all())
+    am1, a0 = t1.expansions[2]  # the end 0
+    residuals["t1_sq_residue_at_0"] = abs(2 * am1 * a0)
     return SphereFamily(n=4, parameter=(a,), ends=form.divisor, form=form,
                         K_basis=tuple(K), residuals=residuals)
 
@@ -547,7 +549,7 @@ def torus4_construct(ctx: EllipticContext, choice=(1, 2, 3)) -> TorusFourEnd:
     residuals["period_diag_rel"] = worst_diag
     residuals["period_offdiag"] = worst_off
     residuals["period1"] = period1_res
-    residuals["planar_ends"] = all(check_planar_end(s1, s2, m) for m in range(4))
+    residuals["planar_ends"] = bool(planar_ends(s1, s2).all())
     return TorusFourEnd(ctx=ctx, choice=tuple(choice), ends=divisor,
                         K_basis=tuple(that),
                         periods_closed=periods_closed, periods_quadrature=periods_quad,

@@ -76,7 +76,7 @@ __all__ = [
     "basis_F_torus_untwisted_paired",
     "omega_matrix",
     "extract_K",
-    "check_planar_end",
+    "planar_ends",
     "section_combination",
     "section_values",
     "period_matrix",
@@ -95,7 +95,7 @@ def is_infinity(p) -> bool:
 
 
 class SectionDataError(ValueError):
-    """Inconsistent section data (residue sum, kernel shape, end lookup)."""
+    """Inconsistent section data (residue sum, kernel shape, shared basis)."""
 
 
 @dataclass(frozen=True)
@@ -120,23 +120,6 @@ class EndDivisor:
     @property
     def n(self) -> int:
         return len(self.points)
-
-    def index_of(self, p) -> int:
-        if isinstance(p, (int, np.integer)) and not isinstance(p, bool):
-            if 0 <= p < self.n:
-                return int(p)
-            raise SectionDataError(f"end index {p} out of range")
-        p = complex(p)
-        if is_infinity(p):
-            for k, q in enumerate(self.points):
-                if is_infinity(q):
-                    return k
-            raise SectionDataError("divisor has no end at infinity")
-        dists = [abs(p - q) if not is_infinity(q) else math.inf for q in self.points]
-        k = int(np.argmin(dists))
-        if dists[k] > 1e-9 * max(1.0, abs(p)):
-            raise SectionDataError(f"{p} is not an end of this divisor")
-        return k
 
 
 class _DomainBase:
@@ -400,10 +383,6 @@ class SpinorSection:
         local chart (see module docstring), from the basis table; None outside F."""
         return None if self.basis.laurent is None else self.basis.table(self.coefficients)[0]
 
-    def alpha(self, p):
-        """(alpha_-1, alpha_0) at an end given by value or integer index."""
-        return self.expansions[self.domain.ends.index_of(p)]
-
     def evaluate(self, u):
         return self.basis.evaluate([self.coefficients], u)[0]
 
@@ -481,10 +460,16 @@ class FormPrimitive:
         else:
             Z = 1.0 / d
             W = Z * Z
+        # the few ends summed in their order, point by point, so a point's
+        # bits do not depend on the other points of the call
+        shape = (len(self.c),) + u.shape
+        cZ, cW, size = np.zeros(shape, complex), np.zeros(shape, complex), np.zeros(shape)
+        for c, z, w in zip(self.c.T.reshape(self.c.T.shape + (1,) * u.ndim), Z, W):
+            cZ += c * z
+            cW += c * w
+            size += np.abs(c) * np.abs(w)
         poly = P.polyval(u, self.poly)
-        return (P.polyval(u, P.polyint(self.poly)) - np.tensordot(self.c, Z, 1),
-                poly + np.tensordot(self.c, W, 1),
-                np.abs(poly) + np.tensordot(np.abs(self.c), np.abs(W), 1))
+        return P.polyval(u, P.polyint(self.poly)) - cZ, poly + cW, np.abs(poly) + size
 
 
 def form_primitive(pairs) -> FormPrimitive:
@@ -511,9 +496,8 @@ def form_primitive(pairs) -> FormPrimitive:
                                f"{res[p, k]:.2e} at the end {dom.ends.points[k]}: a log end")
     finite = [k for k, p in enumerate(dom.ends.points) if not is_infinity(p)]
     ends = tuple(dom.ends.points[k] for k in finite)
-    # einsum rounds as the scalar product does; the layout of c sets how
-    # FormPrimitive.evaluate's tensordot sums, so it is fixed to C order
-    c = np.einsum("pk,pk->pk", s[:, finite, 0], t[:, finite, 0], order="C") \
+    # einsum rounds as the scalar product does
+    c = np.einsum("pk,pk->pk", s[:, finite, 0], t[:, finite, 0]) \
         / dom.form_weight(np.array(ends, complex))
     poly = basis._polynomial_part(pairs)
     prim = FormPrimitive(dom, ends, np.zeros((1, len(pairs))) if poly is None else poly, c,
@@ -638,16 +622,17 @@ def omega_qres_oracle(s: SpinorSection, t: SpinorSection, rel_tol: float = 1e-9)
                                    rel_tol=rel_tol)
 
 
-def check_planar_end(s1: SpinorSection, s2: SpinorSection, p, tol: float = 1e-8) -> bool:
-    """True iff the pair has an embedded planar end at p.
+def planar_ends(s1: SpinorSection, s2: SpinorSection, tol: float = 1e-8) -> np.ndarray:
+    """One bool per end, in divisor order: True where the pair has an
+    embedded planar end (Lemma ends).
 
     alpha_0 of both sections vanishes and at least one has a pole;
-    equivalently res_p of s1^2, s1 s2, s2^2 all vanish with a pole present.
+    equivalently res of s1^2, s1 s2, s2^2 all vanish with a pole present.
+    Both are measured against the largest |alpha| of the pair at the end.
     """
-    (am1_1, a0_1), (am1_2, a0_2) = s1.alpha(p), s2.alpha(p)
-    scale = max(abs(am1_1), abs(am1_2), abs(a0_1), abs(a0_2), 1e-30)
-    has_pole = max(abs(am1_1), abs(am1_2)) > tol * scale
-    return has_pole and abs(a0_1) <= tol * scale and abs(a0_2) <= tol * scale
+    mags = np.abs(_shared_basis((s1, s2)).table([s1.coefficients, s2.coefficients])).max(axis=0)
+    bound = tol * np.maximum(mags.max(axis=1), 1e-30)
+    return (mags[:, 0] > bound) & (mags[:, 1] <= bound)
 
 
 def section_combination(coefficients, sections, label="combo"):

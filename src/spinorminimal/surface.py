@@ -12,7 +12,7 @@ forms at every vertex, the end residues, and every cell's loop closure.
 Faces come from slices of the validity mask and the normals from the
 section values already computed at the vertices.  The per-vertex stage
 and the exporters work on blocks of _BLOCK vertices: their temporaries stay
-bounded and every bit is what one whole-array pass gives.  Gauss-Legendre edge
+bounded, and a vertex's bits depend only on that vertex.  Gauss-Legendre edge
 quadrature stays as the oracle: quadrature_edges and
 quadrature_loop_residual integrate every grid edge independently.
 """
@@ -57,10 +57,9 @@ __all__ = [
 
 _GL_EDGE = 12
 # vertices per block of integrate_surface's per-vertex stage and of the
-# exporters' rows, which bounds their memory.  Every step is pointwise; only
-# the zgemm under FormPrimitive.evaluate's tensordot rounds the last n mod 4
-# points of a call (n mod 8 on some CPUs) in a tail kernel, so any multiple
-# of 16 gives a mesh the same bits
+# exporters' rows, which bounds their memory.  Every step is pointwise, so a
+# vertex's bits depend only on that vertex and any block gives a mesh the
+# same bits
 _BLOCK = 8192
 _EDGE_NODES, _EDGE_WEIGHTS = np.polynomial.legendre.leggauss(_GL_EDGE)
 

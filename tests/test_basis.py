@@ -290,10 +290,12 @@ def _per_end_primitive(prim, u):
     for k, a in enumerate(prim.ends):
         frame = elliptic._theta_frame(prim.domain.ctx, u - a)
         Z[k], W[k] = frame.result(frame.zeta()), frame.result(frame.wp())
+    # the ends summed in their order, as evaluate sums them
+    c = prim.c.reshape(prim.c.shape + (1,) * u.ndim)
     poly = P.polyval(u, prim.poly)
-    return (P.polyval(u, P.polyint(prim.poly)) - np.tensordot(prim.c, Z, 1),
-            poly + np.tensordot(prim.c, W, 1),
-            np.abs(poly) + np.tensordot(np.abs(prim.c), np.abs(W), 1))
+    return (P.polyval(u, P.polyint(prim.poly)) - sum(c[:, k] * Z[k] for k in range(len(Z))),
+            poly + sum(c[:, k] * W[k] for k in range(len(W))),
+            np.abs(poly) + sum(np.abs(c[:, k]) * np.abs(W[k]) for k in range(len(W))))
 
 
 @given(st.floats(-0.5, 0.5), st.floats(0.0, 1.0), st.floats(0.3, 3.0), st.floats(-np.pi, np.pi),

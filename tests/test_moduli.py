@@ -31,7 +31,7 @@ from spinorminimal.moduli import (
     torus4_construct,
 )
 from spinorminimal.numkit import QuadraturePath, contour_integral
-from spinorminimal.spinor import check_planar_end
+from spinorminimal.spinor import planar_ends
 
 
 @pytest.fixture(scope="module")
@@ -57,9 +57,7 @@ class TestSphere4:
 
     def test_planar_ends(self, sphere4):
         assert sphere4.residuals["planar_ends"] is True
-        t1, t2 = sphere4.K_basis
-        for k in range(4):
-            assert check_planar_end(t1, t2, k)
+        assert planar_ends(*sphere4.K_basis).tolist() == [True] * 4
 
     def test_t1_squared_residue_at_zero(self, sphere4):
         assert sphere4.residuals["t1_sq_residue_at_0"] < 1e-12
@@ -102,8 +100,7 @@ class TestSphere6:
         s2 = 2.0 * np.sqrt(5.0) / 3.0
         (t1, t2), form, residuals = sphere6_K_basis((0.0, s2, 0.0))
         assert max(residuals.values()) < 1e-8
-        for k in range(6):
-            assert check_planar_end(t1, t2, k)
+        assert planar_ends(t1, t2).tolist() == [True] * 6
 
     def test_c3_equals_sigma2(self):
         # c-row: c3 = sigma2 in the printed coefficient table
@@ -472,8 +469,7 @@ class TestKlein:
         assert klein.residuals["ABC_ratio"] < 1e-10
 
     def test_planar_ends(self, klein):
-        for k in range(8):
-            assert check_planar_end(klein.s1, klein.s2, k)
+        assert planar_ends(klein.s1, klein.s2).tolist() == [True] * 8
 
     def test_report_serializes(self, klein):
         import json

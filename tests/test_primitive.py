@@ -207,3 +207,27 @@ def test_residue_carrying_pair_names_the_end():
     with pytest.raises(SectionDataError, match="log end"):
         integrate_surface(WeierstrassData(s1=s, s2=t, end_clearance=0.05),
                           GridSpec(nx=9, ny=9), -2.0 - 2.0j)
+
+
+@pytest.mark.parametrize("name, build", [
+    ("sphere4", {}),
+    ("sphere6", {"sigma": (0.0, 2.0 * np.sqrt(5.0) / 3.0, 0.0)}),
+    ("torus4", {"omega1": 1.0, "omega3": 0.5 + 0.1j}),
+    ("klein4", {}),
+])
+def test_evaluate_is_pointwise(name, build):
+    # the ends' terms are added in their order, point by point, so a point's
+    # bits are the same alone, in blocks of 7 and in the whole batch
+    entry = CONSTRUCTIONS[name]
+    s1, s2 = entry.pair(entry.build(**build))
+    prim = form_primitive(((s1, s1), (s2, s2), (s1, s2)))
+    x, y = np.random.default_rng(19).uniform(0.0, 1.0, (2, 45))
+    if s1.domain.genus == 1:
+        u = x * 2 * s1.domain.ctx.omega1 + y * 2 * s1.domain.ctx.omega3
+    else:
+        u = 3.0 * (x - 0.5) + 3j * (y - 0.5)
+    whole = prim.evaluate(u)
+    blocks = [prim.evaluate(u[k:k + 7]) for k in range(0, len(u), 7)]
+    for i, got in enumerate(whole):
+        assert np.array_equal(got, np.concatenate([b[i] for b in blocks], axis=1))
+        assert np.array_equal(got, np.stack([prim.evaluate(v)[i] for v in u], axis=1))

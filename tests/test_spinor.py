@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from spinorminimal import moduli
 from spinorminimal.elliptic import build_context, wp, wp_prime
 from spinorminimal.numkit import SkewMatrix, pfaffian, skew_rank_kernel
 from spinorminimal.spinor import (
@@ -15,15 +16,17 @@ from spinorminimal.spinor import (
     basis_F_torus_twisted,
     basis_F_torus_untwisted,
     basis_F_torus_untwisted_paired,
-    check_planar_end,
     evaluation_matrix,
     extract_K,
     form_primitive,
+    is_infinity,
     omega_matrix,
     omega_pair,
     omega_qres_oracle,
+    planar_ends,
     rational_sphere_basis,
     section_combination,
+    section_values,
     sigma_map,
     spin_cover,
     verify_laurent_consistency,
@@ -392,17 +395,61 @@ class TestOmegaPairProperties:
             omega_pair(b1[0], b2[0])
 
 
-class TestCheckPlanarEnd:
-    def test_phi_pair_is_not_planar_at_finite_ends(self):
-        # phi has no pole at any finite end, so the test fails there
-        basis = basis_F_sphere(EndDivisor((0.3, -0.9, INF)))
-        phi = basis[-1]
-        for k in range(2):
-            assert not check_planar_end(phi, phi, k)
+def _lemma_ends_from_evaluators(s1, s2):
+    """Per end, from the evaluators alone: the sizes of the pole coefficients
+    of s1 and s2 and of the residues of s1^2, s1 s2 and s2^2, shape (ends, 5).
 
-    def test_nonzero_alpha0_fails(self):
-        basis = basis_F_sphere(EndDivisor((0.3, -0.9, INF)))
-        assert not check_planar_end(basis[0], basis[1], 0.3)
+    Each is (1/2 pi i) times the closed integral of h du around the end on
+    the oracle's qres circle u = p + w, w = r e^(2 pi i x): the 64-node
+    trapezoid's mean of h w.  At infinity the chart is w = 1/z, in which a section's
+    chart function is i f(1/w) / w.  A size is the modulus of that mean over
+    the mean of |h w|, the sum's L1.
+    """
+    dom = s1.domain
+    w = dom.qres_radii[:, None] * np.exp(2j * np.pi * np.arange(64) / 64)
+    sizes = []
+    for p, wk in zip(dom.ends.points, w):
+        if is_infinity(p):
+            f, mu = 1j * section_values((s1, s2), 1.0 / wk) / wk, 1.0
+        else:
+            f, mu = section_values((s1, s2), p + wk), dom.form_weight(p + wk)
+        terms = np.array([f[0], f[1], f[0] * f[0] * mu, f[0] * f[1] * mu, f[1] * f[1] * mu]) * wk
+        sizes.append(np.abs(terms.mean(axis=1)) / np.abs(terms).mean(axis=1))
+    return np.array(sizes)
+
+
+def _sphere_rows():
+    return basis_F_sphere(EndDivisor((0.3, -0.9, INF)))
+
+
+def _pair(built):
+    return built.s1, built.s2
+
+
+LEMMA_PAIRS = {
+    "sphere4": (lambda: moduli.sphere4_solve().K_basis, [True] * 4),
+    "torus4": (lambda: _pair(moduli.torus4_construct(build_context(1.0, 1.0j))), [True] * 4),
+    "klein4": (lambda: _pair(moduli.klein4_construct()), [True] * 8),
+    # phi has no pole at the finite ends, and (i, 0) at infinity
+    "phi-phi": (lambda: 2 * _sphere_rows()[-1:], [False, False, True]),
+    # row 1 has alpha_0 = 1/1.2 at the pole 0.3 of row 0, and the other way
+    # round at -0.9; neither has a pole at infinity
+    "rows-0-1": (lambda: _sphere_rows()[:2], [False, False, False]),
+}
+
+
+class TestPlanarEnds:
+    @pytest.mark.parametrize("name", list(LEMMA_PAIRS))
+    def test_lemma_ends_agrees_with_the_evaluators(self, name):
+        build, want = LEMMA_PAIRS[name]
+        s1, s2 = build()
+        sizes = _lemma_ends_from_evaluators(s1, s2)
+        # every size is rounding or of order one: the verdicts are not close
+        assert np.all((sizes < 1e-12) | (sizes > 1e-2)), sizes
+        pole = sizes[:, :2].max(axis=1) > 1e-8
+        residue_free = sizes[:, 2:].max(axis=1) < 1e-8
+        assert (pole & residue_free).tolist() == want
+        assert planar_ends(s1, s2).tolist() == want
 
 
 class TestParityInvariant:

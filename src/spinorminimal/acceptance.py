@@ -331,7 +331,7 @@ def criterion_10_geometry(seed=0):
     mesh4 = integrate_surface(data, grid61, -1.0 - 1.0j)
     out.append(_check("10b sphere-4 mesh loop periods",
                       quadrature_loop_residual(data, grid61) / mesh4.metadata["mesh_scale"], 1e-7))
-    rng = np.random.default_rng(5)
+    rng = np.random.default_rng(seed)
     z = rng.standard_normal(200) + 1j * rng.standard_normal(200)
     keep = data.end_distance(z) > 0.05
     w = data.omega(z[keep])

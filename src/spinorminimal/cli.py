@@ -284,7 +284,8 @@ def cmd_verify(args) -> int:
         print(r.line())
     payload = {"suite": args.suite,
                "results": [{"name": r.name, "passed": r.passed,
-                            "value": r.value, "tol": r.tol} for r in results]}
+                            "value": r.value, "tol": r.tol, "detail": r.detail}
+                           for r in results]}
     if args.out:
         reportio.write_report(payload, Path(args.out) / f"verify-{args.suite}.json")
     failed = [r for r in results if not r.passed]

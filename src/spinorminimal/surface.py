@@ -9,12 +9,15 @@ Phi(basepoint)) at once: no quadrature, no spanning tree and no thread
 pool (SPINOR_MINIMAL_THREADS is accepted and changes nothing).  The
 metadata carries the closed form's evidence: the identity residual of the
 forms at every vertex, the end residues, and every cell's loop closure.
-Faces come from slices of the validity mask and the normals from the
-section values already computed at the vertices.  The per-vertex stage
-and the exporters work on blocks of _BLOCK vertices: their temporaries stay
-bounded, and a vertex's bits depend only on that vertex.  Gauss-Legendre edge
-quadrature stays as the oracle: quadrature_edges and
-quadrature_loop_residual integrate every grid edge independently.
+Faces come from the validity mask's cells and the normals from the
+section values already computed at the vertices.  Everything works on
+blocks of _BLOCK points: the validity mask on grid points, Phi and the
+normals on vertices, faces and loop closures on cells, each block written
+straight into the mesh.  So a mesh's memory is the finished mesh plus one
+block (on a torus the block's theta frames are most of that block), and a
+vertex's bits depend only on that vertex.  Gauss-Legendre edge quadrature
+stays as the oracle: quadrature_edges and quadrature_loop_residual
+integrate every grid edge independently.
 """
 
 from __future__ import annotations
@@ -56,10 +59,11 @@ __all__ = [
 ]
 
 _GL_EDGE = 12
-# vertices per block of integrate_surface's per-vertex stage and of the
-# exporters' rows, which bounds their memory.  Every step is pointwise, so a
-# vertex's bits depend only on that vertex and any block gives a mesh the
-# same bits
+# grid points, vertices or cells per block of integrate_surface's mask,
+# vertex and cell stages and of the exporters' rows: a mesh's memory is the
+# finished mesh plus one block, and on a torus that block's theta frames set
+# the rest of the peak.  Every step is pointwise, so a vertex's bits depend
+# only on that vertex and any block gives a mesh the same bits
 _BLOCK = 8192
 _EDGE_NODES, _EDGE_WEIGHTS = np.polynomial.legendre.leggauss(_GL_EDGE)
 
@@ -174,15 +178,21 @@ def _grid_coordinates(data: WeierstrassData, grid: GridSpec):
 def _valid_mask(data: WeierstrassData, U) -> np.ndarray:
     """Grid vertices outside the end clearance and off chart singularities
     (the lattice point and omega_r when those are not ends; the form itself
-    is regular there)."""
-    valid = data.end_distance(U.ravel()) > data.end_clearance
-    valid &= data.chart_singular_distance(U.ravel()) > 1e-9
+    is regular there), tested on blocks of _BLOCK grid points."""
+    u = U.ravel()
+    valid = np.empty(u.shape, bool)
+    for k in range(0, u.size, _BLOCK):
+        block = u[k:k + _BLOCK]
+        valid[k:k + _BLOCK] = (data.end_distance(block) > data.end_clearance) \
+            & (data.chart_singular_distance(block) > 1e-9)
     return valid.reshape(U.shape)
 
 
-def _loop_residuals(h, v) -> np.ndarray:
-    """Closure h[i,j] + v[i+1,j] - h[i,j+1] - v[i,j] of every cell, shape (nx-1, ny-1)."""
-    return np.linalg.norm(((h[:, :-1] + v[1:, :]) - h[:, 1:]) - v[:-1, :], axis=-1)
+def _closure(h0, v1, h1, v0) -> np.ndarray:
+    """|((h0 + v1) - h1) - v0|, the closure of a cell's four edge increments
+    h0 = b - a, v1 = c - b, h1 = c - d and v0 = d - a, with its corners
+    a, b, c, d at grid points (i, j), (i+1, j), (i+1, j+1) and (i, j+1)."""
+    return np.linalg.norm(((h0 + v1) - h1) - v0, axis=-1)
 
 
 def integrate_surface(data: WeierstrassData, grid: GridSpec, basepoint) -> SurfaceMesh:
@@ -194,7 +204,9 @@ def integrate_surface(data: WeierstrassData, grid: GridSpec, basepoint) -> Surfa
     own evidence: the largest identity residual |f g mu - form| at a
     vertex, relative to |f g mu| plus the size of the form's terms there;
     the largest relative end residue; and the largest loop closure of a
-    cell's four edge increments.
+    cell's four edge increments.  Vertices and normals are made on blocks of
+    _BLOCK vertices, faces and closures on blocks of _BLOCK cells, each
+    written straight into the mesh.
     """
     U = _grid_coordinates(data, grid)
     valid = _valid_mask(data, U)
@@ -205,43 +217,62 @@ def integrate_surface(data: WeierstrassData, grid: GridSpec, basepoint) -> Surfa
     if abs(U.flat[root] - base) > 1e-9 * max(1.0, abs(base)):
         raise ValueError("basepoint must be a grid vertex")
 
-    index = np.cumsum(valid).reshape(valid.shape) - 1
+    index = np.cumsum(valid) - 1
     uvs = U[valid]
     s1, s2 = data.s1, data.s2
     prim = form_primitive(((s1, s1), (s2, s2), (s1, s2)))
-    phi, f = np.empty((3, len(uvs)), complex), np.empty((2, len(uvs)), complex)
-    identity = 0.0
+    verts, gauss = np.empty((len(uvs), 3)), np.empty((len(uvs), 3))
+    # each coordinate's range, kept per block: a reduction down the
+    # columns of verts would step through its rows three values at a time
+    identity, lo, hi = 0.0, np.inf, -np.inf
     for k in range(0, len(uvs), _BLOCK):
-        block = slice(k, k + _BLOCK)
-        phi[:, block], form, size = prim.evaluate(uvs[block])
-        f[:, block] = section_values((s1, s2), uvs[block])
-        f1, f2 = f[:, block]
-        products = np.stack([f1 * f1, f2 * f2, f1 * f2]) * data.domain.form_weight(uvs[block])
+        lead = int(k == 0)
+        pts = uvs[k:k + _BLOCK]
+        if lead:
+            # the root leads the first block: its Phi comes from that call,
+            # not from a call of its own (one more theta frame on a torus)
+            pts = np.concatenate([U.flat[root:root + 1], pts])
+        f1, f2 = section_values((s1, s2), pts)
+        products = np.stack([f1 * f1, f2 * f2, f1 * f2]) * data.domain.form_weight(pts)
+        phi, form, size = prim.evaluate(pts)
         identity = np.maximum(identity, np.max(
             np.abs(products - form) / np.maximum(np.abs(products) + size, 1e-300), initial=0.0))
-    f1, f2 = f
-    verts = real_period(phi - phi[:, index.flat[root], None]).T
+        if lead:
+            origin = phi[:, :1]
+        x = real_period(phi[:, lead:] - origin)
+        verts[k:k + _BLOCK] = x.T
+        lo, hi = np.minimum(lo, x.min(axis=1)), np.maximum(hi, x.max(axis=1))
+        gauss[k:k + _BLOCK] = _normals(f1[lead:], f2[lead:])
 
-    cell = valid[:-1, :-1] & valid[1:, :-1] & valid[1:, 1:] & valid[:-1, 1:]
-    i, j = np.nonzero(cell)
-    a, b, c, d = index[i, j], index[i + 1, j], index[i + 1, j + 1], index[i, j + 1]
-    faces = np.stack([a, b, c, a, c, d], axis=1).reshape(-1, 3)
-    X = np.zeros(U.shape + (3,))
-    X[valid] = verts
-    resid = _loop_residuals(X[1:] - X[:-1], X[:, 1:] - X[:, :-1])[cell]
+    ny = U.shape[1]
+    cell = (valid[:-1, :-1] & valid[1:, :-1] & valid[1:, 1:] & valid[:-1, 1:]).ravel()
+    faces = np.empty((2 * np.count_nonzero(cell), 3), index.dtype)
+    resid, done = 0.0, 0
+    for k in range(0, cell.size, _BLOCK):
+        q = k + np.flatnonzero(cell[k:k + _BLOCK])
+        # cell q = i (ny - 1) + j has its corner (i, j) at grid point q + i,
+        # and the grid point after a vertex in its row is the next vertex
+        g = q + q // (ny - 1)
+        a, b = index[g], index[g + ny]
+        c, d = b + 1, a + 1
+        faces[2 * done:2 * (done + len(q))] = np.stack([a, b, c, a, c, d], axis=1).reshape(-1, 3)
+        xa, xb, xc, xd = (verts.take(corner, axis=0) for corner in (a, b, c, d))
+        resid = np.maximum(resid, np.max(_closure(xb - xa, xc - xb, xc - xd, xd - xa),
+                                         initial=0.0))
+        done += len(q)
     return SurfaceMesh(
         vertices=verts,
         faces=faces,
-        gauss=_normals(f1, f2),
+        gauss=gauss,
         domain_uv=uvs,
         metadata={
             "end_clearance": data.end_clearance,
             "grid": (grid.nx, grid.ny, grid.extent),
             "basepoint": base,
-            "loop_residual_max": float(resid.max()) if resid.size else 0.0,
+            "loop_residual_max": float(resid),
             "identity_residual_max": float(identity),
             "end_residue_max": prim.end_residue_max,
-            "mesh_scale": float(np.ptp(verts, axis=0).max()),
+            "mesh_scale": float((hi - lo).max()),
             "vertex_count": len(verts),
         })
 
@@ -267,7 +298,7 @@ def quadrature_edges(data: WeierstrassData, grid: GridSpec):
 def quadrature_loop_residual(data: WeierstrassData, grid: GridSpec) -> float:
     """Largest Gauss-Legendre loop closure over the cells of the masked grid."""
     _, h, v = quadrature_edges(data, grid)
-    return float(np.nanmax(_loop_residuals(h, v), initial=0.0))
+    return float(np.nanmax(_closure(h[:, :-1], v[1:], h[:, 1:], v[:-1]), initial=0.0))
 
 
 def period_vector(data: WeierstrassData, loop: QuadraturePath, rel_tol=1e-9):

@@ -5,10 +5,12 @@ Each test prints one PASS/FAIL line per criterion check (run pytest with
 """
 
 import inspect
+import json
 
 import pytest
 
 from spinorminimal import acceptance
+from spinorminimal.cli import main
 
 CRITERIA = [
     ("criterion-01-pfaffian", "pfaffian"),
@@ -40,11 +42,25 @@ def test_every_criterion_takes_the_seed():
         assert "seed" in inspect.signature(fn).parameters, fn.__name__
 
 
-def test_a_crashed_criterion_fails_and_names_the_exception_and_the_seed(monkeypatch):
+def test_the_null_curve_probes_follow_the_seed():
+    def null_curve(seed):
+        (check,) = [r for r in acceptance.criterion_10_geometry(seed) if r.name.startswith("10c")]
+        assert check.passed and check.tol == 1e-10
+        return check.value
+
+    assert null_curve(0) != null_curve(3)
+
+
+@pytest.fixture
+def crashing_arf(monkeypatch):
+    """The arf suite with a criterion in front that raises."""
     def criterion_0_crash(seed=0):
         raise ZeroDivisionError("complex division by zero")
 
     monkeypatch.setitem(acceptance.SUITES, "arf", [criterion_0_crash] + acceptance.SUITES["arf"])
+
+
+def test_a_crashed_criterion_fails_and_names_the_exception_and_the_seed(crashing_arf):
     crashed, *rest = acceptance.run("arf", seed=7)
     assert (crashed.name, crashed.passed, crashed.value) == ("criterion_0_crash crashed", False,
                                                              float("inf"))
@@ -52,3 +68,11 @@ def test_a_crashed_criterion_fails_and_names_the_exception_and_the_seed(monkeypa
     assert crashed.line().endswith("[ZeroDivisionError: complex division by zero (seed 7)]")
     # the criteria after it still run
     assert rest and all(r.passed for r in rest)
+
+
+def test_the_verify_report_carries_each_detail(crashing_arf, tmp_path, capsys):
+    assert main(["verify", "arf", "--seed", "7", "--out", str(tmp_path)]) == 2
+    rows = json.loads((tmp_path / "verify-arf.json").read_text())["results"]
+    assert rows[0]["detail"] == "ZeroDivisionError: complex division by zero (seed 7)"
+    assert [r["detail"] for r in rows] == [r.detail for r in acceptance.run("arf", seed=7)]
+    assert all(r["detail"] for r in rows[1:])

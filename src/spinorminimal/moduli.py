@@ -268,6 +268,9 @@ RP2_GROUP = np.array([np.eye(3)[list(perm)] * np.array(s, dtype=float)[:, None]
                       for perm in permutations(range(3))
                       for s in ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))])
 _RP2_TOL = 1e-8
+# row i of each element: the column of its entry and whether that is -1
+_RP2_COLUMN = np.argmax(np.abs(RP2_GROUP), axis=2)
+_RP2_NEGATIVE = (RP2_GROUP.sum(axis=2) < 0).astype(np.intp)
 # label by stabilizer order; an order-4 stabilizer is Z2xZ2, because each
 # order-4 element fixes only the origin, which is off the variety
 _RP2_LABELS = np.array([{1: "trivial", 2: "Z2", 4: "Z2xZ2", 6: "S3"}.get(k, f"order-{k}")
@@ -288,9 +291,12 @@ def rp2_symmetry_group(c):
     pts = np.atleast_2d(c)
     if not np.all(np.abs(rp2_variety(pts)) <= 1e-6 * 32.0):
         raise ValueError("point is off the admissibility variety")
-    order = np.zeros(len(pts), dtype=int)
-    for g in RP2_GROUP:
-        order += np.max(np.abs(pts @ g.T - pts), axis=1) < _RP2_TOL
+    # entry i of g c - c is s c_j - c_i, with g's sign s and column j in
+    # row i: test the 18 such differences once, then read g's three
+    x = pts.T
+    close = np.stack([np.abs(x - x[:, None]) < _RP2_TOL, np.abs(-x - x[:, None]) < _RP2_TOL])
+    fixed = close[_RP2_NEGATIVE, np.arange(3), _RP2_COLUMN].all(axis=1)
+    order = np.count_nonzero(fixed, axis=0)
     labels = _RP2_LABELS[order].tolist()
     return labels[0] if c.ndim == 1 else labels
 

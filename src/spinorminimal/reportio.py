@@ -11,9 +11,9 @@ Infinity stays: [Infinity, 0.0] encodes the end at infinity.  A NaN is
 refused with a ReportValueError that names its field.
 
 Lists of row dicts (a scan's points, a suite's results) reached through the
-report's dicts are written from one `%` template built from the first row,
-as export_obj writes vertices: with an indent, `json` encodes in pure
-Python, which would be most of the time of a report of thousands of rows.  A
+report's dicts are written from one `%` template built from the first row:
+with an indent, `json` encodes in pure Python, which would be most of the
+time of a report of thousands of rows.  A
 list takes the template only if every row has the first row's keys and
 each leaf has the first row's exact type there (float, int, bool, str or
 None, or a flat list or tuple of these, of one length).  Any other list,

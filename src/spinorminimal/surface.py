@@ -18,6 +18,12 @@ block (on a torus the block's theta frames are most of that block), and a
 vertex's bits depend only on that vertex.  Gauss-Legendre edge quadrature
 stays as the oracle: quadrature_edges and quadrature_loop_residual
 integrate every grid edge independently.
+
+export_obj and export_csv write the bytes of "%.17g" and "%d//%d", with
+numpy making a block's text at once: a float with |x| in [1e-4, 1e16) is
+scaled exactly to its 17-digit integer (Dekker's TwoProduct), whose
+digits come from a table of 4-digit chunks, and a face index in [1, 10^8)
+is read from the same table.  "%" formats every other value, one by one.
 """
 
 from __future__ import annotations
@@ -384,34 +390,192 @@ def branch_points(data: WeierstrassData, resolution: int = 120):
 def export_obj(mesh: SurfaceMesh, path) -> Path:
     """Wavefront OBJ with 17-significant-digit vertices and normals."""
     v, n, f = mesh.vertices, mesh.gauss, mesh.faces
-    return _write_rows(mesh, path, "", (
-        ("v %.17g %.17g %.17g\n", len(v), v.__getitem__),
-        ("vn %.17g %.17g %.17g\n", len(n), n.__getitem__),
-        ("f %d//%d %d//%d %d//%d\n", len(f), lambda s: np.repeat(f[s] + 1, 2, axis=1))))
+    return _write_rows(mesh, path, b"", (
+        (b"v ", b" ", v.shape, v.__getitem__, _float_text),
+        (b"vn ", b" ", n.shape, n.__getitem__, _float_text),
+        (b"f ", b" ", f.shape, lambda s: f[s] + 1, _index_text)))
 
 
 def export_csv(mesh: SurfaceMesh, path) -> Path:
     """CSV of (u, X, n) samples: re(u), im(u), x, y, z, nx, ny, nz."""
     uv, v, n = mesh.domain_uv, mesh.vertices, mesh.gauss
-    return _write_rows(mesh, path, "re_u,im_u,x,y,z,nx,ny,nz\n", (
-        ("%.17g," * 7 + "%.17g\n", len(v),
-         lambda s: np.column_stack([uv[s].real, uv[s].imag, v[s], n[s]])),))
+    return _write_rows(mesh, path, b"re_u,im_u,x,y,z,nx,ny,nz\n", (
+        (b"", b",", (len(v), 8), lambda s: np.column_stack([uv[s].real, uv[s].imag, v[s], n[s]]),
+         _float_text),))
 
 
-def _write_rows(mesh: SurfaceMesh, path, header: str, tables) -> Path:
-    """The header, then each (line, count, rows) table as line * len(b) % b
-    for the blocks b = rows(slice) of _BLOCK rows, one line per row."""
+def _write_rows(mesh: SurfaceMesh, path, header: bytes, tables) -> Path:
+    """The header, then each (prefix, sep, (count, width), rows, text)
+    table in blocks b = rows(slice) of _VALUES // width rows: one line per
+    row, the prefix, then each value's text ("%.17g" by _float_text,
+    "%d//%d" by _index_text) followed by sep, the last by a newline.
+
+    numpy makes the text of floats with |x| in [1e-4, 1e16) and of indices
+    in [1, 10^8); "%" formats every other value, one at a time: 0,
+    subnormals, |x| below 1e-4 or from 1e16 up, inf, nan and the other
+    indices."""
     if mesh.vertices.size == 0:
         raise ValueError("cannot export an empty mesh")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w") as fh:
+    with path.open("wb") as fh:
         fh.write(header)
-        for line, count, rows in tables:
-            for k in range(0, count, _BLOCK):
-                block = rows(slice(k, k + _BLOCK))
-                fh.write(line * len(block) % tuple(block.ravel().tolist()))
+        for prefix, sep, (count, width), rows, text in tables:
+            step = _VALUES // width
+            for k in range(0, count, step):
+                fh.write(b"".join(_items(rows(slice(k, k + step)), prefix, sep, text)))
     return path
+
+
+# values per block of the exporters (4096 OBJ rows): a block's text
+# arrays, items and joined lines stay well under integrate_surface's block
+_VALUES = 3 * _BLOCK // 2
+# bytes of a field and its separator: "-0.000" and 17 digits at most
+_FIELD = 24
+# the text of 0 to 9999 as four ASCII digits, one uint32 each, made from
+# the 100 two-digit texts so that no temporary is larger than the table
+_DIGITS2 = np.arange(100, dtype=np.uint8)[:, None] // np.array([10, 1], np.uint8) % 10 + ord("0")
+_DIGITS4 = np.concatenate(np.broadcast_arrays(_DIGITS2[:, None], _DIGITS2), axis=2) \
+    .reshape(10000, 4).view(np.uint32)[:, 0]
+# _KEEP[k] keeps the first k bytes of a field
+_KEEP = np.tri(_FIELD + 1, _FIELD, -1, np.uint8) * 255
+# 10^0 to 10^22, each exact, since 5^22 < 2^53
+_POW10 = np.cumprod([1.0] + [10.0] * 22)
+
+
+def _items(block, prefix: bytes, sep: bytes, text) -> list:
+    """Each value of an (r, c) block as one bytes item: the prefix before
+    each row's first, the value's text, then sep or, last in a row, a
+    newline."""
+    r, c = block.shape
+    field, length, rest = text(block.ravel())
+    lead, ends = [prefix] + [b""] * (c - 1), [sep] * (c - 1) + [b"\n"]
+    field &= _KEEP.take(length, axis=0)
+    np.put(field, np.arange(0, field.size, _FIELD) + length,
+           np.tile(np.frombuffer(b"".join(ends), np.uint8), r))
+    p = len(prefix)
+    out = np.zeros((r, c, p + _FIELD), np.uint8)
+    out[:, 0, :p] = np.frombuffer(prefix, np.uint8)
+    out[:, 0, p:] = field[::c]
+    out[:, 1:, :_FIELD] = field.reshape(r, c, _FIELD)[:, 1:]
+    # tolist drops each item's trailing NULs
+    items = out.view(f"S{p + _FIELD}").ravel().tolist()
+    for i, value in rest:
+        items[i] = lead[i % c] + value + ends[i % c]
+    return items
+
+
+def _grouped(key, digits, lay):
+    """(n, _FIELD) fields: lay(k, field rows, digit rows) writes the rows
+    of each key k < 256, taken as one slice of the values sorted by key."""
+    order = np.argsort(key.astype(np.uint8), kind="stable")
+    key, digits = key.take(order), digits.take(order, axis=0)
+    fields = np.zeros((len(key), _FIELD), np.uint8)
+    cuts = [0, *(np.flatnonzero(key[1:] != key[:-1]) + 1).tolist(), len(key)]
+    for lo, hi in zip(cuts, cuts[1:]):
+        lay(int(key[lo]), fields[lo:hi], digits[lo:hi])
+    back = np.empty_like(order)
+    back[order] = np.arange(len(order))
+    return fields.take(back, axis=0)
+
+
+def _digits(n, chunks):
+    """The ASCII digits of each n < 10^(4 chunks), zero-padded to 4 chunks bytes."""
+    out = np.empty((len(n), chunks), np.intp)
+    for j in range(chunks - 1, 0, -1):
+        n, out[:, j] = np.divmod(n, 10**4)
+    out[:, 0] = n
+    return _DIGITS4.take(out).view(np.uint8)
+
+
+def _index_text(x):
+    """(field, length, rest): "%d//%d" % (i, i) is field[j, :length[j]] for
+    each i = x[j] in [1, 10^8); rest holds (j, that text) for the others."""
+    exact = (x >= 1) & (x < 10**8)
+    v = np.where(exact, x, 1)
+    width = 1 + np.searchsorted(10 ** np.arange(1, 8), v, side="right")
+
+    def lay(w, field, digits):
+        field[:, :w] = digits[:, 8 - w:]
+        field[:, w:w + 2] = ord("/")
+        field[:, w + 2:2 * w + 2] = digits[:, 8 - w:]
+
+    rest = _rest(x, exact, lambda i: b"%d//%d" % (i, i))
+    return _grouped(width, _digits(v, 2), lay), 2 * width + 2, rest
+
+
+def _float_text(x):
+    """(field, length, rest): "%.17g" % v is field[j, :length[j]] for each
+    v = x[j] with |v| in [1e-4, 1e16), where "%.17g" writes 17 significant
+    digits in fixed notation, less the fraction's trailing zeros and a dot
+    that nothing follows; rest holds (j, that text) for the others."""
+    a = np.abs(x, dtype=float)
+    exact = (a >= 1e-4) & (a < 1e16)
+    n, e = _decimal17(np.where(exact, a, 1.0))
+    digits = _digits(n, 5)[:, 3:]
+    # how many of the 17 digits are kept: through the last non-zero one
+    kept = 17 - np.argmax(digits[:, ::-1] != ord("0"), axis=1)
+    neg = x < 0
+
+    def lay(key, field, digits):
+        e, s = key // 2 - 4, key % 2
+        if s:
+            field[:, 0] = ord("-")
+        if e >= 0:
+            field[:, s:s + e + 1] = digits[:, :e + 1]
+            field[:, s + e + 2:s + 18] = digits[:, e + 1:]
+        else:
+            field[:, s:s + 1 - e] = ord("0")
+            field[:, s + 1 - e:s + 18 - e] = digits
+        field[:, s + 1 + max(e, 0)] = ord(".")
+
+    length = neg + np.maximum(kept, e + 1) + (kept > e + 1) + np.maximum(-e, 0)
+    return _grouped(2 * (e + 4) + neg, digits, lay), length, _rest(x, exact, b"%.17g".__mod__)
+
+
+def _rest(x, exact, text) -> list:
+    """(j, text(x[j])) for each value x[j] that is not exact, one by one."""
+    j = np.flatnonzero(~exact)
+    return [(i, text(v)) for i, v in zip(j.tolist(), x[j].tolist())]
+
+
+def _decimal17(a):
+    """(n, e): a to 17 significant digits is n 10^(e - 16), with 10^16 <=
+    n < 10^17, for a in [1e-4, 1e16).
+
+    With e = floor(log10 a), n is the integer nearest a 10^p, p = 16 - e,
+    ties to even as dtoa rounds them: Dekker's TwoProduct gives hi + lo =
+    a 10^p exactly, and hi >= 1e16 > 2^53 is an even integer, so n = hi +
+    rint(lo).  n never rounds up to 10^17: the largest double below each
+    power of ten from 1e-3 to 1e16 lies more than half a unit of the 17th
+    digit below it."""
+    p = 16 - np.floor(np.log10(a)).astype(np.intp)
+    hi, lo = _scaled(a, p)
+    # one step where log10 is off across a power of ten, so that a 10^p
+    # lies in [1e16, 1e17)
+    below = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
+    above = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
+    if below.any() or above.any():
+        p = p + below - above
+        hi, lo = _scaled(a, p)
+    return hi.astype(np.int64) + np.rint(lo).astype(np.int64), 16 - p
+
+
+def _scaled(a, p):
+    """(hi, lo) with hi + lo = a 10^p exactly: Dekker's TwoProduct with
+    Veltkamp's split."""
+    b = _POW10[p]
+    hi = a * b
+    ah, al = _split(a)
+    bh, bl = _split(b)
+    return hi, ((ah * bh - hi) + ah * bl + al * bh) + al * bl
+
+
+def _split(x):
+    """x = hi + lo exactly, each half with at most 26 significant bits."""
+    c = 134217729.0 * x  # 2^27 + 1
+    hi = c - (c - x)
+    return hi, x - hi
 
 
 def integrate_position(data: WeierstrassData, paths) -> np.ndarray:

@@ -1,12 +1,14 @@
 """Weierstrass integration, periods, branch detection, meshes, exports."""
 
+import math
 import tempfile
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from spinorminimal import surface
 from spinorminimal.cli import CONSTRUCTIONS
@@ -451,13 +453,14 @@ class TestBlocks:
         assert extra[1] - extra[0] < 2**20, extra
 
     def test_export_memory_is_bounded_by_the_block(self, tmp_path):
-        # face indices below 256 are Python's cached ints, which keeps the
-        # traced allocations, and so the test's time, to the floats
+        # the writer holds one block's text arrays, items and joined lines:
+        # its peak does not grow with the mesh and stays under the few MiB
+        # of integrate_surface's block
         peaks = []
         for n in (3 * B, 6 * B):
             rng = np.random.default_rng(n)
             mesh = SurfaceMesh(vertices=rng.standard_normal((n, 3)),
-                               faces=rng.integers(0, 256, (2 * n, 3)),
+                               faces=rng.integers(0, n, (2 * n, 3)),
                                gauss=rng.standard_normal((n, 3)),
                                domain_uv=np.zeros(n, dtype=complex))
             tracemalloc.start()
@@ -467,6 +470,84 @@ class TestBlocks:
             finally:
                 tracemalloc.stop()
         assert abs(peaks[1] - peaks[0]) < 2**20, peaks
+        assert peaks[1] < 3.5 * 2**20, peaks
+
+
+# the powers of ten around the range |x| in [1e-4, 1e16) whose text numpy
+# writes (surface._float_text), each the double nearest it
+POWERS = [float(Fraction(10) ** k) for k in range(-5, 18)]
+
+
+def _ulps(x, k):
+    """x moved by k doubles, up when k > 0."""
+    for _ in range(abs(k)):
+        x = np.nextafter(x, np.inf if k > 0 else -np.inf)
+    return float(x)
+
+
+def _ties(e):
+    """Doubles k 2^(e - 17) in [10^e, 10^(e+1)) with k odd: times 10^(16 - e)
+    each is k 5^(16 - e) / 2, so a half follows its 17th digit exactly."""
+    lo = math.ceil(2**17 * Fraction(5) ** e) | 1
+    hi = min(math.ceil(2**18 * Fraction(5) ** (e + 1)), 2**53)
+    return st.integers(0, (hi - lo - 1) // 2).map(lambda m: math.ldexp(lo + 2 * m, e - 17))
+
+
+EDGES = st.one_of(
+    st.sampled_from(POWERS).flatmap(lambda x: st.integers(-3, 3).map(lambda k: _ulps(x, k))),
+    st.sampled_from([1e-4, 1e16]).flatmap(lambda x: st.integers(-4, 4).map(lambda k: _ulps(x, k))),
+    # the largest doubles below 0.1 and 1e16, and 1e16 as a user writes it
+    st.sampled_from([0.099999999999999992, 9999999999999998.0, 9999999999999999.0]),
+    st.integers(-4, 15).flatmap(_ties),
+    st.floats(1e-4, 1e16, exclude_max=True),
+)
+
+
+# face entries whose indices (entry + 1) lie around the powers of ten and
+# the range [1, 10^8) whose tokens numpy writes (surface._index_text)
+FACE_EDGES = np.array([10**k + d for k in range(10) for d in (-2, -1, 0, 1)]
+                      + [-3, -2]).reshape(-1, 3)
+
+
+def _assert_template_text(values):
+    """export_obj and export_csv of a mesh of the values and their negations,
+    with FACE_EDGES for faces, are the one-template texts."""
+    x = np.array(values + [-v for v in values])
+    rows = np.resize(x, (-(-len(x) // 3), 3))
+    mesh = SurfaceMesh(vertices=rows, faces=FACE_EDGES, gauss=rows[::-1].copy(),
+                       domain_uv=rows[:, 0] + 1j * rows[:, 1])
+    obj, csv = _one_template_texts(mesh)
+    with tempfile.TemporaryDirectory() as d:
+        assert export_obj(mesh, Path(d) / "m.obj").read_bytes() == obj.encode()
+        assert export_csv(mesh, Path(d) / "m.csv").read_bytes() == csv.encode()
+
+
+class TestExactText:
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(values=st.lists(EDGES, min_size=1, max_size=40))
+    @example(values=[_ulps(x, k) for x in POWERS + [1e-4, 1e16] for k in range(-4, 5)])
+    def test_range_edges_are_the_template_text(self, values):
+        _assert_template_text(values)
+
+    @pytest.mark.parametrize("shift", [-0.5, 0.5])
+    def test_one_step_mends_a_log10_off_by_one(self, monkeypatch, shift):
+        # log10 shifted by half a decade puts floor(log10) one off on about
+        # half the values: below the decade (-0.5) or above it (+0.5)
+        rng = np.random.default_rng(7)
+        values = (10.0 ** rng.uniform(-4, 16, 3000)).tolist() + POWERS
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda a: log10(a) + shift)
+        _assert_template_text(values)
+
+    def test_no_double_rounds_up_to_a_power_of_ten(self):
+        # so surface._decimal17 needs no carry: the largest double below
+        # each power of ten 10^k that the range rounds to lies more than
+        # half a unit of the 17th digit below it
+        for k in range(-3, 17):
+            x = float(Fraction(10) ** k)
+            if Fraction(x) >= Fraction(10) ** k:
+                x = float(np.nextafter(x, 0.0))
+            assert Fraction(x) * Fraction(10) ** (17 - k) < 10**17 - Fraction(1, 2), k
 
 
 class TestTorusMesh:

@@ -70,6 +70,7 @@ __all__ = [
     "build_context",
     "wp",
     "wp_prime",
+    "wp_with_prime",
     "wp_second",
     "zeta",
     "wp_inverse",
@@ -332,9 +333,16 @@ def _validate(ctx: EllipticContext, wp_w_series: complex):
                 f"tau = {b2 / b1:.6g}: the lattice is too thin for double precision")
 
 
+# points per theta batch: at 2^11 a batch's arrays (about 1 MiB at the
+# square lattice's 6 terms) stay in a 2 MiB L2 cache; 2^14 points a batch
+# took a third to a half longer per point on a 2-core x86_64 container
+_CHUNK = 2048
+
+
 class _Frame:
     """theta1 and its first three z-derivatives at the lattice-reduced points
-    of u; zeta, wp and wp' of those points all finish from this one frame."""
+    of u; zeta, wp and wp' of those points all finish from this one frame,
+    on all of it or on the part (an index of u) a caller reads."""
 
     def __init__(self, ctx: EllipticContext, u):
         u = np.asarray(u, dtype=complex)
@@ -345,27 +353,30 @@ class _Frame:
         if np.any(np.abs(self.red) < POLE_DISTANCE_TOL * max(1.0, abs(b2))):
             raise PoleEvaluationError("evaluation point within 1e-12 of a lattice point")
         self.w, self.c = b1 / 2, np.pi / b1
-        # the theta sums hold (terms, 2) values per point: 2^14 points at a
-        # time bound that memory on a stack of shifted meshes
+        # the theta sums hold (terms, 2) values per point: _CHUNK points at a
+        # time keep them in a core's cache, and bound that memory on a stack
+        # of shifted meshes
         z = (np.pi * self.red / b1).ravel()
-        parts = [ctx._theta.batch(z[i:i + 16384]) for i in range(0, max(z.size, 1), 16384)]
-        self.t0, self.t1, self.t2, self.t3 = (
-            np.concatenate(t).reshape(self.red.shape) for t in zip(*parts))
+        t = np.empty((4, z.size), dtype=complex)
+        for i in range(0, z.size, _CHUNK):
+            for dst, src in zip(t[:, i:i + _CHUNK], ctx._theta.batch(z[i:i + _CHUNK])):
+                dst[...] = src
+        self.t0, self.t1, self.t2, self.t3 = t.reshape((4,) + self.red.shape)
 
-    def zeta(self):
+    def zeta(self, part=...):
         eta_a, eta_b = self.ctx._eta_reduced
-        val = eta_a * self.red / self.w + self.c * self.t1 / self.t0
-        return val + 2.0 * self.m * eta_a + 2.0 * self.n * eta_b
+        val = eta_a * self.red[part] / self.w + self.c * self.t1[part] / self.t0[part]
+        return val + 2.0 * self.m[part] * eta_a + 2.0 * self.n[part] * eta_b
 
-    def wp(self):
-        t0, t1 = self.t0, self.t1
+    def wp(self, part=...):
+        t0, t1 = self.t0[part], self.t1[part]
         return -self.ctx._eta_reduced[0] / self.w \
-            - np.multiply(self.c**2, self.t2 * t0 - t1**2) / t0**2
+            - np.multiply(self.c**2, self.t2[part] * t0 - t1**2) / t0**2
 
-    def wp_prime(self):
-        t0, t1, t2 = self.t0, self.t1, self.t2
+    def wp_prime(self, part=...):
+        t0, t1, t2 = self.t0[part], self.t1[part], self.t2[part]
         g = t1 / t0
-        return np.multiply(-(self.c**3), self.t3 / t0 - 3 * t2 * t1 / t0**2 + 2 * g**3)
+        return np.multiply(-(self.c**3), self.t3[part] / t0 - 3 * t2 * t1 / t0**2 + 2 * g**3)
 
     def result(self, arr):
         """arr as a Python complex for a scalar argument, else as is."""
@@ -386,6 +397,12 @@ def wp_prime(ctx: EllipticContext, u):
     """Derivative of wp."""
     frame = _theta_frame(ctx, u)
     return frame.result(frame.wp_prime())
+
+
+def wp_with_prime(ctx: EllipticContext, u):
+    """(wp, wp') from one frame, each bitwise the wp and wp_prime call's."""
+    frame = _theta_frame(ctx, u)
+    return frame.result(frame.wp()), frame.result(frame.wp_prime())
 
 
 def wp_second(ctx: EllipticContext, u):

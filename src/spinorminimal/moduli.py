@@ -29,7 +29,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .elliptic import EllipticContext, build_context, wp, wp_inverse, wp_prime
+from .elliptic import EllipticContext, build_context, wp, wp_inverse, wp_prime, wp_with_prime
 from .numkit import ComplexPolynomial, QuadraturePath, pfaffian, poly_roots, skew_rank_kernel
 from .spinor import (
     INF,
@@ -637,8 +637,9 @@ def _locate_a(ctx: EllipticContext, r: complex) -> complex:
     y = ys[int(np.argmin(np.abs(wp(ctx, us) - r)))]
     for _ in range(100):
         u = w1 / 2.0 + 1j * y
-        f = wp(ctx, u) - r
-        d = 1j * wp_prime(ctx, u)
+        p, dp = wp_with_prime(ctx, u)
+        f = p - r
+        d = 1j * dp
         step = (np.conj(d) * f).real / abs(d) ** 2
         y -= step
         if abs(step) < 1e-16 * h3:
@@ -707,9 +708,9 @@ def klein4_construct(tol: float = 1e-8) -> KleinFourEnd:
     residuals = {}
     half, ends8, wp8, wpp8 = _klein_table3(ctx, r, a)
     u8 = np.array(ends8)
-    wp_ends = wp(ctx, u8)
+    wp_ends, wpp_ends = wp_with_prime(ctx, u8)
     residuals["table3"] = float(max(np.max(np.abs(wp_ends - wp8)),
-                                    np.max(np.abs(wp_prime(ctx, u8) - wpp8))))
+                                    np.max(np.abs(wpp_ends - wpp8))))
     I = lambda u: np.conj(u) + ctx.omega1
     residuals["deck_pairing"] = float(np.max(
         ctx.lattice_distance(I(u8) - u8[[4, 5, 3, 2, 0, 1, 7, 6]])))
@@ -749,7 +750,8 @@ def klein4_construct(tol: float = 1e-8) -> KleinFourEnd:
     pts = (rng.uniform(0.04, 0.96, 50) * 2 * ctx.omega1
            + rng.uniform(0.04, 0.96, 50) * 2 * ctx.omega3)
     lhs = section_values((s3h, s4h), pts)
-    pull = wp_prime(ctx, pts) / (2.0 * (wp(ctx, pts) + 1.0))
+    p, dp = wp_with_prime(ctx, pts)
+    pull = dp / (2.0 * (p + 1.0))
     rhs = 1j * np.conj(section_values((s1h, s2h), I(pts))) * pull
     residuals["deck_conjugate"] = float(max(
         np.max(np.abs(lhs[k] - rhs[k])) / np.max(np.abs(lhs[k])) for k in range(2)))

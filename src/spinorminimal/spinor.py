@@ -6,12 +6,14 @@ on the sphere; one zeta-difference form zeta(u - a_i) - zeta(u) + c_i
 (with an optional constant row) on the twisted and untwisted tori;
 wp_r/(wp_r - p_i) and wp'/(wp_r - p_i) for paired untwisted ends, whose
 table is the untwisted one in another basis; and N/D rows for rational
-sphere sections.  A kernel evaluates only the rows
-some coefficient uses, from one theta frame on all their shifts, and adds
-each row into every section it evaluates.  A linear combination is a
-coefficient sum.  The Laurent data of a basis is one (rows, ends, 2)
-table T of (alpha_-1, alpha_0); a section's table is its coefficients
-contracted with T.  Omega, its residue-sum check, the K test and the
+sphere sections.  A kernel evaluates only the rows some coefficient uses,
+and adds each row into every section it evaluates.  On a torus the rows
+read a theta frame on u and their shifts u - a_i; a caller that also
+needs the chart weight or a primitive at the same points takes one frame
+for all of them (chart_points) and passes that in place of u.  A linear
+combination is a coefficient sum.  The Laurent data of a basis is one
+(rows, ends, 2) table T of (alpha_-1, alpha_0); a section's table is its
+coefficients contracted with T.  Omega, its residue-sum check, the K test and the
 log-end residues and pole coefficients of form_primitive all contract
 the stacked tables of the sections they read: Omega(s_i, s_j) is
 einsum('ik,jk->ij', A_0, A_-1), antisymmetrized.  The periods int s t are
@@ -46,14 +48,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Optional
 
 import numpy as np
 from numpy.polynomial import polynomial as P
 
 from . import elliptic
-from .elliptic import EllipticContext, wp, wp_prime, zeta
+from .elliptic import EllipticContext, zeta
 from .numkit import QuadraturePath, SkewMatrix, contour_integral, skew_rank_kernel
 
 __all__ = [
@@ -80,6 +82,7 @@ __all__ = [
     "planar_ends",
     "section_combination",
     "section_values",
+    "chart_points",
     "period_matrix",
     "FormPrimitive",
     "form_primitive",
@@ -121,8 +124,52 @@ class EndDivisor:
         return len(self.points)
 
 
+class _Points:
+    """Chart points u and, on a torus, one theta frame on u - s for each shift
+    s that its readers name, equal shifts once, in the order named; s = 0
+    gives u itself.  The frame is taken on those rows laid end to end.  Its
+    readers, the basis rows, the chart weight and the closed-form
+    primitive, each take their own rows as a (shifts, points) array.  A
+    frame's bits do not depend on its batch, so each reads bitwise what a
+    frame of its own would give."""
+
+    def __init__(self, dom, u, shifts):
+        u = np.asarray(u, dtype=complex)
+        self.shape, self.u = u.shape, u.reshape(-1)
+        self._row = {s: k for k, s in enumerate(dict.fromkeys(map(complex, shifts)))}
+        if self._row and getattr(dom, "ctx", None) is not None:
+            self._frame = elliptic._theta_frame(
+                dom.ctx, (self.u - np.array(list(self._row), dtype=complex)[:, None]).ravel())
+
+    def _finish(self, name, shifts):
+        """Frame method name on the rows of shifts: one slice when they are
+        consecutive rows, else row by row, so no row is a copy."""
+        k, n = [self._row[s] for s in shifts], self.u.size
+        method = getattr(self._frame, name)
+        if k == list(range(k[0], k[0] + len(k))):
+            return method(slice(k[0] * n, (k[0] + len(k)) * n)).reshape(len(k), n)
+        return np.stack([method(slice(i * n, (i + 1) * n)) for i in k])
+
+    def zeta(self, shifts):
+        return self._finish("zeta", shifts)
+
+    def wp(self, shifts):
+        return self._finish("wp", shifts)
+
+    def wp_prime(self, shifts):
+        return self._finish("wp_prime", shifts)
+
+
+def _points(dom, u, shifts) -> _Points:
+    """u when it is already a _Points (its frame must hold the shifts), else
+    u with a frame of its own on the shifts."""
+    return u if isinstance(u, _Points) else _Points(dom, u, shifts)
+
+
 class _DomainBase:
     ends: EndDivisor
+    # the shifts whose frame rows form_weight reads
+    weight_shifts = ()
 
     def form_weight(self, u):
         """mu(u) in s t = f g mu du: 1 except on the untwisted tori."""
@@ -194,12 +241,17 @@ class UntwistedTorusDomain(_TorusDomain):
     r: int
     genus = 1
     h_dim = 0
+    weight_shifts = (0j,)
 
     def wp_r(self, u):
-        return wp(self.ctx, u) - self.ctx.e(self.r)
+        """wp(u) - e_r, shaped as u: the one place e_r is subtracted; the
+        weight and the paired rows read it from the frame row of u itself."""
+        at = _points(self, u, self.weight_shifts)
+        return (at.wp(self.weight_shifts)[0] - self.ctx.e(self.r)).reshape(at.shape)
 
     def form_weight(self, u):
-        return 1.0 / self.wp_r(u)
+        w = self.wp_r(u)
+        return 1.0 / (complex(w) if w.ndim == 0 else w)
 
     def chart_singularities(self):
         return [0.0, self.ctx.half_period(self.r)]
@@ -211,8 +263,9 @@ class Basis:
 
     laurent is the complex (rows, ends, 2) table T, T[j, k] = (alpha_-1,
     alpha_0) of row j at the k-th end, or None for rows outside F.  A family
-    adds its row data and _rows(active, u, derivative), which yields
-    (j, f_j(u), f_j'(u) or None) for each active j.
+    adds its row data, _shifts(active), the frame shifts its active rows
+    read, and _rows(active, at, derivative), which yields (j, f_j(u), f_j'(u)
+    or None) for each active j at the flat points of the _Points at.
     """
 
     domain: _DomainBase
@@ -245,14 +298,18 @@ class Basis:
         coefficient is nonzero, then added into each section.
         """
         C = np.asarray(coefficients, dtype=complex).reshape(-1, len(self.labels))
-        u = np.asarray(u, dtype=complex)
-        out = np.zeros((2 if derivative else 1, len(C), u.size), dtype=complex)
-        for j, *jet in self._rows(np.flatnonzero(C.any(axis=0)), u.reshape(-1), derivative):
+        active = np.flatnonzero(C.any(axis=0))
+        at = _points(self.domain, u, self._shifts(active))
+        out = np.zeros((2 if derivative else 1, len(C), at.u.size), dtype=complex)
+        for j, *jet in self._rows(active, at, derivative):
             for k in np.flatnonzero(C[:, j]):
                 for acc, f in zip(out, jet):
                     acc[k] += C[k, j] * f
-        out = out.reshape(out.shape[:2] + u.shape)
+        out = out.reshape(out.shape[:2] + at.shape)
         return (out[0], out[1]) if derivative else out[0]
+
+    def _shifts(self, active):
+        return ()
 
     def _polynomial_part(self, pairs):
         """Ascending coefficients, shape (degree + 1, pairs), of the polynomial
@@ -267,7 +324,8 @@ class _SphereBasis(Basis):
 
     poles: list
 
-    def _rows(self, active, z, derivative):
+    def _rows(self, active, at, derivative):
+        z = at.u
         for j in active:
             if j == len(self.poles):
                 yield j, 1.0, 0.0
@@ -284,24 +342,27 @@ class _SphereBasis(Basis):
 class _ZetaBasis(Basis):
     """(zeta(u - a_i) - zeta(u) + c_i) phi_dom, after an optional constant row.
 
-    One theta frame on u and u - a_i for every active shift gives zeta, and
-    wp when the derivative is asked, for all rows.  A shift of None marks
+    The rows read zeta, and wp when the derivative is asked, on the frame
+    rows of u and of u - a_i for every active shift.  A shift of None marks
     the constant row, row 0.
     """
 
     shifts: list
     constants: list
 
-    def _rows(self, active, u, derivative):
+    def _shifts(self, active):
+        shifted = [self.shifts[j] for j in active if self.shifts[j] is not None]
+        return (0j, *shifted) if shifted else ()
+
+    def _rows(self, active, at, derivative):
         shifted = [j for j in active if self.shifts[j] is not None]
         if len(shifted) < len(active):
             yield 0, 1.0, 0.0
         if not shifted:
             return
-        frame = elliptic._theta_frame(self.domain.ctx, np.concatenate(
-            [u] + [u - self.shifts[j] for j in shifted]))
-        zeta_s = frame.zeta().reshape(-1, u.size)
-        wp_s = frame.wp().reshape(-1, u.size) if derivative else None
+        shifts = self._shifts(shifted)
+        zeta_s = at.zeta(shifts)
+        wp_s = at.wp(shifts) if derivative else None
         for i, j in enumerate(shifted, 1):
             yield j, zeta_s[i] - zeta_s[0] + self.constants[j], \
                 (wp_s[0] - wp_s[i] if derivative else None)
@@ -309,26 +370,40 @@ class _ZetaBasis(Basis):
 
 @dataclass(eq=False)
 class _PairedBasis(Basis):
-    """wp_r/(wp_r - p_i) phi_r, then wp'/(wp_r - p_i) phi_r, from one frame."""
+    """wp_r/(wp_r - p_i) phi_r, then wp'/(wp_r - p_i) phi_r, on the frame row
+    of u: wp_r as the chart weight reads it, and wp'.  Within about 1e-12
+    of an end +-a_i, where wp_r(u) - p_i ~ wp'(u) (u -+ a_i) vanishes, the
+    rows raise PoleEvaluationError, as the zeta rows do next to their ends."""
 
     pvals: list
 
-    def _rows(self, active, u, derivative):
+    def _shifts(self, active):
+        return (0j,) if len(active) else ()
+
+    def _rows(self, active, at, derivative):
         if not active.size:
             return
-        ctx = self.domain.ctx
-        frame = elliptic._theta_frame(ctx, u)
-        p, dp = frame.wp(), frame.wp_prime()
-        del frame  # the rows need none of its theta arrays
-        pr = p - ctx.e(self.domain.r)
+        dom = self.domain
+        pr = dom.wp_r(at).reshape(-1)
+        dp = at.wp_prime((0j,))[0]
+        if derivative:
+            p = at.wp((0j,))[0]
+            ddp = 6.0 * p * p - dom.ctx.g2 / 2.0
+        near = elliptic.POLE_DISTANCE_TOL * max(1.0, abs(dom.ctx.lattice.reduced_periods[1])) \
+            * np.abs(dp)
         m = len(self.pvals)
         for j in active:
             p_i = self.pvals[j % m]
             den = pr - p_i
+            pole = np.abs(den) <= near
+            if pole.any():
+                u = at.u[np.argmax(pole)]
+                raise elliptic.PoleEvaluationError(
+                    f"paired row {self.labels[j]} at u = {u}: wp_r(u) = wp_r(a{j % m + 1}), "
+                    "u is within 1e-12 of an end")
             if j < m:
                 yield j, pr / den, (-p_i * dp / den**2 if derivative else None)
             else:
-                ddp = 6.0 * p * p - ctx.g2 / 2.0 if derivative else None
                 yield j, dp / den, ((ddp * den - dp * dp) / den**2 if derivative else None)
 
 
@@ -338,7 +413,8 @@ class _RationalBasis(Basis):
 
     fractions: list
 
-    def _rows(self, active, z, derivative):
+    def _rows(self, active, at, derivative):
+        z = at.u
         for j in active:
             numer, denom = self.fractions[j]
             D = P.polyval(z, denom)
@@ -407,8 +483,21 @@ def _end_sizes(tables):
 
 def section_values(sections, u, derivative=False):
     """Sections on one basis evaluated in one pass: shape (len(sections),) +
-    u.shape, and (values, derivatives) when derivative is set."""
+    u.shape, and (values, derivatives) when derivative is set.  u may come
+    from chart_points of these sections."""
     return _shared_basis(sections).evaluate([s.coefficients for s in sections], u, derivative)
+
+
+def chart_points(sections, primitive=None):
+    """The function u -> u with one theta frame, on a torus, for everything
+    that reads it: section_values of the sections, the chart weight
+    form_weight and, when given, the primitive's evaluate.  Pass its value
+    to them in place of u.  The shifts are found once, for every u."""
+    basis = _shared_basis(sections)
+    active = [j for j, column in enumerate(zip(*(s.coefficients for s in sections))) if any(column)]
+    ends = () if primitive is None else primitive.ends
+    return partial(_Points, basis.domain,
+                   shifts=basis._shifts(active) + basis.domain.weight_shifts + ends)
 
 
 def period_matrix(sections, path: QuadraturePath, rel_tol=1e-10) -> np.ndarray:
@@ -416,10 +505,12 @@ def period_matrix(sections, path: QuadraturePath, rel_tol=1e-10) -> np.ndarray:
     sections on one basis: one quadrature of the upper triangle gives all."""
     dom = _shared_basis(sections).domain
     i, j = np.triu_indices(len(sections))
+    points = chart_points(sections)
 
     def integrand(u):
-        f = section_values(sections, u)
-        return f[i] * f[j] * dom.form_weight(u)
+        at = points(u)
+        f = section_values(sections, at)
+        return f[i] * f[j] * dom.form_weight(at)
     M = np.zeros((len(sections), len(sections)), dtype=complex)
     M[i, j] = M[j, i] = contour_integral(integrand, path, rel_tol=rel_tol)
     return M
@@ -448,16 +539,17 @@ class FormPrimitive:
     end_residue_max: float
 
     def evaluate(self, u):
-        """(Phi, form, size) at u, each of shape (pairs,) + u.shape, from one
-        theta frame on u - a_k for all ends on a torus; size = |P| +
-        sum_k |c_k W(u - a_k)| sets the scale of the form's rounding error."""
-        u = np.asarray(u, dtype=complex)
-        d = u - np.array(self.ends, dtype=complex).reshape((-1,) + (1,) * u.ndim)
+        """(Phi, form, size) at u, each of shape (pairs,) + u.shape; on a torus
+        from the frame rows of u - a_k for all ends (u may come from
+        chart_points with this primitive); size = |P| + sum_k |c_k W(u - a_k)| sets the
+        scale of the form's rounding error."""
+        at = _points(self.domain, u, self.ends)
+        u = at.u.reshape(at.shape)
         if self.domain.genus == 1:
-            frame = elliptic._theta_frame(self.domain.ctx, d.ravel())
-            Z, W = frame.zeta().reshape(d.shape), frame.wp().reshape(d.shape)
+            shape = (len(self.ends),) + u.shape
+            Z, W = at.zeta(self.ends).reshape(shape), at.wp(self.ends).reshape(shape)
         else:
-            Z = 1.0 / d
+            Z = 1.0 / (u - np.array(self.ends, dtype=complex).reshape((-1,) + (1,) * u.ndim))
             W = Z * Z
         # the few ends summed in their order, point by point, so a point's
         # bits do not depend on the other points of the call
@@ -506,8 +598,9 @@ def form_primitive(pairs) -> FormPrimitive:
         frac = (np.arange(7) + 0.5) / 7
         grid = (frac[:, None] * 2 * dom.ctx.omega1 + frac * 2 * dom.ctx.omega3).ravel()
         u0 = grid[np.argmax(np.min([dom.distance(grid, q) for q in dom.singular_points()], 0))]
-        fg = np.array([np.prod(section_values(pair, u0)) for pair in pairs]) * dom.form_weight(u0)
-        prim = replace(prim, poly=(fg - prim.evaluate(u0)[1])[None, :])
+        at = chart_points([x for pair in pairs for x in pair], prim)(u0)
+        fg = np.array([np.prod(section_values(pair, at)) for pair in pairs]) * dom.form_weight(at)
+        prim = replace(prim, poly=(fg - prim.evaluate(at)[1])[None, :])
     return prim
 
 
@@ -609,13 +702,15 @@ def omega_qres_oracle(s: SpinorSection, t: SpinorSection, rel_tol: float = 1e-9)
     ends = np.array(dom.ends.points, dtype=complex)
     at_inf = np.isinf(ends)
     center, radius = np.where(at_inf, 0.0, ends)[:, None], dom.qres_radii[:, None]
+    points = chart_points((s, t))
 
     def integrand(x):
         du = radius * np.exp(2j * np.pi * x)
         u = center + du
         u[at_inf] = 1.0 / du[at_inf]
-        (f, g), (df, dg) = section_values((s, t), u, derivative=True)
-        lead = du * du * dom.form_weight(u)
+        at = points(u)
+        (f, g), (df, dg) = section_values((s, t), at, derivative=True)
+        lead = du * du * dom.form_weight(at)
         lead[at_inf] = u[at_inf] ** 2
         return (np.sum(lead * (f * dg - g * df), axis=0),
                 np.sum(np.abs(lead) * (np.abs(f * dg) + np.abs(g * df)), axis=0))
@@ -758,13 +853,14 @@ def basis_F_torus_untwisted_paired(ctx: EllipticContext, r: int, half_points):
     k_i (t_i - t_{m+i}) and t-hat_{m+i} = t_i + t_{m+i}, k_i = p_i/wp'(a_i).
     So the Laurent table, the end checks and the p_i come from
     basis_F_torus_untwisted, the table through that change of basis.  The
-    rows stay wp quotients: they read one theta frame on u, where the zeta
-    rows read one on u and each of the 2m shifts.  A wp'(a_i) that rounds
+    rows stay wp quotients: they read the frame row of u alone, where the
+    zeta rows read u and each of the 2m shifts.  A wp'(a_i) that rounds
     to 0 raises DegenerateLatticeError, before k_i divides by it.
     """
     a = np.array(half_points, dtype=complex)
     rows = basis_F_torus_untwisted(ctx, r, EndDivisor(tuple(a) + tuple(-a)))[0].basis
-    pvals, dp = rows.domain.wp_r(a), wp_prime(ctx, a)
+    at = _Points(rows.domain, a, (0j,))
+    pvals, dp = rows.domain.wp_r(at), at.wp_prime((0j,))[0]
     for p, d in zip(a, dp):
         if d == 0:
             raise elliptic.DegenerateLatticeError(

@@ -13,11 +13,14 @@ Faces come from the validity mask's cells and the normals from the
 section values already computed at the vertices.  Everything works on
 blocks of _BLOCK points: the validity mask on grid points, Phi and the
 normals on vertices, faces and loop closures on cells, each block written
-straight into the mesh.  So a mesh's memory is the finished mesh plus one
-block (on a torus the block's theta frames are most of that block), and a
-vertex's bits depend only on that vertex.  Gauss-Legendre edge quadrature
-stays as the oracle: quadrature_edges and quadrature_loop_residual
-integrate every grid edge independently.
+straight into the mesh.  On a torus a block of vertices takes one theta
+frame (spinor.chart_points), on u and on u - a_k for every shift that
+the rows, the chart weight and the primitive read, and each reads its
+own rows of it.  So a mesh's memory is the finished mesh plus one block
+(on a torus that frame is most of the block), and a vertex's bits depend
+only on that vertex.  Gauss-Legendre edge quadrature stays as the oracle:
+quadrature_edges and quadrature_loop_residual integrate every grid edge
+independently.
 
 export_obj and export_csv write the bytes of "%.17g" and "%d//%d", with
 numpy making a block's text at once: a float with |x| in [1e-4, 1e16) is
@@ -39,6 +42,7 @@ from .spinor import (
     SectionDataError,
     SphereDomain,
     SpinorSection,
+    chart_points,
     form_primitive,
     is_infinity,
     period_matrix,
@@ -67,7 +71,7 @@ __all__ = [
 _GL_EDGE = 12
 # grid points, vertices or cells per block of integrate_surface's mask,
 # vertex and cell stages and of the exporters' rows: a mesh's memory is the
-# finished mesh plus one block, and on a torus that block's theta frames set
+# finished mesh plus one block, and on a torus that block's theta frame sets
 # the rest of the peak.  Every step is pointwise, so a vertex's bits depend
 # only on that vertex and any block gives a mesh the same bits
 _BLOCK = 8192
@@ -105,9 +109,9 @@ class WeierstrassData:
 
     def omega(self, u):
         """The three 1-form coefficients of dX at u, shape (3, ...)."""
-        u = np.asarray(u, dtype=complex)
-        f1, f2 = section_values((self.s1, self.s2), u)
-        mu = self.domain.form_weight(u)
+        at = chart_points((self.s1, self.s2))(u)
+        f1, f2 = section_values((self.s1, self.s2), at)
+        mu = self.domain.form_weight(at)
         return np.stack([(f1 * f1 - f2 * f2) * mu,
                          1j * (f1 * f1 + f2 * f2) * mu,
                          2.0 * f1 * f2 * mu])
@@ -227,6 +231,7 @@ def integrate_surface(data: WeierstrassData, grid: GridSpec, basepoint) -> Surfa
     uvs = U[valid]
     s1, s2 = data.s1, data.s2
     prim = form_primitive(((s1, s1), (s2, s2), (s1, s2)))
+    points = chart_points((s1, s2), prim)
     verts, gauss = np.empty((len(uvs), 3)), np.empty((len(uvs), 3))
     # each coordinate's range, kept per block: a reduction down the
     # columns of verts would step through its rows three values at a time
@@ -238,9 +243,11 @@ def integrate_surface(data: WeierstrassData, grid: GridSpec, basepoint) -> Surfa
             # the root leads the first block: its Phi comes from that call,
             # not from a call of its own (one more theta frame on a torus)
             pts = np.concatenate([U.flat[root:root + 1], pts])
-        f1, f2 = section_values((s1, s2), pts)
-        products = np.stack([f1 * f1, f2 * f2, f1 * f2]) * data.domain.form_weight(pts)
-        phi, form, size = prim.evaluate(pts)
+        at = points(pts)
+        f1, f2 = section_values((s1, s2), at)
+        products = np.stack([f1 * f1, f2 * f2, f1 * f2]) * data.domain.form_weight(at)
+        phi, form, size = prim.evaluate(at)
+        del at  # the frame goes with its block, before the next one is taken
         identity = np.maximum(identity, np.max(
             np.abs(products - form) / np.maximum(np.abs(products) + size, 1e-300), initial=0.0))
         if lead:
@@ -363,8 +370,9 @@ def branch_points(data: WeierstrassData, resolution: int = 120):
     pts = pts[keep]
 
     def magnitude(u):
-        f1, f2 = section_values((data.s1, data.s2), u)
-        return (np.abs(f1) ** 2 + np.abs(f2) ** 2) * np.abs(dom.form_weight(u))
+        at = chart_points((data.s1, data.s2))(u)
+        f1, f2 = section_values((data.s1, data.s2), at)
+        return (np.abs(f1) ** 2 + np.abs(f2) ** 2) * np.abs(dom.form_weight(at))
 
     mags = magnitude(pts)
     norm = float(np.median(mags))

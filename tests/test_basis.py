@@ -1,13 +1,16 @@
 """Sections as (basis, coefficients): row kernels, combinations, frame counts."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.polynomial import polynomial as P
 
-from spinorminimal import elliptic
-from spinorminimal.elliptic import build_context, wp, wp_prime, zeta
+from spinorminimal import elliptic, spinor, surface
+from spinorminimal.elliptic import PoleEvaluationError, build_context, wp, wp_prime, zeta
 from spinorminimal.moduli import klein4_construct, torus4_construct
+from spinorminimal.numkit import QuadraturePath
 from spinorminimal.spinor import (
     INF,
     EndDivisor,
@@ -17,15 +20,17 @@ from spinorminimal.spinor import (
     basis_F_torus_twisted,
     basis_F_torus_untwisted,
     basis_F_torus_untwisted_paired,
+    chart_points,
     extract_K,
     form_primitive,
     omega_matrix,
     omega_qres_oracle,
+    period_matrix,
     rational_sphere_basis,
     section_combination,
     section_values,
 )
-from spinorminimal.surface import WeierstrassData
+from spinorminimal.surface import GridSpec, WeierstrassData, integrate_surface, real_period
 
 
 @pytest.fixture(scope="module")
@@ -93,6 +98,23 @@ class TestBasisRows:
                       lambda u, p=p: (wpp(u) * (pr(u) - p) - wp_prime(ctx, u) ** 2)
                       / (pr(u) - p) ** 2) for p in ps]
         _check_rows(basis, formulas, _points(ctx, seed=4))
+
+    def test_paired_rows_at_an_end_raise(self, klein):
+        # wp_r(u) - p_i vanishes at the ends +-a_i: within 1e-12 of one the
+        # rows raise PoleEvaluationError naming the point, with no numpy
+        # warning, as a zeta section does at its end
+        ends = klein.s1.domain.ends.points
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for s in (klein.s1, klein.s2):
+                for u in (ends[0], ends[4], ends[2] + 1e-14, ends[7] - 1e-14j):
+                    with pytest.raises(PoleEvaluationError, match="within 1e-12 of an end") as err:
+                        s.evaluate([1.0 + 0.5j, u])
+                    assert repr(complex(u)) in str(err.value)
+                assert np.all(np.isfinite(s.evaluate(np.array(ends) + 1e-6)))
+            t4 = torus4_construct(build_context(1.0, 1.0j))
+            with pytest.raises(PoleEvaluationError):
+                t4.s1.evaluate([t4.s1.domain.ends.points[1]])
 
     def test_rational(self):
         dom = SphereDomain(ends=EndDivisor((0.5, INF)))
@@ -229,9 +251,38 @@ class TestQresRadius:
                     <= 1e-12 * max(1.0, abs(omega[i, j]))
 
 
+def _klein_on_zeta_rows(klein):
+    """The Klein pair on the untwisted zeta rows t_j of its eight ends, from
+    the change of basis t-hat_i = k_i (t_i - t_{4+i}), t-hat_{4+i} = t_i +
+    t_{4+i}, k_i = p_i/wp'(a_i) (see basis_F_torus_untwisted_paired)."""
+    dom = klein.s1.domain
+    half = np.array(dom.ends.points[:4])
+    rows = basis_F_torus_untwisted(klein.ctx, dom.r, dom.ends)[0].basis
+    k, one = np.diag(dom.wp_r(half) / wp_prime(klein.ctx, half)), np.eye(4)
+    M = np.block([[k, -k], [one, one]])
+    return tuple(rows.section(np.asarray(s.coefficients) @ M, s.label)
+                 for s in (klein.s1, klein.s2))
+
+
+def _mesh_pair(name, klein):
+    """(s1, s2) and the basepoint fractions of a torus mesh."""
+    if name == "torus4":
+        t4 = torus4_construct(build_context(1.0, 1.0j))
+        return (t4.s1, t4.s2), (0.5, 0.25)
+    return ((klein.s1, klein.s2) if name == "klein4" else _klein_on_zeta_rows(klein)), (0.5, 0.125)
+
+
+def _lattice_vertex(dom, n, fractions):
+    fx, fy = fractions
+    return round((n - 1) * fx) / (n - 1) * 2 * dom.ctx.omega1 \
+        + round((n - 1) * fy) / (n - 1) * 2 * dom.ctx.omega3
+
+
 class TestFrameCounts:
-    """One WeierstrassData.omega call, and one FormPrimitive.evaluate call,
-    takes one theta frame for all shifts."""
+    """One theta frame per point set: a WeierstrassData.omega call, a
+    FormPrimitive.evaluate call, a block of integrate_surface and an
+    integrand call of period_matrix or omega_qres_oracle each take one, on
+    every shift that the rows, the chart weight and the primitive read."""
 
     @staticmethod
     def _frames(count_calls, fn, u):
@@ -249,8 +300,48 @@ class TestFrameCounts:
         assert self._frames(count_calls, prim.evaluate, u) == 1
 
     def test_klein4(self, count_calls, klein):
+        # the paired rows and the chart weight read the one frame row of u
         u = _points(klein.ctx, 40)
-        assert self._frames(count_calls, WeierstrassData(s1=klein.s1, s2=klein.s2).omega, u) <= 2
+        assert self._frames(count_calls, WeierstrassData(s1=klein.s1, s2=klein.s2).omega, u) == 1
+
+    @pytest.mark.parametrize("name, rows", [("torus4", 4), ("klein4-zeta", 9), ("klein4", 9)])
+    def test_one_frame_per_block(self, monkeypatch, count_calls, klein, name, rows):
+        # after form_primitive's own frames, each block of integrate_surface
+        # takes one frame, on u and u - a_k for each end a_k: on torus-4 the
+        # rows' shifts are the ends, and 0 among them; on the Klein pair
+        # u itself serves the rows and the weight, and the eight ends the
+        # primitive, in either basis
+        (s1, s2), fractions = _mesh_pair(name, klein)
+        data = WeierstrassData(s1=s1, s2=s2)
+        calls = count_calls(elliptic, "_theta_frame")
+        form_primitive(((s1, s1), (s2, s2), (s1, s2)))
+        setup = len(calls)
+        calls.clear()
+        monkeypatch.setattr(surface, "_BLOCK", 100)
+        base = _lattice_vertex(data.domain, 17, fractions)
+        mesh = integrate_surface(data, GridSpec(17, 17), base)
+        n = len(mesh.vertices)
+        # the basepoint leads the first block
+        sizes = [min(100, n - k) + (k == 0) for k in range(0, n, 100)]
+        assert len(sizes) > 2
+        assert [np.size(u) for _, u in calls[setup:]] == [rows * m for m in sizes]
+
+    @pytest.mark.parametrize("paired", [False, True])
+    def test_one_frame_per_integrand_call(self, monkeypatch, count_calls, ctx, paired):
+        half = [0.31 + 0.4j, 0.9 + 0.77j]
+        basis = basis_F_torus_untwisted_paired(ctx, 2, half) if paired \
+            else basis_F_torus_untwisted(ctx, 2, EndDivisor(tuple(half) + (1.3 + 0.2j,)))
+        nodes = []
+        contour = spinor.contour_integral
+        monkeypatch.setattr(spinor, "contour_integral", lambda f, *args, **kwargs: contour(
+            lambda x: nodes.append(x) or f(x), *args, **kwargs))
+        frames = count_calls(elliptic, "_theta_frame")
+        period_matrix(basis[:3], QuadraturePath.segment(0.2 + 0.1j, 0.7 + 0.15j))
+        assert len(frames) == len(nodes) > 0
+        frames.clear()
+        nodes.clear()
+        omega_qres_oracle(basis[0], basis[1])
+        assert len(frames) == len(nodes) > 0
 
     def test_zeta_bases_build_from_one_zeta_frame(self, count_calls, ctx):
         calls = count_calls(elliptic, "_theta_frame")
@@ -280,6 +371,52 @@ def _per_shift_values(basis, C, u):
             out[0, k] += C[k, j] * f
             out[1, k] += C[k, j] * df
     return out
+
+
+def _per_row_paired(basis, C, u):
+    """Values of the sections with coefficient rows C on a paired basis, from
+    a theta frame of their own on u, each row added in turn."""
+    ctx, r = basis.domain.ctx, basis.domain.r
+    frame = elliptic._theta_frame(ctx, u)
+    p, dp = frame.wp(), frame.wp_prime()
+    pr = p - ctx.e(r)
+    m = len(basis.pvals)
+    out = np.zeros((len(C), u.size), dtype=complex)
+    for j in range(2 * m):
+        den = pr - basis.pvals[j % m]
+        for k in np.flatnonzero(C[:, j]):
+            out[k] += C[k, j] * (pr / den if j < m else dp / den)
+    return out
+
+
+def _per_consumer_mesh(data, mesh):
+    """Vertices, normals and identity residual of a torus mesh from one
+    frame per consumer: the rows (one per shift on a zeta basis), the chart
+    weight (wp on the untwisted tori) and the primitive (one per end)."""
+    basis, dom = data.s1.basis, data.domain
+    C = np.array([data.s1.coefficients, data.s2.coefficients])
+    u = np.concatenate([[mesh.metadata["basepoint"]], mesh.domain_uv])
+    f1, f2 = _per_row_paired(basis, C, u) if hasattr(basis, "pvals") \
+        else _per_shift_values(basis, C, u)[0]
+    weight = 1.0 / (wp(dom.ctx, u) - dom.ctx.e(dom.r)) if dom.h_dim == 0 else 1.0
+    prim = form_primitive(((data.s1, data.s1), (data.s2, data.s2), (data.s1, data.s2)))
+    products = np.stack([f1 * f1, f2 * f2, f1 * f2]) * weight
+    phi, form, size = _per_end_primitive(prim, u)
+    identity = np.max(np.abs(products - form) / np.maximum(np.abs(products) + size, 1e-300))
+    return (real_period(phi[:, 1:] - phi[:, :1]).T, surface._normals(f1[1:], f2[1:]),
+            float(identity))
+
+
+def _assert_mesh_is_per_consumer(data, grid, base):
+    """integrate_surface, on blocks of 16 vertices, against _per_consumer_mesh."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(surface, "_BLOCK", 16)
+        mesh = integrate_surface(data, GridSpec(grid, grid), base)
+    assert len(mesh.vertices) > 3 * 16
+    verts, normals, identity = _per_consumer_mesh(data, mesh)
+    assert verts.tobytes() == mesh.vertices.tobytes()
+    assert normals.tobytes() == mesh.gauss.tobytes()
+    assert identity == mesh.metadata["identity_residual_max"]
 
 
 def _per_end_primitive(prim, u):
@@ -313,8 +450,8 @@ def test_one_frame_equals_a_frame_per_shift(re_tau, thinness, size, angle, k1, k
     fractions = np.array([(0.13, 0.21), (0.62, 0.37), (0.31, 0.78)]) + rng.uniform(-0.05, 0.05, (3, 2))
     ends = tuple(complex(fx * b1 + fy * b2) for fx, fy in fractions)
     u = rng.uniform(-1, 1, 30) * b1 + rng.uniform(-1, 1, 30) * b2
-    bases = [basis_F_torus_twisted(ctx, EndDivisor((0.0,) + ends))]
-    bases += [basis_F_torus_untwisted(ctx, r, EndDivisor(ends)) for r in (1, 2, 3)]
+    bases = [basis_F_torus_untwisted(ctx, r, EndDivisor(ends)) for r in (1, 2, 3)]
+    bases += [basis_F_torus_twisted(ctx, EndDivisor((0.0,) + ends))]
     for members in bases:
         basis = members[0].basis
         # the members, and a combination that leaves a row out
@@ -330,6 +467,26 @@ def test_one_frame_equals_a_frame_per_shift(re_tau, thinness, size, angle, k1, k
     K = extract_K(omega_matrix(basis_F_torus_twisted(
         ctx, EndDivisor((0.0, ctx.omega1, ctx.omega2, ctx.omega3)))))
     prim = form_primitive([(K[0], K[0]), (K[1], K[2]), (K[0], K[2])])
+    # a section without the row of omega1 shares its frame with the
+    # primitive on (0, omega2, omega3, omega1): the primitive reads its
+    # rows out of order
+    gap = K[0].basis.section([1.0, 0.0, 1.0, 1.0], "gap")
     for at in (u, u[0]):
-        for got, want in zip(prim.evaluate(at), _per_end_primitive(prim, at)):
-            assert np.array_equal(got, want)
+        for shared in (at, chart_points([gap], prim)(at)):
+            for got, want in zip(prim.evaluate(shared), _per_end_primitive(prim, at)):
+                assert np.array_equal(got, want)
+        assert np.array_equal(section_values([gap], chart_points([gap], prim)(at)),
+                              section_values([gap], at))
+    # a mesh of a K pair, whose rows' shifts are its primitive's ends
+    data = WeierstrassData(s1=K[0], s2=K[1])
+    _assert_mesh_is_per_consumer(data, 9, _lattice_vertex(data.domain, 9, (0.5, 0.25)))
+
+
+@pytest.mark.parametrize("name", ["klein4", "klein4-zeta"])
+def test_klein_mesh_equals_a_frame_per_consumer(klein, name):
+    # the paired rows and the zeta rows of the same pair: the rows, the
+    # weight and the primitive share one frame per block, bitwise as if
+    # each took its own
+    (s1, s2), fractions = _mesh_pair(name, klein)
+    data = WeierstrassData(s1=s1, s2=s2)
+    _assert_mesh_is_per_consumer(data, 17, _lattice_vertex(data.domain, 17, fractions))

@@ -16,6 +16,7 @@ from spinorminimal.elliptic import (
     wp_inverse,
     wp_prime,
     wp_second,
+    wp_with_prime,
     zeta,
 )
 from spinorminimal.spinor import EndDivisor, FormPrimitive, TwistedTorusDomain
@@ -443,6 +444,13 @@ class TestThetaKernel:
             for zk, value in zip(z, t0):
                 want = complex(mpmath.jtheta(1, mpmath.mpc(zk), q))
                 assert abs(value - want) <= 1e-13 * abs(want)
+
+    def test_wp_with_prime_is_the_two_calls(self, ctx):
+        u = np.array([0.3 + 0.2j, 1.7 - 0.4j, -0.9 + 1.1j])
+        for at in (u, u[1]):
+            p, dp = wp_with_prime(ctx, at)
+            assert type(p) is type(wp(ctx, at)) and type(dp) is type(wp_prime(ctx, at))
+            assert np.array_equal(p, wp(ctx, at)) and np.array_equal(dp, wp_prime(ctx, at))
 
     def test_a_point_alone_equals_its_batch_entry(self, ctx):
         # 131^2 points pass the 256 KiB from which numpy computes a product

@@ -428,10 +428,10 @@ def wp_inverse(ctx: EllipticContext, value):
     vals = wp(ctx, grid)
     u = grid[int(np.argmin(np.abs(vals - value)))]
     for _ in range(60):
-        f = wp(ctx, u) - value
+        p, d = wp_with_prime(ctx, u)
+        f = p - value
         if abs(f) < 1e-13 * max(1.0, abs(value)):
             return complex(u)
-        d = wp_prime(ctx, u)
         if d == 0:
             break
         step = f / d

@@ -374,17 +374,14 @@ def torus3_admissible_pair(ctx: EllipticContext, a1) -> complex:
     wp(a2) is a root of 4 p^3 - g2 p - g3 = wp'(a1)^2 other than wp(a1);
     the sign of a2 is fixed by the wp' condition.
     """
-    a1 = complex(a1)
-    p1p = wp_prime(ctx, a1)
+    p1, p1p = wp_with_prime(ctx, complex(a1))
     cubic = ComplexPolynomial((-ctx.g3 - p1p * p1p, -ctx.g2, 0.0, 4.0))
-    candidates = [p for p in poly_roots(cubic) if abs(p - wp(ctx, a1)) > 1e-6]
-    p2 = candidates[0]
-    a2 = wp_inverse(ctx, p2)
-    if abs(wp_prime(ctx, a2) + p1p) > 1e-7 * max(1.0, abs(p1p)):
-        a2 = -a2
-    if abs(wp_prime(ctx, a2) + p1p) > 1e-7 * max(1.0, abs(p1p)):
-        raise RuntimeError("failed to place an admissible second end")
-    return a2
+    candidates = [p for p in poly_roots(cubic) if abs(p - p1) > 1e-6]
+    root = wp_inverse(ctx, candidates[0])
+    for a2 in (root, -root):
+        if not abs(wp_prime(ctx, a2) + p1p) > 1e-7 * max(1.0, abs(p1p)):
+            return a2
+    raise RuntimeError("failed to place an admissible second end")
 
 
 def _select_epsilon(ctx: EllipticContext, a1, a2):

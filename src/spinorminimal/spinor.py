@@ -10,8 +10,10 @@ sphere sections.  A kernel evaluates only the rows some coefficient uses,
 and adds each row into every section it evaluates.  On a torus the rows
 read a theta frame on u and their shifts u - a_i; a caller that also
 needs the chart weight or a primitive at the same points takes one frame
-for all of them (chart_points) and passes that in place of u.  A linear
-combination is a coefficient sum.  The Laurent data of a basis is one
+for all of them (chart_points) and passes that in place of u.  Both torus
+builders check their ends in one lattice distance call (_torus_end_check),
+and an untwisted build takes one theta frame.  A linear combination is a
+coefficient sum.  The Laurent data of a basis is one
 (rows, ends, 2) table T of (alpha_-1, alpha_0); a section's table is its
 coefficients contracted with T.  Omega, its residue-sum check, the K test and the
 log-end residues and pole coefficients of form_primitive all contract
@@ -55,7 +57,7 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 from . import elliptic
-from .elliptic import EllipticContext, zeta
+from .elliptic import EllipticContext
 from .numkit import QuadraturePath, SkewMatrix, contour_integral, skew_rank_kernel
 
 __all__ = [
@@ -107,16 +109,16 @@ class EndDivisor:
     points: tuple
 
     def __post_init__(self):
-        pts = tuple(complex(p) for p in self.points)
-        finite = [p for p in pts if not is_infinity(p)]
-        if sum(1 for p in pts if is_infinity(p)) > 1:
+        pts = tuple(map(complex, self.points))
+        a = np.array(pts, dtype=complex)
+        if np.isinf(a).sum() > 1:
             raise ValueError("at most one end at infinity")
-        if len(finite) >= 2:
-            scale = max(1.0, max(abs(p) for p in finite))
-            for i in range(len(finite)):
-                for j in range(i + 1, len(finite)):
-                    if abs(finite[i] - finite[j]) < 1e-12 * scale:
-                        raise ValueError("ends must be pairwise distinct")
+        a = a[~np.isinf(a)]
+        # |a_i - a_j| and |a_i| by hypot, as abs() of a Python complex rounds
+        d = np.hypot((a[:, None] - a).real, (a[:, None] - a).imag)
+        np.fill_diagonal(d, np.inf)
+        if (d < 1e-12 * max(1.0, np.hypot(a.real, a.imag).max(initial=0.0))).any():
+            raise ValueError("ends must be pairwise distinct")
         object.__setattr__(self, "points", pts)
 
     @property
@@ -544,23 +546,22 @@ class FormPrimitive:
         chart_points with this primitive); size = |P| + sum_k |c_k W(u - a_k)| sets the
         scale of the form's rounding error."""
         at = _points(self.domain, u, self.ends)
-        u = at.u.reshape(at.shape)
-        if self.domain.genus == 1:
-            shape = (len(self.ends),) + u.shape
-            Z, W = at.zeta(self.ends).reshape(shape), at.wp(self.ends).reshape(shape)
-        else:
-            Z = 1.0 / (u - np.array(self.ends, dtype=complex).reshape((-1,) + (1,) * u.ndim))
+        u, shape = at.u, (len(self.c), at.u.size)
+        if self.domain.genus == 0:
+            # all ends at once: one end at a time raised mesh-sphere's peak RSS
+            Z = 1.0 / (u - np.array(self.ends, dtype=complex)[:, None])
             W = Z * Z
-        # the few ends summed in their order, point by point, so a point's
-        # bits do not depend on the other points of the call
-        shape = (len(self.c),) + u.shape
+        # the ends summed in their order, so a point's bits are its own; on a
+        # torus one end's Z and W at a time, read from the frame
         cZ, cW, size = np.zeros(shape, complex), np.zeros(shape, complex), np.zeros(shape)
-        for c, z, w in zip(self.c.T.reshape(self.c.T.shape + (1,) * u.ndim), Z, W):
+        for k, (a, c) in enumerate(zip(self.ends, self.c.T[..., None])):
+            z, w = (at.zeta((a,))[0], at.wp((a,))[0]) if self.domain.genus else (Z[k], W[k])
             cZ += c * z
             cW += c * w
             size += np.abs(c) * np.abs(w)
         poly = P.polyval(u, self.poly)
-        return P.polyval(u, P.polyint(self.poly)) - cZ, poly + cW, np.abs(poly) + size
+        return tuple(x.reshape((len(self.c),) + at.shape) for x in (
+            P.polyval(u, P.polyint(self.poly)) - cZ, poly + cW, np.abs(poly) + size))
 
 
 def form_primitive(pairs) -> FormPrimitive:
@@ -597,7 +598,7 @@ def form_primitive(pairs) -> FormPrimitive:
     if poly is None:
         frac = (np.arange(7) + 0.5) / 7
         grid = (frac[:, None] * 2 * dom.ctx.omega1 + frac * 2 * dom.ctx.omega3).ravel()
-        u0 = grid[np.argmax(np.min([dom.distance(grid, q) for q in dom.singular_points()], 0))]
+        u0 = grid[np.argmax(np.min(dom.distance(grid, np.c_[dom.singular_points()]), 0))]
         at = chart_points([x for pair in pairs for x in pair], prim)(u0)
         fg = np.array([np.prod(section_values(pair, at)) for pair in pairs]) * dom.form_weight(at)
         prim = replace(prim, poly=(fg - prim.evaluate(at)[1])[None, :])
@@ -749,11 +750,9 @@ def basis_F_sphere(divisor: EndDivisor):
     alpha-data at infinity comes from the w = 1/z chart: each phi/(z-a)
     has (0, i) there and phi itself has (i, 0).
     """
-    pts = list(divisor.points)
-    inf_idx = [k for k, p in enumerate(pts) if is_infinity(p)]
-    if not inf_idx:
+    finite = [p for p in divisor.points if not is_infinity(p)]
+    if len(finite) == divisor.n:
         raise ValueError("sphere basis requires an end at infinity")
-    finite = [p for p in pts if not is_infinity(p)]
     divisor = EndDivisor(tuple(finite) + (INF,))
     laurent = np.array([[(1.0, 0.0) if j == i else (0.0, 1.0 / (b - a))
                          for j, b in enumerate(finite)] + [(0.0, 1j)]
@@ -763,82 +762,92 @@ def basis_F_sphere(divisor: EndDivisor):
     return _SphereBasis(SphereDomain(ends=divisor), labels, laurent, finite).members()
 
 
+def _torus_end_check(ctx: EllipticContext, points, wr=None):
+    """The ends the zeta table subtracts, all but the twisted end at 0 (wr
+    None), after the torus bases' end checks, in one lattice_distance call
+    on each end against 0 and wr = omega_r and on each pair of ends: one
+    twisted end within 1e-10 of the lattice, the others 1e-9 off 0 and wr
+    and apart by the theta frame's pole tolerance, or ValueError names two."""
+    twisted = wr is None
+    untwisted = "untwisted ends must be finite and avoid 0 and omega_r (mod lattice)"
+    a, avoid = np.array(points, dtype=complex), np.array([0j] if twisted else [0j, wr])
+    if np.isinf(a).any():
+        raise ValueError("twisted ends must be finite" if twisted else untwisted)
+    i, j = np.triu_indices(a.size, 1)
+    d = ctx.lattice_distance(np.concatenate([(a - avoid[:, None]).ravel(), a[j] - a[i]]))
+    near, apart = d[:avoid.size * a.size].reshape(avoid.size, a.size), d[avoid.size * a.size:]
+    other = ~(near[0] < 1e-10) if twisted else np.ones(a.size, dtype=bool)
+    if twisted and np.count_nonzero(~other) != 1:
+        raise ValueError("twisted basis requires exactly one end on the lattice (at 0)")
+    if (near[:, other] < 1e-9).any():
+        raise ValueError("nonzero ends must be off-lattice" if twisted else untwisted)
+    close = other[i] & other[j] \
+        & (apart < elliptic.POLE_DISTANCE_TOL * max(1.0, abs(ctx.lattice.reduced_periods[1])))
+    if close.any():
+        k = close.argmax()
+        raise ValueError(f"the ends {points[i[k]]} and {points[j[k]]} are equal modulo the lattice")
+    return a[other]
+
+
+def _zeta_table(dom, points, n, constants):
+    """(at, c, A): the _Points at of points, which end with the n ends a, and
+    of a_j - a_i for i != j, whose one frame row the builders also read wp
+    and wp' from; c = constants(zeta at points); and A[i, j], the alpha_0 of
+    zeta(u - a_i) - zeta(u) + c_i at a_j: zeta(a_j - a_i) - zeta(a_j) + c_i, 0 at a_i."""
+    points = np.asarray(points, dtype=complex)
+    a, off = points[points.size - n:], ~np.eye(n, dtype=bool)
+    at = _Points(dom, np.concatenate([points, (a[None, :] - a[:, None])[off]]), (0j,))
+    values, shifted = at.zeta((0j,))[0], np.zeros(off.shape, dtype=complex)
+    shifted[off] = values[points.size:]
+    c = constants(values[:points.size])
+    return at, c, np.where(off, shifted - values[points.size - n:points.size] + c[:, None], 0.0)
+
+
 def basis_F_torus_twisted(ctx: EllipticContext, divisor: EndDivisor):
     """{phi0, t_1, ..., t_{n-1}} with t_i = (zeta(u-a_i) - zeta(u) + zeta(a_i)) phi0.
 
-    The divisor must contain 0; remaining ends must be off-lattice.
-    H = C phi0 for this spin structure.
+    The divisor must contain 0; remaining ends must be off-lattice (see
+    _torus_end_check).  H = C phi0 for this spin structure.
     """
-    pts = list(divisor.points)
-    if any(is_infinity(p) for p in pts):
-        raise ValueError("twisted ends must be finite")
-    zero_idx = [k for k, p in enumerate(pts) if ctx.lattice_distance(p) < 1e-10]
-    if len(zero_idx) != 1:
-        raise ValueError("twisted basis requires exactly one end on the lattice (at 0)")
-    others = [p for k, p in enumerate(pts) if k != zero_idx[0]]
-    for p in others:
-        if ctx.lattice_distance(p) < 1e-9:
-            raise ValueError("nonzero ends must be off-lattice")
-    divisor = EndDivisor((0.0,) + tuple(others))
-    constants, shifted = _zeta_table(ctx, others, others)
-    laurent = np.array([[(0.0, 1.0)] * divisor.n] + [
-        [(-1.0, 0.0)] + [(1.0, 0.0) if j == i else (0.0, shifted[i, j] - zeta_b + c)
-                         for j, zeta_b in enumerate(constants)]
-        for i, c in enumerate(constants)], dtype=complex)
-    labels = ["phi0"] + [f"t{i + 1}" for i in range(len(others))]
-    return _ZetaBasis(TwistedTorusDomain(ends=divisor, ctx=ctx), labels, laurent,
-                      [None] + others, [0.0] + constants).members()
+    others = _torus_end_check(ctx, divisor.points).tolist()
+    m = len(others)
+    dom = TwistedTorusDomain(ends=EndDivisor((0.0,) + tuple(others)), ctx=ctx)
+    _, c, alpha0 = _zeta_table(dom, others, m, lambda z: z)
+    laurent = np.zeros((m + 1, m + 1, 2), dtype=complex)
+    laurent[0, :, 1], laurent[1:, 0, 0] = 1.0, -1.0
+    laurent[1:, 1:] = np.stack([np.eye(m), alpha0], axis=-1)
+    labels = ["phi0"] + [f"t{i + 1}" for i in range(m)]
+    return _ZetaBasis(dom, labels, laurent, [None] + others, [0.0] + c.tolist()).members()
 
 
 def basis_F_torus_untwisted(ctx: EllipticContext, r: int, divisor: EndDivisor):
     """t_i = (zeta(u-a_i) - zeta(u) - zeta(w_r - a_i) + zeta(w_r)) phi_r.
 
-    Ends must avoid 0 and w_r mod the lattice.  In the honest charts the
-    pole data of t_i at a_i is (1/wp_r(a_i), 0); values at the other ends
-    pick up no chart correction.
+    Ends must avoid 0 and w_r mod the lattice (see _torus_end_check).  In
+    the honest charts the pole data of t_i at a_i is (1/wp_r(a_i), 0);
+    values at the other ends pick up no chart correction.
     """
+    return _untwisted_basis(ctx, r, divisor)[0].members()
+
+
+def _untwisted_basis(ctx: EllipticContext, r: int, divisor: EndDivisor):
+    """(basis, wp_r, wp'): the untwisted zeta basis, and wp_r, wp' at its ends, from one frame."""
     wr = ctx.half_period(r)
-    for p in divisor.points:
-        if is_infinity(p) or ctx.lattice_distance(p) < 1e-9 \
-                or ctx.lattice_distance(p - wr) < 1e-9:
-            raise ValueError("untwisted ends must be finite and avoid 0 and omega_r (mod lattice)")
-    dom = UntwistedTorusDomain(ends=divisor, ctx=ctx, r=r)
-    ends = list(divisor.points)
-    n = len(ends)
-    zeta_at, shifted = _zeta_table(ctx, [wr] + [wr - a for a in ends] + ends, ends)
-    constants = [-z + zeta_at[0] for z in zeta_at[1:n + 1]]
-    wp_r = _checked_wp_r(r, ends, dom.wp_r(np.array(ends, dtype=complex)))
-    laurent = np.array([[(1.0 / complex(wp_r[i]), 0.0) if j == i
-                         else (0.0, shifted[i, j] - zeta_b + c)
-                         for j, zeta_b in enumerate(zeta_at[n + 1:])]
-                        for i, c in enumerate(constants)], dtype=complex)
-    labels = [f"t{i + 1}" for i in range(n)]
-    return _ZetaBasis(dom, labels, laurent, ends, constants).members()
-
-
-def _checked_wp_r(r, ends, values):
-    """values, wp(a) - e_r at the ends a.  The ends have passed the distance
-    check against omega_r, so an exact 0 means e_r rounded onto another root
-    of the cubic: the lattice is too thin for double precision."""
-    for a, v in zip(ends, values):
-        if v == 0:
-            raise elliptic.DegenerateLatticeError(
-                f"wp(a) = e{r} at the end a = {a}: e{r} rounds onto another root, "
-                "the lattice is too thin for double precision")
-    return values
-
-
-def _zeta_table(ctx: EllipticContext, points, ends):
-    """zeta at each of points, as a list of complex, and the matrix
-    Z[i, j] = zeta(ends[j] - ends[i]) off the diagonal, from one array call
-    (values bitwise equal to scalar calls, which the frames guarantee)."""
-    a = np.array(ends, dtype=complex)
-    off = ~np.eye(len(ends), dtype=bool)
-    values = zeta(ctx, np.concatenate([np.array(points, dtype=complex),
-                                       (a[None, :] - a[:, None])[off]]))
-    shifted = np.zeros((len(ends), len(ends)), dtype=complex)
-    shifted[off] = values[len(points):]
-    return [complex(v) for v in values[:len(points)]], shifted
+    a = _torus_end_check(ctx, divisor.points, wr)
+    dom, ends = UntwistedTorusDomain(ends=divisor, ctx=ctx, r=r), slice(a.size + 1, 2 * a.size + 1)
+    at, c, alpha0 = _zeta_table(dom, np.concatenate([[wr], wr - a, a]), a.size,
+                                lambda z: -z[1:a.size + 1] + z[0])
+    wp_r = dom.wp_r(at)[ends]
+    if np.any(wp_r == 0):
+        # the ends keep off omega_r: e_r rounded onto another root of the cubic
+        raise elliptic.DegenerateLatticeError(
+            f"wp(a) = e{r} at the end a = {divisor.points[np.argmax(wp_r == 0)]}: e{r} rounds "
+            "onto another root, the lattice is too thin for double precision")
+    # the pole data 1/wp_r by Python's complex division, whose rounding the tables keep
+    laurent = np.stack([np.diag((1.0 / wp_r.astype(object)).astype(complex)), alpha0], axis=-1)
+    basis = _ZetaBasis(dom, [f"t{i + 1}" for i in range(a.size)], laurent,
+                       list(divisor.points), c.tolist())
+    return basis, wp_r, at.wp_prime((0j,))[0][ends]
 
 
 def basis_F_torus_untwisted_paired(ctx: EllipticContext, r: int, half_points):
@@ -851,22 +860,20 @@ def basis_F_torus_untwisted_paired(ctx: EllipticContext, r: int, half_points):
     By the zeta addition theorem these are the untwisted rows t_j of the
     ends (a_1 .. a_m, -a_1 .. -a_m) in another basis: t-hat_i =
     k_i (t_i - t_{m+i}) and t-hat_{m+i} = t_i + t_{m+i}, k_i = p_i/wp'(a_i).
-    So the Laurent table, the end checks and the p_i come from
-    basis_F_torus_untwisted, the table through that change of basis.  The
+    So the table (through that change of basis), the end checks, p_i and
+    wp'(a_i) come from the untwisted build and its one theta frame.  The
     rows stay wp quotients: they read the frame row of u alone, where the
-    zeta rows read u and each of the 2m shifts.  A wp'(a_i) that rounds
-    to 0 raises DegenerateLatticeError, before k_i divides by it.
+    zeta rows read u and each of the 2m shifts.  A wp'(a_i) that rounds to
+    0 raises DegenerateLatticeError, before k_i divides by it.
     """
     a = np.array(half_points, dtype=complex)
-    rows = basis_F_torus_untwisted(ctx, r, EndDivisor(tuple(a) + tuple(-a)))[0].basis
-    at = _Points(rows.domain, a, (0j,))
-    pvals, dp = rows.domain.wp_r(at), at.wp_prime((0j,))[0]
-    for p, d in zip(a, dp):
-        if d == 0:
-            raise elliptic.DegenerateLatticeError(
-                f"wp'(a) = 0 at the end a = {p}: the lattice is too thin for double precision")
-    k, one = np.diag(pvals / dp), np.eye(len(a))
-    labels = [f"that{i + 1}" for i in range(2 * len(a))]
+    rows, wp_r, dp = _untwisted_basis(ctx, r, EndDivisor(tuple(a) + tuple(-a)))
+    pvals, dp = wp_r[:a.size], dp[:a.size]
+    if np.any(dp == 0):
+        raise elliptic.DegenerateLatticeError(f"wp'(a) = 0 at the end a = {a[np.argmax(dp == 0)]}: "
+                                              "the lattice is too thin for double precision")
+    k, one = np.diag(pvals / dp), np.eye(a.size)
+    labels = [f"that{i + 1}" for i in range(2 * a.size)]
     return _PairedBasis(rows.domain, labels, rows.table(np.block([[k, -k], [one, one]])),
                         list(pvals)).members()
 

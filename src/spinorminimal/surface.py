@@ -80,7 +80,7 @@ _EDGE_NODES, _EDGE_WEIGHTS = np.polynomial.legendre.leggauss(_GL_EDGE)
 
 @dataclass(frozen=True)
 class WeierstrassData:
-    """A spinor pair on one basis with an end clearance (chart units)."""
+    """A spinor pair on one basis and an end clearance, by default 1/20 of the least end gap."""
 
     s1: SpinorSection
     s2: SpinorSection
@@ -90,18 +90,18 @@ class WeierstrassData:
         if self.s1.basis is not self.s2.basis:
             raise SectionDataError("sections must share a basis")
         if self.end_clearance is None:
-            eps = 0.05 * self._min_end_separation()
-            object.__setattr__(self, "end_clearance", eps)
+            object.__setattr__(self, "end_clearance", 0.05 * self._min_end_separation())
         if not self.end_clearance > 0:
             raise ValueError("end clearance must be positive")
 
     def _min_end_separation(self) -> float:
         dom = self.s1.domain
-        pts = [p for p in dom.ends.points if not is_infinity(p)]
-        if len(pts) < 2:
-            return 1.0
-        return min(dom.distance(p, q)
-                   for i, p in enumerate(pts) for q in pts[i + 1:])
+        a = np.array(dom.ends.points, dtype=complex)
+        a = a[~np.isinf(a)]
+        d = (a[:, None] - a)[np.triu_indices(a.size, 1)]
+        # on the sphere abs(p - q), by hypot as abs() of a Python complex rounds
+        d = dom.ctx.lattice_distance(d) if dom.genus == 1 else np.hypot(d.real, d.imag)
+        return float(d.min()) if d.size else 1.0
 
     @property
     def domain(self):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.polynomial import polynomial as P
 
-from spinorminimal import elliptic, spinor, surface
+from spinorminimal import cli, elliptic, spinor, surface
 from spinorminimal.elliptic import PoleEvaluationError, build_context, wp, wp_prime, zeta
 from spinorminimal.moduli import klein4_construct, torus4_construct
 from spinorminimal.numkit import QuadraturePath
@@ -347,9 +347,44 @@ class TestFrameCounts:
         calls = count_calls(elliptic, "_theta_frame")
         basis_F_torus_twisted(ctx, EndDivisor((0.0, 0.4 + 0.33j, 1.1 + 0.7j, 0.5 + 1.4j)))
         assert len(calls) == 1
-        # the zeta table and the pole data 1/wp_r(a_i)
+        # the zeta table and the pole data 1/wp_r(a_i) share one frame
         basis_F_torus_untwisted(ctx, 2, EndDivisor((0.31 + 0.4j, 0.9 + 0.77j, 1.3 + 0.2j)))
-        assert len(calls) == 3
+        assert len(calls) == 2
+        # and so do the paired build's p_i and wp'(a_i)
+        calls.clear()
+        basis_F_torus_untwisted_paired(ctx, 2, [0.31 + 0.4j, 0.9 + 0.77j])
+        assert len(calls) == 1
+
+
+class TestDistanceCalls:
+    """EllipticContext.lattice_distance takes one array call where a loop
+    took one per end or pair of ends: the torus bases' end check, the end
+    separation of WeierstrassData and form_primitive's probe.  The mesh
+    mask keeps one call per end and chart singularity, on a whole block."""
+
+    @pytest.mark.parametrize("name, build, construct, mesh", [
+        ("klein4", {}, 3, 2 + 10),
+        ("torus4", {"omega1": 1 + 0.4j, "omega3": 1 - 0.4j}, 1, 2 + 4),
+    ])
+    def test_budget(self, count_calls, name, build, construct, mesh):
+        entry = cli.CONSTRUCTIONS[name]
+        calls = count_calls(elliptic.EllipticContext, "lattice_distance")
+        built = entry.build(**build)
+        # klein4: the ends' placement, the end check and the probe; torus4:
+        # the end check
+        assert len(calls) == construct
+        entry.mesh(built, GridSpec(33, 33))
+        # the end separation, the probe and the one-block mask
+        assert len(calls) == construct + mesh
+        assert all(np.size(u) > 1 for _, u in calls)
+
+    @pytest.mark.parametrize("domain, ends", [("twisted", "0;0.4+0.33j;1.1+0.7j;0.5+1.4j"),
+                                              ("untwisted", "0.31+0.4j;0.9+0.77j;1.3+0.2j;0.2+0.1j")])
+    def test_omega(self, count_calls, tmp_path, domain, ends):
+        # the end check's one call on four ends
+        calls = count_calls(elliptic.EllipticContext, "lattice_distance")
+        assert cli.main(["omega", "--domain", domain, "--ends", ends, "--out", str(tmp_path)]) == 0
+        assert len(calls) == 1
 
 
 def _per_shift_values(basis, C, u):

@@ -139,6 +139,19 @@ def test_a_lattice_at_the_torus4_limit_keeps_its_exit_code(tmp_path):
     assert json.loads((tmp_path / "torus4.json").read_text())["residuals"]["period1"] < 1e-7
 
 
+@pytest.mark.parametrize("argv, ends", [
+    (["omega", "--domain", "twisted", "--ends=0;0.3+0.2j;2.3+0.2j"], "(0.3+0.2j) and (2.3+0.2j)"),
+    (["omega", "--domain", "untwisted", "--r", "1", "--ends=1j;-1j"], "1j and -1j"),
+], ids=["twisted", "paired-half-period"])
+def test_ends_equal_modulo_the_lattice_are_named(tmp_path, argv, ends):
+    # the zeta table would take zeta at a lattice point; the end check
+    # names the two ends instead, with the same exit code.  On the square
+    # lattice 1j = omega3 is its own negative, as a paired end a = -a
+    code, err, files = _run(argv, tmp_path)
+    assert (code, files) == (1, [])
+    assert err == f"error: the ends {ends} are equal modulo the lattice\n"
+
+
 TWISTED_SMALL = ["omega", "--domain", "twisted", "--ends", "0;4e-4+3.3e-4j;1.1e-3+0.7e-3j"]
 
 

@@ -5,6 +5,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
+from spinorminimal import elliptic
 from spinorminimal.elliptic import build_context, wp, wp_prime
 from spinorminimal.moduli import (
     KLEIN_M,
@@ -347,6 +348,15 @@ class TestTorus3:
         assert rep.epsilon_residuals[rep.epsilon_label] < 1e-8
         other = [v for k, v in rep.epsilon_residuals.items() if k != rep.epsilon_label][0]
         assert other > 1e-2  # the printed glyph fails decisively
+
+    def test_admissible_pair_frames(self, count_calls):
+        # wp(a1) and wp'(a1) from one frame, one frame per Newton step of
+        # wp_inverse, and wp'(a2) once per sign tried
+        ctx = build_context(1.0, 1.0j)
+        frames = count_calls(elliptic, "_theta_frame")
+        a2 = torus3_admissible_pair(ctx, 0.3 + 0.2j)
+        assert len(frames) == 10
+        assert abs(wp_prime(ctx, a2) + wp_prime(ctx, 0.3 + 0.2j)) < 1e-7
 
     def test_scan_never_degenerate_with_big_a(self, ctx3):
         rng = np.random.default_rng(11)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from spinorminimal import moduli
+from spinorminimal import elliptic, moduli, spinor
 from spinorminimal.elliptic import (
     DegenerateLatticeError,
     PoleEvaluationError,
@@ -492,6 +492,103 @@ def test_paired_end_with_a_zero_wp_prime_raises():
     assert abs((b2 / b1).imag - 19.2) < 0.05 and wp_prime(ctx, half[1]) == 0
     with pytest.raises(DegenerateLatticeError, match=re.escape(f"wp'(a) = 0 at the end a = {half[1]}")):
         basis_F_torus_untwisted_paired(ctx, 2, half)
+
+
+def _reference_end_check(ctx, points, wr=None):
+    """The torus bases' end checks one end and one pair at a time: the
+    builders' loops over the ends, then a theta frame of its own on each
+    pair of ends that the zeta table subtracts, which fails where the
+    table's frame would."""
+    zero = []
+    if wr is None:
+        if any(is_infinity(p) for p in points):
+            raise ValueError("twisted ends must be finite")
+        zero = [k for k, p in enumerate(points) if ctx.lattice_distance(p) < 1e-10]
+        if len(zero) != 1:
+            raise ValueError("twisted basis requires exactly one end on the lattice (at 0)")
+        for k, p in enumerate(points):
+            if k not in zero and ctx.lattice_distance(p) < 1e-9:
+                raise ValueError("nonzero ends must be off-lattice")
+    else:
+        for p in points:
+            if is_infinity(p) or ctx.lattice_distance(p) < 1e-9 \
+                    or ctx.lattice_distance(p - wr) < 1e-9:
+                raise ValueError(
+                    "untwisted ends must be finite and avoid 0 and omega_r (mod lattice)")
+    for i, p in enumerate(points):
+        for j, q in enumerate(points[i + 1:], i + 1):
+            if i in zero or j in zero:
+                continue
+            try:
+                elliptic._theta_frame(ctx, q - p)
+            except PoleEvaluationError:
+                raise ValueError(f"the ends {p} and {q} are equal modulo the lattice") from None
+
+
+def _outcome(check, *args):
+    try:
+        check(*args)
+    except ValueError as exc:
+        return str(exc)
+    return "accepted"
+
+
+@given(st.floats(-0.5, 0.5), st.floats(0.0, 1.0), st.floats(0.3, 3.0), st.floats(-np.pi, np.pi),
+       st.integers(-2, 2), st.integers(-2, 2), st.integers(0, 2**16), st.integers(1, 3),
+       st.lists(st.sampled_from(["free", "zero", "half", "end", "close", "translate"]),
+                min_size=3, max_size=3))
+@settings(max_examples=100, deadline=None)
+def test_end_check_is_the_per_end_loops(re_tau, thinness, size, angle, k1, k2, seed, r, kinds):
+    # the skewed lattices of test_table_on_random_lattices.  Each end lies
+    # free in the cell, or 1e-11 to 1e-8 from 0, from omega_r or from an
+    # earlier end modulo the lattice, or within a decade of the frame's
+    # pole tolerance from an earlier end, or on an earlier end's translate;
+    # the twisted divisor adds 0 to them
+    lo = np.sqrt(1.0 - re_tau**2)
+    b1 = size * np.exp(1j * angle)
+    b2 = b1 * complex(re_tau, lo * (25.0 / lo) ** thinness)
+    p1 = b1 + k1 * b2
+    ctx = build_context(p1 / 2, (b2 + k2 * p1) / 2)
+    wr = ctx.half_period(r)
+    rng = np.random.default_rng(seed)
+    ends = []
+    for kind in kinds:
+        shift = int(rng.integers(-1, 2)) * b1 + int(rng.integers(-1, 2)) * b2
+        near = 10 ** rng.uniform(-11, -8) * np.exp(2j * np.pi * rng.uniform())
+        base = {"zero": 0.0, "half": wr}.get(kind)
+        if kind in ("end", "close", "translate") and ends:
+            base = ends[int(rng.integers(len(ends)))]
+            if kind == "close":
+                near *= 1e-12 * max(1.0, abs(b2)) * 10 ** rng.uniform(-1, 1) / abs(near)
+            elif kind == "translate":
+                shift, near = shift or b1, 0.0
+        if base is None:
+            fx, fy = rng.uniform(0.05, 0.95, 2)
+            base, shift, near = fx * b1 + fy * b2, 0.0, 0.0
+        ends.append(complex(base + shift + near))
+    for points, w in (((0j, *ends), None), (tuple(ends), wr)):
+        want = _outcome(_reference_end_check, ctx, points, w)
+        assert _outcome(spinor._torus_end_check, ctx, points, w) == want
+        if want == "accepted" or _outcome(EndDivisor, points) != "accepted":
+            continue
+        with pytest.raises(ValueError) as err:
+            if w is None:
+                basis_F_torus_twisted(ctx, EndDivisor(points))
+            else:
+                basis_F_torus_untwisted(ctx, r, EndDivisor(points))
+        assert str(err.value) == want
+
+
+def test_ends_equal_modulo_the_lattice_are_named(ctx):
+    # the zeta table would meet zeta at a lattice point; the end check names the ends
+    a = 0.3 + 0.2j
+    with pytest.raises(ValueError, match=re.escape(
+            f"the ends {a} and {a + 2 * ctx.omega1} are equal modulo the lattice")):
+        basis_F_torus_twisted(ctx, EndDivisor((0.0, a, a + 2 * ctx.omega1)))
+    # a paired end at a half period other than omega_r is its own negative
+    with pytest.raises(ValueError, match=re.escape(
+            f"the ends {complex(ctx.omega3)} and {complex(-ctx.omega3)} are equal")):
+        basis_F_torus_untwisted_paired(ctx, 1, [ctx.omega3])
 
 
 class TestOmegaPairProperties:

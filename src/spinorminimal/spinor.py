@@ -766,8 +766,10 @@ def _torus_end_check(ctx: EllipticContext, points, wr=None):
     """The ends the zeta table subtracts, all but the twisted end at 0 (wr
     None), after the torus bases' end checks, in one lattice_distance call
     on each end against 0 and wr = omega_r and on each pair of ends: one
-    twisted end within 1e-10 of the lattice, the others 1e-9 off 0 and wr
-    and apart by the theta frame's pole tolerance, or ValueError names two."""
+    twisted end within 1e-10 of the lattice, the others off 0 and wr by
+    1e-9 or the theta frame's pole tolerance, which scales with the
+    lattice, if larger, and apart by that tolerance, or ValueError names
+    two."""
     twisted = wr is None
     untwisted = "untwisted ends must be finite and avoid 0 and omega_r (mod lattice)"
     a, avoid = np.array(points, dtype=complex), np.array([0j] if twisted else [0j, wr])
@@ -779,10 +781,10 @@ def _torus_end_check(ctx: EllipticContext, points, wr=None):
     other = ~(near[0] < 1e-10) if twisted else np.ones(a.size, dtype=bool)
     if twisted and np.count_nonzero(~other) != 1:
         raise ValueError("twisted basis requires exactly one end on the lattice (at 0)")
-    if (near[:, other] < 1e-9).any():
+    pole = elliptic.POLE_DISTANCE_TOL * max(1.0, abs(ctx.lattice.reduced_periods[1]))
+    if (near[:, other] < max(1e-9, pole)).any():
         raise ValueError("nonzero ends must be off-lattice" if twisted else untwisted)
-    close = other[i] & other[j] \
-        & (apart < elliptic.POLE_DISTANCE_TOL * max(1.0, abs(ctx.lattice.reduced_periods[1])))
+    close = other[i] & other[j] & (apart < pole)
     if close.any():
         k = close.argmax()
         raise ValueError(f"the ends {points[i[k]]} and {points[j[k]]} are equal modulo the lattice")

@@ -23,10 +23,14 @@ quadrature_edges and quadrature_loop_residual integrate every grid edge
 independently.
 
 export_obj and export_csv write the bytes of "%.17g" and "%d//%d", with
-numpy making a block's text at once: a float with |x| in [1e-4, 1e16) is
+numpy making a block's text at once in one byte buffer, each value's text
+NUL-padded in a slot of its own: a float with |x| in [1e-4, 1e16) is
 scaled exactly to its 17-digit integer (Dekker's TwoProduct), whose
-digits come from a table of 4-digit chunks, and a face index in [1, 10^8)
-is read from the same table.  "%" formats every other value, one by one.
+digits come from a table of 4-digit chunks, with the zeros after the last
+kept digit NUL, and a face index in [1, 10^8) is read from the same
+table, once per block for each index of the block's span when that span
+is shorter than the block, as integrate_surface's faces are.  "%" formats
+every other value, one by one.  The bytes that are not NUL are the text.
 """
 
 from __future__ import annotations
@@ -418,10 +422,15 @@ def _write_rows(mesh: SurfaceMesh, path, header: bytes, tables) -> Path:
     row, the prefix, then each value's text ("%.17g" by _float_text,
     "%d//%d" by _index_text) followed by sep, the last by a newline.
 
-    numpy makes the text of floats with |x| in [1e-4, 1e16) and of indices
-    in [1, 10^8); "%" formats every other value, one at a time: 0,
-    subnormals, |x| below 1e-4 or from 1e16 up, inf, nan and the other
-    indices."""
+    A block is one uint8 buffer with a slot per value: sep or, first in a
+    row, the newline that ends the row before and the prefix, NUL-padded in
+    front, then the value's text, NUL-padded behind.  No text byte is NUL,
+    so the block's text is the buffer's bytes that are not NUL, less the
+    first newline, and a newline; each slot is one run of text and one of
+    NULs, which is what numpy's boolean indexing pays for.  numpy makes
+    the text of floats with |x| in [1e-4, 1e16) and of indices in [1,
+    10^8); "%" formats every other value, one at a time: 0, subnormals,
+    |x| below 1e-4 or from 1e16 up, inf, nan and the other indices."""
     if mesh.vertices.size == 0:
         raise ValueError("cannot export an empty mesh")
     path = Path(path)
@@ -429,122 +438,131 @@ def _write_rows(mesh: SurfaceMesh, path, header: bytes, tables) -> Path:
     with path.open("wb") as fh:
         fh.write(header)
         for prefix, sep, (count, width), rows, text in tables:
+            gap = 1 + len(prefix)
+            gaps = np.zeros((width, gap), np.uint8)
+            gaps[0] = np.frombuffer(b"\n" + prefix, np.uint8)
+            gaps[1:, -1] = ord(sep)
             step = _VALUES // width
             for k in range(0, count, step):
-                fh.write(b"".join(_items(rows(slice(k, k + step)), prefix, sep, text)))
+                slots = text(rows(slice(k, k + step)).ravel(), gap)
+                slots = slots.reshape(-1, width, slots.shape[1])
+                slots[:, :, :gap] = gaps
+                fh.write(slots[slots != 0][1:])
+                fh.write(b"\n")
     return path
 
 
 # values per block of the exporters (4096 OBJ rows): a block's text
-# arrays, items and joined lines stay well under integrate_surface's block
+# arrays and buffer stay well under integrate_surface's block
 _VALUES = 3 * _BLOCK // 2
-# bytes of a field and its separator: "-0.000" and 17 digits at most
+# bytes of a float's slot: "%.17g" is at most 24 bytes long, as in
+# "-2.2250738585072014e-308"
 _FIELD = 24
 # the text of 0 to 9999 as four ASCII digits, one uint32 each, made from
-# the 100 two-digit texts so that no temporary is larger than the table
+# the 100 two-digit texts so that no temporary is larger than the table,
+# then at 10^4 + (0 to 9999) the same texts with their trailing zeros NUL
 _DIGITS2 = np.arange(100, dtype=np.uint8)[:, None] // np.array([10, 1], np.uint8) % 10 + ord("0")
-_DIGITS4 = np.concatenate(np.broadcast_arrays(_DIGITS2[:, None], _DIGITS2), axis=2) \
-    .reshape(10000, 4).view(np.uint32)[:, 0]
-# _KEEP[k] keeps the first k bytes of a field
-_KEEP = np.tri(_FIELD + 1, _FIELD, -1, np.uint8) * 255
+_DIGITS4 = np.concatenate(np.broadcast_arrays(_DIGITS2[:, None], _DIGITS2), axis=2).reshape(-1, 4)
+_DIGITS4 = np.concatenate([_DIGITS4, _DIGITS4 * np.logical_or.accumulate(
+    _DIGITS4[:, ::-1] != ord("0"), axis=1)[:, ::-1]]).view(np.uint32)[:, 0]
 # 10^0 to 10^22, each exact, since 5^22 < 2^53
 _POW10 = np.cumprod([1.0] + [10.0] * 22)
 
 
-def _items(block, prefix: bytes, sep: bytes, text) -> list:
-    """Each value of an (r, c) block as one bytes item: the prefix before
-    each row's first, the value's text, then sep or, last in a row, a
-    newline."""
-    r, c = block.shape
-    field, length, rest = text(block.ravel())
-    lead, ends = [prefix] + [b""] * (c - 1), [sep] * (c - 1) + [b"\n"]
-    field &= _KEEP.take(length, axis=0)
-    np.put(field, np.arange(0, field.size, _FIELD) + length,
-           np.tile(np.frombuffer(b"".join(ends), np.uint8), r))
-    p = len(prefix)
-    out = np.zeros((r, c, p + _FIELD), np.uint8)
-    out[:, 0, :p] = np.frombuffer(prefix, np.uint8)
-    out[:, 0, p:] = field[::c]
-    out[:, 1:, :_FIELD] = field.reshape(r, c, _FIELD)[:, 1:]
-    # tolist drops each item's trailing NULs
-    items = out.view(f"S{p + _FIELD}").ravel().tolist()
-    for i, value in rest:
-        items[i] = lead[i % c] + value + ends[i % c]
-    return items
-
-
-def _grouped(key, digits, lay):
-    """(n, _FIELD) fields: lay(k, field rows, digit rows) writes the rows
-    of each key k < 256, taken as one slice of the values sorted by key."""
+def _grouped(key, n, digits, lay, gap, width):
+    """(len(n), gap + width) slots of NULs: lay(k, text rows, digit rows)
+    writes the texts, after the gap, of each key k < 256's rows, whose
+    digit rows digits(n) makes as one slice of the values sorted by key."""
     order = np.argsort(key.astype(np.uint8), kind="stable")
-    key, digits = key.take(order), digits.take(order, axis=0)
-    fields = np.zeros((len(key), _FIELD), np.uint8)
+    key = key.take(order)
+    digits = digits(n.take(order))
+    slots = np.zeros((len(key), gap + width), np.uint8)
     cuts = [0, *(np.flatnonzero(key[1:] != key[:-1]) + 1).tolist(), len(key)]
     for lo, hi in zip(cuts, cuts[1:]):
-        lay(int(key[lo]), fields[lo:hi], digits[lo:hi])
+        lay(int(key[lo]), slots[lo:hi, gap:], digits[lo:hi])
     back = np.empty_like(order)
     back[order] = np.arange(len(order))
-    return fields.take(back, axis=0)
+    return slots.take(back, axis=0)
 
 
-def _digits(n, chunks):
-    """The ASCII digits of each n < 10^(4 chunks), zero-padded to 4 chunks bytes."""
-    out = np.empty((len(n), chunks), np.intp)
-    for j in range(chunks - 1, 0, -1):
-        n, out[:, j] = np.divmod(n, 10**4)
-    out[:, 0] = n
-    return _DIGITS4.take(out).view(np.uint8)
+def _digits(n, count, trim=False):
+    """The count ASCII digits of each n < 10^count, zero-padded; with
+    trim, the zeros after n's last non-zero digit are NUL."""
+    chunks = -(-count // 4)
+    out = np.empty((len(n), chunks), np.uint32)
+    # 10^4, the trimmed texts, while every chunk after this one is 0
+    after = np.full(len(n), 10**4 * trim)
+    for j in range(chunks - 1, -1, -1):
+        q = n // 10**4
+        chunk = n - q * 10**4 + after
+        out[:, j] = _DIGITS4.take(chunk)
+        after *= chunk == 10**4
+        n = q
+    return out.view(np.uint8)[:, 4 * chunks - count:]
 
 
-def _index_text(x):
-    """(field, length, rest): "%d//%d" % (i, i) is field[j, :length[j]] for
-    each i = x[j] in [1, 10^8); rest holds (j, that text) for the others."""
+def _index_text(x, gap):
+    """(len(x), gap + w) slots: "%d//%d" % (i, i) for each i = x[j] in
+    row j after the gap, NUL-padded to the longest text's w bytes.  numpy
+    writes the indices in [1, 10^8), _rest the others.  Indices that span
+    fewer values than x has, as an integrate_surface mesh's faces do in
+    each block, are formatted once each over their span, and each x[j]
+    takes its row from there."""
+    lo, hi = int(x.min()), int(x.max())
+    if hi - lo + 1 < x.size:
+        return _index_text(np.arange(lo, hi + 1), gap).take(x - lo, axis=0)
     exact = (x >= 1) & (x < 10**8)
     v = np.where(exact, x, 1)
-    width = 1 + np.searchsorted(10 ** np.arange(1, 8), v, side="right")
 
-    def lay(w, field, digits):
-        field[:, :w] = digits[:, 8 - w:]
-        field[:, w:w + 2] = ord("/")
-        field[:, w + 2:2 * w + 2] = digits[:, 8 - w:]
+    def lay(w, text, digits):
+        text[:, :w] = digits[:, 8 - w:]
+        text[:, w:w + 2] = ord("/")
+        text[:, w + 2:2 * w + 2] = digits[:, 8 - w:]
 
-    rest = _rest(x, exact, lambda i: b"%d//%d" % (i, i))
-    return _grouped(width, _digits(v, 2), lay), 2 * width + 2, rest
+    slots = _grouped(1 + np.searchsorted(10 ** np.arange(1, 8), v, side="right"), v,
+                     lambda v: _digits(v, 8), lay, gap,
+                     max(len(b"%d//%d" % (i, i)) for i in (lo, hi)))
+    _rest(slots[:, gap:], x, exact, lambda i: b"%d//%d" % (i, i))
+    return slots
 
 
-def _float_text(x):
-    """(field, length, rest): "%.17g" % v is field[j, :length[j]] for each
-    v = x[j] with |v| in [1e-4, 1e16), where "%.17g" writes 17 significant
-    digits in fixed notation, less the fraction's trailing zeros and a dot
-    that nothing follows; rest holds (j, that text) for the others."""
+def _float_text(x, gap):
+    """(len(x), gap + _FIELD) slots: "%.17g" % v for each v = x[j] in row
+    j after the gap, NUL-padded.  numpy writes each v with |v| in [1e-4,
+    1e16), where "%.17g" writes 17 significant digits in fixed notation,
+    less the fraction's trailing zeros and a dot that nothing follows;
+    _rest the others."""
     a = np.abs(x, dtype=float)
     exact = (a >= 1e-4) & (a < 1e16)
     n, e = _decimal17(np.where(exact, a, 1.0))
-    digits = _digits(n, 5)[:, 3:]
-    # how many of the 17 digits are kept: through the last non-zero one
-    kept = 17 - np.argmax(digits[:, ::-1] != ord("0"), axis=1)
-    neg = x < 0
 
-    def lay(key, field, digits):
+    def lay(key, text, digits):
+        # the digits after the last kept one are NUL, so is the dot when
+        # no digit follows it, and the integer part keeps its zeros
         e, s = key // 2 - 4, key % 2
         if s:
-            field[:, 0] = ord("-")
+            text[:, 0] = ord("-")
         if e >= 0:
-            field[:, s:s + e + 1] = digits[:, :e + 1]
-            field[:, s + e + 2:s + 18] = digits[:, e + 1:]
+            np.maximum(digits[:, :e + 1], ord("0"), out=text[:, s:s + e + 1])
+            np.minimum(digits[:, e + 1], ord("."), out=text[:, s + e + 1])
+            text[:, s + e + 2:s + 18] = digits[:, e + 1:]
         else:
-            field[:, s:s + 1 - e] = ord("0")
-            field[:, s + 1 - e:s + 18 - e] = digits
-        field[:, s + 1 + max(e, 0)] = ord(".")
+            text[:, s:s + 1 - e] = ord("0")
+            text[:, s + 1] = ord(".")
+            text[:, s + 1 - e:s + 18 - e] = digits
 
-    length = neg + np.maximum(kept, e + 1) + (kept > e + 1) + np.maximum(-e, 0)
-    return _grouped(2 * (e + 4) + neg, digits, lay), length, _rest(x, exact, b"%.17g".__mod__)
+    slots = _grouped(2 * (e + 4) + (x < 0), n, lambda n: _digits(n, 17, trim=True), lay,
+                     gap, _FIELD)
+    _rest(slots[:, gap:], x, exact, b"%.17g".__mod__)
+    return slots
 
 
-def _rest(x, exact, text) -> list:
-    """(j, text(x[j])) for each value x[j] that is not exact, one by one."""
+def _rest(texts, x, exact, text):
+    """Writes text(x[j]), NUL-padded, over row j of texts for each value
+    x[j] that is not exact, one by one."""
     j = np.flatnonzero(~exact)
-    return [(i, text(v)) for i, v in zip(j.tolist(), x[j].tolist())]
+    rows = b"".join(text(v).ljust(texts.shape[1], b"\0") for v in x[j].tolist())
+    texts[j] = np.frombuffer(rows, np.uint8).reshape(len(j), texts.shape[1])
 
 
 def _decimal17(a):

@@ -152,6 +152,14 @@ def test_ends_equal_modulo_the_lattice_are_named(tmp_path, argv, ends):
     assert err == f"error: the ends {ends} are equal modulo the lattice\n"
 
 
+def test_an_end_inside_a_large_lattices_pole_tolerance_is_named(tmp_path):
+    # the theta frame's pole tolerance is 1e-12 |b2| = 2e-9 on this lattice,
+    # so an end 1.5e-9 off 0 fails the end check, not the zeta table
+    code, err, files = _run(["omega", "--domain", "twisted", "--omega1", "1000",
+                             "--omega3", "1000j", "--ends=0;1.5e-9;700+300j"], tmp_path)
+    assert (code, err, files) == (1, "error: nonzero ends must be off-lattice\n", [])
+
+
 TWISTED_SMALL = ["omega", "--domain", "twisted", "--ends", "0;4e-4+3.3e-4j;1.1e-3+0.7e-3j"]
 
 

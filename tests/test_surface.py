@@ -453,24 +453,41 @@ class TestBlocks:
         assert extra[1] - extra[0] < 2**20, extra
 
     def test_export_memory_is_bounded_by_the_block(self, tmp_path):
-        # the writer holds one block's text arrays, items and joined lines:
-        # its peak does not grow with the mesh and stays under the few MiB
-        # of integrate_surface's block
-        peaks = []
-        for n in (3 * B, 6 * B):
-            rng = np.random.default_rng(n)
-            mesh = SurfaceMesh(vertices=rng.standard_normal((n, 3)),
-                               faces=rng.integers(0, n, (2 * n, 3)),
-                               gauss=rng.standard_normal((n, 3)),
-                               domain_uv=np.zeros(n, dtype=complex))
-            tracemalloc.start()
-            try:
-                export_obj(mesh, tmp_path / "m.obj")
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert abs(peaks[1] - peaks[0]) < 2**20, peaks
-        assert peaks[1] < 3.5 * 2**20, peaks
+        # the writer holds one block's text arrays and buffer: its peak does
+        # not grow with the mesh and stays under the few MiB of
+        # integrate_surface's block, with scattered faces and with faces
+        # banded as a grid's, whose block formats its band of indices
+        for banded in (False, True):
+            peaks = []
+            for n in (3 * B, 6 * B):
+                rng = np.random.default_rng(n)
+                faces = (np.arange(2 * n)[:, None] // 2 + [0, 1, 257]) % n if banded \
+                    else rng.integers(0, n, (2 * n, 3))
+                mesh = SurfaceMesh(vertices=rng.standard_normal((n, 3)), faces=faces,
+                                   gauss=rng.standard_normal((n, 3)),
+                                   domain_uv=np.zeros(n, dtype=complex))
+                tracemalloc.start()
+                try:
+                    export_obj(mesh, tmp_path / "m.obj")
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            assert abs(peaks[1] - peaks[0]) < 2**20, (banded, peaks)
+            assert peaks[1] < 3.5 * 2**20, (banded, peaks)
+
+    def test_a_mesh_formats_each_face_index_once_per_block(self, tmp_path, count_calls):
+        # an integrate_surface mesh's face block spans far fewer indices
+        # than it has tokens, and each index of that span is formatted once
+        entry = CONSTRUCTIONS["sphere4"]
+        mesh = entry.mesh(entry.build(), GridSpec(65, 65))
+        calls = count_calls(surface, "_index_text")
+        export_obj(mesh, tmp_path / "m.obj")
+        step = surface._VALUES // 3
+        blocks = [mesh.faces[k:k + step] + 1 for k in range(0, len(mesh.faces), step)]
+        assert len(blocks) > 1
+        spans = [int(f.max() - f.min()) + 1 for f in blocks]
+        assert [len(x) for x, _ in calls] == [n for f, s in zip(blocks, spans) for n in (f.size, s)]
+        assert all(s < f.size / 4 for f, s in zip(blocks, spans)), spans
 
 
 # the powers of ten around the range |x| in [1e-4, 1e16) whose text numpy
@@ -520,6 +537,65 @@ def _assert_template_text(values):
     with tempfile.TemporaryDirectory() as d:
         assert export_obj(mesh, Path(d) / "m.obj").read_bytes() == obj.encode()
         assert export_csv(mesh, Path(d) / "m.csv").read_bytes() == csv.encode()
+
+
+# values that "%" formats: 0, subnormals, |x| out of [1e-4, 1e16), inf, nan
+REST = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 9.9999999999999991e-5, 1e16,
+        -1.7976931348623157e308, np.inf, -np.inf, np.nan]
+
+
+def _uv(re, im):
+    """re + i im without arithmetic, which would make nan of inf."""
+    return np.column_stack([re, im]).view(complex)[:, 0]
+
+
+def _assert_exports(mesh, tmp_path):
+    obj, csv = _one_template_texts(mesh)
+    assert export_obj(mesh, tmp_path / "m.obj").read_bytes() == obj.encode()
+    assert export_csv(mesh, tmp_path / "m.csv").read_bytes() == csv.encode()
+
+
+class TestSlots:
+    # 4097 rows are two OBJ blocks and three CSV blocks, whose empty prefix
+    # leaves a comma or a newline in front of each text
+    @pytest.mark.parametrize("column", [0, 1, 2])
+    def test_rest_values_in_any_column(self, tmp_path, column):
+        rng = np.random.default_rng(column)
+        rows = rng.standard_normal((4097, 3)) * 10.0 ** rng.integers(-3, 15, (4097, 3))
+        rows[::3, column] = np.resize(REST, len(rows[::3]))
+        _assert_exports(SurfaceMesh(vertices=rows, faces=np.zeros((0, 3), int),
+                                    gauss=rows[::-1].copy(),
+                                    domain_uv=_uv(rows[:, column], rows[:, 2 - column])), tmp_path)
+
+    def test_a_block_of_only_rest_values(self, tmp_path):
+        rows = np.resize(REST, (4097, 3))
+        _assert_exports(SurfaceMesh(vertices=rows, faces=np.zeros((0, 3), int), gauss=rows[::-1],
+                                    domain_uv=_uv(rows[:, 0], rows[:, 1])), tmp_path)
+
+    @pytest.mark.parametrize("k", range(10))
+    def test_banded_faces(self, tmp_path, count_calls, k):
+        # indices 10^k - 3 to 10^k + 2, around the edges of [1, 10^8) and
+        # the digit counts, in blocks that each format that band once
+        rng = np.random.default_rng(k)
+        faces = 10**k - 4 + rng.integers(0, 6, (5000, 3))
+        faces[:6] = 10**k - 4 + np.arange(18).reshape(6, 3) % 6
+        rows = rng.standard_normal((3, 3))
+        calls = count_calls(surface, "_index_text")
+        _assert_exports(SurfaceMesh(vertices=rows, faces=faces, gauss=rows,
+                                    domain_uv=rows[:, 0] + 0j), tmp_path)
+        step = surface._VALUES // 3
+        assert [len(x) for x, _ in calls] == [3 * step, 6, 3 * (5000 - step), 6]
+
+    def test_scattered_faces(self, tmp_path, count_calls):
+        rng = np.random.default_rng(5)
+        faces = rng.integers(-5, 10**10, (5000, 3))
+        faces[:len(FACE_EDGES)] = FACE_EDGES
+        rows = rng.standard_normal((3, 3))
+        calls = count_calls(surface, "_index_text")
+        _assert_exports(SurfaceMesh(vertices=rows, faces=faces, gauss=rows,
+                                    domain_uv=rows[:, 0] + 0j), tmp_path)
+        step = surface._VALUES // 3
+        assert [len(x) for x, _ in calls] == [3 * step, 3 * (5000 - step)]
 
 
 class TestExactText:

@@ -24,7 +24,7 @@ from .spinor import (
     basis_F_torus_untwisted_paired,
     extract_K,
     omega_matrix,
-    omega_qres_oracle,
+    omega_qres_matrix,
 )
 from . import moduli
 from .surface import (
@@ -148,34 +148,23 @@ def criterion_2_elliptic(seed=0):
 
 
 def criterion_3_oracle(seed=0):
-    """The table Omega vs the qres contour oracle on every ordered basis
-    pair.  The oracle is skew to the bit, so one call per unordered pair
-    gives both entries."""
-    pairs = 0
-    worst = 0.0
+    """The table Omega vs the qres contour oracle on every ordered pair of
+    five bases, from one oracle matrix per basis."""
     rng = np.random.default_rng(seed)
-
-    def compare(basis):
-        nonlocal pairs, worst
-        n = len(basis)
-        omega = omega_matrix(basis).matrix.entries
-        oracle = np.zeros((n, n), dtype=complex)
-        for i, j in zip(*np.triu_indices(n, 1)):
-            oracle[i, j] = omega_qres_oracle(basis[i], basis[j])
-        oracle = oracle - oracle.T  # both diagonals are exactly zero
+    a = (np.sqrt(3) + 1j) / 2
+    ends6 = tuple(rng.standard_normal(5) + 1j * rng.standard_normal(5)) + (INF,)
+    ctx = build_context(1.0, 1.0j)
+    worst, pairs = 0.0, 0
+    for basis in (basis_F_sphere(EndDivisor((a, 1 / a, 0.0, INF))),
+                  basis_F_sphere(EndDivisor(ends6)),
+                  basis_F_torus_twisted(ctx, EndDivisor((0.0, 0.4 + 0.33j, 1.1 + 0.7j))),
+                  basis_F_torus_twisted(ctx, EndDivisor((0.0, 0.4 + 0.33j, 1.1 + 0.7j,
+                                                         1.5 + 1.4j))),
+                  basis_F_torus_untwisted_paired(ctx, 1, [0.31 + 0.4j, 0.9 + 0.77j])):
+        omega, oracle = omega_matrix(basis).matrix.entries, omega_qres_matrix(basis)
         scale = np.maximum(np.maximum(np.abs(omega), np.abs(oracle)), 1.0)
         worst = max(worst, float(np.max(np.abs(omega - oracle) / scale)))
-        pairs += n * (n - 1)
-
-    a = (np.sqrt(3) + 1j) / 2
-    compare(basis_F_sphere(EndDivisor((a, 1 / a, 0.0, INF))))
-    ends6 = tuple(rng.standard_normal(5) + 1j * rng.standard_normal(5)) + (INF,)
-    compare(basis_F_sphere(EndDivisor(ends6)))
-    ctx = build_context(1.0, 1.0j)
-    compare(basis_F_torus_twisted(ctx, EndDivisor((0.0, 0.4 + 0.33j, 1.1 + 0.7j))))
-    compare(basis_F_torus_twisted(
-        ctx, EndDivisor((0.0, 0.4 + 0.33j, 1.1 + 0.7j, 1.5 + 1.4j))))
-    compare(basis_F_torus_untwisted_paired(ctx, 1, [0.31 + 0.4j, 0.9 + 0.77j]))
+        pairs += len(basis) * (len(basis) - 1)
     return [_check(f"3 omega_pair vs qres oracle ({pairs} pairs)", worst, 1e-6)]
 
 

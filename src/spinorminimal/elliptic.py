@@ -131,6 +131,13 @@ class Lattice:
             b1, b2 = b2, b1
 
     @cached_property
+    def pole_tolerance(self) -> float:
+        """POLE_DISTANCE_TOL * max(1, |b2|): the distance from the lattice
+        within which a theta frame, the paired rows and the torus end check
+        see a pole."""
+        return POLE_DISTANCE_TOL * max(1.0, abs(self.reduced_periods[1]))
+
+    @cached_property
     def _neighbour_offsets(self) -> np.ndarray:
         """i*b1 + j*b2 for i, j in {-1, 0, 1}, the centre first."""
         b1, b2 = self.reduced_periods
@@ -349,8 +356,8 @@ class _Frame:
         self.ctx = ctx
         self.scalar = u.ndim == 0
         self.red, self.m, self.n = ctx.lattice.reduce(np.atleast_1d(u))
-        b1, b2 = ctx.lattice.reduced_periods
-        if np.any(np.abs(self.red) < POLE_DISTANCE_TOL * max(1.0, abs(b2))):
+        b1 = ctx.lattice.reduced_periods[0]
+        if np.any(np.abs(self.red) < ctx.lattice.pole_tolerance):
             raise PoleEvaluationError("evaluation point within 1e-12 of a lattice point")
         self.w, self.c = b1 / 2, np.pi / b1
         # the theta sums hold (terms, 2) values per point: _CHUNK points at a

@@ -50,7 +50,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from typing import Optional
 
 import numpy as np
@@ -74,6 +74,7 @@ __all__ = [
     "sigma_map",
     "spin_cover",
     "omega_pair",
+    "omega_qres_matrix",
     "omega_qres_oracle",
     "basis_F_sphere",
     "basis_F_torus_twisted",
@@ -391,8 +392,7 @@ class _PairedBasis(Basis):
         if derivative:
             p = at.wp((0j,))[0]
             ddp = 6.0 * p * p - dom.ctx.g2 / 2.0
-        near = elliptic.POLE_DISTANCE_TOL * max(1.0, abs(dom.ctx.lattice.reduced_periods[1])) \
-            * np.abs(dp)
+        near = dom.ctx.lattice.pole_tolerance * np.abs(dp)
         m = len(self.pvals)
         for j in active:
             p_i = self.pvals[j % m]
@@ -685,38 +685,48 @@ def omega_pair(s: SpinorSection, t: SpinorSection):
     return _omega_table(_shared_basis((s, t)).table([s.coefficients, t.coefficients]))[0][0, 1]
 
 
-def omega_qres_oracle(s: SpinorSection, t: SpinorSection, rel_tol: float = 1e-9):
-    """-1/2 sum_p qres_p(s dt - t ds) by small-circle contour quadrature.
+@lru_cache(maxsize=None)
+def _upper(n):
+    """(i, j) of an n x n strict upper triangle, once per n: for a pair, view slices."""
+    return (slice(0, 1), slice(1, 2)) if n == 2 else np.triu_indices(n, 1)
 
-    Independent of the Laurent tables: uses only the evaluators.  In the
-    domain chart the Hopf integrand is mu(u) (f g' - g f')(u), and
-    qres_p = (1/2 pi i) * integral of (u - p) times that around p, on the
-    circle u = p + r e^(2 pi i x), r = qres_radius(p): the integral over x
-    in [0, 1) of the periodic lead (f g' - g f'), lead = (u - p)^2 mu, and
-    u^2 at infinity, where the chart is 1/u = r e^(2 pi i x).  One trapezoid
-    on the stack of all the ends' circles, its rows summed, gives sum_p
-    qres_p; its floor is the L1 of |lead| (|f g'| + |g f'|).  Swapping s
-    and t negates every product, so the oracle is skew to the bit.
-    """
-    _shared_basis((s, t))
-    dom = s.domain
+
+def omega_qres_matrix(sections, rel_tol: float = 1e-9) -> np.ndarray:
+    """W[i, j] = -1/2 sum_p qres_p(s_i ds_j - s_j ds_i) for sections on one
+    basis, from the evaluators alone: the oracle of omega_matrix.  On the
+    circle u = p + r e^(2 pi i x), r = qres_radius(p), qres_p of the Hopf
+    integrand mu (f g' - g f') is the integral over x in [0, 1) of the
+    periodic lead (f g' - g f'), lead = (u - p)^2 mu, and u^2 at infinity,
+    where 1/u = r e^(2 pi i x).  One trapezoid on the stack of every end's
+    circle, each node evaluating the sections once, sums every upper-triangle
+    pair at one level, on the floor L1 of |lead| (|f g'| + |g f'|); W[j, i] = -W[i, j]."""
+    dom = _shared_basis(sections).domain
     ends = np.array(dom.ends.points, dtype=complex)
     at_inf = np.isinf(ends)
     center, radius = np.where(at_inf, 0.0, ends)[:, None], dom.qres_radii[:, None]
-    points = chart_points((s, t))
+    points, n = chart_points(sections), len(sections)
+    i, j = _upper(n)
 
     def integrand(x):
         du = radius * np.exp(2j * np.pi * x)
         u = center + du
         u[at_inf] = 1.0 / du[at_inf]
         at = points(u)
-        (f, g), (df, dg) = section_values((s, t), at, derivative=True)
+        f, df = section_values(sections, at, derivative=True)
         lead = du * du * dom.form_weight(at)
         lead[at_inf] = u[at_inf] ** 2
-        return (np.sum(lead * (f * dg - g * df), axis=0),
-                np.sum(np.abs(lead) * (np.abs(f * dg) + np.abs(g * df)), axis=0))
-    return -0.5 * contour_integral(integrand, QuadraturePath.period(0.0, 1.0, samples=64),
-                                   rel_tol=rel_tol)
+        fdg, gdf = f[i] * df[j], f[j] * df[i]
+        return (np.sum(lead * (fdg - gdf), axis=1),
+                np.sum(np.abs(lead) * (np.abs(fdg) + np.abs(gdf)), axis=1))
+    W = np.zeros((n, n), dtype=complex)
+    W[i, j] = -0.5 * contour_integral(integrand, QuadraturePath.period(0.0, 1.0, samples=64),
+                                      rel_tol=rel_tol)
+    return W - W.T
+
+
+def omega_qres_oracle(s: SpinorSection, t: SpinorSection, rel_tol: float = 1e-9):
+    """The oracle on one pair: entry (0, 1) of omega_qres_matrix((s, t))."""
+    return omega_qres_matrix((s, t), rel_tol)[0, 1]
 
 
 def planar_ends(s1: SpinorSection, s2: SpinorSection, tol: float = 1e-8) -> np.ndarray:
@@ -781,7 +791,7 @@ def _torus_end_check(ctx: EllipticContext, points, wr=None):
     other = ~(near[0] < 1e-10) if twisted else np.ones(a.size, dtype=bool)
     if twisted and np.count_nonzero(~other) != 1:
         raise ValueError("twisted basis requires exactly one end on the lattice (at 0)")
-    pole = elliptic.POLE_DISTANCE_TOL * max(1.0, abs(ctx.lattice.reduced_periods[1]))
+    pole = ctx.lattice.pole_tolerance
     if (near[:, other] < max(1e-9, pole)).any():
         raise ValueError("nonzero ends must be off-lattice" if twisted else untwisted)
     close = other[i] & other[j] & (apart < pole)

@@ -6,11 +6,12 @@ the end clearance.  For a pair in K the forms s1^2, s2^2 and s1 s2 have
 no residues, so each has the closed-form primitive of
 spinor.form_primitive, and every vertex is X = Re sigma(Phi(u) -
 Phi(basepoint)) at once: no quadrature, no spanning tree and no thread
-pool (SPINOR_MINIMAL_THREADS is accepted and changes nothing).  The
-metadata carries the closed form's evidence: the identity residual of the
-forms at every vertex, the end residues, and every cell's loop closure.
-Faces come from the validity mask's cells and the normals from the
-section values already computed at the vertices.  Everything works on
+pool (nothing reads SPINOR_MINIMAL_THREADS).  The metadata carries the
+closed form's evidence: the identity residual of the forms at every
+vertex, the end residues, and every cell's loop closure.  Faces come from
+the cell mask, the cells with four valid corners whose closed chart
+square holds no end, and the normals from the section values already
+computed at the vertices.  Everything works on
 blocks of _BLOCK points: the validity mask on grid points, Phi and the
 normals on vertices, faces and loop closures on cells, each block written
 straight into the mesh.  On a torus a block of vertices takes one theta
@@ -202,6 +203,34 @@ def _valid_mask(data: WeierstrassData, U) -> np.ndarray:
     return valid.reshape(U.shape)
 
 
+def _cell_mask(data: WeierstrassData, grid: GridSpec, valid) -> np.ndarray:
+    """Cells (i, j), corners (i, j) to (i+1, j+1), with four valid corners
+    and no finite end in their closed chart square: on a torus the square
+    in lattice fractions, and the ends' 3 x 3 lattice translates.  Each end
+    clears the cells i <= g <= i + 1 on each axis around its grid position
+    g, a position within 1e-9 of a grid line counting as on it, so no face
+    spans an end when the end clearance is below the grid step."""
+    cell = valid[:-1, :-1] & valid[1:, :-1] & valid[1:, 1:] & valid[:-1, 1:]
+    dom, steps = data.domain, np.array([[grid.nx - 1], [grid.ny - 1]])
+    a = np.array([p for p in dom.ends.points if not is_infinity(p)], dtype=complex)
+    if dom.genus == 1:
+        # a = x b1 + y b2, with (x, y) mod 1 moved by each of the 3 x 3 shifts
+        b1, b2 = 2 * dom.ctx.omega1, 2 * dom.ctx.omega3
+        det = (b1.conjugate() * b2).imag
+        xy = np.stack([(a.conjugate() * b2).imag, (b1.conjugate() * a).imag]) / det % 1.0
+        frac = (xy[:, :, None] + np.mgrid[-1:2, -1:2].reshape(2, 1, 9)).reshape(2, -1)
+    else:
+        frac = (np.stack([a.real, a.imag]) + grid.extent) / (2 * grid.extent)
+    # clipped, so that an end far off the grid stays an integer position off it
+    g = np.clip(frac * steps, -2, steps + 2)
+    lo = np.maximum(np.ceil(g - 1e-9) - 1, 0).astype(int)
+    hi = np.minimum(np.floor(g + 1e-9), steps - 1).astype(int)
+    for (i0, j0), (i1, j1) in zip(lo.T, hi.T):
+        if i0 <= i1 and j0 <= j1:
+            cell[i0:i1 + 1, j0:j1 + 1] = False
+    return cell
+
+
 def _closure(h0, v1, h1, v0) -> np.ndarray:
     """|((h0 + v1) - h1) - v0|, the closure of a cell's four edge increments
     h0 = b - a, v1 = c - b, h1 = c - d and v0 = d - a, with its corners
@@ -262,7 +291,7 @@ def integrate_surface(data: WeierstrassData, grid: GridSpec, basepoint) -> Surfa
         gauss[k:k + _BLOCK] = _normals(f1[lead:], f2[lead:])
 
     ny = U.shape[1]
-    cell = (valid[:-1, :-1] & valid[1:, :-1] & valid[1:, 1:] & valid[:-1, 1:]).ravel()
+    cell = _cell_mask(data, grid, valid).ravel()
     faces = np.empty((2 * np.count_nonzero(cell), 3), index.dtype)
     resid, done = 0.0, 0
     for k in range(0, cell.size, _BLOCK):
@@ -313,9 +342,10 @@ def quadrature_edges(data: WeierstrassData, grid: GridSpec):
 
 
 def quadrature_loop_residual(data: WeierstrassData, grid: GridSpec) -> float:
-    """Largest Gauss-Legendre loop closure over the cells of the masked grid."""
-    _, h, v = quadrature_edges(data, grid)
-    return float(np.nanmax(_closure(h[:, :-1], v[1:], h[:, 1:], v[:-1]), initial=0.0))
+    """Largest Gauss-Legendre loop closure over the cells of integrate_surface's mask."""
+    valid, h, v = quadrature_edges(data, grid)
+    closure = _closure(h[:, :-1], v[1:], h[:, 1:], v[:-1])
+    return float(np.max(closure[_cell_mask(data, grid, valid)], initial=0.0))
 
 
 def period_vector(data: WeierstrassData, loop: QuadraturePath, rel_tol=1e-9):

@@ -24,6 +24,7 @@ from spinorminimal.spinor import (
     extract_K,
     form_primitive,
     omega_matrix,
+    omega_qres_matrix,
     omega_qres_oracle,
     period_matrix,
     rational_sphere_basis,
@@ -191,6 +192,8 @@ class TestCombinations:
             WeierstrassData(s1=b1[0], s2=b2[1])
         with pytest.raises(SectionDataError):
             omega_qres_oracle(b1[0], b2[1])
+        with pytest.raises(SectionDataError):
+            omega_qres_matrix([b1[0], b1[1], b2[1]])
 
 
 class TestChartWeight:
@@ -245,10 +248,8 @@ class TestQresRadius:
         for p in dom.ends.points:
             assert dom.qres_radius(p) == self._radius(dom, p) == 0.25 * b1
         omega = omega_matrix(basis).matrix.entries
-        for i in range(len(basis)):
-            for j in range(i + 1, len(basis)):
-                assert abs(omega_qres_oracle(basis[i], basis[j]) - omega[i, j]) \
-                    <= 1e-12 * max(1.0, abs(omega[i, j]))
+        oracle = omega_qres_matrix(basis)
+        assert np.all(np.abs(oracle - omega) <= 1e-12 * np.maximum(1.0, np.abs(omega)))
 
 
 def _klein_on_zeta_rows(klein):
@@ -281,7 +282,7 @@ def _lattice_vertex(dom, n, fractions):
 class TestFrameCounts:
     """One theta frame per point set: a WeierstrassData.omega call, a
     FormPrimitive.evaluate call, a block of integrate_surface and an
-    integrand call of period_matrix or omega_qres_oracle each take one, on
+    integrand call of period_matrix or omega_qres_matrix each take one, on
     every shift that the rows, the chart weight and the primitive read."""
 
     @staticmethod
@@ -341,6 +342,10 @@ class TestFrameCounts:
         frames.clear()
         nodes.clear()
         omega_qres_oracle(basis[0], basis[1])
+        assert len(frames) == len(nodes) > 0
+        frames.clear()
+        nodes.clear()
+        omega_qres_matrix(basis)
         assert len(frames) == len(nodes) > 0
 
     def test_zeta_bases_build_from_one_zeta_frame(self, count_calls, ctx):

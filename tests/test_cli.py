@@ -137,8 +137,11 @@ class TestMeshGate:
     @pytest.mark.parametrize("grid,code", [("33", 0), ("65", 0)])
     def test_sphere6_loop_closure_gate(self, tmp_path, capsys, grid, code):
         # at grid 33 the end clearance (0.036) is below the grid step
-        # (0.125); edge quadrature failed next to the ends there, and the
-        # closed form does not (test_primitive checks its vertices)
+        # (0.125), and each of the four finite ends lies inside a cell with
+        # four valid corners.  Edge quadrature failed next to the ends there;
+        # the closed form does not (test_primitive checks its vertices), and
+        # the cell mask drops those four cells, so no face spans an end
+        # (test_surface checks the faces)
         obj = tmp_path / "s6.obj"
         assert main(["sphere6", *SPHERE6_ON_VARIETY, "--mesh", str(obj), "--grid", grid,
                      "--out", str(tmp_path)]) == code

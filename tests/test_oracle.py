@@ -1,4 +1,4 @@
-"""The qres oracle: one trapezoidal quadrature per pair on the stack of every end's circle."""
+"""The qres oracle: one trapezoidal quadrature per basis on the stack of every end's circle."""
 
 import re
 
@@ -19,6 +19,7 @@ from spinorminimal.spinor import (
     is_infinity,
     omega_matrix,
     omega_pair,
+    omega_qres_matrix,
     omega_qres_oracle,
     section_values,
 )
@@ -73,16 +74,33 @@ def test_one_quadrature_per_pair(count_calls, family):
 
 
 @pytest.mark.parametrize("family", ["sphere", "twisted", "untwisted", "paired"])
+def test_one_quadrature_per_basis(count_calls, family):
+    basis = _bases()[family]
+    calls = count_calls(spinor, "contour_integral")
+    W = omega_qres_matrix(basis)
+    assert len(calls) == 1 and W.shape == (len(basis), len(basis))
+    # skew to the bit, with an exact zero diagonal
+    assert np.array_equal(W, -W.T) and not np.diagonal(W).any()
+
+
+@pytest.mark.parametrize("family", ["sphere", "twisted", "untwisted", "paired"])
 def test_skew_and_equal_to_the_per_end_loop_to_the_bit(family):
-    # skew to the bit; the rows stop together on a floor summed over the
-    # ends, so the per-end loop, each end with its own stop, agrees to rounding
+    # the pair call: skew to the bit, and the matrix entry of its two
+    # sections; the rows stop together on a floor summed over the ends, so
+    # the per-end loop, each end with its own stop, agrees to rounding
     basis = _bases()[family]
     for i in range(len(basis)):
         for j in range(len(basis)):
             got = omega_qres_oracle(basis[i], basis[j])
             assert got == -omega_qres_oracle(basis[j], basis[i])
+            assert _bits(got) == _bits(omega_qres_matrix((basis[i], basis[j]))[0, 1])
             want, scale = _per_end_oracle(basis[i], basis[j])
             assert abs(got - want) <= 1e-13 * max(abs(want), scale)
+
+
+def _bits(z):
+    """The two doubles of a complex, as hex: equal values with equal signs of zero."""
+    return complex(z).real.hex(), complex(z).imag.hex()
 
 
 @given(st.floats(-0.5, 0.5), st.floats(0.0, 1.0), st.floats(0.3, 3.0), st.floats(-np.pi, np.pi),
@@ -103,12 +121,11 @@ def test_matches_the_per_end_quadratures(re_tau, thinness, size, angle, k1, k2, 
              basis_F_torus_twisted(ctx, EndDivisor((0.0,) + ends))]
     bases += [basis_F_torus_untwisted(ctx, r, EndDivisor(ends)) for r in (1, 2, 3)]
     for basis in bases:
-        for i in range(len(basis)):
-            for j in range(i + 1, len(basis)):
-                got = omega_qres_oracle(basis[i], basis[j])
-                assert got == -omega_qres_oracle(basis[j], basis[i])
-                want, scale = _per_end_oracle(basis[i], basis[j])
-                assert abs(got - want) <= 1e-13 * max(abs(want), scale)
+        W = omega_qres_matrix(basis)
+        assert np.array_equal(W, -W.T)
+        for i, j in zip(*np.triu_indices(len(basis), 1)):
+            want, scale = _per_end_oracle(basis[i], basis[j])
+            assert abs(W[i, j] - want) <= 1e-13 * max(abs(want), scale)
 
 
 def test_thin_cell_end_agrees(thin_cell):
@@ -117,32 +134,31 @@ def test_thin_cell_end_agrees(thin_cell):
     ctx, b1, b2, ends = thin_cell(-0.2, 0.58, 2.0, -1.4, 0, 2, 7)
     basis = basis_F_torus_twisted(ctx, EndDivisor((0.0,) + ends))
     assert abs((b2 / b1).imag - 6.41) < 0.01
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            exact = omega_pair(basis[i], basis[j])
-            assert abs(omega_qres_oracle(basis[i], basis[j]) - exact) <= 1e-12 * max(1.0, abs(exact))
-            want, scale = _per_end_oracle(basis[i], basis[j])
-            assert abs(omega_qres_oracle(basis[i], basis[j]) - want) <= 1e-13 * max(abs(want), scale)
+    W = omega_qres_matrix(basis)
+    for i, j in zip(*np.triu_indices(len(basis), 1)):
+        exact = omega_pair(basis[i], basis[j])
+        assert abs(W[i, j] - exact) <= 1e-12 * max(1.0, abs(exact))
+        want, scale = _per_end_oracle(basis[i], basis[j])
+        assert abs(W[i, j] - want) <= 1e-13 * max(abs(want), scale)
 
 
 def test_every_pair_converges_on_a_thin_cell(thin_cell):
     # Im(tau) = 10.57 with the ends over the whole cell.  A stop on each
     # end's own row, with the L1 of the cancelled integrand as its floor,
     # raised NonConvergenceError on 12 of these 15 pairs; on the floor of the
-    # uncancelled products summed over the rows none raises, and the
-    # twisted pairs agree with omega_matrix
+    # uncancelled products summed over the rows none raises: each basis's
+    # matrix, all its pairs stopping at one level, is finite, and the
+    # twisted one agrees with omega_matrix
     ctx, b1, b2, ends = thin_cell(-0.21834160853894657, 0.7345873954837637, 2.9791476285917735,
                                   0.6011033432431181, 0, 1, 5488)
     assert abs((b2 / b1).imag - 10.57) < 0.01
     twisted = basis_F_torus_twisted(ctx, EndDivisor((0.0,) + ends))
     omega = omega_matrix(twisted).matrix.entries
     for basis in [twisted] + [basis_F_torus_untwisted(ctx, r, EndDivisor(ends)) for r in (1, 2, 3)]:
-        for i in range(len(basis)):
-            for j in range(i + 1, len(basis)):
-                got = omega_qres_oracle(basis[i], basis[j])
-                assert np.isfinite(got)
-                if basis is twisted:
-                    assert abs(got - omega[i, j]) <= 1e-9 * max(1.0, abs(omega[i, j]))
+        W = omega_qres_matrix(basis)
+        assert np.all(np.isfinite(W))
+        if basis is twisted:
+            assert np.all(np.abs(W - omega) <= 1e-9 * np.maximum(1.0, np.abs(omega)))
 
 
 def test_untwisted_end_on_a_merged_root_raises(thin_cell):

@@ -4,9 +4,11 @@ import re
 
 import numpy as np
 import pytest
+from contextlib import contextmanager
+
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from spinorminimal import elliptic, moduli, spinor
+from spinorminimal import acceptance, elliptic, moduli, spinor
 from spinorminimal.elliptic import (
     DegenerateLatticeError,
     PoleEvaluationError,
@@ -30,6 +32,7 @@ from spinorminimal.spinor import (
     is_infinity,
     omega_matrix,
     omega_pair,
+    omega_qres_matrix,
     omega_qres_oracle,
     planar_ends,
     rational_sphere_basis,
@@ -278,9 +281,8 @@ class TestTwistedBasis:
         # that basis let the oracle's contour enclose a second end
         ctx = build_context(1.0, 0.5 + 0.1j)
         basis = basis_F_torus_twisted(ctx, EndDivisor((0.0, 0.904 + 0.049j, 0.815 + 0.063j)))
-        pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
-        exact = np.array([omega_pair(basis[i], basis[j]) for i, j in pairs])
-        oracle = np.array([omega_qres_oracle(basis[i], basis[j]) for i, j in pairs])
+        exact = omega_matrix(basis).matrix.entries
+        oracle = omega_qres_matrix(basis)
         assert np.max(np.abs(oracle - exact)) < 1e-9 * max(1.0, np.max(np.abs(exact)))
 
     def test_oracle_on_thin_lattice(self):
@@ -288,9 +290,8 @@ class TestTwistedBasis:
         # given basis (|Q| = 0.73) did not converge to the invariants
         ctx = build_context(1.0, 0.5 + 0.05j)
         basis = basis_F_torus_twisted(ctx, EndDivisor((0.0, 0.904 + 0.049j, 0.815 + 0.063j)))
-        pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
-        exact = np.array([omega_pair(basis[i], basis[j]) for i, j in pairs])
-        oracle = np.array([omega_qres_oracle(basis[i], basis[j]) for i, j in pairs])
+        exact = omega_matrix(basis).matrix.entries
+        oracle = omega_qres_matrix(basis)
         assert np.max(np.abs(oracle - exact)) < 1e-9 * max(1.0, np.max(np.abs(exact)))
 
     def test_laurent_consistency(self, ctx):
@@ -307,11 +308,9 @@ class TestUntwistedBasis:
             basis = basis_F_torus_untwisted(ctx, r, div)
             m = omega_matrix(basis).matrix.entries
             assert np.max(np.abs(np.diagonal(m))) == 0.0
-            for i in range(3):
-                for j in range(3):
-                    if i != j:
-                        oracle = omega_qres_oracle(basis[i], basis[j])
-                        assert m[i, j] == pytest.approx(oracle, abs=1e-8, rel=1e-8)
+            oracle = omega_qres_matrix(basis)
+            for i, j in zip(*np.nonzero(~np.eye(3, dtype=bool))):
+                assert m[i, j] == pytest.approx(oracle[i, j], abs=1e-8, rel=1e-8)
 
     def test_forbidden_ends_rejected(self, ctx):
         with pytest.raises(ValueError):
@@ -421,22 +420,40 @@ def test_oracle_on_random_skewed_lattices(re_tau, thinness, size, angle, k1, k2,
     ctx, ends = cell(4.0)
     bases += [basis_F_torus_untwisted(ctx, r, EndDivisor(ends)) for r in (1, 2, 3)]
     for basis in bases:
-        for i in range(len(basis)):
-            for j in range(i + 1, len(basis)):
-                exact = omega_pair(basis[i], basis[j])
-                assert abs(omega_qres_oracle(basis[i], basis[j]) - exact) < 1e-9 * max(1.0, abs(exact))
+        oracle = omega_qres_matrix(basis)
+        for i, j in zip(*np.triu_indices(len(basis), 1)):
+            exact = omega_pair(basis[i], basis[j])
+            assert abs(oracle[i, j] - exact) < 1e-9 * max(1.0, abs(exact))
 
 
 @given(st.floats(-0.5, 0.5), st.floats(0.0, 1.0), st.floats(0.3, 3.0), st.floats(-np.pi, np.pi),
        st.integers(-2, 2), st.integers(-2, 2), st.integers(0, 2**16))
 @settings(max_examples=12, deadline=None)
 def test_table_on_random_lattices(re_tau, thinness, size, angle, k1, k2, seed):
-    # the skewed lattices of the test above with Im(tau) up to 25, and every
-    # family.  The ends lie at the jittered cell fractions, scaled along b2
-    # to within |b1| of the b1 axis: farther along a thin cell the rows'
-    # differences are exponentially small next to their values, and neither
-    # the tables nor the oracle resolve them (the paired rows fail already
-    # at Im(tau) = 3.7 on the whole cell)
+    for basis in _random_lattice_bases(re_tau, thinness, size, angle, k1, k2, seed):
+        n = len(basis)
+        form = omega_matrix(basis)
+        raw, res_sum, scale = _pairwise_omega(basis)
+        off = ~np.eye(n, dtype=bool)
+        # the table contraction is the pairwise sum to the bit
+        assert np.array_equal(form.matrix.entries, SkewMatrix.antisymmetrize(raw).entries)
+        assert all(omega_pair(basis[i], basis[j]) == raw[i, j] for i, j in zip(*np.nonzero(off)))
+        assert form.alpha_scale == pytest.approx(scale[off].max(), rel=1e-14)
+        assert np.all(res_sum[off] <= 1e-8 * scale[off])
+        assert np.all(np.abs(raw + raw.T)[off] <= 1e-8 * scale[off])
+        oracle = omega_qres_matrix(basis)
+        for i, j in zip(*np.triu_indices(n, 1)):
+            exact = form.matrix.entries[i, j]
+            assert abs(oracle[i, j] - exact) < 1e-9 * max(1.0, abs(exact))
+
+
+def _random_lattice_bases(re_tau, thinness, size, angle, k1, k2, seed):
+    """The skewed lattices of test_oracle_on_random_skewed_lattices with
+    Im(tau) up to 25, and a basis of every family.  The ends lie at the
+    jittered cell fractions, scaled along b2 to within |b1| of the b1 axis:
+    farther along a thin cell the rows' differences are exponentially small
+    next to their values, and neither the tables nor the oracle resolve
+    them (the paired rows fail already at Im(tau) = 3.7 on the whole cell)."""
     lo = np.sqrt(1.0 - re_tau**2)
     b1 = size * np.exp(1j * angle)
     im_tau = lo * (25.0 / lo) ** thinness
@@ -449,21 +466,56 @@ def test_table_on_random_lattices(re_tau, thinness, size, angle, k1, k2, seed):
     bases = [basis_F_sphere(EndDivisor(ends + (INF,))),
              basis_F_torus_twisted(ctx, EndDivisor((0.0,) + ends)),
              basis_F_torus_untwisted_paired(ctx, int(rng.integers(1, 4)), ends[:2])]
-    bases += [basis_F_torus_untwisted(ctx, r, EndDivisor(ends)) for r in (1, 2, 3)]
-    for basis in bases:
-        n = len(basis)
-        form = omega_matrix(basis)
-        raw, res_sum, scale = _pairwise_omega(basis)
-        off = ~np.eye(n, dtype=bool)
-        # the table contraction is the pairwise sum to the bit
-        assert np.array_equal(form.matrix.entries, SkewMatrix.antisymmetrize(raw).entries)
-        assert all(omega_pair(basis[i], basis[j]) == raw[i, j] for i, j in zip(*np.nonzero(off)))
-        assert form.alpha_scale == pytest.approx(scale[off].max(), rel=1e-14)
-        assert np.all(res_sum[off] <= 1e-8 * scale[off])
-        assert np.all(np.abs(raw + raw.T)[off] <= 1e-8 * scale[off])
-        for i, j in zip(*np.triu_indices(n, 1)):
-            exact = form.matrix.entries[i, j]
-            assert abs(omega_qres_oracle(basis[i], basis[j]) - exact) < 1e-9 * max(1.0, abs(exact))
+    return bases + [basis_F_torus_untwisted(ctx, r, EndDivisor(ends)) for r in (1, 2, 3)]
+
+
+@contextmanager
+def _oracle_nodes():
+    """A list that gathers the size of every node batch the oracle's
+    quadratures evaluate while the block runs."""
+    nodes, contour = [], spinor.contour_integral
+    spinor.contour_integral = lambda f, *args, **kwargs: contour(
+        lambda x: nodes.append(x.size) or f(x), *args, **kwargs)
+    try:
+        yield nodes
+    finally:
+        spinor.contour_integral = contour
+
+
+def _assert_the_matrix_is_the_pairwise_oracle(basis):
+    """omega_qres_matrix against omega_qres_oracle on each pair: bitwise where
+    the pair stops at the matrix's level, and within 1e-12 of max|Omega|
+    where it stops earlier (all of the matrix's pairs stop at one level)."""
+    with _oracle_nodes() as nodes:
+        W = omega_qres_matrix(basis)
+    level, bound = sum(nodes), 1e-12 * np.abs(omega_matrix(basis).matrix.entries).max()
+    for i, j in zip(*np.triu_indices(len(basis), 1)):
+        with _oracle_nodes() as nodes:
+            pair = omega_qres_oracle(basis[i], basis[j])
+        assert sum(nodes) <= level
+        if sum(nodes) == level:
+            assert (pair.real.hex(), pair.imag.hex()) == (W[i, j].real.hex(), W[i, j].imag.hex())
+        else:
+            assert abs(pair - W[i, j]) <= bound
+    return W
+
+
+@given(st.floats(-0.5, 0.5), st.floats(0.0, 1.0), st.floats(0.3, 3.0), st.floats(-np.pi, np.pi),
+       st.integers(-2, 2), st.integers(-2, 2), st.integers(0, 2**16))
+@settings(max_examples=12, deadline=None)
+def test_oracle_matrix_is_the_pairwise_oracle(re_tau, thinness, size, angle, k1, k2, seed):
+    for basis in _random_lattice_bases(re_tau, thinness, size, angle, k1, k2, seed):
+        _assert_the_matrix_is_the_pairwise_oracle(basis)
+
+
+def test_oracle_matrix_is_the_pairwise_oracle_on_the_acceptance_bases(count_calls):
+    # criterion 3 makes one oracle call on each of its five bases, 72 ordered pairs
+    calls = count_calls(acceptance, "omega_qres_matrix")
+    (result,) = acceptance.criterion_3_oracle()
+    assert result.passed and "(72 pairs)" in result.name
+    assert len(calls) == 5 and sum(len(b) * (len(b) - 1) for (b,) in calls) == 72
+    for (basis,) in calls:
+        _assert_the_matrix_is_the_pairwise_oracle(basis)
 
 
 @given(st.floats(-0.5, 0.5), st.floats(0.0, 1.0), st.floats(0.3, 3.0), st.floats(-np.pi, np.pi),
@@ -602,11 +654,11 @@ class TestOmegaPairProperties:
     def test_oracle_equals_pair_on_sphere(self):
         a = (np.sqrt(3) + 1j) / 2
         basis = basis_F_sphere(EndDivisor((a, 1 / a, 0.0, INF)))
+        oracle = omega_qres_matrix(basis)
         for i in range(4):
             for j in range(4):
                 pair = omega_pair(basis[i], basis[j]) if i != j else 0.0
-                oracle = omega_qres_oracle(basis[i], basis[j])
-                assert abs(pair - oracle) < 1e-8
+                assert abs(pair - oracle[i, j]) < 1e-8
 
     def test_mismatched_divisors_rejected(self, ctx):
         b1 = basis_F_sphere(EndDivisor((0.0, 1.0, INF)))
@@ -687,20 +739,20 @@ class TestLargerBases:
         rng = np.random.default_rng(10)
         ends = tuple(2 * rng.standard_normal(7) + 2j * rng.standard_normal(7)) + (INF,)
         basis = basis_F_sphere(EndDivisor(ends))
+        oracle = omega_qres_matrix(basis)
         for i, j in ((0, 7), (2, 5), (7, 3), (1, 6)):
             pair = omega_pair(basis[i], basis[j])
-            oracle = omega_qres_oracle(basis[i], basis[j])
-            assert abs(pair - oracle) < 1e-6 * max(1.0, abs(pair))
+            assert abs(pair - oracle[i, j]) < 1e-6 * max(1.0, abs(pair))
 
     def test_twisted_n6_oracle_spot_checks(self, ctx):
         rng = np.random.default_rng(12)
         others = tuple(complex(x) * ctx.omega1 + complex(y) * ctx.omega3
                        for x, y in zip(rng.uniform(0.2, 1.8, 5), rng.uniform(0.2, 1.8, 5)))
         basis = basis_F_torus_twisted(ctx, EndDivisor((0.0,) + others))
+        oracle = omega_qres_matrix(basis)
         for i, j in ((0, 3), (1, 4), (5, 2)):
             pair = omega_pair(basis[i], basis[j])
-            oracle = omega_qres_oracle(basis[i], basis[j])
-            assert abs(pair - oracle) < 1e-6 * max(1.0, abs(pair))
+            assert abs(pair - oracle[i, j]) < 1e-6 * max(1.0, abs(pair))
 
     def test_torus_bases_independent(self, ctx):
         rng = np.random.default_rng(13)

@@ -8,17 +8,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from spinorminimal import surface
 from spinorminimal.cli import CONSTRUCTIONS
 
 from spinorminimal.elliptic import build_context
-from spinorminimal.moduli import klein4_construct, sphere4_solve, torus4_construct
-from spinorminimal.numkit import QuadraturePath
+from spinorminimal.moduli import klein4_construct, sphere4_solve, sphere6_K_basis, torus4_construct
+from spinorminimal.numkit import NonConvergenceError, QuadraturePath
 from spinorminimal.spinor import (
+    INF,
     EndDivisor,
     SphereDomain,
+    basis_F_sphere,
     is_infinity,
     rational_sphere_basis,
     section_combination,
@@ -369,6 +371,122 @@ def _one_template_texts(mesh):
     return obj, csv
 
 
+def _lattice_fractions(dom, u):
+    """(x, y) with u = x 2 omega1 + y 2 omega3, the torus grid's axes."""
+    b1, b2 = 2 * dom.ctx.omega1, 2 * dom.ctx.omega3
+    det = (np.conj(b1) * b2).imag
+    return (np.conj(u) * b2).imag / det, (np.conj(b1) * u).imag / det
+
+
+def _end_points(data):
+    """The finite ends as (x, y) chart points; on a torus lattice fractions
+    modulo 1, each with its translates by -1, 0 and 1 along both axes."""
+    dom = data.domain
+    a = np.array([p for p in dom.ends.points if not is_infinity(p)], dtype=complex)
+    if dom.genus == 0:
+        return a.real, a.imag
+    x, y = (f % 1.0 for f in _lattice_fractions(dom, a))
+    shifts = [(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1)]
+    return np.concatenate([x + i for i, _ in shifts]), np.concatenate([y + j for _, j in shifts])
+
+
+def _cells_holding_an_end(data, grid):
+    """Cells whose closed chart square holds a finite end (in lattice
+    fractions on a torus), one comparison per cell and end point; a point
+    within 1e-9 of a step from a grid line counts as on it."""
+    if data.domain.genus == 1:
+        lines = [np.linspace(0.0, 1.0, n) for n in (grid.nx, grid.ny)]
+    else:
+        lines = [np.linspace(-grid.extent, grid.extent, n) for n in (grid.nx, grid.ny)]
+    held = np.zeros((grid.nx - 1, grid.ny - 1), dtype=bool)
+    for x, y in zip(*_end_points(data)):
+        on = [(t[:-1] - 1e-9 * (t[1] - t[0]) <= p) & (p <= t[1:] + 1e-9 * (t[1] - t[0]))
+              for t, p in zip(lines, (x, y))]
+        held |= on[0][:, None] & on[1][None, :]
+    return held
+
+
+def _faces_holding_an_end(data, mesh):
+    """Indices of the faces whose closed chart triangle (in lattice fractions
+    on a torus) holds a finite end: one sign test per face and end point."""
+    uv = mesh.domain_uv[mesh.faces]
+    x, y = (uv.real, uv.imag) if data.domain.genus == 0 else _lattice_fractions(data.domain, uv)
+    px, py = (p[None, :] for p in _end_points(data))
+    sides = np.stack([(x[:, k, None] - px) * (y[:, (k + 1) % 3, None] - py)
+                      - (y[:, k, None] - py) * (x[:, (k + 1) % 3, None] - px) for k in range(3)])
+    held = ~((sides < 0).any(axis=0) & (sides > 0).any(axis=0))
+    return np.flatnonzero(held.any(axis=1))
+
+
+def _sphere6_on_the_variety(s1, s3):
+    """sigma = (s1, s2, s3) with s2 the root of the pfaffian tau1 tau3 +
+    s1 s3 - 20, a quadratic in s2, of the larger real part."""
+    p, q = s1 * s1 + s3 * s3, s1 * s1 * s3 * s3 + s1 * s3 - 20.0
+    s2 = np.roots([9.0, 3.0 * p, q])
+    return (s1, complex(s2[np.argmax(s2.real)]), s3)
+
+
+class TestCellMask:
+    """No face spans an end: a cell whose closed chart square holds a finite
+    end is dropped, even with four valid corners."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.complex_numbers(max_magnitude=2.0), st.complex_numbers(max_magnitude=2.0),
+           st.integers(5, 40))
+    def test_no_sphere_face_holds_an_end(self, s1, s3, n):
+        # sphere-6 divisors on the pfaffian variety, whose ends lie all over
+        # the chart square, on grids whose step exceeds the end clearance
+        try:
+            (t1, t2), _, _ = sphere6_K_basis(_sphere6_on_the_variety(s1, s3))
+            data = WeierstrassData(s1=t1, s2=t2)
+        except (ValueError, NonConvergenceError):
+            assume(False)
+        grid = GridSpec(n, n)
+        valid = _valid_mask(data, _grid_coordinates(data, grid))
+        assume(data.end_clearance < 4.0 / (n - 1) and valid[0, 0])
+        mesh = integrate_surface(data, grid, -2.0 - 2.0j)
+        assert _faces_holding_an_end(data, mesh).size == 0
+        cells = valid[:-1, :-1] & valid[1:, :-1] & valid[1:, 1:] & valid[:-1, 1:]
+        assert len(mesh.faces) == 2 * np.count_nonzero(cells & ~_cells_holding_an_end(data, grid))
+
+    @pytest.mark.parametrize("n", [12, 16, 24])
+    def test_no_face_holds_an_end_on_a_skewed_torus(self, n):
+        # torus-4 on (1, 0.5+0.1i): on an even grid the ends at the half
+        # periods lie inside cells with four valid corners
+        entry = CONSTRUCTIONS["torus4"]
+        built = entry.build(1.0, 0.5 + 0.1j)
+        data = entry.weierstrass(built)
+        mesh = entry.mesh(built, GridSpec(n, n))
+        assert _faces_holding_an_end(data, mesh).size == 0
+        valid = _valid_mask(data, _grid_coordinates(data, GridSpec(n, n)))
+        cells = valid[:-1, :-1] & valid[1:, :-1] & valid[1:, 1:] & valid[:-1, 1:]
+        held = _cells_holding_an_end(data, GridSpec(n, n)) & cells
+        assert held.any() and len(mesh.faces) == 2 * np.count_nonzero(cells & ~held)
+
+    def test_ends_off_the_grid_clear_no_cell(self):
+        # an end far off the chart square, or just beyond its edge, clears
+        # nothing (and its grid position casts to an integer without a
+        # warning); 0.5 clears the 2 x 2 cells around its grid vertex
+        for ends, cleared in (((1e20 - 1e20j, INF), []),
+                              ((2.01j, 0.5, INF), [[4, 3], [4, 4], [5, 3], [5, 4]])):
+            basis = basis_F_sphere(EndDivisor(ends))
+            data = WeierstrassData(s1=basis[0], s2=basis[1], end_clearance=1e-3)
+            cell = surface._cell_mask(data, GridSpec(9, 9), np.ones((9, 9), dtype=bool))
+            assert np.argwhere(~cell).tolist() == cleared
+
+    def test_the_loop_oracle_reads_the_same_mask(self, count_calls):
+        entry = CONSTRUCTIONS["sphere6"]
+        built = entry.build((0.0, 2.0 * math.sqrt(5.0) / 3.0, 0.0))
+        data, grid = entry.weierstrass(built), GridSpec(33, 33)
+        calls = count_calls(surface, "_cell_mask")
+        mesh = entry.mesh(built, grid)
+        quadrature_loop_residual(data, grid)
+        assert len(calls) == 2 and all(args[1] == grid for args in calls)
+        assert np.array_equal(calls[0][2], calls[1][2])
+        # the four ends at +-0.934 +-0.357i each sat inside one face
+        assert len(mesh.faces) == 2040 - 8
+
+
 class TestBlocks:
     @pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 2 * B + 1])
     @settings(derandomize=True, max_examples=3, deadline=None)
@@ -412,7 +530,9 @@ class TestBlocks:
     @pytest.mark.parametrize("name, grid", [("sphere4", 33), ("torus4", 33), ("klein4", 17)])
     def test_cells_are_the_whole_grid_reference(self, monkeypatch, name, grid):
         # the reference: faces and the largest closure from one whole-grid
-        # pass over a grid copy X of the vertices
+        # pass over a grid copy X of the vertices, on the cells with four
+        # valid corners that hold no end (at grid 17 each klein-4 end lies
+        # on a cell edge, and clears the two cells beside it)
         entry = CONSTRUCTIONS[name]
         data = entry.weierstrass(entry.build())
         monkeypatch.setattr(surface, "_BLOCK", 7)
@@ -421,6 +541,9 @@ class TestBlocks:
         valid = _valid_mask(data, _grid_coordinates(data, GridSpec(grid, grid)))
         index = np.cumsum(valid).reshape(valid.shape) - 1
         cell = valid[:-1, :-1] & valid[1:, :-1] & valid[1:, 1:] & valid[:-1, 1:]
+        held = _cells_holding_an_end(data, GridSpec(grid, grid)) & cell
+        assert np.count_nonzero(held) == (16 if name == "klein4" else 0)
+        cell &= ~held
         i, j = np.nonzero(cell)
         a, b, c, d = index[i, j], index[i + 1, j], index[i + 1, j + 1], index[i, j + 1]
         assert np.array_equal(mesh.faces, np.stack([a, b, c, a, c, d], axis=1).reshape(-1, 3))

@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import stat
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 from operator import itemgetter
@@ -33,7 +35,7 @@ import numpy as np
 
 SCHEMA = "spinor-minimal/1"
 
-__all__ = ["jsonify", "report_text", "write_report", "ReportValueError", "SCHEMA"]
+__all__ = ["jsonify", "report_text", "write_report", "overwrite", "ReportValueError", "SCHEMA"]
 
 
 class ReportValueError(ValueError):
@@ -190,9 +192,27 @@ def report_text(payload: dict) -> str:
 
 
 def write_report(payload: dict, path) -> Path:
-    """Write the report text of payload to path."""
+    """Write the report text of payload to path, over its old bytes (see
+    overwrite).  The text is made first, so a NaN leaves path untouched."""
+    return overwrite(path, (report_text(payload).encode("ascii"),))
+
+
+def overwrite(path, chunks) -> Path:
+    """Write the byte chunks to path, made with its directory if absent,
+    over an existing file's bytes in place: a truncating open frees the old
+    blocks, and a filesystem may then discard them and flush on close.
+    A regular file is then cut at the end of the new bytes, also when an
+    exception escapes from chunks, so no old tail stays; any other target
+    (/dev/null, a pipe) is written as it is.  The file keeps its inode,
+    mode and links, and a symlink is written through."""
     path = Path(path)
-    text = report_text(payload)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+        try:
+            for chunk in chunks:
+                fh.write(chunk)
+        finally:
+            if regular:
+                fh.truncate()
     return path

@@ -32,6 +32,9 @@ kept digit NUL, and a face index in [1, 10^8) is read from the same
 table, once per block for each index of the block's span when that span
 is shorter than the block, as integrate_surface's faces are.  "%" formats
 every other value, one by one.  The bytes that are not NUL are the text.
+Each block goes to the file as it is made, through reportio.overwrite,
+which writes over an existing file's bytes in place instead of freeing
+them with a truncating open, so rewriting an output reuses its blocks.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from pathlib import Path
 import numpy as np
 
 from .numkit import QuadraturePath
+from .reportio import overwrite
 from .spinor import (
     EndDivisor,
     SectionDataError,
@@ -460,26 +464,31 @@ def _write_rows(mesh: SurfaceMesh, path, header: bytes, tables) -> Path:
     NULs, which is what numpy's boolean indexing pays for.  numpy makes
     the text of floats with |x| in [1e-4, 1e16) and of indices in [1,
     10^8); "%" formats every other value, one at a time: 0, subnormals,
-    |x| below 1e-4 or from 1e16 up, inf, nan and the other indices."""
+    |x| below 1e-4 or from 1e16 up, inf, nan and the other indices.
+
+    The blocks go to path through reportio.overwrite as they are made; an
+    empty mesh raises before path or its directory is made."""
     if mesh.vertices.size == 0:
         raise ValueError("cannot export an empty mesh")
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("wb") as fh:
-        fh.write(header)
-        for prefix, sep, (count, width), rows, text in tables:
-            gap = 1 + len(prefix)
-            gaps = np.zeros((width, gap), np.uint8)
-            gaps[0] = np.frombuffer(b"\n" + prefix, np.uint8)
-            gaps[1:, -1] = ord(sep)
-            step = _VALUES // width
-            for k in range(0, count, step):
-                slots = text(rows(slice(k, k + step)).ravel(), gap)
-                slots = slots.reshape(-1, width, slots.shape[1])
-                slots[:, :, :gap] = gaps
-                fh.write(slots[slots != 0][1:])
-                fh.write(b"\n")
-    return path
+    return overwrite(path, _blocks(header, tables))
+
+
+def _blocks(header: bytes, tables):
+    """The chunks of _write_rows' bytes: the header, then each block's
+    text and its last newline."""
+    yield header
+    for prefix, sep, (count, width), rows, text in tables:
+        gap = 1 + len(prefix)
+        gaps = np.zeros((width, gap), np.uint8)
+        gaps[0] = np.frombuffer(b"\n" + prefix, np.uint8)
+        gaps[1:, -1] = ord(sep)
+        step = _VALUES // width
+        for k in range(0, count, step):
+            slots = text(rows(slice(k, k + step)).ravel(), gap)
+            slots = slots.reshape(-1, width, slots.shape[1])
+            slots[:, :, :gap] = gaps
+            yield slots[slots != 0][1:]
+            yield b"\n"
 
 
 # values per block of the exporters (4096 OBJ rows): a block's text

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from spinorminimal.cli import CONSTRUCTIONS
+from spinorminimal.moduli import CONSTRUCTIONS
 from spinorminimal.reportio import write_report
 from spinorminimal.surface import GridSpec, export_obj
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import arf as arfmod
 from .elliptic import build_context, wp, wp_prime
-from .numkit import QuadraturePath, SkewMatrix, pfaffian, skew_rank_kernel
+from .numkit import QuadraturePath, SkewMatrix, pfaffian
 from .spinor import (
     INF,
     EndDivisor,
@@ -27,13 +27,11 @@ from .spinor import (
     omega_qres_matrix,
 )
 from . import moduli
+from .moduli import CONSTRUCTIONS
 from .surface import (
     GridSpec,
-    WeierstrassData,
     branch_points,
-    enneper_data,
     integrate_position,
-    integrate_surface,
     quadrature_edges,
     quadrature_loop_residual,
 )
@@ -169,7 +167,7 @@ def criterion_3_oracle(seed=0):
 
 
 def criterion_4_sphere4(seed=0):
-    fam = moduli.sphere4_solve()
+    fam = CONSTRUCTIONS["sphere4"].build()
     out = [
         _check("4a |pfaffian| at a = (sqrt3+i)/2", fam.residuals["pfaffian"], 1e-10),
         _check("4b dim K = 2", abs(len(fam.K_basis) - 2), 0.0),
@@ -193,7 +191,7 @@ def criterion_5_sphere6(seed=0):
                   spread, 1e-6,
                   detail=f"ratio {np.mean(ratios):.6f}")]
     s2 = 2.0 * np.sqrt(5.0) / 3.0
-    _, form, residuals = moduli.sphere6_K_basis((0.0, s2, 0.0))
+    _, form, residuals = CONSTRUCTIONS["sphere6"].build((0.0, s2, 0.0))
     out.append(_check("5b printed K basis in ker Omega (on-variety)",
                       max(residuals.values()), 1e-8))
     return out
@@ -208,7 +206,7 @@ def criterion_6_rp2(seed=0):
         c = tuple(rng.uniform(-1, 1, 3))
         v = moduli.rp2_variety(c)
         for g in moduli.RP2_GROUP:
-            worst = max(worst, abs(moduli.rp2_variety(moduli.rp2_apply(g, c)) - v))
+            worst = max(worst, abs(moduli.rp2_variety(g @ c) - v))
     out.append(_check("6b group invariance (24 elements x 20 points)", worst, 1e-12))
     lab1 = moduli.rp2_symmetry_group(moduli.rp2_boundary_point("Z2xZ2"))
     lab2 = moduli.rp2_symmetry_group(moduli.rp2_boundary_point("D3"))
@@ -261,23 +259,20 @@ def criterion_7_arf(seed=0):
 
 
 def criterion_8_torus4(seed=0):
-    out = []
-    worst_diag = worst_off = worst_p1 = 0.0
-    for name, (o1, o3) in [("square", (1.0, 1.0j)), ("rect2", (1.0, 2.0j)),
-                           ("rect-generic", (1.3, 0.8j))]:
-        t4 = moduli.torus4_construct(build_context(o1, o3))
-        worst_diag = max(worst_diag, t4.residuals["period_diag_rel"])
-        worst_off = max(worst_off, t4.residuals["period_offdiag"])
-        worst_p1 = max(worst_p1, t4.residuals["period1"])
-    out.append(_check("8a closed-form periods vs quadrature (3 lattices)",
-                      worst_diag, 1e-6))
-    out.append(_check("8b off-diagonal periods", worst_off, 1e-8))
-    out.append(_check("8c solved (x_i, x_j) satisfies the period conditions",
-                      worst_p1, 1e-7))
-    t4sq = moduli.torus4_construct(build_context(1.0, 1.0j))
-    out.append(_check("8d branch-condition residual on the square torus",
-                      abs(t4sq.branch_condition), 1e-3, invert=True))
-    return out
+    # square, rect2 and a generic rectangle
+    builds = [CONSTRUCTIONS["torus4"].build(o1, o3)
+              for o1, o3 in ((1.0, 1.0j), (1.0, 2.0j), (1.3, 0.8j))]
+    worst = {k: max(t4.residuals[k] for t4 in builds)
+             for k in ("period_diag_rel", "period_offdiag", "period1")}
+    return [
+        _check("8a closed-form periods vs quadrature (3 lattices)",
+               worst["period_diag_rel"], 1e-6),
+        _check("8b off-diagonal periods", worst["period_offdiag"], 1e-8),
+        _check("8c solved (x_i, x_j) satisfies the period conditions",
+               worst["period1"], 1e-7),
+        _check("8d branch-condition residual on the square torus",
+               abs(builds[0].branch_condition), 1e-3, invert=True),
+    ]
 
 
 def criterion_9_klein(seed=0):
@@ -292,32 +287,33 @@ def criterion_9_klein(seed=0):
     out.append(_check("9a det W factorization identity (10 random r)", worst, 1e-8))
     out.append(_check("9b det W closed form at r = 2 equals 1299^2/225",
                       abs(moduli.klein_det_w_closed(2.0) - 1299.0**2 / 225.0), 1e-8))
-    kb = moduli.klein4_construct()
-    rank, _ = skew_rank_kernel(kb.form.matrix, 1e-8, scale=kb.form.alpha_scale)
+    klein4 = CONSTRUCTIONS["klein4"]
+    kb = klein4.build()
     out.append(_check("9c rank Omega = 4 at the fourth-quadrant root",
-                      abs(rank - 4), 0.0))
+                      abs(kb.rank - 4), 0.0))
     out.append(_check("9d period equation residual (closed form)",
                       kb.residuals["period_equation"], 1e-8))
     out.append(_check("9e quadrature cross-check of int s1^2 on gamma1",
                       kb.residuals["gamma1_s1sq_quadrature"], 1e-8))
     out.append(_check("9f gamma3 period conditions automatic",
                       kb.residuals["gamma3_auto"], 1e-8))
-    data = WeierstrassData(s1=kb.s1, s2=kb.s2)
-    found = branch_points(data, resolution=90)
+    found = branch_points(klein4.weierstrass(kb), resolution=90)
     out.append(_check("9g branch scan empty", len(found), 0.0))
     return out
 
 
 def criterion_10_geometry(seed=0):
     out = []
-    mesh = integrate_surface(enneper_data(), GridSpec(nx=65, ny=65, extent=2.0), 0.0)
+    enneper = CONSTRUCTIONS["enneper"]
+    mesh = enneper.mesh(enneper.build(), GridSpec(nx=65, ny=65, extent=2.0))
     d = mesh.vertices[mesh.vertex_at(1.0)] - mesh.vertices[mesh.vertex_at(0.0)]
     out.append(_check("10a Enneper X(1) - X(0) = (2/3, 0, 1)",
                       float(np.max(np.abs(d - np.array([2 / 3, 0.0, 1.0])))), 1e-8))
-    fam = moduli.sphere4_solve()
-    data = WeierstrassData(s1=fam.K_basis[0], s2=fam.K_basis[1])
+    sphere4 = CONSTRUCTIONS["sphere4"]
+    fam = sphere4.build()
+    data = sphere4.weierstrass(fam)
     grid61 = GridSpec(nx=61, ny=61, extent=2.0)
-    mesh4 = integrate_surface(data, grid61, -1.0 - 1.0j)
+    mesh4 = sphere4.mesh(fam, grid61)
     out.append(_check("10b sphere-4 mesh loop periods",
                       quadrature_loop_residual(data, grid61) / mesh4.metadata["mesh_scale"], 1e-7))
     rng = np.random.default_rng(seed)
@@ -327,7 +323,7 @@ def criterion_10_geometry(seed=0):
     null = float(np.max(np.abs(np.sum(w * w, axis=0)) / np.max(np.abs(w)) ** 2))
     out.append(_check("10c null-curve identity omega . omega", null, 1e-10))
     a = fam.ends.points[0]
-    base = -1.0 - 1.0j
+    base = sphere4.basepoint(data.domain, grid61.nx)
 
     def plane_residual(radius):
         thetas = np.linspace(0.0, 2 * np.pi, 12, endpoint=False)
@@ -343,12 +339,13 @@ def criterion_10_geometry(seed=0):
                       0.0 if monotone else 1.0, 0.0,
                       detail="residuals " + ", ".join(f"{r:.4f}" for r in residuals)))
     # every closed-form edge increment X(b) - X(a) against its Gauss-Legendre integral
-    t4 = moduli.torus4_construct(build_context(1.0, 1.0j))
+    torus4 = CONSTRUCTIONS["torus4"]
+    t4 = torus4.build(1.0, 1.0j)
+    grid33 = GridSpec(nx=33, ny=33)
     worst = 0.0
-    for d, grid, b in ((data, grid61, base), (WeierstrassData(s1=t4.s1, s2=t4.s2),
-                                              GridSpec(nx=33, ny=33), 1.0 + 0.5j)):
+    for d, grid, mesh in ((data, grid61, mesh4),
+                          (torus4.weierstrass(t4), grid33, torus4.mesh(t4, grid33))):
         valid, h, v = quadrature_edges(d, grid)
-        mesh = integrate_surface(d, grid, b)
         X = np.full(valid.shape + (3,), np.nan)
         X[valid] = mesh.vertices
         gap = max(np.nanmax(np.abs(X[1:] - X[:-1] - h)), np.nanmax(np.abs(X[:, 1:] - X[:, :-1] - v)))

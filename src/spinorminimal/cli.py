@@ -5,7 +5,8 @@ Every command writes a JSON report (schema-stamped, complex numbers as
 0 success, 2 verification failure, 1 usage error.  Every meshing command
 fails verification unless the closed form's identity residual and end
 residues, and every grid cell's loop closure relative to the mesh scale,
-are below 1e-6.
+are below 1e-6.  The named constructions are built and meshed through
+moduli.CONSTRUCTIONS, the table the scripts and the acceptance gate use.
 """
 
 from __future__ import annotations
@@ -16,9 +17,7 @@ import functools
 import math
 import re
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -26,6 +25,7 @@ from . import acceptance, moduli, reportio
 from .arf import HyperellipticSpin, arf_bruteforce, arf_closed_form, \
     spin_structure_counts, torus_spin_table
 from .elliptic import build_context
+from .moduli import CONSTRUCTIONS
 from .numkit import NonConvergenceError, pfaffian
 from .spinor import (
     INF,
@@ -36,55 +36,9 @@ from .spinor import (
     extract_K,
     omega_matrix,
 )
-from .surface import GridSpec, WeierstrassData, enneper_data, export_obj, integrate_surface
+from .surface import GridSpec, export_obj
 
 USAGE_ERROR, VERIFICATION_ERROR = 1, 2
-
-
-def _lattice_point(fx, fy):
-    """The vertex of an n x n torus grid at the lattice fractions (fx, fy),
-    each snapped to the nearest grid line."""
-    def basepoint(domain, n):
-        ctx = domain.ctx
-        return (round((n - 1) * fx) / (n - 1) * 2 * ctx.omega1
-                + round((n - 1) * fy) / (n - 1) * 2 * ctx.omega3)
-    return basepoint
-
-
-@dataclass(frozen=True)
-class Construction:
-    """How a named construction is built, the spinor pair it meshes, and
-    the basepoint rule (domain, grid size) -> chart point of its meshes:
-    a fixed sphere-chart point, or lattice fractions on a torus."""
-
-    build: Callable
-    pair: Callable
-    basepoint: Callable
-
-    def weierstrass(self, built, eps=None) -> WeierstrassData:
-        s1, s2 = self.pair(built)
-        return WeierstrassData(s1=s1, s2=s2, end_clearance=eps)
-
-    def mesh(self, built, grid: GridSpec, eps=None):
-        """The closed-form mesh of the built construction on the grid."""
-        data = self.weierstrass(built, eps)
-        return integrate_surface(data, grid, self.basepoint(data.domain, grid.nx))
-
-
-# builds look their moduli function up at call time, so that a function
-# replaced on the module (a wrapper or a test double) is the one called
-CONSTRUCTIONS = {
-    "enneper": Construction(enneper_data, lambda d: (d.s1, d.s2), lambda dom, n: 0.0),
-    "sphere4": Construction(lambda tol=1e-9: moduli.sphere4_solve(tol),
-                            lambda fam: fam.K_basis, lambda dom, n: -1.0 - 1.0j),
-    "sphere6": Construction(lambda sigma, tol=1e-8: moduli.sphere6_K_basis(sigma, tol),
-                            lambda built: built[0], lambda dom, n: -1.5 - 1.5j),
-    "torus4": Construction(lambda omega1=1.0, omega3=1.0j, choice=(1, 2, 3):
-                           moduli.torus4_construct(build_context(omega1, omega3), choice),
-                           lambda t4: (t4.s1, t4.s2), _lattice_point(0.5, 0.25)),
-    "klein4": Construction(lambda tol=1e-8: moduli.klein4_construct(tol),
-                           lambda kb: (kb.s1, kb.s2), _lattice_point(0.5, 0.125)),
-}
 
 
 def parse_complex(text: str) -> complex:

@@ -112,10 +112,6 @@ class Lattice:
         object.__setattr__(self, "omega1", w1)
         object.__setattr__(self, "omega3", w3)
 
-    @property
-    def tau(self) -> complex:
-        return self.omega3 / self.omega1
-
     @cached_property
     def reduced_periods(self):
         """Lagrange-Gauss-reduced periods (b1, b2), |b1| <= |b2| <= |b2 +- b1|

@@ -7,6 +7,8 @@ sections, periods, as each construction has them) and the residuals of
 every identity checked; all but the 3-ended torus serialize it to a
 JSON-ready dict with `.report()`.
 sphere6_K_basis returns the tuple ((t1, t2), form, residuals).
+CONSTRUCTIONS is the one table of named constructions: the CLI, the
+scripts, the tests and the acceptance gate build and mesh through it.
 
 Conventions pinned here (each cross-checked numerically at build time):
 
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
+from typing import Callable
 
 import numpy as np
 
@@ -49,6 +52,7 @@ from .spinor import (
     section_combination,
     section_values,
 )
+from .surface import GridSpec, WeierstrassData, enneper_data, integrate_surface
 
 __all__ = [
     "ConstructionError",
@@ -65,7 +69,6 @@ __all__ = [
     "rp2_slice",
     "rp2_symmetry_group",
     "rp2_boundary_point",
-    "rp2_apply",
     "RP2_GROUP",
     "mobius_strip_spinor",
     "torus3_admissible_pair",
@@ -78,6 +81,8 @@ __all__ = [
     "klein_det_w_factored",
     "KLEIN_M",
     "square_context_e1_normalized",
+    "Construction",
+    "CONSTRUCTIONS",
 ]
 
 
@@ -275,10 +280,6 @@ _RP2_NEGATIVE = (RP2_GROUP.sum(axis=2) < 0).astype(np.intp)
 # order-4 element fixes only the origin, which is off the variety
 _RP2_LABELS = np.array([{1: "trivial", 2: "Z2", 4: "Z2xZ2", 6: "S3"}.get(k, f"order-{k}")
                         for k in range(25)])
-
-
-def rp2_apply(g, c):
-    return g @ np.asarray(c, dtype=float)
 
 
 def rp2_symmetry_group(c):
@@ -655,6 +656,7 @@ class KleinFourEnd:
     ends: EndDivisor
     W: np.ndarray
     form: OmegaForm
+    rank: int  # of Omega at the construction's tolerance; not in the report
     sections: tuple  # (s1hat, s2hat, s3hat, s4hat)
     period_coeffs: tuple  # (A, B, C)
     solution: tuple  # (x1, x2)
@@ -785,8 +787,58 @@ def klein4_construct(tol: float = 1e-8) -> KleinFourEnd:
     A_num, B_num = -2.0 * np.sum(prim.c), 2.0 * prim.poly[0, 0]
     residuals["ABC_ratio"] = float(max(abs(A_num / A - 2.0), abs(B_num / B - 2.0)))
     return KleinFourEnd(ctx=ctx, r=r, a=a, ends=form.divisor, W=W_num, form=form,
-                        sections=(s1h, s2h, s3h, s4h),
+                        rank=rank, sections=(s1h, s2h, s3h, s4h),
                         period_coeffs=(complex(A), complex(B), complex(C)),
                         solution=(complex(x1), complex(x2)),
                         s1=s1, s2=s2, residuals=residuals)
 
+
+# ---------------------------------------------------------------------------
+# the construction table
+# ---------------------------------------------------------------------------
+
+def _lattice_point(fx, fy):
+    """The vertex of an n x n torus grid at the lattice fractions (fx, fy),
+    each snapped to the nearest grid line."""
+    def basepoint(domain, n):
+        ctx = domain.ctx
+        return (round((n - 1) * fx) / (n - 1) * 2 * ctx.omega1
+                + round((n - 1) * fy) / (n - 1) * 2 * ctx.omega3)
+    return basepoint
+
+
+@dataclass(frozen=True)
+class Construction:
+    """How a named construction is built, the spinor pair it meshes, and
+    the basepoint rule (domain, grid size) -> chart point of its meshes:
+    a fixed sphere-chart point, or lattice fractions on a torus."""
+
+    build: Callable
+    pair: Callable
+    basepoint: Callable
+
+    def weierstrass(self, built, eps=None) -> WeierstrassData:
+        s1, s2 = self.pair(built)
+        return WeierstrassData(s1=s1, s2=s2, end_clearance=eps)
+
+    def mesh(self, built, grid: GridSpec, eps=None):
+        """The closed-form mesh of the built construction on the grid."""
+        data = self.weierstrass(built, eps)
+        return integrate_surface(data, grid, self.basepoint(data.domain, grid.nx))
+
+
+# builds look their function up among this module's globals at call time,
+# so that a function replaced on the module (a wrapper or a test double)
+# is the one called
+CONSTRUCTIONS = {
+    "enneper": Construction(enneper_data, lambda d: (d.s1, d.s2), lambda dom, n: 0.0),
+    "sphere4": Construction(lambda tol=1e-9: sphere4_solve(tol),
+                            lambda fam: fam.K_basis, lambda dom, n: -1.0 - 1.0j),
+    "sphere6": Construction(lambda sigma, tol=1e-8: sphere6_K_basis(sigma, tol),
+                            lambda built: built[0], lambda dom, n: -1.5 - 1.5j),
+    "torus4": Construction(lambda omega1=1.0, omega3=1.0j, choice=(1, 2, 3):
+                           torus4_construct(build_context(omega1, omega3), choice),
+                           lambda t4: (t4.s1, t4.s2), _lattice_point(0.5, 0.25)),
+    "klein4": Construction(lambda tol=1e-8: klein4_construct(tol),
+                           lambda kb: (kb.s1, kb.s2), _lattice_point(0.5, 0.125)),
+}

@@ -2,8 +2,8 @@
 
 Everything here is a pure function on immutable inputs.  The pfaffian is
 computed by skew-symmetric Gaussian elimination with pivoting (O(n^3));
-the term expansions for small sizes live only in the test suite, as
-oracles.  Polynomial roots come from the companion matrix with one Newton
+the term expansions for small sizes are its oracles, in the test suite
+and in acceptance.criterion_1_pfaffian.  Polynomial roots come from the companion matrix with one Newton
 polish per root.  Contour integrals double their nodes until stable:
 Gauss-Legendre panels on open segments, the geometrically convergent
 trapezoid on periodic paths; a vector integrand gives m integrals from one
@@ -60,10 +60,6 @@ class SkewMatrix:
         b = (a - a.T) / 2.0
         np.fill_diagonal(b, 0.0)
         return cls(b)
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
 
 
 @dataclass(frozen=True)

@@ -691,7 +691,7 @@ def _upper(n):
     return (slice(0, 1), slice(1, 2)) if n == 2 else np.triu_indices(n, 1)
 
 
-def omega_qres_matrix(sections, rel_tol: float = 1e-9) -> np.ndarray:
+def omega_qres_matrix(sections) -> np.ndarray:
     """W[i, j] = -1/2 sum_p qres_p(s_i ds_j - s_j ds_i) for sections on one
     basis, from the evaluators alone: the oracle of omega_matrix.  On the
     circle u = p + r e^(2 pi i x), r = qres_radius(p), qres_p of the Hopf
@@ -720,25 +720,25 @@ def omega_qres_matrix(sections, rel_tol: float = 1e-9) -> np.ndarray:
                 np.sum(np.abs(lead) * (np.abs(fdg) + np.abs(gdf)), axis=1))
     W = np.zeros((n, n), dtype=complex)
     W[i, j] = -0.5 * contour_integral(integrand, QuadraturePath.period(0.0, 1.0, samples=64),
-                                      rel_tol=rel_tol)
+                                      rel_tol=1e-9)
     return W - W.T
 
 
-def omega_qres_oracle(s: SpinorSection, t: SpinorSection, rel_tol: float = 1e-9):
+def omega_qres_oracle(s: SpinorSection, t: SpinorSection):
     """The oracle on one pair: entry (0, 1) of omega_qres_matrix((s, t))."""
-    return omega_qres_matrix((s, t), rel_tol)[0, 1]
+    return omega_qres_matrix((s, t))[0, 1]
 
 
-def planar_ends(s1: SpinorSection, s2: SpinorSection, tol: float = 1e-8) -> np.ndarray:
+def planar_ends(s1: SpinorSection, s2: SpinorSection) -> np.ndarray:
     """One bool per end, in divisor order: True where the pair has an
     embedded planar end (Lemma ends).
 
     alpha_0 of both sections vanishes and at least one has a pole;
     equivalently res of s1^2, s1 s2, s2^2 all vanish with a pole present.
-    Both are measured against the largest |alpha| of the pair at the end.
+    Both are measured against 1e-8 of the largest |alpha| of the pair at the end.
     """
     mags = np.abs(_shared_basis((s1, s2)).table([s1.coefficients, s2.coefficients])).max(axis=0)
-    bound = tol * np.maximum(mags.max(axis=1), 1e-30)
+    bound = 1e-8 * np.maximum(mags.max(axis=1), 1e-30)
     return (mags[:, 0] > bound) & (mags[:, 1] <= bound)
 
 

@@ -169,11 +169,11 @@ class SurfaceMesh:
     domain_uv: np.ndarray  # (N,) complex chart coordinates
     metadata: dict = field(default_factory=dict)
 
-    def vertex_at(self, u, tol=1e-9):
-        """Index of the mesh vertex at chart coordinate u."""
+    def vertex_at(self, u):
+        """Index of the mesh vertex within 1e-9 of chart coordinate u."""
         d = np.abs(self.domain_uv - complex(u))
         k = int(np.argmin(d))
-        if d[k] > tol:
+        if d[k] > 1e-9:
             raise KeyError(f"no mesh vertex at {u} (closest {d[k]:.2e} away)")
         return k
 
@@ -352,9 +352,9 @@ def quadrature_loop_residual(data: WeierstrassData, grid: GridSpec) -> float:
     return float(np.max(closure[_cell_mask(data, grid, valid)], initial=0.0))
 
 
-def period_vector(data: WeierstrassData, loop: QuadraturePath, rel_tol=1e-9):
+def period_vector(data: WeierstrassData, loop: QuadraturePath):
     """(int s1^2, int s2^2, int s1 s2) along the loop, from one period matrix."""
-    (i11, i12), (_, i22) = period_matrix((data.s1, data.s2), loop, rel_tol)
+    (i11, i12), (_, i22) = period_matrix((data.s1, data.s2), loop, 1e-9)
     return i11, i22, i12
 
 
@@ -651,11 +651,12 @@ def integrate_position(data: WeierstrassData, paths) -> np.ndarray:
     return total
 
 
-def enneper_data(clearance: float = 0.05) -> WeierstrassData:
-    """Enneper data s1 = phi, s2 = z phi on the sphere (no ends)."""
+def enneper_data() -> WeierstrassData:
+    """Enneper data s1 = phi, s2 = z phi on the sphere (no ends, so the
+    default end clearance is 0.05)."""
     s1, s2 = rational_sphere_basis(SphereDomain(ends=EndDivisor(())),
                                    [([1.0], [1.0]), ([0.0, 1.0], [1.0])], ("phi", "z phi"))
-    return WeierstrassData(s1=s1, s2=s2, end_clearance=clearance)
+    return WeierstrassData(s1=s1, s2=s2)
 
 
 def total_curvature_estimate(data: WeierstrassData, grid: GridSpec) -> float:

@@ -6,10 +6,15 @@ Each test prints one PASS/FAIL line per criterion check (run pytest with
 
 import inspect
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from spinorminimal import acceptance
+import spinorminimal
+from spinorminimal import acceptance, moduli, numkit, surface
 from spinorminimal.cli import main
 
 CRITERIA = [
@@ -76,3 +81,37 @@ def test_the_verify_report_carries_each_detail(crashing_arf, tmp_path, capsys):
     assert rows[0]["detail"] == "ZeroDivisionError: complex division by zero (seed 7)"
     assert [r["detail"] for r in rows] == [r.detail for r in acceptance.run("arf", seed=7)]
     assert all(r["detail"] for r in rows[1:])
+
+
+def test_the_gate_does_not_import_the_cli():
+    # the construction table lives in moduli, below both the gate and the CLI
+    env = dict(os.environ, PYTHONPATH=str(Path(spinorminimal.__file__).parents[1]))
+    code = "import sys, spinorminimal.acceptance; print('spinorminimal.cli' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout == "False\n"
+
+
+def _count_everywhere(count_calls, module, name):
+    """count_calls on every package module that binds module.name."""
+    fn = getattr(module, name)
+    return [count_calls(m, name) for m in list(sys.modules.values())
+            if m is not None and m.__name__.startswith("spinorminimal")
+            and getattr(m, name, None) is fn]
+
+
+def test_the_klein4_suite_builds_through_the_table_and_cuts_the_rank_once(count_calls):
+    builds = count_calls(moduli, "klein4_construct")
+    ranks = _count_everywhere(count_calls, numkit, "skew_rank_kernel")
+    results = acceptance.run("klein4")
+    assert results and all(r.passed for r in results)
+    # 9c reads the rank that klein4_construct cut
+    assert len(builds) == 1 and sum(map(len, ranks)) == 1
+
+
+def test_the_geometry_suite_meshes_each_construction_once(count_calls):
+    meshes = _count_everywhere(count_calls, surface, "integrate_surface")
+    results = acceptance.criterion_10_geometry()
+    assert results and all(r.passed for r in results)
+    # enneper, sphere-4 (shared by 10b and 10e) and torus-4
+    assert sorted(grid.nx for calls in meshes for _, grid, _ in calls) == [33, 61, 65]

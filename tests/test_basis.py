@@ -9,7 +9,7 @@ from numpy.polynomial import polynomial as P
 
 from spinorminimal import cli, elliptic, spinor, surface
 from spinorminimal.elliptic import PoleEvaluationError, build_context, wp, wp_prime, zeta
-from spinorminimal.moduli import klein4_construct, torus4_construct
+from spinorminimal.moduli import CONSTRUCTIONS, klein4_construct, torus4_construct
 from spinorminimal.numkit import QuadraturePath
 from spinorminimal.spinor import (
     INF,
@@ -372,7 +372,7 @@ class TestDistanceCalls:
         ("torus4", {"omega1": 1 + 0.4j, "omega3": 1 - 0.4j}, 1, 2 + 4),
     ])
     def test_budget(self, count_calls, name, build, construct, mesh):
-        entry = cli.CONSTRUCTIONS[name]
+        entry = CONSTRUCTIONS[name]
         calls = count_calls(elliptic.EllipticContext, "lattice_distance")
         built = entry.build(**build)
         # klein4: the ends' placement, the end check and the probe; torus4:

@@ -15,7 +15,6 @@ from spinorminimal.moduli import (
     klein_det_w_closed,
     klein_det_w_factored,
     mobius_strip_spinor,
-    rp2_apply,
     rp2_boundary_point,
     rp2_slice,
     rp2_symmetry_group,
@@ -141,7 +140,7 @@ class TestRP2:
             c = tuple(rng.uniform(-1, 1, 3))
             v = rp2_variety(c)
             for g in RP2_GROUP:
-                assert rp2_variety(rp2_apply(g, c)) == pytest.approx(v, abs=1e-12)
+                assert rp2_variety(g @ c) == pytest.approx(v, abs=1e-12)
 
     def test_stabilizers(self):
         assert rp2_symmetry_group(rp2_boundary_point("Z2xZ2")) == "Z2xZ2"
@@ -229,7 +228,7 @@ class TestRP2Arrays:
         assert RP2_GROUP.shape == (24, 3, 3)
         c = (0.3, -0.7, 0.11)
         for g, element in zip(RP2_GROUP, _ORACLE_GROUP):
-            assert tuple(rp2_apply(g, c)) == _oracle_apply(element, c)
+            assert tuple(g @ c) == _oracle_apply(element, c)
         # g g = 1 exactly for the elements of order 1 and 2
         assert [np.array_equal(g @ g, np.eye(3)) for g in RP2_GROUP] \
             == [_oracle_element_order(e) <= 2 for e in _ORACLE_GROUP]

@@ -14,7 +14,7 @@ import pytest
 
 import spinorminimal
 from spinorminimal import reportio, surface
-from spinorminimal.cli import CONSTRUCTIONS
+from spinorminimal.moduli import CONSTRUCTIONS
 from spinorminimal.reportio import ReportValueError, write_report
 from spinorminimal.surface import GridSpec, export_csv, export_obj
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spinorminimal.cli import CONSTRUCTIONS
+from spinorminimal.moduli import CONSTRUCTIONS
 from spinorminimal.elliptic import build_context
 from spinorminimal import moduli, spinor
 from spinorminimal.moduli import (

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from spinorminimal import surface
-from spinorminimal.cli import CONSTRUCTIONS
+from spinorminimal.moduli import CONSTRUCTIONS
 
 from spinorminimal.elliptic import build_context
 from spinorminimal.moduli import klein4_construct, sphere4_solve, sphere6_K_basis, torus4_construct

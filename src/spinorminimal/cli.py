@@ -131,10 +131,9 @@ def cmd_rp2(args) -> int:
         raise ValueError("rp2 takes c1 c2 c3, or no values with --boundary-scan")
     if args.boundary_scan:
         points = moduli.rp2_slice(args.boundary_scan)
-        rows = [{"c": c, "variety": v, "stabilizer": label} for c, v, label in zip(
-            points.tolist(), moduli.rp2_variety(points).tolist(),
-            moduli.rp2_symmetry_group(points))]
-        _emit(args, {"boundary_points": rows, "count": len(rows)}, "rp2-scan")
+        table = reportio.Table({"c": points, "variety": moduli.rp2_variety(points),
+                                "stabilizer": moduli.rp2_symmetry_group(points)})
+        _emit(args, {"boundary_points": table, "count": len(points)}, "rp2-scan")
         return 0
     c = tuple(args.c)
     value = moduli.rp2_variety(c)

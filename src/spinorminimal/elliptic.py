@@ -298,30 +298,31 @@ def build_context(omega1, omega3) -> EllipticContext:
     ctx = EllipticContext(lattice=lat, g2=g2, g3=0.0, e1=0.0, e2=0.0, e3=0.0,
                           eta1=eta1, eta3=eta3, _eta_reduced=(eta_a, eta_b),
                           _theta=_Theta(complex(np.exp(1j * np.pi * tau))))
-    # past the double-precision range the theta terms overflow; _validate
-    # turns the NaN and inf that follow into DegenerateLatticeError
+    # one frame on the half-periods, b1/2 and the ODE points: a frame's
+    # values do not depend on its batch.  Past the double-precision range
+    # the theta terms overflow; _validate turns the NaN and inf that follow
+    # into DegenerateLatticeError
+    rng = np.random.default_rng(7)
+    ode = rng.uniform(0.07, 0.43, 6) * 2 * lat.omega1 + rng.uniform(0.07, 0.43, 6) * 2 * lat.omega3
     with np.errstate(all="ignore"):
-        e1, e2, e3 = (complex(e) for e in wp(
-            ctx, np.array([lat.omega1, lat.omega1 + lat.omega3, lat.omega3])))
+        frame = _theta_frame(ctx, np.concatenate(
+            [[lat.omega1, lat.omega1 + lat.omega3, lat.omega3, w], ode]))
+        values, slopes = frame.wp(), frame.wp_prime(slice(4, None))
+        e1, e2, e3 = (complex(e) for e in values[:3])
         ctx = replace(ctx, g3=4.0 * e1 * e2 * e3, e1=e1, e2=e2, e3=e3)
-        _validate(ctx, wp_w)
+        _validate(ctx, wp_w, complex(values[3]), values[4:], slopes)
     return ctx
 
 
-def _validate(ctx: EllipticContext, wp_w_series: complex):
-    """Check e1+e2+e3 = 0, g2 = -4*sum(ei*ej), the series wp(b1/2) and the
-    wp ODE; raise DegenerateLatticeError naming the first that fails.  A
+def _validate(ctx: EllipticContext, wp_w_series: complex, wp_w: complex, p, dp):
+    """Check e1+e2+e3 = 0, g2 = -4*sum(ei*ej), the series wp(b1/2) against
+    its frame value wp_w and the wp ODE at points where wp and wp' are p
+    and dp; raise DegenerateLatticeError naming the first that fails.  A
     check passes only when its tolerance is finite and its error at most
     that tolerance, so NaN and inf fail."""
     e1, e2, e3, g2 = ctx.e1, ctx.e2, ctx.e3, ctx.g2
     b1, b2 = ctx.lattice.reduced_periods
     scale = max(abs(e1), abs(e2), abs(e3), 1e-300)
-    wp_w = complex(wp(ctx, b1 / 2))
-    rng = np.random.default_rng(7)
-    pts = (rng.uniform(0.07, 0.43, 6) * 2 * ctx.omega1
-           + rng.uniform(0.07, 0.43, 6) * 2 * ctx.omega3)
-    frame = _theta_frame(ctx, pts)
-    p, dp = frame.wp(), frame.wp_prime()
     resid = dp**2 - (4 * p**3 - g2 * p - ctx.g3)
     ode_scale = np.max(np.abs(dp) ** 2 + np.abs(4 * p**3) + abs(g2) * np.abs(p))
     for check, err, tol in (

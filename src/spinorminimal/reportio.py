@@ -10,14 +10,18 @@ ensure_ascii escaping, and a float is written as float.__repr__ writes it.
 Infinity stays: [Infinity, 0.0] encodes the end at infinity.  A NaN is
 refused with a ReportValueError that names its field.
 
-Lists of row dicts (a scan's points, a suite's results) reached through the
-report's dicts are written from one `%` template built from the first row:
-with an indent, `json` encodes in pure Python, which would be most of the
-time of a report of thousands of rows.  A
-list takes the template only if every row has the first row's keys and
+A table of rows reached through the report's dicts is written column by
+column into one `%` template: with an indent, `json` encodes in pure
+Python, which would be most of the time of a report of thousands of rows.
+A table is a Table, {name: column} with a float array or a sequence of str
+per name (a scan's points), or a list of row dicts (a suite's results),
+which is split into its columns.  Within a column each distinct value is
+formatted once, and each row takes its text from there.  A list of row
+dicts takes the template only if every row has the first row's keys and
 each leaf has the first row's exact type there (float, int, bool, str or
 None, or a flat list or tuple of these, of one length).  Any other list,
-and everything else, goes through jsonify and json.dumps.
+and everything else, goes through jsonify and json.dumps, which expands a
+Table to its row dicts.
 """
 
 from __future__ import annotations
@@ -35,7 +39,8 @@ import numpy as np
 
 SCHEMA = "spinor-minimal/1"
 
-__all__ = ["jsonify", "report_text", "write_report", "overwrite", "ReportValueError", "SCHEMA"]
+__all__ = ["Table", "jsonify", "report_text", "write_report", "overwrite", "ReportValueError",
+           "SCHEMA"]
 
 
 class ReportValueError(ValueError):
@@ -80,6 +85,8 @@ def jsonify(obj):
         return out
     if isinstance(obj, np.ndarray):
         return jsonify(obj.tolist())
+    if isinstance(obj, Table):
+        return jsonify(obj.rows())
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
     if isinstance(obj, (int, np.integer)):
@@ -95,10 +102,27 @@ def jsonify(obj):
     return str(obj)
 
 
+class Table:
+    """A list of row dicts held as its columns, {name: column}: a column is
+    a float array, one value per row (1-D) or a fixed-length list per row
+    (2-D), or a sequence of str.  jsonify expands it to its rows."""
+
+    def __init__(self, columns: dict):
+        self.columns = dict(columns)
+        if len(set(map(len, self.columns.values()))) > 1:
+            raise ValueError("the columns of a table differ in length")
+
+    def rows(self) -> list:
+        values = [c.tolist() if isinstance(c, np.ndarray) else list(c)
+                  for c in self.columns.values()]
+        return [dict(zip(self.columns, row)) for row in zip(*values)]
+
+
 # the leaves a template row may hold: values of these exact types, or flat
 # lists or tuples of them
 _SCALARS = (float, int, bool, str, type(None))
 _LITERALS = {True: "true", False: "false", None: "null"}
+_INFINITIES = {"inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _dumps(obj, pad: str) -> str:
@@ -112,12 +136,16 @@ def _is_rows(obj) -> bool:
 
 
 def _holds_rows(obj) -> bool:
-    return _is_rows(obj) or isinstance(obj, dict) and any(map(_holds_rows, obj.values()))
+    return isinstance(obj, Table) or _is_rows(obj) \
+        or isinstance(obj, dict) and any(map(_holds_rows, obj.values()))
 
 
 def _text(obj, pad: str) -> str:
     """The report text of obj at the indentation pad: a dict that holds row
-    lists key by key, a row list by _rows_text, anything else by _dumps."""
+    lists key by key, a Table or a row list by _columns_text, anything else
+    by _dumps."""
+    if isinstance(obj, Table):
+        return _columns_text(obj.columns, pad) or _dumps(obj, pad)
     if _is_rows(obj):
         return _rows_text(obj, pad)
     if not (isinstance(obj, dict) and _holds_rows(obj)):
@@ -128,57 +156,83 @@ def _text(obj, pad: str) -> str:
                                for k in sorted(items)) + "\n" + pad + "}"
 
 
-def _finite(x: float):
-    """x itself when finite, json's text for an infinity; a NaN raises."""
-    if x != x:
-        raise ReportValueError()
-    return x if x - x == 0 else ("Infinity" if x > 0 else "-Infinity")
-
-
 def _rows_text(rows, pad: str) -> str:
-    """The text of a list of row dicts at the indentation pad: one template,
-    built from the first row, filled from a flat tuple of every row's leaves
-    when each row has the first row's keys and leaf types, else _dumps."""
+    """The text of a list of row dicts at the indentation pad: their columns
+    by _columns_text when each row is a dict with the first row's keys,
+    else _dumps."""
     first = rows[0]
     shape = first.keys() if type(first) is dict else ()
-    if not (shape and all(type(k) is str for k in shape) and set(map(type, rows)) == {dict}
-            and all(map(shape.__eq__, map(dict.keys, rows)))):
-        return _dumps(rows, pad)
+    if shape and set(map(type, rows)) == {dict} and all(map(shape.__eq__, map(dict.keys, rows))):
+        text = _columns_text({k: list(map(itemgetter(k), rows)) for k in shape}, pad)
+        if text is not None:
+            return text
+    return _dumps(rows, pad)
+
+
+def _columns_text(columns: dict, pad: str):
+    """The text at the indentation pad of the rows that columns hold, from
+    one template, or None when a column does not fit it.  A column fits
+    when it holds a leaf per row, each of one exact type (float, int,
+    bool, str or None; a float array), or a list or tuple of such leaves
+    per row, of one type and length (a 2-D array)."""
+    count = len(next(iter(columns.values()), ()))
+    if not count or not all(type(k) is str for k in columns):
+        return None
     row_pad, key_pad = pad + "  ", pad + "    "
-    columns, fields = [], []  # one column per %s of the template
-    for k in sorted(shape):
-        column = list(map(itemgetter(k), rows))
-        kind = type(column[0])
-        field = f"{key_pad}{_quote(k).replace('%', '%%')}: "
-        if kind is list or kind is tuple:
-            n = len(column[0])
+    texts, fields = [], []  # one text column per %s of the template
+    for k in sorted(columns):
+        column = columns[k]
+        if isinstance(column, np.ndarray):
+            parts = list(column.T) if column.ndim == 2 else None
+        elif type(column[0]) in (list, tuple):
+            kind, n = type(column[0]), len(column[0])
             if set(map(type, column)) != {kind} or set(map(len, column)) != {n}:
-                return _dumps(rows, pad)
-            columns += zip(*column)
-            field += ("[\n" + ",\n".join([key_pad + "  %s"] * n) + "\n" + key_pad + "]"
-                      if n else "[]")
+                return None
+            parts = list(zip(*column))
         else:
-            columns.append(column)
-            field += "%s"
-        fields.append(field)
-    for j, column in enumerate(columns):
-        kind = type(column[0])
-        if kind not in _SCALARS or set(map(type, column)) != {kind}:
-            return _dumps(rows, pad)
-        # %s writes a float as float.__repr__ and an int as int.__repr__,
-        # which are json's texts; a sum that is not finite flags an infinity
-        # or a NaN (or finite floats whose sum overflows)
-        if kind is float:
-            total = sum(column)
-            if total - total != 0:
-                columns[j] = list(map(_finite, column))
-        elif kind is str:
-            columns[j] = list(map(_quote, column))
-        elif kind is not int:
-            columns[j] = list(map(_LITERALS.__getitem__, column))
+            parts = None
+        field = f"{key_pad}{_quote(k).replace('%', '%%')}: "
+        if parts is None:
+            texts.append(_leaf_texts(column))
+            fields.append(field + "%s")
+        else:
+            texts += map(_leaf_texts, parts)
+            fields.append(field + ("[\n" + ",\n".join([key_pad + "  %s"] * len(parts)) + "\n"
+                                   + key_pad + "]" if parts else "[]"))
+    if None in texts:
+        return None
     template = row_pad + "{\n" + ",\n".join(fields) + "\n" + row_pad + "}"
-    leaves = tuple(chain.from_iterable(zip(*columns)))
-    return "[\n" + ",\n".join([template] * len(rows)) % leaves + "\n" + pad + "]"
+    leaves = tuple(chain.from_iterable(zip(*texts)))
+    return "[\n" + ",\n".join([template] * count) % leaves + "\n" + pad + "]"
+
+
+def _leaf_texts(column):
+    """json's text of each leaf of column, each distinct value formatted
+    once, or None unless every leaf has the first one's type and that is a
+    template leaf type, or column is a 1-D float array."""
+    if isinstance(column, np.ndarray) and column.ndim == 1 and column.dtype.kind == "f":
+        return _float_texts(column)
+    kind = type(column[0])
+    if kind not in _SCALARS or set(map(type, column)) != {kind}:
+        return None
+    if kind is float:
+        return _float_texts(np.array(column))
+    text = _quote if kind is str else repr if kind is int else _LITERALS.__getitem__
+    texts = {v: text(v) for v in set(column)}
+    return list(map(texts.__getitem__, column))
+
+
+def _float_texts(x: np.ndarray) -> list:
+    """float.__repr__ of each value of the 1-D float array x, Infinity and
+    -Infinity for the infinities, each distinct value formatted once; a NaN
+    raises.  The values are told apart by their bits, so -0.0 keeps its
+    sign, which np.unique of the floats would fold into 0.0."""
+    bits, inverse = np.unique(x.astype(float, copy=False).view(np.int64), return_inverse=True)
+    values = bits.view(float)
+    if np.isnan(values).any():
+        raise ReportValueError()
+    texts = [_INFINITIES.get(t, t) for t in map(repr, values.tolist())]
+    return np.array(texts, dtype=object).take(inverse).tolist()
 
 
 def report_text(payload: dict) -> str:

@@ -164,7 +164,7 @@ class GridSpec:
 @dataclass
 class SurfaceMesh:
     vertices: np.ndarray  # (N, 3) real
-    faces: np.ndarray  # (M, 3) int, 0-based
+    faces: np.ndarray  # (M, 3) int32, 0-based
     gauss: np.ndarray  # (N, 3) unit normals
     domain_uv: np.ndarray  # (N,) complex chart coordinates
     metadata: dict = field(default_factory=dict)
@@ -264,8 +264,11 @@ def integrate_surface(data: WeierstrassData, grid: GridSpec, basepoint) -> Surfa
     if abs(U.flat[root] - base) > 1e-9 * max(1.0, abs(base)):
         raise ValueError("basepoint must be a grid vertex")
 
-    index = np.cumsum(valid) - 1
-    uvs = U[valid]
+    # int32 indices and faces, and the full grid dropped once read: the
+    # peak then does not depend on what the heap held before
+    index = np.cumsum(valid, dtype=np.int32) - 1
+    uvs, ny, start = U[valid], U.shape[1], U.flat[root:root + 1]
+    del U
     s1, s2 = data.s1, data.s2
     prim = form_primitive(((s1, s1), (s2, s2), (s1, s2)))
     points = chart_points((s1, s2), prim)
@@ -279,10 +282,11 @@ def integrate_surface(data: WeierstrassData, grid: GridSpec, basepoint) -> Surfa
         if lead:
             # the root leads the first block: its Phi comes from that call,
             # not from a call of its own (one more theta frame on a torus)
-            pts = np.concatenate([U.flat[root:root + 1], pts])
+            pts = np.concatenate([start, pts])
         at = points(pts)
         f1, f2 = section_values((s1, s2), at)
-        products = np.stack([f1 * f1, f2 * f2, f1 * f2]) * data.domain.form_weight(at)
+        products = np.stack([f1 * f1, f2 * f2, f1 * f2])
+        products *= data.domain.form_weight(at)
         phi, form, size = prim.evaluate(at)
         del at  # the frame goes with its block, before the next one is taken
         identity = np.maximum(identity, np.max(
@@ -294,7 +298,6 @@ def integrate_surface(data: WeierstrassData, grid: GridSpec, basepoint) -> Surfa
         lo, hi = np.minimum(lo, x.min(axis=1)), np.maximum(hi, x.max(axis=1))
         gauss[k:k + _BLOCK] = _normals(f1[lead:], f2[lead:])
 
-    ny = U.shape[1]
     cell = _cell_mask(data, grid, valid).ravel()
     faces = np.empty((2 * np.count_nonzero(cell), 3), index.dtype)
     resid, done = 0.0, 0

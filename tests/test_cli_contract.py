@@ -21,7 +21,7 @@ from hypothesis import example, given, settings, strategies as st
 import spinorminimal
 from spinorminimal import reportio
 from spinorminimal.cli import build_parser, main
-from spinorminimal.reportio import SCHEMA, ReportValueError, jsonify, report_text
+from spinorminimal.reportio import SCHEMA, ReportValueError, Table, jsonify, report_text
 from spinorminimal.spinor import INF
 
 OPTIONS = {
@@ -316,13 +316,36 @@ def _rows(draw):
     return rows
 
 
+@st.composite
+def _table(draw):
+    """A Table of 0 to 5 rows: float columns, 1-D or 2-D, drawn from a few
+    values so that they repeat, ±0.0 and ±inf among them, str columns drawn
+    the same way, and now and then an int or complex array, which the
+    template does not take."""
+    rows = draw(st.integers(0, 5))
+    floats = draw(st.lists(FLOAT, min_size=1, max_size=3)) + [0.0, -0.0, math.inf, -math.inf]
+    texts = draw(st.lists(TEXT, min_size=1, max_size=3))
+
+    def column(kind):
+        if kind == "str":
+            return [draw(st.sampled_from(texts)) for _ in range(rows)]
+        shape = (rows, draw(st.integers(0, 3))) if kind == "float-lists" else (rows,)
+        leaf = st.integers(-2, 2) if kind == "int" else st.sampled_from(floats)
+        values = np.array([draw(leaf) for _ in range(np.prod(shape))], dtype=float)
+        return values.reshape(shape).astype({"int": np.int64, "complex": complex}.get(kind, float))
+    kinds = st.sampled_from(["float", "float-lists", "str", "int", "complex"])
+    return Table({k: column(kind) for k, kind in draw(st.dictionaries(TEXT, kinds, max_size=4))
+                  .items()})
+
+
 LEAF = st.one_of(*LEAVES.values(), FLOAT.map(np.float64), st.builds(complex, FLOAT, FLOAT))
-VALUE = st.recursive(LEAF | st.lists(LEAF, max_size=3) | _rows() | st.just([]) | st.just({}),
+VALUE = st.recursive(LEAF | st.lists(LEAF, max_size=3) | _rows() | _table() | st.just([])
+                     | st.just({}),
                      lambda inner: st.dictionaries(TEXT, inner, max_size=4), max_leaves=12)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
-@given(payload=st.dictionaries(TEXT, _rows() | VALUE, max_size=5))
+@given(payload=st.dictionaries(TEXT, _rows() | _table() | VALUE, max_size=5))
 def test_report_text_is_the_json_dumps_text(payload):
     assert report_text(payload) == _reference_text(payload)
 
@@ -332,8 +355,19 @@ def _scan_rows(n):
             for k in range(n)]
 
 
-@pytest.mark.parametrize("row, field, where", [(17, "variety", "17.variety"), (3, "c", "3.c.2")])
-def test_a_nan_in_a_row_is_named(row, field, where):
+def _columns(rows):
+    """rows as a Table, as cmd_rp2 passes them."""
+    return Table({"c": np.array([row["c"] for row in rows]),
+                  "variety": np.array([row["variety"] for row in rows]),
+                  "stabilizer": [row["stabilizer"] for row in rows]})
+
+
+@pytest.mark.parametrize("row, field, where, table", [
+    pytest.param(17, "variety", "17.variety", list, id="17-variety-17.variety"),
+    pytest.param(3, "c", "3.c.2", list, id="3-c-3.c.2"),
+    pytest.param(17, "variety", "17.variety", _columns, id="table-17-variety-17.variety"),
+    pytest.param(3, "c", "3.c.2", _columns, id="table-3-c-3.c.2")])
+def test_a_nan_in_a_row_is_named(row, field, where, table):
     rows = _scan_rows(20)
     if field == "c":
         rows[row]["c"][2] = math.nan
@@ -341,7 +375,7 @@ def test_a_nan_in_a_row_is_named(row, field, where):
         rows[row][field] = math.nan
     with pytest.raises(ReportValueError,
                        match=rf"^report field boundary_points\.{re.escape(where)} is NaN$"):
-        report_text({"boundary_points": rows, "count": len(rows)})
+        report_text({"boundary_points": table(rows), "count": len(rows)})
 
 
 @pytest.mark.parametrize("value", [np.float64(0.1), math.inf, -math.inf],

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from spinorminimal import elliptic
 from spinorminimal.acceptance import ACCEPTANCE_LATTICES
 from spinorminimal.elliptic import (
     DegenerateLatticeError,
@@ -51,6 +52,18 @@ class TestBuildContext:
     def test_e_at_half_periods(self, ctx):
         for i in (1, 2, 3):
             assert wp(ctx, ctx.half_period(i)) == pytest.approx(ctx.e(i), abs=1e-10 * max(1, abs(ctx.e(i))))
+
+    def test_one_theta_frame_per_build(self, ctx, count_calls):
+        # the half-periods, b1/2 and the ODE points share one frame, and a
+        # frame's values do not depend on its batch: each e_i is bitwise wp
+        # at its half-period, alone and in one batch of the three
+        frames = count_calls(elliptic, "_theta_frame")
+        built = build_context(ctx.omega1, ctx.omega3)
+        assert len(frames) == 1
+        e = np.array([built.e1, built.e2, built.e3])
+        half = np.array([built.half_period(i) for i in (1, 2, 3)])
+        assert e.tobytes() == wp(built, half).tobytes()
+        assert e.tobytes() == np.array([wp(built, h) for h in half]).tobytes()
 
     def test_square_lattice_symmetry(self):
         ctx = build_context(1.0, 1.0j)

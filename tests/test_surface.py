@@ -546,6 +546,7 @@ class TestBlocks:
         cell &= ~held
         i, j = np.nonzero(cell)
         a, b, c, d = index[i, j], index[i + 1, j], index[i + 1, j + 1], index[i, j + 1]
+        assert mesh.faces.dtype == np.int32
         assert np.array_equal(mesh.faces, np.stack([a, b, c, a, c, d], axis=1).reshape(-1, 3))
         X = np.zeros(valid.shape + (3,))
         X[valid] = mesh.vertices

@@ -323,7 +323,7 @@ def criterion_10_geometry(seed=0):
     null = float(np.max(np.abs(np.sum(w * w, axis=0)) / np.max(np.abs(w)) ** 2))
     out.append(_check("10c null-curve identity omega . omega", null, 1e-10))
     a = fam.ends.points[0]
-    base = sphere4.basepoint(data.domain, grid61.nx)
+    base = sphere4.basepoint(data.domain, grid61)
 
     def plane_residual(radius):
         thetas = np.linspace(0.0, 2 * np.pi, 12, endpoint=False)
@@ -401,7 +401,7 @@ SUITES["acceptance"] = [f for fs in SUITES.values() for f in fs]
 def run(suite: str = "acceptance", seed: int = 0):
     """Run a named suite; returns a list of CheckResult."""
     if suite not in SUITES:
-        raise KeyError(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
+        raise ValueError(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
     results = []
     for fn in SUITES[suite]:
         try:

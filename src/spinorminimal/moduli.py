@@ -798,20 +798,30 @@ def klein4_construct(tol: float = 1e-8) -> KleinFourEnd:
 # ---------------------------------------------------------------------------
 
 def _lattice_point(fx, fy):
-    """The vertex of an n x n torus grid at the lattice fractions (fx, fy),
-    each snapped to the nearest grid line."""
-    def basepoint(domain, n):
+    """The vertex of a torus grid at the lattice fractions (fx, fy), each
+    snapped to the nearest grid line."""
+    def basepoint(domain, grid: GridSpec):
         ctx = domain.ctx
-        return (round((n - 1) * fx) / (n - 1) * 2 * ctx.omega1
-                + round((n - 1) * fy) / (n - 1) * 2 * ctx.omega3)
+        return (round((grid.nx - 1) * fx) / (grid.nx - 1) * 2 * ctx.omega1
+                + round((grid.ny - 1) * fy) / (grid.ny - 1) * 2 * ctx.omega3)
+    return basepoint
+
+
+def _chart_point(u):
+    """The vertex of a sphere-chart grid nearest the chart point u."""
+    def basepoint(domain, grid: GridSpec):
+        xs = np.linspace(-grid.extent, grid.extent, grid.nx)
+        ys = np.linspace(-grid.extent, grid.extent, grid.ny)
+        return complex(xs[np.argmin(np.abs(xs - u.real))], ys[np.argmin(np.abs(ys - u.imag))])
     return basepoint
 
 
 @dataclass(frozen=True)
 class Construction:
     """How a named construction is built, the spinor pair it meshes, and
-    the basepoint rule (domain, grid size) -> chart point of its meshes:
-    a fixed sphere-chart point, or lattice fractions on a torus."""
+    the basepoint rule (domain, grid) -> chart point of its meshes: the
+    grid vertex nearest a fixed sphere-chart point, or lattice fractions
+    on a torus."""
 
     build: Callable
     pair: Callable
@@ -824,18 +834,18 @@ class Construction:
     def mesh(self, built, grid: GridSpec, eps=None):
         """The closed-form mesh of the built construction on the grid."""
         data = self.weierstrass(built, eps)
-        return integrate_surface(data, grid, self.basepoint(data.domain, grid.nx))
+        return integrate_surface(data, grid, self.basepoint(data.domain, grid))
 
 
 # builds look their function up among this module's globals at call time,
 # so that a function replaced on the module (a wrapper or a test double)
 # is the one called
 CONSTRUCTIONS = {
-    "enneper": Construction(enneper_data, lambda d: (d.s1, d.s2), lambda dom, n: 0.0),
+    "enneper": Construction(enneper_data, lambda d: (d.s1, d.s2), _chart_point(0j)),
     "sphere4": Construction(lambda tol=1e-9: sphere4_solve(tol),
-                            lambda fam: fam.K_basis, lambda dom, n: -1.0 - 1.0j),
+                            lambda fam: fam.K_basis, _chart_point(-1.0 - 1.0j)),
     "sphere6": Construction(lambda sigma, tol=1e-8: sphere6_K_basis(sigma, tol),
-                            lambda built: built[0], lambda dom, n: -1.5 - 1.5j),
+                            lambda built: built[0], _chart_point(-1.5 - 1.5j)),
     "torus4": Construction(lambda omega1=1.0, omega3=1.0j, choice=(1, 2, 3):
                            torus4_construct(build_context(omega1, omega3), choice),
                            lambda t4: (t4.s1, t4.s2), _lattice_point(0.5, 0.25)),

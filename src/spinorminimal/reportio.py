@@ -10,18 +10,14 @@ ensure_ascii escaping, and a float is written as float.__repr__ writes it.
 Infinity stays: [Infinity, 0.0] encodes the end at infinity.  A NaN is
 refused with a ReportValueError that names its field.
 
-A table of rows reached through the report's dicts is written column by
+A Table reached through the report's dicts, {name: column} with a float
+array or a list of str per name (a scan's points), is written column by
 column into one `%` template: with an indent, `json` encodes in pure
 Python, which would be most of the time of a report of thousands of rows.
-A table is a Table, {name: column} with a float array or a sequence of str
-per name (a scan's points), or a list of row dicts (a suite's results),
-which is split into its columns.  Within a column each distinct value is
-formatted once, and each row takes its text from there.  A list of row
-dicts takes the template only if every row has the first row's keys and
-each leaf has the first row's exact type there (float, int, bool, str or
-None, or a flat list or tuple of these, of one length).  Any other list,
-and everything else, goes through jsonify and json.dumps, which expands a
-Table to its row dicts.
+Within a column each distinct value is formatted once, and each row takes
+its text from there.  Only a Table is templated: a list of row dicts (a
+suite's results), a Table with any other column, and everything else go
+through jsonify and json.dumps, which expands a Table to its row dicts.
 """
 
 from __future__ import annotations
@@ -32,7 +28,6 @@ import os
 import stat
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -103,9 +98,11 @@ def jsonify(obj):
 
 
 class Table:
-    """A list of row dicts held as its columns, {name: column}: a column is
-    a float array, one value per row (1-D) or a fixed-length list per row
-    (2-D), or a sequence of str.  jsonify expands it to its rows."""
+    """A list of row dicts held as its columns, {name: column}, the one
+    value a report writes from a template: a column is a float array, one
+    value per row (1-D) or a fixed-length list per row (2-D), or a list of
+    str.  jsonify expands it to its rows, and a Table with another column
+    is written through them."""
 
     def __init__(self, columns: dict):
         self.columns = dict(columns)
@@ -118,37 +115,23 @@ class Table:
         return [dict(zip(self.columns, row)) for row in zip(*values)]
 
 
-# the leaves a template row may hold: values of these exact types, or flat
-# lists or tuples of them
-_SCALARS = (float, int, bool, str, type(None))
-_LITERALS = {True: "true", False: "false", None: "null"}
-_INFINITIES = {"inf": "Infinity", "-inf": "-Infinity"}
-
-
 def _dumps(obj, pad: str) -> str:
     """The json.dumps text of jsonify(obj), for a value whose lines sit at
     the indentation pad."""
     return json.dumps(jsonify(obj), sort_keys=True, indent=2).replace("\n", "\n" + pad)
 
 
-def _is_rows(obj) -> bool:
-    return isinstance(obj, (list, tuple)) and len(obj) > 0 and isinstance(obj[0], dict)
-
-
-def _holds_rows(obj) -> bool:
-    return isinstance(obj, Table) or _is_rows(obj) \
-        or isinstance(obj, dict) and any(map(_holds_rows, obj.values()))
+def _holds_table(obj) -> bool:
+    return isinstance(obj, Table) \
+        or isinstance(obj, dict) and any(map(_holds_table, obj.values()))
 
 
 def _text(obj, pad: str) -> str:
-    """The report text of obj at the indentation pad: a dict that holds row
-    lists key by key, a Table or a row list by _columns_text, anything else
-    by _dumps."""
+    """The report text of obj at the indentation pad: a dict that holds a
+    Table key by key, a Table by _columns_text, anything else by _dumps."""
     if isinstance(obj, Table):
         return _columns_text(obj.columns, pad) or _dumps(obj, pad)
-    if _is_rows(obj):
-        return _rows_text(obj, pad)
-    if not (isinstance(obj, dict) and _holds_rows(obj)):
+    if not (isinstance(obj, dict) and _holds_table(obj)):
         return _dumps(obj, pad)
     items = {str(k): v for k, v in obj.items()}
     inner = pad + "  "
@@ -156,25 +139,10 @@ def _text(obj, pad: str) -> str:
                                for k in sorted(items)) + "\n" + pad + "}"
 
 
-def _rows_text(rows, pad: str) -> str:
-    """The text of a list of row dicts at the indentation pad: their columns
-    by _columns_text when each row is a dict with the first row's keys,
-    else _dumps."""
-    first = rows[0]
-    shape = first.keys() if type(first) is dict else ()
-    if shape and set(map(type, rows)) == {dict} and all(map(shape.__eq__, map(dict.keys, rows))):
-        text = _columns_text({k: list(map(itemgetter(k), rows)) for k in shape}, pad)
-        if text is not None:
-            return text
-    return _dumps(rows, pad)
-
-
 def _columns_text(columns: dict, pad: str):
     """The text at the indentation pad of the rows that columns hold, from
     one template, or None when a column does not fit it.  A column fits
-    when it holds a leaf per row, each of one exact type (float, int,
-    bool, str or None; a float array), or a list or tuple of such leaves
-    per row, of one type and length (a 2-D array)."""
+    when it is a float array, 1-D or 2-D, or a list of str."""
     count = len(next(iter(columns.values()), ()))
     if not count or not all(type(k) is str for k in columns):
         return None
@@ -182,44 +150,27 @@ def _columns_text(columns: dict, pad: str):
     texts, fields = [], []  # one text column per %s of the template
     for k in sorted(columns):
         column = columns[k]
-        if isinstance(column, np.ndarray):
-            parts = list(column.T) if column.ndim == 2 else None
-        elif type(column[0]) in (list, tuple):
-            kind, n = type(column[0]), len(column[0])
-            if set(map(type, column)) != {kind} or set(map(len, column)) != {n}:
-                return None
-            parts = list(zip(*column))
-        else:
-            parts = None
         field = f"{key_pad}{_quote(k).replace('%', '%%')}: "
-        if parts is None:
-            texts.append(_leaf_texts(column))
-            fields.append(field + "%s")
+        floats = isinstance(column, np.ndarray) and column.dtype.kind == "f"
+        if floats and column.ndim == 2:
+            texts += map(_float_texts, column.T)
+            slots = ",\n".join([key_pad + "  %s"] * column.shape[1])
+            fields.append(field + (f"[\n{slots}\n{key_pad}]" if slots else "[]"))
+            continue
+        if floats and column.ndim == 1:
+            texts.append(_float_texts(column))
+        elif isinstance(column, list) and all(type(v) is str for v in column):
+            quoted = {v: _quote(v) for v in set(column)}
+            texts.append(list(map(quoted.__getitem__, column)))
         else:
-            texts += map(_leaf_texts, parts)
-            fields.append(field + ("[\n" + ",\n".join([key_pad + "  %s"] * len(parts)) + "\n"
-                                   + key_pad + "]" if parts else "[]"))
-    if None in texts:
-        return None
+            return None
+        fields.append(field + "%s")
     template = row_pad + "{\n" + ",\n".join(fields) + "\n" + row_pad + "}"
     leaves = tuple(chain.from_iterable(zip(*texts)))
     return "[\n" + ",\n".join([template] * count) % leaves + "\n" + pad + "]"
 
 
-def _leaf_texts(column):
-    """json's text of each leaf of column, each distinct value formatted
-    once, or None unless every leaf has the first one's type and that is a
-    template leaf type, or column is a 1-D float array."""
-    if isinstance(column, np.ndarray) and column.ndim == 1 and column.dtype.kind == "f":
-        return _float_texts(column)
-    kind = type(column[0])
-    if kind not in _SCALARS or set(map(type, column)) != {kind}:
-        return None
-    if kind is float:
-        return _float_texts(np.array(column))
-    text = _quote if kind is str else repr if kind is int else _LITERALS.__getitem__
-    texts = {v: text(v) for v in set(column)}
-    return list(map(texts.__getitem__, column))
+_INFINITIES = {"inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _float_texts(x: np.ndarray) -> list:

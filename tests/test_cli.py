@@ -150,6 +150,29 @@ class TestMeshGate:
         assert (mesh["loop_residual_max"] >= 1e-6 * mesh["mesh_scale"]) == (code == 2)
         assert obj.exists()
 
+    @pytest.mark.parametrize("argv, point, grid, extent", [
+        (["sphere4", "--mesh", "{obj}", "--grid", "64"], -1 - 1j, 64, 2.0),
+        (["sphere4", "--mesh", "{obj}", "--grid", "66"], -1 - 1j, 66, 2.0),
+        (["sphere4", "--mesh", "{obj}", "--grid", "67"], -1 - 1j, 67, 2.0),
+        (["sphere4", "--mesh", "{obj}", "--extent", "3"], -1 - 1j, 65, 3.0),
+        (["mesh", "enneper", "{obj}", "--grid", "34"], 0j, 34, 2.0),
+    ], ids=["sphere4-grid64", "sphere4-grid66", "sphere4-grid67", "sphere4-extent3",
+            "enneper-grid34"])
+    def test_a_sphere_mesh_starts_at_the_nearest_grid_vertex(self, tmp_path, capsys, argv,
+                                                             point, grid, extent):
+        # the chart point of a sphere construction is a grid vertex only on
+        # some grids; elsewhere its mesh starts at the vertex nearest it
+        obj = tmp_path / "m.obj"
+        assert main([a.replace("{obj}", str(obj)) for a in argv]
+                    + ["--out", str(tmp_path)]) == 0
+        report = json.loads(next(tmp_path.glob("*.json")).read_text())
+        base = complex(*report.get("mesh", report)["basepoint"])
+        xs = np.linspace(-extent, extent, grid)
+        assert base.real in xs and base.imag in xs
+        assert max(abs(base.real - point.real), abs(base.imag - point.imag)) \
+            <= extent / (grid - 1)
+        assert obj.exists()
+
     def test_outputs_identical_across_thread_counts(self, tmp_path, monkeypatch, capsys):
         outputs = []
         for threads in ("1", "2"):

@@ -121,10 +121,11 @@ def _subprocess(argv, d):
                                   ["sphere6", "1e300", "0", "0"],
                                   ["omega", "--domain", "twisted", "--ends=0,0;inf"],
                                   ["torus4", "1", "13j"],
-                                  ["torus4", "1", "30j"]],
+                                  ["torus4", "1", "30j"],
+                                  ["verify", "nosuch"]],
                          ids=["rp2-overflow", "rp2-infinite-value", "sphere6-root-overflow",
                               "twisted-end-at-inf", "torus4-period-rounds-to-0",
-                              "torus4-quadrature-diverges"])
+                              "torus4-quadrature-diverges", "verify-unknown-suite"])
 def test_stderr_holds_only_the_error_line(tmp_path, argv):
     run = _subprocess(argv, tmp_path)
     assert run.returncode == 1
@@ -281,15 +282,14 @@ def _reference_text(payload):
     return json.dumps({"schema": SCHEMA, **jsonify(payload)}, sort_keys=True, indent=2) + "\n"
 
 
-# escapes, a '%' (the row template's format character), non-ASCII and a
+# escapes, a '%' (the Table template's format character), non-ASCII and a
 # character outside the BMP (a surrogate pair under ensure_ascii)
 TEXT = st.text(st.sampled_from('ab%"\\\n\t\x7fé€\U0001d11e'), max_size=4)
 FLOAT = st.floats(allow_nan=False) | st.sampled_from(
     [0.0, -0.0, math.inf, -math.inf, 5e-324, -2.2250738585072014e-308, 1e300, -1e300])
 LEAVES = {"float": FLOAT, "int": st.integers(-2**70, 2**70), "bool": st.booleans(),
           "none": st.none(), "str": TEXT}
-# a value of another type than its field has in the other rows, which
-# leaves the row's list to json.dumps
+# a value of another type than its field has in the other rows
 MISFIT = st.one_of(FLOAT.map(np.float64), st.builds(complex, FLOAT, FLOAT), st.integers(),
                    st.booleans(), FLOAT, st.lists(FLOAT, max_size=2))
 # a row field: a leaf kind, or (kind, length, list or tuple) for a flat list
@@ -299,8 +299,9 @@ FIELD = st.sampled_from(sorted(LEAVES)) | st.tuples(
 
 @st.composite
 def _rows(draw):
-    """Rows of one shape: scalar fields and flat lists of one leaf kind, and
-    now and then one row with another type in one field."""
+    """A list of row dicts of one shape, which reportio writes through
+    json.dumps: scalar fields and flat lists of one leaf kind, and now and
+    then one row with another type in one field."""
     shape = draw(st.dictionaries(TEXT, FIELD, max_size=4))
 
     def value(field):
@@ -320,20 +321,30 @@ def _rows(draw):
 def _table(draw):
     """A Table of 0 to 5 rows: float columns, 1-D or 2-D, drawn from a few
     values so that they repeat, ±0.0 and ±inf among them, str columns drawn
-    the same way, and now and then an int or complex array, which the
-    template does not take."""
+    the same way, and now and then a column the template does not take: an
+    int or complex array, a list of floats, a list of float lists, or a str
+    column that holds one None."""
     rows = draw(st.integers(0, 5))
     floats = draw(st.lists(FLOAT, min_size=1, max_size=3)) + [0.0, -0.0, math.inf, -math.inf]
     texts = draw(st.lists(TEXT, min_size=1, max_size=3))
 
     def column(kind):
-        if kind == "str":
-            return [draw(st.sampled_from(texts)) for _ in range(rows)]
+        if kind in ("str", "str-none"):
+            values = [draw(st.sampled_from(texts)) for _ in range(rows)]
+            if kind == "str-none" and rows:
+                values[draw(st.integers(0, rows - 1))] = None
+            return values
+        if kind == "float-list":
+            return [draw(st.sampled_from(floats)) for _ in range(rows)]
+        if kind == "float-list-lists":
+            n = draw(st.integers(0, 3))
+            return [[draw(st.sampled_from(floats)) for _ in range(n)] for _ in range(rows)]
         shape = (rows, draw(st.integers(0, 3))) if kind == "float-lists" else (rows,)
         leaf = st.integers(-2, 2) if kind == "int" else st.sampled_from(floats)
         values = np.array([draw(leaf) for _ in range(np.prod(shape))], dtype=float)
         return values.reshape(shape).astype({"int": np.int64, "complex": complex}.get(kind, float))
-    kinds = st.sampled_from(["float", "float-lists", "str", "int", "complex"])
+    kinds = st.sampled_from(["float", "float-lists", "str", "int", "complex", "float-list",
+                             "float-list-lists", "str-none"])
     return Table({k: column(kind) for k, kind in draw(st.dictionaries(TEXT, kinds, max_size=4))
                   .items()})
 

@@ -178,7 +178,7 @@ def _sphere6_mesh():
 def _skew_torus4_mesh():
     t4 = CONSTRUCTIONS["torus4"].build(1.0, 0.5 + 0.1j)
     data = CONSTRUCTIONS["torus4"].weierstrass(t4)
-    base = CONSTRUCTIONS["torus4"].basepoint(data.domain, 65)
+    base = CONSTRUCTIONS["torus4"].basepoint(data.domain, GridSpec(nx=65, ny=65))
     return data, base, integrate_surface(data, GridSpec(nx=65, ny=65), base)
 
 

@@ -537,7 +537,7 @@ class TestBlocks:
         data = entry.weierstrass(entry.build())
         monkeypatch.setattr(surface, "_BLOCK", 7)
         mesh = integrate_surface(data, GridSpec(grid, grid),
-                                 entry.basepoint(data.domain, grid))
+                                 entry.basepoint(data.domain, GridSpec(grid, grid)))
         valid = _valid_mask(data, _grid_coordinates(data, GridSpec(grid, grid)))
         index = np.cumsum(valid).reshape(valid.shape) - 1
         cell = valid[:-1, :-1] & valid[1:, :-1] & valid[1:, 1:] & valid[:-1, 1:]
@@ -562,10 +562,11 @@ class TestBlocks:
         monkeypatch.setattr(surface, "_BLOCK", 1024)
         entry = CONSTRUCTIONS[name]
         data = entry.weierstrass(entry.build())
-        integrate_surface(data, GridSpec(17, 17), entry.basepoint(data.domain, 17))
+        warm = GridSpec(17, 17)
+        integrate_surface(data, warm, entry.basepoint(data.domain, warm))
         extra = []
         for n in (65, 129):
-            base = entry.basepoint(data.domain, n)
+            base = entry.basepoint(data.domain, GridSpec(n, n))
             tracemalloc.start()
             try:
                 mesh = integrate_surface(data, GridSpec(n, n), base)

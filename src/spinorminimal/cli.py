@@ -59,10 +59,11 @@ def _emit(args, payload: dict, name: str) -> None:
     if not args.out:
         print(reportio.report_text(payload), end="")
         return
-    path = reportio.write_report(payload, Path(args.out) / f"{name}.json")
+    text = reportio.report_text(payload)
+    path = reportio.overwrite(Path(args.out) / f"{name}.json", (text.encode("ascii"),))
     print(f"wrote {path}")
     if args.json:
-        print(path.read_text(), end="")
+        print(text, end="")
 
 
 def _mesh_gate(mesh) -> int:

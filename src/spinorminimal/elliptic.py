@@ -62,6 +62,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from .numkit import chart_exponent
+
 __all__ = [
     "Lattice",
     "EllipticContext",
@@ -127,11 +129,17 @@ class Lattice:
             b1, b2 = b2, b1
 
     @cached_property
+    def chart_exponent(self) -> int:
+        """numkit.chart_exponent of |b1|/2: the chart scale is 4^m."""
+        return chart_exponent(abs(self.reduced_periods[0]) / 2)
+
+    @cached_property
     def pole_tolerance(self) -> float:
-        """POLE_DISTANCE_TOL * max(1, |b2|): the distance from the lattice
+        """POLE_DISTANCE_TOL * max(s, |b2|) = POLE_DISTANCE_TOL * |b2|, as
+        the chart scale s is at most |b1|: the distance from the lattice
         within which a theta frame, the paired rows and the torus end check
         see a pole."""
-        return POLE_DISTANCE_TOL * max(1.0, abs(self.reduced_periods[1]))
+        return POLE_DISTANCE_TOL * abs(self.reduced_periods[1])
 
     @cached_property
     def _neighbour_offsets(self) -> np.ndarray:

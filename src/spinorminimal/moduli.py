@@ -33,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from .elliptic import EllipticContext, build_context, wp, wp_inverse, wp_prime, wp_with_prime
-from .numkit import ComplexPolynomial, QuadraturePath, pfaffian, poly_roots, skew_rank_kernel
+from .numkit import ComplexPolynomial, QuadraturePath, pfaffian, poly_roots, scale_parts
 from .spinor import (
     INF,
     EndDivisor,
@@ -523,8 +523,11 @@ def torus4_construct(ctx: EllipticContext, choice=(1, 2, 3)) -> TorusFourEnd:
     A = np.array([[ctx.eta1, ctx.omega1], [ctx.eta3, ctx.omega3]], dtype=complex)
     B = np.linalg.solve(A, np.conj(A))
     rhs = B @ np.array([1.0, np.conj(ctx.e(k))])
-    M2 = np.array([[1.0, 1.0], [ctx.e(i), ctx.e(j)]], dtype=complex)
-    xi2, xj2 = np.linalg.solve(M2, rhs)
+    # the e row read in the unit chart, times s^2 for the chart scale s, so
+    # that the solve's pivot, and so x, do not depend on s
+    unit = np.array([1.0, 16.0 ** ctx.lattice.chart_exponent])
+    M2 = scale_parts(np.array([[1.0, 1.0], [ctx.e(i), ctx.e(j)]]), unit[:, None])
+    xi2, xj2 = np.linalg.solve(M2, scale_parts(rhs, unit))
     x_i, x_j = _principal_root(xi2), _principal_root(xj2)
     branch = (ctx.e(k) - ctx.e(i)) * xi2 - (ctx.e(k) - ctx.e(j)) * xj2
 
@@ -716,7 +719,7 @@ def klein4_construct(tol: float = 1e-8) -> KleinFourEnd:
 
     basis = basis_F_torus_untwisted_paired(ctx, 2, half)
     form = omega_matrix(basis)
-    rank, _ = skew_rank_kernel(form.matrix, tol, scale=form.alpha_scale)
+    rank, _ = form.rank_kernel(tol)
     if rank != 4:
         raise ConstructionError(f"rank Omega = {rank}, expected 4 at the quartic root")
     W_num = -2.0 * form.matrix.entries[:4, 4:]
@@ -743,7 +746,7 @@ def klein4_construct(tol: float = 1e-8) -> KleinFourEnd:
         float(np.linalg.norm(form.matrix.entries @ np.asarray(s.coefficients))
               / np.linalg.norm(s.coefficients))
         for s in (s1h, s2h, s3h, s4h))
-    residuals["kernel"] = kernel_res / form.alpha_scale
+    residuals["kernel"] = kernel_res / np.abs(form.matrix.entries).max()
 
     rng = np.random.default_rng(17)
     pts = (rng.uniform(0.04, 0.96, 50) * 2 * ctx.omega1

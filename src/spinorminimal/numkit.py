@@ -12,6 +12,7 @@ set of path points, stopping when every entry is.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -27,6 +28,8 @@ __all__ = [
     "skew_rank_kernel",
     "poly_roots",
     "contour_integral",
+    "chart_exponent",
+    "scale_parts",
 ]
 
 SKEW_CONSTRUCTION_TOL = 1e-12
@@ -163,14 +166,14 @@ def pfaffian(a: SkewMatrix) -> complex:
     return complex(pf)
 
 
-def skew_rank_kernel(a: SkewMatrix, tol: float = 1e-9, scale: float = None):
+def skew_rank_kernel(a: SkewMatrix, tol: float = 1e-9):
     """Even rank of a skew matrix plus an orthonormal kernel basis.
 
-    The cutoff is tol times the largest singular value, or tol times the
-    caller-supplied scale when that is larger (needed when the matrix may
-    consist entirely of rounding noise around zero).  Singular values of
-    a skew-symmetric matrix come in equal pairs, so a threshold that
-    lands inside a pair is resolved by keeping or dropping the pair.
+    The cutoff is tol times the largest singular value, so a matrix of
+    rounding noise around zero must come with that noise set to 0 (as
+    OmegaForm.rank_kernel does).  Singular values of a skew-symmetric
+    matrix come in equal pairs, so a threshold that lands inside a pair is
+    resolved by keeping or dropping the pair.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -178,7 +181,7 @@ def skew_rank_kernel(a: SkewMatrix, tol: float = 1e-9, scale: float = None):
     n = m.shape[0]
     u, s, vh = np.linalg.svd(m)
     smax = s[0] if n else 0.0
-    cut = tol * max(smax, scale if scale is not None else 0.0)
+    cut = tol * smax
     if smax == 0.0 or smax <= cut:
         return 0, [np.eye(n, dtype=complex)[:, j] for j in range(n)]
     rank = int(np.sum(s > cut))
@@ -308,3 +311,18 @@ def contour_integral(f: Callable, path: QuadraturePath,
             return complex(cur) if np.ndim(cur) == 0 else cur
     raise NonConvergenceError(
         f"contour integral did not stabilize to {rel_tol:.1e} within {max_panels} panels")
+
+
+def chart_exponent(length: float) -> int:
+    """m with length / 4^m in [1/2, 2); 0 for 0, inf and NaN."""
+    return math.frexp(length)[1] // 2
+
+
+def scale_parts(z, f):
+    """z times real factors f, which broadcast to its shape, part by part,
+    so that a zero part keeps its sign, which the complex product by f + 0j
+    does not."""
+    out = np.array(z, dtype=complex)
+    out.real *= f
+    out.imag *= f
+    return out

@@ -24,6 +24,9 @@ of sections on one basis from one quadrature, each node evaluating the
 basis rows once.  For pairs whose forms s t have no residues,
 form_primitive gives the primitive of s t in closed form (see FormPrimitive).
 
+Every decision reads magnitudes in the unit chart u / s, those in u times
+exact powers of two (_DomainBase): scaling u by 4^k changes none.
+
 Rows are chart functions f = s/phi_dom, where phi_dom is the family's
 reference spinor: phi^2 = dz on the sphere, phi0^2 = du on the twisted
 torus, phi_r^2 = du/wp_r(u) on the untwisted tori.  Per-end
@@ -49,7 +52,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache, partial
 from typing import Optional
 
@@ -58,7 +61,8 @@ from numpy.polynomial import polynomial as P
 
 from . import elliptic
 from .elliptic import EllipticContext
-from .numkit import QuadraturePath, SkewMatrix, contour_integral, skew_rank_kernel
+from .numkit import (QuadraturePath, SkewMatrix, chart_exponent, contour_integral, scale_parts,
+                     skew_rank_kernel)
 
 __all__ = [
     "INF",
@@ -108,6 +112,8 @@ class EndDivisor:
     """Divisor of distinct marked points; INF is an explicit sphere end."""
 
     points: tuple
+    # numkit.chart_exponent of the finite ends' median modulus, 0 if none
+    chart_exponent: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = tuple(map(complex, self.points))
@@ -118,9 +124,12 @@ class EndDivisor:
         # |a_i - a_j| and |a_i| by hypot, as abs() of a Python complex rounds
         d = np.hypot((a[:, None] - a).real, (a[:, None] - a).imag)
         np.fill_diagonal(d, np.inf)
-        if (d < 1e-12 * max(1.0, np.hypot(a.real, a.imag).max(initial=0.0))).any():
+        r = sorted(np.hypot(a.real, a.imag).tolist()) or [0.0]
+        m = chart_exponent((r[(len(r) - 1) // 2] + r[len(r) // 2]) / 2)
+        if (d < 1e-12 * max(4.0 ** m, r[-1])).any():
             raise ValueError("ends must be pairwise distinct")
         object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "chart_exponent", m)
 
     @property
     def n(self) -> int:
@@ -170,9 +179,31 @@ def _points(dom, u, shifts) -> _Points:
 
 
 class _DomainBase:
+    """Decisions read the unit chart u / s, s = 4^chart_exponent of the
+    lattice or the ends.  Under u -> s u, (alpha_-1, alpha_0) have weights
+    (e, -e) at a finite end and (-e, e) at infinity, e = end_weight."""
+
     ends: EndDivisor
     # the shifts whose frame rows form_weight reads
     weight_shifts = ()
+    end_weight = 0.5
+
+    @property
+    def chart_exponent(self) -> int:
+        return self.ctx.lattice.chart_exponent if self.genus else self.ends.chart_exponent
+
+    @cached_property
+    def column_factors(self) -> np.ndarray:
+        """(ends, 2) exact powers of two s^-w that take each alpha, of weight
+        w, to the unit chart."""
+        w = np.array([[1, -1] if is_infinity(p) else [-1, 1] for p in self.ends.points])
+        w = 2 * self.chart_exponent * self.end_weight * w.reshape(-1, 2)
+        return np.ldexp(1.0, w.astype(int))
+
+    def unit_sizes(self, tables):
+        """|alpha_-1| and |alpha_0| of (..., ends, 2) tables in the unit chart,
+        by hypot, as abs() rounds: the magnitudes every decision reads."""
+        return np.hypot(tables.real, tables.imag) * self.column_factors
 
     def form_weight(self, u):
         """mu(u) in s t = f g mu du: 1 except on the untwisted tori."""
@@ -196,7 +227,7 @@ class _DomainBase:
             ws = [abs(1.0 / q) for q in self.singular_points() if q != 0]
             return 0.25 * min(ws) if ws else 0.5
         ds = self.distance(p, np.array(self.singular_points(), dtype=complex))
-        ds = ds[ds > 1e-12]
+        ds = ds[ds > 1e-12 * 4.0 ** self.chart_exponent]
         return 0.25 * float(np.min(ds)) if ds.size else 0.5
 
     @cached_property
@@ -245,6 +276,7 @@ class UntwistedTorusDomain(_TorusDomain):
     genus = 1
     h_dim = 0
     weight_shifts = (0j,)
+    end_weight = 1.5  # the honest chart d(u - a) / wp_r(a) has weight 3
 
     def wp_r(self, u):
         """wp(u) - e_r, shaped as u: the one place e_r is subtracted; the
@@ -265,15 +297,18 @@ class Basis:
     """Rows of one family spanning F (or some limit sections) over a domain.
 
     laurent is the complex (rows, ends, 2) table T, T[j, k] = (alpha_-1,
-    alpha_0) of row j at the k-th end, or None for rows outside F.  A family
-    adds its row data, _shifts(active), the frame shifts its active rows
-    read, and _rows(active, at, derivative), which yields (j, f_j(u), f_j'(u)
-    or None) for each active j at the flat points of the _Points at.
+    alpha_0) of row j at the k-th end, or None for rows outside F.  weights
+    holds the half-integer w_j with row j on the divisor times s equal to
+    s^w_j times row j, or None for rows of no one weight.  A family adds its
+    row data, _shifts(active), the frame shifts its active rows read, and
+    _rows(active, at, derivative), which yields (j, f_j(u), f_j'(u) or
+    None) for each active j at the flat points of the _Points at.
     """
 
     domain: _DomainBase
     labels: tuple
     laurent: Optional[np.ndarray]
+    weights: Optional[np.ndarray]
 
     def members(self):
         """The basis sections: unit coefficient rows."""
@@ -292,6 +327,11 @@ class Basis:
             raise SectionDataError("the basis rows carry no Laurent data")
         C = np.asarray(coefficients, dtype=complex).reshape(-1, len(self.labels))
         return np.sum(C[:, :, None, None] * self.laurent, axis=1)
+
+    @property
+    def row_factors(self) -> np.ndarray:
+        """s^-w_j: they take the rows to those of the unit chart."""
+        return np.ldexp(1.0, (-2 * self.domain.chart_exponent * self.weights).astype(int))
 
     def evaluate(self, coefficients, u, derivative=False):
         """Sections with the given coefficient rows at u, shape (rows,) + u.shape;
@@ -477,12 +517,6 @@ def _shared_basis(sections) -> Basis:
     return basis
 
 
-def _end_sizes(tables):
-    """|alpha_-1| + |alpha_0| at each end, by hypot, as abs() rounds; the
-    alpha scales of pairs, sums of their products, size Omega and residues."""
-    return np.hypot(tables.real, tables.imag).sum(axis=-1)
-
-
 def section_values(sections, u, derivative=False):
     """Sections on one basis evaluated in one pass: shape (len(sections),) +
     u.shape, and (values, derivatives) when derivative is set.  u may come
@@ -578,10 +612,11 @@ def form_primitive(pairs) -> FormPrimitive:
     tables = basis.table([[x.coefficients for x in pair] for pair in pairs]).reshape(
         len(pairs), 2, dom.ends.n, 2)
     s, t = tables[:, 0], tables[:, 1]
-    # res_k(s t) = alpha_-1(s) alpha_0(t) + alpha_0(s) alpha_-1(t), relative
-    # to the pair's alpha scale
+    # res_k(s t) = alpha_-1(s) alpha_0(t) + alpha_0(s) alpha_-1(t), the same
+    # in every chart, relative to the pair's alpha scale in the unit chart
     res = np.einsum("pkl,pkl->pk", s, t[..., ::-1])
-    scale = np.einsum("pk,pk->p", _end_sizes(s), _end_sizes(t))
+    size = dom.unit_sizes(tables).sum(axis=-1)
+    scale = np.einsum("pk,pk->p", size[:, 0], size[:, 1])
     res = np.hypot(res.real, res.imag) / np.maximum(scale, 1e-30)[:, None]
     if not np.all(res <= LOG_END_TOL):
         p, k = np.unravel_index(np.argmax(res), res.shape)
@@ -609,16 +644,12 @@ def form_primitive(pairs) -> FormPrimitive:
 class OmegaForm:
     """Matrix of Omega on the members of one basis of F; kernel vectors are
     coefficients on that basis, and the known H subspace is spanned by its
-    leading h_dim members (phi0 on the twisted torus).
-
-    alpha_scale is the natural magnitude Omega entries would have for this
-    basis; rank decisions measure against it so that an Omega that is pure
-    rounding noise is recognized as the zero form.
+    leading h_dim members (phi0 on the twisted torus).  Its rank is read
+    in the unit chart (rank_kernel).
     """
 
     matrix: SkewMatrix
     basis: tuple
-    alpha_scale: float = 1.0
 
     @property
     def divisor(self) -> EndDivisor:
@@ -627,6 +658,19 @@ class OmegaForm:
     @property
     def h_dim(self) -> int:
         return self.basis[0].domain.h_dim
+
+    def rank_kernel(self, tol: float):
+        """skew_rank_kernel of Omega_n = D Omega D, D the row_factors: the
+        Omega of the unit-chart rows.  Its entries at most tol times their
+        pair's alpha scale (_omega_table) are rounding, set to 0, so an Omega
+        of rounding alone has rank 0.  Kernel vectors are on the unit-chart
+        rows."""
+        rows = self.basis[0].basis
+        d = rows.row_factors
+        sizes = rows.domain.unit_sizes(rows.laurent).sum(axis=-1) * d[:, None]
+        omega = scale_parts(self.matrix.entries, np.outer(d, d))
+        omega[np.abs(omega) <= tol * np.einsum("ik,jk->ij", sizes, sizes)] = 0.0
+        return skew_rank_kernel(SkewMatrix(omega), tol)
 
 
 def sigma_map(z1, z2):
@@ -662,27 +706,28 @@ def spin_cover(a):
     return complex(det), t / det
 
 
-def _omega_table(tables):
-    """Raw M[i, j] = sum over ends of alpha_0(s_i) alpha_-1(s_j) and alpha
-    scales S[i, j] of stacked tables.  Off the diagonal M + M^T holds the
-    residue sums of the forms s_i s_j: above 1e-8 S, or NaN, the data is
-    inconsistent."""
+def _omega_table(basis, coefficients):
+    """Raw M[i, j] = sum over ends of alpha_0(s_i) alpha_-1(s_j) of the
+    sections with the coefficient rows.  Off the diagonal M + M^T holds the
+    residue sums of the forms s_i s_j: above 1e-8 of the pair's alpha scale,
+    the sum over ends of the products of their unit_sizes summed, or NaN,
+    the data is inconsistent."""
+    tables = basis.table(coefficients)
     M = np.einsum("ik,jk->ij", tables[..., 1], tables[..., 0])
-    B = _end_sizes(tables)
-    S = np.einsum("ik,jk->ij", B, B)
+    B = basis.domain.unit_sizes(tables).sum(axis=-1)
     res_sum = np.abs(M + M.T)
-    bad = ~(res_sum <= 1e-8 * S)
+    bad = ~(res_sum <= 1e-8 * np.einsum("ik,jk->ij", B, B))
     np.fill_diagonal(bad, False)
     if bad.any():
         raise SectionDataError(f"residue sum {res_sum[bad][0]:.2e} over ends is not zero")
-    return M, S
+    return M
 
 
 def omega_pair(s: SpinorSection, t: SpinorSection):
     """Omega(s, t) = sum over ends of alpha_0(s) alpha_-1(t), for sections on
     one basis: the two-section case of omega_matrix's contraction, before
     antisymmetrizing, with the same residue-sum check."""
-    return _omega_table(_shared_basis((s, t)).table([s.coefficients, t.coefficients]))[0][0, 1]
+    return _omega_table(_shared_basis((s, t)), [s.coefficients, t.coefficients])[0, 1]
 
 
 @lru_cache(maxsize=None)
@@ -735,9 +780,11 @@ def planar_ends(s1: SpinorSection, s2: SpinorSection) -> np.ndarray:
 
     alpha_0 of both sections vanishes and at least one has a pole;
     equivalently res of s1^2, s1 s2, s2^2 all vanish with a pole present.
-    Both are measured against 1e-8 of the largest |alpha| of the pair at the end.
+    Both are measured in the unit chart, against 1e-8 of the largest
+    |alpha| of the pair at the end.
     """
-    mags = np.abs(_shared_basis((s1, s2)).table([s1.coefficients, s2.coefficients])).max(axis=0)
+    basis = _shared_basis((s1, s2))
+    mags = basis.domain.unit_sizes(basis.table([s1.coefficients, s2.coefficients])).max(axis=0)
     bound = 1e-8 * np.maximum(mags.max(axis=1), 1e-30)
     return (mags[:, 0] > bound) & (mags[:, 1] <= bound)
 
@@ -769,30 +816,32 @@ def basis_F_sphere(divisor: EndDivisor):
                         for i, a in enumerate(finite)]
                        + [[(0.0, 1.0)] * len(finite) + [(1j, 0.0)]], dtype=complex)
     labels = [f"phi/(z-a{i + 1})" for i in range(len(finite))] + ["phi"]
-    return _SphereBasis(SphereDomain(ends=divisor), labels, laurent, finite).members()
+    weights = np.array([-0.5] * len(finite) + [0.5])
+    return _SphereBasis(SphereDomain(ends=divisor), labels, laurent, weights, finite).members()
 
 
 def _torus_end_check(ctx: EllipticContext, points, wr=None):
     """The ends the zeta table subtracts, all but the twisted end at 0 (wr
     None), after the torus bases' end checks, in one lattice_distance call
     on each end against 0 and wr = omega_r and on each pair of ends: one
-    twisted end within 1e-10 of the lattice, the others off 0 and wr by
-    1e-9 or the theta frame's pole tolerance, which scales with the
-    lattice, if larger, and apart by that tolerance, or ValueError names
-    two."""
+    twisted end within 1e-10 s of the lattice, the others off 0 and wr by
+    1e-9 s or the theta frame's pole tolerance, if larger, and apart by
+    that tolerance, or ValueError names two; s is the chart scale, and the
+    tolerance scales with the lattice too."""
     twisted = wr is None
     untwisted = "untwisted ends must be finite and avoid 0 and omega_r (mod lattice)"
     a, avoid = np.array(points, dtype=complex), np.array([0j] if twisted else [0j, wr])
+    s = 4.0 ** ctx.lattice.chart_exponent
     if np.isinf(a).any():
         raise ValueError("twisted ends must be finite" if twisted else untwisted)
     i, j = np.triu_indices(a.size, 1)
     d = ctx.lattice_distance(np.concatenate([(a - avoid[:, None]).ravel(), a[j] - a[i]]))
     near, apart = d[:avoid.size * a.size].reshape(avoid.size, a.size), d[avoid.size * a.size:]
-    other = ~(near[0] < 1e-10) if twisted else np.ones(a.size, dtype=bool)
+    other = ~(near[0] < 1e-10 * s) if twisted else np.ones(a.size, dtype=bool)
     if twisted and np.count_nonzero(~other) != 1:
         raise ValueError("twisted basis requires exactly one end on the lattice (at 0)")
     pole = ctx.lattice.pole_tolerance
-    if (near[:, other] < max(1e-9, pole)).any():
+    if (near[:, other] < max(1e-9 * s, pole)).any():
         raise ValueError("nonzero ends must be off-lattice" if twisted else untwisted)
     close = other[i] & other[j] & (apart < pole)
     if close.any():
@@ -829,7 +878,8 @@ def basis_F_torus_twisted(ctx: EllipticContext, divisor: EndDivisor):
     laurent[0, :, 1], laurent[1:, 0, 0] = 1.0, -1.0
     laurent[1:, 1:] = np.stack([np.eye(m), alpha0], axis=-1)
     labels = ["phi0"] + [f"t{i + 1}" for i in range(m)]
-    return _ZetaBasis(dom, labels, laurent, [None] + others, [0.0] + c.tolist()).members()
+    return _ZetaBasis(dom, labels, laurent, np.array([0.5] + [-0.5] * m), [None] + others,
+                      [0.0] + c.tolist()).members()
 
 
 def basis_F_torus_untwisted(ctx: EllipticContext, r: int, divisor: EndDivisor):
@@ -858,7 +908,7 @@ def _untwisted_basis(ctx: EllipticContext, r: int, divisor: EndDivisor):
     # the pole data 1/wp_r by Python's complex division, whose rounding the tables keep
     laurent = np.stack([np.diag((1.0 / wp_r.astype(object)).astype(complex)), alpha0], axis=-1)
     basis = _ZetaBasis(dom, [f"t{i + 1}" for i in range(a.size)], laurent,
-                       list(divisor.points), c.tolist())
+                       np.full(a.size, 0.5), list(divisor.points), c.tolist())
     return basis, wp_r, at.wp_prime((0j,))[0][ends]
 
 
@@ -887,7 +937,7 @@ def basis_F_torus_untwisted_paired(ctx: EllipticContext, r: int, half_points):
     k, one = np.diag(pvals / dp), np.eye(a.size)
     labels = [f"that{i + 1}" for i in range(2 * a.size)]
     return _PairedBasis(rows.domain, labels, rows.table(np.block([[k, -k], [one, one]])),
-                        list(pvals)).members()
+                        np.repeat([1.5, 0.5], a.size), list(pvals)).members()
 
 
 def rational_sphere_basis(dom: SphereDomain, fractions, labels, laurent=True):
@@ -901,20 +951,22 @@ def rational_sphere_basis(dom: SphereDomain, fractions, labels, laurent=True):
     fractions = [(np.atleast_1d(np.asarray(n, dtype=complex)),
                   np.atleast_1d(np.asarray(d, dtype=complex))) for n, d in fractions]
     table = np.array([_rational_laurent(dom, n, d) for n, d in fractions],
-                     dtype=complex) if laurent else None
-    return _RationalBasis(dom, labels, table, fractions).members()
+                     dtype=complex).reshape(len(fractions), dom.ends.n, 2) if laurent else None
+    return _RationalBasis(dom, labels, table, None, fractions).members()
 
 
 def _rational_laurent(dom: SphereDomain, numer, denom):
-    """(alpha_-1, alpha_0) of (N/D) phi at each end of the domain."""
+    """(alpha_-1, alpha_0) of (N/D) phi at each end of the domain; whether an
+    end is a pole is read in the unit chart z / s."""
     dn = P.polyder(numer)
     exps = []
-    scale_d = max(np.abs(denom))
+    s = 4.0 ** dom.chart_exponent
+    scale_d = max(np.abs(denom) * s ** np.arange(len(denom)))
     for p0 in dom.ends.points:
         if is_infinity(p0):
             exps.append(_rational_infinity_alpha(numer, denom))
             continue
-        if abs(P.polyval(p0, denom)) < 1e-8 * scale_d * max(1.0, abs(p0)) ** len(denom):
+        if abs(P.polyval(p0, denom)) < 1e-8 * scale_d * max(1.0, abs(p0) / s) ** len(denom):
             quot, rem = P.polydiv(denom, np.array([-p0, 1.0], dtype=complex))
             e_val = P.polyval(p0, quot)
             am1 = P.polyval(p0, numer) / e_val
@@ -947,20 +999,20 @@ def _rational_infinity_alpha(numer, denom):
 
 def omega_matrix(basis) -> OmegaForm:
     """Omega on sections of one basis, their tables contracted and
-    antisymmetrized; alpha_scale is the largest off-diagonal alpha scale."""
-    M, S = _omega_table(_shared_basis(basis).table([s.coefficients for s in basis]))
-    np.fill_diagonal(S, 0.0)
-    scale = max(float(S.max()), 1e-30) if len(basis) > 1 else 1.0
-    return OmegaForm(matrix=SkewMatrix.antisymmetrize(M), basis=tuple(basis), alpha_scale=scale)
+    antisymmetrized; the same in every chart."""
+    M = _omega_table(_shared_basis(basis), [s.coefficients for s in basis])
+    return OmegaForm(matrix=SkewMatrix.antisymmetrize(M), basis=tuple(basis))
 
 
 def extract_K(form: OmegaForm, tol: float = 1e-9):
     """Kernel of Omega with the known H subspace projected out.
 
-    Returned sections are normalized (first nonzero coefficient = 1) and
-    each is verified to satisfy the K test: alpha_0 vanishes at every end.
+    Every step reads the unit chart: the kernel of OmegaForm.rank_kernel,
+    H's projection, the normalization (first nonzero coefficient = 1),
+    and the K test, alpha_0 at most max(100 tol, 1e-6) of the largest
+    alpha_-1 at every end.  The vectors map back through the row factors.
     """
-    rank, kernel = skew_rank_kernel(form.matrix, tol, scale=form.alpha_scale)
+    rank, kernel = form.rank_kernel(tol)
     if len(kernel) < form.h_dim:
         raise SectionDataError(
             f"kernel dimension {len(kernel)} below h_dim {form.h_dim}")
@@ -978,11 +1030,13 @@ def extract_K(form: OmegaForm, tol: float = 1e-9):
         raise SectionDataError(
             f"K dimension {len(keep)} does not match kernel {len(kernel)} minus h_dim {form.h_dim}")
     basis = form.basis[0].basis
-    V = np.array([v / v[np.argmax(np.abs(v) > 1e-8 * np.abs(v).max())] for v in keep],
+    d = basis.row_factors
+    first = [np.argmax(np.abs(v) > 1e-8 * np.abs(v).max()) for v in keep]
+    V = np.array([scale_parts(v / v[j], d / d[j]) for v, j in zip(keep, first)],
                  dtype=complex).reshape(-1, len(basis.labels))
-    mags = np.abs(basis.table(V))
+    mags = basis.domain.unit_sizes(basis.table(V))
     a0_max, am1_max = mags[..., 1].max(axis=1), mags[..., 0].max(axis=1)
-    failed = ~(a0_max <= max(tol * 100, 1e-6) * np.maximum(am1_max, 1.0))
+    failed = ~(a0_max <= max(tol * 100, 1e-6) * am1_max)
     if failed.any():
         raise SectionDataError(
             f"extracted kernel vector fails the K test (alpha0 max {a0_max[failed][0]:.2e})")

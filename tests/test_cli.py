@@ -214,12 +214,28 @@ class TestMeshGate:
 TORUS4_CHOICES = ("123", "132", "213", "231", "312", "321")
 
 
-@pytest.mark.parametrize("scale", [0.01, 100.0])
+@pytest.mark.parametrize("scale", [0.01, 100.0, 2.0**-40, 2.0**40])
 def test_torus4_exit_code_does_not_depend_on_scale(tmp_path, capsys, scale):
-    # the branch condition scales as scale^-2; the gate reads it times |omega1|^2
+    # the branch condition scales as scale^-2; the gate reads it times
+    # |omega1|^2.  At 2^-40 the end checks' absolute floors once refused the
+    # ends; the rank cut, the end checks and the x solve read the unit chart
     def exit_code(lam, choice):
         return main(["torus4", repr(lam), repr(lam * 1j), "--choice", choice,
                      "--out", str(tmp_path)])
     unit = [exit_code(1.0, choice) for choice in TORUS4_CHOICES]
     assert unit == [0, 2, 0, 0, 2, 0]
     assert [exit_code(scale, choice) for choice in TORUS4_CHOICES] == unit
+
+
+# five finite sphere ends, in thousandths, and infinity
+SPHERE_ENDS = ((-1179, -1148), (669, -2294), (-143, -2256), (1101, 203), (1356, -504))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e9, 1e-5, 1e-7, 1e-9])
+def test_sphere_dim_K_does_not_depend_on_scale(capsys, scale):
+    # the rank cut and the K test read the unit chart: at 1e9 an absolute
+    # floor once gave dim K 4 of 6, and at 1e-5 to 1e-9 the K test refused
+    # the kernel
+    ends = ";".join(repr(complex(x * scale / 1000, y * scale / 1000)) for x, y in SPHERE_ENDS)
+    assert main(["omega", "--domain", "sphere", f"--ends={ends};inf"]) == 0
+    assert json.loads(capsys.readouterr().out)["dim_K"] == 0

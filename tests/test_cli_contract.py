@@ -154,10 +154,11 @@ def test_ends_equal_modulo_the_lattice_are_named(tmp_path, argv, ends):
 
 
 def test_an_end_inside_a_large_lattices_pole_tolerance_is_named(tmp_path):
-    # the theta frame's pole tolerance is 1e-12 |b2| = 2e-9 on this lattice,
-    # so an end 1.5e-9 off 0 fails the end check, not the zeta table
+    # the end check reads the chart scale s = 4^5 of this lattice: an end
+    # 5e-7 off 0 lies between 1e-10 s, the twisted end's, and 1e-9 s, so it
+    # fails the end check, not the zeta table
     code, err, files = _run(["omega", "--domain", "twisted", "--omega1", "1000",
-                             "--omega3", "1000j", "--ends=0;1.5e-9;700+300j"], tmp_path)
+                             "--omega3", "1000j", "--ends=0;5e-7;700+300j"], tmp_path)
     assert (code, err, files) == (1, "error: nonzero ends must be off-lattice\n", [])
 
 

@@ -174,3 +174,16 @@ def test_untwisted_end_on_a_merged_root_raises(thin_cell):
             with pytest.raises(DegenerateLatticeError, match=re.escape(f"e{r} at the end a = {ends[1]}")):
                 build()
     assert len(basis_F_torus_untwisted(ctx, 1, EndDivisor(ends))) == 3
+
+
+@pytest.mark.parametrize("k", [-25, -20, 0, 20])
+def test_agrees_with_omega_matrix_on_a_divisor_scaled_by_4_to_the_k(k):
+    # the qres radius leaves an end's own point out below 1e-12 of the chart
+    # scale: at 4^-25, where the ends lie 1e-15 apart, an absolute 1e-12
+    # dropped them all, the radius fell back to 1/2, and each circle held
+    # every end
+    ends = tuple(4.0**k * p for p in (-1.179 - 1.148j, 0.669 - 2.294j, -0.143 - 2.256j,
+                                      1.101 + 0.203j)) + (INF,)
+    basis = basis_F_sphere(EndDivisor(ends))
+    omega = omega_matrix(basis).matrix.entries
+    assert np.all(np.abs(omega_qres_matrix(basis) - omega) <= 1e-12 * np.abs(omega))

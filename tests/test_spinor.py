@@ -191,6 +191,84 @@ class TestTableResidues:
             extract_K(form, 1e-9)
 
 
+def _half_lattice_twisted(ctx):
+    """The twisted basis on 0 and the half periods: Omega is rounding alone,
+    and K is spanned by t1, t2, t3."""
+    return basis_F_torus_twisted(ctx, EndDivisor((0.0, ctx.omega1, ctx.omega2, ctx.omega3)))
+
+
+def _pole_plus_constant(delta):
+    """1/(z - 1) + delta on the sphere with the one end 1, whose unit chart
+    is its own: (alpha_-1, alpha_0) = (1, delta)."""
+    dom = SphereDomain(ends=EndDivisor((1.0,)))
+    return rational_sphere_basis(dom, [([1.0 - delta, delta], [-1.0, 1.0])], ("s",))[0]
+
+
+class TestThresholdEdges:
+    """Each decision threshold at twice and at half its value: the input
+    past it is refused, or classified the other way, and the one short of
+    it is not."""
+
+    @pytest.mark.parametrize("times", [0.5, 2.0])
+    def test_residue_sum(self, times):
+        # row 0's alpha_0 at the pole of row 1 moved by delta: the pair's
+        # residue sum is delta, against 1e-8 of its alpha scale
+        basis = basis_F_sphere(EndDivisor((0.3 + 0.5j, -0.9, 1.2 - 0.4j, INF)))
+        table = basis[0].basis.laurent
+        size = np.abs(table[:2, :, 0]) + np.abs(table[:2, :, 1])
+        table[0, 1, 1] += times * 1e-8 * np.sum(size[0] * size[1])
+        if times > 1:
+            with pytest.raises(SectionDataError, match="residue sum"):
+                omega_matrix(basis)
+        else:
+            omega_matrix(basis)
+
+    @pytest.mark.parametrize("times", [0.5, 2.0])
+    def test_K_test(self, ctx, times):
+        # t1's alpha_0 at omega2 moved after Omega: K1 = t1 has alpha_0
+        # delta against its alpha_-1 of 1, and the K test reads 1e-6
+        basis = _half_lattice_twisted(ctx)
+        form = omega_matrix(basis)
+        basis[0].basis.laurent[1, 2, 1] += times * 1e-6
+        if times > 1:
+            with pytest.raises(SectionDataError, match="fails the K test"):
+                extract_K(form, 1e-9)
+        else:
+            assert len(extract_K(form, 1e-9)) == 3
+
+    @pytest.mark.parametrize("times", [0.5, 2.0])
+    def test_planar_ends(self, times):
+        # alpha_0 = delta against 1e-8 of the pair's largest |alpha|, 1
+        s = _pole_plus_constant(times * 1e-8)
+        assert planar_ends(s, s).tolist() == [times < 1]
+
+    @pytest.mark.parametrize("times", [0.5, 2.0])
+    def test_projection_cut(self, ctx, times):
+        # a kernel spanned by phi0 + eps t1 and t3: projected off H, the
+        # stack has singular values 1 and about eps, cut at 1e-8 of the
+        # largest; kept, the K dimension exceeds the kernel's minus h_dim
+        basis = _half_lattice_twisted(ctx)
+        eps = times * 1e-8
+        x, y = np.array([-eps, 1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0, 0.0])
+        form = spinor.OmegaForm(SkewMatrix(np.outer(x, y) - np.outer(y, x)), tuple(basis))
+        if times > 1:
+            with pytest.raises(SectionDataError, match="K dimension 2 does not match"):
+                extract_K(form, 1e-9)
+        else:
+            assert len(extract_K(form, 1e-9)) == 1
+
+    @pytest.mark.parametrize("times", [0.5, 2.0])
+    def test_log_end(self, times):
+        # s^2 has residue 2 delta against the alpha scale (1 + delta)^2, and
+        # LOG_END_TOL is 1e-4
+        s = _pole_plus_constant(times * 1e-4 / 2)
+        if times > 1:
+            with pytest.raises(SectionDataError, match="a log end"):
+                form_primitive([(s, s)])
+        else:
+            assert form_primitive([(s, s)]).end_residue_max < 1e-4
+
+
 class TestSphereBasis:
     def test_printed_omega_entries(self):
         a = 0.7 + 0.2j
@@ -268,7 +346,7 @@ class TestTwistedBasis:
         a1, a2 = 0.4 + 0.33j, 1.1 + 0.7j
         assert abs(wp_prime(ctx, a1) + wp_prime(ctx, a2)) > 1e-3
         form = omega_matrix(basis_F_torus_twisted(ctx, EndDivisor((0.0, a1, a2))))
-        rank, kern = skew_rank_kernel(form.matrix, 1e-9, scale=form.alpha_scale)
+        rank, kern = form.rank_kernel(1e-9)
         assert rank == 2 and len(kern) == 1
         assert len(extract_K(form, 1e-9)) == 0  # K too small: no surface
 
@@ -378,10 +456,20 @@ def _paired_closed_forms(ctx, r, half):
     return np.array(rows, dtype=complex)
 
 
-def _pairwise_omega(basis):
+def _pairwise_omega(basis, unit=False):
     """Raw Omega, residue sums over the ends and alpha scales of a basis,
-    by loops over pairs and ends on scalar Laurent data."""
-    tables = [[(complex(am1), complex(a0)) for am1, a0 in s.expansions] for s in basis]
+    by loops over pairs and ends on scalar Laurent data; with unit set, on
+    the unit chart's, each row times its row factor and each end's
+    alpha_-1 and alpha_0 times their column factors."""
+    dom = basis[0].domain
+    # (alpha_-1, alpha_0) have weights (e, -e) at a finite end, (-e, e) at
+    # infinity, and row j the weight w_j: each takes s^-weight
+    m = dom.chart_exponent if unit else 0
+    d = np.ldexp(1.0, (-2 * m * basis[0].basis.weights).astype(int))
+    e = int(2 * m * dom.end_weight)
+    f = [np.ldexp(1.0, (e if is_infinity(p) else -e) * np.array([1, -1])) for p in dom.ends.points]
+    tables = [[(complex(am1) * dj * fm1, complex(a0) * dj * f0)
+               for (am1, a0), (fm1, f0) in zip(s.expansions, f)] for s, dj in zip(basis, d)]
     n = len(basis)
     raw = np.zeros((n, n), dtype=complex)
     res_sum = np.zeros((n, n))
@@ -438,7 +526,12 @@ def test_table_on_random_lattices(re_tau, thinness, size, angle, k1, k2, seed):
         # the table contraction is the pairwise sum to the bit
         assert np.array_equal(form.matrix.entries, SkewMatrix.antisymmetrize(raw).entries)
         assert all(omega_pair(basis[i], basis[j]) == raw[i, j] for i, j in zip(*np.nonzero(off)))
-        assert form.alpha_scale == pytest.approx(scale[off].max(), rel=1e-14)
+        # the rank cut reads D Omega D, bitwise the unit chart's Omega, and
+        # the residue check the unit chart's alpha scales
+        raw_n, res_n, scale_n = _pairwise_omega(basis, unit=True)
+        d = basis[0].basis.row_factors
+        assert np.array_equal(d[:, None] * raw * d, raw_n)
+        assert np.all(res_n[off] <= 1e-8 * scale_n[off])
         assert np.all(res_sum[off] <= 1e-8 * scale[off])
         assert np.all(np.abs(raw + raw.T)[off] <= 1e-8 * scale[off])
         oracle = omega_qres_matrix(basis)
@@ -550,21 +643,22 @@ def _reference_end_check(ctx, points, wr=None):
     """The torus bases' end checks one end and one pair at a time: the
     builders' loops over the ends, then a theta frame of its own on each
     pair of ends that the zeta table subtracts, which fails where the
-    table's frame would."""
-    zero = []
+    table's frame would.  The distance floors are those of the unit chart,
+    1e-10 s and 1e-9 s for the lattice's chart scale s."""
+    zero, s = [], 4.0 ** ctx.lattice.chart_exponent
     if wr is None:
         if any(is_infinity(p) for p in points):
             raise ValueError("twisted ends must be finite")
-        zero = [k for k, p in enumerate(points) if ctx.lattice_distance(p) < 1e-10]
+        zero = [k for k, p in enumerate(points) if ctx.lattice_distance(p) < 1e-10 * s]
         if len(zero) != 1:
             raise ValueError("twisted basis requires exactly one end on the lattice (at 0)")
         for k, p in enumerate(points):
-            if k not in zero and ctx.lattice_distance(p) < 1e-9:
+            if k not in zero and ctx.lattice_distance(p) < 1e-9 * s:
                 raise ValueError("nonzero ends must be off-lattice")
     else:
         for p in points:
-            if is_infinity(p) or ctx.lattice_distance(p) < 1e-9 \
-                    or ctx.lattice_distance(p - wr) < 1e-9:
+            if is_infinity(p) or ctx.lattice_distance(p) < 1e-9 * s \
+                    or ctx.lattice_distance(p - wr) < 1e-9 * s:
                 raise ValueError(
                     "untwisted ends must be finite and avoid 0 and omega_r (mod lattice)")
     for i, p in enumerate(points):
@@ -611,7 +705,7 @@ def test_end_check_is_the_per_end_loops(re_tau, thinness, size, angle, k1, k2, s
         if kind in ("end", "close", "translate") and ends:
             base = ends[int(rng.integers(len(ends)))]
             if kind == "close":
-                near *= 1e-12 * max(1.0, abs(b2)) * 10 ** rng.uniform(-1, 1) / abs(near)
+                near *= ctx.lattice.pole_tolerance * 10 ** rng.uniform(-1, 1) / abs(near)
             elif kind == "translate":
                 shift, near = shift or b1, 0.0
         if base is None:

@@ -100,12 +100,20 @@ def _vandermonde(points):
     return out
 
 
-def _torus_cycle(ctx: EllipticContext, k: int) -> QuadraturePath:
-    """Closed cycle parallel to omega_k as a period path, offset by 0.2371
-    of the other half-period off the half-lattice lines."""
-    wk = ctx.omega1 if k == 1 else ctx.omega3
-    other = ctx.omega3 if k == 1 else ctx.omega1
-    c = 0.2371 * other
+def _torus_cycle(domain, k: int) -> QuadraturePath:
+    """Closed cycle along 2 omega_k as a period path, midway across the
+    widest strip along it that holds none of domain.singular_points(),
+    measured in fractions of the other period 2 omega_o: the trapezoid's
+    error falls geometrically with the distance to the nearest singularity
+    (Trefethen and Weideman, SIAM Review 56, 2014).  The fractions are
+    rounded to 12 digits, so points on one line share one; on the
+    half-lattice ends of torus4 the cycle runs at omega_o / 2."""
+    ctx = domain.ctx
+    wk, wo = (ctx.omega1, ctx.omega3) if k == 1 else (ctx.omega3, ctx.omega1)
+    y = np.sort(np.round(np.imag(np.array(domain.singular_points()) / wk)
+                         / (2 * (wo / wk).imag), 12) % 1.0)
+    gaps = np.diff(y, append=y[0] + 1.0)
+    c = 2 * (y[np.argmax(gaps)] + gaps.max() / 2) * wo
     return QuadraturePath.period(-wk + c, wk + c, samples=64)
 
 
@@ -398,7 +406,7 @@ def _select_epsilon(ctx: EllipticContext, a1, a2):
                 for eps in EPSILON_CANDIDATES.values() for c in (eps, eps * eps)]
     results = dict.fromkeys(EPSILON_CANDIDATES, 0.0)
     for k, eta_k in ((1, ctx.eta1), (3, ctx.eta3)):
-        M = period_matrix(sections, _torus_cycle(ctx, k))
+        M = period_matrix(sections, _torus_cycle(tw[0].domain, k))
         for m, label in enumerate(results):
             rel = abs(M[2 * m, 2 * m + 1] + 6.0 * eta_k) / max(abs(6.0 * eta_k), 1e-300)
             results[label] = max(results[label], rel)
@@ -539,7 +547,7 @@ def torus4_construct(ctx: EllipticContext, choice=(1, 2, 3)) -> TorusFourEnd:
     periods_closed, periods_quad = {}, {}
     worst_diag, worst_off, period1_res = 0.0, 0.0, 0.0
     for kk, eta_k, w_k in ((1, ctx.eta1, ctx.omega1), (3, ctx.eta3, ctx.omega3)):
-        M = period_matrix(that + [s1], _torus_cycle(ctx, kk))
+        M = period_matrix(that + [s1], _torus_cycle(tw[0].domain, kk))
         for m in range(3):
             closed = -8.0 * (eta_k + w_k * ctx.e(m + 1))
             periods_closed[f"P{kk}^{m + 1}{m + 1}"] = closed

@@ -53,7 +53,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, partial
 from typing import Optional
 
 import numpy as np
@@ -314,6 +314,12 @@ class Basis:
         """The basis sections: unit coefficient rows."""
         return [self.section(row, label)
                 for row, label in zip(np.eye(len(self.labels), dtype=complex), self.labels)]
+
+    @cached_property
+    def qres_matrix(self) -> np.ndarray:
+        """omega_qres_matrix of the members, once per basis: the bilinear
+        oracle reads every pair of sections on the basis from it."""
+        return omega_qres_matrix(self.members())
 
     def section(self, coefficients, label):
         """sum_j coefficients[j] * row j."""
@@ -730,15 +736,11 @@ def omega_pair(s: SpinorSection, t: SpinorSection):
     return _omega_table(_shared_basis((s, t)), [s.coefficients, t.coefficients])[0, 1]
 
 
-@lru_cache(maxsize=None)
-def _upper(n):
-    """(i, j) of an n x n strict upper triangle, once per n: for a pair, view slices."""
-    return (slice(0, 1), slice(1, 2)) if n == 2 else np.triu_indices(n, 1)
-
-
 def omega_qres_matrix(sections) -> np.ndarray:
     """W[i, j] = -1/2 sum_p qres_p(s_i ds_j - s_j ds_i) for sections on one
-    basis, from the evaluators alone: the oracle of omega_matrix.  On the
+    basis, from the evaluators alone: the oracle of omega_matrix, and its one
+    quadrature; Basis.qres_matrix keeps it for the members, and
+    omega_qres_oracle reads every pair from that.  On the
     circle u = p + r e^(2 pi i x), r = qres_radius(p), qres_p of the Hopf
     integrand mu (f g' - g f') is the integral over x in [0, 1) of the
     periodic lead (f g' - g f'), lead = (u - p)^2 mu, and u^2 at infinity,
@@ -750,7 +752,7 @@ def omega_qres_matrix(sections) -> np.ndarray:
     at_inf = np.isinf(ends)
     center, radius = np.where(at_inf, 0.0, ends)[:, None], dom.qres_radii[:, None]
     points, n = chart_points(sections), len(sections)
-    i, j = _upper(n)
+    i, j = np.triu_indices(n, 1)
 
     def integrand(x):
         du = radius * np.exp(2j * np.pi * x)
@@ -770,8 +772,14 @@ def omega_qres_matrix(sections) -> np.ndarray:
 
 
 def omega_qres_oracle(s: SpinorSection, t: SpinorSection):
-    """The oracle on one pair: entry (0, 1) of omega_qres_matrix((s, t))."""
-    return omega_qres_matrix((s, t))[0, 1]
+    """The oracle on one pair, read bilinearly: a^T W b for the coefficient
+    rows a, b of s, t and their basis's qres_matrix W, as Omega is bilinear,
+    so every pair of one basis shares one quadrature.  For two members it is
+    W[i, j] to the bit, save that an exactly zero part reads +0.0: Omega(s, s)
+    is +0.0.  A pair raises NonConvergenceError when any pair of its basis
+    does, and SectionDataError when s and t do not share a basis."""
+    basis = _shared_basis((s, t))
+    return np.asarray(s.coefficients) @ basis.qres_matrix @ np.asarray(t.coefficients)
 
 
 def planar_ends(s1: SpinorSection, s2: SpinorSection) -> np.ndarray:

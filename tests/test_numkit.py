@@ -85,6 +85,26 @@ class TestPfaffian:
         with pytest.raises(ValueError):
             SkewMatrix(np.array([[1e-6, 1.0], [-1.0, 0.0]]))
 
+    @pytest.mark.parametrize("scale", [4.0**-20, 1.0, 4.0**20])
+    def test_skewness_is_read_against_the_matrix_scale(self, scale):
+        # max|a + a^T| against SKEW_CONSTRUCTION_TOL = 1e-12 of max|a|: an
+        # asymmetry of twice it is refused and one of half accepted, and the
+        # power of four scales both sides exactly, so at every scale
+        def skew(asymmetry):
+            return SkewMatrix(scale * np.array([[0.0, 1.0], [asymmetry - 1.0, 0.0]]))
+        with pytest.raises(ValueError, match="not skew"):
+            skew(2e-12)
+        skew(0.5e-12)
+        skew(0.0)
+        SkewMatrix(scale * np.zeros((3, 3)))
+
+    def test_refuses_a_tiny_asymmetric_matrix_and_a_nan(self):
+        # the old floor max(1, max|a|) took [[0, 1e-20], [0, 0]] as skew
+        with pytest.raises(ValueError, match="not skew"):
+            SkewMatrix(np.array([[0.0, 1e-20], [0.0, 0.0]]))
+        with pytest.raises(ValueError, match="not skew"):
+            SkewMatrix(np.array([[0.0, np.nan], [1.0, 0.0]]))
+
 
 class TestSkewRankKernel:
     def test_zero_matrix(self):

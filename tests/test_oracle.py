@@ -1,6 +1,8 @@
-"""The qres oracle: one trapezoidal quadrature per basis on the stack of every end's circle."""
+"""The qres oracle: one trapezoidal quadrature per basis on the stack of every
+end's circle, and the pair oracle's bilinear read a^T W b of that matrix."""
 
 import re
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from spinorminimal.spinor import (
     omega_pair,
     omega_qres_matrix,
     omega_qres_oracle,
+    section_combination,
     section_values,
 )
 
@@ -65,12 +68,13 @@ def _bases():
 
 @pytest.mark.parametrize("family", ["sphere", "twisted", "untwisted", "paired"])
 def test_one_quadrature_per_pair(count_calls, family):
+    # every ordered pair of one basis reads the basis's one quadrature
     basis = _bases()[family]
     calls = count_calls(spinor, "contour_integral")
-    pairs = [(i, j) for i in range(len(basis)) for j in range(len(basis)) if i != j]
-    for i, j in pairs:
-        omega_qres_oracle(basis[i], basis[j])
-    assert len(calls) == len(pairs)
+    for i in range(len(basis)):
+        for j in range(len(basis)):
+            omega_qres_oracle(basis[i], basis[j])
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("family", ["sphere", "twisted", "untwisted", "paired"])
@@ -85,17 +89,59 @@ def test_one_quadrature_per_basis(count_calls, family):
 
 @pytest.mark.parametrize("family", ["sphere", "twisted", "untwisted", "paired"])
 def test_skew_and_equal_to_the_per_end_loop_to_the_bit(family):
-    # the pair call: skew to the bit, and the matrix entry of its two
-    # sections; the rows stop together on a floor summed over the ends, so
-    # the per-end loop, each end with its own stop, agrees to rounding
+    # the pair call on two members: the basis matrix entry to the bit, skew
+    # to the bit with +0.0 on the diagonal; the rows stop together on a floor
+    # summed over the ends, so the per-end loop, each end with its own stop,
+    # agrees to rounding; the pair-only matrix agrees to the bit where its
+    # quadrature stops at the basis's level, and to 1e-12 of max|Omega| else
     basis = _bases()[family]
+    with _oracle_nodes() as nodes:
+        W = omega_qres_matrix(basis)
+    level, bound = sum(nodes), 1e-12 * np.abs(omega_matrix(basis).matrix.entries).max()
     for i in range(len(basis)):
         for j in range(len(basis)):
             got = omega_qres_oracle(basis[i], basis[j])
+            assert _bits(got) == _bits(W[i, j])
             assert got == -omega_qres_oracle(basis[j], basis[i])
-            assert _bits(got) == _bits(omega_qres_matrix((basis[i], basis[j]))[0, 1])
             want, scale = _per_end_oracle(basis[i], basis[j])
             assert abs(got - want) <= 1e-13 * max(abs(want), scale)
+            if i == j:
+                assert _bits(got) == _bits(0j)
+                continue
+            with _oracle_nodes() as nodes:
+                pair = omega_qres_matrix((basis[i], basis[j]))[0, 1]
+            assert sum(nodes) <= level
+            if sum(nodes) == level:
+                assert _bits(got) == _bits(pair)
+            else:
+                assert abs(got - pair) <= bound
+
+
+@contextmanager
+def _oracle_nodes():
+    """The node counts of each contour_integral call of spinor in the block."""
+    counts, contour = [], spinor.contour_integral
+    spinor.contour_integral = lambda f, *args, **kwargs: contour(
+        lambda x: counts.append(np.size(x)) or f(x), *args, **kwargs)
+    try:
+        yield counts
+    finally:
+        spinor.contour_integral = contour
+
+
+@pytest.mark.parametrize("family", ["sphere", "twisted", "untwisted", "paired"])
+def test_bilinear_on_random_combinations(family):
+    # s = sum a_i row_i and t = sum b_j row_j: the read a^T W b is the pair's
+    # own quadrature and the Laurent-table Omega, to 1e-12 of sum |a_i| |b_j| |W_ij|
+    basis = _bases()[family]
+    W = np.abs(basis[0].basis.qres_matrix)
+    rng = np.random.default_rng(len(basis))
+    for _ in range(3):
+        a, b = rng.normal(size=(2, len(basis), 2)) @ (1.0, 1.0j)
+        s, t = section_combination(a, basis, "s"), section_combination(b, basis, "t")
+        got, bound = omega_qres_oracle(s, t), 1e-12 * np.abs(a) @ W @ np.abs(b)
+        assert abs(got - omega_qres_matrix((s, t))[0, 1]) <= bound
+        assert abs(got - (omega_pair(s, t) - omega_pair(t, s)) / 2) <= bound
 
 
 def _bits(z):

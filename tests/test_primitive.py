@@ -21,6 +21,7 @@ from spinorminimal.spinor import (
     EndDivisor,
     SectionDataError,
     basis_F_sphere,
+    basis_F_torus_twisted,
     form_primitive,
     is_infinity,
     period_matrix,
@@ -112,7 +113,7 @@ def test_quasi_periods(which):
     for k, w, eta in ((1, ctx.omega1, ctx.eta1), (3, ctx.omega3, ctx.eta3)):
         closed = 2 * (prim.poly[0] * w - eta * prim.c.sum(axis=1))
         jump = prim.evaluate(u + 2 * w)[0] - prim.evaluate(u)[0]
-        quad = np.array(period_vector(data, _torus_cycle(ctx, k)))
+        quad = np.array(period_vector(data, _torus_cycle(data.domain, k)))
         # the size of the terms: on the Klein bottle the periods cancel
         scale = np.max(np.abs(prim.poly[0] * w) + np.abs(eta * prim.c).sum(axis=1))
         assert np.max(np.abs(jump - closed)) <= 1e-12 * scale
@@ -142,7 +143,7 @@ class TestPeriodMatrix:
         i, j = np.triu_indices(len(sections))
         prim = form_primitive([(sections[a], sections[b]) for a, b in zip(i, j)])
         for k, w, eta in ((1, ctx.omega1, ctx.eta1), (3, ctx.omega3, ctx.eta3)):
-            M = period_matrix(sections, _torus_cycle(ctx, k))
+            M = period_matrix(sections, _torus_cycle(sections[0].domain, k))
             assert np.array_equal(M, M.T)
             closed = 2 * (prim.poly[0] * w - eta * prim.c.sum(axis=1))
             scale = np.abs(prim.poly[0] * w) + np.abs(eta * prim.c).sum(axis=1)
@@ -153,6 +154,24 @@ class TestPeriodMatrix:
         t, _, _ = basis_F_sphere(EndDivisor((0.5, -1.0, complex(np.inf, 0.0))))
         with pytest.raises(SectionDataError, match="share a basis"):
             period_matrix((s, t), QuadraturePath.segment(0.0, 2.0))
+
+    @pytest.mark.parametrize("lattice", [(1.0, 1.0j), (1.0, 2.0j), (1.0, 0.5 + 0.1j),
+                                         (1.1 - 0.2j, 0.3 + 0.9j), (1.0 + 0.4j, 1.0 - 0.4j)])
+    def test_cycles_run_midway_across_the_widest_strip(self, lattice):
+        # the torus4 ends 0 and omega_1,2,3 leave two strips of half the other
+        # period 2 omega_o along each cycle, and the cycle runs at omega_o / 2
+        t4 = torus4_construct(build_context(*lattice))
+        ctx = t4.ctx
+        for k, wk, wo in ((1, ctx.omega1, ctx.omega3), (3, ctx.omega3, ctx.omega1)):
+            path = _torus_cycle(t4.s1.domain, k)
+            assert (path.start, path.end) == (-wk + wo / 2, wk + wo / 2)
+
+    def test_cycle_runs_midway_across_an_uneven_widest_strip(self):
+        # ends at 0, 0.1 and 0.35 of 2i across the cycle along 2: the widest
+        # strip runs from 0.35 to 1, and the cycle at 0.675 of 2i
+        basis = basis_F_torus_twisted(build_context(1.0, 1.0j),
+                                      EndDivisor((0.0, 0.3 + 0.2j, 0.7 + 0.7j)))
+        assert _torus_cycle(basis[0].domain, 1).start == pytest.approx(-1.0 + 1.35j, abs=1e-15)
 
     @staticmethod
     def _quadratures(count_calls, fn):

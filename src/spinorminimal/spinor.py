@@ -317,9 +317,13 @@ class Basis:
 
     @cached_property
     def qres_matrix(self) -> np.ndarray:
-        """omega_qres_matrix of the members, once per basis: the bilinear
-        oracle reads every pair of sections on the basis from it."""
-        return omega_qres_matrix(self.members())
+        """omega_qres_matrix of the members, once per basis and read-only: the
+        bilinear oracle reads every pair of sections on the basis from it.  A
+        NonConvergenceError is not kept, so each later read runs the whole
+        quadrature again."""
+        W = omega_qres_matrix(self.members())
+        W.flags.writeable = False
+        return W
 
     def section(self, coefficients, label):
         """sum_j coefficients[j] * row j."""
@@ -777,7 +781,9 @@ def omega_qres_oracle(s: SpinorSection, t: SpinorSection):
     so every pair of one basis shares one quadrature.  For two members it is
     W[i, j] to the bit, save that an exactly zero part reads +0.0: Omega(s, s)
     is +0.0.  A pair raises NonConvergenceError when any pair of its basis
-    does, and SectionDataError when s and t do not share a basis."""
+    does, after the whole basis's quadrature: on such a basis every call
+    runs that quadrature to its node cap again.  It raises SectionDataError
+    when s and t do not share a basis."""
     basis = _shared_basis((s, t))
     return np.asarray(s.coefficients) @ basis.qres_matrix @ np.asarray(t.coefficients)
 

@@ -33,7 +33,6 @@ from spinorminimal.spinor import (
     omega_matrix,
     omega_pair,
     omega_qres_matrix,
-    omega_qres_oracle,
     planar_ends,
     rational_sphere_basis,
     section_combination,
@@ -576,15 +575,16 @@ def _oracle_nodes():
 
 
 def _assert_the_matrix_is_the_pairwise_oracle(basis):
-    """omega_qres_matrix against omega_qres_oracle on each pair: bitwise where
-    the pair stops at the matrix's level, and within 1e-12 of max|Omega|
-    where it stops earlier (all of the matrix's pairs stop at one level)."""
+    """omega_qres_matrix against each pair's own two-row quadrature: bitwise
+    where the pair stops at the matrix's level, and within 1e-12 of
+    max|Omega| where it stops earlier (all of the matrix's pairs stop at one
+    level)."""
     with _oracle_nodes() as nodes:
         W = omega_qres_matrix(basis)
     level, bound = sum(nodes), 1e-12 * np.abs(omega_matrix(basis).matrix.entries).max()
     for i, j in zip(*np.triu_indices(len(basis), 1)):
         with _oracle_nodes() as nodes:
-            pair = omega_qres_oracle(basis[i], basis[j])
+            pair = omega_qres_matrix((basis[i], basis[j]))[0, 1]
         assert sum(nodes) <= level
         if sum(nodes) == level:
             assert (pair.real.hex(), pair.imag.hex()) == (W[i, j].real.hex(), W[i, j].imag.hex())

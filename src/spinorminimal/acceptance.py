@@ -313,9 +313,10 @@ def criterion_10_geometry(seed=0):
     fam = sphere4.build()
     data = sphere4.weierstrass(fam)
     grid61 = GridSpec(nx=61, ny=61, extent=2.0)
-    mesh4 = sphere4.mesh(fam, grid61)
+    mesh4, edges61 = sphere4.mesh(fam, grid61), quadrature_edges(data, grid61)
     out.append(_check("10b sphere-4 mesh loop periods",
-                      quadrature_loop_residual(data, grid61) / mesh4.metadata["mesh_scale"], 1e-7))
+                      quadrature_loop_residual(data, grid61, edges61)
+                      / mesh4.metadata["mesh_scale"], 1e-7))
     rng = np.random.default_rng(seed)
     z = rng.standard_normal(200) + 1j * rng.standard_normal(200)
     keep = data.end_distance(z) > 0.05
@@ -341,11 +342,10 @@ def criterion_10_geometry(seed=0):
     # every closed-form edge increment X(b) - X(a) against its Gauss-Legendre integral
     torus4 = CONSTRUCTIONS["torus4"]
     t4 = torus4.build(1.0, 1.0j)
-    grid33 = GridSpec(nx=33, ny=33)
+    data4, grid33 = torus4.weierstrass(t4), GridSpec(nx=33, ny=33)
     worst = 0.0
-    for d, grid, mesh in ((data, grid61, mesh4),
-                          (torus4.weierstrass(t4), grid33, torus4.mesh(t4, grid33))):
-        valid, h, v = quadrature_edges(d, grid)
+    for (valid, h, v), mesh in ((edges61, mesh4),
+                                (quadrature_edges(data4, grid33), torus4.mesh(t4, grid33))):
         X = np.full(valid.shape + (3,), np.nan)
         X[valid] = mesh.vertices
         gap = max(np.nanmax(np.abs(X[1:] - X[:-1] - h)), np.nanmax(np.abs(X[:, 1:] - X[:, :-1] - v)))
@@ -379,6 +379,17 @@ def criterion_11_nonexistence(seed=0):
     out.append(_check("11a dim K < 2 for n in {2,3,5,7} (100 trials each)",
                       violations, 0.0))
     out.append(_check("11b parity n - dim K even never fails", parity_violations, 0.0))
+    # a three-ended torus needs degeneracy 0 where |a| > 1; it depends on the lattice alone
+    margins = {}
+    for name, (o1, o3) in ACCEPTANCE_LATTICES:
+        ctx = build_context(o1, o3)
+        a1 = 0.57 * ctx.omega1 + 0.41 * ctx.omega3
+        rep = moduli.torus3_degeneracy(ctx, a1, moduli.torus3_admissible_pair(ctx, a1))
+        if rep.abs_a > 1.0:
+            margins[name] = abs(rep.degeneracy)
+    out.append(_check("11c three-ended torus: least |degeneracy| where |a| > 1 (5 lattices)",
+                      min(margins.values(), default=0.0), 1e-8, invert=True,
+                      detail="|a| > 1 on " + (", ".join(margins) or "no lattice")))
     return out
 
 

@@ -6,7 +6,7 @@ Every command writes a JSON report (schema-stamped, complex numbers as
 fails verification unless the closed form's identity residual and end
 residues, and every grid cell's loop closure relative to the mesh scale,
 are below 1e-6.  The named constructions are built and meshed through
-moduli.CONSTRUCTIONS, the table the scripts and the acceptance gate use.
+moduli.CONSTRUCTIONS, the table the acceptance gate uses too.
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ every identity checked; all but the 3-ended torus serialize it to a
 JSON-ready dict with `.report()`.
 sphere6_K_basis returns the tuple ((t1, t2), form, residuals).
 CONSTRUCTIONS is the one table of named constructions: the CLI, the
-scripts, the tests and the acceptance gate build and mesh through it.
+tests and the acceptance gate build and mesh through it.
 
 Conventions pinned here (each cross-checked numerically at build time):
 
@@ -521,7 +521,8 @@ def torus4_construct(ctx: EllipticContext, choice=(1, 2, 3)) -> TorusFourEnd:
     divisor = EndDivisor((0.0, ctx.omega1, ctx.omega2, ctx.omega3))
     tw = basis_F_torus_twisted(ctx, divisor)
     form = omega_matrix(tw)
-    residuals = {"omega_zero": float(np.max(np.abs(form.matrix.entries)))}
+    s = 4.0 ** ctx.lattice.chart_exponent  # Omega and off-diagonal periods scale as 1/s
+    residuals = {"omega_zero": float(np.max(np.abs(form.matrix.entries))) * s}
     K = extract_K(form, 1e-9)
     if len(K) != 3:
         raise ConstructionError(f"torus4 kernel has dimension {len(K)}, expected 3")
@@ -533,7 +534,7 @@ def torus4_construct(ctx: EllipticContext, choice=(1, 2, 3)) -> TorusFourEnd:
     rhs = B @ np.array([1.0, np.conj(ctx.e(k))])
     # the e row read in the unit chart, times s^2 for the chart scale s, so
     # that the solve's pivot, and so x, do not depend on s
-    unit = np.array([1.0, 16.0 ** ctx.lattice.chart_exponent])
+    unit = np.array([1.0, s * s])
     M2 = scale_parts(np.array([[1.0, 1.0], [ctx.e(i), ctx.e(j)]]), unit[:, None])
     xi2, xj2 = np.linalg.solve(M2, scale_parts(rhs, unit))
     x_i, x_j = _principal_root(xi2), _principal_root(xj2)
@@ -562,7 +563,7 @@ def torus4_construct(ctx: EllipticContext, choice=(1, 2, 3)) -> TorusFourEnd:
         period1_res = max(period1_res, abs(q11 - np.conj(q22)) / scale,
                           abs(q12.real) / scale)
     residuals["period_diag_rel"] = worst_diag
-    residuals["period_offdiag"] = worst_off
+    residuals["period_offdiag"] = worst_off * s
     residuals["period1"] = period1_res
     residuals["planar_ends"] = bool(planar_ends(s1, s2).all())
     return TorusFourEnd(ctx=ctx, choice=tuple(choice), ends=divisor,

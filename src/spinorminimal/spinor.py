@@ -516,9 +516,6 @@ class SpinorSection:
     def derivative(self, u):
         return self.basis.evaluate([self.coefficients], u, derivative=True)[1][0]
 
-    def __call__(self, u):
-        return self.evaluate(u)
-
 
 def _shared_basis(sections) -> Basis:
     basis = sections[0].basis

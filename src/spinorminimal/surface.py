@@ -20,8 +20,8 @@ the rows, the chart weight and the primitive read, and each reads its
 own rows of it.  So a mesh's memory is the finished mesh plus one block
 (on a torus that frame is most of the block), and a vertex's bits depend
 only on that vertex.  Gauss-Legendre edge quadrature stays as the oracle:
-quadrature_edges and quadrature_loop_residual integrate every grid edge
-independently.
+quadrature_edges integrates every grid edge independently, and
+quadrature_loop_residual closes its cells.
 
 export_obj and export_csv write the bytes of "%.17g" and "%d//%d", with
 numpy making a block's text at once in one byte buffer, each value's text
@@ -348,9 +348,9 @@ def quadrature_edges(data: WeierstrassData, grid: GridSpec):
     return valid, h, v
 
 
-def quadrature_loop_residual(data: WeierstrassData, grid: GridSpec) -> float:
-    """Largest Gauss-Legendre loop closure over the cells of integrate_surface's mask."""
-    valid, h, v = quadrature_edges(data, grid)
+def quadrature_loop_residual(data: WeierstrassData, grid: GridSpec, edges) -> float:
+    """Largest closure of edges = quadrature_edges(data, grid) on integrate_surface's cells."""
+    valid, h, v = edges
     closure = _closure(h[:, :-1], v[1:], h[:, 1:], v[:-1])
     return float(np.max(closure[_cell_mask(data, grid, valid)], initial=0.0))
 

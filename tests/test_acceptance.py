@@ -4,6 +4,7 @@ Each test prints one PASS/FAIL line per criterion check (run pytest with
 -s to see them inline; they also land in captured output on failure).
 """
 
+import dataclasses
 import inspect
 import json
 import os
@@ -111,7 +112,56 @@ def test_the_klein4_suite_builds_through_the_table_and_cuts_the_rank_once(count_
 
 def test_the_geometry_suite_meshes_each_construction_once(count_calls):
     meshes = _count_everywhere(count_calls, surface, "integrate_surface")
+    edges = _count_everywhere(count_calls, surface, "quadrature_edges")
     results = acceptance.criterion_10_geometry()
     assert results and all(r.passed for r in results)
     # enneper, sphere-4 (shared by 10b and 10e) and torus-4
     assert sorted(grid.nx for calls in meshes for _, grid, _ in calls) == [33, 61, 65]
+    # and one edge quadrature of the sphere-4 grid, also shared
+    assert sorted(grid.nx for calls in edges for _, grid in calls) == [33, 61]
+
+
+def _row_11c():
+    (row,) = [r for r in acceptance.criterion_11_nonexistence() if r.name.startswith("11c")]
+    return row
+
+
+def test_11c_reads_one_admissible_pair_per_lattice(monkeypatch):
+    exact, reports = moduli.torus3_degeneracy, []
+
+    def recorded(ctx, a1, a2):
+        reports.append(exact(ctx, a1, a2))
+        return reports[-1]
+    monkeypatch.setattr(moduli, "torus3_degeneracy", recorded)
+    row = _row_11c()
+    assert row.passed and row.value > 4.5 and row.detail == "|a| > 1 on rect2, rect3"
+    assert len(reports) == len(acceptance.ACCEPTANCE_LATTICES)
+    # each pair satisfies the end-placement condition g2 = 4 (p1^2 + p1 p2 + p2^2)
+    assert all(abs(rep.g2_condition) < 1e-6 * abs(rep.ctx.g2) for rep in reports)
+
+
+def _plant(monkeypatch, names, **fields):
+    """moduli.torus3_degeneracy with fields replaced in its reports on the
+    named acceptance lattices."""
+    exact = moduli.torus3_degeneracy
+    periods = [dict(acceptance.ACCEPTANCE_LATTICES)[name] for name in names]
+
+    def planted(ctx, a1, a2):
+        rep = exact(ctx, a1, a2)
+        return dataclasses.replace(rep, **fields) if (ctx.omega1, ctx.omega3) in periods else rep
+    monkeypatch.setattr(moduli, "torus3_degeneracy", planted)
+
+
+def test_11c_fails_on_a_three_ended_torus(monkeypatch):
+    # a zero degeneracy where |a| > 1, on one lattice, is a surface
+    _plant(monkeypatch, ["square"], degeneracy=0j, abs_a=2.0)
+    row = _row_11c()
+    assert not row.passed and row.value == 0.0
+    assert row.detail == "|a| > 1 on square, rect2, rect3"
+
+
+def test_11c_fails_when_no_lattice_has_a_big_a(monkeypatch):
+    # with |a| <= 1 everywhere the row shows nothing, so it fails
+    _plant(monkeypatch, [name for name, _ in acceptance.ACCEPTANCE_LATTICES], abs_a=0.5)
+    row = _row_11c()
+    assert not row.passed and row.value == 0.0 and row.detail == "|a| > 1 on no lattice"

@@ -3,6 +3,7 @@ unit chart, so Omega and K scale by exact powers of two and rank, dim K and
 the omega command's exit code do not change."""
 
 import contextlib
+import functools
 import io
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from spinorminimal.cli import main
 from spinorminimal.elliptic import build_context
+from spinorminimal.moduli import torus4_construct
 from spinorminimal.numkit import scale_parts
 from spinorminimal.spinor import (
     INF,
@@ -123,3 +125,18 @@ def test_a_rational_row_has_its_poles_at_every_scale(k):
     dom = SphereDomain(ends=EndDivisor((a, 2 * a, INF)))
     s = rational_sphere_basis(dom, [([1.0], [-a, 1.0])], ("s",))[0]
     assert s.expansions[:2].tolist() == [[1, 0], [0, 1 / a]]
+
+
+@functools.cache
+def _torus4_residuals(lattice, k):
+    lam = 4.0**k
+    return torus4_construct(build_context(lam * lattice[0], lam * lattice[1])).residuals
+
+
+@given(st.sampled_from([(1.0, 1.0j), (1.0, 2.0j), (1.1 - 0.2j, 0.3 + 0.9j)]),
+       st.integers(-20, 20))
+@settings(max_examples=12, deadline=None)
+def test_torus4_residuals_read_the_unit_chart(lattice, k):
+    # omega_zero and period_offdiag are absolute values, which scale as 4^-k;
+    # read in the unit chart every residual keeps its bits
+    assert _torus4_residuals(lattice, k) == _torus4_residuals(lattice, 0)

@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 
 from spinorminimal.cli import main, parse_complex
+from spinorminimal.moduli import rp2_boundary_point
 from spinorminimal.spinor import INF, is_infinity
+
+SPHERE6_ON_VARIETY = ["0", "1.4907119849998598", "0"]
 
 
 class TestParseComplex:
@@ -129,8 +132,28 @@ class TestCommands:
         lines = obj.read_text().splitlines()
         assert sum(1 for l in lines if l.startswith("v ")) == 17 * 17
 
+    @pytest.mark.parametrize("argv", [
+        ["sphere4", "--grid", "81", "--extent", "2.0"],
+        ["sphere6", *SPHERE6_ON_VARIETY, "--grid", "81", "--extent", "2.5"],
+        ["torus4", "1", "1j", "--grid", "65"],
+        ["klein4", "--grid", "65"],
+    ], ids=["sphere4", "sphere6", "torus4", "klein4"])
+    def test_a_construction_writes_its_report_and_mesh(self, tmp_path, capsys, argv):
+        # the four constructions at the grids the README runs them on
+        name = argv[0]
+        obj, report = tmp_path / f"{name}.obj", tmp_path / f"{name}.json"
+        assert main([*argv, "--mesh", str(obj), "--out", str(tmp_path)]) == 0
+        assert sorted(tmp_path.iterdir()) == [report, obj]
+        assert json.loads(report.read_text())["schema"] == "spinor-minimal/1"
+        assert obj.read_text().startswith("v ")
+        assert capsys.readouterr().out == f"wrote {obj}\nwrote {report}\n"
 
-SPHERE6_ON_VARIETY = ["0", "1.4907119849998598", "0"]
+    def test_rp2_boundary_scan_and_its_special_points(self, capsys):
+        assert main(["rp2", "--boundary-scan", "5"]) == 0
+        assert json.loads(capsys.readouterr().out)["count"] == 26
+        for kind, label in (("Z2xZ2", "Z2xZ2"), ("D3", "S3")):
+            assert main(["rp2", *map(repr, map(float, rp2_boundary_point(kind)))]) == 0
+            assert json.loads(capsys.readouterr().out)["stabilizer"] == label
 
 
 class TestMeshGate:

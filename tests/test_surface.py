@@ -40,6 +40,7 @@ from spinorminimal.surface import (
     integrate_position,
     integrate_surface,
     period_vector,
+    quadrature_edges,
     quadrature_loop_residual,
     real_period,
     total_curvature_estimate,
@@ -76,7 +77,8 @@ class TestEnneper:
     def test_loop_residuals(self, enneper_mesh):
         scale = enneper_mesh.metadata["mesh_scale"]
         grid = GridSpec(nx=65, ny=65, extent=2.0)
-        assert quadrature_loop_residual(enneper_data(), grid) < 1e-7 * scale
+        data = enneper_data()
+        assert quadrature_loop_residual(data, grid, quadrature_edges(data, grid)) < 1e-7 * scale
         assert enneper_mesh.metadata["identity_residual_max"] < 1e-12
 
     def test_entire_loops_vanish(self):
@@ -256,7 +258,8 @@ class TestSphere4Geometry:
         _, data = sphere4_data
         grid = GridSpec(nx=61, ny=61, extent=2.0)
         mesh = integrate_surface(data, grid, -1.0 - 1.0j)
-        assert quadrature_loop_residual(data, grid) < 1e-7 * mesh.metadata["mesh_scale"]
+        assert quadrature_loop_residual(data, grid, quadrature_edges(data, grid)) \
+            < 1e-7 * mesh.metadata["mesh_scale"]
         assert mesh.metadata["identity_residual_max"] < 1e-12
 
     def test_planar_end_flattening(self, sphere4_data):
@@ -480,7 +483,7 @@ class TestCellMask:
         data, grid = entry.weierstrass(built), GridSpec(33, 33)
         calls = count_calls(surface, "_cell_mask")
         mesh = entry.mesh(built, grid)
-        quadrature_loop_residual(data, grid)
+        quadrature_loop_residual(data, grid, quadrature_edges(data, grid))
         assert len(calls) == 2 and all(args[1] == grid for args in calls)
         assert np.array_equal(calls[0][2], calls[1][2])
         # the four ends at +-0.934 +-0.357i each sat inside one face
@@ -760,10 +763,11 @@ class TestTorusMesh:
         base = 0.5 * 2 * t4.ctx.omega1 + 0.25 * 2 * t4.ctx.omega3
         # snap to a grid point: fractions k/(n-1)
         base = (24 / 48) * 2 * t4.ctx.omega1 + (12 / 48) * 2 * t4.ctx.omega3
-        mesh = integrate_surface(data, GridSpec(nx=49, ny=49), base)
+        grid = GridSpec(nx=49, ny=49)
+        mesh = integrate_surface(data, grid, base)
         assert mesh.metadata["vertex_count"] > 1000
         scale = mesh.metadata["mesh_scale"]
-        assert quadrature_loop_residual(data, GridSpec(nx=49, ny=49)) < 1e-6 * scale
+        assert quadrature_loop_residual(data, grid, quadrature_edges(data, grid)) < 1e-6 * scale
         assert mesh.metadata["identity_residual_max"] < 1e-12
 
 

@@ -61,11 +61,11 @@ class CheckResult:
         return f"{status}  {self.name}: {self.value:.3e} (tol {self.tol:.1e}){extra}"
 
 
-def _check(name, value, tol, detail="", invert=False):
+def _check(name, value, bound, detail="", invert=False):
     value = float(value)
-    ok = value > tol if invert else value <= tol
+    ok = value > bound if invert else value <= bound
     op = ">" if invert else "<="
-    return CheckResult(name=name, passed=ok, value=value, tol=tol,
+    return CheckResult(name=name, passed=ok, value=value, tol=bound,
                        detail=detail or f"require {op} tol")
 
 
@@ -371,7 +371,7 @@ def criterion_11_nonexistence(seed=0):
                 form = omega_matrix(basis_F_sphere(EndDivisor(ends)))
             except ValueError:
                 continue  # coincident random ends: resample not needed at this density
-            K = extract_K(form, 1e-9)
+            K = extract_K(form)
             if len(K) >= 2:
                 violations += 1
             if (n - len(K)) % 2 != 0:

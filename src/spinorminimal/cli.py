@@ -87,7 +87,7 @@ def _mesh_if_requested(args, built, payload: dict, grid: GridSpec) -> int:
 
 
 def cmd_sphere4(args) -> int:
-    fam = CONSTRUCTIONS["sphere4"].build(tol=args.tol)
+    fam = CONSTRUCTIONS["sphere4"].build()
     payload = fam.report()
     rc = _mesh_if_requested(args, fam, payload, GridSpec(args.grid, args.grid, args.extent))
     _emit(args, payload, "sphere4")
@@ -112,16 +112,17 @@ def cmd_sphere6(args) -> int:
         return 0 if worst < 1e-6 else VERIFICATION_ERROR
     sigma = tuple(args.sigma)
     closed = moduli.sphere6_pfaffian(sigma)
-    payload = {"sigma": sigma, "closed_form_pfaffian": closed}
     pf, normalized = moduli.sphere6_numeric_pfaffian(sigma)
-    payload["numeric_pfaffian"] = pf
-    payload["vandermonde_normalized"] = normalized
-    on_variety = abs(closed) < 1e-8 * max(1.0, sum(abs(s) for s in sigma) ** 4)
-    if args.mesh and not on_variety:
-        raise ValueError(f"--mesh needs sigma on the pfaffian variety (value {closed:.3e})")
+    payload = {"sigma": sigma, "closed_form_pfaffian": closed,
+               "numeric_pfaffian": pf, "vandermonde_normalized": normalized}
     rc = 0
-    if on_variety:
-        built = CONSTRUCTIONS["sphere6"].build(sigma, tol=args.tol * 10)
+    try:  # the printed K basis decides membership of the variety
+        built = CONSTRUCTIONS["sphere6"].build(sigma)
+    except moduli.ConstructionError as exc:
+        if args.mesh:
+            raise ValueError(f"--mesh needs sigma on the pfaffian variety (value {closed:.3e}); "
+                             f"{exc}") from None
+    else:
         payload["K_residuals"] = built[2]
         rc = _mesh_if_requested(args, built, payload, GridSpec(args.grid, args.grid, args.extent))
     _emit(args, payload, "sphere6")
@@ -142,7 +143,7 @@ def cmd_rp2(args) -> int:
     if not math.isfinite(value):
         raise OverflowError(f"the variety value at c = {c} overflows")
     payload = {"c": c, "variety_value": value}
-    if abs(value) < 1e-6 * 32.0:
+    if moduli.rp2_on_variety(c):
         payload["stabilizer"] = moduli.rp2_symmetry_group(c)
     _emit(args, payload, "rp2")
     return 0
@@ -161,7 +162,7 @@ def cmd_torus4(args) -> int:
 
 
 def cmd_klein4(args) -> int:
-    kb = CONSTRUCTIONS["klein4"].build(tol=args.tol * 10)
+    kb = CONSTRUCTIONS["klein4"].build()
     payload = kb.report()
     rc = _mesh_if_requested(args, kb, payload, GridSpec(args.grid, args.grid))
     _emit(args, payload, "klein4")
@@ -204,7 +205,7 @@ def cmd_omega(args) -> int:
         else:
             basis = basis_F_torus_untwisted(ctx, args.r, divisor)
     form = omega_matrix(basis)
-    K = extract_K(form, args.tol)
+    K = extract_K(form)
     payload = {
         "domain": args.domain,
         "ends": form.divisor.points,
@@ -272,7 +273,6 @@ _INDICES = _checked(lambda text: frozenset(int(k) for k in text.split(",")), boo
 
 # every option a subcommand can take; each subcommand names the ones it reads
 _OPTIONS = {
-    "--tol": dict(type=_POSITIVE, default=1e-9, help="rank/kernel tolerance"),
     "--grid": dict(type=_GRID, default=65, help="mesh grid resolution"),
     "--eps": dict(type=_POSITIVE, default=None, help="end clearance override"),
     "--extent": dict(type=_POSITIVE, default=2.0, help="sphere chart half-width"),
@@ -300,10 +300,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(fn=fn)
         return p
 
-    command("sphere4", cmd_sphere4, "--tol --grid --eps --extent --mesh --out --json",
+    command("sphere4", cmd_sphere4, "--grid --eps --extent --mesh --out --json",
             "4-ended minimal sphere")
 
-    p6 = command("sphere6", cmd_sphere6, "--seed --tol --grid --eps --extent --mesh --out --json",
+    p6 = command("sphere6", cmd_sphere6, "--seed --grid --eps --extent --mesh --out --json",
                  "6-ended sphere family")
     p6.add_argument("sigma", nargs="*", type=_COMPLEX, help="sigma1 sigma2 sigma3")
     p6.add_argument("--scan", type=_COUNT, default=0, help="random-sigma pfaffian scan")
@@ -320,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help=f"half-period omega3 (complex); the lattice needs {thin}")
     pt4.add_argument("--choice", type=_PERMUTATION, default="123", help="permutation ijk")
 
-    command("klein4", cmd_klein4, "--tol --grid --eps --mesh --out --json",
+    command("klein4", cmd_klein4, "--grid --eps --mesh --out --json",
             "4-ended minimal Klein bottle")
 
     pa = command("arf", cmd_arf, "--out --json", "Arf invariants and the torus spin table")
@@ -328,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("branch", nargs="?", default=None, type=_INDICES,
                     help="comma-separated B indices, e.g. '0,2'")
 
-    po = command("omega", cmd_omega, "--tol --out --json", "Omega matrix and kernel on a divisor")
+    po = command("omega", cmd_omega, "--out --json", "Omega matrix and kernel on a divisor")
     po.add_argument("--domain", choices=("sphere", "twisted", "untwisted"), required=True)
     po.add_argument("--ends", required=True,
                     type=lambda text: tuple(_END(s) for s in text.split(";")),

@@ -33,6 +33,8 @@ __all__ = [
 ]
 
 SKEW_CONSTRUCTION_TOL = 1e-12
+# the rank cut: a singular value at most RANK_TOL of the largest is zero
+RANK_TOL = 1e-9
 
 
 class NonConvergenceError(RuntimeError):
@@ -167,22 +169,20 @@ def pfaffian(a: SkewMatrix) -> complex:
     return complex(pf)
 
 
-def skew_rank_kernel(a: SkewMatrix, tol: float = 1e-9):
+def skew_rank_kernel(a: SkewMatrix):
     """Even rank of a skew matrix plus an orthonormal kernel basis.
 
-    The cutoff is tol times the largest singular value, so a matrix of
+    The cutoff is RANK_TOL times the largest singular value, so a matrix of
     rounding noise around zero must come with that noise set to 0 (as
     OmegaForm.rank_kernel does).  Singular values of a skew-symmetric
     matrix come in equal pairs, so a threshold that lands inside a pair is
     resolved by keeping or dropping the pair.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
     m = a.entries
     n = m.shape[0]
     u, s, vh = np.linalg.svd(m)
     smax = s[0] if n else 0.0
-    cut = tol * smax
+    cut = RANK_TOL * smax
     if smax == 0.0 or smax <= cut:
         return 0, [np.eye(n, dtype=complex)[:, j] for j in range(n)]
     rank = int(np.sum(s > cut))

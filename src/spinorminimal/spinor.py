@@ -61,8 +61,8 @@ from numpy.polynomial import polynomial as P
 
 from . import elliptic
 from .elliptic import EllipticContext
-from .numkit import (QuadraturePath, SkewMatrix, chart_exponent, contour_integral, scale_parts,
-                     skew_rank_kernel)
+from .numkit import (RANK_TOL, QuadraturePath, SkewMatrix, chart_exponent, contour_integral,
+                     scale_parts, skew_rank_kernel)
 
 __all__ = [
     "INF",
@@ -76,6 +76,7 @@ __all__ = [
     "OmegaForm",
     "SectionDataError",
     "sigma_map",
+    "sigma_quadratic",
     "spin_cover",
     "omega_pair",
     "omega_qres_matrix",
@@ -666,24 +667,28 @@ class OmegaForm:
     def h_dim(self) -> int:
         return self.basis[0].domain.h_dim
 
-    def rank_kernel(self, tol: float):
+    def rank_kernel(self):
         """skew_rank_kernel of Omega_n = D Omega D, D the row_factors: the
-        Omega of the unit-chart rows.  Its entries at most tol times their
-        pair's alpha scale (_omega_table) are rounding, set to 0, so an Omega
-        of rounding alone has rank 0.  Kernel vectors are on the unit-chart
-        rows."""
+        Omega of the unit-chart rows.  Its entries at most RANK_TOL times
+        their pair's alpha scale (_omega_table) are rounding, set to 0, so an
+        Omega of rounding alone has rank 0.  Kernel vectors are on the
+        unit-chart rows."""
         rows = self.basis[0].basis
         d = rows.row_factors
         sizes = rows.domain.unit_sizes(rows.laurent).sum(axis=-1) * d[:, None]
         omega = scale_parts(self.matrix.entries, np.outer(d, d))
-        omega[np.abs(omega) <= tol * np.einsum("ik,jk->ij", sizes, sizes)] = 0.0
-        return skew_rank_kernel(SkewMatrix(omega), tol)
+        omega[np.abs(omega) <= RANK_TOL * np.einsum("ik,jk->ij", sizes, sizes)] = 0.0
+        return skew_rank_kernel(SkewMatrix(omega))
+
+
+def sigma_quadratic(q11, q22, q12):
+    """(q11 - q22, i(q11 + q22), 2 q12) on products q_ij = z_i z_j or their periods."""
+    return (q11 - q22, 1j * (q11 + q22), 2.0 * q12)
 
 
 def sigma_map(z1, z2):
-    """Null vector (z1^2 - z2^2, i(z1^2 + z2^2), 2 z1 z2)."""
-    z1, z2 = complex(z1), complex(z2)
-    return (z1 * z1 - z2 * z2, 1j * (z1 * z1 + z2 * z2), 2.0 * z1 * z2)
+    """Null vector (z1^2 - z2^2, i(z1^2 + z2^2), 2 z1 z2), elementwise."""
+    return sigma_quadratic(z1 * z1, z2 * z2, z1 * z2)
 
 
 _PAULI = (
@@ -1015,15 +1020,20 @@ def omega_matrix(basis) -> OmegaForm:
     return OmegaForm(matrix=SkewMatrix.antisymmetrize(M), basis=tuple(basis))
 
 
-def extract_K(form: OmegaForm, tol: float = 1e-9):
+# extract_K's cuts: a direction off H at most PROJECTION_TOL of the largest
+# lies in H; a vector whose alpha_0 exceeds K_TEST_TOL of its alpha_-1 is not in K
+PROJECTION_TOL, K_TEST_TOL = 1e-8, 1e-6
+
+
+def extract_K(form: OmegaForm):
     """Kernel of Omega with the known H subspace projected out.
 
     Every step reads the unit chart: the kernel of OmegaForm.rank_kernel,
     H's projection, the normalization (first nonzero coefficient = 1),
-    and the K test, alpha_0 at most max(100 tol, 1e-6) of the largest
-    alpha_-1 at every end.  The vectors map back through the row factors.
+    and the K test, alpha_0 at most K_TEST_TOL of the largest alpha_-1
+    at every end.  The vectors map back through the row factors.
     """
-    rank, kernel = form.rank_kernel(tol)
+    rank, kernel = form.rank_kernel()
     if len(kernel) < form.h_dim:
         raise SectionDataError(
             f"kernel dimension {len(kernel)} below h_dim {form.h_dim}")
@@ -1033,7 +1043,7 @@ def extract_K(form: OmegaForm, tol: float = 1e-9):
         stack = np.array(kernel, dtype=complex)
         stack[:, :form.h_dim] = 0.0
         u, s, vh = np.linalg.svd(stack)
-        keep = [vh[i, :] for i in range(len(s)) if s[i] > 1e-8 * max(s[0], 1e-30)]
+        keep = [vh[i, :] for i in range(len(s)) if s[i] > PROJECTION_TOL * max(s[0], 1e-30)]
     else:
         keep = []
     expected = len(kernel) - form.h_dim
@@ -1047,7 +1057,7 @@ def extract_K(form: OmegaForm, tol: float = 1e-9):
                  dtype=complex).reshape(-1, len(basis.labels))
     mags = basis.domain.unit_sizes(basis.table(V))
     a0_max, am1_max = mags[..., 1].max(axis=1), mags[..., 0].max(axis=1)
-    failed = ~(a0_max <= max(tol * 100, 1e-6) * am1_max)
+    failed = ~(a0_max <= K_TEST_TOL * am1_max)
     if failed.any():
         raise SectionDataError(
             f"extracted kernel vector fails the K test (alpha0 max {a0_max[failed][0]:.2e})")

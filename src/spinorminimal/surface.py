@@ -57,6 +57,8 @@ from .spinor import (
     period_matrix,
     rational_sphere_basis,
     section_values,
+    sigma_map,
+    sigma_quadratic,
 )
 
 __all__ = [
@@ -120,10 +122,7 @@ class WeierstrassData:
         """The three 1-form coefficients of dX at u, shape (3, ...)."""
         at = chart_points((self.s1, self.s2))(u)
         f1, f2 = section_values((self.s1, self.s2), at)
-        mu = self.domain.form_weight(at)
-        return np.stack([(f1 * f1 - f2 * f2) * mu,
-                         1j * (f1 * f1 + f2 * f2) * mu,
-                         2.0 * f1 * f2 * mu])
+        return np.stack(sigma_map(f1, f2)) * self.domain.form_weight(at)
 
     def end_distance(self, u):
         """Chart distance from each point of u to the nearest finite end."""
@@ -363,9 +362,7 @@ def period_vector(data: WeierstrassData, loop: QuadraturePath):
 
 def real_period(periods) -> np.ndarray:
     """Re(omega)-period vector from (int s1^2, int s2^2, int s1 s2)."""
-    i11, i22, i12 = periods
-    return np.array([np.real(i11 - i22), np.real(1j * (i11 + i22)),
-                     np.real(2.0 * i12)])
+    return np.real(sigma_quadratic(*periods))
 
 
 def gauss_map(data: WeierstrassData, u):

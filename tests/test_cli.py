@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from spinorminimal.cli import main, parse_complex
-from spinorminimal.moduli import rp2_boundary_point
+from spinorminimal.moduli import rp2_boundary_point, rp2_on_variety, rp2_symmetry_group, rp2_variety
 from spinorminimal.spinor import INF, is_infinity
 
 SPHERE6_ON_VARIETY = ["0", "1.4907119849998598", "0"]
@@ -22,7 +22,6 @@ class TestParseComplex:
 
 class TestRunConfig:
     def test_invalid_values_are_usage_errors(self):
-        assert main(["sphere4", "--tol", "-1"]) == 1
         assert main(["sphere4", "--grid", "1"]) == 1
         assert main(["sphere4", "--eps", "0"]) == 1
 
@@ -262,3 +261,64 @@ def test_sphere_dim_K_does_not_depend_on_scale(capsys, scale):
     ends = ";".join(repr(complex(x * scale / 1000, y * scale / 1000)) for x, y in SPHERE_ENDS)
     assert main(["omega", "--domain", "sphere", f"--ends={ends};inf"]) == 0
     assert json.loads(capsys.readouterr().out)["dim_K"] == 0
+
+
+def _sphere6_sweep():
+    """(offset, sigma): six seeded sigma1, each with sigma2 in {0.1, 1, 10,
+    100} and the first root sigma3 of the pfaffian variety, then sigma2
+    scaled by 1 + offset."""
+    rng = np.random.default_rng(5)
+    for _ in range(6):
+        s1 = complex(rng.standard_normal(), rng.standard_normal())
+        for s2 in (0.1, 1.0, 10.0, 100.0):
+            tau1 = s1 * s1 + 3.0 * s2
+            s3 = complex(np.roots([tau1, s1, 3.0 * s2 * tau1 - 20.0])[0])
+            for offset in (0.0, 1e-10, 1e-8, 1e-6, 1e-4):
+                yield offset, (s1, s2 * (1.0 + offset), s3)
+
+
+def _sphere6_report(sigma, capsys):
+    code = main(["sphere6", *(repr(complex(s)) for s in sigma)])
+    out = capsys.readouterr().out
+    return code, json.loads(out) if code == 0 else None
+
+
+def test_sphere6_exits_0_on_and_off_the_variety(capsys):
+    # the printed K basis alone decides membership: a sigma off the variety
+    # gets a report without K and exit 0, whatever the scale of sigma2
+    sweep = [(offset, *_sphere6_report(sigma, capsys)) for offset, sigma in _sphere6_sweep()]
+    assert [code for _, code, _ in sweep] == [0] * 120
+    assert all("K_residuals" in report for offset, _, report in sweep if offset == 0.0)
+    for _, _, report in sweep:
+        if "K_residuals" in report:
+            assert max(report["K_residuals"].values()) <= 1e-8
+
+
+@pytest.mark.parametrize("times", [0.5, 2.0])
+def test_sphere6_gate_edge(capsys, times):
+    # the printed basis's residuals grow linearly with sigma2's offset from
+    # the variety: read the slope at 1e-10, then place the largest residual
+    # at times the gate's 1e-8
+    s2 = 2.0 * np.sqrt(5.0) / 3.0
+    _, report = _sphere6_report((0.0, s2 * (1.0 + 1e-10), 0.0), capsys)
+    slope = max(report["K_residuals"].values()) / 1e-10
+    code, report = _sphere6_report((0.0, s2 * (1.0 + times * 1e-8 / slope), 0.0), capsys)
+    assert code == 0
+    assert ("K_residuals" in report) == (times < 1)
+
+
+@pytest.mark.parametrize("times", [0.5, 2.0])
+def test_rp2_variety_edge(capsys, times):
+    # (c1, 0, 0) has variety value 9 (c1^2 + 3) - 32: placed at times the
+    # bound 1e-6 * 32, the stabilizer is reported, and computed, only short of it
+    value = times * 1e-6 * 32.0
+    c = (float(np.sqrt((32.0 + value) / 9.0 - 3.0)), 0.0, 0.0)
+    assert rp2_variety(c) == pytest.approx(value, rel=1e-6)
+    assert rp2_on_variety(c) == (times < 1)
+    assert main(["rp2", *map(repr, c)]) == 0
+    assert ("stabilizer" in json.loads(capsys.readouterr().out)) == (times < 1)
+    if times < 1:
+        assert rp2_symmetry_group(c) == "Z2xZ2"
+    else:
+        with pytest.raises(ValueError, match="off the admissibility variety"):
+            rp2_symmetry_group(c)

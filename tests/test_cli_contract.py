@@ -25,13 +25,13 @@ from spinorminimal.reportio import SCHEMA, ReportValueError, Table, jsonify, rep
 from spinorminimal.spinor import INF
 
 OPTIONS = {
-    "sphere4": "--tol --grid --eps --extent --mesh --out --json",
-    "sphere6": "sigma --scan --seed --tol --grid --eps --extent --mesh --out --json",
+    "sphere4": "--grid --eps --extent --mesh --out --json",
+    "sphere6": "sigma --scan --seed --grid --eps --extent --mesh --out --json",
     "rp2": "c --boundary-scan --out --json",
     "torus4": "omega1 omega3 --choice --grid --eps --mesh --out --json",
-    "klein4": "--tol --grid --eps --mesh --out --json",
+    "klein4": "--grid --eps --mesh --out --json",
     "arf": "genus branch --out --json",
-    "omega": "--domain --ends --omega1 --omega3 --r --tol --out --json",
+    "omega": "--domain --ends --omega1 --omega3 --r --out --json",
     "mesh": "construction obj --grid --eps --extent --out --json",
     "verify": "suite --seed --out",
 }
@@ -58,7 +58,6 @@ PROBES = [
     ["omega", "--domain", "sphere", "--ends", "1e400;1;inf"],
     ["sphere4", "--eps", "inf", "--mesh", "{d}/q.obj"],
     ["sphere4", "--extent", "nan", "--mesh", "{d}/q.obj"],
-    ["sphere4", "--tol", "inf"],
     ["sphere6", "1e300", "0", "0"],
     ["torus4", "1e-200", "1e-200j"],
     ["torus4", "1e200", "1e200j"],
@@ -66,6 +65,14 @@ PROBES = [
     ["rp2", "1e300", "1e300", "1e300"],
     ["rp2", "1e100", "1e100", "1"],
 ]
+# no command takes a rank tolerance: the cut is numkit.RANK_TOL
+TOL_PROBES = [
+    ["sphere4", "--tol", "1e-9"],
+    ["sphere6", "0", "1.4907119849998598", "0", "--tol", "1e-9"],
+    ["klein4", "--tol", "1e-9"],
+    ["omega", "--domain", "sphere", "--ends", "0.5j;1;-1;inf", "--tol", "1e-9"],
+]
+PROBES += TOL_PROBES
 
 
 def _subparsers():
@@ -99,10 +106,13 @@ class TestOptionSets:
     def test_the_parser_is_built_once(self):
         assert build_parser() is build_parser()
 
-    @pytest.mark.parametrize("argv", [PROBES[3], PROBES[4]], ids=["omega", "mesh"])
-    def test_a_dropped_option_is_unrecognized(self, tmp_path, argv):
+    @pytest.mark.parametrize("argv, flag", [(PROBES[3], "--mesh"), (PROBES[4], "--mesh")]
+                             + [(argv, "--tol") for argv in TOL_PROBES],
+                             ids=["omega", "mesh"] + [f"{argv[0]}-tol" for argv in TOL_PROBES])
+    def test_a_dropped_option_is_unrecognized(self, tmp_path, argv, flag):
         code, err, files = _run(argv, tmp_path)
-        assert code == 1 and "unrecognized arguments: --mesh" in err
+        assert code == 1 and f"unrecognized arguments: {flag}" in err
+        assert sum("error:" in line for line in err.splitlines()) == 1
         assert files == []
 
 
@@ -215,8 +225,8 @@ LATTICE = _mostly(
     | st.tuples(st.just("1"), st.builds("{!r},{!r}".format, st.floats(-1.0, 1.0),
                                         st.floats(0.3, 2.0))),
     st.tuples(COMPLEX, COMPLEX))
-TOL, EPS, EXTENT = (_mostly(st.floats(low, high).map(repr), BAD)
-                    for low, high in ((1e-13, 1e-5), (1e-3, 0.2), (0.5, 3.0)))
+EPS, EXTENT = (_mostly(st.floats(low, high).map(repr), BAD)
+               for low, high in ((1e-3, 0.2), (0.5, 3.0)))
 GRID = st.sampled_from(["2", "9", "17", "33", "-1", "1", "3.5"])
 MESH = st.sampled_from([[], ["--mesh", "{d}/m.obj"]])
 
@@ -243,16 +253,15 @@ ARGV = st.one_of(
               _values(COMPLEX, 3) | st.just(["0", "1.4907119849998598", "0"]),
               _options(**{"--scan": st.sampled_from(["0", "2", "-1"]),
                           "--seed": st.sampled_from(["0", "7", "-3"]),
-                          "--grid": GRID, "--tol": TOL}), MESH),
+                          "--grid": GRID}), MESH),
     st.builds(lambda domain, ends, opts: ["omega", "--domain", domain, "--ends=" + ";".join(ends),
                                           *opts],
               st.sampled_from(["sphere", "twisted", "untwisted"]),
               st.lists(COMPLEX | st.sampled_from(["0", "inf"]), min_size=1, max_size=4),
               _options(**{"--r": st.sampled_from(["1", "2", "3", "0", "4", "x"]),
-                          "--omega1": COMPLEX, "--omega3": COMPLEX, "--tol": TOL})),
+                          "--omega1": COMPLEX, "--omega3": COMPLEX})),
     st.builds(lambda opts, mesh: ["sphere4", *opts, *mesh],
-              _options(**{"--tol": TOL, "--eps": EPS, "--extent": EXTENT,
-                          "--grid": GRID}), MESH),
+              _options(**{"--eps": EPS, "--extent": EXTENT, "--grid": GRID}), MESH),
 )
 
 

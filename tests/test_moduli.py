@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 
 from spinorminimal import elliptic
+from spinorminimal.acceptance import ACCEPTANCE_LATTICES
 from spinorminimal.elliptic import build_context, wp, wp_prime
 from spinorminimal.moduli import (
+    EPSILON,
     KLEIN_M,
+    _epsilon_residual,
     _principal_root,
     klein4_construct,
     klein_W,
@@ -338,15 +341,18 @@ class TestTorus3:
         assert abs(rep.g2_condition) < 1e-8 * scale
         assert rep.q1q2_identity < 1e-10 * scale
 
-    def test_cube_root_epsilon_selected(self, ctx3):
-        a1 = 0.57 * ctx3.omega1 + 0.41 * ctx3.omega3
-        a2 = torus3_admissible_pair(ctx3, a1)
-        rep = torus3_degeneracy(ctx3, a1, a2)
-        assert rep.epsilon_label.startswith("cube root")
-        assert rep.epsilon == pytest.approx((-1.0 + 1j * np.sqrt(3.0)) / 2.0)
-        assert rep.epsilon_residuals[rep.epsilon_label] < 1e-8
-        other = [v for k, v in rep.epsilon_residuals.items() if k != rep.epsilon_label][0]
-        assert other > 1e-2  # the printed glyph fails decisively
+    @pytest.mark.parametrize("lattice", [o for _, o in ACCEPTANCE_LATTICES],
+                             ids=[name for name, _ in ACCEPTANCE_LATTICES])
+    def test_the_cube_root_meets_the_period_identity_and_the_printed_epsilon_misses(
+            self, lattice):
+        # int t1h t2h = -6 eta_k along both cycles: EPSILON meets it, and
+        # the printed (-1+sqrt3)/2, which no construction uses, misses it
+        ctx = build_context(*lattice)
+        a1 = 0.57 * ctx.omega1 + 0.41 * ctx.omega3
+        a2 = torus3_admissible_pair(ctx, a1)
+        assert EPSILON == (-1.0 + 1j * np.sqrt(3.0)) / 2.0
+        assert torus3_degeneracy(ctx, a1, a2).epsilon_residual < 1e-8
+        assert _epsilon_residual(ctx, a1, a2, (-1.0 + np.sqrt(3.0)) / 2.0) > 0.1
 
     def test_admissible_pair_frames(self, count_calls):
         # wp(a1) and wp'(a1) from one frame, one frame per Newton step of

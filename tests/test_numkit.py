@@ -109,13 +109,13 @@ class TestPfaffian:
 class TestSkewRankKernel:
     def test_zero_matrix(self):
         m = SkewMatrix(np.zeros((4, 4)))
-        rank, kernel = skew_rank_kernel(m, 1e-9)
+        rank, kernel = skew_rank_kernel(m)
         assert rank == 0
         assert len(kernel) == 4
 
     def test_invertible_2x2(self):
         m = SkewMatrix(np.array([[0.0, 1.0], [-1.0, 0.0]]))
-        rank, kernel = skew_rank_kernel(m, 1e-9)
+        rank, kernel = skew_rank_kernel(m)
         assert rank == 2
         assert kernel == []
 
@@ -126,7 +126,7 @@ class TestSkewRankKernel:
             m = np.zeros((n, n), dtype=complex)
             m[: n - 2, : n - 2] = base  # rank <= n-2 by construction
             m = SkewMatrix.antisymmetrize(m)
-            rank, kernel = skew_rank_kernel(m, 1e-9)
+            rank, kernel = skew_rank_kernel(m)
             assert rank % 2 == 0
             assert rank + len(kernel) == n
             norm = np.max(np.abs(m.entries))
@@ -143,7 +143,7 @@ class TestSkewRankKernel:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 9))
         m = random_skew(n, rng)
-        rank, _ = skew_rank_kernel(m, 1e-9)
+        rank, _ = skew_rank_kernel(m)
         assert rank % 2 == 0
 
 

@@ -17,7 +17,7 @@ from spinorminimal.elliptic import (
     wp_prime,
     wp_second,
 )
-from spinorminimal.numkit import SkewMatrix, pfaffian, skew_rank_kernel
+from spinorminimal.numkit import RANK_TOL, SkewMatrix, pfaffian, skew_rank_kernel
 from spinorminimal.spinor import (
     INF,
     EndDivisor,
@@ -187,7 +187,7 @@ class TestTableResidues:
         form = omega_matrix(basis)
         basis[0].basis.laurent[1, 2, 1] = np.nan
         with pytest.raises(SectionDataError, match=r"fails the K test \(alpha0 max nan\)"):
-            extract_K(form, 1e-9)
+            extract_K(form)
 
 
 def _half_lattice_twisted(ctx):
@@ -222,18 +222,33 @@ class TestThresholdEdges:
         else:
             omega_matrix(basis)
 
+    def test_the_named_thresholds_keep_their_values(self):
+        # the edge cases below read the names, so they move with the values;
+        # these are the values the README states
+        assert (RANK_TOL, spinor.K_TEST_TOL, spinor.PROJECTION_TOL) == (1e-9, 1e-6, 1e-8)
+
+    @pytest.mark.parametrize("times", [0.5, 2.0])
+    def test_rank_cut(self, times):
+        # a unit pair and a pair at times RANK_TOL of it, both singular-value
+        # pairs of a skew matrix: the small one is rank only past the cut
+        x = times * RANK_TOL
+        m = SkewMatrix(np.array([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, x], [0, 0, -x, 0]],
+                                dtype=complex))
+        rank, kernel = skew_rank_kernel(m)
+        assert (rank, len(kernel)) == ((4, 0) if times > 1 else (2, 2))
+
     @pytest.mark.parametrize("times", [0.5, 2.0])
     def test_K_test(self, ctx, times):
         # t1's alpha_0 at omega2 moved after Omega: K1 = t1 has alpha_0
-        # delta against its alpha_-1 of 1, and the K test reads 1e-6
+        # delta against its alpha_-1 of 1, and the K test reads K_TEST_TOL
         basis = _half_lattice_twisted(ctx)
         form = omega_matrix(basis)
-        basis[0].basis.laurent[1, 2, 1] += times * 1e-6
+        basis[0].basis.laurent[1, 2, 1] += times * spinor.K_TEST_TOL
         if times > 1:
             with pytest.raises(SectionDataError, match="fails the K test"):
-                extract_K(form, 1e-9)
+                extract_K(form)
         else:
-            assert len(extract_K(form, 1e-9)) == 3
+            assert len(extract_K(form)) == 3
 
     @pytest.mark.parametrize("times", [0.5, 2.0])
     def test_planar_ends(self, times):
@@ -244,17 +259,17 @@ class TestThresholdEdges:
     @pytest.mark.parametrize("times", [0.5, 2.0])
     def test_projection_cut(self, ctx, times):
         # a kernel spanned by phi0 + eps t1 and t3: projected off H, the
-        # stack has singular values 1 and about eps, cut at 1e-8 of the
-        # largest; kept, the K dimension exceeds the kernel's minus h_dim
+        # stack has singular values 1 and about eps, cut at PROJECTION_TOL
+        # of the largest; kept, the K dimension exceeds the kernel's minus h_dim
         basis = _half_lattice_twisted(ctx)
-        eps = times * 1e-8
+        eps = times * spinor.PROJECTION_TOL
         x, y = np.array([-eps, 1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0, 0.0])
         form = spinor.OmegaForm(SkewMatrix(np.outer(x, y) - np.outer(y, x)), tuple(basis))
         if times > 1:
             with pytest.raises(SectionDataError, match="K dimension 2 does not match"):
-                extract_K(form, 1e-9)
+                extract_K(form)
         else:
-            assert len(extract_K(form, 1e-9)) == 1
+            assert len(extract_K(form)) == 1
 
     @pytest.mark.parametrize("times", [0.5, 2.0])
     def test_log_end(self, times):
@@ -294,16 +309,16 @@ class TestSphereBasis:
         basis = basis_F_sphere(EndDivisor((0.0, INF)))
         form = omega_matrix(basis)
         assert np.allclose(form.matrix.entries, [[0, -1], [1, 0]])
-        rank, kern = skew_rank_kernel(form.matrix, 1e-9)
+        rank, kern = skew_rank_kernel(form.matrix)
         assert rank == 2 and len(kern) == 0
-        assert extract_K(form, 1e-9) == []
+        assert extract_K(form) == []
 
     def test_three_ended_sphere_kernel_dim_one(self):
         rng = np.random.default_rng(6)
         for _ in range(5):
             ends = tuple(rng.standard_normal(2) + 1j * rng.standard_normal(2)) + (INF,)
             form = omega_matrix(basis_F_sphere(EndDivisor(ends)))
-            K = extract_K(form, 1e-9)
+            K = extract_K(form)
             assert len(K) == 1  # dim K = 1 < 2: no surface
 
     def test_requires_infinity(self):
@@ -336,7 +351,7 @@ class TestTwistedBasis:
         div = EndDivisor((0.0, ctx.omega1, ctx.omega2, ctx.omega3))
         form = omega_matrix(basis_F_torus_twisted(ctx, div))
         assert np.max(np.abs(form.matrix.entries)) < 1e-12
-        K = extract_K(form, 1e-9)
+        K = extract_K(form)
         assert len(K) == 3
 
     def test_three_end_generic_kernel(self, ctx):
@@ -345,9 +360,9 @@ class TestTwistedBasis:
         a1, a2 = 0.4 + 0.33j, 1.1 + 0.7j
         assert abs(wp_prime(ctx, a1) + wp_prime(ctx, a2)) > 1e-3
         form = omega_matrix(basis_F_torus_twisted(ctx, EndDivisor((0.0, a1, a2))))
-        rank, kern = form.rank_kernel(1e-9)
+        rank, kern = form.rank_kernel()
         assert rank == 2 and len(kern) == 1
-        assert len(extract_K(form, 1e-9)) == 0  # K too small: no surface
+        assert len(extract_K(form)) == 0  # K too small: no surface
 
     def test_end_on_lattice_rejected(self, ctx):
         with pytest.raises(ValueError):
@@ -824,7 +839,7 @@ class TestParityInvariant:
         for n in (2, 3, 4, 5, 6, 7):
             ends = tuple(rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)) + (INF,)
             form = omega_matrix(basis_F_sphere(EndDivisor(ends)))
-            K = extract_K(form, 1e-9)
+            K = extract_K(form)
             assert (n - len(K)) % 2 == 0
 
 

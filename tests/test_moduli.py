@@ -343,8 +343,7 @@ class TestTorus3:
 
     @pytest.mark.parametrize("lattice", [o for _, o in ACCEPTANCE_LATTICES],
                              ids=[name for name, _ in ACCEPTANCE_LATTICES])
-    def test_the_cube_root_meets_the_period_identity_and_the_printed_epsilon_misses(
-            self, lattice):
+    def test_cube_root_epsilon_selected(self, lattice):
         # int t1h t2h = -6 eta_k along both cycles: EPSILON meets it, and
         # the printed (-1+sqrt3)/2, which no construction uses, misses it
         ctx = build_context(*lattice)

@@ -6,7 +6,9 @@ each return a dataclass bundling the inputs, the results (Omega, kernel
 sections, periods, as each construction has them) and the residuals of
 every identity checked; all but the 3-ended torus serialize it to a
 JSON-ready dict with `.report()`.
-sphere6_K_basis returns the tuple ((t1, t2), form, residuals).
+sphere6_K_basis returns the tuple ((t1, t2), form, residuals).  The
+printed K bases are coefficient vectors on basis_F_sphere, the basis of
+the Omega they test.
 CONSTRUCTIONS is the one table of named constructions: the CLI, the
 tests and the acceptance gate build and mesh through it.
 
@@ -149,12 +151,13 @@ def sphere4_quartic() -> ComplexPolynomial:
     return ComplexPolynomial((1.0, 0.0, -1.0, 0.0, 1.0))
 
 
-def sphere4_printed_K(dom: SphereDomain):
-    """The published K basis for ends {a, 1/a, 0, inf} at a = (sqrt3+i)/2."""
-    s3 = np.sqrt(3.0)
-    t1, t2 = rational_sphere_basis(dom, [([-1.0, s3], [0.0, 1.0, -s3, 1.0]),
-                                         ([0.0, -s3, 1.0], [1.0, -s3, 1.0])], ("t1", "t2"))
-    return t1, t2
+def sphere4_printed_K(basis):
+    """The published K basis for ends {a, 1/a, 0, inf} at a = (sqrt3+i)/2, on
+    the basis of those ends: t1 = (sqrt3 z - 1)/(z q) and t2 = z (z - sqrt3)/q
+    = z^2 (z - sqrt3)/(z q), q = z^2 - sqrt3 z + 1."""
+    s3, rows = np.sqrt(3.0), basis[0].basis
+    zq = (0.0, 1.0, -s3, 1.0)
+    return rows.fraction((-1.0, s3), zq, "t1"), rows.fraction((0.0, 0.0, -s3, 1.0), zq, "t2")
 
 
 def sphere4_solve() -> SphereFamily:
@@ -177,11 +180,10 @@ def sphere4_solve() -> SphereFamily:
     residuals["pfaffian_all_roots"] = max(
         abs(pfaffian(omega_matrix(basis_F_sphere(EndDivisor((r, 1.0 / r, 0.0, INF)))).matrix))
         for r in roots)
-    t1, t2 = sphere4_printed_K(basis[0].domain)
+    t1, t2 = sphere4_printed_K(basis)
     Kmat = np.array([k.coefficients for k in K]).T
     worst = 0.0
-    for t in (t1, t2):
-        v = _sphere_coefficients(t)
+    for v in np.array([t1.coefficients, t2.coefficients]):
         sol, *_ = np.linalg.lstsq(Kmat, v, rcond=None)
         worst = max(worst, float(np.linalg.norm(Kmat @ sol - v) / np.linalg.norm(v)))
     residuals["printed_K_span"] = worst
@@ -190,12 +192,6 @@ def sphere4_solve() -> SphereFamily:
     residuals["t1_sq_residue_at_0"] = abs(2 * am1 * a0)
     return SphereFamily(n=4, parameter=(a,), ends=form.divisor, form=form,
                         K_basis=tuple(K), residuals=residuals)
-
-
-def _sphere_coefficients(section: SpinorSection):
-    """Coefficients on the basis {phi/(z-a_i), phi}: alpha_-1 at each end, over i at inf."""
-    am1 = section.expansions[:, 0]
-    return np.append(am1[:-1], am1[-1] / 1j)
 
 
 # ---------------------------------------------------------------------------
@@ -233,34 +229,33 @@ def sphere6_numeric_pfaffian(sigma):
     return pf, pf * _vandermonde(finite)
 
 
+def sphere6_printed_K(basis, sigma):
+    """The printed K basis at sigma on the basis of sphere6_ends(sigma):
+    t1 = B(z)/(z Q(z)) and t2 = z C(z)/Q(z) = z^2 C(z)/(z Q(z)), Q the quartic."""
+    s1, s2, s3 = (complex(s) for s in sigma)
+    tau1, tau3 = s1 * s1 + 3.0 * s2, s3 * s3 + 3.0 * s2
+    b = (s2, -s2 * s3, s2 * tau3 - 2.0 * s1 * s3 - 10.0, s1 * tau3 + 5.0 * s3)
+    c = (s3 * tau1 + 5.0 * s1, s2 * tau1 - 2.0 * s1 * s3 - 10.0, -s1 * s2, s2)
+    zq, rows = (0.0, 1.0, -s3, -s2, -s1, 1.0), basis[0].basis
+    return rows.fraction(b, zq, "t1"), rows.fraction((0.0, 0.0) + c, zq, "t2")
+
+
 def sphere6_K_basis(sigma):
     """The printed two-section K basis at sigma, which decides membership of the
     pfaffian variety: each section's |Omega v| / |v| and alpha_0 / alpha_-1 must
     be at most 1e-8, or ConstructionError names the residuals (NaN fails)."""
-    s1, s2, s3 = (complex(s) for s in sigma)
-    tau1 = s1 * s1 + 3.0 * s2
-    tau3 = s3 * s3 + 3.0 * s2
-    b = (s2, -s2 * s3, s2 * tau3 - 2.0 * s1 * s3 - 10.0, s1 * tau3 + 5.0 * s3)
-    c = (s3 * tau1 + 5.0 * s1, s2 * tau1 - 2.0 * s1 * s3 - 10.0, -s1 * s2, s2)
-    divisor = sphere6_ends(sigma)
-    basis = basis_F_sphere(divisor)
-    dom = basis[0].domain
-    # t1 = (b3 z^3 + ... + b0) / (z * quartic), t2 = z (c3 z^3 + ... + c0) / quartic
-    quartic_asc = np.array((1.0, -s3, -s2, -s1, 1.0), dtype=complex)
-    z_quartic = np.concatenate([[0.0 + 0.0j], quartic_asc])
-    t1, t2 = rational_sphere_basis(dom, [(list(b), z_quartic), ([0.0] + list(c), quartic_asc)],
-                                   ("t1", "t2"))
+    basis = basis_F_sphere(sphere6_ends(sigma))
     form = omega_matrix(basis)
-    residuals = {}
-    for t, name in ((t1, "t1"), (t2, "t2")):
-        v = _sphere_coefficients(t)
-        residuals[f"{name}_kernel"] = float(
+    residuals, K = {}, sphere6_printed_K(basis, sigma)
+    for t in K:
+        v = np.array(t.coefficients)
+        residuals[f"{t.label}_kernel"] = float(
             np.linalg.norm(form.matrix.entries @ v) / max(np.linalg.norm(v), 1e-300))
         am1, a0 = np.hypot(t.expansions.real, t.expansions.imag).T
-        residuals[f"{name}_alpha0"] = float(a0.max() / max(am1.max(), 1e-300))
+        residuals[f"{t.label}_alpha0"] = float(a0.max() / max(am1.max(), 1e-300))
     if not np.max(list(residuals.values())) <= 1e-8:
         raise ConstructionError(f"the printed K basis fails its kernel/K test: {residuals}")
-    return (t1, t2), form, residuals
+    return K, form, residuals
 
 
 # ---------------------------------------------------------------------------
@@ -353,10 +348,9 @@ def mobius_strip_spinor():
     """
     sqrt_i = np.exp(1j * np.pi / 4.0)
     dom = SphereDomain(ends=EndDivisor((0.0, INF)))
-    s1, s2 = rational_sphere_basis(dom, [(-sqrt_i * np.ones(2), [0.0, 0.0, 1.0]),
-                                         (sqrt_i * np.array([-1.0, 1.0]), [1.0])],
-                                   ("mobius_s1", "mobius_s2"), laurent=False)
-    return s1, s2
+    return tuple(rational_sphere_basis(dom, [(-sqrt_i * np.ones(2), [0.0, 0.0, 1.0]),
+                                             (sqrt_i * np.array([-1.0, 1.0]), [1.0])],
+                                       ("mobius_s1", "mobius_s2")))
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,11 @@ one Basis.  Each family of F has one basis kernel: phi/(z - a_i) and phi
 on the sphere; one zeta-difference form zeta(u - a_i) - zeta(u) + c_i
 (with an optional constant row) on the twisted and untwisted tori;
 wp_r/(wp_r - p_i) and wp'/(wp_r - p_i) for paired untwisted ends, whose
-table is the untwisted one in another basis; and N/D rows for rational
-sphere sections.  A kernel evaluates only the rows some coefficient uses,
-and adds each row into every section it evaluates.  On a torus the rows
+table is the untwisted one in another basis; and N/D rows for sphere
+sections outside F (Enneper's, the Mobius limit), as a section (N/D) phi
+of F is a coefficient vector on the sphere rows (_SphereBasis.fraction).
+A kernel evaluates only the rows some coefficient uses, and adds each
+row into every section it evaluates.  On a torus the rows
 read a theta frame on u and their shifts u - a_i; a caller that also
 needs the chart weight or a primitive at the same points takes one frame
 for all of them (chart_points) and passes that in place of u.  Both torus
@@ -298,7 +300,8 @@ class Basis:
     """Rows of one family spanning F (or some limit sections) over a domain.
 
     laurent is the complex (rows, ends, 2) table T, T[j, k] = (alpha_-1,
-    alpha_0) of row j at the k-th end, or None for rows outside F.  weights
+    alpha_0) of row j at the k-th end, or None for rows outside F on a
+    domain with ends; on a domain without ends it is empty.  weights
     holds the half-integer w_j with row j on the divisor times s equal to
     s^w_j times row j, or None for rows of no one weight.  A family adds its
     row data, _shifts(active), the frame shifts its active rows read, and
@@ -390,6 +393,19 @@ class _SphereBasis(Basis):
     def _polynomial_part(self, pairs):
         n = len(self.poles)
         return np.array([[s.coefficients[n] * t.coefficients[n] for s, t in pairs]])
+
+    def fraction(self, numer, denom, label):
+        """The section (N/D) phi, N and D ascending, D written over the finite
+        ends: N(a_i)/D'(a_i) on phi/(z - a_i) and the leading ratio of N/D at
+        infinity on phi.  No pole test: ValueError when deg D is not the
+        number of finite ends, or deg N exceeds it."""
+        numer, denom = (np.atleast_1d(np.asarray(x, dtype=complex)) for x in (numer, denom))
+        n, a = len(self.poles), np.array(self.poles, dtype=complex)
+        if len(denom) != n + 1 or denom[n] == 0 or len(numer) > n + 1:
+            raise ValueError(f"(N/D) phi in F on {n} finite ends needs deg N <= deg D = {n}")
+        lead = numer[n] / denom[n] if len(numer) > n else 0.0
+        return self.section(np.append(P.polyval(a, numer) / P.polyval(a, P.polyder(denom)), lead),
+                            label)
 
 
 @dataclass(eq=False)
@@ -718,17 +734,22 @@ def spin_cover(a):
     return complex(det), t / det
 
 
+# a pair's residue sum over the ends above RESIDUE_SUM_TOL of its alpha scale
+# is inconsistent data
+RESIDUE_SUM_TOL = 1e-8
+
+
 def _omega_table(basis, coefficients):
     """Raw M[i, j] = sum over ends of alpha_0(s_i) alpha_-1(s_j) of the
     sections with the coefficient rows.  Off the diagonal M + M^T holds the
-    residue sums of the forms s_i s_j: above 1e-8 of the pair's alpha scale,
-    the sum over ends of the products of their unit_sizes summed, or NaN,
-    the data is inconsistent."""
+    residue sums of the forms s_i s_j: above RESIDUE_SUM_TOL of the pair's
+    alpha scale, the sum over ends of the products of their unit_sizes
+    summed, or NaN, the data is inconsistent."""
     tables = basis.table(coefficients)
     M = np.einsum("ik,jk->ij", tables[..., 1], tables[..., 0])
     B = basis.domain.unit_sizes(tables).sum(axis=-1)
     res_sum = np.abs(M + M.T)
-    bad = ~(res_sum <= 1e-8 * np.einsum("ik,jk->ij", B, B))
+    bad = ~(res_sum <= RESIDUE_SUM_TOL * np.einsum("ik,jk->ij", B, B))
     np.fill_diagonal(bad, False)
     if bad.any():
         raise SectionDataError(f"residue sum {res_sum[bad][0]:.2e} over ends is not zero")
@@ -790,18 +811,22 @@ def omega_qres_oracle(s: SpinorSection, t: SpinorSection):
     return np.asarray(s.coefficients) @ basis.qres_matrix @ np.asarray(t.coefficients)
 
 
+# an |alpha| at most PLANAR_END_TOL of the pair's largest at an end is 0
+PLANAR_END_TOL = 1e-8
+
+
 def planar_ends(s1: SpinorSection, s2: SpinorSection) -> np.ndarray:
     """One bool per end, in divisor order: True where the pair has an
     embedded planar end (Lemma ends).
 
     alpha_0 of both sections vanishes and at least one has a pole;
     equivalently res of s1^2, s1 s2, s2^2 all vanish with a pole present.
-    Both are measured in the unit chart, against 1e-8 of the largest
-    |alpha| of the pair at the end.
+    Both are measured in the unit chart, against PLANAR_END_TOL of the
+    largest |alpha| of the pair at the end.
     """
     basis = _shared_basis((s1, s2))
     mags = basis.domain.unit_sizes(basis.table([s1.coefficients, s2.coefficients])).max(axis=0)
-    bound = 1e-8 * np.maximum(mags.max(axis=1), 1e-30)
+    bound = PLANAR_END_TOL * np.maximum(mags.max(axis=1), 1e-30)
     return (mags[:, 0] > bound) & (mags[:, 1] <= bound)
 
 
@@ -956,61 +981,16 @@ def basis_F_torus_untwisted_paired(ctx: EllipticContext, r: int, half_points):
                         np.repeat([1.5, 0.5], a.size), list(pvals)).members()
 
 
-def rational_sphere_basis(dom: SphereDomain, fractions, labels, laurent=True):
-    """Sections (N_j(z)/D_j(z)) phi, one per (numer, denom) pair of ascending
-    coefficients, with analytically derived Laurent data.
-
-    Poles of N/D must lie among the finite ends; the expansion at
-    infinity comes from the w = 1/z chart series of i f(1/w)/w.  With
-    laurent=False the rows need not lie in F and carry no Laurent table.
-    """
+def rational_sphere_basis(dom: SphereDomain, fractions, labels):
+    """Rows (N_j(z)/D_j(z)) phi outside F, one per (numer, denom) pair of
+    ascending coefficients: limit sections, such as Enneper's.  They carry
+    a Laurent table only on a domain without ends, where it is empty; a
+    section of F is a coefficient vector on basis_F_sphere (see
+    _SphereBasis.fraction)."""
     fractions = [(np.atleast_1d(np.asarray(n, dtype=complex)),
                   np.atleast_1d(np.asarray(d, dtype=complex))) for n, d in fractions]
-    table = np.array([_rational_laurent(dom, n, d) for n, d in fractions],
-                     dtype=complex).reshape(len(fractions), dom.ends.n, 2) if laurent else None
+    table = np.zeros((len(fractions), 0, 2), dtype=complex) if dom.ends.n == 0 else None
     return _RationalBasis(dom, labels, table, None, fractions).members()
-
-
-def _rational_laurent(dom: SphereDomain, numer, denom):
-    """(alpha_-1, alpha_0) of (N/D) phi at each end of the domain; whether an
-    end is a pole is read in the unit chart z / s."""
-    dn = P.polyder(numer)
-    exps = []
-    s = 4.0 ** dom.chart_exponent
-    scale_d = max(np.abs(denom) * s ** np.arange(len(denom)))
-    for p0 in dom.ends.points:
-        if is_infinity(p0):
-            exps.append(_rational_infinity_alpha(numer, denom))
-            continue
-        if abs(P.polyval(p0, denom)) < 1e-8 * scale_d * max(1.0, abs(p0) / s) ** len(denom):
-            quot, rem = P.polydiv(denom, np.array([-p0, 1.0], dtype=complex))
-            e_val = P.polyval(p0, quot)
-            am1 = P.polyval(p0, numer) / e_val
-            de = P.polyder(quot)
-            a0 = (P.polyval(p0, dn) * e_val - P.polyval(p0, numer) * P.polyval(p0, de)) / e_val**2
-            exps.append((complex(am1), complex(a0)))
-        else:
-            exps.append((0.0j, complex(P.polyval(p0, numer) / P.polyval(p0, denom))))
-    return tuple(exps)
-
-
-def _rational_infinity_alpha(numer, denom):
-    """(alpha_-1, alpha_0) at infinity of (N/D) phi in the w-chart."""
-    dn = len(numer) - 1
-    dd = len(denom) - 1
-    k = dd - dn
-    if k < 0:
-        raise ValueError("section has a higher-order pole at infinity")
-    rev_n = numer[::-1]
-    rev_d = denom[::-1]
-    # first two series coefficients of revN/revD at w = 0
-    q0 = rev_n[0] / rev_d[0]
-    q1 = ((rev_n[1] if dn >= 1 else 0.0) - q0 * (rev_d[1] if dd >= 1 else 0.0)) / rev_d[0]
-    if k == 0:
-        return (1j * q0, 1j * q1)
-    if k == 1:
-        return (0.0j, 1j * q0)
-    return (0.0j, 0.0j)
 
 
 def omega_matrix(basis) -> OmegaForm:

@@ -120,7 +120,7 @@ class TestBasisRows:
     def test_rational(self):
         dom = SphereDomain(ends=EndDivisor((0.5, INF)))
         basis = rational_sphere_basis(dom, [([1.0, 2.0], [-0.5, 1.0]), ([3.0, 0.0, 1.0], [1.0])],
-                                      ("a", "b"), laurent=False)
+                                      ("a", "b"))
         formulas = [(lambda z: (1 + 2 * z) / (z - 0.5), lambda z: -2.0 / (z - 0.5) ** 2),
                     (lambda z: 3 + z * z, lambda z: 2 * z)]
         rng = np.random.default_rng(2)

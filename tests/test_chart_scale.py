@@ -18,14 +18,12 @@ from spinorminimal.spinor import (
     INF,
     EndDivisor,
     SectionDataError,
-    SphereDomain,
     basis_F_sphere,
     basis_F_torus_twisted,
     basis_F_torus_untwisted,
     basis_F_torus_untwisted_paired,
     extract_K,
     omega_matrix,
-    rational_sphere_basis,
 )
 
 FAMILIES = ("sphere", "twisted", "untwisted", "paired")
@@ -119,11 +117,13 @@ def test_a_chart_scaled_by_a_power_of_four_changes_no_decision(family, seed, k):
 
 @pytest.mark.parametrize("k", [0, -15, 15])
 def test_a_rational_row_has_its_poles_at_every_scale(k):
-    # 1/(z - a) on the ends a, 2a and infinity has its one pole at a; at
-    # 4^-15 an absolute floor of 1 on the end's modulus read a pole at 2a too
+    # 1/(z - a) = (z - 2a)/((z - a)(z - 2a)) on the ends a, 2a and infinity
+    # is the row phi/(z - a) at every scale: its one pole is at a, and its
+    # table is that row's
     a = 4.0**k
-    dom = SphereDomain(ends=EndDivisor((a, 2 * a, INF)))
-    s = rational_sphere_basis(dom, [([1.0], [-a, 1.0])], ("s",))[0]
+    rows = basis_F_sphere(EndDivisor((a, 2 * a, INF)))[0].basis
+    s = rows.fraction([-2 * a, 1.0], [2 * a * a, -3 * a, 1.0], "s")
+    assert s.coefficients == (1, 0, 0)
     assert s.expansions[:2].tolist() == [[1, 0], [0, 1 / a]]
 
 

@@ -2,10 +2,11 @@
 
 from itertools import permutations
 
+import mpmath
 import numpy as np
 import pytest
 
-from spinorminimal import elliptic
+from spinorminimal import elliptic, moduli
 from spinorminimal.acceptance import ACCEPTANCE_LATTICES
 from spinorminimal.elliptic import build_context, wp, wp_prime
 from spinorminimal.moduli import (
@@ -34,7 +35,7 @@ from spinorminimal.moduli import (
     torus4_construct,
 )
 from spinorminimal.numkit import QuadraturePath, contour_integral
-from spinorminimal.spinor import planar_ends
+from spinorminimal.spinor import INF, EndDivisor, basis_F_sphere, planar_ends
 
 
 @pytest.fixture(scope="module")
@@ -109,9 +110,9 @@ class TestSphere6:
         # c-row: c3 = sigma2 in the printed coefficient table
         s2 = 2.0 * np.sqrt(5.0) / 3.0
         (t1, t2), _, _ = sphere6_K_basis((0.0, s2, 0.0))
-        # numerator of t2 is z (c3 z^3 + ...): leading coefficient c3
-        # reconstructed from the section's pole at infinity being simple
-        assert t2.label == "t2"
+        # t2 = z^2 (c3 z^3 + ...)/(z Q) and t1 = B/(z Q), deg B = 3: their
+        # coefficients on phi are the leading ratios c3 and 0
+        assert (t2.label, t2.coefficients[-1], t1.coefficients[-1]) == ("t2", s2, 0)
 
     def test_independence(self):
         s2 = 2.0 * np.sqrt(5.0) / 3.0
@@ -123,6 +124,85 @@ class TestSphere6:
     def test_off_variety_rejected(self):
         with pytest.raises(ValueError):
             sphere6_K_basis((0.0, 0.0, 0.0))
+
+
+def _printed_sphere4(z):
+    """t1 = (sqrt3 z - 1)/(z q), t2 = z (z - sqrt3)/q, q = z^2 - sqrt3 z + 1,
+    in mpmath at 30 digits."""
+    with mpmath.workdps(30):
+        z, s3 = mpmath.mpc(z), mpmath.sqrt(3)
+        q = z * z - s3 * z + 1
+        return (s3 * z - 1) / (z * q), z * (z - s3) / q
+
+
+def _printed_sphere6(sigma, z):
+    """t1 = B(z)/(z Q(z)), t2 = z C(z)/Q(z) at sigma, in mpmath at 30 digits."""
+    with mpmath.workdps(30):
+        s1, s2, s3 = (mpmath.mpc(s) for s in sigma)
+        z = mpmath.mpc(z)
+        tau1, tau3 = s1 * s1 + 3 * s2, s3 * s3 + 3 * s2
+        b = (s2, -s2 * s3, s2 * tau3 - 2 * s1 * s3 - 10, s1 * tau3 + 5 * s3)
+        c = (s3 * tau1 + 5 * s1, s2 * tau1 - 2 * s1 * s3 - 10, -s1 * s2, s2)
+        q = 1 - s3 * z - s2 * z**2 - s1 * z**3 + z**4
+        return (mpmath.polyval(b[::-1], z) / (z * q), z * mpmath.polyval(c[::-1], z) / q)
+
+
+class TestPrintedSections:
+    """The printed K sections are coefficient vectors on the basis of the
+    Omega they test; their values are the printed N/D, computed apart."""
+
+    @staticmethod
+    def _probes(ends):
+        z = 1.3 * np.exp(2j * np.pi * (np.arange(12) + 0.5) / 12)
+        z = np.concatenate([z, 0.45 * z / 1.3 + 0.1j])
+        finite = np.array([p for p in ends if np.isfinite(p)])
+        return z[np.min(np.abs(z[:, None] - finite), axis=1) > 0.1]
+
+    def _assert_printed(self, sections, printed, ends):
+        z = self._probes(ends)
+        assert z.size >= 12
+        got = np.array([t.evaluate(z) for t in sections])
+        want = np.array([[complex(v) for v in printed(x)] for x in z]).T
+        assert np.max(np.abs(got - want) / np.abs(want)) < 1e-13
+
+    def test_sphere4_values_and_basis(self, monkeypatch):
+        # the sections sphere4_solve builds, caught as it reads them
+        seen, printed_K = [], moduli.sphere4_printed_K
+        monkeypatch.setattr(moduli, "sphere4_printed_K",
+                            lambda basis: seen.extend(printed_K(basis)) or tuple(seen))
+        fam = sphere4_solve()
+        assert [t.label for t in seen] == ["t1", "t2"]
+        assert all(t.basis is fam.form.basis[0].basis for t in seen)
+        self._assert_printed(seen, _printed_sphere4, fam.ends.points)
+        assert fam.residuals["printed_K_span"] < 1e-14
+        assert fam.residuals["t1_sq_residue_at_0"] < 1e-14
+
+    def test_sphere6_on_the_variety(self):
+        sigma = (0.0, 2.0 * np.sqrt(5.0) / 3.0, 0.0)
+        (t1, t2), form, residuals = sphere6_K_basis(sigma)
+        assert t1.basis is form.basis[0].basis and t2.basis is form.basis[0].basis
+        self._assert_printed((t1, t2), lambda z: _printed_sphere6(sigma, z), form.divisor.points)
+        assert max(residuals.values()) < 1e-14
+
+    def test_sphere6_off_the_variety(self):
+        # the printed sections lie in F at every sigma, in K only on the variety
+        sigma = (0.3 + 0.2j, 1.1 - 0.4j, -0.5 + 0.1j)
+        assert abs(sphere6_pfaffian(sigma)) > 1.0
+        with pytest.raises(ValueError, match="fails its kernel/K test"):
+            sphere6_K_basis(sigma)
+        basis = basis_F_sphere(sphere6_ends(sigma))
+        sections = moduli.sphere6_printed_K(basis, sigma)
+        assert all(t.basis is basis[0].basis for t in sections)
+        self._assert_printed(sections, lambda z: _printed_sphere6(sigma, z),
+                             basis[0].domain.ends.points)
+
+    def test_a_fraction_off_the_divisor_degree_is_refused(self):
+        # D must be written over the two finite ends, and N/D bounded at infinity
+        rows = basis_F_sphere(EndDivisor((0.5, -1.0, INF)))[0].basis
+        for numer, denom in (([1.0], [-0.5, 1.0]), ([1.0], [0.5, 0.5, -1.0, 1.0]),
+                             ([1.0], [-0.5, 0.5, 0.0]), ([0.0, 0.0, 0.0, 1.0], [-0.5, 0.5, 1.0])):
+            with pytest.raises(ValueError, match="needs deg N <= deg D = 2"):
+                rows.fraction(numer, denom, "s")
 
 
 class TestRP2:

@@ -22,7 +22,6 @@ from spinorminimal.spinor import (
     INF,
     EndDivisor,
     SectionDataError,
-    SphereDomain,
     basis_F_sphere,
     basis_F_torus_twisted,
     basis_F_torus_untwisted,
@@ -34,7 +33,6 @@ from spinorminimal.spinor import (
     omega_pair,
     omega_qres_matrix,
     planar_ends,
-    rational_sphere_basis,
     section_combination,
     section_values,
     sigma_map,
@@ -154,14 +152,12 @@ class TestSigmaAndCover:
 
 class TestTableResidues:
     def test_values(self):
-        div = EndDivisor((0.3, INF))
-        dom = SphereDomain(ends=div)
-        # am1/(z - 0.3) + a0 for (am1, a0) = (2, 3), (1, 0), (0, 1)
-        s, s1, s2 = rational_sphere_basis(
-            dom, [([2.0 - 0.9, 3.0], [-0.3, 1.0]), ([1.0], [-0.3, 1.0]), ([1.0], [1.0])],
-            ("x", "x1", "x2"))
+        # am1 phi/(z - 0.3) + a0 phi for (am1, a0) = (2, 3), (1, 0), (0, 1)
+        rows = basis_F_sphere(EndDivisor((0.3, INF)))[0].basis
+        s, s1, s2 = (rows.section(v, label) for v, label in
+                     (([2.0, 3.0], "x"), ([1.0, 0.0], "x1"), ([0.0, 1.0], "x2")))
         # res_k(s_i s_j) = alpha_-1(s_i) alpha_0(s_j) + alpha_0(s_i) alpha_-1(s_j)
-        T = s.basis.laurent
+        T = rows.table([x.coefficients for x in (s, s1, s2)])
         res = np.einsum("ik,jk->ijk", T[..., 0], T[..., 1])
         res = res + res.transpose(1, 0, 2)
         assert res[0, 0, 0] == pytest.approx(12.0)
@@ -197,10 +193,10 @@ def _half_lattice_twisted(ctx):
 
 
 def _pole_plus_constant(delta):
-    """1/(z - 1) + delta on the sphere with the one end 1, whose unit chart
-    is its own: (alpha_-1, alpha_0) = (1, delta)."""
-    dom = SphereDomain(ends=EndDivisor((1.0,)))
-    return rational_sphere_basis(dom, [([1.0 - delta, delta], [-1.0, 1.0])], ("s",))[0]
+    """phi/(z - 1) + delta phi on the sphere with the ends 1 and infinity,
+    whose unit chart is its own: (alpha_-1, alpha_0) = (1, delta) at 1 and
+    (i delta, i) at infinity."""
+    return basis_F_sphere(EndDivisor((1.0, INF)))[0].basis.section([1.0, delta], "s")
 
 
 class TestThresholdEdges:
@@ -223,9 +219,11 @@ class TestThresholdEdges:
             omega_matrix(basis)
 
     def test_the_named_thresholds_keep_their_values(self):
-        # the edge cases below read the names, so they move with the values;
-        # these are the values the README states
+        # the edge cases below read the names, except those of the residue-sum
+        # and planar-end cuts, so they move with the values; these are the
+        # values the README states
         assert (RANK_TOL, spinor.K_TEST_TOL, spinor.PROJECTION_TOL) == (1e-9, 1e-6, 1e-8)
+        assert (spinor.RESIDUE_SUM_TOL, spinor.PLANAR_END_TOL) == (1e-8, 1e-8)
 
     @pytest.mark.parametrize("times", [0.5, 2.0])
     def test_rank_cut(self, times):
@@ -252,9 +250,10 @@ class TestThresholdEdges:
 
     @pytest.mark.parametrize("times", [0.5, 2.0])
     def test_planar_ends(self, times):
-        # alpha_0 = delta against 1e-8 of the pair's largest |alpha|, 1
+        # alpha_0 = delta against 1e-8 of the pair's largest |alpha|, 1, at
+        # the end 1; at infinity alpha_-1 = i delta, so that end is never planar
         s = _pole_plus_constant(times * 1e-8)
-        assert planar_ends(s, s).tolist() == [times < 1]
+        assert planar_ends(s, s).tolist() == [times < 1, False]
 
     @pytest.mark.parametrize("times", [0.5, 2.0])
     def test_projection_cut(self, ctx, times):
@@ -273,9 +272,9 @@ class TestThresholdEdges:
 
     @pytest.mark.parametrize("times", [0.5, 2.0])
     def test_log_end(self, times):
-        # s^2 has residue 2 delta against the alpha scale (1 + delta)^2, and
-        # LOG_END_TOL is 1e-4
-        s = _pole_plus_constant(times * 1e-4 / 2)
+        # s^2 has residue 2 delta at each end, against the alpha scale
+        # 2 (1 + delta)^2 summed over both ends, and LOG_END_TOL is 1e-4
+        s = _pole_plus_constant(times * 1e-4)
         if times > 1:
             with pytest.raises(SectionDataError, match="a log end"):
                 form_primitive([(s, s)])

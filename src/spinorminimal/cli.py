@@ -75,22 +75,22 @@ def _mesh_gate(mesh) -> int:
     return 0 if ok else VERIFICATION_ERROR
 
 
-def _mesh_if_requested(args, built, payload: dict, grid: GridSpec) -> int:
-    """Mesh and export when --mesh is given; returns the mesh gate's code."""
-    if not args.mesh:
-        return 0
-    mesh = CONSTRUCTIONS[args.command].mesh(built, grid, args.eps)
-    export_obj(mesh, args.mesh)
-    payload["mesh"] = {"path": str(args.mesh), **mesh.metadata}
-    print(f"wrote {args.mesh}")
-    return _mesh_gate(mesh)
+def _mesh_and_emit(args, built, payload: dict, grid: GridSpec) -> int:
+    """Mesh and export when --mesh is given, then emit the report: the gate's code, or 0."""
+    rc = 0
+    if args.mesh:
+        mesh = CONSTRUCTIONS[args.command].mesh(built, grid, args.eps)
+        export_obj(mesh, args.mesh)
+        payload["mesh"] = {"path": str(args.mesh), **mesh.metadata}
+        print(f"wrote {args.mesh}")
+        rc = _mesh_gate(mesh)
+    _emit(args, payload, args.command)
+    return rc
 
 
 def cmd_sphere4(args) -> int:
     fam = CONSTRUCTIONS["sphere4"].build()
-    payload = fam.report()
-    rc = _mesh_if_requested(args, fam, payload, GridSpec(args.grid, args.grid, args.extent))
-    _emit(args, payload, "sphere4")
+    rc = _mesh_and_emit(args, fam, fam.report(), GridSpec(args.grid, args.grid, args.extent))
     return rc or (0 if fam.residuals["pfaffian"] < 1e-10 else VERIFICATION_ERROR)
 
 
@@ -112,21 +112,18 @@ def cmd_sphere6(args) -> int:
         return 0 if worst < 1e-6 else VERIFICATION_ERROR
     sigma = tuple(args.sigma)
     closed = moduli.sphere6_pfaffian(sigma)
-    pf, normalized = moduli.sphere6_numeric_pfaffian(sigma)
-    payload = {"sigma": sigma, "closed_form_pfaffian": closed,
-               "numeric_pfaffian": pf, "vandermonde_normalized": normalized}
-    rc = 0
     try:  # the printed K basis decides membership of the variety
-        built = CONSTRUCTIONS["sphere6"].build(sigma)
-    except moduli.ConstructionError as exc:
+        fam = CONSTRUCTIONS["sphere6"].build(sigma)
+        on_variety = {"K_residuals": fam.residuals}
+    except moduli.OffVarietyError as exc:
         if args.mesh:
             raise ValueError(f"--mesh needs sigma on the pfaffian variety (value {closed:.3e}); "
                              f"{exc}") from None
-    else:
-        payload["K_residuals"] = built[2]
-        rc = _mesh_if_requested(args, built, payload, GridSpec(args.grid, args.grid, args.extent))
-    _emit(args, payload, "sphere6")
-    return rc
+        fam, on_variety = exc.family, {}
+    pf, normalized = moduli.vandermonde_pfaffian(fam.form)
+    payload = {"sigma": sigma, "closed_form_pfaffian": closed,
+               "numeric_pfaffian": pf, "vandermonde_normalized": normalized, **on_variety}
+    return _mesh_and_emit(args, fam, payload, GridSpec(args.grid, args.grid, args.extent))
 
 
 def cmd_rp2(args) -> int:
@@ -151,9 +148,7 @@ def cmd_rp2(args) -> int:
 
 def cmd_torus4(args) -> int:
     t4 = CONSTRUCTIONS["torus4"].build(args.omega1, args.omega3, args.choice)
-    payload = t4.report()
-    rc = _mesh_if_requested(args, t4, payload, GridSpec(args.grid, args.grid))
-    _emit(args, payload, "torus4")
+    rc = _mesh_and_emit(args, t4, t4.report(), GridSpec(args.grid, args.grid))
     # the branch condition scales as lambda^-2 with the lattice: gated times
     # |omega1|^2, as on the same lattice scaled to |omega1| = 1
     branch = abs(t4.branch_condition) * abs(t4.ctx.omega1) ** 2
@@ -163,9 +158,7 @@ def cmd_torus4(args) -> int:
 
 def cmd_klein4(args) -> int:
     kb = CONSTRUCTIONS["klein4"].build()
-    payload = kb.report()
-    rc = _mesh_if_requested(args, kb, payload, GridSpec(args.grid, args.grid))
-    _emit(args, payload, "klein4")
+    rc = _mesh_and_emit(args, kb, kb.report(), GridSpec(args.grid, args.grid))
     checks = ("period_equation", "gamma1_s1sq_quadrature", "gamma3_auto")
     return rc or (0 if all(kb.residuals[k] < 1e-8 for k in checks) else VERIFICATION_ERROR)
 

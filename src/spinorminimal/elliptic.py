@@ -293,28 +293,34 @@ class EllipticContext:
 def build_context(omega1, omega3) -> EllipticContext:
     """Build an EllipticContext from the q-series in the reduced basis.
 
-    Raises DegenerateLatticeError when the generators do not span a lattice
-    or a check of the invariants fails (see _validate).
+    Raises DegenerateLatticeError when the generators do not span a lattice,
+    the lattice is out of double range, or an invariant check fails (_validate).
     """
     lat = Lattice(complex(omega1), complex(omega3))
-    b1, b2 = lat.reduced_periods
-    w, tau = b1 / 2, b2 / b1
-    g2, eta_a, wp_w = _qseries(w, np.exp(2j * np.pi * tau))
-    eta_b = (eta_a * (b2 / 2) - 1j * np.pi / 2.0) / w
-    eta1, eta3 = (complex(m * eta_a + n * eta_b)
-                  for _, m, n in (lat.reduce(2 * lat.omega1), lat.reduce(2 * lat.omega3)))
-    ctx = EllipticContext(lattice=lat, g2=g2, g3=0.0, e1=0.0, e2=0.0, e3=0.0,
-                          eta1=eta1, eta3=eta3, _eta_reduced=(eta_a, eta_b),
-                          _theta=_Theta(complex(np.exp(1j * np.pi * tau))))
-    # one frame on the half-periods, b1/2 and the ODE points: a frame's
-    # values do not depend on its batch.  Past the double-precision range
-    # the theta terms overflow; _validate turns the NaN and inf that follow
-    # into DegenerateLatticeError
     rng = np.random.default_rng(7)
     ode = rng.uniform(0.07, 0.43, 6) * 2 * lat.omega1 + rng.uniform(0.07, 0.43, 6) * 2 * lat.omega3
+    # one frame on the half-periods, b1/2 and the ODE points: a frame's
+    # values do not depend on its batch.  Out of double range the build fails
+    # by the frame (|b1|^2 or w^-4 under- or overflows, or b1/2 lies within
+    # the pole tolerance of a lattice point); from Im(tau) about 50 the theta
+    # terms overflow, and _validate turns their NaN and inf into the error
     with np.errstate(all="ignore"):
-        frame = _theta_frame(ctx, np.concatenate(
-            [[lat.omega1, lat.omega1 + lat.omega3, lat.omega3, w], ode]))
+        try:
+            b1, b2 = lat.reduced_periods
+            w, tau = b1 / 2, b2 / b1
+            g2, eta_a, wp_w = _qseries(w, np.exp(2j * np.pi * tau))
+            eta_b = (eta_a * (b2 / 2) - 1j * np.pi / 2.0) / w
+            eta1, eta3 = (complex(m * eta_a + n * eta_b) for _, m, n in
+                          (lat.reduce(2 * lat.omega1), lat.reduce(2 * lat.omega3)))
+            ctx = EllipticContext(lattice=lat, g2=g2, g3=0.0, e1=0.0, e2=0.0, e3=0.0,
+                                  eta1=eta1, eta3=eta3, _eta_reduced=(eta_a, eta_b),
+                                  _theta=_Theta(complex(np.exp(1j * np.pi * tau))))
+            frame = _theta_frame(ctx, np.concatenate(
+                [[lat.omega1, lat.omega1 + lat.omega3, lat.omega3, w], ode]))
+        except (ArithmeticError, ValueError):  # a PoleEvaluationError is a ValueError
+            raise DegenerateLatticeError(
+                f"the lattice of half-periods ({lat.omega1:.6g}, {lat.omega3:.6g}) is too small, "
+                f"too large or too thin for double precision") from None
         values, slopes = frame.wp(), frame.wp_prime(slice(4, None))
         e1, e2, e3 = (complex(e) for e in values[:3])
         ctx = replace(ctx, g3=4.0 * e1 * e2 * e3, e1=e1, e2=e2, e3=e3)
@@ -336,7 +342,7 @@ def _validate(ctx: EllipticContext, wp_w_series: complex, wp_w: complex, p, dp):
     for check, err, tol in (
             ("e1+e2+e3 = 0", abs(e1 + e2 + e3), 1e-10 * scale),
             ("g2 = -4*sum(ei*ej)", abs(-4.0 * (e1 * e2 + e1 * e3 + e2 * e3) - g2),
-             1e-9 * max(abs(g2), scale**2)),
+             1e-9 * max(abs(g2), scale * scale)),
             ("series wp(b1/2)", abs(wp_w_series - wp_w), 1e-8 * max(abs(wp_w), 1e-300)),
             ("wp ODE", np.max(np.abs(resid)), 1e-8 * ode_scale)):
         if not err <= tol < np.inf:

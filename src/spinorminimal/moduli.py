@@ -1,14 +1,13 @@
 """Explicit constructions: 4/6-ended spheres, RP^2 variety, 4-ended tori,
 the 4-ended Klein bottle, and the 3-ended-torus degeneracy evaluators.
 
-sphere4_solve, torus3_degeneracy, torus4_construct and klein4_construct
-each return a dataclass bundling the inputs, the results (Omega, kernel
-sections, periods, as each construction has them) and the residuals of
-every identity checked; all but the 3-ended torus serialize it to a
-JSON-ready dict with `.report()`.
-sphere6_K_basis returns the tuple ((t1, t2), form, residuals).  The
-printed K bases are coefficient vectors on basis_F_sphere, the basis of
-the Omega they test.
+sphere4_solve, sphere6_K_basis, torus3_degeneracy, torus4_construct and
+klein4_construct each return a dataclass bundling the inputs, the results
+(Omega, kernel sections, periods, as each construction has them) and the
+residuals of every identity checked; all but the 3-ended torus serialize
+it to a JSON-ready dict with `.report()`.  Both spheres are SphereFamily:
+their printed K pairs are built by printed_K_pair, as coefficient vectors
+on basis_F_sphere, the basis of the Omega they test.
 CONSTRUCTIONS is the one table of named constructions: the CLI, the
 tests and the acceptance gate build and mesh through it.
 
@@ -28,14 +27,17 @@ Conventions pinned here (each cross-checked numerically at build time):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import combinations, permutations
+from operator import attrgetter
 from typing import Callable
 
 import numpy as np
 
 from .elliptic import EllipticContext, build_context, wp, wp_inverse, wp_prime, wp_with_prime
 from .numkit import ComplexPolynomial, QuadraturePath, pfaffian, poly_roots, scale_parts
+from .reportio import jsonify
 from .spinor import (
     INF,
     EndDivisor,
@@ -59,6 +61,7 @@ from .surface import GridSpec, WeierstrassData, enneper_data, integrate_surface
 __all__ = [
     "ConstructionError",
     "SphereFamily",
+    "OffVarietyError",
     "TorusFourEnd",
     "KleinFourEnd",
     "Torus3Report",
@@ -66,7 +69,9 @@ __all__ = [
     "sphere6_pfaffian",
     "sphere6_ends",
     "sphere6_numeric_pfaffian",
+    "vandermonde_pfaffian",
     "sphere6_K_basis",
+    "printed_K_pair",
     "rp2_variety",
     "rp2_on_variety",
     "rp2_slice",
@@ -95,15 +100,6 @@ class ConstructionError(ValueError):
     the lattice is out of range."""
 
 
-def _vandermonde(points):
-    points = list(points)
-    out = 1.0 + 0.0j
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            out *= points[j] - points[i]
-    return out
-
-
 def _torus_cycle(domain, k: int) -> QuadraturePath:
     """Closed cycle along 2 omega_k as a period path, midway across the
     widest strip along it that holds none of domain.singular_points(),
@@ -122,20 +118,19 @@ def _torus_cycle(domain, k: int) -> QuadraturePath:
 
 
 # ---------------------------------------------------------------------------
-# spheres with four ends
+# spheres with four and six ends
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class SphereFamily:
     n: int
-    parameter: tuple  # (a,): sphere4_solve builds the only family, n = 4
+    parameter: tuple  # (a,) for sphere4_solve, n = 4; sigma for sphere6_K_basis, n = 6
     ends: EndDivisor
     form: OmegaForm
     K_basis: tuple
     residuals: dict
 
     def report(self):
-        from .reportio import jsonify
         return jsonify({
             "n": self.n,
             "parameter": self.parameter,
@@ -151,13 +146,12 @@ def sphere4_quartic() -> ComplexPolynomial:
     return ComplexPolynomial((1.0, 0.0, -1.0, 0.0, 1.0))
 
 
-def sphere4_printed_K(basis):
-    """The published K basis for ends {a, 1/a, 0, inf} at a = (sqrt3+i)/2, on
-    the basis of those ends: t1 = (sqrt3 z - 1)/(z q) and t2 = z (z - sqrt3)/q
-    = z^2 (z - sqrt3)/(z q), q = z^2 - sqrt3 z + 1."""
-    s3, rows = np.sqrt(3.0), basis[0].basis
-    zq = (0.0, 1.0, -s3, 1.0)
-    return rows.fraction((-1.0, s3), zq, "t1"), rows.fraction((0.0, 0.0, -s3, 1.0), zq, "t2")
+def printed_K_pair(basis, q, n1, n2):
+    """The printed K pair t1 = N1/(z Q) and t2 = z N2/Q = z^2 N2/(z Q) on a
+    sphere basis whose ends are the roots of Q, 0 and infinity; Q, N1 and N2
+    ascending."""
+    zq, rows = (0.0, *q), basis[0].basis
+    return rows.fraction(n1, zq, "t1"), rows.fraction((0.0, 0.0, *n2), zq, "t2")
 
 
 def sphere4_solve() -> SphereFamily:
@@ -177,10 +171,12 @@ def sphere4_solve() -> SphereFamily:
     if len(K) != 2:
         raise ConstructionError(f"sphere4 kernel has dimension {len(K)}, expected 2")
     residuals = {"pfaffian": abs(pf)}
-    residuals["pfaffian_all_roots"] = max(
+    residuals["pfaffian_all_roots"] = max([abs(pf)] + [
         abs(pfaffian(omega_matrix(basis_F_sphere(EndDivisor((r, 1.0 / r, 0.0, INF)))).matrix))
-        for r in roots)
-    t1, t2 = sphere4_printed_K(basis)
+        for r in roots if r != a])
+    # the published pair at a: q = z^2 - sqrt3 z + 1, N1 = sqrt3 z - 1, N2 = z - sqrt3
+    s3 = np.sqrt(3.0)
+    t1, t2 = printed_K_pair(basis, (1.0, -s3, 1.0), (-1.0, s3), (-s3, 1.0))
     Kmat = np.array([k.coefficients for k in K]).T
     worst = 0.0
     for v in np.array([t1.coefficients, t2.coefficients]):
@@ -194,10 +190,6 @@ def sphere4_solve() -> SphereFamily:
                         K_basis=tuple(K), residuals=residuals)
 
 
-# ---------------------------------------------------------------------------
-# spheres with six ends
-# ---------------------------------------------------------------------------
-
 def sphere6_pfaffian(sigma) -> complex:
     """tau1 tau3 + sigma1 sigma3 - 20 with tau_i = sigma_i^2 + 3 sigma2."""
     s1, s2, s3 = (complex(s) for s in sigma)
@@ -206,56 +198,66 @@ def sphere6_pfaffian(sigma) -> complex:
     return tau1 * tau3 + s1 * s3 - 20.0
 
 
-def sphere6_ends(sigma):
-    """Ends {a1..a4, 0, inf}: roots of z^4 - s1 z^3 - s2 z^2 - s3 z + 1."""
+def _sphere6_printed(sigma):
+    """(Q, B, C) of the printed pair t1 = B/(z Q), t2 = z C/Q at sigma,
+    ascending, with the quartic Q = z^4 - s1 z^3 - s2 z^2 - s3 z + 1."""
     s1, s2, s3 = (complex(s) for s in sigma)
-    quartic = ComplexPolynomial((1.0, -s3, -s2, -s1, 1.0))
-    roots = poly_roots(quartic)
-    return EndDivisor(tuple(roots) + (0.0, INF))
+    tau1, tau3 = s1 * s1 + 3.0 * s2, s3 * s3 + 3.0 * s2
+    return ((1.0, -s3, -s2, -s1, 1.0),
+            (s2, -s2 * s3, s2 * tau3 - 2.0 * s1 * s3 - 10.0, s1 * tau3 + 5.0 * s3),
+            (s3 * tau1 + 5.0 * s1, s2 * tau1 - 2.0 * s1 * s3 - 10.0, -s1 * s2, s2))
+
+
+def sphere6_ends(sigma):
+    """Ends {a1..a4, 0, inf}: the roots of the quartic Q, 0 and inf."""
+    q, _, _ = _sphere6_printed(sigma)
+    return EndDivisor(tuple(poly_roots(ComplexPolynomial(q))) + (0.0, INF))
+
+
+def vandermonde_pfaffian(form):
+    """(pf(Omega), pf(Omega) V), V the Vandermonde product over the finite
+    ends in basis order: pf carries the configuration-dependent factor 1/V,
+    and on sphere6_ends pf V equals -(tau1 tau3 + sigma1 sigma3 - 20)."""
+    pf = pfaffian(form.matrix)
+    finite = [p for p in form.divisor.points if not np.isinf(p.real)]
+    return pf, pf * math.prod(b - a for a, b in combinations(finite, 2))
 
 
 def sphere6_numeric_pfaffian(sigma):
-    """(pfaffian of the 6x6 Omega, Vandermonde-normalized pfaffian).
-
-    The normalized value pf * V(finite ends, basis order) equals
-    -(tau1 tau3 + sigma1 sigma3 - 20) exactly; the raw pfaffian carries
-    the configuration-dependent basis factor 1/V.
-    """
-    divisor = sphere6_ends(sigma)
-    basis = basis_F_sphere(divisor)
-    form = omega_matrix(basis)
-    pf = pfaffian(form.matrix)
-    finite = [p for p in form.divisor.points if not np.isinf(p.real)]
-    return pf, pf * _vandermonde(finite)
+    """vandermonde_pfaffian of the 6x6 Omega on sphere6_ends(sigma)."""
+    return vandermonde_pfaffian(omega_matrix(basis_F_sphere(sphere6_ends(sigma))))
 
 
-def sphere6_printed_K(basis, sigma):
-    """The printed K basis at sigma on the basis of sphere6_ends(sigma):
-    t1 = B(z)/(z Q(z)) and t2 = z C(z)/Q(z) = z^2 C(z)/(z Q(z)), Q the quartic."""
-    s1, s2, s3 = (complex(s) for s in sigma)
-    tau1, tau3 = s1 * s1 + 3.0 * s2, s3 * s3 + 3.0 * s2
-    b = (s2, -s2 * s3, s2 * tau3 - 2.0 * s1 * s3 - 10.0, s1 * tau3 + 5.0 * s3)
-    c = (s3 * tau1 + 5.0 * s1, s2 * tau1 - 2.0 * s1 * s3 - 10.0, -s1 * s2, s2)
-    zq, rows = (0.0, 1.0, -s3, -s2, -s1, 1.0), basis[0].basis
-    return rows.fraction(b, zq, "t1"), rows.fraction((0.0, 0.0) + c, zq, "t2")
+SPHERE6_K_TOL = 1e-8  # sphere6_K_basis's gate on each printed-pair residual
 
 
-def sphere6_K_basis(sigma):
-    """The printed two-section K basis at sigma, which decides membership of the
-    pfaffian variety: each section's |Omega v| / |v| and alpha_0 / alpha_-1 must
-    be at most 1e-8, or ConstructionError names the residuals (NaN fails)."""
+class OffVarietyError(ConstructionError):
+    """sphere6_K_basis's refusal of a sigma off the pfaffian variety; `family`
+    is the family it built, whose printed pair is in F but not in K."""
+
+    def __init__(self, family):
+        super().__init__(f"the printed K basis fails its kernel/K test: {family.residuals}")
+        self.family = family
+
+
+def sphere6_K_basis(sigma) -> SphereFamily:
+    """The six-end family at sigma, its K basis the printed pair t1 = B/(z Q),
+    t2 = z C/Q, which decides membership of the pfaffian variety: off it (a
+    residual above SPHERE6_K_TOL, or NaN) OffVarietyError names the residuals."""
     basis = basis_F_sphere(sphere6_ends(sigma))
     form = omega_matrix(basis)
-    residuals, K = {}, sphere6_printed_K(basis, sigma)
+    residuals, K = {}, printed_K_pair(basis, *_sphere6_printed(sigma))
     for t in K:
         v = np.array(t.coefficients)
         residuals[f"{t.label}_kernel"] = float(
             np.linalg.norm(form.matrix.entries @ v) / max(np.linalg.norm(v), 1e-300))
         am1, a0 = np.hypot(t.expansions.real, t.expansions.imag).T
         residuals[f"{t.label}_alpha0"] = float(a0.max() / max(am1.max(), 1e-300))
-    if not np.max(list(residuals.values())) <= 1e-8:
-        raise ConstructionError(f"the printed K basis fails its kernel/K test: {residuals}")
-    return K, form, residuals
+    family = SphereFamily(n=6, parameter=tuple(sigma), ends=form.divisor, form=form,
+                          K_basis=K, residuals=residuals)
+    if not np.max(list(residuals.values())) <= SPHERE6_K_TOL:
+        raise OffVarietyError(family)
+    return family
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +453,6 @@ class TorusFourEnd:
     residuals: dict
 
     def report(self):
-        from .reportio import jsonify
         return jsonify({
             "omega1": self.ctx.omega1, "omega3": self.ctx.omega3,
             "choice": self.choice,
@@ -663,7 +664,6 @@ class KleinFourEnd:
     residuals: dict
 
     def report(self):
-        from .reportio import jsonify
         return jsonify({
             "r": self.r, "a": self.a,
             "ends": self.ends.points,
@@ -840,10 +840,10 @@ class Construction:
 # is the one called
 CONSTRUCTIONS = {
     "enneper": Construction(enneper_data, lambda d: (d.s1, d.s2), _chart_point(0j)),
-    "sphere4": Construction(lambda: sphere4_solve(),
-                            lambda fam: fam.K_basis, _chart_point(-1.0 - 1.0j)),
-    "sphere6": Construction(lambda sigma: sphere6_K_basis(sigma),
-                            lambda built: built[0], _chart_point(-1.5 - 1.5j)),
+    "sphere4": Construction(lambda: sphere4_solve(), attrgetter("K_basis"),
+                            _chart_point(-1.0 - 1.0j)),
+    "sphere6": Construction(lambda sigma: sphere6_K_basis(sigma), attrgetter("K_basis"),
+                            _chart_point(-1.5 - 1.5j)),
     "torus4": Construction(lambda omega1=1.0, omega3=1.0j, choice=(1, 2, 3):
                            torus4_construct(build_context(omega1, omega3), choice),
                            lambda t4: (t4.s1, t4.s2), _lattice_point(0.5, 0.25)),

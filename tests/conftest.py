@@ -1,5 +1,7 @@
 """Shared fixtures."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,18 @@ def count_calls(monkeypatch):
         if name is not None:
             monkeypatch.setattr(target, name, counted)
         return calls
+    return count
+
+
+@pytest.fixture
+def count_everywhere(count_calls):
+    """count_everywhere(module, name) applies count_calls on every package
+    module that binds module.name, and returns their Calls lists."""
+    def count(module, name):
+        fn = getattr(module, name)
+        return [count_calls(m, name) for m in list(sys.modules.values())
+                if m is not None and m.__name__.startswith("spinorminimal")
+                and getattr(m, name, None) is fn]
     return count
 
 

@@ -93,26 +93,19 @@ def test_the_gate_does_not_import_the_cli():
     assert out.stdout == "False\n"
 
 
-def _count_everywhere(count_calls, module, name):
-    """count_calls on every package module that binds module.name."""
-    fn = getattr(module, name)
-    return [count_calls(m, name) for m in list(sys.modules.values())
-            if m is not None and m.__name__.startswith("spinorminimal")
-            and getattr(m, name, None) is fn]
-
-
-def test_the_klein4_suite_builds_through_the_table_and_cuts_the_rank_once(count_calls):
+def test_the_klein4_suite_builds_through_the_table_and_cuts_the_rank_once(count_calls,
+                                                                          count_everywhere):
     builds = count_calls(moduli, "klein4_construct")
-    ranks = _count_everywhere(count_calls, numkit, "skew_rank_kernel")
+    ranks = count_everywhere(numkit, "skew_rank_kernel")
     results = acceptance.run("klein4")
     assert results and all(r.passed for r in results)
     # 9c reads the rank that klein4_construct cut
     assert len(builds) == 1 and sum(map(len, ranks)) == 1
 
 
-def test_the_geometry_suite_meshes_each_construction_once(count_calls):
-    meshes = _count_everywhere(count_calls, surface, "integrate_surface")
-    edges = _count_everywhere(count_calls, surface, "quadrature_edges")
+def test_the_geometry_suite_meshes_each_construction_once(count_everywhere):
+    meshes = count_everywhere(surface, "integrate_surface")
+    edges = count_everywhere(surface, "quadrature_edges")
     results = acceptance.criterion_10_geometry()
     assert results and all(r.passed for r in results)
     # enneper, sphere-4 (shared by 10b and 10e) and torus-4

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from spinorminimal import spinor
 from spinorminimal.cli import main, parse_complex
 from spinorminimal.moduli import rp2_boundary_point, rp2_on_variety, rp2_symmetry_group, rp2_variety
 from spinorminimal.spinor import INF, is_infinity
@@ -249,6 +250,14 @@ def test_torus4_exit_code_does_not_depend_on_scale(tmp_path, capsys, scale):
     assert [exit_code(scale, choice) for choice in TORUS4_CHOICES] == unit
 
 
+def test_an_unrepresentable_lattice_is_one_error_line_that_names_it(capsys):
+    # |b1|^2 = 4e-600 underflows in the basis reduction
+    assert main(["torus4", "1", "1e-300j"]) == 1
+    assert capsys.readouterr().err == (
+        "error: the lattice of half-periods (1+0j, 0+1e-300j) is too small, too large or too "
+        "thin for double precision\n")
+
+
 # five finite sphere ends, in thousandths, and infinity
 SPHERE_ENDS = ((-1179, -1148), (669, -2294), (-143, -2256), (1101, 203), (1356, -504))
 
@@ -305,6 +314,19 @@ def test_sphere6_gate_edge(capsys, times):
     code, report = _sphere6_report((0.0, s2 * (1.0 + times * 1e-8 / slope), 0.0), capsys)
     assert code == 0
     assert ("K_residuals" in report) == (times < 1)
+
+
+@pytest.mark.parametrize("argv", [
+    ["0", "1.4907119849998598", "0"],
+    ["0", "1.4907119849998598", "0", "--mesh", "{d}/s6.obj", "--grid", "17"],
+    ["0.3", "1.1", "0.2"],
+], ids=["on-the-variety", "mesh", "off-the-variety"])
+def test_sphere6_builds_its_basis_and_omega_once(tmp_path, capsys, count_everywhere, argv):
+    # the pfaffians, the gate and the mesh all read the one family's Omega
+    bases = count_everywhere(spinor, "basis_F_sphere")
+    omegas = count_everywhere(spinor, "omega_matrix")
+    assert main(["sphere6", *(a.format(d=tmp_path) for a in argv), "--out", str(tmp_path)]) == 0
+    assert (sum(map(len, bases)), sum(map(len, omegas))) == (1, 1)
 
 
 @pytest.mark.parametrize("times", [0.5, 2.0])

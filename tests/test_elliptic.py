@@ -1,5 +1,7 @@
 """Weierstrass layer tests: invariants, identities, and parities."""
 
+import re
+
 import mpmath
 import numpy as np
 import pytest
@@ -102,6 +104,23 @@ class TestBuildContext:
         for im_tau in (60, 125):
             with pytest.raises(DegenerateLatticeError, match=f"tau = -0.5\\+{im_tau}j"):
                 build_context(1.0, 0.5 + 0.25j / im_tau)
+
+    @pytest.mark.parametrize("omega1, omega3, named", [
+        # the invariants' w^-4 underflows to a division by zero
+        (1e-150, 1e-150j, "half-periods (1e-150+0j, 0+1e-150j) is too small"),
+        # |b1|^2 underflows in the reduction: small, thin, or thin after a shear
+        (1e-170, 1e-170j, "half-periods (1e-170+0j, 0+1e-170j) is too small"),
+        (1.0, 1e-200j, "half-periods (1+0j, 0+1e-200j) is too small"),
+        (1.0, 1.0 + 1e-300j, "half-periods (1+0j, 1+1e-300j) is too small"),
+        # reduced tau = 1e20 i: b1/2 lies within the pole tolerance of b2
+        (1e10, 1e-10j, "half-periods (1e+10+0j, 0+1e-10j) is too small, too large or too thin"),
+        # the invariants build, and g2's check reads NaN against a scale |e|^2 of inf
+        (1e-80, 1e-80j, "g2 = -4*sum(ei*ej) fails by nan (tolerance inf) in the reduced basis, "
+                        "tau = 0+1j"),
+    ])
+    def test_an_unrepresentable_lattice_raises_typed_error(self, omega1, omega3, named):
+        with pytest.raises(DegenerateLatticeError, match=re.escape(named)):
+            build_context(omega1, omega3)
 
 
 class TestEvaluators:

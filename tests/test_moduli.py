@@ -102,21 +102,22 @@ class TestSphere6:
 
     def test_K_basis_on_variety(self):
         s2 = 2.0 * np.sqrt(5.0) / 3.0
-        (t1, t2), form, residuals = sphere6_K_basis((0.0, s2, 0.0))
-        assert max(residuals.values()) < 1e-8
-        assert planar_ends(t1, t2).tolist() == [True] * 6
+        fam = sphere6_K_basis((0.0, s2, 0.0))
+        assert (fam.n, fam.parameter, fam.ends) == (6, (0.0, s2, 0.0), fam.form.divisor)
+        assert max(fam.residuals.values()) < 1e-8
+        assert planar_ends(*fam.K_basis).tolist() == [True] * 6
 
     def test_c3_equals_sigma2(self):
         # c-row: c3 = sigma2 in the printed coefficient table
         s2 = 2.0 * np.sqrt(5.0) / 3.0
-        (t1, t2), _, _ = sphere6_K_basis((0.0, s2, 0.0))
+        t1, t2 = sphere6_K_basis((0.0, s2, 0.0)).K_basis
         # t2 = z^2 (c3 z^3 + ...)/(z Q) and t1 = B/(z Q), deg B = 3: their
         # coefficients on phi are the leading ratios c3 and 0
         assert (t2.label, t2.coefficients[-1], t1.coefficients[-1]) == ("t2", s2, 0)
 
     def test_independence(self):
         s2 = 2.0 * np.sqrt(5.0) / 3.0
-        (t1, t2), _, _ = sphere6_K_basis((0.0, s2, 0.0))
+        t1, t2 = sphere6_K_basis((0.0, s2, 0.0)).K_basis
         probes = np.array([0.3 + 0.1j, -0.7 + 0.9j])
         m = np.array([[t1.evaluate(z), t2.evaluate(z)] for z in probes])
         assert abs(np.linalg.det(m)) > 1e-10
@@ -167,9 +168,9 @@ class TestPrintedSections:
 
     def test_sphere4_values_and_basis(self, monkeypatch):
         # the sections sphere4_solve builds, caught as it reads them
-        seen, printed_K = [], moduli.sphere4_printed_K
-        monkeypatch.setattr(moduli, "sphere4_printed_K",
-                            lambda basis: seen.extend(printed_K(basis)) or tuple(seen))
+        seen, printed_K = [], moduli.printed_K_pair
+        monkeypatch.setattr(moduli, "printed_K_pair",
+                            lambda *args: seen.extend(printed_K(*args)) or tuple(seen))
         fam = sphere4_solve()
         assert [t.label for t in seen] == ["t1", "t2"]
         assert all(t.basis is fam.form.basis[0].basis for t in seen)
@@ -179,22 +180,22 @@ class TestPrintedSections:
 
     def test_sphere6_on_the_variety(self):
         sigma = (0.0, 2.0 * np.sqrt(5.0) / 3.0, 0.0)
-        (t1, t2), form, residuals = sphere6_K_basis(sigma)
-        assert t1.basis is form.basis[0].basis and t2.basis is form.basis[0].basis
-        self._assert_printed((t1, t2), lambda z: _printed_sphere6(sigma, z), form.divisor.points)
-        assert max(residuals.values()) < 1e-14
+        fam = sphere6_K_basis(sigma)
+        assert all(t.basis is fam.form.basis[0].basis for t in fam.K_basis)
+        self._assert_printed(fam.K_basis, lambda z: _printed_sphere6(sigma, z), fam.ends.points)
+        assert max(fam.residuals.values()) < 1e-14
 
     def test_sphere6_off_the_variety(self):
         # the printed sections lie in F at every sigma, in K only on the variety
         sigma = (0.3 + 0.2j, 1.1 - 0.4j, -0.5 + 0.1j)
         assert abs(sphere6_pfaffian(sigma)) > 1.0
-        with pytest.raises(ValueError, match="fails its kernel/K test"):
+        with pytest.raises(moduli.OffVarietyError, match="fails its kernel/K test") as refused:
             sphere6_K_basis(sigma)
-        basis = basis_F_sphere(sphere6_ends(sigma))
-        sections = moduli.sphere6_printed_K(basis, sigma)
-        assert all(t.basis is basis[0].basis for t in sections)
-        self._assert_printed(sections, lambda z: _printed_sphere6(sigma, z),
-                             basis[0].domain.ends.points)
+        fam = refused.value.family
+        assert fam.parameter == sigma and max(fam.residuals.values()) > moduli.SPHERE6_K_TOL
+        assert all(t.basis is fam.form.basis[0].basis for t in fam.K_basis)
+        assert fam.ends == sphere6_ends(sigma)
+        self._assert_printed(fam.K_basis, lambda z: _printed_sphere6(sigma, z), fam.ends.points)
 
     def test_a_fraction_off_the_divisor_degree_is_refused(self):
         # D must be written over the two finite ends, and N/D bounded at infinity

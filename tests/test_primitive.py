@@ -189,7 +189,7 @@ class TestPeriodMatrix:
 
 
 def _sphere6_mesh():
-    (t1, t2), _, _ = sphere6_K_basis((0.0, 2.0 * np.sqrt(5.0) / 3.0, 0.0))
+    t1, t2 = sphere6_K_basis((0.0, 2.0 * np.sqrt(5.0) / 3.0, 0.0)).K_basis
     data = WeierstrassData(s1=t1, s2=t2)
     return data, -1.5 - 1.5j, integrate_surface(data, GridSpec(nx=33, ny=33), -1.5 - 1.5j)
 

@@ -219,11 +219,12 @@ class TestThresholdEdges:
             omega_matrix(basis)
 
     def test_the_named_thresholds_keep_their_values(self):
-        # the edge cases below read the names, except those of the residue-sum
-        # and planar-end cuts, so they move with the values; these are the
-        # values the README states
+        # the edge cases below, and tests/test_cli.py::test_sphere6_gate_edge,
+        # build their inputs from literal values, except the rank cut's, which
+        # reads RANK_TOL; these are the values the README states
         assert (RANK_TOL, spinor.K_TEST_TOL, spinor.PROJECTION_TOL) == (1e-9, 1e-6, 1e-8)
         assert (spinor.RESIDUE_SUM_TOL, spinor.PLANAR_END_TOL) == (1e-8, 1e-8)
+        assert moduli.SPHERE6_K_TOL == 1e-8
 
     @pytest.mark.parametrize("times", [0.5, 2.0])
     def test_rank_cut(self, times):
@@ -238,10 +239,10 @@ class TestThresholdEdges:
     @pytest.mark.parametrize("times", [0.5, 2.0])
     def test_K_test(self, ctx, times):
         # t1's alpha_0 at omega2 moved after Omega: K1 = t1 has alpha_0
-        # delta against its alpha_-1 of 1, and the K test reads K_TEST_TOL
+        # delta against its alpha_-1 of 1, and the K test's cut is 1e-6
         basis = _half_lattice_twisted(ctx)
         form = omega_matrix(basis)
-        basis[0].basis.laurent[1, 2, 1] += times * spinor.K_TEST_TOL
+        basis[0].basis.laurent[1, 2, 1] += times * 1e-6
         if times > 1:
             with pytest.raises(SectionDataError, match="fails the K test"):
                 extract_K(form)
@@ -258,10 +259,10 @@ class TestThresholdEdges:
     @pytest.mark.parametrize("times", [0.5, 2.0])
     def test_projection_cut(self, ctx, times):
         # a kernel spanned by phi0 + eps t1 and t3: projected off H, the
-        # stack has singular values 1 and about eps, cut at PROJECTION_TOL
-        # of the largest; kept, the K dimension exceeds the kernel's minus h_dim
+        # stack has singular values 1 and about eps, cut at 1e-8 of the
+        # largest; kept, the K dimension exceeds the kernel's minus h_dim
         basis = _half_lattice_twisted(ctx)
-        eps = times * spinor.PROJECTION_TOL
+        eps = times * 1e-8
         x, y = np.array([-eps, 1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0, 0.0])
         form = spinor.OmegaForm(SkewMatrix(np.outer(x, y) - np.outer(y, x)), tuple(basis))
         if times > 1:

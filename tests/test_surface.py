@@ -440,7 +440,7 @@ class TestCellMask:
         # sphere-6 divisors on the pfaffian variety, whose ends lie all over
         # the chart square, on grids whose step exceeds the end clearance
         try:
-            (t1, t2), _, _ = sphere6_K_basis(_sphere6_on_the_variety(s1, s3))
+            t1, t2 = sphere6_K_basis(_sphere6_on_the_variety(s1, s3)).K_basis
             data = WeierstrassData(s1=t1, s2=t2)
         except (ValueError, NonConvergenceError):
             assume(False)

@@ -318,14 +318,17 @@ def build_context(omega1, omega3) -> EllipticContext:
             frame = _theta_frame(ctx, np.concatenate(
                 [[lat.omega1, lat.omega1 + lat.omega3, lat.omega3, w], ode]))
         except (ArithmeticError, ValueError):  # a PoleEvaluationError is a ValueError
-            raise DegenerateLatticeError(
-                f"the lattice of half-periods ({lat.omega1:.6g}, {lat.omega3:.6g}) is too small, "
-                f"too large or too thin for double precision") from None
+            raise DegenerateLatticeError(_unrepresentable(lat)) from None
         values, slopes = frame.wp(), frame.wp_prime(slice(4, None))
         e1, e2, e3 = (complex(e) for e in values[:3])
         ctx = replace(ctx, g3=4.0 * e1 * e2 * e3, e1=e1, e2=e2, e3=e3)
         _validate(ctx, wp_w, complex(values[3]), values[4:], slopes)
     return ctx
+
+
+def _unrepresentable(lat: Lattice) -> str:
+    return (f"the lattice of half-periods ({lat.omega1:.6g}, {lat.omega3:.6g}) is too small, "
+            "too large or too thin for double precision")
 
 
 def _validate(ctx: EllipticContext, wp_w_series: complex, wp_w: complex, p, dp):
@@ -348,7 +351,7 @@ def _validate(ctx: EllipticContext, wp_w_series: complex, wp_w: complex, p, dp):
         if not err <= tol < np.inf:
             raise DegenerateLatticeError(
                 f"{check} fails by {err:.2e} (tolerance {tol:.2e}) in the reduced basis, "
-                f"tau = {b2 / b1:.6g}: the lattice is too thin for double precision")
+                f"tau = {b2 / b1:.6g}: {_unrepresentable(ctx.lattice)}")
 
 
 # points per theta batch: at 2^11 a batch's arrays (about 1 MiB at the

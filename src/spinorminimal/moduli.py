@@ -42,7 +42,6 @@ from .spinor import (
     INF,
     EndDivisor,
     OmegaForm,
-    SphereDomain,
     SpinorSection,
     basis_F_sphere,
     basis_F_torus_twisted,
@@ -52,7 +51,6 @@ from .spinor import (
     omega_matrix,
     period_matrix,
     planar_ends,
-    rational_sphere_basis,
     section_combination,
     section_values,
 )
@@ -78,7 +76,6 @@ __all__ = [
     "rp2_symmetry_group",
     "rp2_boundary_point",
     "RP2_GROUP",
-    "mobius_strip_spinor",
     "EPSILON",
     "torus3_admissible_pair",
     "torus3_degeneracy",
@@ -340,19 +337,6 @@ def rp2_boundary_point(kind: str = "D3") -> tuple:
         c = next(r.real for r in roots if 0.0 < r.real < 1.0)
         return (c, c, -c)
     raise ValueError(f"unknown special point {kind!r}")
-
-
-def mobius_strip_spinor():
-    """Degenerate-limit Mobius strip pair sqrt(i) (-(w+1)/w^2, w-1) sqrt(dw).
-
-    These are the limit sections on C*; they are not members of an F
-    space (the first has a double pole), so no Laurent tables attach.
-    """
-    sqrt_i = np.exp(1j * np.pi / 4.0)
-    dom = SphereDomain(ends=EndDivisor((0.0, INF)))
-    return tuple(rational_sphere_basis(dom, [(-sqrt_i * np.ones(2), [0.0, 0.0, 1.0]),
-                                             (sqrt_i * np.array([-1.0, 1.0]), [1.0])],
-                                       ("mobius_s1", "mobius_s2")))
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,13 @@
-"""Spinor sections, the spaces F/H/K, the skew form Omega, and the spin cover.
+"""Spinor sections, the spaces F/H/K and the skew form Omega.
 
 A section is (basis, coefficients): a coefficient vector on the rows of
 one Basis.  Each family of F has one basis kernel: phi/(z - a_i) and phi
 on the sphere; one zeta-difference form zeta(u - a_i) - zeta(u) + c_i
 (with an optional constant row) on the twisted and untwisted tori;
 wp_r/(wp_r - p_i) and wp'/(wp_r - p_i) for paired untwisted ends, whose
-table is the untwisted one in another basis; and N/D rows for sphere
-sections outside F (Enneper's, the Mobius limit), as a section (N/D) phi
-of F is a coefficient vector on the sphere rows (_SphereBasis.fraction).
+table is the untwisted one in another basis; and the monomials z^j phi
+on the sphere without ends, Enneper's rows.  A section (N/D) phi of F is a
+coefficient vector on the sphere rows (_SphereBasis.fraction).
 A kernel evaluates only the rows some coefficient uses, and adds each
 row into every section it evaluates.  On a torus the rows
 read a theta frame on u and their shifts u - a_i; a caller that also
@@ -52,11 +52,9 @@ phi_w, the sign fixed once globally.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
-from typing import Optional
 
 import numpy as np
 from numpy.polynomial import polynomial as P
@@ -79,7 +77,6 @@ __all__ = [
     "SectionDataError",
     "sigma_map",
     "sigma_quadratic",
-    "spin_cover",
     "omega_pair",
     "omega_qres_matrix",
     "omega_qres_oracle",
@@ -96,7 +93,7 @@ __all__ = [
     "period_matrix",
     "FormPrimitive",
     "form_primitive",
-    "rational_sphere_basis",
+    "polynomial_sphere_basis",
 ]
 
 INF = complex(math.inf, 0.0)
@@ -300,10 +297,9 @@ class Basis:
     """Rows of one family spanning F (or some limit sections) over a domain.
 
     laurent is the complex (rows, ends, 2) table T, T[j, k] = (alpha_-1,
-    alpha_0) of row j at the k-th end, or None for rows outside F on a
-    domain with ends; on a domain without ends it is empty.  weights
-    holds the half-integer w_j with row j on the divisor times s equal to
-    s^w_j times row j, or None for rows of no one weight.  A family adds its
+    alpha_0) of row j at the k-th end; on a domain without ends it is
+    empty.  weights holds the half-integer w_j with row j on the divisor
+    times s equal to s^w_j times row j.  A family adds its
     row data, _shifts(active), the frame shifts its active rows read, and
     _rows(active, at, derivative), which yields (j, f_j(u), f_j'(u) or
     None) for each active j at the flat points of the _Points at.
@@ -311,8 +307,8 @@ class Basis:
 
     domain: _DomainBase
     labels: tuple
-    laurent: Optional[np.ndarray]
-    weights: Optional[np.ndarray]
+    laurent: np.ndarray
+    weights: np.ndarray
 
     def members(self):
         """The basis sections: unit coefficient rows."""
@@ -337,8 +333,6 @@ class Basis:
     def table(self, coefficients):
         """Laurent tables sum_j C[i, j] T[j] of the sections with coefficient
         rows C, shape (rows of C, ends, 2)."""
-        if self.laurent is None:
-            raise SectionDataError("the basis rows carry no Laurent data")
         C = np.asarray(coefficients, dtype=complex).reshape(-1, len(self.labels))
         return np.sum(C[:, :, None, None] * self.laurent, axis=1)
 
@@ -477,32 +471,17 @@ class _PairedBasis(Basis):
 
 
 @dataclass(eq=False)
-class _RationalBasis(Basis):
-    """Rows (N_j(z)/D_j(z)) phi on the sphere, ascending coefficient arrays."""
-
-    fractions: list
+class _PolynomialBasis(Basis):
+    """Rows z^j phi, j = 0 .. degree, on the sphere without ends."""
 
     def _rows(self, active, at, derivative):
         z = at.u
         for j in active:
-            numer, denom = self.fractions[j]
-            D = P.polyval(z, denom)
-            N = P.polyval(z, numer)
-            yield j, N / D, ((P.polyval(z, P.polyder(numer)) * D
-                              - N * P.polyval(z, P.polyder(denom))) / D**2
-                             if derivative else None)
+            yield j, z**j, ((j * z**(j - 1) if j else 0.0) if derivative else None)
 
     def _polynomial_part(self, pairs):
-        """Sum over the rows i, j of each pair of the quotients of N_i N_j by D_i D_j."""
-        out = np.zeros((1, len(pairs)), dtype=complex)
-        for k, (s, t) in enumerate(pairs):
-            for (i, a), (j, b) in itertools.product(enumerate(s.coefficients),
-                                                    enumerate(t.coefficients)):
-                (ni, di), (nj, dj) = self.fractions[i], self.fractions[j]
-                q = a * b * P.polydiv(P.polymul(ni, nj), P.polymul(di, dj))[0]
-                out = np.pad(out, ((0, max(0, len(q) - len(out))), (0, 0)))
-                out[:len(q), k] += q
-        return out
+        """f g of each pair: the product of its coefficient polynomials."""
+        return np.array([np.convolve(s.coefficients, t.coefficients) for s, t in pairs]).T
 
 
 @dataclass(frozen=True, eq=False)
@@ -524,8 +503,8 @@ class SpinorSection:
     @property
     def expansions(self):
         """(ends, 2) array of (alpha_-1, alpha_0) at each end in its honest
-        local chart (see module docstring), from the basis table; None outside F."""
-        return None if self.basis.laurent is None else self.basis.table(self.coefficients)[0]
+        local chart (see module docstring), from the basis table."""
+        return self.basis.table(self.coefficients)[0]
 
     def evaluate(self, u):
         return self.basis.evaluate([self.coefficients], u)[0]
@@ -705,33 +684,6 @@ def sigma_quadratic(q11, q22, q12):
 def sigma_map(z1, z2):
     """Null vector (z1^2 - z2^2, i(z1^2 + z2^2), 2 z1 z2), elementwise."""
     return sigma_quadratic(z1 * z1, z2 * z2, z1 * z2)
-
-
-_PAULI = (
-    np.array([[0.0, -1.0], [-1.0, 0.0]], dtype=complex),
-    np.array([[0.0, 1j], [-1j, 0.0]], dtype=complex),
-    np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-)
-
-
-def _adjugate2(a):
-    return np.array([[a[1, 1], -a[0, 1]], [-a[1, 0], a[0, 0]]], dtype=complex)
-
-
-def spin_cover(a):
-    """Factor the induced action on C^3 as (det A) * R with R in SO(3, C).
-
-    C^3 is identified with trace-free 2x2 matrices; the action is
-    X -> A X A' with A' the classical adjoint, which covers the linear
-    conformal group two-to-one (A and -A act identically).
-    """
-    a = np.asarray(a, dtype=complex)
-    det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-    if det == 0:
-        raise ValueError("spin_cover requires det A != 0")
-    y = np.array([a @ x @ _adjugate2(a) for x in _PAULI])
-    t = np.array([-(y[:, 0, 1] + y[:, 1, 0]) / 2.0, (y[:, 0, 1] - y[:, 1, 0]) / 2j, y[:, 0, 0]])
-    return complex(det), t / det
 
 
 # a pair's residue sum over the ends above RESIDUE_SUM_TOL of its alpha scale
@@ -981,16 +933,14 @@ def basis_F_torus_untwisted_paired(ctx: EllipticContext, r: int, half_points):
                         np.repeat([1.5, 0.5], a.size), list(pvals)).members()
 
 
-def rational_sphere_basis(dom: SphereDomain, fractions, labels):
-    """Rows (N_j(z)/D_j(z)) phi outside F, one per (numer, denom) pair of
-    ascending coefficients: limit sections, such as Enneper's.  They carry
-    a Laurent table only on a domain without ends, where it is empty; a
-    section of F is a coefficient vector on basis_F_sphere (see
-    _SphereBasis.fraction)."""
-    fractions = [(np.atleast_1d(np.asarray(n, dtype=complex)),
-                  np.atleast_1d(np.asarray(d, dtype=complex))) for n, d in fractions]
-    table = np.zeros((len(fractions), 0, 2), dtype=complex) if dom.ends.n == 0 else None
-    return _RationalBasis(dom, labels, table, None, fractions).members()
+def polynomial_sphere_basis(degree: int):
+    """{phi, z phi, ..., z^degree phi} on the sphere without ends, a domain
+    of its own: sections outside F, such as Enneper's.  Their table is
+    empty, and z^j phi has weight j + 1/2."""
+    labels = ["phi", "z phi"][:degree + 1] + [f"z^{j} phi" for j in range(2, degree + 1)]
+    return _PolynomialBasis(SphereDomain(ends=EndDivisor(())), labels,
+                            np.zeros((degree + 1, 0, 2), dtype=complex),
+                            np.arange(degree + 1) + 0.5).members()
 
 
 def omega_matrix(basis) -> OmegaForm:
@@ -1001,17 +951,20 @@ def omega_matrix(basis) -> OmegaForm:
 
 
 # extract_K's cuts: a direction off H at most PROJECTION_TOL of the largest
-# lies in H; a vector whose alpha_0 exceeds K_TEST_TOL of its alpha_-1 is not in K
-PROJECTION_TOL, K_TEST_TOL = 1e-8, 1e-6
+# lies in H; a vector is normalized at its first coefficient above
+# NORMALIZE_TOL of its largest; a vector whose alpha_0 exceeds K_TEST_TOL of
+# its alpha_-1 is not in K
+PROJECTION_TOL, NORMALIZE_TOL, K_TEST_TOL = 1e-8, 1e-8, 1e-6
 
 
 def extract_K(form: OmegaForm):
     """Kernel of Omega with the known H subspace projected out.
 
     Every step reads the unit chart: the kernel of OmegaForm.rank_kernel,
-    H's projection, the normalization (first nonzero coefficient = 1),
-    and the K test, alpha_0 at most K_TEST_TOL of the largest alpha_-1
-    at every end.  The vectors map back through the row factors.
+    H's projection, the normalization (the first coefficient above
+    NORMALIZE_TOL of the largest set to 1), and the K test, alpha_0 at
+    most K_TEST_TOL of the largest alpha_-1 at every end.  The vectors map
+    back through the row factors.
     """
     rank, kernel = form.rank_kernel()
     if len(kernel) < form.h_dim:
@@ -1032,7 +985,7 @@ def extract_K(form: OmegaForm):
             f"K dimension {len(keep)} does not match kernel {len(kernel)} minus h_dim {form.h_dim}")
     basis = form.basis[0].basis
     d = basis.row_factors
-    first = [np.argmax(np.abs(v) > 1e-8 * np.abs(v).max()) for v in keep]
+    first = [np.argmax(np.abs(v) > NORMALIZE_TOL * np.abs(v).max()) for v in keep]
     V = np.array([scale_parts(v / v[j], d / d[j]) for v, j in zip(keep, first)],
                  dtype=complex).reshape(-1, len(basis.labels))
     mags = basis.domain.unit_sizes(basis.table(V))

@@ -47,15 +47,13 @@ import numpy as np
 from .numkit import QuadraturePath
 from .reportio import overwrite
 from .spinor import (
-    EndDivisor,
     SectionDataError,
-    SphereDomain,
     SpinorSection,
     chart_points,
     form_primitive,
     is_infinity,
     period_matrix,
-    rational_sphere_basis,
+    polynomial_sphere_basis,
     section_values,
     sigma_map,
     sigma_quadratic,
@@ -654,8 +652,7 @@ def integrate_position(data: WeierstrassData, paths) -> np.ndarray:
 def enneper_data() -> WeierstrassData:
     """Enneper data s1 = phi, s2 = z phi on the sphere (no ends, so the
     default end clearance is 0.05)."""
-    s1, s2 = rational_sphere_basis(SphereDomain(ends=EndDivisor(())),
-                                   [([1.0], [1.0]), ([0.0, 1.0], [1.0])], ("phi", "z phi"))
+    s1, s2 = polynomial_sphere_basis(1)
     return WeierstrassData(s1=s1, s2=s2)
 
 

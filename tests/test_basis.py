@@ -15,7 +15,6 @@ from spinorminimal.spinor import (
     INF,
     EndDivisor,
     SectionDataError,
-    SphereDomain,
     basis_F_sphere,
     basis_F_torus_twisted,
     basis_F_torus_untwisted,
@@ -27,7 +26,7 @@ from spinorminimal.spinor import (
     omega_qres_matrix,
     omega_qres_oracle,
     period_matrix,
-    rational_sphere_basis,
+    polynomial_sphere_basis,
     section_combination,
     section_values,
 )
@@ -118,13 +117,14 @@ class TestBasisRows:
                 t4.s1.evaluate([t4.s1.domain.ends.points[1]])
 
     def test_rational(self):
-        dom = SphereDomain(ends=EndDivisor((0.5, INF)))
-        basis = rational_sphere_basis(dom, [([1.0, 2.0], [-0.5, 1.0]), ([3.0, 0.0, 1.0], [1.0])],
-                                      ("a", "b"))
-        formulas = [(lambda z: (1 + 2 * z) / (z - 0.5), lambda z: -2.0 / (z - 0.5) ** 2),
-                    (lambda z: 3 + z * z, lambda z: 2 * z)]
+        # the monomial rows z^j phi, polynomials on the sphere without ends
+        basis = polynomial_sphere_basis(2)
+        formulas = [(lambda z: 1.0 + 0j, lambda z: 0.0j), (lambda z: z, lambda z: 1.0 + 0j),
+                    (lambda z: z * z, lambda z: 2 * z)]
         rng = np.random.default_rng(2)
         _check_rows(basis, formulas, rng.standard_normal(7) + 1j * rng.standard_normal(7))
+        assert [s.label for s in basis] == ["phi", "z phi", "z^2 phi"]
+        assert basis[0].domain.ends.n == 0
 
     def test_laurent_tables_equal_scalar_zeta(self, ctx):
         # the tables come from one array zeta call per basis; each value is
@@ -194,6 +194,28 @@ class TestCombinations:
             omega_qres_oracle(b1[0], b2[1])
         with pytest.raises(SectionDataError):
             omega_qres_matrix([b1[0], b1[1], b2[1]])
+
+
+@pytest.mark.parametrize("family", ["sphere", "twisted", "untwisted1", "untwisted2",
+                                    "untwisted3", "paired", "monomial"])
+def test_every_basis_carries_its_table(ctx, family):
+    # every family has a complex (rows, ends, 2) table of (alpha_-1, alpha_0)
+    # and half-integer row weights, and a member's expansions are its row
+    ends = (0.31 + 0.4j, 0.9 + 0.77j, 1.3 + 0.2j)
+    members = {
+        "sphere": lambda: basis_F_sphere(EndDivisor(ends + (INF,))),
+        "twisted": lambda: basis_F_torus_twisted(ctx, EndDivisor((0.0,) + ends)),
+        "paired": lambda: basis_F_torus_untwisted_paired(ctx, 1, ends[:2]),
+        "monomial": lambda: polynomial_sphere_basis(3),
+    }.get(family, lambda: basis_F_torus_untwisted(ctx, int(family[-1]), EndDivisor(ends)))()
+    basis = members[0].basis
+    rows, n_ends = len(members), basis.domain.ends.n
+    assert isinstance(basis.laurent, np.ndarray) and basis.laurent.dtype == complex
+    assert basis.laurent.shape == (rows, n_ends, 2)
+    assert isinstance(basis.weights, np.ndarray) and basis.weights.shape == (rows,)
+    assert np.all(basis.weights % 1 == 0.5)
+    for j, s in enumerate(members):
+        assert np.array_equal(s.expansions, basis.laurent[j])
 
 
 class TestChartWeight:

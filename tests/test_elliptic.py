@@ -116,7 +116,13 @@ class TestBuildContext:
         (1e10, 1e-10j, "half-periods (1e+10+0j, 0+1e-10j) is too small, too large or too thin"),
         # the invariants build, and g2's check reads NaN against a scale |e|^2 of inf
         (1e-80, 1e-80j, "g2 = -4*sum(ei*ej) fails by nan (tolerance inf) in the reduced basis, "
-                        "tau = 0+1j"),
+                        "tau = 0+1j: the lattice of half-periods (1e-80+0j, 0+1e-80j) is too "
+                        "small, too large or too thin"),
+        # the invariants build, and the wp ODE's residual reads NaN: a square
+        # lattice, whose scale alone is out of range
+        (1e-70, 1e-70j, "wp ODE fails by nan (tolerance nan) in the reduced basis, tau = 0+1j: "
+                        "the lattice of half-periods (1e-70+0j, 0+1e-70j) is too small, too "
+                        "large or too thin"),
     ])
     def test_an_unrepresentable_lattice_raises_typed_error(self, omega1, omega3, named):
         with pytest.raises(DegenerateLatticeError, match=re.escape(named)):

@@ -18,7 +18,6 @@ from spinorminimal.moduli import (
     klein_W,
     klein_det_w_closed,
     klein_det_w_factored,
-    mobius_strip_spinor,
     rp2_boundary_point,
     rp2_slice,
     rp2_symmetry_group,
@@ -388,19 +387,6 @@ class TestRP2Arrays:
         assert rp2_symmetry_group(c) == "S3"
 
 
-class TestMobius:
-    def test_value_at_one(self):
-        s1, _ = mobius_strip_spinor()
-        sqrt_i = np.exp(1j * np.pi / 4.0)
-        assert s1.evaluate(1.0) == pytest.approx(-2.0 * sqrt_i)
-
-    def test_gauss_ratio(self):
-        s1, s2 = mobius_strip_spinor()
-        for w in (0.7 - 0.2j, -1.4 + 0.9j, 2.2 + 0.1j):
-            g = s2.evaluate(w) / s1.evaluate(w)
-            assert g == pytest.approx(-w**2 * (w - 1.0) / (w + 1.0), rel=1e-12)
-
-
 @pytest.fixture(scope="module", params=[(1.0, 1.0j), (1.0, 2.0j), (1.1, 0.2 + 0.9j)],
                 ids=["square", "rect2", "generic"])
 def ctx3(request):
@@ -589,14 +575,3 @@ class TestKlein:
         A, B, C = klein.period_coeffs
         assert consts[0] == pytest.approx(B, rel=1e-8)
         assert prim.poly[0, 0] == pytest.approx(B, rel=1e-8)
-
-
-class TestMobiusCurvature:
-    def test_double_cover_total_curvature(self):
-        # deg(g) = 3 for the Mobius limit, so the oriented double cover
-        # has total curvature -12 pi (the strip itself: -6 pi)
-        from spinorminimal.surface import GridSpec, WeierstrassData, total_curvature_estimate
-        s1, s2 = mobius_strip_spinor()
-        data = WeierstrassData(s1=s1, s2=s2, end_clearance=0.05)
-        est = total_curvature_estimate(data, GridSpec(nx=601, ny=601, extent=40.0))
-        assert est == pytest.approx(-12.0 * np.pi, rel=0.02)

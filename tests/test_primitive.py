@@ -25,6 +25,7 @@ from spinorminimal.spinor import (
     form_primitive,
     is_infinity,
     period_matrix,
+    polynomial_sphere_basis,
 )
 from spinorminimal.surface import (
     GridSpec,
@@ -226,6 +227,23 @@ def test_residue_carrying_pair_names_the_end():
     with pytest.raises(SectionDataError, match="log end"):
         integrate_surface(WeierstrassData(s1=s, s2=t, end_clearance=0.05),
                           GridSpec(nx=9, ny=9), -2.0 - 2.0j)
+
+
+def test_a_cubic_pair_integrates_its_product():
+    # f phi and g phi for random cubics f, g on the monomial rows: the
+    # form is f g to rounding, relative to its size, and Phi' is the form
+    rng = np.random.default_rng(11)
+    basis = polynomial_sphere_basis(3)[0].basis
+    s, t = (basis.section(rng.standard_normal(4) + 1j * rng.standard_normal(4), name)
+            for name in "st")
+    prim = form_primitive([(s, t)])
+    assert prim.poly.shape == (7, 1)
+    u = rng.uniform(-2, 2, 20) + 1j * rng.uniform(-2, 2, 20)
+    _, form, size = prim.evaluate(u)
+    assert np.all(np.abs(form[0] - s.evaluate(u) * t.evaluate(u)) <= 1e-14 * size[0])
+    h = 1e-5
+    diff = (prim.evaluate(u + h)[0] - prim.evaluate(u - h)[0]) / (2 * h)
+    assert np.all(np.abs(diff[0] - form[0]) <= 1e-8 * size[0])
 
 
 @pytest.mark.parametrize("name, build", [

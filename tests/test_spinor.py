@@ -1,4 +1,4 @@
-"""Spinor sections, Omega, the qres oracle, kernels, and the spin cover."""
+"""Spinor sections, Omega, the qres oracle, kernels, and the null map."""
 
 import re
 
@@ -36,7 +36,6 @@ from spinorminimal.spinor import (
     section_combination,
     section_values,
     sigma_map,
-    spin_cover,
 )
 
 
@@ -94,60 +93,6 @@ class TestSigmaAndCover:
     def test_sigma_null(self, z1, z2):
         v = sigma_map(z1, z2)
         assert abs(sum(x * x for x in v)) < 1e-12 * max(1.0, abs(z1) ** 4 + abs(z2) ** 4)
-
-    def test_cover_identity(self):
-        lam, rot = spin_cover(np.eye(2))
-        assert lam == 1
-        assert np.allclose(rot, np.eye(3))
-
-    def test_cover_scalar(self):
-        lam = 1.3 - 0.4j
-        det, rot = spin_cover(np.diag([lam, lam]))
-        assert det == pytest.approx(lam * lam)
-        assert np.allclose(rot, np.eye(3))
-
-    def test_cover_commutes_with_sigma(self):
-        rng = np.random.default_rng(0)
-        for _ in range(100):
-            a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-            det, rot = spin_cover(a)
-            z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            lhs = np.array(sigma_map(*(a @ z)))
-            rhs = det * rot @ np.array(sigma_map(*z))
-            assert np.max(np.abs(lhs - rhs)) < 1e-10 * max(1.0, np.max(np.abs(lhs)))
-
-    def test_cover_su2_gives_so3(self):
-        rng = np.random.default_rng(1)
-        for _ in range(10):
-            z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            al, be = z / np.linalg.norm(z)
-            a = np.array([[al, -np.conj(be)], [be, np.conj(al)]])
-            det, rot = spin_cover(a)
-            assert abs(det - 1.0) < 1e-12
-            assert np.max(np.abs(rot.imag)) < 1e-12
-            assert np.max(np.abs(rot.T @ rot - np.eye(3))) < 1e-10
-            assert np.linalg.det(rot.real) == pytest.approx(1.0)
-
-    def test_cover_minus_a_same(self):
-        rng = np.random.default_rng(2)
-        a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        d1, r1 = spin_cover(a)
-        d2, r2 = spin_cover(-a)
-        assert d1 == pytest.approx(d2)
-        assert np.allclose(r1, r2)
-
-    def test_cover_inner_product_scaling(self):
-        rng = np.random.default_rng(3)
-        a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        det, rot = spin_cover(a)
-        t = det * rot
-        x = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        y = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        assert (t @ x) @ (t @ y) == pytest.approx(det**2 * (x @ y), rel=1e-10)
-
-    def test_cover_rejects_singular(self):
-        with pytest.raises(ValueError):
-            spin_cover(np.array([[1.0, 1.0], [1.0, 1.0]]))
 
 
 class TestTableResidues:
@@ -223,6 +168,7 @@ class TestThresholdEdges:
         # build their inputs from literal values, except the rank cut's, which
         # reads RANK_TOL; these are the values the README states
         assert (RANK_TOL, spinor.K_TEST_TOL, spinor.PROJECTION_TOL) == (1e-9, 1e-6, 1e-8)
+        assert spinor.NORMALIZE_TOL == 1e-8
         assert (spinor.RESIDUE_SUM_TOL, spinor.PLANAR_END_TOL) == (1e-8, 1e-8)
         assert moduli.SPHERE6_K_TOL == 1e-8
 
@@ -270,6 +216,23 @@ class TestThresholdEdges:
                 extract_K(form)
         else:
             assert len(extract_K(form)) == 1
+
+    @pytest.mark.parametrize("times", [0.5, 2.0])
+    def test_normalization_cut(self, ctx, times):
+        # a kernel spanned by phi0 and eps t1 + t2: K1 is set to 1 at its
+        # first coefficient above 1e-8 of its largest, t1's past the cut and
+        # t2's short of it
+        basis = _half_lattice_twisted(ctx)
+        eps = times * 1e-8
+        x, y = np.array([0.0, 1.0, -eps, 0.0]), np.array([0.0, 0.0, 0.0, 1.0])
+        (k,) = extract_K(spinor.OmegaForm(SkewMatrix(np.outer(x, y) - np.outer(y, x)),
+                                          tuple(basis)))
+        c = np.array(k.coefficients)
+        if times > 1:
+            assert c[1] == pytest.approx(1.0, abs=1e-15) and c[2] == pytest.approx(1 / eps)
+        else:
+            assert c[2] == pytest.approx(1.0, abs=1e-15) and c[1] == pytest.approx(eps)
+        assert c[0] == c[3] == 0
 
     @pytest.mark.parametrize("times", [0.5, 2.0])
     def test_log_end(self, times):

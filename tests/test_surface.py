@@ -19,10 +19,9 @@ from spinorminimal.numkit import NonConvergenceError, QuadraturePath
 from spinorminimal.spinor import (
     INF,
     EndDivisor,
-    SphereDomain,
     basis_F_sphere,
     is_infinity,
-    rational_sphere_basis,
+    polynomial_sphere_basis,
     section_combination,
     section_values,
 )
@@ -162,9 +161,8 @@ class TestGaussMap:
         assert np.linalg.norm(n) == pytest.approx(1.0, abs=1e-10)
 
     def test_pole_of_g(self):
-        dom = SphereDomain(ends=EndDivisor(()))
-        s1, s2 = rational_sphere_basis(dom, [([0.0, 1.0], [1.0]), ([1.0], [1.0])], ("z", "1"))
-        data = WeierstrassData(s1=s1, s2=s2, end_clearance=0.1)
+        one, z = polynomial_sphere_basis(1)
+        data = WeierstrassData(s1=z, s2=one, end_clearance=0.1)
         assert np.allclose(gauss_map(data, 0.0), [0, 0, 1])
 
     def test_unit_norm_random(self, sphere4_data):
@@ -179,8 +177,7 @@ class TestGaussMap:
 
 class TestBranchDetection:
     def test_common_zero_detected(self):
-        dom = SphereDomain(ends=EndDivisor(()))
-        (zsec,) = rational_sphere_basis(dom, [([0.0, 1.0], [1.0])], ("z phi",))
+        _, zsec = polynomial_sphere_basis(1)
         data = WeierstrassData(s1=zsec, s2=zsec, end_clearance=0.05)
         found = branch_points(data, resolution=60)
         assert len(found) == 1
@@ -816,9 +813,8 @@ class TestArrayGaussMap:
         assert gauss_map(data, u[0, 0]).shape == (3,)
 
     def test_pole_limit_in_an_array(self):
-        dom = SphereDomain(ends=EndDivisor(()))
-        s1, s2 = rational_sphere_basis(dom, [([0.0, 1.0], [1.0]), ([1.0], [1.0])], ("z", "1"))
-        data = WeierstrassData(s1=s1, s2=s2, end_clearance=0.1)
+        one, z = polynomial_sphere_basis(1)
+        data = WeierstrassData(s1=z, s2=one, end_clearance=0.1)
         u = np.array([0.5, 0.0, 1j])
         n = gauss_map(data, u)
         assert np.array_equal(n[1], [0.0, 0.0, 1.0])
@@ -826,8 +822,7 @@ class TestArrayGaussMap:
             assert np.allclose(n[k], _scalar_gauss(data, u[k]), atol=1e-15)
 
     def test_branch_point_in_an_array_raises(self):
-        dom = SphereDomain(ends=EndDivisor(()))
-        (zsec,) = rational_sphere_basis(dom, [([0.0, 1.0], [1.0])], ("z phi",))
+        _, zsec = polynomial_sphere_basis(1)
         data = WeierstrassData(s1=zsec, s2=zsec, end_clearance=0.05)
         with pytest.raises(ValueError):
             gauss_map(data, np.array([0.5, 0.0, 1j]))

@@ -59,11 +59,10 @@ def _emit(args, payload: dict, name: str) -> None:
     if not args.out:
         print(reportio.report_text(payload), end="")
         return
-    text = reportio.report_text(payload)
-    path = reportio.overwrite(Path(args.out) / f"{name}.json", (text.encode("ascii"),))
+    path = reportio.write_report(payload, Path(args.out) / f"{name}.json")
     print(f"wrote {path}")
     if args.json:
-        print(text, end="")
+        print(path.read_text(encoding="ascii"), end="")
 
 
 def _mesh_gate(mesh) -> int:

@@ -36,7 +36,7 @@ from typing import Callable
 import numpy as np
 
 from .elliptic import EllipticContext, build_context, wp, wp_inverse, wp_prime, wp_with_prime
-from .numkit import ComplexPolynomial, QuadraturePath, pfaffian, poly_roots, scale_parts
+from .numkit import QuadraturePath, pfaffian, poly_roots, scale_parts
 from .reportio import jsonify
 from .spinor import (
     INF,
@@ -138,9 +138,9 @@ class SphereFamily:
         })
 
 
-def sphere4_quartic() -> ComplexPolynomial:
+def sphere4_quartic() -> tuple:
     """(a^2 - sqrt3 a + 1)(a^2 + sqrt3 a + 1) = a^4 - a^2 + 1, ascending."""
-    return ComplexPolynomial((1.0, 0.0, -1.0, 0.0, 1.0))
+    return (1.0, 0.0, -1.0, 0.0, 1.0)
 
 
 def printed_K_pair(basis, q, n1, n2):
@@ -208,7 +208,7 @@ def _sphere6_printed(sigma):
 def sphere6_ends(sigma):
     """Ends {a1..a4, 0, inf}: the roots of the quartic Q, 0 and inf."""
     q, _, _ = _sphere6_printed(sigma)
-    return EndDivisor(tuple(poly_roots(ComplexPolynomial(q))) + (0.0, INF))
+    return EndDivisor(tuple(poly_roots(q)) + (0.0, INF))
 
 
 def vandermonde_pfaffian(form):
@@ -333,7 +333,7 @@ def rp2_boundary_point(kind: str = "D3") -> tuple:
     if kind == "Z2xZ2":
         return (np.sqrt(5.0) / 3.0, 0.0, 0.0)
     if kind == "D3":
-        roots = poly_roots(ComplexPolynomial((-5.0, 0.0, 27.0, 32.0, 9.0, 0.0, 1.0)))
+        roots = poly_roots((-5.0, 0.0, 27.0, 32.0, 9.0, 0.0, 1.0))
         c = next(r.real for r in roots if 0.0 < r.real < 1.0)
         return (c, c, -c)
     raise ValueError(f"unknown special point {kind!r}")
@@ -367,7 +367,7 @@ def torus3_admissible_pair(ctx: EllipticContext, a1) -> complex:
     the sign of a2 is fixed by the wp' condition.
     """
     p1, p1p = wp_with_prime(ctx, complex(a1))
-    cubic = ComplexPolynomial((-ctx.g3 - p1p * p1p, -ctx.g2, 0.0, 4.0))
+    cubic = (-ctx.g3 - p1p * p1p, -ctx.g2, 0.0, 4.0)
     candidates = [p for p in poly_roots(cubic) if abs(p - p1) > 1e-6]
     root = wp_inverse(ctx, candidates[0])
     for a2 in (root, -root):
@@ -598,7 +598,7 @@ def klein_det_w_factored(r) -> complex:
 
 
 def klein_fourth_quadrant_root() -> complex:
-    roots = poly_roots(ComplexPolynomial((1.0, 0.0, KLEIN_M, 0.0, 1.0)))
+    roots = poly_roots((1.0, 0.0, KLEIN_M, 0.0, 1.0))
     fourth = [z for z in roots if z.real > 0 and z.imag < 0]
     if len(fourth) != 1:
         raise RuntimeError("expected exactly one fourth-quadrant root")
@@ -681,7 +681,8 @@ def klein4_construct() -> KleinFourEnd:
     sections s-hat (the deck conjugates live on the wp'-type half of the
     basis); solve the single period equation with the closed-form A, B, C
     and cross-check every identity by quadrature.  Whether the pair is
-    unbranched is surface.branch_points's question (acceptance 9g).
+    unbranched is surface.gauss_degree's question: it reads g + n - 1 = 8
+    exactly when s1 and s2 share no zero (acceptance 9g).
     """
     ctx = square_context_e1_normalized()
     r = klein_fourth_quadrant_root()

@@ -21,7 +21,6 @@ import numpy as np
 
 __all__ = [
     "SkewMatrix",
-    "ComplexPolynomial",
     "QuadraturePath",
     "NonConvergenceError",
     "pfaffian",
@@ -66,36 +65,6 @@ class SkewMatrix:
         b = (a - a.T) / 2.0
         np.fill_diagonal(b, 0.0)
         return cls(b)
-
-
-@dataclass(frozen=True)
-class ComplexPolynomial:
-    """Polynomial with complex coefficients, ascending degree order."""
-
-    coeffs: tuple
-
-    def __post_init__(self):
-        c = tuple(complex(x) for x in self.coeffs)
-        while len(c) > 1 and c[-1] == 0:
-            c = c[:-1]
-        if len(c) == 0 or (len(c) > 1 and c[-1] == 0):
-            raise ValueError("leading coefficient must be nonzero")
-        object.__setattr__(self, "coeffs", c)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __call__(self, z):
-        acc = 0.0 + 0.0j
-        for c in reversed(self.coeffs):
-            acc = acc * z + c
-        return acc
-
-    def deriv(self) -> "ComplexPolynomial":
-        if self.degree == 0:
-            return ComplexPolynomial((0.0,))
-        return ComplexPolynomial(tuple(k * c for k, c in enumerate(self.coeffs) if k >= 1))
 
 
 @dataclass(frozen=True)
@@ -197,24 +166,34 @@ def skew_rank_kernel(a: SkewMatrix):
     return rank, kernel
 
 
-def poly_roots(p: ComplexPolynomial):
-    """All complex roots (with multiplicity) via companion matrix plus two
-    damped Newton steps.
+def poly_roots(coeffs):
+    """All complex roots (with multiplicity) of the polynomial with the
+    ascending coefficients coeffs, via companion matrix plus two damped
+    Newton steps.  Trailing zero coefficients are dropped; what is left
+    must have degree >= 1.
 
     The residual |p(r)| is required to be finite and below 1e-10 times the
     evaluation scale sum(|c_k| |r|^k); otherwise the solve is reported as
     non-convergent.  Overflow on the way shows only in that residual: no
     floating-point warning escapes.
     """
-    if p.degree < 1:
+    c = [complex(x) for x in coeffs]
+    while c and c[-1] == 0:
+        c.pop()
+    if len(c) < 2:
         raise ValueError("degree must be >= 1")
-    desc = np.array(p.coeffs[::-1], dtype=complex)
-    dp = p.deriv()
+    dc = [k * x for k, x in enumerate(c)][1:]
+
+    def horner(cs, z):
+        acc = 0.0 + 0.0j
+        for x in reversed(cs):
+            acc = acc * z + x
+        return acc
     with np.errstate(all="ignore"):
-        roots = np.roots(desc)
+        roots = np.roots(np.array(c[::-1], dtype=complex))
         for _ in range(2):
-            pv = np.array([p(r) for r in roots])
-            dv = np.array([dp(r) for r in roots])
+            pv = np.array([horner(c, r) for r in roots])
+            dv = np.array([horner(dc, r) for r in roots])
             safe = np.abs(dv) > 0
             step = np.zeros_like(roots)
             step[safe] = pv[safe] / dv[safe]
@@ -223,8 +202,8 @@ def poly_roots(p: ComplexPolynomial):
             step[big] = 0.0
             roots = roots - step
         for r in roots:
-            scale = sum(abs(c) * abs(r) ** k for k, c in enumerate(p.coeffs))
-            res = abs(p(r))
+            scale = sum(abs(x) * abs(r) ** k for k, x in enumerate(c))
+            res = abs(horner(c, r))
             if not (np.isfinite(res) and res <= 1e-10 * max(scale, 1e-300)):
                 raise NonConvergenceError(
                     f"root {r} has residual {res:.3e} above 1.0e-10 * scale")

@@ -17,6 +17,7 @@ import pytest
 import spinorminimal
 from spinorminimal import acceptance, moduli, numkit, surface
 from spinorminimal.cli import main
+from spinorminimal.spinor import section_combination
 
 CRITERIA = [
     ("criterion-01-pfaffian", "pfaffian"),
@@ -158,3 +159,13 @@ def test_11c_fails_when_no_lattice_has_a_big_a(monkeypatch):
     _plant(monkeypatch, [name for name, _ in acceptance.ACCEPTANCE_LATTICES], abs_a=0.5)
     row = _row_11c()
     assert not row.passed and row.value == 0.0 and row.detail == "|a| > 1 on no lattice"
+
+
+def test_9g_fails_on_a_branched_klein_pair(monkeypatch):
+    # (s1, c s1) shares every zero of s1: g = c has degree 0, not 8
+    klein4 = moduli.CONSTRUCTIONS["klein4"]
+    branched = dataclasses.replace(
+        klein4, pair=lambda kb: (kb.s1, section_combination([0.6 - 0.8j], [kb.s1])))
+    monkeypatch.setitem(moduli.CONSTRUCTIONS, "klein4", branched)
+    (row,) = [r for r in acceptance.criterion_9_klein() if r.name.startswith("9g")]
+    assert not row.passed and row.value == pytest.approx(8.0, abs=1e-6)

@@ -5,10 +5,12 @@ import json
 import numpy as np
 import pytest
 
-from spinorminimal import spinor
+from spinorminimal import moduli, spinor
 from spinorminimal.cli import main, parse_complex
-from spinorminimal.moduli import rp2_boundary_point, rp2_on_variety, rp2_symmetry_group, rp2_variety
+from spinorminimal.moduli import CONSTRUCTIONS, rp2_boundary_point, rp2_on_variety, \
+    rp2_symmetry_group, rp2_variety
 from spinorminimal.spinor import INF, is_infinity
+from spinorminimal.surface import gauss_degree
 
 SPHERE6_ON_VARIETY = ["0", "1.4907119849998598", "0"]
 
@@ -248,6 +250,27 @@ def test_torus4_exit_code_does_not_depend_on_scale(tmp_path, capsys, scale):
     unit = [exit_code(1.0, choice) for choice in TORUS4_CHOICES]
     assert unit == [0, 2, 0, 0, 2, 0]
     assert [exit_code(scale, choice) for choice in TORUS4_CHOICES] == unit
+
+
+@pytest.mark.parametrize("omega3", ["1j", "2j"])
+def test_the_branch_gate_passes_exactly_where_the_gauss_degree_is_four(monkeypatch, tmp_path,
+                                                                       capsys, omega3):
+    # the printed branch condition is necessary for an immersion; the
+    # Gauss-map degree g + n - 1 = 4 says that s1 and s2 share no zero
+    built, construct = [], moduli.torus4_construct
+
+    def recorded(ctx, choice):
+        built.append(construct(ctx, choice))
+        return built[-1]
+    monkeypatch.setattr(moduli, "torus4_construct", recorded)
+    codes = [main(["torus4", "1", omega3, "--choice", choice, "--out", str(tmp_path)])
+             for choice in TORUS4_CHOICES]
+    degrees = [gauss_degree(CONSTRUCTIONS["torus4"].weierstrass(t4)) for t4 in built]
+    assert [abs(d - 4.0) <= 1e-6 for d in degrees] == [code == 0 for code in codes]
+    if omega3 == "1j":
+        # 132 and 312 have branch condition 4.4e-16: two branch points
+        assert degrees[1] == pytest.approx(2.0, abs=1e-6)
+        assert degrees[4] == pytest.approx(2.0, abs=1e-6)
 
 
 def test_an_unrepresentable_lattice_is_one_error_line_that_names_it(capsys):

@@ -2,11 +2,13 @@
 
 Every command writes a JSON report (schema-stamped, complex numbers as
 [re, im] pairs, no timestamps) and optionally an OBJ mesh.  Exit codes:
-0 success, 2 verification failure, 1 usage error.  Every meshing command
-fails verification unless the closed form's identity residual and end
-residues, and every grid cell's loop closure relative to the mesh scale,
-are below 1e-6.  The named constructions are built and meshed through
-moduli.CONSTRUCTIONS, the table the acceptance gate uses too.
+0 success, 2 verification failure, 1 usage error.  A command exits 2 when
+any of its construction's checks fails: those of the built construction
+(moduli.SPHERE4_PFAFFIAN_TOL, the TORUS4_*_TOL bounds, moduli.KLEIN_TOL),
+of its mesh (surface.MESH_TOL) or of a sphere6 scan
+(moduli.SPHERE6_RATIO_TOL); the CLI states no bound of its own.  The named
+constructions are built and meshed through moduli.CONSTRUCTIONS, the table
+the acceptance gate uses too, and the gate reads the same checks.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .arf import HyperellipticSpin, arf_bruteforce, arf_closed_form, \
 from .elliptic import build_context
 from .moduli import CONSTRUCTIONS
 from .numkit import NonConvergenceError, pfaffian
+from .reportio import check
 from .spinor import (
     INF,
     EndDivisor,
@@ -65,32 +68,29 @@ def _emit(args, payload: dict, name: str) -> None:
         print(path.read_text(encoding="ascii"), end="")
 
 
-def _mesh_gate(mesh) -> int:
-    """VERIFICATION_ERROR unless the identity residual and the end residues
-    are below 1e-6, and every grid cell closes to 1e-6 of the mesh scale."""
-    meta = mesh.metadata
-    ok = meta["identity_residual_max"] < 1e-6 and meta["end_residue_max"] < 1e-6 \
-        and meta["loop_residual_max"] < 1e-6 * meta["mesh_scale"]
-    return 0 if ok else VERIFICATION_ERROR
+def _exit_code(checks) -> int:
+    """VERIFICATION_ERROR when any of the checks failed, else 0."""
+    return 0 if all(c.passed for c in checks) else VERIFICATION_ERROR
 
 
-def _mesh_and_emit(args, built, payload: dict, grid: GridSpec) -> int:
-    """Mesh and export when --mesh is given, then emit the report: the gate's code, or 0."""
-    rc = 0
+def _mesh_and_emit(args, built, payload: dict, grid: GridSpec, checks) -> int:
+    """Mesh and export when --mesh is given, then emit the report: the exit
+    code of the checks and, with --mesh, of the mesh's."""
+    checks = list(checks)
     if args.mesh:
         mesh = CONSTRUCTIONS[args.command].mesh(built, grid, args.eps)
         export_obj(mesh, args.mesh)
         payload["mesh"] = {"path": str(args.mesh), **mesh.metadata}
         print(f"wrote {args.mesh}")
-        rc = _mesh_gate(mesh)
+        checks += mesh.checks()
     _emit(args, payload, args.command)
-    return rc
+    return _exit_code(checks)
 
 
 def cmd_sphere4(args) -> int:
     fam = CONSTRUCTIONS["sphere4"].build()
-    rc = _mesh_and_emit(args, fam, fam.report(), GridSpec(args.grid, args.grid, args.extent))
-    return rc or (0 if fam.residuals["pfaffian"] < 1e-10 else VERIFICATION_ERROR)
+    return _mesh_and_emit(args, fam, fam.report(), GridSpec(args.grid, args.grid, args.extent),
+                          fam.checks())
 
 
 def cmd_sphere6(args) -> int:
@@ -106,9 +106,10 @@ def cmd_sphere6(args) -> int:
             rows.append({"sigma": sigma, "pfaffian": pf,
                          "normalized": normalized, "closed_form": closed,
                          "ratio": normalized / closed})
-        worst = max(abs(r["ratio"] + 1.0) for r in rows)
-        _emit(args, {"scan": rows, "worst_ratio_deviation": worst}, "sphere6-scan")
-        return 0 if worst < 1e-6 else VERIFICATION_ERROR
+        worst = check("worst_ratio_deviation", max(abs(r["ratio"] + 1.0) for r in rows),
+                      moduli.SPHERE6_RATIO_TOL)
+        _emit(args, {"scan": rows, "worst_ratio_deviation": worst.value}, "sphere6-scan")
+        return _exit_code([worst])
     sigma = tuple(args.sigma)
     closed = moduli.sphere6_pfaffian(sigma)
     try:  # the printed K basis decides membership of the variety
@@ -122,7 +123,9 @@ def cmd_sphere6(args) -> int:
     pf, normalized = moduli.vandermonde_pfaffian(fam.form)
     payload = {"sigma": sigma, "closed_form_pfaffian": closed,
                "numeric_pfaffian": pf, "vandermonde_normalized": normalized, **on_variety}
-    return _mesh_and_emit(args, fam, payload, GridSpec(args.grid, args.grid, args.extent))
+    # off the variety the family is a report, not a construction: no checks
+    return _mesh_and_emit(args, fam, payload, GridSpec(args.grid, args.grid, args.extent),
+                          fam.checks() if on_variety else [])
 
 
 def cmd_rp2(args) -> int:
@@ -147,19 +150,12 @@ def cmd_rp2(args) -> int:
 
 def cmd_torus4(args) -> int:
     t4 = CONSTRUCTIONS["torus4"].build(args.omega1, args.omega3, args.choice)
-    rc = _mesh_and_emit(args, t4, t4.report(), GridSpec(args.grid, args.grid))
-    # the branch condition scales as lambda^-2 with the lattice: gated times
-    # |omega1|^2, as on the same lattice scaled to |omega1| = 1
-    branch = abs(t4.branch_condition) * abs(t4.ctx.omega1) ** 2
-    ok = t4.residuals["period1"] < 1e-7 and branch > 1e-3
-    return rc or (0 if ok else VERIFICATION_ERROR)
+    return _mesh_and_emit(args, t4, t4.report(), GridSpec(args.grid, args.grid), t4.checks())
 
 
 def cmd_klein4(args) -> int:
     kb = CONSTRUCTIONS["klein4"].build()
-    rc = _mesh_and_emit(args, kb, kb.report(), GridSpec(args.grid, args.grid))
-    checks = ("period_equation", "gamma1_s1sq_quadrature", "gamma3_auto")
-    return rc or (0 if all(kb.residuals[k] < 1e-8 for k in checks) else VERIFICATION_ERROR)
+    return _mesh_and_emit(args, kb, kb.report(), GridSpec(args.grid, args.grid), kb.checks())
 
 
 def cmd_arf(args) -> int:
@@ -219,7 +215,7 @@ def cmd_mesh(args) -> int:
     export_obj(mesh, args.obj)
     _emit(args, {"construction": name, "obj": str(args.obj), **mesh.metadata}, f"mesh-{name}")
     print(f"wrote {args.obj}")
-    return _mesh_gate(mesh)
+    return _exit_code(mesh.checks())
 
 
 def cmd_verify(args) -> int:
@@ -229,9 +225,9 @@ def cmd_verify(args) -> int:
     payload = {"suite": args.suite, "results": list(map(dataclasses.asdict, results))}
     if args.out:
         reportio.write_report(payload, Path(args.out) / f"verify-{args.suite}.json")
-    failed = [r for r in results if not r.passed]
-    print(f"{len(results) - len(failed)}/{len(results)} checks passed")
-    return 0 if not failed else VERIFICATION_ERROR
+    passed = sum(r.passed for r in results)
+    print(f"{passed}/{len(results)} checks passed")
+    return _exit_code(results)
 
 
 def _checked(parse, ok, what):
@@ -257,7 +253,7 @@ _END = _checked(parse_complex, lambda z: z is INF or cmath.isfinite(z),
                 "a finite complex number or inf")
 _PERMUTATION = _checked(lambda text: tuple(int(ch) for ch in text),
                         lambda p: sorted(p) == [1, 2, 3], "a permutation of 123")
-_GRID = _checked(int, lambda n: n >= 2, "an integer >= 2")
+_GRID = _checked(int, lambda n: GridSpec(n, n), "an integer >= 2")  # GridSpec refuses n < 2
 _COUNT = _checked(int, lambda n: n >= 0, "an integer >= 0")
 _INDICES = _checked(lambda text: frozenset(int(k) for k in text.split(",")), bool,
                     "a comma-separated list of indices")

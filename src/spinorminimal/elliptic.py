@@ -62,7 +62,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .numkit import chart_exponent
+from .numkit import NonConvergenceError, chart_exponent
 
 __all__ = [
     "Lattice",
@@ -460,5 +460,5 @@ def wp_inverse(ctx: EllipticContext, value):
             step *= 0.3 * abs(ctx.omega1) / abs(step)
         u = u - step
     if abs(wp(ctx, u) - value) > 1e-9 * max(1.0, abs(value)):
-        raise RuntimeError(f"wp_inverse failed to converge for value {value}")
+        raise NonConvergenceError(f"wp_inverse failed to converge for value {value}")
     return complex(u)

@@ -5,7 +5,8 @@ sphere4_solve, sphere6_K_basis, torus3_degeneracy, torus4_construct and
 klein4_construct each return a dataclass bundling the inputs, the results
 (Omega, kernel sections, periods, as each construction has them) and the
 residuals of every identity checked; all but the 3-ended torus serialize
-it to a JSON-ready dict with `.report()`.  Both spheres are SphereFamily:
+it to a JSON-ready dict with `.report()` and judge it with `.checks()`,
+which the CLI and the acceptance gate both read.  Both spheres are SphereFamily:
 their printed K pairs are built by printed_K_pair, as coefficient vectors
 on basis_F_sphere, the basis of the Omega they test.
 CONSTRUCTIONS is the one table of named constructions: the CLI, the
@@ -36,8 +37,8 @@ from typing import Callable
 import numpy as np
 
 from .elliptic import EllipticContext, build_context, wp, wp_inverse, wp_prime, wp_with_prime
-from .numkit import QuadraturePath, pfaffian, poly_roots, scale_parts
-from .reportio import jsonify
+from .numkit import NonConvergenceError, QuadraturePath, pfaffian, poly_roots, scale_parts
+from .reportio import check, jsonify
 from .spinor import (
     INF,
     EndDivisor,
@@ -137,6 +138,22 @@ class SphereFamily:
             "residuals": self.residuals,
         })
 
+    def checks(self) -> list:
+        """reportio.CheckResult of each verdict on the residuals."""
+        r = self.residuals
+        if self.n == 6:
+            return [check("printed_K", np.max(list(r.values())), SPHERE6_K_TOL)]
+        return [check("pfaffian", r["pfaffian"], SPHERE4_PFAFFIAN_TOL),
+                check("dim_K", abs(len(self.K_basis) - 2), 0.0),
+                check("printed_K_span", r["printed_K_span"], SPHERE4_SPAN_TOL),
+                check("planar_ends", 0.0 if r["planar_ends"] else 1.0, 0.0)]
+
+
+SPHERE4_PFAFFIAN_TOL = 1e-10  # |pf| on the 4-end pfaffian variety
+SPHERE4_SPAN_TOL = 1e-8  # the printed pair's relative distance from the span of K
+SPHERE6_K_TOL = 1e-8  # each printed-pair residual of sphere6_K_basis
+SPHERE6_RATIO_TOL = 1e-6  # |pf V / closed form + 1| on a scan of random sigma
+
 
 def sphere4_quartic() -> tuple:
     """(a^2 - sqrt3 a + 1)(a^2 + sqrt3 a + 1) = a^4 - a^2 + 1, ascending."""
@@ -225,9 +242,6 @@ def sphere6_numeric_pfaffian(sigma):
     return vandermonde_pfaffian(omega_matrix(basis_F_sphere(sphere6_ends(sigma))))
 
 
-SPHERE6_K_TOL = 1e-8  # sphere6_K_basis's gate on each printed-pair residual
-
-
 class OffVarietyError(ConstructionError):
     """sphere6_K_basis's refusal of a sigma off the pfaffian variety; `family`
     is the family it built, whose printed pair is in F but not in K."""
@@ -240,7 +254,7 @@ class OffVarietyError(ConstructionError):
 def sphere6_K_basis(sigma) -> SphereFamily:
     """The six-end family at sigma, its K basis the printed pair t1 = B/(z Q),
     t2 = z C/Q, which decides membership of the pfaffian variety: off it (a
-    residual above SPHERE6_K_TOL, or NaN) OffVarietyError names the residuals."""
+    failed check) OffVarietyError names the residuals."""
     basis = basis_F_sphere(sphere6_ends(sigma))
     form = omega_matrix(basis)
     residuals, K = {}, printed_K_pair(basis, *_sphere6_printed(sigma))
@@ -252,7 +266,7 @@ def sphere6_K_basis(sigma) -> SphereFamily:
         residuals[f"{t.label}_alpha0"] = float(a0.max() / max(am1.max(), 1e-300))
     family = SphereFamily(n=6, parameter=tuple(sigma), ends=form.divisor, form=form,
                           K_basis=K, residuals=residuals)
-    if not np.max(list(residuals.values())) <= SPHERE6_K_TOL:
+    if not all(c.passed for c in family.checks()):
         raise OffVarietyError(family)
     return family
 
@@ -373,7 +387,7 @@ def torus3_admissible_pair(ctx: EllipticContext, a1) -> complex:
     for a2 in (root, -root):
         if not abs(wp_prime(ctx, a2) + p1p) > 1e-7 * max(1.0, abs(p1p)):
             return a2
-    raise RuntimeError("failed to place an admissible second end")
+    raise ConstructionError("failed to place an admissible second end")
 
 
 def _epsilon_residual(ctx: EllipticContext, a1, a2, eps) -> float:
@@ -448,6 +462,22 @@ class TorusFourEnd:
             "residuals": self.residuals,
         })
 
+    def checks(self) -> list:
+        """The period checks, and the branch condition, which scales as
+        lambda^-2 with the lattice, times |omega1|^2."""
+        r = self.residuals
+        return [check("period_diag_rel", r["period_diag_rel"], TORUS4_DIAG_TOL),
+                check("period_offdiag", r["period_offdiag"], TORUS4_OFFDIAG_TOL),
+                check("period1", r["period1"], TORUS4_PERIOD_TOL),
+                check("branch", abs(self.branch_condition) * abs(self.ctx.omega1) ** 2,
+                      TORUS4_BRANCH_TOL, invert=True)]
+
+
+TORUS4_DIAG_TOL = 1e-6  # relative miss of a closed-form diagonal period
+TORUS4_OFFDIAG_TOL = 1e-8  # off-diagonal periods, in the unit chart
+TORUS4_PERIOD_TOL = 1e-7  # the period conditions on the solved (x_i, x_j)
+TORUS4_BRANCH_TOL = 1e-3  # the least |branch condition| |omega1|^2 of an immersion
+
 
 TORUS4_MIX = np.array([[1, -1, -1], [-1, 1, -1], [-1, -1, 1]], dtype=complex)
 
@@ -464,8 +494,8 @@ def _principal_root(x2) -> complex:
 
 # The closed-form periods -8 (eta_k + w_k e_i) cancel as the lattice thins:
 # their mismatch with quadrature grows about as eps * exp(pi Im tau) in the
-# reduced tau.  At 7 the period checks hold (period1 1.8e-8 against its 1e-7
-# gate, period_diag_rel 7e-8); at 8 both fail, at 13 a period rounds to 0,
+# reduced tau.  At 7 the period checks hold (period1 1.8e-8 against
+# TORUS4_PERIOD_TOL, period_diag_rel 7e-8); at 8 both fail, at 13 a period rounds to 0,
 # and from about 20 the quadrature stops converging.
 TORUS4_MAX_IM_TAU = 7.0
 
@@ -601,7 +631,7 @@ def klein_fourth_quadrant_root() -> complex:
     roots = poly_roots((1.0, 0.0, KLEIN_M, 0.0, 1.0))
     fourth = [z for z in roots if z.real > 0 and z.imag < 0]
     if len(fourth) != 1:
-        raise RuntimeError("expected exactly one fourth-quadrant root")
+        raise ConstructionError("expected exactly one fourth-quadrant root")
     return fourth[0]
 
 
@@ -627,7 +657,7 @@ def _locate_a(ctx: EllipticContext, r: complex) -> complex:
             break
     a = w1 / 2.0 + 1j * y
     if abs(wp(ctx, a) - r) > 1e-10 * max(1.0, abs(r)):
-        raise RuntimeError("failed to locate the end point a with wp(a) = r")
+        raise NonConvergenceError("failed to locate the end point a with wp(a) = r")
     return a
 
 
@@ -656,6 +686,14 @@ class KleinFourEnd:
             "solution": self.solution,
             "residuals": self.residuals,
         })
+
+    def checks(self) -> list:
+        return [check("rank", abs(self.rank - 4), 0.0),
+                *(check(k, self.residuals[k], KLEIN_TOL)
+                  for k in ("period_equation", "gamma1_s1sq_quadrature", "gamma3_auto"))]
+
+
+KLEIN_TOL = 1e-8  # each of the Klein bottle's period residuals
 
 
 def _klein_table3(ctx, r, a):

@@ -18,6 +18,9 @@ Within a column each distinct value is formatted once, and each row takes
 its text from there.  Only a Table is templated: a list of row dicts (a
 suite's results), a Table with any other column, and everything else go
 through jsonify and json.dumps, which expands a Table to its row dicts.
+
+A CheckResult is one verdict on a residual: a construction's checks() and
+the acceptance gate's rows.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import json
 import math
 import os
 import stat
+from dataclasses import dataclass
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
@@ -35,7 +39,30 @@ import numpy as np
 SCHEMA = "spinor-minimal/1"
 
 __all__ = ["Table", "jsonify", "report_text", "write_report", "overwrite", "ReportValueError",
-           "SCHEMA"]
+           "SCHEMA", "CheckResult", "check"]
+
+
+@dataclass
+class CheckResult:
+    name: str
+    passed: bool
+    value: float
+    tol: float
+    detail: str = ""
+
+    def line(self) -> str:
+        status = "PASS" if self.passed else "FAIL"
+        extra = f"  [{self.detail}]" if self.detail else ""
+        return f"{status}  {self.name}: {self.value:.3e} (tol {self.tol:.1e}){extra}"
+
+
+def check(name, value, bound, detail="", invert=False) -> CheckResult:
+    """The verdict value <= bound, or value > bound when invert; a NaN fails either."""
+    value = float(value)
+    ok = value > bound if invert else value <= bound
+    op = ">" if invert else "<="
+    return CheckResult(name=name, passed=ok, value=value, tol=bound,
+                       detail=detail or f"require {op} tol")
 
 
 class ReportValueError(ValueError):

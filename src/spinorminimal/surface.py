@@ -8,7 +8,8 @@ spinor.form_primitive, and every vertex is X = Re sigma(Phi(u) -
 Phi(basepoint)) at once: no quadrature, no spanning tree and no thread
 pool (nothing reads SPINOR_MINIMAL_THREADS).  The metadata carries the
 closed form's evidence: the identity residual of the forms at every
-vertex, the end residues, and every cell's loop closure.  Faces come from
+vertex, the end residues, and every cell's loop closure, which
+SurfaceMesh.checks bounds by MESH_TOL.  Faces come from
 the cell mask, the cells with four valid corners whose closed chart
 square holds no end, and the normals from the section values already
 computed at the vertices.  Everything works on
@@ -46,7 +47,7 @@ from pathlib import Path
 import numpy as np
 
 from .numkit import NonConvergenceError, QuadraturePath
-from .reportio import overwrite
+from .reportio import check, overwrite
 from .spinor import (
     SectionDataError,
     SpinorSection,
@@ -173,6 +174,16 @@ class SurfaceMesh:
         if d[k] > 1e-9:
             raise KeyError(f"no mesh vertex at {u} (closest {d[k]:.2e} away)")
         return k
+
+    def checks(self) -> list:
+        """The closed form's evidence; a loop closure relative to the mesh scale."""
+        m = self.metadata
+        return [check("identity_residual_max", m["identity_residual_max"], MESH_TOL),
+                check("end_residue_max", m["end_residue_max"], MESH_TOL),
+                check("loop_residual_max", m["loop_residual_max"], MESH_TOL * m["mesh_scale"])]
+
+
+MESH_TOL = 1e-6  # the bound of each of SurfaceMesh.checks
 
 
 def _grid_coordinates(data: WeierstrassData, grid: GridSpec):

@@ -104,6 +104,23 @@ def test_the_klein4_suite_builds_through_the_table_and_cuts_the_rank_once(count_
     assert len(builds) == 1 and sum(map(len, ranks)) == 1
 
 
+def test_one_run_builds_each_construction_once(count_everywhere):
+    # sphere-4 in criteria 3, 4 and 10, torus-4 on (1, i) in 8 and 10
+    counted = {name: count_everywhere(moduli, name)
+               for name in ("sphere4_solve", "klein4_construct", "torus4_construct")}
+
+    def calls(name):
+        return [args for lists in counted[name] for args in lists]
+    results = acceptance.run()
+    assert len(results) == 39 and all(r.passed for r in results)
+    assert len(calls("sphere4_solve")) == 1 and len(calls("klein4_construct")) == 1
+    lattices = [(ctx.omega1, ctx.omega3) for ctx, _ in calls("torus4_construct")]
+    assert len(lattices) == len(set(lattices)) == 3
+    # the builds are one run's: the next run builds again
+    acceptance.run("sphere4")
+    assert len(calls("sphere4_solve")) == 2
+
+
 def test_the_geometry_suite_meshes_each_construction_once(count_everywhere):
     meshes = count_everywhere(surface, "integrate_surface")
     edges = count_everywhere(surface, "quadrature_edges")

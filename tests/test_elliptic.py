@@ -22,6 +22,7 @@ from spinorminimal.elliptic import (
     wp_with_prime,
     zeta,
 )
+from spinorminimal.numkit import NonConvergenceError
 from spinorminimal.spinor import EndDivisor, FormPrimitive, TwistedTorusDomain
 
 @pytest.fixture(scope="module", params=[lattice for _, lattice in ACCEPTANCE_LATTICES],
@@ -501,3 +502,11 @@ class TestThetaKernel:
             for i, j in zip(rng.integers(0, n, 64), rng.integers(0, n, 64)):
                 for f, values in zip((wp, wp_prime, zeta), batch):
                     assert f(ctx, u[i, j]) == values[i, j]
+
+
+def test_wp_inverse_that_stalls_raises_non_convergence(monkeypatch):
+    # a zero wp' stops Newton at the coarse scan's point, which misses the value
+    ctx = build_context(1.0, 1.0j)
+    monkeypatch.setattr(elliptic, "wp_with_prime", lambda ctx, u: (wp(ctx, u), 0j))
+    with pytest.raises(NonConvergenceError, match="wp_inverse failed to converge"):
+        wp_inverse(ctx, wp(ctx, 0.3 + 0.2j))

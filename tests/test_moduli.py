@@ -9,8 +9,10 @@ import pytest
 from spinorminimal import elliptic, moduli
 from spinorminimal.acceptance import ACCEPTANCE_LATTICES
 from spinorminimal.elliptic import build_context, wp, wp_prime
+from spinorminimal.cli import main
 from spinorminimal.moduli import (
     EPSILON,
+    ConstructionError,
     KLEIN_M,
     _epsilon_residual,
     _principal_root,
@@ -33,7 +35,7 @@ from spinorminimal.moduli import (
     torus3_degeneracy,
     torus4_construct,
 )
-from spinorminimal.numkit import QuadraturePath, contour_integral
+from spinorminimal.numkit import NonConvergenceError, QuadraturePath, contour_integral
 from spinorminimal.spinor import INF, EndDivisor, basis_F_sphere, planar_ends
 
 
@@ -575,3 +577,28 @@ class TestKlein:
         A, B, C = klein.period_coeffs
         assert consts[0] == pytest.approx(B, rel=1e-8)
         assert prim.poly[0, 0] == pytest.approx(B, rel=1e-8)
+
+
+def test_an_unplaceable_second_end_is_a_construction_error(monkeypatch):
+    # a wp' that matches neither sign of the root
+    monkeypatch.setattr(moduli, "wp_prime", lambda ctx, u: 1e3 + 1e3j)
+    ctx = build_context(1.0, 1.0j)
+    with pytest.raises(ConstructionError, match="admissible second end"):
+        torus3_admissible_pair(ctx, 0.57 * ctx.omega1 + 0.41 * ctx.omega3)
+
+
+def test_no_fourth_quadrant_root_is_one_error_line(monkeypatch, capsys):
+    monkeypatch.setattr(moduli, "poly_roots", lambda coeffs: np.array([1 + 1j, -1 - 1j]))
+    with pytest.raises(ConstructionError, match="exactly one fourth-quadrant root"):
+        klein4_construct()
+    assert main(["klein4"]) == 1
+    assert capsys.readouterr().err == "error: expected exactly one fourth-quadrant root\n"
+
+
+def test_an_end_off_the_anti_invariant_locus_is_non_convergence(monkeypatch, capsys):
+    # wp takes 5 + 5i nowhere on the line Re(u) = w1/2
+    monkeypatch.setattr(moduli, "klein_fourth_quadrant_root", lambda: 5.0 + 5.0j)
+    with pytest.raises(NonConvergenceError, match="wp\\(a\\) = r"):
+        klein4_construct()
+    assert main(["klein4"]) == 1
+    assert capsys.readouterr().err == "error: failed to locate the end point a with wp(a) = r\n"

@@ -57,6 +57,7 @@ Half-period labels follow omega2 = omega1 + omega3.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
@@ -289,6 +290,13 @@ class EllipticContext:
         """Distance from u to the nearest lattice point (see Lattice.distance)."""
         return self.lattice.distance(u)
 
+    def wp_floor(self, weight: int) -> float:
+        """|b1|^-weight, the lattice's own scale for a value of that weight
+        (wp has 2, wp' 3): the floor of a tolerance relative to such a value.
+        A product, not a power, so that a lattice scaled by a power of two
+        scales it exactly."""
+        return 1.0 / math.prod((abs(self.lattice.reduced_periods[0]),) * weight)
+
 
 def build_context(omega1, omega3) -> EllipticContext:
     """Build an EllipticContext from the q-series in the reduced basis.
@@ -451,7 +459,7 @@ def wp_inverse(ctx: EllipticContext, value):
     for _ in range(60):
         p, d = wp_with_prime(ctx, u)
         f = p - value
-        if abs(f) < 1e-13 * max(1.0, abs(value)):
+        if abs(f) < 1e-13 * max(ctx.wp_floor(2), abs(value)):
             return complex(u)
         if d == 0:
             break
@@ -459,6 +467,6 @@ def wp_inverse(ctx: EllipticContext, value):
         if abs(step) > 0.3 * abs(ctx.omega1):
             step *= 0.3 * abs(ctx.omega1) / abs(step)
         u = u - step
-    if abs(wp(ctx, u) - value) > 1e-9 * max(1.0, abs(value)):
+    if abs(wp(ctx, u) - value) > 1e-9 * max(ctx.wp_floor(2), abs(value)):
         raise NonConvergenceError(f"wp_inverse failed to converge for value {value}")
     return complex(u)

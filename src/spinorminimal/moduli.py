@@ -382,10 +382,10 @@ def torus3_admissible_pair(ctx: EllipticContext, a1) -> complex:
     """
     p1, p1p = wp_with_prime(ctx, complex(a1))
     cubic = (-ctx.g3 - p1p * p1p, -ctx.g2, 0.0, 4.0)
-    candidates = [p for p in poly_roots(cubic) if abs(p - p1) > 1e-6]
+    candidates = [p for p in poly_roots(cubic) if abs(p - p1) > 1e-6 * ctx.wp_floor(2)]
     root = wp_inverse(ctx, candidates[0])
     for a2 in (root, -root):
-        if not abs(wp_prime(ctx, a2) + p1p) > 1e-7 * max(1.0, abs(p1p)):
+        if not abs(wp_prime(ctx, a2) + p1p) > 1e-7 * max(ctx.wp_floor(3), abs(p1p)):
             return a2
     raise ConstructionError("failed to place an admissible second end")
 
@@ -656,7 +656,7 @@ def _locate_a(ctx: EllipticContext, r: complex) -> complex:
         if abs(step) < 1e-16 * h3:
             break
     a = w1 / 2.0 + 1j * y
-    if abs(wp(ctx, a) - r) > 1e-10 * max(1.0, abs(r)):
+    if abs(wp(ctx, a) - r) > 1e-10 * max(ctx.wp_floor(2), abs(r)):
         raise NonConvergenceError("failed to locate the end point a with wp(a) = r")
     return a
 

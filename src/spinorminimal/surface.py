@@ -18,15 +18,21 @@ normals on vertices, faces and loop closures on cells, each block written
 straight into the mesh.  On a torus a block of vertices takes one theta
 frame (spinor.chart_points), on u and on u - a_k for every shift that
 the rows, the chart weight and the primitive read, and each reads its
-own rows of it.  So a mesh's memory is the finished mesh plus one block
-(on a torus that frame is most of the block), and a vertex's bits depend
-only on that vertex.  Gauss-Legendre edge quadrature stays as the oracle:
+own rows of it.  Each block's stages work in place on block-sized arrays,
+each dropped before the next stage, so a mesh's memory is the finished
+mesh plus one block (on a torus that frame is most of the block), and a
+vertex's bits depend only on that vertex.  By tracemalloc, the grid-257
+sphere-4 mesh (5.5 MiB) peaks at 6.2 MiB in its vertex stage, 6.8 MiB in
+its cell stage and 6.9 MiB in its export, where the stages that made
+their temporaries whole took 9.9, 8.6 and 7.3 MiB.  Gauss-Legendre edge
+quadrature stays as the oracle:
 quadrature_edges integrates every grid edge independently, and
 quadrature_loop_residual closes its cells.
 
 export_obj and export_csv write the bytes of "%.17g" and "%d//%d", with
-numpy making a block's text at once in one byte buffer, each value's text
-NUL-padded in a slot of its own: a float with |x| in [1e-4, 1e16) is
+numpy making a block's text at once in one byte buffer, which each block
+of a table reuses, each value's text NUL-padded in a slot of its own: a
+float with |x| in [1e-4, 1e16) is
 scaled exactly to its 17-digit integer (Dekker's TwoProduct), whose
 digits come from a table of 4-digit chunks, with the zeros after the last
 kept digit NUL, and a face index in [1, 10^8) is read from the same
@@ -42,6 +48,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -184,6 +191,12 @@ class SurfaceMesh:
 
 
 MESH_TOL = 1e-6  # the bound of each of SurfaceMesh.checks
+# a grid point within CHART_SINGULAR_TOL (chart units) of a chart
+# singularity is no vertex (_valid_mask)
+CHART_SINGULAR_TOL = 1e-9
+# an end within GRID_LINE_TOL of a grid step of a grid line lies on it,
+# and clears the cells on both sides of that line (_cell_mask)
+GRID_LINE_TOL = 1e-9
 
 
 def _grid_coordinates(data: WeierstrassData, grid: GridSpec):
@@ -211,7 +224,7 @@ def _valid_mask(data: WeierstrassData, U) -> np.ndarray:
     for k in range(0, u.size, _BLOCK):
         block = u[k:k + _BLOCK]
         valid[k:k + _BLOCK] = (data.end_distance(block) > data.end_clearance) \
-            & (data.chart_singular_distance(block) > 1e-9)
+            & (data.chart_singular_distance(block) > CHART_SINGULAR_TOL)
     return valid.reshape(U.shape)
 
 
@@ -220,8 +233,8 @@ def _cell_mask(data: WeierstrassData, grid: GridSpec, valid) -> np.ndarray:
     and no finite end in their closed chart square: on a torus the square
     in lattice fractions, and the ends' 3 x 3 lattice translates.  Each end
     clears the cells i <= g <= i + 1 on each axis around its grid position
-    g, a position within 1e-9 of a grid line counting as on it, so no face
-    spans an end when the end clearance is below the grid step."""
+    g, a position within GRID_LINE_TOL of a grid line counting as on it, so
+    no face spans an end when the end clearance is below the grid step."""
     cell = valid[:-1, :-1] & valid[1:, :-1] & valid[1:, 1:] & valid[:-1, 1:]
     dom, steps = data.domain, np.array([[grid.nx - 1], [grid.ny - 1]])
     a = np.array([p for p in dom.ends.points if not is_infinity(p)], dtype=complex)
@@ -235,8 +248,8 @@ def _cell_mask(data: WeierstrassData, grid: GridSpec, valid) -> np.ndarray:
         frac = (np.stack([a.real, a.imag]) + grid.extent) / (2 * grid.extent)
     # clipped, so that an end far off the grid stays an integer position off it
     g = np.clip(frac * steps, -2, steps + 2)
-    lo = np.maximum(np.ceil(g - 1e-9) - 1, 0).astype(int)
-    hi = np.minimum(np.floor(g + 1e-9), steps - 1).astype(int)
+    lo = np.maximum(np.ceil(g - GRID_LINE_TOL) - 1, 0).astype(int)
+    hi = np.minimum(np.floor(g + GRID_LINE_TOL), steps - 1).astype(int)
     for (i0, j0), (i1, j1) in zip(lo.T, hi.T):
         if i0 <= i1 and j0 <= j1:
             cell[i0:i1 + 1, j0:j1 + 1] = False
@@ -246,8 +259,14 @@ def _cell_mask(data: WeierstrassData, grid: GridSpec, valid) -> np.ndarray:
 def _closure(h0, v1, h1, v0) -> np.ndarray:
     """|((h0 + v1) - h1) - v0|, the closure of a cell's four edge increments
     h0 = b - a, v1 = c - b, h1 = c - d and v0 = d - a, with its corners
-    a, b, c, d at grid points (i, j), (i+1, j), (i+1, j+1) and (i, j+1)."""
-    return np.linalg.norm(((h0 + v1) - h1) - v0, axis=-1)
+    a, b, c, d at grid points (i, j), (i+1, j), (i+1, j+1) and (i, j+1):
+    in two buffers, the sum and its norm, bitwise np.linalg.norm's."""
+    t = np.add(h0, v1)
+    t -= h1
+    t -= v0
+    t *= t
+    norm = np.add.reduce(t, axis=-1)
+    return np.sqrt(norm, out=norm)
 
 
 def integrate_surface(data: WeierstrassData, grid: GridSpec, basepoint) -> SurfaceMesh:
@@ -269,12 +288,13 @@ def integrate_surface(data: WeierstrassData, grid: GridSpec, basepoint) -> Surfa
     root = int(np.argmin(np.abs(U.ravel() - base)))
     if not valid.flat[root]:
         raise ValueError("basepoint is inside an end clearance disk")
-    if abs(U.flat[root] - base) > 1e-9 * max(1.0, abs(base)):
+    # within 1e-9 of the grid step, so that the snap scales with the chart
+    step = min(abs(U[1, 0] - U[0, 0]), abs(U[0, 1] - U[0, 0]))
+    if abs(U.flat[root] - base) > 1e-9 * step:
         raise ValueError("basepoint must be a grid vertex")
 
-    # int32 indices and faces, and the full grid dropped once read: the
-    # peak then does not depend on what the heap held before
-    index = np.cumsum(valid, dtype=np.int32) - 1
+    # the full grid dropped once read: the peak then does not depend on
+    # what the heap held before
     uvs, ny, start = U[valid], U.shape[1], U.flat[root:root + 1]
     del U
     s1, s2 = data.s1, data.s2
@@ -293,34 +313,69 @@ def integrate_surface(data: WeierstrassData, grid: GridSpec, basepoint) -> Surfa
             pts = np.concatenate([start, pts])
         at = points(pts)
         f1, f2 = section_values((s1, s2), at)
-        products = np.stack([f1 * f1, f2 * f2, f1 * f2])
+        products = np.empty((3,) + f1.shape, complex)
+        np.multiply(f1, f1, out=products[0])
+        np.multiply(f2, f2, out=products[1])
+        np.multiply(f1, f2, out=products[2])
         products *= data.domain.form_weight(at)
+        gauss[k:k + _BLOCK] = _normals(f1[lead:], f2[lead:])
+        del f1, f2
         phi, form, size = prim.evaluate(at)
-        del at  # the frame goes with its block, before the next one is taken
-        identity = np.maximum(identity, np.max(
-            np.abs(products - form) / np.maximum(np.abs(products) + size, 1e-300), initial=0.0))
+        del at, pts  # the frame goes with its block, before the next one is taken
+        # |products - form| / max(|products| + size, 1e-300), in the
+        # buffers of form and size
+        np.subtract(products, form, out=form)
+        size += np.abs(products)
+        del products
+        np.maximum(size, 1e-300, out=size)
+        identity = np.maximum(identity, np.max(np.divide(np.abs(form), size, out=size),
+                                               initial=0.0))
+        del form, size
         if lead:
-            origin = phi[:, :1]
-        x = real_period(phi[:, lead:] - origin)
+            origin = phi[:, :1].copy()
+        x = real_period(np.subtract(phi[:, lead:], origin, out=phi[:, lead:]))
+        del phi
         verts[k:k + _BLOCK] = x.T
         lo, hi = np.minimum(lo, x.min(axis=1)), np.maximum(hi, x.max(axis=1))
-        gauss[k:k + _BLOCK] = _normals(f1[lead:], f2[lead:])
+        del x
 
+    # int32 vertex indices and faces, the indices made after the vertex stage
     cell = _cell_mask(data, grid, valid).ravel()
+    index = np.cumsum(valid, dtype=np.int32) - 1
+    del valid
     faces = np.empty((2 * np.count_nonzero(cell), 3), index.dtype)
     resid, done = 0.0, 0
     for k in range(0, cell.size, _BLOCK):
-        q = k + np.flatnonzero(cell[k:k + _BLOCK])
         # cell q = i (ny - 1) + j has its corner (i, j) at grid point q + i,
         # and the grid point after a vertex in its row is the next vertex
-        g = q + q // (ny - 1)
-        a, b = index[g], index[g + ny]
-        c, d = b + 1, a + 1
-        faces[2 * done:2 * (done + len(q))] = np.stack([a, b, c, a, c, d], axis=1).reshape(-1, 3)
-        xa, xb, xc, xd = (verts.take(corner, axis=0) for corner in (a, b, c, d))
-        resid = np.maximum(resid, np.max(_closure(xb - xa, xc - xb, xc - xd, xd - xa),
-                                         initial=0.0))
-        done += len(q)
+        g = k + np.flatnonzero(cell[k:k + _BLOCK])
+        g += g // (ny - 1)
+        # the block's faces (a, b, c) and (a, c, d), written in place
+        quads = faces[2 * done:2 * (done + len(g))].reshape(-1, 6)
+        quads[:, 0] = quads[:, 3] = index[g]
+        g += ny
+        quads[:, 1] = index[g]
+        del g
+        a, b, c, d = quads[:, 0], quads[:, 1], quads[:, 2], quads[:, 5]
+        np.add(b, 1, out=c)
+        np.add(a, 1, out=d)
+        quads[:, 4] = c
+        # the increments h0 = b - a, v1 = c - b, h1 = c - d and v0 = d - a
+        # in four buffers: d's corner is read a coordinate at a time
+        h0, v1 = verts.take(a, axis=0), verts.take(b, axis=0)
+        np.subtract(v1, h0, out=h0)
+        h1 = verts.take(c, axis=0)
+        np.subtract(h1, v1, out=v1)
+        v0 = verts.take(a, axis=0)
+        for i in range(3):
+            xd = verts[d, i]
+            np.subtract(h1[:, i], xd, out=h1[:, i])
+            np.subtract(xd, v0[:, i], out=v0[:, i])
+        del xd
+        resid = np.maximum(resid, np.max(_closure(h0, v1, h1, v0), initial=0.0))
+        done += len(quads)
+        del h0, v1, h1, v0
+
     return SurfaceMesh(
         vertices=verts,
         faces=faces,
@@ -490,12 +545,13 @@ def _write_rows(mesh: SurfaceMesh, path, header: bytes, tables) -> Path:
     row, the prefix, then each value's text ("%.17g" by _float_text,
     "%d//%d" by _index_text) followed by sep, the last by a newline.
 
-    A block is one uint8 buffer with a slot per value: sep or, first in a
+    A block is one byte buffer with a slot per value: sep or, first in a
     row, the newline that ends the row before and the prefix, NUL-padded in
     front, then the value's text, NUL-padded behind.  No text byte is NUL,
     so the block's text is the buffer's bytes that are not NUL, less the
-    first newline, and a newline; each slot is one run of text and one of
-    NULs, which is what numpy's boolean indexing pays for.  numpy makes
+    first newline, and a newline, which bytearray.translate copies out
+    without a mask.  A table's blocks reuse its buffers (_Buffers), and
+    each block drops its temporaries before it lays its text.  numpy makes
     the text of floats with |x| in [1e-4, 1e16) and of indices in [1,
     10^8); "%" formats every other value, one at a time: 0, subnormals,
     |x| below 1e-4 or from 1e16 up, inf, nan and the other indices.
@@ -509,20 +565,51 @@ def _write_rows(mesh: SurfaceMesh, path, header: bytes, tables) -> Path:
 
 def _blocks(header: bytes, tables):
     """The chunks of _write_rows' bytes: the header, then each block's
-    text and its last newline."""
+    text and its last newline.  A table's blocks reuse its _Buffers."""
     yield header
     for prefix, sep, (count, width), rows, text in tables:
         gap = 1 + len(prefix)
         gaps = np.zeros((width, gap), np.uint8)
         gaps[0] = np.frombuffer(b"\n" + prefix, np.uint8)
         gaps[1:, -1] = ord(sep)
-        step = _VALUES // width
+        step, buffers = _VALUES // width, _Buffers()
         for k in range(0, count, step):
-            slots = text(rows(slice(k, k + step)).ravel(), gap)
-            slots = slots.reshape(-1, width, slots.shape[1])
-            slots[:, :, :gap] = gaps
-            yield slots[slots != 0][1:]
+            slots = text(rows(slice(k, k + step)).ravel(), gap, buffers=buffers)
+            slots.reshape(-1, width, slots.shape[1])[:, :, :gap] = gaps
+            size = slots.nbytes
+            del slots
+            yield memoryview(buffers.text(size))[1:]
             yield b"\n"
+
+
+class _Buffers:
+    """One table's two byte buffers, which each of its blocks reuses: slots,
+    whose bytes that are not NUL are the block's text, and work, where
+    _grouped lays the block's slots in the order of their keys.  The
+    digits lie in slots' bytes until those slots are taken from work."""
+
+    def __init__(self):
+        self.slots, self.work = bytearray(), bytearray()
+
+    @cached_property
+    def span(self):
+        """The buffers of a block's span of face indices (_index_text)."""
+        return _Buffers()
+
+    def view(self, name, shape, dtype=np.uint8):
+        """A shape array of dtype on the first bytes of buffer name, which is
+        made anew when it is too small (an older view keeps the old one)."""
+        size = math.prod(shape) * np.dtype(dtype).itemsize
+        if len(getattr(self, name)) < size:
+            setattr(self, name, None)  # before the new one is made
+            setattr(self, name, bytearray(size))
+        return np.frombuffer(getattr(self, name), dtype, math.prod(shape)).reshape(shape)
+
+    def text(self, size):
+        """The bytes of slots' first size bytes that are not NUL, its other
+        bytes made NUL first; bytearray.translate makes no mask."""
+        np.frombuffer(self.slots, np.uint8)[size:] = 0
+        return self.slots.translate(None, b"\0")
 
 
 # values per block of the exporters (4096 OBJ rows): a block's text
@@ -542,39 +629,46 @@ _DIGITS4 = np.concatenate([_DIGITS4, _DIGITS4 * np.logical_or.accumulate(
 _POW10 = np.cumprod([1.0] + [10.0] * 22)
 
 
-def _grouped(key, n, digits, lay, gap, width):
-    """(len(n), gap + width) slots of NULs: lay(k, text rows, digit rows)
-    writes the texts, after the gap, of each key k < 256's rows, whose
-    digit rows digits(n) makes as one slice of the values sorted by key."""
+def _grouped(key, n, digits, lay, gap, width, buffers):
+    """(len(n), gap + width) slots of NULs on buffers.slots: lay(k, text
+    rows, digit rows) writes the texts, after the gap, of each key k <
+    256's rows, laid in buffers.work in the order of the keys, whose digit
+    rows digits(n, buffers) makes as one slice of the values sorted by key."""
     order = np.argsort(key.astype(np.uint8), kind="stable")
     key = key.take(order)
-    digits = digits(n.take(order))
-    slots = np.zeros((len(key), gap + width), np.uint8)
+    digits = digits(n.take(order), buffers)
+    laid = buffers.view("work", (len(key), gap + width))
+    laid.fill(0)
     cuts = [0, *(np.flatnonzero(key[1:] != key[:-1]) + 1).tolist(), len(key)]
     for lo, hi in zip(cuts, cuts[1:]):
-        lay(int(key[lo]), slots[lo:hi, gap:], digits[lo:hi])
+        lay(int(key[lo]), laid[lo:hi, gap:], digits[lo:hi])
+    del digits, key
     back = np.empty_like(order)
     back[order] = np.arange(len(order))
-    return slots.take(back, axis=0)
+    # clip, which no index needs, takes straight into slots: the default
+    # raise would take into a buffer of its own first
+    return np.take(laid, back, axis=0, out=buffers.view("slots", (len(back), gap + width)),
+                   mode="clip")
 
 
-def _digits(n, count, trim=False):
-    """The count ASCII digits of each n < 10^count, zero-padded; with
-    trim, the zeros after n's last non-zero digit are NUL."""
+def _digits(n, count, buffers, trim=False):
+    """The count ASCII digits of each n < 10^count, zero-padded, on the
+    first bytes of buffers.slots; with trim, the zeros after n's last
+    non-zero digit are NUL.  n is overwritten."""
     chunks = -(-count // 4)
-    out = np.empty((len(n), chunks), np.uint32)
-    # 10^4, the trimmed texts, while every chunk after this one is 0
-    after = np.full(len(n), 10**4 * trim)
+    out = buffers.view("slots", (len(n), chunks), np.uint32)
+    # the trimmed texts, at 10^4 on, while every chunk after this one is 0
+    after, q = np.full(len(n), trim), np.empty_like(n)
     for j in range(chunks - 1, -1, -1):
-        q = n // 10**4
-        chunk = n - q * 10**4 + after
-        out[:, j] = _DIGITS4.take(chunk)
-        after *= chunk == 10**4
-        n = q
+        np.divmod(n, 10**4, out=(q, n))
+        np.add(n, 10**4, out=n, where=after)
+        out[:, j] = _DIGITS4.take(n)
+        after &= n == 10**4
+        n, q = q, n
     return out.view(np.uint8)[:, 4 * chunks - count:]
 
 
-def _index_text(x, gap):
+def _index_text(x, gap, *, buffers):
     """(len(x), gap + w) slots: "%d//%d" % (i, i) for each i = x[j] in
     row j after the gap, NUL-padded to the longest text's w bytes.  numpy
     writes the indices in [1, 10^8), _rest the others.  Indices that span
@@ -583,7 +677,9 @@ def _index_text(x, gap):
     takes its row from there."""
     lo, hi = int(x.min()), int(x.max())
     if hi - lo + 1 < x.size:
-        return _index_text(np.arange(lo, hi + 1), gap).take(x - lo, axis=0)
+        span = _index_text(np.arange(lo, hi + 1), gap, buffers=buffers.span)
+        return np.take(span, x - lo, axis=0, out=buffers.view("slots", (x.size, span.shape[1])),
+                       mode="clip")
     exact = (x >= 1) & (x < 10**8)
     v = np.where(exact, x, 1)
 
@@ -593,13 +689,13 @@ def _index_text(x, gap):
         text[:, w + 2:2 * w + 2] = digits[:, 8 - w:]
 
     slots = _grouped(1 + np.searchsorted(10 ** np.arange(1, 8), v, side="right"), v,
-                     lambda v: _digits(v, 8), lay, gap,
-                     max(len(b"%d//%d" % (i, i)) for i in (lo, hi)))
+                     lambda v, buffers: _digits(v, 8, buffers), lay, gap,
+                     max(len(b"%d//%d" % (i, i)) for i in (lo, hi)), buffers)
     _rest(slots[:, gap:], x, exact, lambda i: b"%d//%d" % (i, i))
     return slots
 
 
-def _float_text(x, gap):
+def _float_text(x, gap, *, buffers):
     """(len(x), gap + _FIELD) slots: "%.17g" % v for each v = x[j] in row
     j after the gap, NUL-padded.  numpy writes each v with |v| in [1e-4,
     1e16), where "%.17g" writes 17 significant digits in fixed notation,
@@ -607,7 +703,11 @@ def _float_text(x, gap):
     _rest the others."""
     a = np.abs(x, dtype=float)
     exact = (a >= 1e-4) & (a < 1e16)
-    n, e = _decimal17(np.where(exact, a, 1.0))
+    np.copyto(a, 1.0, where=~exact)
+    n, e = _decimal17(a)
+    del a
+    key = (2 * (e + 4) + (x < 0)).astype(np.uint8)
+    del e
 
     def lay(key, text, digits):
         # the digits after the last kept one are NUL, so is the dot when
@@ -624,8 +724,8 @@ def _float_text(x, gap):
             text[:, s + 1] = ord(".")
             text[:, s + 1 - e:s + 18 - e] = digits
 
-    slots = _grouped(2 * (e + 4) + (x < 0), n, lambda n: _digits(n, 17, trim=True), lay,
-                     gap, _FIELD)
+    slots = _grouped(key, n, lambda n, buffers: _digits(n, 17, buffers, trim=True), lay,
+                     gap, _FIELD, buffers)
     _rest(slots[:, gap:], x, exact, b"%.17g".__mod__)
     return slots
 
@@ -648,33 +748,50 @@ def _decimal17(a):
     rint(lo).  n never rounds up to 10^17: the largest double below each
     power of ten from 1e-3 to 1e16 lies more than half a unit of the 17th
     digit below it."""
-    p = 16 - np.floor(np.log10(a)).astype(np.intp)
+    p = np.floor(np.log10(a)).astype(np.intp)
+    np.subtract(16, p, out=p)
     hi, lo = _scaled(a, p)
     # one step where log10 is off across a power of ten, so that a 10^p
     # lies in [1e16, 1e17)
     below = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
     above = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
     if below.any() or above.any():
-        p = p + below - above
+        p += below
+        p -= above
+        del hi, lo
         hi, lo = _scaled(a, p)
-    return hi.astype(np.int64) + np.rint(lo).astype(np.int64), 16 - p
+    n = hi.astype(np.int64)
+    n += np.rint(lo, out=lo).astype(np.int64)
+    return n, np.subtract(16, p, out=p)
 
 
 def _scaled(a, p):
     """(hi, lo) with hi + lo = a 10^p exactly: Dekker's TwoProduct with
-    Veltkamp's split."""
-    b = _POW10[p]
-    hi = a * b
+    Veltkamp's split, 10^p and its halves read from tables, in five
+    arrays of a's size."""
+    hi = _POW10.take(p)
+    np.multiply(a, hi, out=hi)
     ah, al = _split(a)
-    bh, bl = _split(b)
-    return hi, ((ah * bh - hi) + ah * bl + al * bh) + al * bl
+    lo = _POW10_HI.take(p)
+    np.multiply(ah, lo, out=lo)
+    lo -= hi
+    bl = _POW10_LO.take(p)
+    lo += np.multiply(ah, bl, out=ah)
+    lo += np.multiply(al, np.take(_POW10_HI, p, out=ah, mode="clip"), out=ah)
+    lo += np.multiply(al, bl, out=bl)
+    return hi, lo
 
 
 def _split(x):
     """x = hi + lo exactly, each half with at most 26 significant bits."""
-    c = 134217729.0 * x  # 2^27 + 1
-    hi = c - (c - x)
-    return hi, x - hi
+    hi = 134217729.0 * x  # 2^27 + 1
+    lo = hi - x
+    hi -= lo
+    return hi, np.subtract(x, hi, out=lo)
+
+
+# Veltkamp's halves of each power of ten in _POW10
+_POW10_HI, _POW10_LO = _split(_POW10)
 
 
 def integrate_position(data: WeierstrassData, paths) -> np.ndarray:

@@ -11,9 +11,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spinorminimal.cli import main
-from spinorminimal.elliptic import build_context
-from spinorminimal.moduli import torus4_construct
-from spinorminimal.numkit import scale_parts
+from spinorminimal.elliptic import build_context, wp_inverse
+from spinorminimal.moduli import (
+    _locate_a,
+    klein_fourth_quadrant_root,
+    square_context_e1_normalized,
+    torus3_admissible_pair,
+    torus4_construct,
+)
+from spinorminimal.numkit import NonConvergenceError, scale_parts
+from spinorminimal.surface import GridSpec, enneper_data, integrate_surface
 from spinorminimal.spinor import (
     INF,
     EndDivisor,
@@ -140,3 +147,51 @@ def test_torus4_residuals_read_the_unit_chart(lattice, k):
     # omega_zero and period_offdiag are absolute values, which scale as 4^-k;
     # read in the unit chart every residual keeps its bits
     assert _torus4_residuals(lattice, k) == _torus4_residuals(lattice, 0)
+
+
+LATTICES = [(1.0, 1.0j), (1.1 - 0.2j, 0.3 + 0.9j), (1.0 + 0.4j, 1.0 - 0.4j)]
+
+
+@pytest.mark.parametrize("lattice", LATTICES)
+@pytest.mark.parametrize("k", [-20, 20])
+def test_wp_floors_scale_with_the_lattice(lattice, k):
+    # wp_inverse's Newton stop and check read |value| against |b1|^-2, and
+    # torus3_admissible_pair's root and sign tests |b1|^-2 and |b1|^-3: on a
+    # lattice scaled by 2^k every decision is the same, so the point found
+    # scales by exactly 2^k.  The floor 1 they had stopped Newton early at
+    # 2^20, and found no second root there
+    s, ctx = 2.0**k, build_context(*lattice)
+    scaled = build_context(s * lattice[0], s * lattice[1])
+    for value in (0.1 + 0.05j, 3.0 - 2.0j):
+        assert wp_inverse(scaled, value / s**2) == s * wp_inverse(ctx, value)
+    for fx, fy in ((0.285, 0.205), (0.15, 0.35), (0.4, 0.175)):
+        a1 = fx * 2 * ctx.omega1 + fy * 2 * ctx.omega3
+        assert torus3_admissible_pair(scaled, s * a1) == s * torus3_admissible_pair(ctx, a1)
+
+
+@pytest.mark.parametrize("k", [-20, 0, 20])
+def test_the_klein_end_check_scales_with_the_lattice(k):
+    # _locate_a's check reads |wp(a) - r| against |r| and |b1|^-2: at every
+    # scale it finds the Klein end, 2^k times the unit one, and refuses a
+    # value off the anti-invariant locus, which the floor 1 let pass at 2^20
+    s, ctx = 2.0**k, square_context_e1_normalized()
+    scaled, r = build_context(s * ctx.omega1, s * ctx.omega3), klein_fourth_quadrant_root()
+    assert _locate_a(scaled, r / s**2) == s * _locate_a(ctx, r)
+    with pytest.raises(NonConvergenceError, match="failed to locate"):
+        _locate_a(scaled, (5.0 + 5.0j) / s**2)
+
+
+@pytest.mark.parametrize("k", [-20, 0, 20])
+@pytest.mark.parametrize("times", [0.5, 2.0])
+def test_the_basepoint_snap_scales_with_the_grid(k, times):
+    # a basepoint times 1e-9 of the grid step off the vertex s/2 of an
+    # Enneper grid of extent s = 2^k and step s/2 is that vertex below the
+    # snap and no vertex above it, at every scale
+    s = 2.0**k
+    base = 0.5 * s + times * 1e-9 * 0.5 * s
+    if times > 1:
+        with pytest.raises(ValueError, match="grid vertex"):
+            integrate_surface(enneper_data(), GridSpec(5, 5, extent=s), base)
+    else:
+        mesh = integrate_surface(enneper_data(), GridSpec(5, 5, extent=s), base)
+        assert mesh.vertices[mesh.domain_uv == 0.5 * s].tolist() == [[0.0, 0.0, 0.0]]

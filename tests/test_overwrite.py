@@ -102,11 +102,11 @@ def test_a_failed_export_leaves_only_the_bytes_written(tmp_path, meshes, monkeyp
     text = surface._float_text
     calls = []
 
-    def failing(x, gap):
+    def failing(x, gap, **buffers):
         calls.append(x)
         if len(calls) == 2:
             raise RuntimeError("second block")
-        return text(x, gap)
+        return text(x, gap, **buffers)
     monkeypatch.setattr(surface, "_float_text", failing)
     with pytest.raises(RuntimeError, match="second block"):
         export_obj(meshes[9], path)

@@ -21,6 +21,7 @@ from spinorminimal.spinor import (
     INF,
     EndDivisor,
     basis_F_sphere,
+    basis_F_torus_untwisted,
     is_infinity,
     polynomial_sphere_basis,
     section_combination,
@@ -463,6 +464,30 @@ class TestCellMask:
             cell = surface._cell_mask(data, GridSpec(9, 9), np.ones((9, 9), dtype=bool))
             assert np.argwhere(~cell).tolist() == cleared
 
+    def test_the_named_mesh_cuts_keep_their_values(self):
+        # the edge cases below build their inputs from these literal values
+        assert (surface.CHART_SINGULAR_TOL, surface.GRID_LINE_TOL) == (1e-9, 1e-9)
+
+    @pytest.mark.parametrize("times", [0.5, 2.0])
+    def test_grid_line_cut(self, times):
+        # an end times 1e-9 of a grid step right of the grid line x = 0 of
+        # the 5 x 5 grid of step 1, in the cell row j = 2: within the cut it
+        # lies on the line and clears the cells on both sides of it
+        basis = basis_F_sphere(EndDivisor((times * 1e-9 + 0.5j, INF)))
+        data = WeierstrassData(s1=basis[0], s2=basis[1], end_clearance=1e-3)
+        cell = surface._cell_mask(data, GridSpec(5, 5), np.ones((5, 5), dtype=bool))
+        assert np.argwhere(~cell).tolist() == ([[2, 2]] if times > 1 else [[1, 2], [2, 2]])
+
+    @pytest.mark.parametrize("times", [0.5, 2.0])
+    def test_chart_singular_cut(self, times):
+        # grid points times 1e-9 above the untwisted torus's chart
+        # singularities 0 and omega_1 are vertices only beyond the cut
+        ctx = build_context(1.0, 1.0j)
+        basis = basis_F_torus_untwisted(ctx, 1, EndDivisor((0.5 + 0.5j, 1.0 + 1.5j)))
+        data = WeierstrassData(s1=basis[0], s2=basis[1], end_clearance=1e-3)
+        u = np.array([[p + times * 1e-9j for p in data.domain.chart_singularities()]])
+        assert _valid_mask(data, u).tolist() == [[times > 1] * 2]
+
     def test_the_loop_oracle_reads_the_same_mask(self, count_calls):
         entry = CONSTRUCTIONS["sphere6"]
         built = entry.build((0.0, 2.0 * math.sqrt(5.0) / 3.0, 0.0))
@@ -588,6 +613,25 @@ class TestBlocks:
                     tracemalloc.stop()
             assert abs(peaks[1] - peaks[0]) < 2**20, (banded, peaks)
             assert peaks[1] < 3.5 * 2**20, (banded, peaks)
+
+    def test_each_stage_holds_the_mesh_and_one_block(self, tmp_path):
+        # the grid-257 sphere-4 mesh: integrate_surface's vertex and cell
+        # stages and the export each peak within 1.5 MiB of the finished
+        # mesh, which their in-place blocks keep to about 0.7 to 1.4 MiB
+        entry = CONSTRUCTIONS["sphere4"]
+        built, grid = entry.build(), GridSpec(257, 257)
+        entry.mesh(built, GridSpec(17, 17))
+        tracemalloc.start()
+        try:
+            mesh = entry.mesh(built, grid)
+            meshed = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            export_obj(mesh, tmp_path / "m.obj")
+            exported = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = sum(x.nbytes for x in (mesh.vertices, mesh.gauss, mesh.faces, mesh.domain_uv))
+        assert max(meshed, exported) <= size + 1.5 * 2**20, (size, meshed, exported)
 
     def test_a_mesh_formats_each_face_index_once_per_block(self, tmp_path, count_calls):
         # an integrate_surface mesh's face block spans far fewer indices

@@ -9,22 +9,33 @@ Phi(basepoint)) at once: no quadrature, no spanning tree and no thread
 pool (nothing reads SPINOR_MINIMAL_THREADS).  The metadata carries the
 closed form's evidence: the identity residual of the forms at every
 vertex, the end residues, and every cell's loop closure, which
-SurfaceMesh.checks bounds by MESH_TOL.  Faces come from
-the cell mask, the cells with four valid corners whose closed chart
-square holds no end, and the normals from the section values already
-computed at the vertices.  Everything works on
-blocks of _BLOCK points: the validity mask on grid points, Phi and the
-normals on vertices, faces and loop closures on cells, each block written
-straight into the mesh.  On a torus a block of vertices takes one theta
-frame (spinor.chart_points), on u and on u - a_k for every shift that
-the rows, the chart weight and the primitive read, and each reads its
-own rows of it.  Each block's stages work in place on block-sized arrays,
-each dropped before the next stage, so a mesh's memory is the finished
-mesh plus one block (on a torus that frame is most of the block), and a
-vertex's bits depend only on that vertex.  By tracemalloc, the grid-257
-sphere-4 mesh (5.5 MiB) peaks at 6.2 MiB in its vertex stage, 6.8 MiB in
-its cell stage and 6.9 MiB in its export, where the stages that made
-their temporaries whole took 9.9, 8.6 and 7.3 MiB.  Gauss-Legendre edge
+SurfaceMesh.checks bounds by MESH_TOL.  A mesh stores its vertices, its
+normals and the grid it was made on: the chart map, grid point (i, j) at
+the chart point x[i] + y[j] (ChartMap), and the vertex and cell masks, the
+cells with four valid corners whose closed chart square holds no end.  A
+vertex's chart point and a cell's two faces are read from the grid
+(ChartMap.points, _face_rows), a block at a time by integrate_surface
+and by the exporters, so no mesh holds either whole array: it stores 48
+bytes a vertex and two mask bytes a grid point, where storing both took
+88 bytes a vertex.  The normals come from the section values already
+computed at the vertices.  Everything works on blocks of _BLOCK points:
+the validity mask on grid points, Phi and the normals on vertices, loop
+closures on cells, each block written straight into the mesh.  On a
+torus a block of vertices takes one theta frame (spinor.chart_points), on
+u and on u - a_k for every shift that the rows, the chart weight and the
+primitive read, and each reads its own rows of it.  Each block's stages
+work in place on block-sized arrays, each dropped before the next stage,
+so a mesh's memory is the finished mesh plus one block (on a torus that
+frame is most of the block), and a vertex's bits depend only on that
+vertex.  By tracemalloc, the grid-257
+sphere-4 mesh (3.2 MiB) peaks at 5.2 MiB in its vertex stage, 4.2 MiB in
+its cell stage and 4.5 MiB in its export.  Storing its faces and chart
+points (5.5 MiB), it peaked at 6.2, 6.8 and 6.9 MiB, and with stages that
+made their temporaries whole at 9.9, 8.6 and 7.3 MiB.  The grid-257
+Klein mesh peaks at 13.2, 4.2 and 4.5 MiB (14.2, 6.8 and 6.8 storing
+both): its vertex stage holds 10.0 MiB when a block's sections are
+evaluated, about 6.9 MiB of it the block's theta frame, and building
+that frame sets the peak.  Gauss-Legendre edge
 quadrature stays as the oracle:
 quadrature_edges integrates every grid edge independently, and
 quadrature_loop_residual closes its cells.
@@ -37,7 +48,7 @@ scaled exactly to its 17-digit integer (Dekker's TwoProduct), whose
 digits come from a table of 4-digit chunks, with the zeros after the last
 kept digit NUL, and a face index in [1, 10^8) is read from the same
 table, once per block for each index of the block's span when that span
-is shorter than the block, as integrate_surface's faces are.  "%" formats
+is shorter than the block, as a mesh's faces are.  "%" formats
 every other value, one by one.  The bytes that are not NUL are the text.
 Each block goes to the file as it is made, through reportio.overwrite,
 which writes over an existing file's bytes in place instead of freeing
@@ -71,6 +82,7 @@ from .spinor import (
 __all__ = [
     "WeierstrassData",
     "GridSpec",
+    "ChartMap",
     "SurfaceMesh",
     "integrate_surface",
     "quadrature_edges",
@@ -166,21 +178,82 @@ class GridSpec:
             raise ValueError("grid must have at least 2x2 vertices")
 
 
+@dataclass(frozen=True)
+class ChartMap:
+    """A chart grid's map: grid point (i, j), of flat index i ny + j, lies at
+    the chart point x[i] + y[j].  On the sphere x holds the grid's real
+    parts and y its imaginary ones; on a torus x and y are the lattice
+    fractions 0 to 1 times 2 omega1 and 2 omega3.  The masks, a mesh's
+    vertices and the oracle's edges all read a grid point as that one sum,
+    so its bits are the same wherever it is read."""
+
+    x: np.ndarray  # (nx,) complex
+    y: np.ndarray  # (ny,) complex
+
+    @property
+    def shape(self):
+        return len(self.x), len(self.y)
+
+    def points(self, g):
+        """The chart points of the flat grid indices g."""
+        i, j = np.divmod(g, len(self.y))
+        return self.x.take(i) + self.y.take(j)
+
+    def nearest(self, u) -> int:
+        """Flat index of the grid point nearest the chart point u: u's
+        coordinates along the grid's two steps, rounded and clipped to the
+        grid (a NaN coordinate reads 0)."""
+        p, q = self.x[1] - self.x[0], self.y[1] - self.y[0]
+        w, det = complex(u) - (self.x[0] + self.y[0]), (p.conjugate() * q).imag
+        ij = np.rint([(w.conjugate() * q).imag / det, (p.conjugate() * w).imag / det])
+        i, j = np.clip(np.nan_to_num(ij), 0, np.subtract(self.shape, 1)).astype(int)
+        return int(i) * len(self.y) + int(j)
+
+    def snaps(self, g, u) -> bool:
+        """Whether the chart point u is grid point g: within GRID_SNAP_TOL of
+        the grid's least step, so that the snap scales with the chart."""
+        o, (a, b) = self.points(0), self.points([len(self.y), 1])
+        step = min(abs(a - o), abs(b - o))
+        return bool(abs(self.points(g) - complex(u)) <= GRID_SNAP_TOL * step)
+
+
 @dataclass
 class SurfaceMesh:
+    """A closed-form mesh and the chart grid it was made on: the chart map
+    and the vertex and cell masks.  Its vertices are the grid points of the
+    vertex mask in the grid's C order, and each cell of the cell mask, in
+    that order, is two faces.  The faces and the vertices' chart points are
+    not stored but read from the grid (_face_rows, ChartMap.points), and
+    the exporters read them a block at a time.  A mesh stores 48 bytes a
+    vertex and two mask bytes a grid point, where storing both took 88 a
+    vertex: 3.2 MiB against 5.5 for the grid-257 sphere-4 mesh, whose
+    vertex, cell and export stages peak at 5.2, 4.2 and 4.5 MiB by
+    tracemalloc (module docstring)."""
+
     vertices: np.ndarray  # (N, 3) real
-    faces: np.ndarray  # (M, 3) int32, 0-based
     gauss: np.ndarray  # (N, 3) unit normals
-    domain_uv: np.ndarray  # (N,) complex chart coordinates
+    chart: ChartMap
+    valid: np.ndarray  # (nx, ny) bool, the vertex mask
+    cell: np.ndarray  # (nx - 1, ny - 1) bool, the cells that are faces
     metadata: dict = field(default_factory=dict)
 
+    @property
+    def faces(self) -> np.ndarray:
+        """(M, 3) int32 vertex indices, 0-based."""
+        return _face_rows(_Ordinals(self.valid), _Ordinals(self.cell), slice(None))
+
+    @property
+    def domain_uv(self) -> np.ndarray:
+        """(N,) complex chart coordinates of the vertices."""
+        return self.chart.points(np.flatnonzero(self.valid))
+
     def vertex_at(self, u):
-        """Index of the mesh vertex within 1e-9 of chart coordinate u."""
-        d = np.abs(self.domain_uv - complex(u))
-        k = int(np.argmin(d))
-        if d[k] > 1e-9:
-            raise KeyError(f"no mesh vertex at {u} (closest {d[k]:.2e} away)")
-        return k
+        """Index of the mesh vertex at chart coordinate u: the grid point
+        nearest u, when u is that point (ChartMap.snaps) and it is a vertex."""
+        g = self.chart.nearest(u)
+        if not (self.chart.snaps(g, u) and self.valid.flat[g]):
+            raise KeyError(f"no mesh vertex at {u}")
+        return int(np.count_nonzero(self.valid.ravel()[:g]))
 
     def checks(self) -> list:
         """The closed form's evidence; a loop closure relative to the mesh scale."""
@@ -197,35 +270,39 @@ CHART_SINGULAR_TOL = 1e-9
 # an end within GRID_LINE_TOL of a grid step of a grid line lies on it,
 # and clears the cells on both sides of that line (_cell_mask)
 GRID_LINE_TOL = 1e-9
+# a chart point within GRID_SNAP_TOL of the least grid step of a grid
+# point is that point (integrate_surface's basepoint, SurfaceMesh.vertex_at)
+GRID_SNAP_TOL = 1e-9
 
 
-def _grid_coordinates(data: WeierstrassData, grid: GridSpec):
+def _chart_map(data: WeierstrassData, grid: GridSpec) -> ChartMap:
+    """The grid's chart map: its sums are the whole grid's X + iY on the
+    sphere and FX 2 omega1 + FY 2 omega3 on a torus, bit for bit."""
     dom = data.domain
     if dom.genus == 1:
-        ctx = dom.ctx
-        fx = np.linspace(0.0, 1.0, grid.nx)
-        fy = np.linspace(0.0, 1.0, grid.ny)
-        FX, FY = np.meshgrid(fx, fy, indexing="ij")
-        U = FX * (2 * ctx.omega1) + FY * (2 * ctx.omega3)
-    else:
-        xs = np.linspace(-grid.extent, grid.extent, grid.nx)
-        ys = np.linspace(-grid.extent, grid.extent, grid.ny)
-        X, Y = np.meshgrid(xs, ys, indexing="ij")
-        U = X + 1j * Y
-    return U
+        return ChartMap(np.linspace(0.0, 1.0, grid.nx) * (2 * dom.ctx.omega1),
+                        np.linspace(0.0, 1.0, grid.ny) * (2 * dom.ctx.omega3))
+    return ChartMap(np.linspace(-grid.extent, grid.extent, grid.nx).astype(complex),
+                    1j * np.linspace(-grid.extent, grid.extent, grid.ny))
 
 
-def _valid_mask(data: WeierstrassData, U) -> np.ndarray:
-    """Grid vertices outside the end clearance and off chart singularities
+def _grid_coordinates(data: WeierstrassData, grid: GridSpec) -> np.ndarray:
+    """Every grid point's chart point, shape (nx, ny), by the chart map."""
+    chart = _chart_map(data, grid)
+    return chart.x[:, None] + chart.y
+
+
+def _valid_mask(data: WeierstrassData, chart: ChartMap) -> np.ndarray:
+    """Grid points outside the end clearance and off chart singularities
     (the lattice point and omega_r when those are not ends; the form itself
     is regular there), tested on blocks of _BLOCK grid points."""
-    u = U.ravel()
-    valid = np.empty(u.shape, bool)
-    for k in range(0, u.size, _BLOCK):
-        block = u[k:k + _BLOCK]
+    size = math.prod(chart.shape)
+    valid = np.empty(size, bool)
+    for k in range(0, size, _BLOCK):
+        block = chart.points(np.arange(k, min(k + _BLOCK, size)))
         valid[k:k + _BLOCK] = (data.end_distance(block) > data.end_clearance) \
             & (data.chart_singular_distance(block) > CHART_SINGULAR_TOL)
-    return valid.reshape(U.shape)
+    return valid.reshape(chart.shape)
 
 
 def _cell_mask(data: WeierstrassData, grid: GridSpec, valid) -> np.ndarray:
@@ -269,6 +346,62 @@ def _closure(h0, v1, h1, v0) -> np.ndarray:
     return np.sqrt(norm, out=norm)
 
 
+class _Ordinals:
+    """A mask's true entries in C order, read by their ordinals: the flat
+    indices of a slice of them come from the rows that hold them, found by
+    the count of true entries up to each row's end."""
+
+    def __init__(self, mask):
+        self.mask, self.ends = mask, np.count_nonzero(mask, axis=1).cumsum()
+
+    def __len__(self):
+        return int(self.ends[-1])
+
+    def before(self, row) -> int:
+        """The true entries in the rows before row."""
+        return int(self.ends[row - 1]) if row else 0
+
+    def positions(self, s) -> np.ndarray:
+        """The flat indices of the true entries s, a slice of their ordinals."""
+        lo, hi, _ = s.indices(len(self))
+        r0 = int(np.searchsorted(self.ends, lo, side="right"))
+        r1 = int(np.searchsorted(self.ends, hi)) + 1
+        skip = lo - self.before(r0)
+        return np.flatnonzero(self.mask[r0:r1])[skip:skip + hi - lo] + r0 * self.mask.shape[1]
+
+
+def _corners(vertices: _Ordinals, cells: _Ordinals, s):
+    """(a, b): the int32 vertex indices of the corners (i, j) and (i+1, j)
+    of the mesh's cells s (a slice of their ordinals); the corners (i+1,
+    j+1) and (i, j+1) are the vertices after them, b + 1 and a + 1.  The
+    indices are counted on the grid rows of the cells alone."""
+    q = cells.positions(s)
+    ny = vertices.mask.shape[1]
+    r0, r1 = (int(q[0]) // (ny - 1), int(q[-1]) // (ny - 1) + 2) if q.size else (0, 0)
+    index = np.cumsum(vertices.mask[r0:r1], dtype=np.int32)
+    index += vertices.before(r0) - 1
+    # cell q = i (ny - 1) + j has its corner (i, j) at grid point q + i
+    a = q // (ny - 1)
+    a += q
+    a -= r0 * ny
+    return index.take(a), index.take(a + ny)
+
+
+def _face_rows(vertices: _Ordinals, cells: _Ordinals, s) -> np.ndarray:
+    """Faces s (a slice of their indices) of the mesh on the masks, int32:
+    (a, b, c) and (a, c, d) for each cell in order, its corners a, b, c, d
+    at grid points (i, j), (i+1, j), (i+1, j+1) and (i, j+1)."""
+    lo, hi, _ = s.indices(2 * len(cells))
+    a, b = _corners(vertices, cells, slice(lo // 2, -(-hi // 2)))
+    quads = np.empty((len(a), 6), np.int32)
+    quads[:, 0] = quads[:, 3] = a
+    quads[:, 1] = b
+    np.add(b, 1, out=quads[:, 2])
+    quads[:, 4] = quads[:, 2]
+    np.add(a, 1, out=quads[:, 5])
+    return quads.reshape(-1, 3)[lo % 2:hi - lo + lo % 2]
+
+
 def integrate_surface(data: WeierstrassData, grid: GridSpec, basepoint) -> SurfaceMesh:
     """Closed-form mesh X = Re sigma(Phi(u) - Phi(basepoint)) over the masked chart grid.
 
@@ -279,38 +412,35 @@ def integrate_surface(data: WeierstrassData, grid: GridSpec, basepoint) -> Surfa
     vertex, relative to |f g mu| plus the size of the form's terms there;
     the largest relative end residue; and the largest loop closure of a
     cell's four edge increments.  Vertices and normals are made on blocks of
-    _BLOCK vertices, faces and closures on blocks of _BLOCK cells, each
-    written straight into the mesh.
+    _BLOCK vertices, whose chart points are read from the grid, and written
+    straight into the mesh; closures on blocks of _BLOCK cells, whose
+    corners are read from the masks.
     """
-    U = _grid_coordinates(data, grid)
-    valid = _valid_mask(data, U)
+    chart = _chart_map(data, grid)
+    valid = _valid_mask(data, chart)
     base = complex(basepoint)
-    root = int(np.argmin(np.abs(U.ravel() - base)))
+    root = chart.nearest(base)
     if not valid.flat[root]:
         raise ValueError("basepoint is inside an end clearance disk")
-    # within 1e-9 of the grid step, so that the snap scales with the chart
-    step = min(abs(U[1, 0] - U[0, 0]), abs(U[0, 1] - U[0, 0]))
-    if abs(U.flat[root] - base) > 1e-9 * step:
+    if not chart.snaps(root, base):
         raise ValueError("basepoint must be a grid vertex")
 
-    # the full grid dropped once read: the peak then does not depend on
-    # what the heap held before
-    uvs, ny, start = U[valid], U.shape[1], U.flat[root:root + 1]
-    del U
     s1, s2 = data.s1, data.s2
     prim = form_primitive(((s1, s1), (s2, s2), (s1, s2)))
     points = chart_points((s1, s2), prim)
-    verts, gauss = np.empty((len(uvs), 3)), np.empty((len(uvs), 3))
+    vertices = _Ordinals(valid)
+    count = len(vertices)
+    verts, gauss = np.empty((count, 3)), np.empty((count, 3))
     # each coordinate's range, kept per block: a reduction down the
     # columns of verts would step through its rows three values at a time
     identity, lo, hi = 0.0, np.inf, -np.inf
-    for k in range(0, len(uvs), _BLOCK):
+    for k in range(0, count, _BLOCK):
         lead = int(k == 0)
-        pts = uvs[k:k + _BLOCK]
+        pts = chart.points(vertices.positions(slice(k, k + _BLOCK)))
         if lead:
             # the root leads the first block: its Phi comes from that call,
             # not from a call of its own (one more theta frame on a torus)
-            pts = np.concatenate([start, pts])
+            pts = np.concatenate([chart.points([root]), pts])
         at = points(pts)
         f1, f2 = section_values((s1, s2), at)
         products = np.empty((3,) + f1.shape, complex)
@@ -339,27 +469,11 @@ def integrate_surface(data: WeierstrassData, grid: GridSpec, basepoint) -> Surfa
         lo, hi = np.minimum(lo, x.min(axis=1)), np.maximum(hi, x.max(axis=1))
         del x
 
-    # int32 vertex indices and faces, the indices made after the vertex stage
-    cell = _cell_mask(data, grid, valid).ravel()
-    index = np.cumsum(valid, dtype=np.int32) - 1
-    del valid
-    faces = np.empty((2 * np.count_nonzero(cell), 3), index.dtype)
-    resid, done = 0.0, 0
-    for k in range(0, cell.size, _BLOCK):
-        # cell q = i (ny - 1) + j has its corner (i, j) at grid point q + i,
-        # and the grid point after a vertex in its row is the next vertex
-        g = k + np.flatnonzero(cell[k:k + _BLOCK])
-        g += g // (ny - 1)
-        # the block's faces (a, b, c) and (a, c, d), written in place
-        quads = faces[2 * done:2 * (done + len(g))].reshape(-1, 6)
-        quads[:, 0] = quads[:, 3] = index[g]
-        g += ny
-        quads[:, 1] = index[g]
-        del g
-        a, b, c, d = quads[:, 0], quads[:, 1], quads[:, 2], quads[:, 5]
-        np.add(b, 1, out=c)
-        np.add(a, 1, out=d)
-        quads[:, 4] = c
+    cell = _cell_mask(data, grid, valid)
+    cells, resid = _Ordinals(cell), 0.0
+    for k in range(0, len(cells), _BLOCK):
+        a, b = _corners(vertices, cells, slice(k, k + _BLOCK))
+        c, d = np.add(b, 1), np.add(a, 1)
         # the increments h0 = b - a, v1 = c - b, h1 = c - d and v0 = d - a
         # in four buffers: d's corner is read a coordinate at a time
         h0, v1 = verts.take(a, axis=0), verts.take(b, axis=0)
@@ -371,16 +485,16 @@ def integrate_surface(data: WeierstrassData, grid: GridSpec, basepoint) -> Surfa
             xd = verts[d, i]
             np.subtract(h1[:, i], xd, out=h1[:, i])
             np.subtract(xd, v0[:, i], out=v0[:, i])
-        del xd
+        del xd, a, b, c, d
         resid = np.maximum(resid, np.max(_closure(h0, v1, h1, v0), initial=0.0))
-        done += len(quads)
         del h0, v1, h1, v0
 
     return SurfaceMesh(
         vertices=verts,
-        faces=faces,
         gauss=gauss,
-        domain_uv=uvs,
+        chart=chart,
+        valid=valid,
+        cell=cell,
         metadata={
             "end_clearance": data.end_clearance,
             "grid": (grid.nx, grid.ny, grid.extent),
@@ -389,7 +503,7 @@ def integrate_surface(data: WeierstrassData, grid: GridSpec, basepoint) -> Surfa
             "identity_residual_max": float(identity),
             "end_residue_max": prim.end_residue_max,
             "mesh_scale": float((hi - lo).max()),
-            "vertex_count": len(verts),
+            "vertex_count": count,
         })
 
 
@@ -399,8 +513,7 @@ def quadrature_edges(data: WeierstrassData, grid: GridSpec):
     v[i, j] from U[i, j] to U[i, j+1], NaN where an edge leaves the mask.
 
     The test oracle for integrate_surface."""
-    U = _grid_coordinates(data, grid)
-    valid = _valid_mask(data, U)
+    U, valid = _grid_coordinates(data, grid), _valid_mask(data, _chart_map(data, grid))
     h = np.full((U.shape[0] - 1, U.shape[1], 3), np.nan)
     v = np.full((U.shape[0], U.shape[1] - 1, 3), np.nan)
     for out, start, end, has in ((h, U[:-1], U[1:], valid[:-1] & valid[1:]),
@@ -523,23 +636,30 @@ def _degree_blocks(dom, m):
 
 
 def export_obj(mesh: SurfaceMesh, path) -> Path:
-    """Wavefront OBJ with 17-significant-digit vertices and normals."""
-    v, n, f = mesh.vertices, mesh.gauss, mesh.faces
-    return _write_rows(mesh, path, b"", (
+    """Wavefront OBJ with 17-significant-digit vertices and normals; the
+    faces are read from the mesh's masks a block at a time."""
+    v, n = mesh.vertices, mesh.gauss
+    vertices, cells = _Ordinals(mesh.valid), _Ordinals(mesh.cell)
+    return _write_rows(path, b"", (
         (b"v ", b" ", v.shape, v.__getitem__, _float_text),
         (b"vn ", b" ", n.shape, n.__getitem__, _float_text),
-        (b"f ", b" ", f.shape, lambda s: f[s] + 1, _index_text)))
+        (b"f ", b" ", (2 * len(cells), 3), lambda s: _face_rows(vertices, cells, s) + 1,
+         _index_text)))
 
 
 def export_csv(mesh: SurfaceMesh, path) -> Path:
-    """CSV of (u, X, n) samples: re(u), im(u), x, y, z, nx, ny, nz."""
-    uv, v, n = mesh.domain_uv, mesh.vertices, mesh.gauss
-    return _write_rows(mesh, path, b"re_u,im_u,x,y,z,nx,ny,nz\n", (
-        (b"", b",", (len(v), 8), lambda s: np.column_stack([uv[s].real, uv[s].imag, v[s], n[s]]),
-         _float_text),))
+    """CSV of (u, X, n) samples: re(u), im(u), x, y, z, nx, ny, nz; the
+    chart points are read from the mesh's grid a block at a time."""
+    v, n, vertices = mesh.vertices, mesh.gauss, _Ordinals(mesh.valid)
+
+    def rows(s):
+        uv = mesh.chart.points(vertices.positions(s))
+        return np.column_stack([uv.real, uv.imag, v[s], n[s]])
+    return _write_rows(path, b"re_u,im_u,x,y,z,nx,ny,nz\n",
+                       ((b"", b",", (len(v), 8), rows, _float_text),))
 
 
-def _write_rows(mesh: SurfaceMesh, path, header: bytes, tables) -> Path:
+def _write_rows(path, header: bytes, tables) -> Path:
     """The header, then each (prefix, sep, (count, width), rows, text)
     table in blocks b = rows(slice) of _VALUES // width rows: one line per
     row, the prefix, then each value's text ("%.17g" by _float_text,
@@ -556,9 +676,10 @@ def _write_rows(mesh: SurfaceMesh, path, header: bytes, tables) -> Path:
     10^8); "%" formats every other value, one at a time: 0, subnormals,
     |x| below 1e-4 or from 1e16 up, inf, nan and the other indices.
 
-    The blocks go to path through reportio.overwrite as they are made; an
-    empty mesh raises before path or its directory is made."""
-    if mesh.vertices.size == 0:
+    The blocks go to path through reportio.overwrite as they are made; a
+    first table of no rows, an empty mesh's vertices, raises before path
+    or its directory is made."""
+    if tables[0][2][0] == 0:
         raise ValueError("cannot export an empty mesh")
     return overwrite(path, _blocks(header, tables))
 

@@ -18,7 +18,7 @@ from spinorminimal.cli import main
 from spinorminimal.elliptic import DegenerateLatticeError, build_context
 from spinorminimal.moduli import CONSTRUCTIONS
 from spinorminimal.reportio import check
-from spinorminimal.surface import SurfaceMesh
+from spinorminimal.surface import ChartMap, SurfaceMesh
 
 SPHERE6_ON_VARIETY = ["0", "1.4907119849998598", "0"]
 
@@ -158,8 +158,8 @@ def test_a_value_at_its_bound_passes_and_nan_fails(monkeypatch, tmp_path, capsys
     # a mesh residual at its bound passes, NaN fails
     meta = {"identity_residual_max": 1e-6, "end_residue_max": 0.0, "loop_residual_max": 2e-6,
             "mesh_scale": 2.0}
-    mesh = SurfaceMesh(np.zeros((0, 3)), np.zeros((0, 3), int), np.zeros((0, 3)), np.zeros(0),
-                       meta)
+    mesh = SurfaceMesh(np.zeros((0, 3)), np.zeros((0, 3)), ChartMap(np.zeros(2), np.zeros(2)),
+                       np.zeros((2, 2), bool), np.zeros((1, 1), bool), meta)
     assert all(c.passed for c in mesh.checks())
     meta["end_residue_max"] = math.nan
     assert [c.passed for c in mesh.checks()] == [True, False, True]

@@ -5,6 +5,7 @@ import tempfile
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,9 +28,11 @@ from spinorminimal.spinor import (
     section_combination,
 )
 from spinorminimal.surface import (
+    ChartMap,
     GridSpec,
     SurfaceMesh,
     WeierstrassData,
+    _chart_map,
     _grid_coordinates,
     _valid_mask,
     enneper_data,
@@ -113,6 +116,33 @@ class TestEnneper:
                 s = sum(grid[min(grid, key=lambda x: abs(x - q))] for q in nb)
                 worst = max(worst, np.linalg.norm(s - 4 * v))
         assert worst < 1e-12
+
+
+class TestVertexAt:
+    def test_every_vertex_is_found_at_its_chart_point(self, enneper_mesh, sphere4_mesh):
+        # acceptance's Enneper row reads vertex_at(1.0) and vertex_at(0.0)
+        uv = enneper_mesh.domain_uv
+        assert [enneper_mesh.vertex_at(u) for u in uv] == list(range(len(uv)))
+        assert uv[enneper_mesh.vertex_at(1.0)] == 1.0
+        # a grid point inside an end's clearance is no vertex
+        with pytest.raises(KeyError, match="no mesh vertex"):
+            sphere4_mesh[2].vertex_at(0.0)
+
+    @pytest.mark.parametrize("k", [30, 40])
+    def test_the_snap_scales_with_the_grid(self, k):
+        # on Enneper grids of extent 2^k a vertex's chart point times
+        # (1 + 1e-15), up to 5.96e-07 (2^30) and 6.1e-4 (2^40) away, is
+        # that vertex, and so is a point 0.5 GRID_SNAP_TOL of a step off;
+        # 2 GRID_SNAP_TOL or half a step off is none
+        s = 2.0**k
+        step = s / 2
+        mesh = integrate_surface(enneper_data(), GridSpec(5, 5, extent=s), 0.0)
+        for n, u in enumerate(mesh.domain_uv):
+            assert mesh.vertex_at(u * (1 + 1e-15)) == n
+            assert mesh.vertex_at(u + 0.5e-9 * step) == n
+            for off in (2e-9 * step, 0.5 * step, 0.5j * step):
+                with pytest.raises(KeyError, match="no mesh vertex"):
+                    mesh.vertex_at(u + off)
 
 
 def _normalized_laplacian_max(mesh, h, window):
@@ -305,11 +335,11 @@ class TestExports:
         assert np.array_equal(verts, enneper_mesh.vertices)
 
     def test_empty_mesh_rejected(self, tmp_path):
-        # by both exporters, before a file or its directory is made
-        mesh = SurfaceMesh(vertices=np.zeros((0, 3)), faces=np.zeros((0, 3), dtype=int),
-                           gauss=np.zeros((0, 3)), domain_uv=np.zeros(0, dtype=complex))
+        # by both exporters' tables, before a file or its directory is made
+        mesh = _arrays(vertices=np.zeros((0, 3)), faces=np.zeros((0, 3), dtype=int),
+                       gauss=np.zeros((0, 3)), domain_uv=np.zeros(0, dtype=complex))
         path = tmp_path / "out" / "empty"
-        for export in (export_obj, export_csv):
+        for export in (_write_obj, _write_csv):
             with pytest.raises(ValueError, match="empty mesh"):
                 export(mesh, path)
             assert not path.exists() and not path.parent.exists()
@@ -344,6 +374,34 @@ def _random_values(rng, shape):
     x = rng.choice([-1.0, 1.0], shape) * np.ldexp(rng.uniform(1.0, 2.0, shape),
                                                   rng.integers(-1074, 1023, shape))
     return np.where(rng.random(shape) < 0.2, rng.choice(SPECIAL, shape), x)
+
+
+def _arrays(vertices, faces, gauss, domain_uv):
+    """A mesh's four arrays as given, arbitrary values, for the table writer."""
+    return SimpleNamespace(vertices=vertices, faces=faces, gauss=gauss, domain_uv=domain_uv)
+
+
+def _write_obj(mesh, path):
+    """export_obj's tables of the arrays of mesh (_arrays), through the table writer."""
+    v, n, f = mesh.vertices, mesh.gauss, mesh.faces
+    return surface._write_rows(path, b"", (
+        (b"v ", b" ", v.shape, v.__getitem__, surface._float_text),
+        (b"vn ", b" ", n.shape, n.__getitem__, surface._float_text),
+        (b"f ", b" ", f.shape, lambda s: f[s] + 1, surface._index_text)))
+
+
+def _write_csv(mesh, path):
+    """export_csv's table of the arrays of mesh (_arrays), through the table writer."""
+    uv, v, n = mesh.domain_uv, mesh.vertices, mesh.gauss
+    return surface._write_rows(path, b"re_u,im_u,x,y,z,nx,ny,nz\n", (
+        (b"", b",", (len(v), 8), lambda s: np.column_stack([uv[s].real, uv[s].imag, v[s], n[s]]),
+         surface._float_text),))
+
+
+def _stored_bytes(mesh):
+    """The bytes of the arrays a SurfaceMesh stores."""
+    return sum(x.nbytes for x in (mesh.vertices, mesh.gauss, mesh.chart.x, mesh.chart.y,
+                                  mesh.valid, mesh.cell))
 
 
 def _one_template_texts(mesh):
@@ -432,7 +490,7 @@ class TestCellMask:
         except (ValueError, NonConvergenceError):
             assume(False)
         grid = GridSpec(n, n)
-        valid = _valid_mask(data, _grid_coordinates(data, grid))
+        valid = _valid_mask(data, _chart_map(data, grid))
         assume(data.end_clearance < 4.0 / (n - 1) and valid[0, 0])
         mesh = integrate_surface(data, grid, -2.0 - 2.0j)
         assert _faces_holding_an_end(data, mesh).size == 0
@@ -448,7 +506,7 @@ class TestCellMask:
         data = entry.weierstrass(built)
         mesh = entry.mesh(built, GridSpec(n, n))
         assert _faces_holding_an_end(data, mesh).size == 0
-        valid = _valid_mask(data, _grid_coordinates(data, GridSpec(n, n)))
+        valid = _valid_mask(data, _chart_map(data, GridSpec(n, n)))
         cells = valid[:-1, :-1] & valid[1:, :-1] & valid[1:, 1:] & valid[:-1, 1:]
         held = _cells_holding_an_end(data, GridSpec(n, n)) & cells
         assert held.any() and len(mesh.faces) == 2 * np.count_nonzero(cells & ~held)
@@ -485,8 +543,8 @@ class TestCellMask:
         ctx = build_context(1.0, 1.0j)
         basis = basis_F_torus_untwisted(ctx, 1, EndDivisor((0.5 + 0.5j, 1.0 + 1.5j)))
         data = WeierstrassData(s1=basis[0], s2=basis[1], end_clearance=1e-3)
-        u = np.array([[p + times * 1e-9j for p in data.domain.chart_singularities()]])
-        assert _valid_mask(data, u).tolist() == [[times > 1] * 2]
+        u = np.array([p + times * 1e-9j for p in data.domain.chart_singularities()])
+        assert _valid_mask(data, ChartMap(np.zeros(1, complex), u)).tolist() == [[times > 1] * 2]
 
     def test_the_loop_oracle_reads_the_same_mask(self, count_calls):
         entry = CONSTRUCTIONS["sphere6"]
@@ -507,14 +565,14 @@ class TestBlocks:
     @given(m=st.sampled_from([0, 1, B, B + 1, 2 * B + 1]), seed=st.integers(0, 2**32 - 1))
     def test_exports_are_the_one_template_text(self, n, m, seed):
         rng = np.random.default_rng(seed)
-        mesh = SurfaceMesh(vertices=_random_values(rng, (n, 3)),
-                           faces=rng.integers(0, 10**6, (m, 3)),
-                           gauss=_random_values(rng, (n, 3)),
-                           domain_uv=_random_values(rng, n) + 1j * _random_values(rng, n))
+        mesh = _arrays(vertices=_random_values(rng, (n, 3)),
+                       faces=rng.integers(0, 10**6, (m, 3)),
+                       gauss=_random_values(rng, (n, 3)),
+                       domain_uv=_random_values(rng, n) + 1j * _random_values(rng, n))
         obj, csv = _one_template_texts(mesh)
         with tempfile.TemporaryDirectory() as d:
-            assert export_obj(mesh, Path(d) / "m.obj").read_bytes() == obj.encode()
-            assert export_csv(mesh, Path(d) / "m.csv").read_bytes() == csv.encode()
+            assert _write_obj(mesh, Path(d) / "m.obj").read_bytes() == obj.encode()
+            assert _write_csv(mesh, Path(d) / "m.csv").read_bytes() == csv.encode()
 
     @pytest.mark.parametrize("name, build, grid", [
         ("sphere4", {}, 33),
@@ -541,6 +599,38 @@ class TestBlocks:
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), key
         assert repr(got.metadata) == repr(want.metadata)
 
+    @pytest.mark.parametrize("name, build, grid", [
+        ("sphere4", {}, GridSpec(65, 65)),
+        ("enneper", {}, GridSpec(9, 5)),
+        ("torus4", {"omega1": 1.1 - 0.2j, "omega3": 0.3 + 0.9j}, GridSpec(33, 33)),
+        ("klein4", {}, GridSpec(17, 17)),
+    ])
+    def test_faces_and_chart_points_are_the_whole_grid_arrays(self, name, build, grid):
+        # the reference, bit for bit: the whole grid U of meshgrid sums, the
+        # vertices' chart points U[valid], and the faces of one pass over
+        # the cells' corner indices on the whole grid
+        entry = CONSTRUCTIONS[name]
+        built = entry.build(**build)
+        data, mesh = entry.weierstrass(built), entry.mesh(built, grid)
+        dom = data.domain
+        if dom.genus == 1:
+            FX, FY = np.meshgrid(np.linspace(0.0, 1.0, grid.nx), np.linspace(0.0, 1.0, grid.ny),
+                                 indexing="ij")
+            U = FX * (2 * dom.ctx.omega1) + FY * (2 * dom.ctx.omega3)
+        else:
+            X, Y = np.meshgrid(np.linspace(-grid.extent, grid.extent, grid.nx),
+                               np.linspace(-grid.extent, grid.extent, grid.ny), indexing="ij")
+            U = X + 1j * Y
+        index = np.cumsum(mesh.valid, dtype=np.int32) - 1
+        g = np.flatnonzero(mesh.cell)
+        g += g // (grid.ny - 1)
+        a, b = index[g], index[g + grid.ny]
+        faces = np.stack([a, b, b + 1, a, b + 1, a + 1], axis=1).reshape(-1, 3)
+        assert len(faces) >= 64
+        for got, want in ((_grid_coordinates(data, grid), U), (mesh.domain_uv, U[mesh.valid]),
+                          (mesh.faces, faces)):
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
     @pytest.mark.parametrize("name, grid", [("sphere4", 33), ("torus4", 33), ("klein4", 17)])
     def test_cells_are_the_whole_grid_reference(self, monkeypatch, name, grid):
         # the reference: faces and the largest closure from one whole-grid
@@ -552,7 +642,7 @@ class TestBlocks:
         monkeypatch.setattr(surface, "_BLOCK", 7)
         mesh = integrate_surface(data, GridSpec(grid, grid),
                                  entry.basepoint(data.domain, GridSpec(grid, grid)))
-        valid = _valid_mask(data, _grid_coordinates(data, GridSpec(grid, grid)))
+        valid = _valid_mask(data, _chart_map(data, GridSpec(grid, grid)))
         index = np.cumsum(valid).reshape(valid.shape) - 1
         cell = valid[:-1, :-1] & valid[1:, :-1] & valid[1:, 1:] & valid[:-1, 1:]
         held = _cells_holding_an_end(data, GridSpec(grid, grid)) & cell
@@ -587,8 +677,7 @@ class TestBlocks:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            extra.append(peak - sum(x.nbytes for x in (mesh.vertices, mesh.gauss, mesh.faces,
-                                                        mesh.domain_uv)))
+            extra.append(peak - _stored_bytes(mesh))
         assert extra[1] - extra[0] < 2**20, extra
 
     def test_export_memory_is_bounded_by_the_block(self, tmp_path):
@@ -602,12 +691,12 @@ class TestBlocks:
                 rng = np.random.default_rng(n)
                 faces = (np.arange(2 * n)[:, None] // 2 + [0, 1, 257]) % n if banded \
                     else rng.integers(0, n, (2 * n, 3))
-                mesh = SurfaceMesh(vertices=rng.standard_normal((n, 3)), faces=faces,
-                                   gauss=rng.standard_normal((n, 3)),
-                                   domain_uv=np.zeros(n, dtype=complex))
+                mesh = _arrays(vertices=rng.standard_normal((n, 3)), faces=faces,
+                               gauss=rng.standard_normal((n, 3)),
+                               domain_uv=np.zeros(n, dtype=complex))
                 tracemalloc.start()
                 try:
-                    export_obj(mesh, tmp_path / "m.obj")
+                    _write_obj(mesh, tmp_path / "m.obj")
                     peaks.append(tracemalloc.get_traced_memory()[1])
                 finally:
                     tracemalloc.stop()
@@ -615,9 +704,10 @@ class TestBlocks:
             assert peaks[1] < 3.5 * 2**20, (banded, peaks)
 
     def test_each_stage_holds_the_mesh_and_one_block(self, tmp_path):
-        # the grid-257 sphere-4 mesh: integrate_surface's vertex and cell
-        # stages and the export each peak within 1.5 MiB of the finished
-        # mesh, which their in-place blocks keep to about 0.7 to 1.4 MiB
+        # the grid-257 sphere-4 mesh stores 3.2 MiB, its vertices, normals
+        # and grid: integrate_surface's vertex and cell stages and the
+        # export each peak within 2.25 MiB of it (5.4 MiB), their in-place
+        # blocks taking about 2.1, 1.1 and 1.3 MiB
         entry = CONSTRUCTIONS["sphere4"]
         built, grid = entry.build(), GridSpec(257, 257)
         entry.mesh(built, GridSpec(17, 17))
@@ -630,8 +720,8 @@ class TestBlocks:
             exported = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        size = sum(x.nbytes for x in (mesh.vertices, mesh.gauss, mesh.faces, mesh.domain_uv))
-        assert max(meshed, exported) <= size + 1.5 * 2**20, (size, meshed, exported)
+        size = _stored_bytes(mesh)
+        assert max(meshed, exported) <= size + 2.25 * 2**20, (size, meshed, exported)
 
     def test_a_mesh_formats_each_face_index_once_per_block(self, tmp_path, count_calls):
         # an integrate_surface mesh's face block spans far fewer indices
@@ -689,12 +779,12 @@ def _assert_template_text(values):
     with FACE_EDGES for faces, are the one-template texts."""
     x = np.array(values + [-v for v in values])
     rows = np.resize(x, (-(-len(x) // 3), 3))
-    mesh = SurfaceMesh(vertices=rows, faces=FACE_EDGES, gauss=rows[::-1].copy(),
-                       domain_uv=rows[:, 0] + 1j * rows[:, 1])
+    mesh = _arrays(vertices=rows, faces=FACE_EDGES, gauss=rows[::-1].copy(),
+                   domain_uv=rows[:, 0] + 1j * rows[:, 1])
     obj, csv = _one_template_texts(mesh)
     with tempfile.TemporaryDirectory() as d:
-        assert export_obj(mesh, Path(d) / "m.obj").read_bytes() == obj.encode()
-        assert export_csv(mesh, Path(d) / "m.csv").read_bytes() == csv.encode()
+        assert _write_obj(mesh, Path(d) / "m.obj").read_bytes() == obj.encode()
+        assert _write_csv(mesh, Path(d) / "m.csv").read_bytes() == csv.encode()
 
 
 # values that "%" formats: 0, subnormals, |x| out of [1e-4, 1e16), inf, nan
@@ -709,8 +799,8 @@ def _uv(re, im):
 
 def _assert_exports(mesh, tmp_path):
     obj, csv = _one_template_texts(mesh)
-    assert export_obj(mesh, tmp_path / "m.obj").read_bytes() == obj.encode()
-    assert export_csv(mesh, tmp_path / "m.csv").read_bytes() == csv.encode()
+    assert _write_obj(mesh, tmp_path / "m.obj").read_bytes() == obj.encode()
+    assert _write_csv(mesh, tmp_path / "m.csv").read_bytes() == csv.encode()
 
 
 class TestSlots:
@@ -721,14 +811,14 @@ class TestSlots:
         rng = np.random.default_rng(column)
         rows = rng.standard_normal((4097, 3)) * 10.0 ** rng.integers(-3, 15, (4097, 3))
         rows[::3, column] = np.resize(REST, len(rows[::3]))
-        _assert_exports(SurfaceMesh(vertices=rows, faces=np.zeros((0, 3), int),
-                                    gauss=rows[::-1].copy(),
-                                    domain_uv=_uv(rows[:, column], rows[:, 2 - column])), tmp_path)
+        _assert_exports(_arrays(vertices=rows, faces=np.zeros((0, 3), int),
+                                gauss=rows[::-1].copy(),
+                                domain_uv=_uv(rows[:, column], rows[:, 2 - column])), tmp_path)
 
     def test_a_block_of_only_rest_values(self, tmp_path):
         rows = np.resize(REST, (4097, 3))
-        _assert_exports(SurfaceMesh(vertices=rows, faces=np.zeros((0, 3), int), gauss=rows[::-1],
-                                    domain_uv=_uv(rows[:, 0], rows[:, 1])), tmp_path)
+        _assert_exports(_arrays(vertices=rows, faces=np.zeros((0, 3), int), gauss=rows[::-1],
+                                domain_uv=_uv(rows[:, 0], rows[:, 1])), tmp_path)
 
     @pytest.mark.parametrize("k", range(10))
     def test_banded_faces(self, tmp_path, count_calls, k):
@@ -739,8 +829,8 @@ class TestSlots:
         faces[:6] = 10**k - 4 + np.arange(18).reshape(6, 3) % 6
         rows = rng.standard_normal((3, 3))
         calls = count_calls(surface, "_index_text")
-        _assert_exports(SurfaceMesh(vertices=rows, faces=faces, gauss=rows,
-                                    domain_uv=rows[:, 0] + 0j), tmp_path)
+        _assert_exports(_arrays(vertices=rows, faces=faces, gauss=rows,
+                                domain_uv=rows[:, 0] + 0j), tmp_path)
         step = surface._VALUES // 3
         assert [len(x) for x, _ in calls] == [3 * step, 6, 3 * (5000 - step), 6]
 
@@ -750,8 +840,8 @@ class TestSlots:
         faces[:len(FACE_EDGES)] = FACE_EDGES
         rows = rng.standard_normal((3, 3))
         calls = count_calls(surface, "_index_text")
-        _assert_exports(SurfaceMesh(vertices=rows, faces=faces, gauss=rows,
-                                    domain_uv=rows[:, 0] + 0j), tmp_path)
+        _assert_exports(_arrays(vertices=rows, faces=faces, gauss=rows,
+                                domain_uv=rows[:, 0] + 0j), tmp_path)
         step = surface._VALUES // 3
         assert [len(x) for x, _ in calls] == [3 * step, 3 * (5000 - step)]
 
@@ -925,4 +1015,5 @@ class TestArrayMeshPipeline:
         singular = np.min([dom.distance(u, p) for p in extra], axis=0) if extra \
             else np.full(u.shape, np.inf)
         oracle = (data.end_distance(u) > data.end_clearance) & (singular > 1e-9)
-        assert np.array_equal(_valid_mask(data, U), oracle.reshape(U.shape))
+        assert np.array_equal(_valid_mask(data, _chart_map(data, GridSpec(nx=33, ny=33))),
+                              oracle.reshape(U.shape))

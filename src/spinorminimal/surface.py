@@ -202,12 +202,13 @@ class ChartMap:
     def nearest(self, u) -> int:
         """Flat index of the grid point nearest the chart point u: u's
         coordinates along the grid's two steps, rounded and clipped to the
-        grid (a NaN coordinate reads 0)."""
-        p, q = self.x[1] - self.x[0], self.y[1] - self.y[0]
-        w, det = complex(u) - (self.x[0] + self.y[0]), (p.conjugate() * q).imag
-        ij = np.rint([(w.conjugate() * q).imag / det, (p.conjugate() * w).imag / det])
-        i, j = np.clip(np.nan_to_num(ij), 0, np.subtract(self.shape, 1)).astype(int)
-        return int(i) * len(self.y) + int(j)
+        grid (a coordinate that is not finite reads 0)."""
+        p, q = complex(self.x[1] - self.x[0]), complex(self.y[1] - self.y[0])
+        w, det = complex(u) - complex(self.x[0] + self.y[0]), (p.conjugate() * q).imag
+        st = (w.conjugate() * q).imag / det, (p.conjugate() * w).imag / det
+        i, j = (min(max(round(t), 0), n - 1) if math.isfinite(t) else 0
+                for t, n in zip(st, self.shape))
+        return i * len(self.y) + j
 
     def snaps(self, g, u) -> bool:
         """Whether the chart point u is grid point g: within GRID_SNAP_TOL of
@@ -367,7 +368,9 @@ class _Ordinals:
         r0 = int(np.searchsorted(self.ends, lo, side="right"))
         r1 = int(np.searchsorted(self.ends, hi)) + 1
         skip = lo - self.before(r0)
-        return np.flatnonzero(self.mask[r0:r1])[skip:skip + hi - lo] + r0 * self.mask.shape[1]
+        g = np.flatnonzero(self.mask[r0:r1])[skip:skip + hi - lo]
+        g += r0 * self.mask.shape[1]
+        return g
 
 
 def _corners(vertices: _Ordinals, cells: _Ordinals, s):
@@ -380,11 +383,14 @@ def _corners(vertices: _Ordinals, cells: _Ordinals, s):
     r0, r1 = (int(q[0]) // (ny - 1), int(q[-1]) // (ny - 1) + 2) if q.size else (0, 0)
     index = np.cumsum(vertices.mask[r0:r1], dtype=np.int32)
     index += vertices.before(r0) - 1
-    # cell q = i (ny - 1) + j has its corner (i, j) at grid point q + i
-    a = q // (ny - 1)
-    a += q
-    a -= r0 * ny
-    return index.take(a), index.take(a + ny)
+    # cell q = i (ny - 1) + j has its corner (i, j) at grid point q + i,
+    # and (i+1, j) a row of ny after it; g counts from row r0
+    g = q // (ny - 1)
+    g += q
+    g -= r0 * ny
+    a = index.take(g)
+    g += ny
+    return a, index.take(g)
 
 
 def _face_rows(vertices: _Ordinals, cells: _Ordinals, s) -> np.ndarray:
@@ -640,11 +646,15 @@ def export_obj(mesh: SurfaceMesh, path) -> Path:
     faces are read from the mesh's masks a block at a time."""
     v, n = mesh.vertices, mesh.gauss
     vertices, cells = _Ordinals(mesh.valid), _Ordinals(mesh.cell)
+
+    def faces(s):
+        rows = _face_rows(vertices, cells, s)
+        rows += 1  # in the block's own buffer
+        return rows
     return _write_rows(path, b"", (
         (b"v ", b" ", v.shape, v.__getitem__, _float_text),
         (b"vn ", b" ", n.shape, n.__getitem__, _float_text),
-        (b"f ", b" ", (2 * len(cells), 3), lambda s: _face_rows(vertices, cells, s) + 1,
-         _index_text)))
+        (b"f ", b" ", (2 * len(cells), 3), faces, _index_text)))
 
 
 def export_csv(mesh: SurfaceMesh, path) -> Path:

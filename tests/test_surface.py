@@ -128,6 +128,14 @@ class TestVertexAt:
         with pytest.raises(KeyError, match="no mesh vertex"):
             sphere4_mesh[2].vertex_at(0.0)
 
+    def test_a_point_that_is_not_finite_is_no_vertex(self, enneper_mesh):
+        # NaN compares false with every bound: it read as grid point 0
+        for u in (math.nan, complex(math.nan, 0.0), complex(math.inf, 0.0)):
+            with pytest.raises(KeyError, match="no mesh vertex"):
+                enneper_mesh.vertex_at(u)
+            with pytest.raises(ValueError, match="grid vertex"):
+                integrate_surface(enneper_data(), GridSpec(5, 5), u)
+
     @pytest.mark.parametrize("k", [30, 40])
     def test_the_snap_scales_with_the_grid(self, k):
         # on Enneper grids of extent 2^k a vertex's chart point times

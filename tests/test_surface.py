@@ -30,7 +30,6 @@ from spinorminimal.spinor import (
 from spinorminimal.surface import (
     ChartMap,
     GridSpec,
-    SurfaceMesh,
     WeierstrassData,
     _chart_map,
     _grid_coordinates,
@@ -129,7 +128,7 @@ class TestVertexAt:
             sphere4_mesh[2].vertex_at(0.0)
 
     def test_a_point_that_is_not_finite_is_no_vertex(self, enneper_mesh):
-        # NaN compares false with every bound: it read as grid point 0
+        # NaN compares false with every bound, so no snap may read it as passing
         for u in (math.nan, complex(math.nan, 0.0), complex(math.inf, 0.0)):
             with pytest.raises(KeyError, match="no mesh vertex"):
                 enneper_mesh.vertex_at(u)
@@ -638,6 +637,23 @@ class TestBlocks:
         for got, want in ((_grid_coordinates(data, grid), U), (mesh.domain_uv, U[mesh.valid]),
                           (mesh.faces, faces)):
             assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+    def test_the_row_functions_read_any_slice(self, sphere4_mesh, tmp_path):
+        # the exporters read faces and chart points a block at a time: any
+        # slice, odd ends included, is that slice of the whole arrays, and a
+        # mesh of two face blocks and three CSV blocks exports the
+        # one-template texts of its whole arrays
+        mesh = sphere4_mesh[2]
+        faces, uv = mesh.faces, mesh.domain_uv
+        vertices, cells = surface._Ordinals(mesh.valid), surface._Ordinals(mesh.cell)
+        for lo, hi in ((0, 1), (1, 8), (3, 4), (4095, 4100), (len(faces) - 3, None), (5, 5)):
+            got = surface._face_rows(vertices, cells, slice(lo, hi))
+            assert got.dtype == np.int32 and np.array_equal(got, faces[lo:hi]), (lo, hi)
+            assert np.array_equal(mesh.chart.points(vertices.positions(slice(lo, hi))), uv[lo:hi])
+        assert len(faces) > surface._VALUES // 3 and len(uv) > 2 * (surface._VALUES // 8)
+        obj, csv = _one_template_texts(mesh)
+        assert export_obj(mesh, tmp_path / "m.obj").read_bytes() == obj.encode()
+        assert export_csv(mesh, tmp_path / "m.csv").read_bytes() == csv.encode()
 
     @pytest.mark.parametrize("name, grid", [("sphere4", 33), ("torus4", 33), ("klein4", 17)])
     def test_cells_are_the_whole_grid_reference(self, monkeypatch, name, grid):

@@ -597,6 +597,8 @@ class FormPrimitive:
         # a time was all that changed)
         cZ, cW, size = np.zeros(shape, complex), np.zeros(shape, complex), np.zeros(shape)
         product = np.empty(shape, complex)
+        # |c_k| |W| goes to a real array on product's first half
+        scale = product.reshape(-1).view(float)[:product.size].reshape(shape)
         for a, c in zip(self.ends, self.c.T[..., None]):
             if self.domain.genus:
                 z, w = at.zeta((a,))[0], at.wp((a,))[0]
@@ -606,7 +608,7 @@ class FormPrimitive:
                 w = z * z
             cZ += np.multiply(c, z, out=product)
             cW += np.multiply(c, w, out=product)
-            size += np.multiply(np.abs(c), np.abs(w), out=product.real)
+            size += np.multiply(np.abs(c), np.abs(w), out=scale)
             del z, w
         np.subtract(_polyval(u, P.polyint(self.poly), product), cZ, out=cZ)
         np.add(_polyval(u, self.poly, product), cW, out=cW)

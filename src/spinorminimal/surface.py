@@ -19,37 +19,40 @@ and by the exporters, so no mesh holds either whole array: it stores 48
 bytes a vertex and two mask bytes a grid point, where storing both took
 88 bytes a vertex.  The normals come from the section values already
 computed at the vertices.  Everything works on blocks of _BLOCK points:
-the validity mask on grid points, Phi and the normals on vertices, loop
-closures on cells, each block written straight into the mesh.  On a
-torus a block of vertices takes one theta frame (spinor.chart_points), on
-u and on u - a_k for every shift that the rows, the chart weight and the
-primitive read, and each reads its own rows of it.  Each block's stages
-work in place on block-sized arrays, each dropped before the next stage,
-so a mesh's memory is the finished mesh plus one block (on a torus that
-frame is most of the block), and a vertex's bits depend only on that
-vertex.  By tracemalloc, the grid-257
-sphere-4 mesh (3.2 MiB) peaks at 5.2 MiB in its vertex stage, 4.2 MiB in
-its cell stage and 4.5 MiB in its export.  Storing its faces and chart
-points (5.5 MiB), it peaked at 6.2, 6.8 and 6.9 MiB, and with stages that
-made their temporaries whole at 9.9, 8.6 and 7.3 MiB.  The grid-257
-Klein mesh peaks at 13.2, 4.2 and 4.5 MiB (14.2, 6.8 and 6.8 storing
-both): its vertex stage holds 10.0 MiB when a block's sections are
-evaluated, about 6.9 MiB of it the block's theta frame, and building
-that frame sets the peak.  Gauss-Legendre edge
-quadrature stays as the oracle:
-quadrature_edges integrates every grid edge independently, and
-quadrature_loop_residual closes its cells.
+the validity mask on grid points, Phi and the normals on vertices, each
+block written straight into the mesh, and loop closures on whole grid
+rows of about _BLOCK cells, whose vertices are scattered onto the block's
+grid rows a coordinate at a time, so that every cell's four edge
+increments are differences of grid slices and no corner is taken by
+index.  On a torus a block of vertices takes one theta frame
+(spinor.chart_points), on u and on u - a_k for every shift that the
+rows, the chart weight and the primitive read, and each reads its own
+rows of it.  Each block's stages work in place on block-sized arrays,
+each dropped before the next stage, so a mesh's memory is the finished
+mesh plus one block (on a torus that frame is most of the block), and a
+vertex's bits depend only on that vertex.  By tracemalloc, the grid-257
+sphere-4 mesh (3.2 MiB) peaks at 5.2 MiB in its vertex stage, 3.9 MiB in
+its cell stage (4.2 with corners taken by index) and 4.5 MiB in its
+export.  Storing its faces and chart points (5.5 MiB), it peaked at 6.2,
+6.8 and 6.9 MiB, and with stages that made their temporaries whole at
+9.9, 8.6 and 7.3 MiB.  The grid-257 Klein mesh peaks at 13.2, 3.9 and 4.5
+MiB (14.2, 6.8 and 6.8 storing both): its vertex stage holds 10.0 MiB
+when a block's sections are evaluated, about 6.9 MiB of it the block's
+theta frame, and building that frame sets the peak.  Gauss-Legendre edge
+quadrature stays as the oracle: quadrature_edges integrates every grid
+edge independently, and quadrature_loop_residual closes its cells.
 
 export_obj and export_csv write the bytes of "%.17g" and "%d//%d", with
 numpy making a block's text at once in one byte buffer, which each block
-of a table reuses, each value's text NUL-padded in a slot of its own: a
-float with |x| in [1e-4, 1e16) is
-scaled exactly to its 17-digit integer (Dekker's TwoProduct), whose
-digits come from a table of 4-digit chunks, with the zeros after the last
-kept digit NUL, and a face index in [1, 10^8) is read from the same
-table, once per block for each index of the block's span when that span
-is shorter than the block, as a mesh's faces are.  "%" formats
-every other value, one by one.  The bytes that are not NUL are the text.
+of a table reuses, each value's text NUL-padded in a slot of its own,
+behind a 4-byte separator written as one uint32 word a slot: a float
+with |x| in [1e-4, 1e16) is scaled exactly to its 17-digit integer
+(Dekker's TwoProduct), whose digits come from a table of 4-digit chunks,
+split off by floor division (np.divmod takes about four times as long on
+int64), with the zeros after the last kept digit NUL, and a face index
+in [1, 10^8) is read from the same table, once per block for each index
+of the block's span when that span is shorter than the block, as a
+mesh's faces are.  "%" formats every other value, one by one.  The bytes that are not NUL are the text.
 Each block goes to the file as it is made, through reportio.overwrite,
 which writes over an existing file's bytes in place instead of freeing
 them with a truncating open, so rewriting an output reuses its blocks.
@@ -196,8 +199,8 @@ class ChartMap:
 
     def points(self, g):
         """The chart points of the flat grid indices g."""
-        i, j = np.divmod(g, len(self.y))
-        return self.x.take(i) + self.y.take(j)
+        i = np.floor_divide(g, len(self.y))
+        return self.x.take(i) + self.y.take(g - i * len(self.y))
 
     def nearest(self, u) -> int:
         """Flat index of the grid point nearest the chart point u: u's
@@ -228,7 +231,7 @@ class SurfaceMesh:
     the exporters read them a block at a time.  A mesh stores 48 bytes a
     vertex and two mask bytes a grid point, where storing both took 88 a
     vertex: 3.2 MiB against 5.5 for the grid-257 sphere-4 mesh, whose
-    vertex, cell and export stages peak at 5.2, 4.2 and 4.5 MiB by
+    vertex, cell and export stages peak at 5.2, 3.9 and 4.5 MiB by
     tracemalloc (module docstring)."""
 
     vertices: np.ndarray  # (N, 3) real
@@ -337,13 +340,15 @@ def _cell_mask(data: WeierstrassData, grid: GridSpec, valid) -> np.ndarray:
 def _closure(h0, v1, h1, v0) -> np.ndarray:
     """|((h0 + v1) - h1) - v0|, the closure of a cell's four edge increments
     h0 = b - a, v1 = c - b, h1 = c - d and v0 = d - a, with its corners
-    a, b, c, d at grid points (i, j), (i+1, j), (i+1, j+1) and (i, j+1):
-    in two buffers, the sum and its norm, bitwise np.linalg.norm's."""
+    a, b, c, d at grid points (i, j), (i+1, j), (i+1, j+1) and (i, j+1),
+    each increment's coordinate axis first: in two buffers, the sum and its
+    norm, bitwise np.linalg.norm's over a last axis (three terms add in
+    the same order along either axis)."""
     t = np.add(h0, v1)
     t -= h1
     t -= v0
     t *= t
-    norm = np.add.reduce(t, axis=-1)
+    norm = np.add.reduce(t, axis=0)
     return np.sqrt(norm, out=norm)
 
 
@@ -419,8 +424,8 @@ def integrate_surface(data: WeierstrassData, grid: GridSpec, basepoint) -> Surfa
     the largest relative end residue; and the largest loop closure of a
     cell's four edge increments.  Vertices and normals are made on blocks of
     _BLOCK vertices, whose chart points are read from the grid, and written
-    straight into the mesh; closures on blocks of _BLOCK cells, whose
-    corners are read from the masks.
+    straight into the mesh; closures on blocks of whole grid rows of about
+    _BLOCK cells, from the block's vertices laid out on its grid rows.
     """
     chart = _chart_map(data, grid)
     valid = _valid_mask(data, chart)
@@ -453,8 +458,11 @@ def integrate_surface(data: WeierstrassData, grid: GridSpec, basepoint) -> Surfa
         np.multiply(f1, f1, out=products[0])
         np.multiply(f2, f2, out=products[1])
         np.multiply(f1, f2, out=products[2])
-        products *= data.domain.form_weight(at)
-        gauss[k:k + _BLOCK] = _normals(f1[lead:], f2[lead:])
+        weight = data.domain.form_weight(at)
+        if np.ndim(weight) or weight != 1.0:  # the sphere's 1.0 would leave them as they are
+            products *= weight
+        del weight
+        _normals(f1[lead:], f2[lead:], gauss[k:k + _BLOCK])
         del f1, f2
         phi, form, size = prim.evaluate(at)
         del at, pts  # the frame goes with its block, before the next one is taken
@@ -475,25 +483,23 @@ def integrate_surface(data: WeierstrassData, grid: GridSpec, basepoint) -> Surfa
         lo, hi = np.minimum(lo, x.min(axis=1)), np.maximum(hi, x.max(axis=1))
         del x
 
-    cell = _cell_mask(data, grid, valid)
-    cells, resid = _Ordinals(cell), 0.0
-    for k in range(0, len(cells), _BLOCK):
-        a, b = _corners(vertices, cells, slice(k, k + _BLOCK))
-        c, d = np.add(b, 1), np.add(a, 1)
-        # the increments h0 = b - a, v1 = c - b, h1 = c - d and v0 = d - a
-        # in four buffers: d's corner is read a coordinate at a time
-        h0, v1 = verts.take(a, axis=0), verts.take(b, axis=0)
-        np.subtract(v1, h0, out=h0)
-        h1 = verts.take(c, axis=0)
-        np.subtract(h1, v1, out=v1)
-        v0 = verts.take(a, axis=0)
+    cell, resid = _cell_mask(data, grid, valid), 0.0
+    rows = max(1, _BLOCK // (grid.ny - 1))
+    for r in range(0, grid.nx - 1, rows):
+        # the block's cell rows and the grid rows of their corners, onto
+        # which the block's vertices are scattered a coordinate at a time,
+        # 0 off the mask; the edges along x and y are grid differences
+        mask = valid[r:r + rows + 1]
+        block = verts[vertices.before(r):vertices.before(r + len(mask))]
+        X = np.zeros((3,) + mask.shape)
         for i in range(3):
-            xd = verts[d, i]
-            np.subtract(h1[:, i], xd, out=h1[:, i])
-            np.subtract(xd, v0[:, i], out=v0[:, i])
-        del xd, a, b, c, d
-        resid = np.maximum(resid, np.max(_closure(h0, v1, h1, v0), initial=0.0))
-        del h0, v1, h1, v0
+            X[i][mask] = block[:, i]
+        h, v = np.subtract(X[:, 1:], X[:, :-1]), np.subtract(X[:, :, 1:], X[:, :, :-1])
+        del X
+        closure = _closure(h[:, :, :-1], v[:, 1:], h[:, :, 1:], v[:, :-1])
+        del h, v
+        resid = np.maximum(resid, np.max(closure, where=cell[r:r + rows], initial=0.0))
+        del closure
 
     return SurfaceMesh(
         vertices=verts,
@@ -533,7 +539,8 @@ def quadrature_edges(data: WeierstrassData, grid: GridSpec):
 def quadrature_loop_residual(data: WeierstrassData, grid: GridSpec, edges) -> float:
     """Largest closure of edges = quadrature_edges(data, grid) on integrate_surface's cells."""
     valid, h, v = edges
-    closure = _closure(h[:, :-1], v[1:], h[:, 1:], v[:-1])
+    h, v = np.moveaxis(h, -1, 0), np.moveaxis(v, -1, 0)
+    closure = _closure(h[:, :, :-1], v[:, 1:], h[:, :, 1:], v[:, :-1])
     return float(np.max(closure[_cell_mask(data, grid, valid)], initial=0.0))
 
 
@@ -555,18 +562,26 @@ def gauss_map(data: WeierstrassData, u):
     (s1 = 0, s2 != 0) the limit (0, 0, 1) is returned; a common zero
     raises ValueError.
     """
-    return _normals(*section_values((data.s1, data.s2), u))
+    f1, f2 = section_values((data.s1, data.s2), u)
+    return _normals(f1, f2, np.empty(f1.shape + (3,)))
 
 
-def _normals(f1, f2):
-    """gauss_map from the section values f1, f2."""
+def _normals(f1, f2, n):
+    """gauss_map from the section values f1, f2, written into n, shape
+    f1.shape + (3,), and returned."""
     if np.any((f1 == 0) & (f2 == 0)):
         raise ValueError("gauss map undefined at a common zero (branch point)")
     pole = np.abs(f1) <= 1e-15 * np.abs(f2)
-    g = f2 / np.where(pole, 1.0, f1)
-    g2 = np.abs(g) ** 2
+    g = np.where(pole, 1.0, f1)
+    np.divide(f2, g, out=g)
+    g2 = np.abs(g)
+    g2 *= g2
     den = g2 + 1.0
-    n = np.stack([2.0 * g.real / den, 2.0 * g.imag / den, (g2 - 1.0) / den], axis=-1)
+    np.multiply(g.real, 2.0, out=n[..., 0])
+    np.multiply(g.imag, 2.0, out=n[..., 1])
+    del g
+    np.subtract(g2, 1.0, out=n[..., 2])
+    n /= den[..., None]
     n[pole] = (0.0, 0.0, 1.0)
     return n
 
@@ -677,7 +692,8 @@ def _write_rows(path, header: bytes, tables) -> Path:
 
     A block is one byte buffer with a slot per value: sep or, first in a
     row, the newline that ends the row before and the prefix, NUL-padded in
-    front, then the value's text, NUL-padded behind.  No text byte is NUL,
+    front to one _GAP-byte word, then the value's text, NUL-padded behind
+    to whole words.  No text byte is NUL,
     so the block's text is the buffer's bytes that are not NUL, less the
     first newline, and a newline, which bytearray.translate copies out
     without a mask.  A table's blocks reuse its buffers (_Buffers), and
@@ -699,14 +715,13 @@ def _blocks(header: bytes, tables):
     text and its last newline.  A table's blocks reuse its _Buffers."""
     yield header
     for prefix, sep, (count, width), rows, text in tables:
-        gap = 1 + len(prefix)
-        gaps = np.zeros((width, gap), np.uint8)
-        gaps[0] = np.frombuffer(b"\n" + prefix, np.uint8)
-        gaps[1:, -1] = ord(sep)
+        # each slot's separator word: the newline and prefix, or sep
+        gaps = np.frombuffer(b"".join(x.rjust(_GAP, b"\0") for x in
+                                      [b"\n" + prefix] + [sep] * (width - 1)), np.uint32)
         step, buffers = _VALUES // width, _Buffers()
         for k in range(0, count, step):
-            slots = text(rows(slice(k, k + step)).ravel(), gap, buffers=buffers)
-            slots.reshape(-1, width, slots.shape[1])[:, :, :gap] = gaps
+            slots = text(rows(slice(k, k + step)).ravel(), _GAP, buffers=buffers)
+            slots.view(np.uint32).reshape(-1, width, slots.shape[1] // _GAP)[:, :, 0] = gaps
             size = slots.nbytes
             del slots
             yield memoryview(buffers.text(size))[1:]
@@ -746,9 +761,11 @@ class _Buffers:
 # values per block of the exporters (4096 OBJ rows): a block's text
 # arrays and buffer stay well under integrate_surface's block
 _VALUES = 3 * _BLOCK // 2
-# bytes of a float's slot: "%.17g" is at most 24 bytes long, as in
+# bytes of a float's text: "%.17g" is at most 24 bytes long, as in
 # "-2.2250738585072014e-308"
 _FIELD = 24
+# bytes of a slot's separator, one uint32 word: "\nvn " just fits
+_GAP = 4
 # the text of 0 to 9999 as four ASCII digits, one uint32 each, made from
 # the 100 two-digit texts so that no temporary is larger than the table,
 # then at 10^4 + (0 to 9999) the same texts with their trailing zeros NUL
@@ -789,9 +806,12 @@ def _digits(n, count, buffers, trim=False):
     chunks = -(-count // 4)
     out = buffers.view("slots", (len(n), chunks), np.uint32)
     # the trimmed texts, at 10^4 on, while every chunk after this one is 0
-    after, q = np.full(len(n), trim), np.empty_like(n)
+    after, q, t = np.full(len(n), trim), np.empty_like(n), np.empty_like(n)
     for j in range(chunks - 1, -1, -1):
-        np.divmod(n, 10**4, out=(q, n))
+        # the chunk n - 10^4 q by floor_divide, several times faster than
+        # np.divmod on int64, and exact on these integers
+        np.floor_divide(n, 10**4, out=q)
+        n -= np.multiply(q, 10**4, out=t)
         np.add(n, 10**4, out=n, where=after)
         out[:, j] = _DIGITS4.take(n)
         after &= n == 10**4
@@ -801,7 +821,8 @@ def _digits(n, count, buffers, trim=False):
 
 def _index_text(x, gap, *, buffers):
     """(len(x), gap + w) slots: "%d//%d" % (i, i) for each i = x[j] in
-    row j after the gap, NUL-padded to the longest text's w bytes.  numpy
+    row j after the gap, NUL-padded to w bytes, the longest text's rounded
+    up to whole words of _GAP bytes, so that slots align as uint32.  numpy
     writes the indices in [1, 10^8), _rest the others.  Indices that span
     fewer values than x has, as an integrate_surface mesh's faces do in
     each block, are formatted once each over their span, and each x[j]
@@ -821,7 +842,7 @@ def _index_text(x, gap, *, buffers):
 
     slots = _grouped(1 + np.searchsorted(10 ** np.arange(1, 8), v, side="right"), v,
                      lambda v, buffers: _digits(v, 8, buffers), lay, gap,
-                     max(len(b"%d//%d" % (i, i)) for i in (lo, hi)), buffers)
+                     -(-max(len(b"%d//%d" % (i, i)) for i in (lo, hi)) // _GAP) * _GAP, buffers)
     _rest(slots[:, gap:], x, exact, lambda i: b"%d//%d" % (i, i))
     return slots
 

@@ -465,7 +465,8 @@ def _per_consumer_mesh(data, mesh):
     products = np.stack([f1 * f1, f2 * f2, f1 * f2]) * weight
     phi, form, size = _per_end_primitive(prim, u)
     identity = np.max(np.abs(products - form) / np.maximum(np.abs(products) + size, 1e-300))
-    return (real_period(phi[:, 1:] - phi[:, :1]).T, surface._normals(f1[1:], f2[1:]),
+    return (real_period(phi[:, 1:] - phi[:, :1]).T,
+            surface._normals(f1[1:], f2[1:], np.empty((len(f1) - 1, 3))),
             float(identity))
 
 

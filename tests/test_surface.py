@@ -606,6 +606,39 @@ class TestBlocks:
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), key
         assert repr(got.metadata) == repr(want.metadata)
 
+    @pytest.mark.parametrize("block", [None, 7, 200])
+    @pytest.mark.parametrize("name, build, grid", [
+        ("sphere4", {}, GridSpec(65, 65)),
+        ("enneper", {}, GridSpec(9, 5)),
+        ("torus4", {"omega1": 1.0, "omega3": 0.5 + 0.1j}, GridSpec(33, 33)),
+        ("klein4", {}, GridSpec(17, 17)),
+    ])
+    def test_closures_on_grid_rows_are_the_corner_takes(self, monkeypatch, name, build, grid,
+                                                         block):
+        # the reference, bit for bit: each cell's four corner vertices taken
+        # by index, its increments b - a, c - b, c - d and d - a, and their
+        # closure summed over the last axis, against every cell's closure of
+        # the blocks and their largest.  A block of 7 is one cell row; one of
+        # 200 leaves a shorter last block of rows on every grid but
+        # Enneper's, which it holds whole
+        if block is not None:
+            monkeypatch.setattr(surface, "_BLOCK", block)
+        blocks, closure_of = [], surface._closure
+        monkeypatch.setattr(surface, "_closure", lambda *e: blocks.append(closure_of(*e))
+                            or blocks[-1])
+        entry = CONSTRUCTIONS[name]
+        mesh = entry.mesh(entry.build(**build), grid)
+        x, f = mesh.vertices, mesh.faces
+        a, b, c, d = (x.take(i, axis=0) for i in (f[0::2, 0], f[0::2, 1], f[0::2, 2], f[1::2, 2]))
+        assert len(f) >= 64
+        t = (b - a) + (c - b)
+        t -= c - d
+        t -= d - a
+        t *= t
+        closure = np.sqrt(np.add.reduce(t, axis=-1))
+        assert np.concatenate(blocks)[mesh.cell].tobytes() == closure.tobytes()
+        assert mesh.metadata["loop_residual_max"] == float(np.max(closure, initial=0.0))
+
     @pytest.mark.parametrize("name, build, grid", [
         ("sphere4", {}, GridSpec(65, 65)),
         ("enneper", {}, GridSpec(9, 5)),
@@ -825,6 +858,34 @@ def _assert_exports(mesh, tmp_path):
     obj, csv = _one_template_texts(mesh)
     assert _write_obj(mesh, tmp_path / "m.obj").read_bytes() == obj.encode()
     assert _write_csv(mesh, tmp_path / "m.csv").read_bytes() == csv.encode()
+
+
+# integers around the chunk and digit-count edges of surface._digits
+DIGIT_EDGES = [0, 1, 9999, 10**4, 10**16, 10**17 - 1]
+
+
+def _digit_values(count):
+    """Integers in [0, 10^count): uniform, DIGIT_EDGES and k 10^j."""
+    top = 10**count
+    return st.one_of(st.integers(0, top - 1),
+                     st.sampled_from([n for n in DIGIT_EDGES if n < top]),
+                     st.builds(lambda k, j: k * 10**j, st.integers(1, 9999),
+                               st.integers(0, count - 1)).filter(lambda n: n < top))
+
+
+class TestDigits:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(_digit_values(17), min_size=1, max_size=40),
+           st.lists(_digit_values(8), min_size=1, max_size=40))
+    def test_digits_are_the_percent_text(self, n17, n8):
+        # "%0*d" % (count, n), and with trim less its trailing zeros,
+        # NUL-padded
+        for count, values in ((17, n17), (8, n8)):
+            want = [b"%0*d" % (count, n) for n in values]
+            for trim in (False, True):
+                got = surface._digits(np.array(values, np.int64), count, surface._Buffers(), trim)
+                assert [bytes(row) for row in got] == want, (count, trim)
+                want = [w.rstrip(b"0").ljust(count, b"\0") for w in want]
 
 
 class TestSlots:

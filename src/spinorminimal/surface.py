@@ -9,38 +9,26 @@ Phi(basepoint)) at once: no quadrature, no spanning tree and no thread
 pool (nothing reads SPINOR_MINIMAL_THREADS).  The metadata carries the
 closed form's evidence: the identity residual of the forms at every
 vertex, the end residues, and every cell's loop closure, which
-SurfaceMesh.checks bounds by MESH_TOL.  A mesh stores its vertices, its
-normals and the grid it was made on: the chart map, grid point (i, j) at
-the chart point x[i] + y[j] (ChartMap), and the vertex and cell masks, the
-cells with four valid corners whose closed chart square holds no end.  A
-vertex's chart point and a cell's two faces are read from the grid
-(ChartMap.points, _face_rows), a block at a time by integrate_surface
-and by the exporters, so no mesh holds either whole array: it stores 48
-bytes a vertex and two mask bytes a grid point, where storing both took
-88 bytes a vertex.  The normals come from the section values already
-computed at the vertices.  Everything works on blocks of _BLOCK points:
-the validity mask on grid points, Phi and the normals on vertices, each
-block written straight into the mesh, and loop closures on whole grid
-rows of about _BLOCK cells, whose vertices are scattered onto the block's
-grid rows a coordinate at a time, so that every cell's four edge
-increments are differences of grid slices and no corner is taken by
-index.  On a torus a block of vertices takes one theta frame
-(spinor.chart_points), on u and on u - a_k for every shift that the
-rows, the chart weight and the primitive read, and each reads its own
-rows of it.  Each block's stages work in place on block-sized arrays,
-each dropped before the next stage, so a mesh's memory is the finished
-mesh plus one block (on a torus that frame is most of the block), and a
-vertex's bits depend only on that vertex.  By tracemalloc, the grid-257
-sphere-4 mesh (3.2 MiB) peaks at 5.2 MiB in its vertex stage, 3.9 MiB in
-its cell stage (4.2 with corners taken by index) and 4.5 MiB in its
-export.  Storing its faces and chart points (5.5 MiB), it peaked at 6.2,
-6.8 and 6.9 MiB, and with stages that made their temporaries whole at
-9.9, 8.6 and 7.3 MiB.  The grid-257 Klein mesh peaks at 13.2, 3.9 and 4.5
-MiB (14.2, 6.8 and 6.8 storing both): its vertex stage holds 10.0 MiB
-when a block's sections are evaluated, about 6.9 MiB of it the block's
-theta frame, and building that frame sets the peak.  Gauss-Legendre edge
-quadrature stays as the oracle: quadrature_edges integrates every grid
-edge independently, and quadrature_loop_residual closes its cells.
+SurfaceMesh.checks bounds by MESH_TOL.  Gauss-Legendre edge quadrature
+stays as the oracle: quadrature_edges integrates every grid edge
+independently, and quadrature_loop_residual closes its cells.
+
+A mesh stores its vertices, its normals and the grid it was made on: the
+chart map, grid point (i, j) at the chart point x[i] + y[j] (ChartMap),
+and the vertex and cell masks, the cells with four valid corners whose
+closed chart square holds no end.  One walk covers that grid: the mask,
+vertex and cell stages of integrate_surface and both exporters work on
+blocks of whole grid rows (_row_blocks), and the ordinal of the first
+vertex of each grid row (_row_starts) says which vertices a block holds.
+A block's chart points are chart.rows, masked; a block of cell rows gets
+its faces from one cumsum of the vertex mask over its grid rows (_faces),
+and its loop closures from its vertices scattered onto those rows a
+coordinate at a time, as differences of grid slices.  On a torus a block
+of vertices takes one theta frame (spinor.chart_points), which the rows,
+the chart weight and the primitive each read.  Each stage works in place
+on block-sized arrays, each dropped before the next, so a mesh's memory
+is the finished mesh plus one block, and every step is pointwise, so a
+vertex's bits depend only on that vertex and not on the blocks.
 
 export_obj and export_csv write the bytes of "%.17g" and "%d//%d", with
 numpy making a block's text at once in one byte buffer, which each block
@@ -48,14 +36,14 @@ of a table reuses, each value's text NUL-padded in a slot of its own,
 behind a 4-byte separator written as one uint32 word a slot: a float
 with |x| in [1e-4, 1e16) is scaled exactly to its 17-digit integer
 (Dekker's TwoProduct), whose digits come from a table of 4-digit chunks,
-split off by floor division (np.divmod takes about twice as long on
-int64), with the zeros after the last kept digit NUL, and a face index
-in [1, 10^8) is read from the same table, once per block for each index
-of the block's span when that span is shorter than the block, as a
-mesh's faces are.  "%" formats every other value, one by one.  The bytes that are not NUL are the text.
-Each block goes to the file as it is made, through reportio.overwrite,
-which writes over an existing file's bytes in place instead of freeing
-them with a truncating open, so rewriting an output reuses its blocks.
+split off by floor division, with the zeros after the last kept digit
+NUL, and a face index in [1, 10^8) is read from the same table, once per
+block for each index of the block's span when that span is shorter than
+the block, as a mesh's faces are.  "%" formats every other value, one by
+one.  The bytes that are not NUL are the text.  Each block goes to the
+file as it is made, through reportio.overwrite, which writes over an
+existing file's bytes in place instead of freeing them with a truncating
+open, so rewriting an output reuses its blocks.
 """
 
 from __future__ import annotations
@@ -101,11 +89,10 @@ __all__ = [
 ]
 
 _GL_EDGE = 12
-# grid points, vertices or cells per block of integrate_surface's mask,
-# vertex and cell stages and of the exporters' rows: a mesh's memory is the
-# finished mesh plus one block, and on a torus that block's theta frame sets
-# the rest of the peak.  Every step is pointwise, so a vertex's bits depend
-# only on that vertex and any block gives a mesh the same bits
+# grid points or cells, in whole grid rows, per block of integrate_surface's
+# mask, vertex and cell stages: a mesh's memory is the finished mesh plus
+# one block, and on a torus that block's theta frame sets the rest of the
+# peak.  Every step is pointwise, so any block gives a mesh the same bits
 _BLOCK = 8192
 _EDGE_NODES, _EDGE_WEIGHTS = np.polynomial.legendre.leggauss(_GL_EDGE)
 
@@ -169,7 +156,7 @@ class GridSpec:
     """Chart grid: nx * ny vertices; extent L means [-L, L]^2 on the sphere.
 
     On a torus the unit square of lattice fractions is used and extent is
-    ignored.
+    ignored; it must still be positive and finite, as the CLI's --extent is.
     """
 
     nx: int = 65
@@ -179,16 +166,18 @@ class GridSpec:
     def __post_init__(self):
         if self.nx < 2 or self.ny < 2:
             raise ValueError("grid must have at least 2x2 vertices")
+        if not 0.0 < self.extent < math.inf:
+            raise ValueError(f"grid extent must be positive and finite, not {self.extent}")
 
 
 @dataclass(frozen=True)
 class ChartMap:
-    """A chart grid's map: grid point (i, j), of flat index i ny + j, lies at
-    the chart point x[i] + y[j].  On the sphere x holds the grid's real
-    parts and y its imaginary ones; on a torus x and y are the lattice
-    fractions 0 to 1 times 2 omega1 and 2 omega3.  The masks, a mesh's
-    vertices and the oracle's edges all read a grid point as that one sum,
-    so its bits are the same wherever it is read."""
+    """A chart grid's map: grid point (i, j) lies at the chart point x[i] +
+    y[j].  On the sphere x holds the grid's real parts and y its imaginary
+    ones; on a torus x and y are the lattice fractions 0 to 1 times 2
+    omega1 and 2 omega3.  The masks, a mesh's vertices and the oracle's
+    edges all read a grid point as that one sum (rows), so its bits are the
+    same wherever it is read."""
 
     x: np.ndarray  # (nx,) complex
     y: np.ndarray  # (ny,) complex
@@ -197,28 +186,27 @@ class ChartMap:
     def shape(self):
         return len(self.x), len(self.y)
 
-    def points(self, g):
-        """The chart points of the flat grid indices g."""
-        i = np.floor_divide(g, len(self.y))
-        return self.x.take(i) + self.y.take(g - i * len(self.y))
+    def rows(self, r0, r1) -> np.ndarray:
+        """The chart points of the grid rows r0 to r1, shape (r1 - r0, ny)."""
+        return self.x[r0:r1, None] + self.y
 
-    def nearest(self, u) -> int:
-        """Flat index of the grid point nearest the chart point u: u's
-        coordinates along the grid's two steps, rounded and clipped to the
-        grid (a coordinate that is not finite reads 0)."""
+    def nearest(self, u):
+        """(i, j), the grid point nearest the chart point u: u's coordinates
+        along the grid's two steps, rounded and clipped to the grid (a
+        coordinate that is not finite reads 0)."""
         p, q = complex(self.x[1] - self.x[0]), complex(self.y[1] - self.y[0])
         w, det = complex(u) - complex(self.x[0] + self.y[0]), (p.conjugate() * q).imag
         st = (w.conjugate() * q).imag / det, (p.conjugate() * w).imag / det
-        i, j = (min(max(round(t), 0), n - 1) if math.isfinite(t) else 0
-                for t, n in zip(st, self.shape))
-        return i * len(self.y) + j
+        return tuple(min(max(round(t), 0), n - 1) if math.isfinite(t) else 0
+                     for t, n in zip(st, self.shape))
 
-    def snaps(self, g, u) -> bool:
-        """Whether the chart point u is grid point g: within GRID_SNAP_TOL of
-        the grid's least step, so that the snap scales with the chart."""
-        o, (a, b) = self.points(0), self.points([len(self.y), 1])
-        step = min(abs(a - o), abs(b - o))
-        return bool(abs(self.points(g) - complex(u)) <= GRID_SNAP_TOL * step)
+    def snaps(self, ij, u) -> bool:
+        """Whether the chart point u is grid point ij = (i, j): within
+        GRID_SNAP_TOL of the grid's least step, so that the snap scales with
+        the chart."""
+        (i, j), x, y = ij, self.x, self.y
+        step = min(abs(x[1] + y[0] - (x[0] + y[0])), abs(x[0] + y[1] - (x[0] + y[0])))
+        return bool(abs(x[i] + y[j] - complex(u)) <= GRID_SNAP_TOL * step)
 
 
 @dataclass
@@ -227,12 +215,8 @@ class SurfaceMesh:
     and the vertex and cell masks.  Its vertices are the grid points of the
     vertex mask in the grid's C order, and each cell of the cell mask, in
     that order, is two faces.  The faces and the vertices' chart points are
-    not stored but read from the grid (_face_rows, ChartMap.points), and
-    the exporters read them a block at a time.  A mesh stores 48 bytes a
-    vertex and two mask bytes a grid point, where storing both took 88 a
-    vertex: 3.2 MiB against 5.5 for the grid-257 sphere-4 mesh, whose
-    vertex, cell and export stages peak at 5.2, 3.9 and 4.5 MiB by
-    tracemalloc (module docstring)."""
+    not stored but read from the grid (_faces, ChartMap.rows), and the
+    exporters read them a block of grid rows at a time (module docstring)."""
 
     vertices: np.ndarray  # (N, 3) real
     gauss: np.ndarray  # (N, 3) unit normals
@@ -244,20 +228,20 @@ class SurfaceMesh:
     @property
     def faces(self) -> np.ndarray:
         """(M, 3) int32 vertex indices, 0-based."""
-        return _face_rows(_Ordinals(self.valid), _Ordinals(self.cell), slice(None))
+        return _faces(self, _row_starts(self.valid), 0, len(self.cell))
 
     @property
     def domain_uv(self) -> np.ndarray:
         """(N,) complex chart coordinates of the vertices."""
-        return self.chart.points(np.flatnonzero(self.valid))
+        return self.chart.rows(0, len(self.valid))[self.valid]
 
     def vertex_at(self, u):
         """Index of the mesh vertex at chart coordinate u: the grid point
         nearest u, when u is that point (ChartMap.snaps) and it is a vertex."""
-        g = self.chart.nearest(u)
-        if not (self.chart.snaps(g, u) and self.valid.flat[g]):
+        i, j = self.chart.nearest(u)
+        if not (self.chart.snaps((i, j), u) and self.valid[i, j]):
             raise KeyError(f"no mesh vertex at {u}")
-        return int(np.count_nonzero(self.valid.ravel()[:g]))
+        return int(np.count_nonzero(self.valid[:i]) + np.count_nonzero(self.valid[i, :j]))
 
     def checks(self) -> list:
         """The closed form's evidence; a loop closure relative to the mesh scale."""
@@ -290,23 +274,30 @@ def _chart_map(data: WeierstrassData, grid: GridSpec) -> ChartMap:
                     1j * np.linspace(-grid.extent, grid.extent, grid.ny))
 
 
-def _grid_coordinates(data: WeierstrassData, grid: GridSpec) -> np.ndarray:
-    """Every grid point's chart point, shape (nx, ny), by the chart map."""
-    chart = _chart_map(data, grid)
-    return chart.x[:, None] + chart.y
+def _row_blocks(rows, width, size):
+    """(r0, r1), the blocks of rows 0 to rows of width values each: whole
+    rows, about size values a block and at least one row."""
+    step = max(1, size // width)
+    return ((r, min(r + step, rows)) for r in range(0, rows, step))
+
+
+def _row_starts(valid) -> np.ndarray:
+    """The ordinal of the first vertex of each grid row of the vertex mask,
+    and the vertex count last: grid rows r0 to r1 hold the vertices
+    starts[r0] to starts[r1]."""
+    return np.concatenate([[0], np.cumsum(np.count_nonzero(valid, axis=1))])
 
 
 def _valid_mask(data: WeierstrassData, chart: ChartMap) -> np.ndarray:
     """Grid points outside the end clearance and off chart singularities
     (the lattice point and omega_r when those are not ends; the form itself
-    is regular there), tested on blocks of _BLOCK grid points."""
-    size = math.prod(chart.shape)
-    valid = np.empty(size, bool)
-    for k in range(0, size, _BLOCK):
-        block = chart.points(np.arange(k, min(k + _BLOCK, size)))
-        valid[k:k + _BLOCK] = (data.end_distance(block) > data.end_clearance) \
-            & (data.chart_singular_distance(block) > CHART_SINGULAR_TOL)
-    return valid.reshape(chart.shape)
+    is regular there), tested on blocks of grid rows of about _BLOCK points."""
+    valid = np.empty(chart.shape, bool)
+    for r0, r1 in _row_blocks(*chart.shape, _BLOCK):
+        u = chart.rows(r0, r1)
+        valid[r0:r1] = (data.end_distance(u) > data.end_clearance) \
+            & (data.chart_singular_distance(u) > CHART_SINGULAR_TOL)
+    return valid
 
 
 def _cell_mask(data: WeierstrassData, grid: GridSpec, valid) -> np.ndarray:
@@ -352,65 +343,25 @@ def _closure(h0, v1, h1, v0) -> np.ndarray:
     return np.sqrt(norm, out=norm)
 
 
-class _Ordinals:
-    """A mask's true entries in C order, read by their ordinals: the flat
-    indices of a slice of them come from the rows that hold them, found by
-    the count of true entries up to each row's end."""
-
-    def __init__(self, mask):
-        self.mask, self.ends = mask, np.count_nonzero(mask, axis=1).cumsum()
-
-    def __len__(self):
-        return int(self.ends[-1])
-
-    def before(self, row) -> int:
-        """The true entries in the rows before row."""
-        return int(self.ends[row - 1]) if row else 0
-
-    def positions(self, s) -> np.ndarray:
-        """The flat indices of the true entries s, a slice of their ordinals."""
-        lo, hi, _ = s.indices(len(self))
-        r0 = int(np.searchsorted(self.ends, lo, side="right"))
-        r1 = int(np.searchsorted(self.ends, hi)) + 1
-        skip = lo - self.before(r0)
-        g = np.flatnonzero(self.mask[r0:r1])[skip:skip + hi - lo]
-        g += r0 * self.mask.shape[1]
-        return g
-
-
-def _corners(vertices: _Ordinals, cells: _Ordinals, s):
-    """(a, b): the int32 vertex indices of the corners (i, j) and (i+1, j)
-    of the mesh's cells s (a slice of their ordinals); the corners (i+1,
-    j+1) and (i, j+1) are the vertices after them, b + 1 and a + 1.  The
-    indices are counted on the grid rows of the cells alone."""
-    q = cells.positions(s)
-    ny = vertices.mask.shape[1]
-    r0, r1 = (int(q[0]) // (ny - 1), int(q[-1]) // (ny - 1) + 2) if q.size else (0, 0)
-    index = np.cumsum(vertices.mask[r0:r1], dtype=np.int32)
-    index += vertices.before(r0) - 1
-    # cell q = i (ny - 1) + j has its corner (i, j) at grid point q + i,
-    # and (i+1, j) a row of ny after it; g counts from row r0
-    g = q // (ny - 1)
-    g += q
-    g -= r0 * ny
-    a = index.take(g)
-    g += ny
-    return a, index.take(g)
-
-
-def _face_rows(vertices: _Ordinals, cells: _Ordinals, s) -> np.ndarray:
-    """Faces s (a slice of their indices) of the mesh on the masks, int32:
-    (a, b, c) and (a, c, d) for each cell in order, its corners a, b, c, d
-    at grid points (i, j), (i+1, j), (i+1, j+1) and (i, j+1)."""
-    lo, hi, _ = s.indices(2 * len(cells))
-    a, b = _corners(vertices, cells, slice(lo // 2, -(-hi // 2)))
+def _faces(mesh: SurfaceMesh, starts, r0, r1, base=0) -> np.ndarray:
+    """The int32 faces of the cell rows r0 to r1, their vertex indices
+    counted from base: (a, b, c) and (a, c, d) for each cell of the cell
+    mask in order, its corners a, b, c, d at grid points (i, j), (i+1, j),
+    (i+1, j+1) and (i, j+1).  The corners are counted on the cells' grid
+    rows alone, from starts (_row_starts); c and d, a cell's corners after
+    b and a in C order, are b + 1 and a + 1."""
+    index = np.cumsum(mesh.valid[r0:r1 + 1], dtype=np.int32).reshape(r1 + 1 - r0, -1)
+    index += int(starts[r0]) + base - 1
+    cell = mesh.cell[r0:r1]
+    a, b = index[:-1, :-1][cell], index[1:, :-1][cell]
+    del index
     quads = np.empty((len(a), 6), np.int32)
     quads[:, 0] = quads[:, 3] = a
     quads[:, 1] = b
     np.add(b, 1, out=quads[:, 2])
     quads[:, 4] = quads[:, 2]
     np.add(a, 1, out=quads[:, 5])
-    return quads.reshape(-1, 3)[lo % 2:hi - lo + lo % 2]
+    return quads.reshape(-1, 3)
 
 
 def integrate_surface(data: WeierstrassData, grid: GridSpec, basepoint) -> SurfaceMesh:
@@ -422,16 +373,17 @@ def integrate_surface(data: WeierstrassData, grid: GridSpec, basepoint) -> Surfa
     own evidence: the largest identity residual |f g mu - form| at a
     vertex, relative to |f g mu| plus the size of the form's terms there;
     the largest relative end residue; and the largest loop closure of a
-    cell's four edge increments.  Vertices and normals are made on blocks of
-    _BLOCK vertices, whose chart points are read from the grid, and written
-    straight into the mesh; closures on blocks of whole grid rows of about
-    _BLOCK cells, from the block's vertices laid out on its grid rows.
+    cell's four edge increments.  Every stage works on blocks of whole grid
+    rows (_row_blocks): vertices and normals on blocks of about _BLOCK grid
+    points, whose vertices' chart points are read from the grid and whose
+    results are written straight into the mesh; closures on blocks of
+    about _BLOCK cells, from the block's vertices laid out on its grid rows.
     """
     chart = _chart_map(data, grid)
     valid = _valid_mask(data, chart)
     base = complex(basepoint)
     root = chart.nearest(base)
-    if not valid.flat[root]:
+    if not valid[root]:
         raise ValueError("basepoint is inside an end clearance disk")
     if not chart.snaps(root, base):
         raise ValueError("basepoint must be a grid vertex")
@@ -439,19 +391,21 @@ def integrate_surface(data: WeierstrassData, grid: GridSpec, basepoint) -> Surfa
     s1, s2 = data.s1, data.s2
     prim = form_primitive(((s1, s1), (s2, s2), (s1, s2)))
     points = chart_points((s1, s2), prim)
-    vertices = _Ordinals(valid)
-    count = len(vertices)
+    starts = _row_starts(valid)
+    count = int(starts[-1])
     verts, gauss = np.empty((count, 3)), np.empty((count, 3))
     # each coordinate's range, kept per block: a reduction down the
     # columns of verts would step through its rows three values at a time
     identity, lo, hi = 0.0, np.inf, -np.inf
-    for k in range(0, count, _BLOCK):
-        lead = int(k == 0)
-        pts = chart.points(vertices.positions(slice(k, k + _BLOCK)))
+    for r0, r1 in _row_blocks(grid.nx, grid.ny, _BLOCK):
+        k0, k1, lead = starts[r0], starts[r1], int(r0 == 0)
+        if k0 == k1 and not lead:
+            continue
+        pts = chart.rows(r0, r1)[valid[r0:r1]]
         if lead:
             # the root leads the first block: its Phi comes from that call,
             # not from a call of its own (one more theta frame on a torus)
-            pts = np.concatenate([chart.points([root]), pts])
+            pts = np.concatenate([[chart.x[root[0]] + chart.y[root[1]]], pts])
         at = points(pts)
         f1, f2 = section_values((s1, s2), at)
         products = np.empty((3,) + f1.shape, complex)
@@ -462,7 +416,7 @@ def integrate_surface(data: WeierstrassData, grid: GridSpec, basepoint) -> Surfa
         if np.ndim(weight) or weight != 1.0:  # the sphere's 1.0 would leave them as they are
             products *= weight
         del weight
-        _normals(f1[lead:], f2[lead:], gauss[k:k + _BLOCK])
+        _normals(f1[lead:], f2[lead:], gauss[k0:k1])
         del f1, f2
         phi, form, size = prim.evaluate(at)
         del at, pts  # the frame goes with its block, before the next one is taken
@@ -479,18 +433,18 @@ def integrate_surface(data: WeierstrassData, grid: GridSpec, basepoint) -> Surfa
             origin = phi[:, :1].copy()
         x = real_period(np.subtract(phi[:, lead:], origin, out=phi[:, lead:]))
         del phi
-        verts[k:k + _BLOCK] = x.T
-        lo, hi = np.minimum(lo, x.min(axis=1)), np.maximum(hi, x.max(axis=1))
+        verts[k0:k1] = x.T
+        # initial: the root may be the first block's only point
+        lo = np.minimum(lo, x.min(axis=1, initial=np.inf))
+        hi = np.maximum(hi, x.max(axis=1, initial=-np.inf))
         del x
 
     cell, resid = _cell_mask(data, grid, valid), 0.0
-    rows = max(1, _BLOCK // (grid.ny - 1))
-    for r in range(0, grid.nx - 1, rows):
+    for r0, r1 in _row_blocks(grid.nx - 1, grid.ny - 1, _BLOCK):
         # the block's cell rows and the grid rows of their corners, onto
         # which the block's vertices are scattered a coordinate at a time,
         # 0 off the mask; the edges along x and y are grid differences
-        mask = valid[r:r + rows + 1]
-        block = verts[vertices.before(r):vertices.before(r + len(mask))]
+        mask, block = valid[r0:r1 + 1], verts[starts[r0]:starts[r1 + 1]]
         X = np.zeros((3,) + mask.shape)
         for i in range(3):
             X[i][mask] = block[:, i]
@@ -498,7 +452,7 @@ def integrate_surface(data: WeierstrassData, grid: GridSpec, basepoint) -> Surfa
         del X
         closure = _closure(h[:, :, :-1], v[:, 1:], h[:, :, 1:], v[:, :-1])
         del h, v
-        resid = np.maximum(resid, np.max(closure, where=cell[r:r + rows], initial=0.0))
+        resid = np.maximum(resid, np.max(closure, where=cell[r0:r1], initial=0.0))
         del closure
 
     return SurfaceMesh(
@@ -525,7 +479,8 @@ def quadrature_edges(data: WeierstrassData, grid: GridSpec):
     v[i, j] from U[i, j] to U[i, j+1], NaN where an edge leaves the mask.
 
     The test oracle for integrate_surface."""
-    U, valid = _grid_coordinates(data, grid), _valid_mask(data, _chart_map(data, grid))
+    chart = _chart_map(data, grid)
+    U, valid = chart.rows(0, grid.nx), _valid_mask(data, chart)
     h = np.full((U.shape[0] - 1, U.shape[1], 3), np.nan)
     v = np.full((U.shape[0], U.shape[1] - 1, 3), np.nan)
     for out, start, end, has in ((h, U[:-1], U[1:], valid[:-1] & valid[1:]),
@@ -643,70 +598,68 @@ def _degree_blocks(dom, m):
         b1, b2 = dom.ctx.lattice.reduced_periods
         n1, n2 = m, math.ceil(m * abs(b2) / abs(b1))
         rows, row = (np.arange(n1) + 0.5) / n1 * b1, (np.arange(n2) + 0.5) / n2 * b2
-        step, w = max(1, _BLOCK // n2), abs((b1.conjugate() * b2).imag) / (n1 * n2)
-        for k in range(0, n1, step):
-            yield (rows[k:k + step, None] + row).ravel(), w
+        w = abs((b1.conjugate() * b2).imag) / (n1 * n2)
+        for r0, r1 in _row_blocks(n1, n2, _BLOCK):
+            yield (rows[r0:r1, None] + row).ravel(), w
         return
     t, wt = np.polynomial.legendre.leggauss(m)
     r, row = (t + 1.0) / 2.0, np.exp(1j * np.pi * np.arange(2 * m) / m)
-    weight, step = wt / 2.0 * r * (np.pi / m), max(1, _BLOCK // (4 * m))
-    for k in range(0, m, step):
-        z = (r[k:k + step, None] * row).ravel()
-        w = np.repeat(weight[k:k + step], 2 * m)
+    weight = wt / 2.0 * r * (np.pi / m)
+    for r0, r1 in _row_blocks(m, 4 * m, _BLOCK):
+        z = (r[r0:r1, None] * row).ravel()
+        w = np.repeat(weight[r0:r1], 2 * m)
         yield np.concatenate([z, 1.0 / z]), np.concatenate([w, w / np.abs(z) ** 4])
 
 
 def export_obj(mesh: SurfaceMesh, path) -> Path:
     """Wavefront OBJ with 17-significant-digit vertices and normals; the
-    faces are read from the mesh's masks a block at a time."""
-    v, n = mesh.vertices, mesh.gauss
-    vertices, cells = _Ordinals(mesh.valid), _Ordinals(mesh.cell)
+    faces are read from the mesh's grid, a block of cell rows at a time."""
+    if not len(mesh.vertices):
+        raise ValueError("cannot export an empty mesh")
+    (nx, ny), starts = mesh.valid.shape, _row_starts(mesh.valid)
 
-    def faces(s):
-        rows = _face_rows(vertices, cells, s)
-        rows += 1  # in the block's own buffer
-        return rows
-    return _write_rows(path, b"", (
-        (b"v ", b" ", v.shape, v.__getitem__, _float_text),
-        (b"vn ", b" ", n.shape, n.__getitem__, _float_text),
-        (b"f ", b" ", (2 * len(cells), 3), faces, _index_text)))
+    def rows(a):
+        return (a[starts[r0]:starts[r1]] for r0, r1 in _row_blocks(nx, ny, _VALUES // 3))
+    faces = (_faces(mesh, starts, r0, r1, base=1)
+             for r0, r1 in _row_blocks(nx - 1, ny - 1, _VALUES // 6))
+    return _write_rows(path, b"", ((b"v ", b" ", rows(mesh.vertices), _float_text),
+                                   (b"vn ", b" ", rows(mesh.gauss), _float_text),
+                                   (b"f ", b" ", faces, _index_text)))
 
 
 def export_csv(mesh: SurfaceMesh, path) -> Path:
     """CSV of (u, X, n) samples: re(u), im(u), x, y, z, nx, ny, nz; the
-    chart points are read from the mesh's grid a block at a time."""
-    v, n, vertices = mesh.vertices, mesh.gauss, _Ordinals(mesh.valid)
+    chart points are read from the mesh's grid, a block of rows at a time."""
+    if not len(mesh.vertices):
+        raise ValueError("cannot export an empty mesh")
+    (nx, ny), starts = mesh.valid.shape, _row_starts(mesh.valid)
 
-    def rows(s):
-        uv = mesh.chart.points(vertices.positions(s))
-        return np.column_stack([uv.real, uv.imag, v[s], n[s]])
-    return _write_rows(path, b"re_u,im_u,x,y,z,nx,ny,nz\n",
-                       ((b"", b",", (len(v), 8), rows, _float_text),))
+    def rows():
+        for r0, r1 in _row_blocks(nx, ny, _VALUES // 8):
+            k0, k1 = starts[r0], starts[r1]
+            uv = mesh.chart.rows(r0, r1)[mesh.valid[r0:r1]]
+            yield np.column_stack([uv.real, uv.imag, mesh.vertices[k0:k1], mesh.gauss[k0:k1]])
+    return _write_rows(path, b"re_u,im_u,x,y,z,nx,ny,nz\n", ((b"", b",", rows(), _float_text),))
 
 
 def _write_rows(path, header: bytes, tables) -> Path:
-    """The header, then each (prefix, sep, (count, width), rows, text)
-    table in blocks b = rows(slice) of _VALUES // width rows: one line per
-    row, the prefix, then each value's text ("%.17g" by _float_text,
-    "%d//%d" by _index_text) followed by sep, the last by a newline.
+    """The header, then each (prefix, sep, blocks, text) table, blocks an
+    iterable of 2-D arrays of rows: one line per row, the prefix, then each
+    value's text ("%.17g" by _float_text, "%d//%d" by _index_text)
+    followed by sep, the last by a newline.  A block of no rows is skipped.
 
     A block is one byte buffer with a slot per value: sep or, first in a
     row, the newline that ends the row before and the prefix, NUL-padded in
     front to one _GAP-byte word, then the value's text, NUL-padded behind
-    to whole words.  No text byte is NUL,
-    so the block's text is the buffer's bytes that are not NUL, less the
-    first newline, and a newline, which bytearray.translate copies out
-    without a mask.  A table's blocks reuse its buffers (_Buffers), and
-    each block drops its temporaries before it lays its text.  numpy makes
-    the text of floats with |x| in [1e-4, 1e16) and of indices in [1,
-    10^8); "%" formats every other value, one at a time: 0, subnormals,
-    |x| below 1e-4 or from 1e16 up, inf, nan and the other indices.
-
-    The blocks go to path through reportio.overwrite as they are made; a
-    first table of no rows, an empty mesh's vertices, raises before path
-    or its directory is made."""
-    if tables[0][2][0] == 0:
-        raise ValueError("cannot export an empty mesh")
+    to whole words.  No text byte is NUL, so the block's text is the
+    buffer's bytes that are not NUL, less the first newline, and a newline,
+    which bytearray.translate copies out without a mask.  A table's blocks
+    reuse its buffers (_Buffers), and each block drops its temporaries
+    before it lays its text.  numpy makes the text of floats with |x| in
+    [1e-4, 1e16) and of indices in [1, 10^8); "%" formats every other
+    value, one at a time: 0, subnormals, |x| below 1e-4 or from 1e16 up,
+    inf, nan and the other indices.  The blocks go to path through
+    reportio.overwrite as they are made."""
     return overwrite(path, _blocks(header, tables))
 
 
@@ -714,13 +667,16 @@ def _blocks(header: bytes, tables):
     """The chunks of _write_rows' bytes: the header, then each block's
     text and its last newline.  A table's blocks reuse its _Buffers."""
     yield header
-    for prefix, sep, (count, width), rows, text in tables:
-        # each slot's separator word: the newline and prefix, or sep
-        gaps = np.frombuffer(b"".join(x.rjust(_GAP, b"\0") for x in
-                                      [b"\n" + prefix] + [sep] * (width - 1)), np.uint32)
-        step, buffers = _VALUES // width, _Buffers()
-        for k in range(0, count, step):
-            slots = text(rows(slice(k, k + step)).ravel(), _GAP, buffers=buffers)
+    for prefix, sep, blocks, text in tables:
+        buffers = _Buffers()
+        for rows in blocks:
+            if not rows.size:
+                continue
+            # each slot's separator word: the newline and prefix, or sep
+            width = rows.shape[1]
+            gaps = np.frombuffer(b"".join(x.rjust(_GAP, b"\0") for x in
+                                          [b"\n" + prefix] + [sep] * (width - 1)), np.uint32)
+            slots = text(rows.ravel(), _GAP, buffers=buffers)
             slots.view(np.uint32).reshape(-1, width, slots.shape[1] // _GAP)[:, :, 0] = gaps
             size = slots.nbytes
             del slots
@@ -758,8 +714,9 @@ class _Buffers:
         return self.slots.translate(None, b"\0")
 
 
-# values per block of the exporters (4096 OBJ rows): a block's text
-# arrays and buffer stay well under integrate_surface's block
+# values per block of the exporters, in whole grid rows (about 4096 OBJ
+# vertex rows or 2048 cells): a block's text arrays and buffer stay well
+# under integrate_surface's block
 _VALUES = 3 * _BLOCK // 2
 # bytes of a float's text: "%.17g" is at most 24 bytes long, as in
 # "-2.2250738585072014e-308"

@@ -343,10 +343,10 @@ class TestFrameCounts:
         monkeypatch.setattr(surface, "_BLOCK", 100)
         base = _lattice_vertex(data.domain, 17, fractions)
         mesh = integrate_surface(data, GridSpec(17, 17), base)
-        n = len(mesh.vertices)
-        # the basepoint leads the first block
-        sizes = [min(100, n - k) + (k == 0) for k in range(0, n, 100)]
-        assert len(sizes) > 2
+        # a block is 100 // 17 = 5 whole grid rows, and the basepoint leads
+        # the first block
+        sizes = [np.count_nonzero(mesh.valid[r:r + 5]) + (r == 0) for r in range(0, 17, 5)]
+        assert len(sizes) > 2 and all(sizes)
         assert [np.size(u) for _, u in calls[setup:]] == [rows * m for m in sizes]
 
     @pytest.mark.parametrize("paired", [False, True])

@@ -30,9 +30,9 @@ from spinorminimal.spinor import (
 from spinorminimal.surface import (
     ChartMap,
     GridSpec,
+    SurfaceMesh,
     WeierstrassData,
     _chart_map,
-    _grid_coordinates,
     _valid_mask,
     enneper_data,
     export_csv,
@@ -150,6 +150,14 @@ class TestVertexAt:
             for off in (2e-9 * step, 0.5 * step, 0.5j * step):
                 with pytest.raises(KeyError, match="no mesh vertex"):
                     mesh.vertex_at(u + off)
+
+
+@pytest.mark.parametrize("extent", [0.0, -2.0, math.inf, math.nan])
+def test_a_grid_extent_must_be_positive_and_finite(extent):
+    # as the CLI's --extent: 0 divided by zero in ChartMap.nearest, inf and
+    # nan failed as a basepoint in an end clearance, and -2 mirrored the grid
+    with pytest.raises(ValueError, match="extent must be positive and finite"):
+        GridSpec(9, 9, extent)
 
 
 def _normalized_laplacian_max(mesh, h, window):
@@ -342,11 +350,12 @@ class TestExports:
         assert np.array_equal(verts, enneper_mesh.vertices)
 
     def test_empty_mesh_rejected(self, tmp_path):
-        # by both exporters' tables, before a file or its directory is made
-        mesh = _arrays(vertices=np.zeros((0, 3)), faces=np.zeros((0, 3), dtype=int),
-                       gauss=np.zeros((0, 3)), domain_uv=np.zeros(0, dtype=complex))
+        # by both exporters, before a file or its directory is made
+        mesh = SurfaceMesh(np.zeros((0, 3)), np.zeros((0, 3)),
+                           ChartMap(np.zeros(2, complex), np.zeros(2, complex)),
+                           np.zeros((2, 2), bool), np.zeros((1, 1), bool))
         path = tmp_path / "out" / "empty"
-        for export in (_write_obj, _write_csv):
+        for export in (export_obj, export_csv):
             with pytest.raises(ValueError, match="empty mesh"):
                 export(mesh, path)
             assert not path.exists() and not path.parent.exists()
@@ -370,7 +379,39 @@ class TestExports:
         assert len(lines) == 1 + 9
 
 
-B = surface._BLOCK
+B, VALUES = surface._BLOCK, surface._VALUES
+# (_BLOCK, _VALUES) of the grid walk: one grid row a block in every stage
+# and table, blocks of a few rows with a shorter last block, and the
+# exporters' default
+WALKS = [(7, 60), (200, 600), (200, VALUES)]
+
+
+def _walk(monkeypatch, block, values):
+    """Sets surface._BLOCK and surface._VALUES."""
+    monkeypatch.setattr(surface, "_BLOCK", block)
+    monkeypatch.setattr(surface, "_VALUES", values)
+
+
+def _whole_grid(data, grid, mesh):
+    """(U, faces), the reference: the whole grid U of meshgrid sums, and
+    the faces of one pass over the mesh's cells' corner indices on the
+    whole grid."""
+    dom = data.domain
+    if dom.genus == 1:
+        FX, FY = np.meshgrid(np.linspace(0.0, 1.0, grid.nx), np.linspace(0.0, 1.0, grid.ny),
+                             indexing="ij")
+        U = FX * (2 * dom.ctx.omega1) + FY * (2 * dom.ctx.omega3)
+    else:
+        X, Y = np.meshgrid(np.linspace(-grid.extent, grid.extent, grid.nx),
+                           np.linspace(-grid.extent, grid.extent, grid.ny), indexing="ij")
+        U = X + 1j * Y
+    index = np.cumsum(mesh.valid, dtype=np.int32) - 1
+    g = np.flatnonzero(mesh.cell)
+    g += g // (grid.ny - 1)
+    a, b = index[g], index[g + grid.ny]
+    return U, np.stack([a, b, b + 1, a, b + 1, a + 1], axis=1).reshape(-1, 3)
+
+
 # zeros, the smallest subnormal, the largest magnitudes and an integer
 # beyond 2**53 among the random values
 SPECIAL = np.array([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 2.0**53 + 1])
@@ -388,21 +429,28 @@ def _arrays(vertices, faces, gauss, domain_uv):
     return SimpleNamespace(vertices=vertices, faces=faces, gauss=gauss, domain_uv=domain_uv)
 
 
+def _row_slices(count, width):
+    """The slices of count rows of width values in blocks of about
+    surface._VALUES values, as the exporters' blocks hold."""
+    step = surface._VALUES // width
+    return (slice(k, k + step) for k in range(0, count, step))
+
+
 def _write_obj(mesh, path):
     """export_obj's tables of the arrays of mesh (_arrays), through the table writer."""
     v, n, f = mesh.vertices, mesh.gauss, mesh.faces
     return surface._write_rows(path, b"", (
-        (b"v ", b" ", v.shape, v.__getitem__, surface._float_text),
-        (b"vn ", b" ", n.shape, n.__getitem__, surface._float_text),
-        (b"f ", b" ", f.shape, lambda s: f[s] + 1, surface._index_text)))
+        (b"v ", b" ", (v[s] for s in _row_slices(len(v), 3)), surface._float_text),
+        (b"vn ", b" ", (n[s] for s in _row_slices(len(n), 3)), surface._float_text),
+        (b"f ", b" ", (f[s] + 1 for s in _row_slices(len(f), 3)), surface._index_text)))
 
 
 def _write_csv(mesh, path):
     """export_csv's table of the arrays of mesh (_arrays), through the table writer."""
     uv, v, n = mesh.domain_uv, mesh.vertices, mesh.gauss
     return surface._write_rows(path, b"re_u,im_u,x,y,z,nx,ny,nz\n", (
-        (b"", b",", (len(v), 8), lambda s: np.column_stack([uv[s].real, uv[s].imag, v[s], n[s]]),
-         surface._float_text),))
+        (b"", b",", (np.column_stack([uv[s].real, uv[s].imag, v[s], n[s]])
+                     for s in _row_slices(len(v), 8)), surface._float_text),))
 
 
 def _stored_bytes(mesh):
@@ -588,23 +636,30 @@ class TestBlocks:
     ])
     def test_a_mesh_does_not_depend_on_the_block_size(self, monkeypatch, count_calls,
                                                        name, build, grid):
-        # a block of 7 leaves a remainder in every block width of a SIMD or
-        # BLAS loop, which a sum that is not pointwise would round apart
+        # blocks of whole grid rows: at 7 one row a block, which leaves a
+        # remainder in every block width of a SIMD or BLAS loop, so a sum
+        # that is not pointwise would round apart; at 200 a few rows and a
+        # shorter last block
         entry = CONSTRUCTIONS[name]
         built = entry.build(**build)
         want = entry.mesh(built, GridSpec(grid, grid))
-        monkeypatch.setattr(surface, "_BLOCK", 7)
         masks = count_calls(WeierstrassData, "end_distance")
         closures = count_calls(surface, "_closure")
-        got = entry.mesh(built, GridSpec(grid, grid))
-        assert len(got.vertices) > 7 * 10
-        # the mask's grid points and the cells span more than 10 blocks
-        assert len(masks) > 10 and len(closures) > 10
-        assert [len(u) for (_, u) in masks[:-1]] == [7] * (len(masks) - 1)
-        for key in ("vertices", "gauss", "faces"):
-            a, b = getattr(want, key), getattr(got, key)
-            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), key
-        assert repr(got.metadata) == repr(want.metadata)
+        for block in (7, 200):
+            monkeypatch.setattr(surface, "_BLOCK", block)
+            masks.clear()
+            closures.clear()
+            got = entry.mesh(built, GridSpec(grid, grid))
+            assert len(got.vertices) > 7 * 10
+            # the mask's grid rows and the cell rows each span more than one block
+            rows, cells = max(1, block // grid), max(1, block // (grid - 1))
+            assert [np.size(u) for (_, u) in masks] == [grid * min(rows, grid - r)
+                                                    for r in range(0, grid, rows)]
+            assert len(masks) > 1 and len(closures) == -(-(grid - 1) // cells) > 1
+            for key in ("vertices", "gauss", "faces", "domain_uv"):
+                a, b = getattr(want, key), getattr(got, key)
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), key
+            assert repr(got.metadata) == repr(want.metadata)
 
     @pytest.mark.parametrize("block", [None, 7, 200])
     @pytest.mark.parametrize("name, build, grid", [
@@ -652,38 +707,34 @@ class TestBlocks:
         entry = CONSTRUCTIONS[name]
         built = entry.build(**build)
         data, mesh = entry.weierstrass(built), entry.mesh(built, grid)
-        dom = data.domain
-        if dom.genus == 1:
-            FX, FY = np.meshgrid(np.linspace(0.0, 1.0, grid.nx), np.linspace(0.0, 1.0, grid.ny),
-                                 indexing="ij")
-            U = FX * (2 * dom.ctx.omega1) + FY * (2 * dom.ctx.omega3)
-        else:
-            X, Y = np.meshgrid(np.linspace(-grid.extent, grid.extent, grid.nx),
-                               np.linspace(-grid.extent, grid.extent, grid.ny), indexing="ij")
-            U = X + 1j * Y
-        index = np.cumsum(mesh.valid, dtype=np.int32) - 1
-        g = np.flatnonzero(mesh.cell)
-        g += g // (grid.ny - 1)
-        a, b = index[g], index[g + grid.ny]
-        faces = np.stack([a, b, b + 1, a, b + 1, a + 1], axis=1).reshape(-1, 3)
+        U, faces = _whole_grid(data, grid, mesh)
         assert len(faces) >= 64
-        for got, want in ((_grid_coordinates(data, grid), U), (mesh.domain_uv, U[mesh.valid]),
-                          (mesh.faces, faces)):
+        for got, want in ((_chart_map(data, grid).rows(0, grid.nx), U),
+                          (mesh.domain_uv, U[mesh.valid]), (mesh.faces, faces)):
             assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
 
-    def test_the_row_functions_read_any_slice(self, sphere4_mesh, tmp_path):
-        # the exporters read faces and chart points a block at a time: any
-        # slice, odd ends included, is that slice of the whole arrays, and a
-        # mesh of two face blocks and three CSV blocks exports the
-        # one-template texts of its whole arrays
-        mesh = sphere4_mesh[2]
-        faces, uv = mesh.faces, mesh.domain_uv
-        vertices, cells = surface._Ordinals(mesh.valid), surface._Ordinals(mesh.cell)
-        for lo, hi in ((0, 1), (1, 8), (3, 4), (4095, 4100), (len(faces) - 3, None), (5, 5)):
-            got = surface._face_rows(vertices, cells, slice(lo, hi))
-            assert got.dtype == np.int32 and np.array_equal(got, faces[lo:hi]), (lo, hi)
-            assert np.array_equal(mesh.chart.points(vertices.positions(slice(lo, hi))), uv[lo:hi])
-        assert len(faces) > surface._VALUES // 3 and len(uv) > 2 * (surface._VALUES // 8)
+    @pytest.mark.parametrize("block, values", WALKS)
+    @pytest.mark.parametrize("eps, grid, base", [
+        (None, GridSpec(65, 65), -1.0 - 1.0j),
+        (1.5, GridSpec(17, 17), -2.0 - 2.0j),
+        (1.9, GridSpec(17, 17), -2.0 - 2.0j),
+    ])
+    def test_blocks_of_grid_rows_are_the_whole_grid_arrays(self, monkeypatch, tmp_path,
+                                                           sphere4_data, eps, grid, base, block,
+                                                           values):
+        # every stage and both exporters walk blocks of whole grid rows: the
+        # mesh's faces and chart points are the whole-grid reference, and its
+        # OBJ and CSV texts the one-template texts of its whole arrays.  With
+        # eps 1.5 some cell rows hold no cell, and with 1.9 some grid rows
+        # no vertex, so blocks of one row are empty, and are skipped
+        _walk(monkeypatch, block, values)
+        data = WeierstrassData(s1=sphere4_data[1].s1, s2=sphere4_data[1].s2, end_clearance=eps)
+        mesh = integrate_surface(data, grid, base)
+        U, faces = _whole_grid(data, grid, mesh)
+        for got, want in ((mesh.domain_uv, U[mesh.valid]), (mesh.faces, faces)):
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+        empty = (eps is not None, eps == 1.9)
+        assert ((~mesh.cell.any(axis=1)).any(), (~mesh.valid.any(axis=1)).any()) == empty
         obj, csv = _one_template_texts(mesh)
         assert export_obj(mesh, tmp_path / "m.obj").read_bytes() == obj.encode()
         assert export_csv(mesh, tmp_path / "m.csv").read_bytes() == csv.encode()
@@ -780,19 +831,29 @@ class TestBlocks:
         size = _stored_bytes(mesh)
         assert max(meshed, exported) <= size + 2.25 * 2**20, (size, meshed, exported)
 
-    def test_a_mesh_formats_each_face_index_once_per_block(self, tmp_path, count_calls):
-        # an integrate_surface mesh's face block spans far fewer indices
-        # than it has tokens, and each index of that span is formatted once
+    def test_a_mesh_formats_each_face_index_once_per_block(self, monkeypatch, tmp_path,
+                                                            count_calls):
+        # a face block is the faces of whole cell rows, about _VALUES // 6
+        # cells; when its indices span fewer values than it has tokens, each
+        # index of that span is formatted once.  At the default _VALUES an
+        # integrate_surface mesh's block spans far fewer
         entry = CONSTRUCTIONS["sphere4"]
-        mesh = entry.mesh(entry.build(), GridSpec(65, 65))
+        built = entry.build()
         calls = count_calls(surface, "_index_text")
-        export_obj(mesh, tmp_path / "m.obj")
-        step = surface._VALUES // 3
-        blocks = [mesh.faces[k:k + step] + 1 for k in range(0, len(mesh.faces), step)]
-        assert len(blocks) > 1
-        spans = [int(f.max() - f.min()) + 1 for f in blocks]
-        assert [len(x) for x, _ in calls] == [n for f, s in zip(blocks, spans) for n in (f.size, s)]
-        assert all(s < f.size / 4 for f, s in zip(blocks, spans)), spans
+        for block, values in WALKS:
+            _walk(monkeypatch, block, values)
+            mesh = entry.mesh(built, GridSpec(65, 65))
+            calls.clear()
+            export_obj(mesh, tmp_path / "m.obj")
+            rows = max(1, values // 6 // 64)
+            sizes = 2 * np.add.reduceat(np.count_nonzero(mesh.cell, axis=1), np.arange(0, 64, rows))
+            blocks = np.split(mesh.faces + 1, np.cumsum(sizes)[:-1])
+            spans = [int(f.max() - f.min()) + 1 for f in blocks]
+            assert len(blocks) > 1
+            assert [len(x) for x, _ in calls] == [n for f, s in zip(blocks, spans)
+                                                  for n in (f.size, s)[:1 + (s < f.size)]]
+            if values == VALUES:
+                assert all(s < f.size / 4 for f, s in zip(blocks, spans)), spans
 
 
 # the powers of ten around the range |x| in [1e-4, 1e16) whose text numpy
@@ -1095,7 +1156,7 @@ class TestArrayMeshPipeline:
         extra = [p for p in dom.singular_points()
                  if all(dom.distance(p, q) > 1e-9 for q in ends)]
         assert len(extra) == (2 if which == "klein4" else 0)
-        U = _grid_coordinates(data, GridSpec(nx=33, ny=33))
+        U = _chart_map(data, GridSpec(nx=33, ny=33)).rows(0, 33)
         u = U.ravel()
         singular = np.min([dom.distance(u, p) for p in extra], axis=0) if extra \
             else np.full(u.shape, np.inf)

@@ -18,7 +18,10 @@ at nome q,
 where eta = (zeta(u + b1) - zeta(u))/2 is the quasi-period of w.  One
 theta frame (theta1 and its first three derivatives at the reduced points)
 gives zeta, wp and wp' alike, so callers that need several of them take
-one frame from _theta_frame, on all their points and shifts stacked.
+one frame from _theta_frame on all their points.  With halves it adds
+theta2, theta3 and theta4, from which _Frame.half_shifts gives the shifts
+by the half-periods and EllipticContext.e_difference the e-differences as theta
+quotients, with no difference that cancels on a thin cell (DLMF 23.6(i)).
 
 A frame costs one complex exponential per point.  With
 theta1 = 2 sum_n c_n sin(kz), k = 2n+1, c_n = (-1)^n q^((n+1/2)^2) (K terms),
@@ -158,6 +161,23 @@ class Lattice:
         n = np.round((u.imag * b1.real - u.real * b1.imag) / det)
         return u - m * b1 - n * b2, m, n
 
+    def half_period_labels(self, points) -> list:
+        """(label, m, n) for each of a few points a: 2a rounds, as reduce
+        rounds, to m b1 + n b2, and the label is 1, 2 or 3 when 2a lies
+        within the pole tolerance of it with (m, n) = (1, 0), (1, 1) or
+        (0, 1) mod 2, a at the reduced half-period b1/2, (b1 + b2)/2 or
+        b2/2 (modulo the lattice), else 0.  In Python's arithmetic, which
+        is faster than numpy's on the ends of a divisor."""
+        (b1, b2), out = self.reduced_periods, []
+        det = b1.real * b2.imag - b1.imag * b2.real
+        for a in points:
+            u = 2 * complex(a)
+            m = round((u.real * b2.imag - u.imag * b2.real) / det)
+            n = round((u.imag * b1.real - u.real * b1.imag) / det)
+            near = abs(u - m * b1 - n * b2) < self.pole_tolerance
+            out.append(((0, 3, 1, 2)[2 * (m % 2) + n % 2] if near else 0, m, n))
+        return out
+
     def distance(self, u):
         """Distance from u to the nearest lattice point: a float for a scalar,
         elementwise for an array.
@@ -224,11 +244,25 @@ class _Theta:
         # operand a single point took another loop, and rounding, than a batch
         self.even_constant = -1j * complex(np.sum(c))
         self.even_weights = np.repeat(-1j * np.cumsum(c[::-1])[::-1][1:, None], 2, axis=1)
+        self.q, self.c = q, c
 
-    def batch(self, z: np.ndarray):
-        """Return theta1, theta1', theta1'', theta1''' at each z, from one
-        exponential E = exp(iz) per point; each value is independent of the
-        rest of the batch."""
+    @cached_property
+    def half_weights(self):
+        """(theta2's weights, theta3's and theta4's, their values at 0),
+        formed on first use: theta2 = sum_n q^((n+1/2)^2) (E^k + E^-k) on
+        the odd powers, and theta3, theta4 = 1 + sum_n (+-1)^n q^(n^2)
+        (E^2n + E^-2n) on the even ones (DLMF 20.2.2-20.2.4), the thetas of
+        the reduced half-periods b1/2, (b1 + b2)/2 and b2/2, labels 1 to 3."""
+        theta2 = (-1.0) ** np.arange(len(self.c)) * self.c
+        square = self.q ** np.arange(1, len(self.c)) ** 2
+        theta34 = np.stack([square, (-1.0) ** np.arange(1, len(self.c)) * square])
+        return (np.repeat(theta2[:, None], 2, axis=1), np.repeat(theta34[..., None], 2, axis=2),
+                np.array([2 * np.sum(theta2), *(1 + 2 * np.sum(theta34, axis=1))]))
+
+    def batch(self, z: np.ndarray, halves=False):
+        """Return theta1, theta1', theta1'', theta1''' at each z and, with
+        halves, theta2, theta3 and theta4, from one exponential E = exp(iz)
+        per point; each value is independent of the rest of the batch."""
         iz = 1j * z
         e = np.exp(iz)
         # E - 1, from expm1 where the difference cancels (|E - 1| ~ |z|)
@@ -246,7 +280,11 @@ class _Theta:
         t0 = np.multiply(m, m + 2.0) * odd[0, 1] * (
             self.even_constant + np.einsum("ks...,ks->...", even, self.even_weights))
         t1, t2, t3 = np.einsum("ks...,jks->j...", odd, self.odd_weights)
-        return t0, t1, t2, t3
+        if not halves:
+            return t0, t1, t2, t3
+        theta2, theta34, _ = self.half_weights
+        return (t0, t1, t2, t3, np.einsum("ks...,ks->...", odd, theta2),
+                *(1.0 + np.einsum("ks...,jks->j...", even, theta34)))
 
 
 @dataclass(frozen=True)
@@ -285,6 +323,22 @@ class EllipticContext:
 
     def e(self, i: int) -> complex:
         return (self.e1, self.e2, self.e3)[i - 1]
+
+    def e_difference(self, i: int, j: int) -> complex:
+        """e_i - e_j as a theta constant: in the reduced labels
+        (Lattice.half_period_labels) e_1 - e_2, e_1 - e_3 and e_2 - e_3 are
+        c^2 theta4(0)^4, c^2 theta3(0)^4 and c^2 theta2(0)^4, c = pi/b1 (DLMF
+        23.6(i)), so a difference that cancels on a thin cell keeps its
+        relative precision."""
+        a, b = self._half_labels[i - 1], self._half_labels[j - 1]
+        theta = 0.0 if a == b else self._theta.half_weights[2][5 - a - b]
+        return (1.0 if a < b else -1.0) * (np.pi / self.lattice.reduced_periods[0]) ** 2 * theta**4
+
+    @cached_property
+    def _half_labels(self) -> list:
+        """The reduced labels of omega1, omega2 and omega3."""
+        return [h for h, _, _ in self.lattice.half_period_labels(
+            [self.omega1, self.omega2, self.omega3])]
 
     def lattice_distance(self, u):
         """Distance from u to the nearest lattice point (see Lattice.distance)."""
@@ -373,7 +427,7 @@ class _Frame:
     of u; zeta, wp and wp' of those points all finish from this one frame,
     on all of it or on the part (an index of u) a caller reads."""
 
-    def __init__(self, ctx: EllipticContext, u):
+    def __init__(self, ctx: EllipticContext, u, halves=False):
         u = np.asarray(u, dtype=complex)
         self.ctx = ctx
         self.scalar = u.ndim == 0
@@ -383,14 +437,14 @@ class _Frame:
             raise PoleEvaluationError("evaluation point within 1e-12 of a lattice point")
         self.w, self.c = b1 / 2, np.pi / b1
         # the theta sums hold (terms, 2) values per point: _CHUNK points at a
-        # time keep them in a core's cache, and bound that memory on a stack
-        # of shifted meshes
+        # time keep them in a core's cache, and bound that memory on a block
         z = (np.pi * self.red / b1).ravel()
-        t = np.empty((4, z.size), dtype=complex)
+        t = np.empty((7 if halves else 4, z.size), dtype=complex)
         for i in range(0, z.size, _CHUNK):
-            for dst, src in zip(t[:, i:i + _CHUNK], ctx._theta.batch(z[i:i + _CHUNK])):
+            for dst, src in zip(t[:, i:i + _CHUNK], ctx._theta.batch(z[i:i + _CHUNK], halves)):
                 dst[...] = src
-        self.t0, self.t1, self.t2, self.t3 = t.reshape((4,) + self.red.shape)
+        t = t.reshape((len(t),) + self.red.shape)
+        (self.t0, self.t1, self.t2, self.t3), self.halves = t[:4], t[4:]
 
     def zeta(self, part=...):
         eta_a, eta_b = self.ctx._eta_reduced
@@ -407,13 +461,38 @@ class _Frame:
         g = t1 / t0
         return np.multiply(-(self.c**3), self.t3[part] / t0 - 3 * t2 * t1 / t0**2 + 2 * g**3)
 
+    def half_shifts(self):
+        """(wp'(u) / 2D, (e - e_j)(e - e_k) / D), each of shape (3,) + u's,
+        D = wp(u) - e, for the reduced half-periods of labels 1 to 3
+        (Lattice.half_period_labels), e their wp, from a frame taken with
+        halves: the thetas th_1 to th_3 at v and T_1 to T_3 at 0 of the
+        labels, and theta1 = t0, give D = c^2 (T_j T_k th_h / t0)^2 (DLMF
+        23.6.2-23.6.4), j and k the other labels, and wp' = -2 c^3 (T_1 T_2
+        T_3)^2 th_1 th_2 th_3 / t0^3, as wp'^2 = 4 prod (wp - e_i) and
+        theta1'(0) = T_1 T_2 T_3.  So
+
+            wp'/2D = -c T_h^2 th_1 th_2 th_3 / (th_h^2 t0),
+            (e - e_j)(e - e_k)/D = s c^2 (T_1 T_2 T_3 t0 / (T_h th_h))^2,
+
+        s = -1 at label 2, else 1, with no difference taken: both keep
+        their relative precision where wp nears e or wp' nears 0 on a thin
+        cell, where wp - e and wp' from the frame's sums do not."""
+        th, T = self.halves, self.ctx._theta.half_weights[2]
+        shape = (3,) + (1,) * self.t0.ndim
+        # no complex product in place: on one point numpy rounds it apart
+        square = th * th
+        slope = np.multiply((-self.c * T**2).reshape(shape),
+                            th[0] * th[1] * th[2] / self.t0) / square
+        scale = np.array([1.0, -1.0, 1.0]) * (self.c * T.prod() / T) ** 2
+        return slope, np.multiply(scale.reshape(shape), self.t0 * self.t0 / square)
+
     def result(self, arr):
         """arr as a Python complex for a scalar argument, else as is."""
         return complex(arr[0]) if self.scalar else arr
 
 
-def _theta_frame(ctx: EllipticContext, u) -> _Frame:
-    return _Frame(ctx, u)
+def _theta_frame(ctx: EllipticContext, u, halves=False) -> _Frame:
+    return _Frame(ctx, u, halves)
 
 
 def wp(ctx: EllipticContext, u):

@@ -10,9 +10,11 @@ on the sphere without ends, Enneper's rows.  A section (N/D) phi of F is a
 coefficient vector on the sphere rows (_SphereBasis.fraction).
 A kernel evaluates only the rows some coefficient uses, and adds each
 row into every section it evaluates.  On a torus the rows
-read a theta frame on u and their shifts u - a_i; a caller that also
-needs the chart weight or a primitive at the same points takes one frame
-for all of them (chart_points) and passes that in place of u.  Both torus
+read zeta and wp at u and at u - a_i from one theta frame on u alone, the
+shift of an end whose negative is an end by the addition theorem
+(_Points.shifts); a caller that also needs the chart weight or a
+primitive at the same points takes that frame for all of them
+(chart_points) and passes it in place of u.  Both torus
 builders check their ends in one lattice distance call (_torus_end_check),
 and an untwisted build takes one theta frame.  A linear combination is a
 coefficient sum.  The Laurent data of a basis is one
@@ -54,7 +56,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import polynomial as P
@@ -137,45 +139,111 @@ class EndDivisor:
 
 
 class _Points:
-    """Chart points u and, on a torus, one theta frame on u - s for each shift
-    s that its readers name, equal shifts once, in the order named; s = 0
-    gives u itself.  The frame is taken on those rows laid end to end.  Its
-    readers, the basis rows, the chart weight and the closed-form
-    primitive, each take their own rows as a (shifts, points) array.  A
-    frame's bits do not depend on its batch, so each reads bitwise what a
-    frame of its own would give."""
+    """Chart points u on a torus with one theta frame, which the basis rows,
+    the chart weight and the closed-form primitive all read: zeta, wp and
+    wp' at u, each formed once and read-only, and zeta and wp at u - a for
+    the ends a (shifts).  The frame is taken by the first reader: on u
+    alone, or, when that reader is rows of ends without a shift rule, on
+    their rows u - a too, laid end to end; a block of a Klein mesh keeps
+    only the three values (_take).  A frame's bits do not depend on its
+    batch, so a point's values are its own."""
 
-    def __init__(self, dom, u, shifts):
+    def __init__(self, dom, u):
         u = np.asarray(u, dtype=complex)
-        self.shape, self.u = u.shape, u.reshape(-1)
-        self._row = {s: k for k, s in enumerate(dict.fromkeys(map(complex, shifts)))}
-        if self._row and getattr(dom, "ctx", None) is not None:
-            self._frame = elliptic._theta_frame(
-                dom.ctx, (self.u - np.array(list(self._row), dtype=complex)[:, None]).ravel())
+        self.dom, self.shape, self.u = dom, u.shape, u.reshape(-1)
+        self.size, self.rows = self.u.size, {}
 
-    def _finish(self, name, shifts):
-        """Frame method name on the rows of shifts: one slice when they are
-        consecutive rows, else row by row, so no row is a copy."""
-        k, n = [self._row[s] for s in shifts], self.u.size
-        method = getattr(self._frame, name)
-        if k == list(range(k[0], k[0] + len(k))):
-            return method(slice(k[0] * n, (k[0] + len(k)) * n)).reshape(len(k), n)
-        return np.stack([method(slice(i * n, (i + 1) * n)) for i in k])
+    def __getattr__(self, name):
+        """frame, zeta, wp and wp', each made when first read (_take)."""
+        if name not in ("frame", "zeta", "wp", "wp_prime"):
+            raise AttributeError(name)
+        if "frame" not in self.__dict__:
+            self._take((), name == "frame")
+        if name not in self.__dict__:
+            setattr(self, name, getattr(self.frame, name)(slice(0, self.size)))
+        return self.__dict__[name]
 
-    def zeta(self, shifts):
-        return self._finish("zeta", shifts)
+    def _take(self, own, halves):
+        """Take the frame on u and on u - a for each end a of own, with the
+        half-period thetas when a reader of shifts takes it and the domain
+        has half-period ends, and keep (zeta(u - a) - zeta(u), wp(u - a)) of
+        each row of own in rows.  On a domain without half-period ends, and
+        more points than the frame sums at a time (a mesh block), keep
+        zeta, wp and wp' at u in its place: they are a third of its memory."""
+        n, self.frame = self.size, elliptic._theta_frame(
+            self.dom.ctx, (self.u - np.array([0j, *own])[:, None]).ravel(),
+            halves and self.dom.half_periods)
+        if own:
+            zeta, wp = (x.reshape(-1, n) for x in (self.frame.zeta(), self.frame.wp()))
+            self.zeta, self.wp = zeta[0], wp[0]
+            self.rows.update(zip(own, zip(zeta[1:] - zeta[0], wp[1:])))
+        if not self.dom.half_periods and n > elliptic._CHUNK:
+            for name in ("zeta", "wp", "wp_prime"):
+                getattr(self, name)
+            self.frame = None
 
-    def wp(self, shifts):
-        return self._finish("wp", shifts)
+    def shifts(self, ends):
+        """(zeta(u - a) - zeta(u), wp(u - a)) for each end a of ends in turn,
+        each made as it is read: (0.0, wp(u)) at a = 0.  At an end with a
+        shift rule (_TorusDomain.shift_rules), from this frame by the
+        addition theorem (DLMF 23.10.1-23.10.2 at v = -a), D = wp(u) - wp(a):
 
-    def wp_prime(self, shifts):
-        return self._finish("wp_prime", shifts)
+            zeta(u - a) - zeta(u) = R/2 - zeta(a),  R = (wp'(u) + wp'(a))/D,
+            wp(u - a) = R^2/4 - wp(u) - wp(a),
 
+        which at a half-period, wp'(a) = 0, is R/2 = wp'(u)/2D and wp(u - a)
+        = wp(a) + (e - e_j)(e - e_k)/D, both from theta quotients
+        (_Frame.half_shifts).  The ends without a rule, as a random
+        divisor's, read their rows of the frame when the first reader takes
+        it (_take), and a later reader's such ends one more frame on their
+        rows.  Within about the pole tolerance of +-a, where D vanishes,
+        PoleEvaluationError."""
+        rules = self.dom.shift_rules
+        own = [a for a in ends if a != 0 and complex(a) not in rules]
+        if "frame" not in self.__dict__:
+            self._take(own, True)
+        missing = [a for a in own if a not in self.rows]
+        if missing:
+            frame = elliptic._theta_frame(self.dom.ctx, (self.u - np.c_[missing]).ravel())
+            zeta, wp = (x.reshape(len(missing), self.size) for x in (frame.zeta(), frame.wp()))
+            self.rows.update(zip(missing, zip(zeta - self.zeta, wp)))
+        for a in ends:
+            if a == 0:
+                yield 0.0, self.wp
+            elif a in own:
+                yield self.rows[a]
+            else:
+                yield self._ruled(a, *rules[complex(a)])
 
-def _points(dom, u, shifts) -> _Points:
-    """u when it is already a _Points (its frame must hold the shifts), else
-    u with a frame of its own on the shifts."""
-    return u if isinstance(u, _Points) else _Points(dom, u, shifts)
+    @cached_property
+    def _halves(self):
+        """_Frame.half_shifts, and where u is within about the pole
+        tolerance of each half-period, wp'/2D ~ 1/(u - a)."""
+        frame = self.frame
+        if not len(frame.halves):  # a value at u was read first, as by a builder
+            frame = elliptic._theta_frame(self.dom.ctx, self.u, True)
+        slope, product = frame.half_shifts()
+        return slope, product, np.abs(slope) >= 0.5 / self.dom.ctx.lattice.pole_tolerance
+
+    def _ruled(self, a, h, zeta_a, wp_a, wp_prime_a):
+        if h:
+            slope, product, near = self._halves
+            z, w, pole = slope[h - 1] - zeta_a, product[h - 1] + wp_a, near[h - 1]
+        else:
+            den = np.subtract(self.wp, wp_a)
+            pole = np.abs(den) <= self.dom.ctx.lattice.pole_tolerance * np.abs(self.wp_prime)
+            z = np.divide(self.wp_prime + wp_prime_a, den, out=den)
+            w = z * z
+            w *= 0.25
+            w -= self.wp
+            w -= wp_a
+            z *= 0.5
+            z -= zeta_a
+        if pole.any():
+            raise elliptic.PoleEvaluationError(
+                f"zeta(u - a) at u = {self.u[np.argmax(pole)]}: wp(u) = wp(a) for the end "
+                f"a = {a}, u is within 1e-12 of an end")
+        return z, w
 
 
 class _DomainBase:
@@ -184,8 +252,6 @@ class _DomainBase:
     (e, -e) at a finite end and (-e, e) at infinity, e = end_weight."""
 
     ends: EndDivisor
-    # the shifts whose frame rows form_weight reads
-    weight_shifts = ()
     end_weight = 0.5
 
     @property
@@ -204,6 +270,11 @@ class _DomainBase:
         """|alpha_-1| and |alpha_0| of (..., ends, 2) tables in the unit chart,
         by hypot, as abs() rounds: the magnitudes every decision reads."""
         return np.hypot(tables.real, tables.imag) * self.column_factors
+
+    def points(self, u):
+        """What the evaluators read for chart points u (chart_points): u
+        itself, as a complex array, on the sphere."""
+        return np.asarray(u, dtype=complex)
 
     def form_weight(self, u):
         """mu(u) in s t = f g mu du: 1 except on the untwisted tori."""
@@ -251,6 +322,47 @@ class _TorusDomain(_DomainBase):
     def distance(self, p, q):
         return self.ctx.lattice_distance(p - q)
 
+    def points(self, u):
+        """u as a _Points with its one theta frame, u itself if it is one."""
+        return u if isinstance(u, _Points) else _Points(self, u)
+
+    @cached_property
+    def _labels(self) -> list:
+        """Lattice.half_period_labels of the ends."""
+        return self.ctx.lattice.half_period_labels(self.ends.points)
+
+    @cached_property
+    def half_periods(self) -> bool:
+        """Whether an end is a half-period: a frame on u then adds theta2,
+        theta3 and theta4 (_Frame.half_shifts)."""
+        return any(h for h, _, _ in self._labels)
+
+    @cached_property
+    def shift_rules(self) -> dict:
+        """{a: (h, zeta(a), wp(a), wp'(a))} for each end a != 0 whose negative
+        is an end modulo the lattice, within its pole tolerance, h its
+        half-period label (0 unless a is its own negative): its shift is
+        read from the frame on u (_Points.shifts), as wp(u) - wp(a)
+        vanishes only at u = +-a, both ends.  A half-period a = m b1/2 +
+        n b2/2 has zeta(a) = m eta_a + n eta_b, eta_a and eta_b those of
+        b1/2 and b2/2 (EllipticContext._eta_reduced), wp(a) its e and
+        wp'(a) = 0; the other ends' values come from one frame."""
+        ctx, (eta_a, eta_b), rules = self.ctx, self.ctx._eta_reduced, {}
+        for a, (h, m, n) in zip(self.ends.points, self._labels):
+            if h:
+                rules[a] = (h, m * eta_a + n * eta_b, ctx.e(ctx._half_labels.index(h) + 1), 0.0)
+        b = np.array([a for a, (h, _, _) in zip(self.ends.points, self._labels)
+                      if a != 0 and not h], dtype=complex)
+        if b.size:
+            # a + b within the pole tolerance of the lattice point it rounds to
+            red = ctx.lattice.reduce(b[:, None] + b)[0]
+            b = b[(np.abs(red) < ctx.lattice.pole_tolerance).any(axis=1)]
+        if b.size:
+            frame = elliptic._theta_frame(ctx, b)
+            rules.update((complex(a), (0, *v)) for a, *v in
+                         zip(b, frame.zeta(), frame.wp(), frame.wp_prime()))
+        return rules
+
     def qres_radius(self, p) -> float:
         # the distances leave out p itself, and with it its translates p +- b1
         return min(super().qres_radius(p), 0.25 * abs(self.ctx.lattice.reduced_periods[0]))
@@ -275,16 +387,13 @@ class UntwistedTorusDomain(_TorusDomain):
     r: int
     genus = 1
     h_dim = 0
-    weight_shifts = (0j,)
     end_weight = 1.5  # the honest chart d(u - a) / wp_r(a) has weight 3
 
     def wp_r(self, u):
         """wp(u) - e_r, shaped as u: the one place e_r is subtracted; the
-        weight and the paired rows read it from the frame row of u itself."""
-        at = _points(self, u, self.weight_shifts)
-        w = at.wp(self.weight_shifts)[0]
-        w -= self.ctx.e(self.r)
-        return w.reshape(at.shape)
+        weight and the paired rows read it from the frame on u."""
+        at = self.points(u)
+        return np.subtract(at.wp, self.ctx.e(self.r)).reshape(at.shape)
 
     def form_weight(self, u):
         w = self.wp_r(u)
@@ -303,9 +412,9 @@ class Basis:
     alpha_0) of row j at the k-th end; on a domain without ends it is
     empty.  weights holds the half-integer w_j with row j on the divisor
     times s equal to s^w_j times row j.  A family adds its
-    row data, _shifts(active), the frame shifts its active rows read, and
-    _rows(active, at, derivative), which yields (j, f_j(u), f_j'(u) or
-    None) for each active j at the flat points of the _Points at.
+    row data and _rows(active, at, derivative), which yields (j, f_j(u),
+    f_j'(u) or None) for each active j at the flat points of at, the
+    domain's points(u).
     """
 
     domain: _DomainBase
@@ -353,17 +462,14 @@ class Basis:
         """
         C = np.asarray(coefficients, dtype=complex).reshape(-1, len(self.labels))
         active = np.flatnonzero(C.any(axis=0))
-        at = _points(self.domain, u, self._shifts(active))
-        out = np.zeros((2 if derivative else 1, len(C), at.u.size), dtype=complex)
+        at = self.domain.points(u)
+        out = np.zeros((2 if derivative else 1, len(C), at.size), dtype=complex)
         for j, *jet in self._rows(active, at, derivative):
             for k in np.flatnonzero(C[:, j]):
                 for acc, f in zip(out, jet):
                     acc[k] += C[k, j] * f
         out = out.reshape(out.shape[:2] + at.shape)
         return (out[0], out[1]) if derivative else out[0]
-
-    def _shifts(self, active):
-        return ()
 
     def _polynomial_part(self, pairs):
         """Ascending coefficients, shape (degree + 1, pairs), of the polynomial
@@ -379,7 +485,7 @@ class _SphereBasis(Basis):
     poles: list
 
     def _rows(self, active, at, derivative):
-        z = at.u
+        z = at.reshape(-1)
         for j in active:
             if j == len(self.poles):
                 yield j, 1.0, 0.0
@@ -409,52 +515,41 @@ class _SphereBasis(Basis):
 class _ZetaBasis(Basis):
     """(zeta(u - a_i) - zeta(u) + c_i) phi_dom, after an optional constant row.
 
-    The rows read zeta, and wp when the derivative is asked, on the frame
-    rows of u and of u - a_i for every active shift.  A shift of None marks
-    the constant row, row 0.
+    The rows read zeta, and wp when the derivative is asked, at u and at
+    u - a_i (_Points.shifts) for every active shift.  A shift of None
+    marks the constant row, row 0.
     """
 
     shifts: list
     constants: list
 
-    def _shifts(self, active):
-        shifted = [self.shifts[j] for j in active if self.shifts[j] is not None]
-        return (0j, *shifted) if shifted else ()
-
     def _rows(self, active, at, derivative):
-        shifted = [j for j in active if self.shifts[j] is not None]
-        if len(shifted) < len(active):
-            yield 0, 1.0, 0.0
-        if not shifted:
-            return
-        shifts = self._shifts(shifted)
-        zeta_s = at.zeta(shifts)
-        wp_s = at.wp(shifts) if derivative else None
-        for i, j in enumerate(shifted, 1):
-            yield j, zeta_s[i] - zeta_s[0] + self.constants[j], \
-                (wp_s[0] - wp_s[i] if derivative else None)
+        shifts = at.shifts([self.shifts[j] for j in active if self.shifts[j] is not None])
+        for j in active:
+            if self.shifts[j] is None:
+                yield j, 1.0, 0.0
+                continue
+            zeta, wp = next(shifts)
+            yield j, zeta + self.constants[j], (at.wp - wp if derivative else None)
 
 
 @dataclass(eq=False)
 class _PairedBasis(Basis):
-    """wp_r/(wp_r - p_i) phi_r, then wp'/(wp_r - p_i) phi_r, on the frame row
-    of u: wp_r as the chart weight reads it, and wp'.  Within about 1e-12
+    """wp_r/(wp_r - p_i) phi_r, then wp'/(wp_r - p_i) phi_r, on the frame on
+    u: wp_r as the chart weight reads it, and wp'.  Within about 1e-12
     of an end +-a_i, where wp_r(u) - p_i ~ wp'(u) (u -+ a_i) vanishes, the
     rows raise PoleEvaluationError, as the zeta rows do next to their ends."""
 
     pvals: list
-
-    def _shifts(self, active):
-        return (0j,) if len(active) else ()
 
     def _rows(self, active, at, derivative):
         if not active.size:
             return
         dom = self.domain
         pr = dom.wp_r(at).reshape(-1)
-        dp = at.wp_prime((0j,))[0]
+        dp = at.wp_prime
         if derivative:
-            p = at.wp((0j,))[0]
+            p = at.wp
             ddp = 6.0 * p * p - dom.ctx.g2 / 2.0
         near = dom.ctx.lattice.pole_tolerance * np.abs(dp)
         m = len(self.pvals)
@@ -478,7 +573,7 @@ class _PolynomialBasis(Basis):
     """Rows z^j phi, j = 0 .. degree, on the sphere without ends."""
 
     def _rows(self, active, at, derivative):
-        z = at.u
+        z = at.reshape(-1)
         for j in active:
             yield j, z**j, ((j * z**(j - 1) if j else 0.0) if derivative else None)
 
@@ -530,16 +625,13 @@ def section_values(sections, u, derivative=False):
     return _shared_basis(sections).evaluate([s.coefficients for s in sections], u, derivative)
 
 
-def chart_points(sections, primitive=None):
-    """The function u -> u with one theta frame, on a torus, for everything
-    that reads it: section_values of the sections, the chart weight
-    form_weight and, when given, the primitive's evaluate.  Pass its value
-    to them in place of u.  The shifts are found once, for every u."""
-    basis = _shared_basis(sections)
-    active = [j for j, column in enumerate(zip(*(s.coefficients for s in sections))) if any(column)]
-    ends = () if primitive is None else primitive.ends
-    return partial(_Points, basis.domain,
-                   shifts=basis._shifts(active) + basis.domain.weight_shifts + ends)
+def chart_points(sections):
+    """The sections' domain's points: chart points u as everything that
+    reads them takes them, section_values of the sections, the chart weight
+    form_weight and a primitive's evaluate.  On a torus u with one theta
+    frame on u alone (_Points), each end's shift read from it; on the
+    sphere u itself.  Pass its value to them in place of u."""
+    return _shared_basis(sections).domain.points
 
 
 def period_matrix(sections, path: QuadraturePath, rel_tol=1e-10) -> np.ndarray:
@@ -582,11 +674,11 @@ class FormPrimitive:
 
     def evaluate(self, u):
         """(Phi, form, size) at u, each of shape (pairs,) + u.shape; on a torus
-        from the frame rows of u - a_k for all ends (u may come from
-        chart_points with this primitive); size = |P| + sum_k |c_k W(u - a_k)| sets the
-        scale of the form's rounding error."""
-        at = _points(self.domain, u, self.ends)
-        u, shape = at.u, (len(self.c), at.u.size)
+        Z and W at u - a_k for each end from the one frame on u
+        (_Points.shifts; u may come from chart_points); size = |P| +
+        sum_k |c_k W(u - a_k)| sets the scale of the form's rounding error."""
+        at = self.domain.points(u)
+        u, shape = at.u if self.domain.genus else at.reshape(-1), (len(self.c), at.size)
         # the ends summed in their order into the arrays returned, so a
         # point's bits are its own, one end's Z and W at a time (read from
         # the frame on a torus) through one product buffer.  By tracemalloc
@@ -599,9 +691,11 @@ class FormPrimitive:
         product = np.empty(shape, complex)
         # |c_k| |W| goes to a real array on product's first half
         scale = product.reshape(-1).view(float)[:product.size].reshape(shape)
+        shifts = at.shifts(self.ends) if self.domain.genus else None
         for a, c in zip(self.ends, self.c.T[..., None]):
             if self.domain.genus:
-                z, w = at.zeta((a,))[0], at.wp((a,))[0]
+                z, w = next(shifts)
+                z = np.add(z, at.zeta)
             else:
                 z = np.subtract(u, a)
                 np.divide(1.0, z, out=z)
@@ -663,7 +757,7 @@ def form_primitive(pairs) -> FormPrimitive:
         frac = (np.arange(7) + 0.5) / 7
         grid = (frac[:, None] * 2 * dom.ctx.omega1 + frac * 2 * dom.ctx.omega3).ravel()
         u0 = grid[np.argmax(np.min(dom.distance(grid, np.c_[dom.singular_points()]), 0))]
-        at = chart_points([x for pair in pairs for x in pair], prim)(u0)
+        at = dom.points(u0)
         fg = np.array([np.prod(section_values(pair, at)) for pair in pairs]) * dom.form_weight(at)
         prim = replace(prim, poly=(fg - prim.evaluate(at)[1])[None, :])
     return prim
@@ -871,13 +965,13 @@ def _torus_end_check(ctx: EllipticContext, points, wr=None):
 
 def _zeta_table(dom, points, n, constants):
     """(at, c, A): the _Points at of points, which end with the n ends a, and
-    of a_j - a_i for i != j, whose one frame row the builders also read wp
+    of a_j - a_i for i != j, whose one frame the builders also read wp
     and wp' from; c = constants(zeta at points); and A[i, j], the alpha_0 of
     zeta(u - a_i) - zeta(u) + c_i at a_j: zeta(a_j - a_i) - zeta(a_j) + c_i, 0 at a_i."""
     points = np.asarray(points, dtype=complex)
     a, off = points[points.size - n:], ~np.eye(n, dtype=bool)
-    at = _Points(dom, np.concatenate([points, (a[None, :] - a[:, None])[off]]), (0j,))
-    values, shifted = at.zeta((0j,))[0], np.zeros(off.shape, dtype=complex)
+    at = _Points(dom, np.concatenate([points, (a[None, :] - a[:, None])[off]]))
+    values, shifted = at.zeta, np.zeros(off.shape, dtype=complex)
     shifted[off] = values[points.size:]
     c = constants(values[:points.size])
     return at, c, np.where(off, shifted - values[points.size - n:points.size] + c[:, None], 0.0)
@@ -928,7 +1022,7 @@ def _untwisted_basis(ctx: EllipticContext, r: int, divisor: EndDivisor):
     laurent = np.stack([np.diag((1.0 / wp_r.astype(object)).astype(complex)), alpha0], axis=-1)
     basis = _ZetaBasis(dom, [f"t{i + 1}" for i in range(a.size)], laurent,
                        np.full(a.size, 0.5), list(divisor.points), c.tolist())
-    return basis, wp_r, at.wp_prime((0j,))[0][ends]
+    return basis, wp_r, at.wp_prime[ends]
 
 
 def basis_F_torus_untwisted_paired(ctx: EllipticContext, r: int, half_points):
@@ -943,8 +1037,8 @@ def basis_F_torus_untwisted_paired(ctx: EllipticContext, r: int, half_points):
     k_i (t_i - t_{m+i}) and t-hat_{m+i} = t_i + t_{m+i}, k_i = p_i/wp'(a_i).
     So the table (through that change of basis), the end checks, p_i and
     wp'(a_i) come from the untwisted build and its one theta frame.  The
-    rows stay wp quotients: they read the frame row of u alone, where the
-    zeta rows read u and each of the 2m shifts.  A wp'(a_i) that rounds to
+    rows stay wp quotients of the frame on u, where the zeta rows add the
+    2m shifts to it by the addition theorem.  A wp'(a_i) that rounds to
     0 raises DegenerateLatticeError, before k_i divides by it.
     """
     a = np.array(half_points, dtype=complex)

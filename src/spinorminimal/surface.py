@@ -190,11 +190,24 @@ class ChartMap:
         """The chart points of the grid rows r0 to r1, shape (r1 - r0, ny)."""
         return self.x[r0:r1, None] + self.y
 
+    @property
+    def steps(self):
+        """The grid's two steps, x[1] - x[0] and y[1] - y[0]."""
+        return complex(self.x[1] - self.x[0]), complex(self.y[1] - self.y[0])
+
+    def positions(self, u) -> np.ndarray:
+        """The coordinates of the chart points u along the grid's two steps
+        from grid point (0, 0), shape (2, u.size)."""
+        (p, q), w = self.steps, np.reshape(u, -1) - complex(self.x[0] + self.y[0])
+        det = (p.conjugate() * q).imag
+        return np.stack([(w.conjugate() * q).imag, (p.conjugate() * w).imag]) / det
+
     def nearest(self, u):
         """(i, j), the grid point nearest the chart point u: u's coordinates
         along the grid's two steps, rounded and clipped to the grid (a
-        coordinate that is not finite reads 0)."""
-        p, q = complex(self.x[1] - self.x[0]), complex(self.y[1] - self.y[0])
+        coordinate that is not finite reads 0), in Python's complex
+        arithmetic, which takes inf without a warning."""
+        p, q = self.steps
         w, det = complex(u) - complex(self.x[0] + self.y[0]), (p.conjugate() * q).imag
         st = (w.conjugate() * q).imag / det, (p.conjugate() * w).imag / det
         return tuple(min(max(round(t), 0), n - 1) if math.isfinite(t) else 0
@@ -288,43 +301,84 @@ def _row_starts(valid) -> np.ndarray:
     return np.concatenate([[0], np.cumsum(np.count_nonzero(valid, axis=1))])
 
 
+def _stamps(dom, chart: ChartMap, points, reach):
+    """(g, e): the grid positions g, shape (2, stamps), of the chart points
+    and, on a torus, of their lattice translates whose disks of radius
+    reach (one per point) may meet the grid, and e, the same shape, each
+    disk's half-extent in grid steps along each axis.  A position is the
+    point's coordinates along the grid's two steps (ChartMap.positions),
+    clipped to 2 steps beyond the grid, so that an end far off it stays a
+    finite position off it.
+    On a torus the translates are a + m 2 omega1 + n 2 omega3 over the
+    (m, n) that the grid's corners span in lattice fractions, widened by
+    the widest disk: the 3 x 3 around a point of the unit cell at reach 0,
+    more on a skewed or unreduced basis or a wide disk.  A reach is capped
+    at |b1| + |b2| of the reduced periods, beyond which the disks around
+    a point's translates cover the plane."""
+    a = np.array(points, dtype=complex).reshape(-1)
+    reach = np.zeros(a.size) + reach
+    if dom.genus == 1 and a.size:
+        reach = np.minimum(reach, sum(map(abs, dom.ctx.lattice.reduced_periods)))
+        b1, b2 = 2 * dom.ctx.omega1, 2 * dom.ctx.omega3
+        # lattice fractions of the grid's corners and of the points
+        u, det = np.concatenate([chart.x[[0, -1, 0, -1]] + chart.y[[0, 0, -1, -1]], a]), \
+            (b1.conjugate() * b2).imag
+        f = np.stack([(u.conjugate() * b2).imag, (b1.conjugate() * u).imag]) / det
+        span = reach.max() * np.array([abs(b2), abs(b1)]) / abs(det)
+        m, n = (np.arange(math.floor(c[:4].min() - w - c[4:].max()),
+                          math.ceil(c[:4].max() + w - c[4:].min()) + 1) for c, w in zip(f, span))
+        shifts = (m[:, None] * b1 + n * b2).ravel()
+        a, reach = (a[:, None] + shifts).ravel(), np.repeat(reach, shifts.size)
+    p, q = chart.steps
+    extent = np.array([[abs(q)], [abs(p)]]) / abs((p.conjugate() * q).imag)
+    return np.clip(chart.positions(a), -2, np.reshape(chart.shape, (2, 1)) + 1), reach * extent
+
+
 def _valid_mask(data: WeierstrassData, chart: ChartMap) -> np.ndarray:
     """Grid points outside the end clearance and off chart singularities
     (the lattice point and omega_r when those are not ends; the form itself
-    is regular there), tested on blocks of grid rows of about _BLOCK points."""
-    valid = np.empty(chart.shape, bool)
-    for r0, r1 in _row_blocks(*chart.shape, _BLOCK):
-        u = chart.rows(r0, r1)
-        valid[r0:r1] = (data.end_distance(u) > data.end_clearance) \
-            & (data.chart_singular_distance(u) > CHART_SINGULAR_TOL)
+    is regular there).  Only the grid points of the box of grid steps
+    around each end's or singularity's disk (_stamps), one step wider on
+    every side, can miss either, so every other grid point is valid, and
+    the distances are taken on those boxes alone, from each point to every
+    end and singularity in one call per block of about _BLOCK distances."""
+    dom = data.domain
+    points = [p for p in dom.ends.points if not is_infinity(p)]
+    singular = dom.chart_singularities()
+    reach = np.repeat([data.end_clearance, CHART_SINGULAR_TOL], [len(points), len(singular)])
+    points = np.array(points + singular, dtype=complex)
+    g, e = _stamps(dom, chart, points, reach)
+    lo = np.maximum(np.ceil(g - e) - 1, 0).astype(int)
+    hi = np.minimum(np.floor(g + e) + 2, np.reshape(chart.shape, (2, 1))).astype(int)
+    near, meets = np.zeros(chart.shape, bool), (lo < hi).all(axis=0)
+    for (i0, j0), (i1, j1) in zip(lo.T[meets].tolist(), hi.T[meets].tolist()):
+        near[i0:i1, j0:j1] = True
+    valid = np.ones(chart.shape, bool)
+    i, j = np.nonzero(near)
+    step = max(1, _BLOCK // max(len(points), 1))
+    for k in range(0, i.size, step):
+        ij = i[k:k + step], j[k:k + step]
+        u = chart.x[ij[0]] + chart.y[ij[1]]
+        valid[ij] = (dom.distance(u[:, None], points) > reach).all(axis=1)
     return valid
 
 
 def _cell_mask(data: WeierstrassData, grid: GridSpec, valid) -> np.ndarray:
     """Cells (i, j), corners (i, j) to (i+1, j+1), with four valid corners
     and no finite end in their closed chart square: on a torus the square
-    in lattice fractions, and the ends' 3 x 3 lattice translates.  Each end
-    clears the cells i <= g <= i + 1 on each axis around its grid position
-    g, a position within GRID_LINE_TOL of a grid line counting as on it, so
-    no face spans an end when the end clearance is below the grid step."""
+    in lattice fractions, and the ends' lattice translates (_stamps).  Each
+    end clears the cells i <= g <= i + 1 on each axis around its grid
+    position g, a position within GRID_LINE_TOL of a grid line counting as
+    on it, so no face spans an end when the end clearance is below the
+    grid step."""
     cell = valid[:-1, :-1] & valid[1:, :-1] & valid[1:, 1:] & valid[:-1, 1:]
-    dom, steps = data.domain, np.array([[grid.nx - 1], [grid.ny - 1]])
-    a = np.array([p for p in dom.ends.points if not is_infinity(p)], dtype=complex)
-    if dom.genus == 1:
-        # a = x b1 + y b2, with (x, y) mod 1 moved by each of the 3 x 3 shifts
-        b1, b2 = 2 * dom.ctx.omega1, 2 * dom.ctx.omega3
-        det = (b1.conjugate() * b2).imag
-        xy = np.stack([(a.conjugate() * b2).imag, (b1.conjugate() * a).imag]) / det % 1.0
-        frac = (xy[:, :, None] + np.mgrid[-1:2, -1:2].reshape(2, 1, 9)).reshape(2, -1)
-    else:
-        frac = (np.stack([a.real, a.imag]) + grid.extent) / (2 * grid.extent)
-    # clipped, so that an end far off the grid stays an integer position off it
-    g = np.clip(frac * steps, -2, steps + 2)
+    dom = data.domain
+    g, _ = _stamps(dom, _chart_map(data, grid),
+                   [p for p in dom.ends.points if not is_infinity(p)], 0.0)
     lo = np.maximum(np.ceil(g - GRID_LINE_TOL) - 1, 0).astype(int)
-    hi = np.minimum(np.floor(g + GRID_LINE_TOL), steps - 1).astype(int)
+    hi = np.clip(np.floor(g + GRID_LINE_TOL), -1, np.reshape(cell.shape, (2, 1)) - 1).astype(int)
     for (i0, j0), (i1, j1) in zip(lo.T, hi.T):
-        if i0 <= i1 and j0 <= j1:
-            cell[i0:i1 + 1, j0:j1 + 1] = False
+        cell[i0:i1 + 1, j0:j1 + 1] = False
     return cell
 
 
@@ -390,7 +444,7 @@ def integrate_surface(data: WeierstrassData, grid: GridSpec, basepoint) -> Surfa
 
     s1, s2 = data.s1, data.s2
     prim = form_primitive(((s1, s1), (s2, s2), (s1, s2)))
-    points = chart_points((s1, s2), prim)
+    points = chart_points((s1, s2))
     starts = _row_starts(valid)
     count = int(starts[-1])
     verts, gauss = np.empty((count, 3)), np.empty((count, 3))

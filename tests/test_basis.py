@@ -304,8 +304,10 @@ def _lattice_vertex(dom, n, fractions):
 class TestFrameCounts:
     """One theta frame per point set: a WeierstrassData.omega call, a
     FormPrimitive.evaluate call, a block of integrate_surface and an
-    integrand call of period_matrix or omega_qres_matrix each take one, on
-    every shift that the rows, the chart weight and the primitive read."""
+    integrand call of period_matrix or omega_qres_matrix each take one.  An
+    end whose negative is an end reads its shift from its rows on the
+    points; any other end, as a random divisor's, keeps its rows u - a in
+    it, laid after them by the basis rows that take it."""
 
     @staticmethod
     def _frames(count_calls, fn, u):
@@ -327,15 +329,17 @@ class TestFrameCounts:
         u = _points(klein.ctx, 40)
         assert self._frames(count_calls, WeierstrassData(s1=klein.s1, s2=klein.s2).omega, u) == 1
 
-    @pytest.mark.parametrize("name, rows", [("torus4", 4), ("klein4-zeta", 9), ("klein4", 9)])
-    def test_one_frame_per_block(self, monkeypatch, count_calls, klein, name, rows):
+    @pytest.mark.parametrize("name", ["torus4", "klein4-zeta", "klein4"])
+    def test_one_frame_per_block(self, monkeypatch, count_calls, klein, name):
         # after form_primitive's own frames, each block of integrate_surface
-        # takes one frame, on u and u - a_k for each end a_k: on torus-4 the
-        # rows' shifts are the ends, and 0 among them; on the Klein pair
-        # u itself serves the rows and the weight, and the eight ends the
-        # primitive, in either basis
+        # takes one frame, on its vertices (and the basepoint) alone: on
+        # torus-4 the ends are 0 and the half periods, on the Klein pair
+        # the eight ends +-a_i, whose shifts the rows and the primitive read
+        # from it by the addition theorem, in either basis
         (s1, s2), fractions = _mesh_pair(name, klein)
         data = WeierstrassData(s1=s1, s2=s2)
+        # the domain's shift rules take a frame on the ends, once
+        form_primitive(((s1, s1), (s2, s2), (s1, s2)))
         calls = count_calls(elliptic, "_theta_frame")
         form_primitive(((s1, s1), (s2, s2), (s1, s2)))
         setup = len(calls)
@@ -347,7 +351,7 @@ class TestFrameCounts:
         # the first block
         sizes = [np.count_nonzero(mesh.valid[r:r + 5]) + (r == 0) for r in range(0, 17, 5)]
         assert len(sizes) > 2 and all(sizes)
-        assert [np.size(u) for _, u in calls[setup:]] == [rows * m for m in sizes]
+        assert [np.size(args[1]) for args in calls[setup:]] == sizes
 
     @pytest.mark.parametrize("paired", [False, True])
     def test_one_frame_per_integrand_call(self, monkeypatch, count_calls, ctx, paired):
@@ -386,12 +390,13 @@ class TestFrameCounts:
 class TestDistanceCalls:
     """EllipticContext.lattice_distance takes one array call where a loop
     took one per end or pair of ends: the torus bases' end check, the end
-    separation of WeierstrassData and form_primitive's probe.  The mesh
-    mask keeps one call per end and chart singularity, on a whole block."""
+    separation of WeierstrassData, form_primitive's probe and the mesh
+    mask, which takes the distances of the grid points around the ends to
+    every end and chart singularity in one call."""
 
     @pytest.mark.parametrize("name, build, construct, mesh", [
-        ("klein4", {}, 3, 2 + 10),
-        ("torus4", {"omega1": 1 + 0.4j, "omega3": 1 - 0.4j}, 1, 2 + 4),
+        ("klein4", {}, 3, 3),
+        ("torus4", {"omega1": 1 + 0.4j, "omega3": 1 - 0.4j}, 1, 3),
     ])
     def test_budget(self, count_calls, name, build, construct, mesh):
         entry = CONSTRUCTIONS[name]
@@ -401,7 +406,7 @@ class TestDistanceCalls:
         # the end check
         assert len(calls) == construct
         entry.mesh(built, GridSpec(33, 33))
-        # the end separation, the probe and the one-block mask
+        # the end separation, the probe and the mask's one block
         assert len(calls) == construct + mesh
         assert all(np.size(u) > 1 for _, u in calls)
 
@@ -470,16 +475,29 @@ def _per_consumer_mesh(data, mesh):
             float(identity))
 
 
+# the bound on a value read from the one frame on u, relative to its scale,
+# against one from a frame of its own on u - a; 1.2e-14 was the largest of
+# 60 draws of test_one_frame_is_pointwise_and_near_a_frame_per_shift's lattices
+SHIFT_TOL = 1e-12
+
+
 def _assert_mesh_is_per_consumer(data, grid, base):
-    """integrate_surface, on blocks of 16 vertices, against _per_consumer_mesh."""
+    """integrate_surface, on blocks of 16 vertices, bitwise the mesh of the
+    default block, and within SHIFT_TOL of the mesh scale (vertices) or 1
+    (normals) of _per_consumer_mesh, whose rows and primitive take a frame
+    per shift; both identity residuals are at rounding level."""
+    whole = integrate_surface(data, GridSpec(grid, grid), base)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(surface, "_BLOCK", 16)
         mesh = integrate_surface(data, GridSpec(grid, grid), base)
     assert len(mesh.vertices) > 3 * 16
+    for key in ("vertices", "gauss"):
+        assert getattr(mesh, key).tobytes() == getattr(whole, key).tobytes()
+    assert repr(mesh.metadata) == repr(whole.metadata)
     verts, normals, identity = _per_consumer_mesh(data, mesh)
-    assert verts.tobytes() == mesh.vertices.tobytes()
-    assert normals.tobytes() == mesh.gauss.tobytes()
-    assert identity == mesh.metadata["identity_residual_max"]
+    assert np.max(np.abs(verts - mesh.vertices)) <= SHIFT_TOL * mesh.metadata["mesh_scale"]
+    assert np.max(np.abs(normals - mesh.gauss)) <= SHIFT_TOL
+    assert max(identity, mesh.metadata["identity_residual_max"]) <= 1e-11
 
 
 def _per_end_primitive(prim, u):
@@ -501,9 +519,13 @@ def _per_end_primitive(prim, u):
 @given(st.floats(-0.5, 0.5), st.floats(0.0, 1.0), st.floats(0.3, 3.0), st.floats(-np.pi, np.pi),
        st.integers(-2, 2), st.integers(-2, 2), st.integers(0, 2**16))
 @settings(max_examples=12, deadline=None)
-def test_one_frame_equals_a_frame_per_shift(re_tau, thinness, size, angle, k1, k2, seed):
+def test_one_frame_is_pointwise_and_near_a_frame_per_shift(re_tau, thinness, size, angle, k1, k2,
+                                                           seed):
     # the skewed lattices of test_spinor's oracle test, reduced Im(tau) up to
-    # 4: every value from the stacked frame is bitwise the per-shift one
+    # 4: the rows of random ends, none the negative of another, each read a
+    # frame of their own, bitwise the per-shift values; the ends at 0 and
+    # the half periods read theirs from the one frame on u, within SHIFT_TOL
+    # of the per-shift values, and a point's bits are its own
     lo = np.sqrt(1.0 - re_tau**2)
     b1 = size * np.exp(1j * angle)
     b2 = b1 * complex(re_tau, lo * (4.0 / lo) ** thinness)
@@ -530,26 +552,29 @@ def test_one_frame_equals_a_frame_per_shift(re_tau, thinness, size, angle, k1, k
     K = extract_K(omega_matrix(basis_F_torus_twisted(
         ctx, EndDivisor((0.0, ctx.omega1, ctx.omega2, ctx.omega3)))))
     prim = form_primitive([(K[0], K[0]), (K[1], K[2]), (K[0], K[2])])
-    # a section without the row of omega1 shares its frame with the
-    # primitive on (0, omega2, omega3, omega1): the primitive reads its
-    # rows out of order
+    # a section without the row of omega1 shares the frame with the
+    # primitive, which reads the ends (0, omega2, omega3, omega1)
     gap = K[0].basis.section([1.0, 0.0, 1.0, 1.0], "gap")
-    for at in (u, u[0]):
-        for shared in (at, chart_points([gap], prim)(at)):
-            for got, want in zip(prim.evaluate(shared), _per_end_primitive(prim, at)):
-                assert np.array_equal(got, want)
-        assert np.array_equal(section_values([gap], chart_points([gap], prim)(at)),
-                              section_values([gap], at))
+    shared = chart_points([gap])(u)
+    whole = prim.evaluate(shared)
+    want = _per_end_primitive(prim, u)
+    for got, one, per_end in zip(whole, prim.evaluate(u[0]), want):
+        assert np.array_equal(got[:, 0], one)
+        assert np.all(np.abs(got - per_end) <= SHIFT_TOL * (np.abs(per_end) + want[2]))
+    values = section_values([gap], shared)
+    assert np.array_equal(values[:, 0], section_values([gap], u[0]))
+    per_shift = _per_shift_values(gap.basis, np.array([gap.coefficients]), u)[0]
+    assert np.all(np.abs(values - per_shift) <= SHIFT_TOL * np.max(np.abs(per_shift)))
     # a mesh of a K pair, whose rows' shifts are its primitive's ends
     data = WeierstrassData(s1=K[0], s2=K[1])
     _assert_mesh_is_per_consumer(data, 9, _lattice_vertex(data.domain, 9, (0.5, 0.25)))
 
 
 @pytest.mark.parametrize("name", ["klein4", "klein4-zeta"])
-def test_klein_mesh_equals_a_frame_per_consumer(klein, name):
+def test_klein_mesh_is_near_a_frame_per_consumer(klein, name):
     # the paired rows and the zeta rows of the same pair: the rows, the
-    # weight and the primitive share one frame per block, bitwise as if
-    # each took its own
+    # weight and the primitive share one frame per block, on u alone, and
+    # come within SHIFT_TOL of a frame per shift
     (s1, s2), fractions = _mesh_pair(name, klein)
     data = WeierstrassData(s1=s1, s2=s2)
     _assert_mesh_is_per_consumer(data, 17, _lattice_vertex(data.domain, 17, fractions))

@@ -65,16 +65,13 @@ def test_a_residual_at_times_its_bound_decides_the_exit_code_and_the_gate(
 
 
 @pytest.mark.parametrize("times", [0.5, 2.0])
-def test_the_branch_condition_at_times_its_bound_on_a_scaled_lattice(monkeypatch, tmp_path,
-                                                                     capsys, times):
-    # a lower bound on |branch condition| |omega1|^2: on (2, 2i) the planted
-    # condition is times 1e-3 / 4
-    _plant(monkeypatch, "torus4",
-           branch_condition=lambda b: times * 1e-3 / abs(b.ctx.omega1) ** 2)
+def test_the_relative_branch_condition_at_times_its_bound(monkeypatch, tmp_path, capsys, times):
+    # a lower bound on the branch condition relative to its two terms
+    _plant(monkeypatch, "torus4", branch_relative=lambda b: times * 1e-3)
     passed = times > 1
-    assert main(["torus4", "2", "2j", "--out", str(tmp_path)]) == (0 if passed else 2)
+    assert main(["torus4", "1", "1j", "--out", str(tmp_path)]) == (0 if passed else 2)
     (row,) = [r for r in acceptance.run("torus4") if r.name.startswith("8d")]
-    assert row.passed == passed and row.value == pytest.approx(times * 1e-3, rel=1e-12)
+    assert row.passed == passed and row.value == times * 1e-3
 
 
 @pytest.mark.parametrize("argv, suite, fields", [
@@ -152,8 +149,8 @@ def test_a_value_at_its_bound_passes_and_nan_fails(monkeypatch, tmp_path, capsys
     nan = dataclasses.replace(t4, residuals={**t4.residuals, "period1": math.nan})
     assert not _named(nan.checks())["period1"].passed
     # a lower bound is strict: the branch condition at it fails, and NaN fails
-    for branch in (1e-3, complex(math.nan, 0.0)):
-        branched = dataclasses.replace(t4, branch_condition=branch)
+    for branch in (1e-3, math.nan):
+        branched = dataclasses.replace(t4, branch_relative=branch)
         assert not _named(branched.checks())["branch"].passed
     # a mesh residual at its bound passes, NaN fails
     meta = {"identity_residual_max": 1e-6, "end_residue_max": 0.0, "loop_residual_max": 2e-6,

@@ -241,8 +241,8 @@ TORUS4_CHOICES = ("123", "132", "213", "231", "312", "321")
 
 @pytest.mark.parametrize("scale", [0.01, 100.0, 2.0**-40, 2.0**40])
 def test_torus4_exit_code_does_not_depend_on_scale(tmp_path, capsys, scale):
-    # the branch condition scales as scale^-2; the gate reads it times
-    # |omega1|^2.  At 2^-40 the end checks' absolute floors once refused the
+    # the branch condition scales as scale^-2; the gate reads it relative
+    # to its terms.  At 2^-40 the end checks' absolute floors once refused the
     # ends; the rank cut, the end checks and the x solve read the unit chart
     def exit_code(lam, choice):
         return main(["torus4", repr(lam), repr(lam * 1j), "--choice", choice,
@@ -271,6 +271,22 @@ def test_the_branch_gate_passes_exactly_where_the_gauss_degree_is_four(monkeypat
         # 132 and 312 have branch condition 4.4e-16: two branch points
         assert degrees[1] == pytest.approx(2.0, abs=1e-6)
         assert degrees[4] == pytest.approx(2.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("omega3", ["3.5j", "5j", "7j"])
+def test_thin_square_tori_pass_the_branch_gate(monkeypatch, tmp_path, capsys, omega3):
+    # |branch condition| falls about as exp(-pi Im tau) with the
+    # e-differences; relative to its two terms it reads 0.99 or more, and the
+    # Gauss-map degree g + n - 1 = 4 says that s1 and s2 share no zero
+    built, construct = [], moduli.torus4_construct
+
+    def recorded(ctx, choice):
+        built.append(construct(ctx, choice))
+        return built[-1]
+    monkeypatch.setattr(moduli, "torus4_construct", recorded)
+    assert main(["torus4", "1", omega3, "--out", str(tmp_path)]) == 0
+    assert built[0].branch_relative > 0.99
+    assert abs(gauss_degree(CONSTRUCTIONS["torus4"].weierstrass(built[0])) - 4.0) <= 1e-6
 
 
 def test_an_unrepresentable_lattice_is_one_error_line_that_names_it(capsys):

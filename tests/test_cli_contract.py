@@ -142,11 +142,11 @@ def test_stderr_holds_only_the_error_line(tmp_path, argv):
     assert len(run.stderr.splitlines()) == 1 and run.stderr.startswith("error: "), run.stderr
 
 
-def test_a_lattice_at_the_torus4_limit_keeps_its_exit_code(tmp_path):
+def test_a_lattice_at_the_torus4_limit_passes(tmp_path):
     # reduced Im(tau) = 7, the largest torus4 takes: the construction runs
-    # and its branch condition fails the gate, as before the limit was stated
+    # and passes every check, the branch condition read relative to its terms
     run = _subprocess(["torus4", "1", "7j"], tmp_path)
-    assert run.returncode == 2 and run.stderr == ""
+    assert run.returncode == 0 and run.stderr == ""
     assert json.loads((tmp_path / "torus4.json").read_text())["residuals"]["period1"] < 1e-7
 
 

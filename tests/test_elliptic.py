@@ -25,6 +25,9 @@ from spinorminimal.elliptic import (
 from spinorminimal.numkit import NonConvergenceError
 from spinorminimal.spinor import EndDivisor, FormPrimitive, TwistedTorusDomain
 
+from mp_weierstrass import MpWeierstrass
+
+
 @pytest.fixture(scope="module", params=[lattice for _, lattice in ACCEPTANCE_LATTICES],
                 ids=[name for name, _ in ACCEPTANCE_LATTICES])
 def ctx(request):
@@ -362,37 +365,6 @@ def _g2_lattice_sum(b1, b2):
     return complex(60.0 * (s2 + (s2 - s1) / 3.0))
 
 
-class _MpWeierstrass:
-    """wp, zeta and the quasi-periods of the lattice {b1, b2} from
-    mpmath.jtheta at 30 digits and nome exp(i*pi*b2/b1), evaluated at the
-    point given, with no argument reduction."""
-
-    def __init__(self, b1, b2):
-        with mpmath.workdps(30):
-            self.b1, self.b2 = mpmath.mpc(b1), mpmath.mpc(b2)
-            self.q = mpmath.exp(1j * mpmath.pi * self.b2 / self.b1)
-            self.c = mpmath.pi / self.b1
-            d1 = mpmath.jtheta(1, 0, self.q, 1)
-            d3 = mpmath.jtheta(1, 0, self.q, 3)
-            # quasi-periods of b1/2 and b2/2, the second by the Legendre relation
-            self.eta_b1 = -(mpmath.pi**2 / (6 * self.b1)) * d3 / d1
-            self.eta_b2 = (self.eta_b1 * self.b2 - 1j * mpmath.pi) / self.b1
-
-    def _theta(self, u):
-        z = self.c * mpmath.mpc(u)
-        return [mpmath.jtheta(1, z, self.q, k) for k in range(3)]
-
-    def wp(self, u):
-        with mpmath.workdps(30):
-            t0, t1, t2 = self._theta(u)
-            return complex(-2 * self.eta_b1 / self.b1 + self.c**2 * ((t1 / t0) ** 2 - t2 / t0))
-
-    def zeta(self, u):
-        with mpmath.workdps(30):
-            t0, t1, _ = self._theta(u)
-            return complex(2 * self.eta_b1 * mpmath.mpc(u) / self.b1 + self.c * t1 / t0)
-
-
 class TestOracles:
     """build_context against the lattice sum and mpmath on random lattices:
     a reduced basis (b1, b2) with tau = b2/b1 in the fundamental domain and
@@ -418,7 +390,7 @@ class TestOracles:
         g2 = _g2_lattice_sum(b1, b2)
         assert abs(ctx.g2 - g2) <= 1e-6 * max(abs(g2), e_scale**2)
 
-        mp = _MpWeierstrass(b1, b2)
+        mp = MpWeierstrass(b1, b2)
         eta_scale = abs(mp.eta_b1) + abs(mp.eta_b2)
 
         def close(got, want, scale):

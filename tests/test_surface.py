@@ -15,7 +15,7 @@ from spinorminimal import surface
 from spinorminimal.acceptance import ACCEPTANCE_LATTICES
 from spinorminimal.moduli import CONSTRUCTIONS
 
-from spinorminimal.elliptic import build_context
+from spinorminimal.elliptic import Lattice, build_context
 from spinorminimal.moduli import klein4_construct, sphere4_solve, sphere6_K_basis, torus4_construct
 from spinorminimal.numkit import NonConvergenceError, QuadraturePath
 from spinorminimal.spinor import (
@@ -593,13 +593,15 @@ class TestCellMask:
 
     @pytest.mark.parametrize("times", [0.5, 2.0])
     def test_chart_singular_cut(self, times):
-        # grid points times 1e-9 above the untwisted torus's chart
+        # the grid points of the 2 x 2 grid of steps omega_1 and omega_3
+        # times 1e-9 above 0: those above the untwisted torus's chart
         # singularities 0 and omega_1 are vertices only beyond the cut
         ctx = build_context(1.0, 1.0j)
         basis = basis_F_torus_untwisted(ctx, 1, EndDivisor((0.5 + 0.5j, 1.0 + 1.5j)))
         data = WeierstrassData(s1=basis[0], s2=basis[1], end_clearance=1e-3)
-        u = np.array([p + times * 1e-9j for p in data.domain.chart_singularities()])
-        assert _valid_mask(data, ChartMap(np.zeros(1, complex), u)).tolist() == [[times > 1] * 2]
+        chart = ChartMap(np.array([0.0, ctx.omega1]) + times * 1e-9j, np.array([0.0, ctx.omega3]))
+        assert data.domain.chart_singularities() == [0.0, ctx.omega1]
+        assert _valid_mask(data, chart).tolist() == [[times > 1, True], [times > 1, True]]
 
     def test_the_loop_oracle_reads_the_same_mask(self, count_calls):
         entry = CONSTRUCTIONS["sphere6"]
@@ -643,19 +645,15 @@ class TestBlocks:
         entry = CONSTRUCTIONS[name]
         built = entry.build(**build)
         want = entry.mesh(built, GridSpec(grid, grid))
-        masks = count_calls(WeierstrassData, "end_distance")
         closures = count_calls(surface, "_closure")
         for block in (7, 200):
             monkeypatch.setattr(surface, "_BLOCK", block)
-            masks.clear()
             closures.clear()
             got = entry.mesh(built, GridSpec(grid, grid))
             assert len(got.vertices) > 7 * 10
-            # the mask's grid rows and the cell rows each span more than one block
-            rows, cells = max(1, block // grid), max(1, block // (grid - 1))
-            assert [np.size(u) for (_, u) in masks] == [grid * min(rows, grid - r)
-                                                    for r in range(0, grid, rows)]
-            assert len(masks) > 1 and len(closures) == -(-(grid - 1) // cells) > 1
+            # the cell rows span more than one block
+            cells = max(1, block // (grid - 1))
+            assert len(closures) == -(-(grid - 1) // cells) > 1
             for key in ("vertices", "gauss", "faces", "domain_uv"):
                 a, b = getattr(want, key), getattr(got, key)
                 assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), key
@@ -830,6 +828,23 @@ class TestBlocks:
             tracemalloc.stop()
         size = _stored_bytes(mesh)
         assert max(meshed, exported) <= size + 2.25 * 2**20, (size, meshed, exported)
+
+    def test_the_klein_vertex_stage_holds_the_mesh_and_one_block(self, monkeypatch):
+        # the grid-257 Klein mesh stores 3.2 MiB: its vertex stage, up to the
+        # cell mask, peaks within 6 MiB, as each block's one theta frame is
+        # on its vertices alone and the block keeps only zeta, wp and wp'
+        entry = CONSTRUCTIONS["klein4"]
+        built = entry.build()
+        entry.mesh(built, GridSpec(17, 17))
+        peaks, cell_mask = [], surface._cell_mask
+        monkeypatch.setattr(surface, "_cell_mask", lambda *args: peaks.append(
+            tracemalloc.get_traced_memory()[1]) or cell_mask(*args))
+        tracemalloc.start()
+        try:
+            entry.mesh(built, GridSpec(257, 257))
+        finally:
+            tracemalloc.stop()
+        assert len(peaks) == 1 and peaks[0] <= 6 * 2**20, peaks
 
     def test_a_mesh_formats_each_face_index_once_per_block(self, monkeypatch, tmp_path,
                                                             count_calls):
@@ -1022,7 +1037,7 @@ class TestExactText:
 
 class TestTorusMesh:
     def test_torus4_mesh_integrates(self):
-        from spinorminimal.elliptic import build_context
+        from spinorminimal.elliptic import Lattice, build_context
         from spinorminimal.moduli import torus4_construct
         t4 = torus4_construct(build_context(1.0, 1.0j))
         data = WeierstrassData(s1=t4.s1, s2=t4.s2)
@@ -1039,7 +1054,7 @@ class TestTorusMesh:
 
 @pytest.fixture(scope="module")
 def torus4_generic():
-    from spinorminimal.elliptic import build_context
+    from spinorminimal.elliptic import Lattice, build_context
     from spinorminimal.moduli import torus4_construct
     t4 = torus4_construct(build_context(1.1 - 0.2j, 0.3 + 0.9j))
     data = WeierstrassData(s1=t4.s1, s2=t4.s2)
@@ -1163,3 +1178,110 @@ class TestArrayMeshPipeline:
         oracle = (data.end_distance(u) > data.end_clearance) & (singular > 1e-9)
         assert np.array_equal(_valid_mask(data, _chart_map(data, GridSpec(nx=33, ny=33))),
                               oracle.reshape(U.shape))
+
+
+def _full_grid_mask(data, chart):
+    """The reference vertex mask: the distance of every grid point to every
+    finite end and chart singularity, one point of the divisor at a time,
+    with no box around any of them."""
+    u = chart.rows(0, chart.shape[0])
+    return (data.end_distance(u) > data.end_clearance) \
+        & (data.chart_singular_distance(u) > surface.CHART_SINGULAR_TOL)
+
+
+def _pair_data(name, *args, eps=None):
+    entry = CONSTRUCTIONS[name]
+    return lambda: entry.weierstrass(entry.build(*args), eps)
+
+
+def _sphere_data(ends, eps):
+    def data():
+        basis = basis_F_sphere(EndDivisor(ends))
+        return WeierstrassData(s1=basis[0], s2=basis[1], end_clearance=eps)
+    return data
+
+
+MASK_CASES = {
+    "torus4-square": _pair_data("torus4", 1.0, 1.0j),
+    "torus4-rect2": _pair_data("torus4", 1.0, 2.0j),
+    "torus4-rhombic": _pair_data("torus4", 1 + 0.4j, 1 - 0.4j),
+    "torus4-generic": _pair_data("torus4", 1.1 - 0.2j, 0.3 + 0.9j),
+    # an unreduced skewed basis of the square lattice
+    "torus4-skewed": _pair_data("torus4", 1.0, 5.0 + 1.0j),
+    # disks wider than a grid cell from grid 5 up, and than half the end gap
+    "torus4-wide": _pair_data("torus4", 1.0, 1.0j, eps=0.6),
+    # the chart singularities 0 and omega_2 beside the eight ends
+    "klein4": _pair_data("klein4"),
+    "sphere4": _pair_data("sphere4"),
+    # an end on a grid line from grid 17 up, and one whose disk ends on grid
+    # points there: a distance equal to the clearance is no vertex
+    "sphere-grid-line": _sphere_data((0.5, -1.0 + 0.25j, INF), 0.25),
+}
+
+
+class TestStampedMask:
+    """_valid_mask takes distances only around each end's and chart
+    singularity's disk and its lattice translates; its booleans are the full
+    grid's."""
+
+    @pytest.fixture(scope="class", params=MASK_CASES.values(), ids=MASK_CASES.keys())
+    def data(self, request):
+        return request.param()
+
+    @pytest.mark.parametrize("n", [2, 3, 17, 33, 129])
+    def test_the_mask_is_the_full_grid_mask(self, data, n):
+        chart = _chart_map(data, GridSpec(n, n))
+        want = _full_grid_mask(data, chart)
+        assert np.array_equal(_valid_mask(data, chart), want)
+        if n == 129:
+            assert 0 < np.count_nonzero(want) < want.size
+
+    def test_the_distances_are_taken_around_the_ends(self, count_calls):
+        # klein-4 at grid 129: the boxes of its ten disks hold few of the
+        # 16641 grid points, and the mask takes their distances to the ten
+        # points in one call
+        data = MASK_CASES["klein4"]()
+        calls = count_calls(Lattice, "distance")
+        _valid_mask(data, _chart_map(data, GridSpec(129, 129)))
+        assert len(calls) == 1 and 0 < np.size(calls[0][1]) < 0.05 * 16641 * 10
+
+
+def _edge_agreement(data, mesh, grid, near=0.0):
+    """The largest |mesh edge increment - quadrature_edges| over the mesh
+    scale, on the edges whose midpoint lies at least near times the edge's
+    length from every finite end."""
+    valid, h, v = quadrature_edges(data, grid)
+    X = np.full(valid.shape + (3,), np.nan)
+    X[valid] = mesh.vertices
+    U, worst = _chart_map(data, grid).rows(0, grid.nx), 0.0
+    for edge, quad, a, b in ((X[1:] - X[:-1], h, U[:-1], U[1:]),
+                             (X[:, 1:] - X[:, :-1], v, U[:, :-1], U[:, 1:])):
+        far = data.end_distance((a + b) / 2) >= near * np.abs(b - a)
+        worst = max(worst, np.nanmax(np.abs(edge - quad)[far]))
+    return worst / mesh.metadata["mesh_scale"]
+
+
+class TestThinCellMesh:
+    """torus4 on (1, 7i), reduced Im tau 7, the thinnest lattice torus4
+    takes: its branch gate, read relative to the condition's terms, lets it
+    mesh."""
+
+    def test_the_command_meshes(self, tmp_path, capsys):
+        from spinorminimal.cli import main
+        assert main(["torus4", "1", "7j", "--mesh", str(tmp_path / "t.obj"), "--grid", "33",
+                     "--out", str(tmp_path)]) == 0
+
+    def test_every_check_passes_and_the_vertices_agree_with_the_edge_quadrature(self):
+        grid, entry = GridSpec(33, 33), CONSTRUCTIONS["torus4"]
+        built = entry.build(1.0, 7.0j)
+        data = entry.weierstrass(built)
+        mesh = entry.mesh(built, grid)
+        assert all(c.passed for c in built.checks() + mesh.checks())
+        # the agreement of the (1, 2i) mesh over all its edges, 1.6e-10; on
+        # the thin cell the 12 Gauss-Legendre nodes of an edge along omega_3
+        # (0.44 long) that passes within 0.75 of its length of an end do not
+        # converge, and read 3.3e-5 there
+        rect2 = entry.build(1.0, 2.0j)
+        reference = _edge_agreement(entry.weierstrass(rect2), entry.mesh(rect2, grid), grid)
+        assert reference < 2e-10
+        assert _edge_agreement(data, mesh, grid, near=0.75) <= reference

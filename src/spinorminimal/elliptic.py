@@ -161,22 +161,14 @@ class Lattice:
         n = np.round((u.imag * b1.real - u.real * b1.imag) / det)
         return u - m * b1 - n * b2, m, n
 
-    def half_period_labels(self, points) -> list:
-        """(label, m, n) for each of a few points a: 2a rounds, as reduce
-        rounds, to m b1 + n b2, and the label is 1, 2 or 3 when 2a lies
-        within the pole tolerance of it with (m, n) = (1, 0), (1, 1) or
-        (0, 1) mod 2, a at the reduced half-period b1/2, (b1 + b2)/2 or
-        b2/2 (modulo the lattice), else 0.  In Python's arithmetic, which
-        is faster than numpy's on the ends of a divisor."""
-        (b1, b2), out = self.reduced_periods, []
-        det = b1.real * b2.imag - b1.imag * b2.real
-        for a in points:
-            u = 2 * complex(a)
-            m = round((u.real * b2.imag - u.imag * b2.real) / det)
-            n = round((u.imag * b1.real - u.real * b1.imag) / det)
-            near = abs(u - m * b1 - n * b2) < self.pole_tolerance
-            out.append(((0, 3, 1, 2)[2 * (m % 2) + n % 2] if near else 0, m, n))
-        return out
+    def half_period_labels(self, points):
+        """(labels, m, n) for points a: 2a reduces to m b1 + n b2, and a's
+        label is 1, 2 or 3 when 2a lies within the pole tolerance of it
+        with (m, n) = (1, 0), (1, 1) or (0, 1) mod 2, a at the reduced
+        half-period b1/2, (b1 + b2)/2 or b2/2 (modulo the lattice), else 0."""
+        red, m, n = self.reduce(2 * np.asarray(points, dtype=complex))
+        labels = np.array([0, 3, 1, 2])[(2 * (m % 2) + n % 2).astype(int)]
+        return np.where(np.abs(red) < self.pole_tolerance, labels, 0), m, n
 
     def distance(self, u):
         """Distance from u to the nearest lattice point: a float for a scalar,
@@ -337,8 +329,8 @@ class EllipticContext:
     @cached_property
     def _half_labels(self) -> list:
         """The reduced labels of omega1, omega2 and omega3."""
-        return [h for h, _, _ in self.lattice.half_period_labels(
-            [self.omega1, self.omega2, self.omega3])]
+        return self.lattice.half_period_labels(
+            [self.omega1, self.omega2, self.omega3])[0].tolist()
 
     def lattice_distance(self, u):
         """Distance from u to the nearest lattice point (see Lattice.distance)."""
@@ -425,16 +417,21 @@ _CHUNK = 2048
 class _Frame:
     """theta1 and its first three z-derivatives at the lattice-reduced points
     of u; zeta, wp and wp' of those points all finish from this one frame,
-    on all of it or on the part (an index of u) a caller reads."""
+    on all of it or on the part (an index of u) a caller reads.  A point
+    within the pole tolerance of the lattice raises PoleEvaluationError, or,
+    with poles, is summed at b1/2 and marked in pole."""
 
-    def __init__(self, ctx: EllipticContext, u, halves=False):
+    def __init__(self, ctx: EllipticContext, u, halves=False, poles=False):
         u = np.asarray(u, dtype=complex)
         self.ctx = ctx
         self.scalar = u.ndim == 0
         self.red, self.m, self.n = ctx.lattice.reduce(np.atleast_1d(u))
         b1 = ctx.lattice.reduced_periods[0]
-        if np.any(np.abs(self.red) < ctx.lattice.pole_tolerance):
-            raise PoleEvaluationError("evaluation point within 1e-12 of a lattice point")
+        self.pole = np.abs(self.red) < ctx.lattice.pole_tolerance
+        if self.pole.any():
+            if not poles:
+                raise PoleEvaluationError("evaluation point within 1e-12 of a lattice point")
+            self.red = np.where(self.pole, b1 / 2, self.red)
         self.w, self.c = b1 / 2, np.pi / b1
         # the theta sums hold (terms, 2) values per point: _CHUNK points at a
         # time keep them in a core's cache, and bound that memory on a block
@@ -461,8 +458,8 @@ class _Frame:
         g = t1 / t0
         return np.multiply(-(self.c**3), self.t3[part] / t0 - 3 * t2 * t1 / t0**2 + 2 * g**3)
 
-    def half_shifts(self):
-        """(wp'(u) / 2D, (e - e_j)(e - e_k) / D), each of shape (3,) + u's,
+    def half_shifts(self, part=...):
+        """(wp'(u) / 2D, (e - e_j)(e - e_k) / D), each of shape (3,) + u's part,
         D = wp(u) - e, for the reduced half-periods of labels 1 to 3
         (Lattice.half_period_labels), e their wp, from a frame taken with
         halves: the thetas th_1 to th_3 at v and T_1 to T_3 at 0 of the
@@ -477,22 +474,21 @@ class _Frame:
         s = -1 at label 2, else 1, with no difference taken: both keep
         their relative precision where wp nears e or wp' nears 0 on a thin
         cell, where wp - e and wp' from the frame's sums do not."""
-        th, T = self.halves, self.ctx._theta.half_weights[2]
-        shape = (3,) + (1,) * self.t0.ndim
+        th, t0, T = self.halves[:, part], self.t0[part], self.ctx._theta.half_weights[2]
+        shape = (3,) + (1,) * t0.ndim
         # no complex product in place: on one point numpy rounds it apart
         square = th * th
-        slope = np.multiply((-self.c * T**2).reshape(shape),
-                            th[0] * th[1] * th[2] / self.t0) / square
+        slope = np.multiply((-self.c * T**2).reshape(shape), th[0] * th[1] * th[2] / t0) / square
         scale = np.array([1.0, -1.0, 1.0]) * (self.c * T.prod() / T) ** 2
-        return slope, np.multiply(scale.reshape(shape), self.t0 * self.t0 / square)
+        return slope, np.multiply(scale.reshape(shape), t0 * t0 / square)
 
     def result(self, arr):
         """arr as a Python complex for a scalar argument, else as is."""
         return complex(arr[0]) if self.scalar else arr
 
 
-def _theta_frame(ctx: EllipticContext, u, halves=False) -> _Frame:
-    return _Frame(ctx, u, halves)
+def _theta_frame(ctx: EllipticContext, u, halves=False, poles=False) -> _Frame:
+    return _Frame(ctx, u, halves, poles)
 
 
 def wp(ctx: EllipticContext, u):

@@ -10,9 +10,10 @@ on the sphere without ends, Enneper's rows.  A section (N/D) phi of F is a
 coefficient vector on the sphere rows (_SphereBasis.fraction).
 A kernel evaluates only the rows some coefficient uses, and adds each
 row into every section it evaluates.  On a torus the rows
-read zeta and wp at u and at u - a_i from one theta frame on u alone, the
-shift of an end whose negative is an end by the addition theorem
-(_Points.shifts); a caller that also needs the chart weight or a
+read zeta and wp at u and at u - a_i from one theta frame, the shift of
+an end whose negative is an end by the addition theorem from the frame's
+values on u, any other end's from its rows u - a_i (_Points.shifts); a
+caller that also needs the chart weight or a
 primitive at the same points takes that frame for all of them
 (chart_points) and passes it in place of u.  Both torus
 builders check their ends in one lattice distance call (_torus_end_check),
@@ -140,89 +141,90 @@ class EndDivisor:
 
 class _Points:
     """Chart points u on a torus with one theta frame, which the basis rows,
-    the chart weight and the closed-form primitive all read: zeta, wp and
-    wp' at u, each formed once and read-only, and zeta and wp at u - a for
-    the ends a (shifts).  The frame is taken by the first reader: on u
-    alone, or, when that reader is rows of ends without a shift rule, on
-    their rows u - a too, laid end to end; a block of a Klein mesh keeps
-    only the three values (_take).  A frame's bits do not depend on its
-    batch, so a point's values are its own."""
+    the chart weight and the closed-form primitive all read.  The frame is
+    taken here, once: on u, and on u - a for each end a without a shift
+    rule (_TorusDomain.unruled_ends), laid end to end, with the
+    half-period thetas when the domain has half-period ends.  A point u
+    within the pole tolerance of the lattice raises PoleEvaluationError; a
+    row u - a there is summed at b1/2 and raises only when read (shifts),
+    so a section is evaluated at an end whose row it does not read as at
+    any other point.  zeta, wp and
+    wp' at u are each formed when first read; on a domain without
+    half-period ends and more points than the frame sums at a time (a mesh
+    block) all three are formed here and the frame let go, as they are a
+    third of its memory.  A frame's bits do not depend on its batch, so a
+    point's values are its own."""
 
     def __init__(self, dom, u):
         u = np.asarray(u, dtype=complex)
         self.dom, self.shape, self.u = dom, u.shape, u.reshape(-1)
-        self.size, self.rows = self.u.size, {}
-
-    def __getattr__(self, name):
-        """frame, zeta, wp and wp', each made when first read (_take)."""
-        if name not in ("frame", "zeta", "wp", "wp_prime"):
-            raise AttributeError(name)
-        if "frame" not in self.__dict__:
-            self._take((), name == "frame")
-        if name not in self.__dict__:
-            setattr(self, name, getattr(self.frame, name)(slice(0, self.size)))
-        return self.__dict__[name]
-
-    def _take(self, own, halves):
-        """Take the frame on u and on u - a for each end a of own, with the
-        half-period thetas when a reader of shifts takes it and the domain
-        has half-period ends, and keep (zeta(u - a) - zeta(u), wp(u - a)) of
-        each row of own in rows.  On a domain without half-period ends, and
-        more points than the frame sums at a time (a mesh block), keep
-        zeta, wp and wp' at u in its place: they are a third of its memory."""
-        n, self.frame = self.size, elliptic._theta_frame(
-            self.dom.ctx, (self.u - np.array([0j, *own])[:, None]).ravel(),
-            halves and self.dom.half_periods)
+        self.size, own, self.rows = self.u.size, dom.unruled_ends, {}
+        self.frame = elliptic._theta_frame(
+            dom.ctx, (self.u - np.array([0j, *own])[:, None]).ravel(), dom.half_periods, True)
+        rows = (len(own) + 1, self.size)
+        pole = self.frame.pole.reshape(rows)
+        if pole[0].any():
+            raise elliptic.PoleEvaluationError(
+                f"u = {self.u[np.argmax(pole[0])]} is within 1e-12 of a lattice point")
         if own:
-            zeta, wp = (x.reshape(-1, n) for x in (self.frame.zeta(), self.frame.wp()))
+            zeta, wp = (x.reshape(rows) for x in (self.frame.zeta(), self.frame.wp()))
             self.zeta, self.wp = zeta[0], wp[0]
-            self.rows.update(zip(own, zip(zeta[1:] - zeta[0], wp[1:])))
-        if not self.dom.half_periods and n > elliptic._CHUNK:
+            self.rows = dict(zip(own, zip(zeta[1:] - zeta[0], wp[1:], pole[1:])))
+        if not dom.half_periods and self.size > elliptic._CHUNK:
             for name in ("zeta", "wp", "wp_prime"):
                 getattr(self, name)
             self.frame = None
 
+    @cached_property
+    def zeta(self):
+        return self.frame.zeta(slice(0, self.size))
+
+    @cached_property
+    def wp(self):
+        return self.frame.wp(slice(0, self.size))
+
+    @cached_property
+    def wp_prime(self):
+        return self.frame.wp_prime(slice(0, self.size))
+
     def shifts(self, ends):
         """(zeta(u - a) - zeta(u), wp(u - a)) for each end a of ends in turn,
-        each made as it is read: (0.0, wp(u)) at a = 0.  At an end with a
-        shift rule (_TorusDomain.shift_rules), from this frame by the
-        addition theorem (DLMF 23.10.1-23.10.2 at v = -a), D = wp(u) - wp(a):
+        each made as it is read: (0.0, wp(u)) at a = 0, and the frame's rows
+        u - a at an end without a shift rule, as a random divisor's.  At an
+        end with a rule (_TorusDomain.shift_rules), from the frame on u by
+        the addition theorem (DLMF 23.10.1-23.10.2 at v = -a), D = wp(u) -
+        wp(a):
 
             zeta(u - a) - zeta(u) = R/2 - zeta(a),  R = (wp'(u) + wp'(a))/D,
             wp(u - a) = R^2/4 - wp(u) - wp(a),
 
         which at a half-period, wp'(a) = 0, is R/2 = wp'(u)/2D and wp(u - a)
         = wp(a) + (e - e_j)(e - e_k)/D, both from theta quotients
-        (_Frame.half_shifts).  The ends without a rule, as a random
-        divisor's, read their rows of the frame when the first reader takes
-        it (_take), and a later reader's such ends one more frame on their
-        rows.  Within about the pole tolerance of +-a, where D vanishes,
-        PoleEvaluationError."""
-        rules = self.dom.shift_rules
-        own = [a for a in ends if a != 0 and complex(a) not in rules]
-        if "frame" not in self.__dict__:
-            self._take(own, True)
-        missing = [a for a in own if a not in self.rows]
-        if missing:
-            frame = elliptic._theta_frame(self.dom.ctx, (self.u - np.c_[missing]).ravel())
-            zeta, wp = (x.reshape(len(missing), self.size) for x in (frame.zeta(), frame.wp()))
-            self.rows.update(zip(missing, zip(zeta - self.zeta, wp)))
+        (_Frame.half_shifts).  Within about the pole tolerance of a (and of
+        -a, where D vanishes), PoleEvaluationError."""
         for a in ends:
             if a == 0:
                 yield 0.0, self.wp
-            elif a in own:
-                yield self.rows[a]
+            elif a in self.rows:
+                zeta, wp, pole = self.rows[a]
+                yield self._checked(a, pole, zeta, wp)
             else:
-                yield self._ruled(a, *rules[complex(a)])
+                yield self._ruled(a, *self.dom.shift_rules[complex(a)])
+
+    def _checked(self, a, pole, *values):
+        """values, or PoleEvaluationError where pole marks a point u within
+        about the pole tolerance of the end a."""
+        if pole.any():
+            raise elliptic.PoleEvaluationError(
+                f"zeta(u - a) at u = {self.u[np.argmax(pole)]} for the end a = {a}: "
+                "u is within 1e-12 of an end")
+        return values
 
     @cached_property
     def _halves(self):
         """_Frame.half_shifts, and where u is within about the pole
         tolerance of each half-period, wp'/2D ~ 1/(u - a)."""
-        frame = self.frame
-        if not len(frame.halves):  # a value at u was read first, as by a builder
-            frame = elliptic._theta_frame(self.dom.ctx, self.u, True)
-        slope, product = frame.half_shifts()
+        slope, product = self.frame.half_shifts(slice(0, self.size))
         return slope, product, np.abs(slope) >= 0.5 / self.dom.ctx.lattice.pole_tolerance
 
     def _ruled(self, a, h, zeta_a, wp_a, wp_prime_a):
@@ -239,11 +241,7 @@ class _Points:
             w -= wp_a
             z *= 0.5
             z -= zeta_a
-        if pole.any():
-            raise elliptic.PoleEvaluationError(
-                f"zeta(u - a) at u = {self.u[np.argmax(pole)]}: wp(u) = wp(a) for the end "
-                f"a = {a}, u is within 1e-12 of an end")
-        return z, w
+        return self._checked(a, pole, z, w)
 
 
 class _DomainBase:
@@ -327,7 +325,7 @@ class _TorusDomain(_DomainBase):
         return u if isinstance(u, _Points) else _Points(self, u)
 
     @cached_property
-    def _labels(self) -> list:
+    def _labels(self):
         """Lattice.half_period_labels of the ends."""
         return self.ctx.lattice.half_period_labels(self.ends.points)
 
@@ -335,32 +333,40 @@ class _TorusDomain(_DomainBase):
     def half_periods(self) -> bool:
         """Whether an end is a half-period: a frame on u then adds theta2,
         theta3 and theta4 (_Frame.half_shifts)."""
-        return any(h for h, _, _ in self._labels)
+        return bool(self._labels[0].any())
+
+    @cached_property
+    def unruled_ends(self) -> list:
+        """The ends whose negative is no end: a + b lies farther than its pole
+        tolerance from the lattice for every end b.  They have no shift rule,
+        and a frame on u takes their rows u - a too (_Points).  0 and the
+        half-periods are their own negatives."""
+        b = np.array([p for p, h in zip(self.ends.points, self._labels[0]) if p != 0 and not h])
+        if not b.size:
+            return []
+        red = self.ctx.lattice.reduce(b[:, None] + b)[0]
+        return b[~(np.abs(red) < self.ctx.lattice.pole_tolerance).any(axis=1)].tolist()
 
     @cached_property
     def shift_rules(self) -> dict:
         """{a: (h, zeta(a), wp(a), wp'(a))} for each end a != 0 whose negative
-        is an end modulo the lattice, within its pole tolerance, h its
-        half-period label (0 unless a is its own negative): its shift is
-        read from the frame on u (_Points.shifts), as wp(u) - wp(a)
-        vanishes only at u = +-a, both ends.  A half-period a = m b1/2 +
-        n b2/2 has zeta(a) = m eta_a + n eta_b, eta_a and eta_b those of
-        b1/2 and b2/2 (EllipticContext._eta_reduced), wp(a) its e and
-        wp'(a) = 0; the other ends' values come from one frame."""
-        ctx, (eta_a, eta_b), rules = self.ctx, self.ctx._eta_reduced, {}
-        for a, (h, m, n) in zip(self.ends.points, self._labels):
+        is an end, h its half-period label (0 unless a is its own
+        negative): its shift is read from the frame on u (_Points.shifts),
+        as wp(u) - wp(a) vanishes only at u = +-a, both ends.  A half-period
+        a = m b1/2 + n b2/2 has zeta(a) = m eta_a + n eta_b, eta_a and eta_b
+        those of b1/2 and b2/2 (EllipticContext._eta_reduced), wp(a) its e
+        and wp'(a) = 0; the other ends' values come from one frame, taken
+        when a shift is first read."""
+        ctx, (eta_a, eta_b), rules, others = self.ctx, self.ctx._eta_reduced, {}, []
+        for a, h, m, n in zip(self.ends.points, *self._labels):
             if h:
                 rules[a] = (h, m * eta_a + n * eta_b, ctx.e(ctx._half_labels.index(h) + 1), 0.0)
-        b = np.array([a for a, (h, _, _) in zip(self.ends.points, self._labels)
-                      if a != 0 and not h], dtype=complex)
-        if b.size:
-            # a + b within the pole tolerance of the lattice point it rounds to
-            red = ctx.lattice.reduce(b[:, None] + b)[0]
-            b = b[(np.abs(red) < ctx.lattice.pole_tolerance).any(axis=1)]
-        if b.size:
-            frame = elliptic._theta_frame(ctx, b)
-            rules.update((complex(a), (0, *v)) for a, *v in
-                         zip(b, frame.zeta(), frame.wp(), frame.wp_prime()))
+            elif a != 0 and a not in self.unruled_ends:
+                others.append(a)
+        if others:
+            frame = elliptic._theta_frame(ctx, others)
+            rules.update((a, (0, *v)) for a, *v in
+                         zip(others, frame.zeta(), frame.wp(), frame.wp_prime()))
         return rules
 
     def qres_radius(self, p) -> float:
@@ -390,10 +396,10 @@ class UntwistedTorusDomain(_TorusDomain):
     end_weight = 1.5  # the honest chart d(u - a) / wp_r(a) has weight 3
 
     def wp_r(self, u):
-        """wp(u) - e_r, shaped as u: the one place e_r is subtracted; the
-        weight and the paired rows read it from the frame on u."""
-        at = self.points(u)
-        return np.subtract(at.wp, self.ctx.e(self.r)).reshape(at.shape)
+        """wp(u) - e_r, shaped as u: the weight and the paired rows read wp
+        from the frame of a _Points, other points from a frame of their own."""
+        p = u.wp.reshape(u.shape) if isinstance(u, _Points) else elliptic.wp(self.ctx, u)
+        return np.subtract(p, self.ctx.e(self.r))
 
     def form_weight(self, u):
         w = self.wp_r(u)
@@ -628,8 +634,8 @@ def section_values(sections, u, derivative=False):
 def chart_points(sections):
     """The sections' domain's points: chart points u as everything that
     reads them takes them, section_values of the sections, the chart weight
-    form_weight and a primitive's evaluate.  On a torus u with one theta
-    frame on u alone (_Points), each end's shift read from it; on the
+    form_weight and a primitive's evaluate.  On a torus u with its one theta
+    frame (_Points), each end's shift read from it; on the
     sphere u itself.  Pass its value to them in place of u."""
     return _shared_basis(sections).domain.points
 
@@ -963,18 +969,18 @@ def _torus_end_check(ctx: EllipticContext, points, wr=None):
     return a[other]
 
 
-def _zeta_table(dom, points, n, constants):
-    """(at, c, A): the _Points at of points, which end with the n ends a, and
-    of a_j - a_i for i != j, whose one frame the builders also read wp
-    and wp' from; c = constants(zeta at points); and A[i, j], the alpha_0 of
+def _zeta_table(ctx, points, n, constants):
+    """(frame, c, A): one theta frame on points, which end with the n ends
+    a, and on a_j - a_i for i != j, which the builders also read wp and wp'
+    from; c = constants(zeta at points); and A[i, j], the alpha_0 of
     zeta(u - a_i) - zeta(u) + c_i at a_j: zeta(a_j - a_i) - zeta(a_j) + c_i, 0 at a_i."""
     points = np.asarray(points, dtype=complex)
     a, off = points[points.size - n:], ~np.eye(n, dtype=bool)
-    at = _Points(dom, np.concatenate([points, (a[None, :] - a[:, None])[off]]))
-    values, shifted = at.zeta, np.zeros(off.shape, dtype=complex)
+    frame = elliptic._theta_frame(ctx, np.concatenate([points, (a[None, :] - a[:, None])[off]]))
+    values, shifted = frame.zeta(), np.zeros(off.shape, dtype=complex)
     shifted[off] = values[points.size:]
     c = constants(values[:points.size])
-    return at, c, np.where(off, shifted - values[points.size - n:points.size] + c[:, None], 0.0)
+    return frame, c, np.where(off, shifted - values[points.size - n:points.size] + c[:, None], 0.0)
 
 
 def basis_F_torus_twisted(ctx: EllipticContext, divisor: EndDivisor):
@@ -986,7 +992,7 @@ def basis_F_torus_twisted(ctx: EllipticContext, divisor: EndDivisor):
     others = _torus_end_check(ctx, divisor.points).tolist()
     m = len(others)
     dom = TwistedTorusDomain(ends=EndDivisor((0.0,) + tuple(others)), ctx=ctx)
-    _, c, alpha0 = _zeta_table(dom, others, m, lambda z: z)
+    _, c, alpha0 = _zeta_table(ctx, others, m, lambda z: z)
     laurent = np.zeros((m + 1, m + 1, 2), dtype=complex)
     laurent[0, :, 1], laurent[1:, 0, 0] = 1.0, -1.0
     laurent[1:, 1:] = np.stack([np.eye(m), alpha0], axis=-1)
@@ -1010,9 +1016,9 @@ def _untwisted_basis(ctx: EllipticContext, r: int, divisor: EndDivisor):
     wr = ctx.half_period(r)
     a = _torus_end_check(ctx, divisor.points, wr)
     dom, ends = UntwistedTorusDomain(ends=divisor, ctx=ctx, r=r), slice(a.size + 1, 2 * a.size + 1)
-    at, c, alpha0 = _zeta_table(dom, np.concatenate([[wr], wr - a, a]), a.size,
-                                lambda z: -z[1:a.size + 1] + z[0])
-    wp_r = dom.wp_r(at)[ends]
+    frame, c, alpha0 = _zeta_table(ctx, np.concatenate([[wr], wr - a, a]), a.size,
+                                   lambda z: -z[1:a.size + 1] + z[0])
+    wp_r = np.subtract(frame.wp(ends), ctx.e(r))
     if np.any(wp_r == 0):
         # the ends keep off omega_r: e_r rounded onto another root of the cubic
         raise elliptic.DegenerateLatticeError(
@@ -1022,7 +1028,7 @@ def _untwisted_basis(ctx: EllipticContext, r: int, divisor: EndDivisor):
     laurent = np.stack([np.diag((1.0 / wp_r.astype(object)).astype(complex)), alpha0], axis=-1)
     basis = _ZetaBasis(dom, [f"t{i + 1}" for i in range(a.size)], laurent,
                        np.full(a.size, 0.5), list(divisor.points), c.tolist())
-    return basis, wp_r, at.wp_prime[ends]
+    return basis, wp_r, frame.wp_prime(ends)
 
 
 def basis_F_torus_untwisted_paired(ctx: EllipticContext, r: int, half_points):

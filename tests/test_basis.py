@@ -1,5 +1,6 @@
 """Sections as (basis, coefficients): row kernels, combinations, frame counts."""
 
+import re
 import warnings
 
 import numpy as np
@@ -307,7 +308,7 @@ class TestFrameCounts:
     integrand call of period_matrix or omega_qres_matrix each take one.  An
     end whose negative is an end reads its shift from its rows on the
     points; any other end, as a random divisor's, keeps its rows u - a in
-    it, laid after them by the basis rows that take it."""
+    it, laid after them when the points are made."""
 
     @staticmethod
     def _frames(count_calls, fn, u):
@@ -568,6 +569,40 @@ def test_one_frame_is_pointwise_and_near_a_frame_per_shift(re_tau, thinness, siz
     # a mesh of a K pair, whose rows' shifts are its primitive's ends
     data = WeierstrassData(s1=K[0], s2=K[1])
     _assert_mesh_is_per_consumer(data, 9, _lattice_vertex(data.domain, 9, (0.5, 0.25)))
+
+
+@pytest.mark.parametrize("lattice", [(1.0, 1.0j), (1.1, 0.2 + 0.9j)])
+@pytest.mark.parametrize("family", ["twisted", "untwisted"])
+def test_a_divisor_with_both_kinds_of_end(lattice, family):
+    # a half-period end, read from theta quotients, beside an end whose
+    # negative is no end, read from its rows u - b in the same frame: the
+    # twisted (0, omega1, b) and the untwisted {omega3, b}, r = 1.  The
+    # values are pointwise, within SHIFT_TOL of a frame per shift, and
+    # omega_qres_matrix, whose integrand evaluates the sections on circles
+    # round the ends, agrees with the Laurent tables.  At b the row of b
+    # raises, and the sections without it are finite; on the lattice all raise
+    ctx, b = build_context(*lattice), 0.3 + 0.2j
+    basis = basis_F_torus_twisted(ctx, EndDivisor((0.0, ctx.omega1, b))) if family == "twisted" \
+        else basis_F_torus_untwisted(ctx, 1, EndDivisor((ctx.omega3, b)))
+    dom = basis[0].domain
+    assert dom.half_periods and dom.unruled_ends == [b]
+    sections = list(basis) + [basis[0].basis.section(np.arange(1.0, len(basis) + 1), "combo")]
+    C = np.array([s.coefficients for s in sections])
+    rng = np.random.default_rng(11)
+    u = rng.uniform(0.05, 0.95, 20) * 2 * ctx.omega1 + rng.uniform(0.05, 0.95, 20) * 2 * ctx.omega3
+    values, slopes = section_values(sections, u, derivative=True)
+    assert values.shape == slopes.shape == (len(sections), u.size)
+    assert np.array_equal(values[:, 0], section_values(sections, u[0]))
+    for got, want in zip((values, slopes), _per_shift_values(basis[0].basis, C, u)):
+        assert np.all(np.abs(got - want) <= SHIFT_TOL * np.max(np.abs(want), axis=1, keepdims=True))
+    omega = omega_matrix(basis).matrix.entries
+    assert np.all(np.abs(omega_qres_matrix(basis) - omega) <= 1e-12 * np.maximum(1.0, np.abs(omega)))
+    with pytest.raises(PoleEvaluationError, match=re.escape(f"{b!r} for the end a = {b!r}")):
+        section_values(sections, [u[0], b])
+    with pytest.raises(PoleEvaluationError, match="within 1e-12 of a lattice point"):
+        section_values(sections, [u[0], 2 * ctx.omega1])
+    row = basis[0].basis.shifts.index(b)
+    assert np.all(np.isfinite(section_values([s for s in basis if s.coefficients[row] == 0], b)))
 
 
 @pytest.mark.parametrize("name", ["klein4", "klein4-zeta"])

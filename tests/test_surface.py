@@ -1037,7 +1037,7 @@ class TestExactText:
 
 class TestTorusMesh:
     def test_torus4_mesh_integrates(self):
-        from spinorminimal.elliptic import Lattice, build_context
+        from spinorminimal.elliptic import build_context
         from spinorminimal.moduli import torus4_construct
         t4 = torus4_construct(build_context(1.0, 1.0j))
         data = WeierstrassData(s1=t4.s1, s2=t4.s2)
@@ -1054,7 +1054,7 @@ class TestTorusMesh:
 
 @pytest.fixture(scope="module")
 def torus4_generic():
-    from spinorminimal.elliptic import Lattice, build_context
+    from spinorminimal.elliptic import build_context
     from spinorminimal.moduli import torus4_construct
     t4 = torus4_construct(build_context(1.1 - 0.2j, 0.3 + 0.9j))
     data = WeierstrassData(s1=t4.s1, s2=t4.s2)

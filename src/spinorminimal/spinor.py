@@ -9,19 +9,20 @@ table is the untwisted one in another basis; and the monomials z^j phi
 on the sphere without ends, Enneper's rows.  A section (N/D) phi of F is a
 coefficient vector on the sphere rows (_SphereBasis.fraction).
 A kernel evaluates only the rows some coefficient uses, and adds each
-row into every section it evaluates.  On a torus the rows
-read zeta and wp at u and at u - a_i from one theta frame, the shift of
-an end whose negative is an end by the addition theorem from the frame's
-values on u, any other end's from its rows u - a_i (_Points.shifts); a
-caller that also needs the chart weight or a
-primitive at the same points takes that frame for all of them
-(chart_points) and passes it in place of u.  Both torus
-builders check their ends in one lattice distance call (_torus_end_check),
-and an untwisted build takes one theta frame.  A linear combination is a
-coefficient sum.  The Laurent data of a basis is one
-(rows, ends, 2) table T of (alpha_-1, alpha_0); a section's table is its
-coefficients contracted with T.  Omega, its residue-sum check, the K test and the
-log-end residues and pole coefficients of form_primitive all contract
+row into every section it evaluates.  On a torus the rows read zeta and
+wp at u and at u - a_i from one theta frame, the shift of an end whose
+negative is an end by the addition theorem from the frame's values on u,
+any other end's from its rows u - a_i (_Points.shifts); a caller that
+also needs the chart weight or a primitive at the same points takes that
+frame for all of them (the domain's points(u)) and passes it in place of
+u.  A torus domain evaluates its ends once, in one theta frame
+(_TorusDomain.end_values), which the zeta table, the pole data, the
+shift rules and the chart weight at the ends all read; both torus
+builders check their ends in one lattice distance call (_torus_end_check).
+A linear combination is a coefficient sum.  The Laurent data of a basis
+is one (rows, ends, 2) table T of (alpha_-1, alpha_0); a section's table
+is its coefficients contracted with T.  Omega, its residue-sum check, the
+K test and the log-end residues and pole coefficients of form_primitive all contract
 the stacked tables of the sections they read: Omega(s_i, s_j) is
 einsum('ik,jk->ij', A_0, A_-1), antisymmetrized.  The periods int s t are
 bilinear too: period_matrix gives int s_i s_j along a path for every pair
@@ -92,7 +93,6 @@ __all__ = [
     "planar_ends",
     "section_combination",
     "section_values",
-    "chart_points",
     "period_matrix",
     "FormPrimitive",
     "form_primitive",
@@ -153,12 +153,17 @@ class _Points:
     half-period ends and more points than the frame sums at a time (a mesh
     block) all three are formed here and the frame let go, as they are a
     third of its memory.  A frame's bits do not depend on its batch, so a
-    point's values are its own."""
+    point's values are its own.  Given a frame whose points begin with u
+    (the ends: _TorusDomain.end_values), u's values are read from it, and
+    there are no rows."""
 
-    def __init__(self, dom, u):
+    def __init__(self, dom, u, frame=None):
         u = np.asarray(u, dtype=complex)
         self.dom, self.shape, self.u = dom, u.shape, u.reshape(-1)
-        self.size, own, self.rows = self.u.size, dom.unruled_ends, {}
+        self.size, self.rows, self.frame = self.u.size, {}, frame
+        if frame is not None:
+            return
+        own = dom.unruled_ends
         self.frame = elliptic._theta_frame(
             dom.ctx, (self.u - np.array([0j, *own])[:, None]).ravel(), dom.half_periods, True)
         rows = (len(own) + 1, self.size)
@@ -251,6 +256,7 @@ class _DomainBase:
 
     ends: EndDivisor
     end_weight = 0.5
+    weight_at_ends = 1.0  # form_weight at the finite ends, which form_primitive divides by
 
     @property
     def chart_exponent(self) -> int:
@@ -270,8 +276,8 @@ class _DomainBase:
         return np.hypot(tables.real, tables.imag) * self.column_factors
 
     def points(self, u):
-        """What the evaluators read for chart points u (chart_points): u
-        itself, as a complex array, on the sphere."""
+        """What the evaluators read for chart points u, passed to them in place
+        of u: u itself, as a complex array, on the sphere."""
         return np.asarray(u, dtype=complex)
 
     def form_weight(self, u):
@@ -325,6 +331,24 @@ class _TorusDomain(_DomainBase):
         return u if isinstance(u, _Points) else _Points(self, u)
 
     @cached_property
+    def end_values(self):
+        """(at, c, A), the domain's one evaluation of its ends: at, its ends a
+        other than 0 as a _Points whose theta frame also holds the points of
+        _zeta_constants and a_j - a_i for i != j; c, the zeta rows' constants;
+        and A[i, j], the alpha_0 of zeta(u - a_i) - zeta(u) + c_i at a_j:
+        zeta(a_j - a_i) - zeta(a_j) + c_i, 0 at a_i.  The builders' table and
+        pole data, the shift rules and the chart weight at the ends read it."""
+        a = np.array([p for p in self.ends.points if p != 0], dtype=complex)
+        lead, constants = self._zeta_constants(a)
+        points, off = np.concatenate([a, lead]), ~np.eye(a.size, dtype=bool)
+        at = _Points(self, a, elliptic._theta_frame(
+            self.ctx, np.concatenate([points, (a[None, :] - a[:, None])[off]])))
+        values, shifted = at.frame.zeta(), np.zeros(off.shape, dtype=complex)
+        shifted[off] = values[points.size:]
+        c = constants(values[:points.size])
+        return at, c, np.where(off, shifted - values[:a.size] + c[:, None], 0.0)
+
+    @cached_property
     def _labels(self):
         """Lattice.half_period_labels of the ends."""
         return self.ctx.lattice.half_period_labels(self.ends.points)
@@ -355,18 +379,15 @@ class _TorusDomain(_DomainBase):
         as wp(u) - wp(a) vanishes only at u = +-a, both ends.  A half-period
         a = m b1/2 + n b2/2 has zeta(a) = m eta_a + n eta_b, eta_a and eta_b
         those of b1/2 and b2/2 (EllipticContext._eta_reduced), wp(a) its e
-        and wp'(a) = 0; the other ends' values come from one frame, taken
-        when a shift is first read."""
-        ctx, (eta_a, eta_b), rules, others = self.ctx, self.ctx._eta_reduced, {}, []
+        and wp'(a) = 0; the other ends' values are read from the domain's
+        evaluation of its ends (end_values)."""
+        ctx, (eta_a, eta_b), rules = self.ctx, self.ctx._eta_reduced, {}
         for a, h, m, n in zip(self.ends.points, *self._labels):
             if h:
                 rules[a] = (h, m * eta_a + n * eta_b, ctx.e(ctx._half_labels.index(h) + 1), 0.0)
             elif a != 0 and a not in self.unruled_ends:
-                others.append(a)
-        if others:
-            frame = elliptic._theta_frame(ctx, others)
-            rules.update((a, (0, *v)) for a, *v in
-                         zip(others, frame.zeta(), frame.wp(), frame.wp_prime()))
+                at = self.end_values[0]
+                rules[a] = (0, *(x[at.u == a][0] for x in (at.zeta, at.wp, at.wp_prime)))
         return rules
 
     def qres_radius(self, p) -> float:
@@ -383,6 +404,10 @@ class TwistedTorusDomain(_TorusDomain):
     genus = 1
     h_dim = 1
 
+    def _zeta_constants(self, a):
+        """(lead, c of zeta): no points after the ends a, and c_i = zeta(a_i)."""
+        return [], lambda z: z
+
 
 @dataclass(frozen=True)
 class UntwistedTorusDomain(_TorusDomain):
@@ -395,16 +420,27 @@ class UntwistedTorusDomain(_TorusDomain):
     h_dim = 0
     end_weight = 1.5  # the honest chart d(u - a) / wp_r(a) has weight 3
 
+    def _zeta_constants(self, a):
+        """(lead, c of zeta): omega_r and omega_r - a, which end_values adds after
+        the ends a, and c_i = zeta(omega_r) - zeta(omega_r - a_i) from zeta there."""
+        wr = self.ctx.half_period(self.r)
+        return np.concatenate([[wr], wr - a]), lambda z: -z[a.size + 1:] + z[a.size]
+
     def wp_r(self, u):
-        """wp(u) - e_r, shaped as u: the weight and the paired rows read wp
-        from the frame of a _Points, other points from a frame of their own."""
-        p = u.wp.reshape(u.shape) if isinstance(u, _Points) else elliptic.wp(self.ctx, u)
-        return np.subtract(p, self.ctx.e(self.r))
+        """wp(u) - e_r, shaped as u, from the frame of points(u): the only
+        place it is formed, for the chart weight, the paired rows and the
+        pole data at the ends (end_values)."""
+        at = self.points(u)
+        return np.subtract(at.wp.reshape(at.shape), self.ctx.e(self.r))
 
     def form_weight(self, u):
         w = self.wp_r(u)
         # in place on a block: one array for the weight, as for wp_r
         return 1.0 / complex(w) if w.ndim == 0 else np.divide(1.0, w, out=w)
+
+    @cached_property
+    def weight_at_ends(self):
+        return self.form_weight(self.end_values[0])
 
     def chart_singularities(self):
         return [0.0, self.ctx.half_period(self.r)]
@@ -627,17 +663,8 @@ def _shared_basis(sections) -> Basis:
 def section_values(sections, u, derivative=False):
     """Sections on one basis evaluated in one pass: shape (len(sections),) +
     u.shape, and (values, derivatives) when derivative is set.  u may come
-    from chart_points of these sections."""
+    from their domain's points."""
     return _shared_basis(sections).evaluate([s.coefficients for s in sections], u, derivative)
-
-
-def chart_points(sections):
-    """The sections' domain's points: chart points u as everything that
-    reads them takes them, section_values of the sections, the chart weight
-    form_weight and a primitive's evaluate.  On a torus u with its one theta
-    frame (_Points), each end's shift read from it; on the
-    sphere u itself.  Pass its value to them in place of u."""
-    return _shared_basis(sections).domain.points
 
 
 def period_matrix(sections, path: QuadraturePath, rel_tol=1e-10) -> np.ndarray:
@@ -645,10 +672,9 @@ def period_matrix(sections, path: QuadraturePath, rel_tol=1e-10) -> np.ndarray:
     sections on one basis: one quadrature of the upper triangle gives all."""
     dom = _shared_basis(sections).domain
     i, j = np.triu_indices(len(sections))
-    points = chart_points(sections)
 
     def integrand(u):
-        at = points(u)
+        at = dom.points(u)
         f = section_values(sections, at)
         return f[i] * f[j] * dom.form_weight(at)
     M = np.zeros((len(sections), len(sections)), dtype=complex)
@@ -681,7 +707,7 @@ class FormPrimitive:
     def evaluate(self, u):
         """(Phi, form, size) at u, each of shape (pairs,) + u.shape; on a torus
         Z and W at u - a_k for each end from the one frame on u
-        (_Points.shifts; u may come from chart_points); size = |P| +
+        (_Points.shifts; u may come from the domain's points); size = |P| +
         sum_k |c_k W(u - a_k)| sets the scale of the form's rounding error."""
         at = self.domain.points(u)
         u, shape = at.u if self.domain.genus else at.reshape(-1), (len(self.c), at.size)
@@ -754,8 +780,7 @@ def form_primitive(pairs) -> FormPrimitive:
     finite = [k for k, p in enumerate(dom.ends.points) if not is_infinity(p)]
     ends = tuple(dom.ends.points[k] for k in finite)
     # einsum rounds as the scalar product does
-    c = np.einsum("pk,pk->pk", s[:, finite, 0], t[:, finite, 0]) \
-        / dom.form_weight(np.array(ends, complex))
+    c = np.einsum("pk,pk->pk", s[:, finite, 0], t[:, finite, 0]) / dom.weight_at_ends
     poly = basis._polynomial_part(pairs)
     prim = FormPrimitive(dom, ends, np.zeros((1, len(pairs))) if poly is None else poly, c,
                          float(res.max(initial=0.0)))
@@ -856,14 +881,14 @@ def omega_qres_matrix(sections) -> np.ndarray:
     ends = np.array(dom.ends.points, dtype=complex)
     at_inf = np.isinf(ends)
     center, radius = np.where(at_inf, 0.0, ends)[:, None], dom.qres_radii[:, None]
-    points, n = chart_points(sections), len(sections)
+    n = len(sections)
     i, j = np.triu_indices(n, 1)
 
     def integrand(x):
         du = radius * np.exp(2j * np.pi * x)
         u = center + du
         u[at_inf] = 1.0 / du[at_inf]
-        at = points(u)
+        at = dom.points(u)
         f, df = section_values(sections, at, derivative=True)
         lead = du * du * dom.form_weight(at)
         lead[at_inf] = u[at_inf] ** 2
@@ -969,20 +994,6 @@ def _torus_end_check(ctx: EllipticContext, points, wr=None):
     return a[other]
 
 
-def _zeta_table(ctx, points, n, constants):
-    """(frame, c, A): one theta frame on points, which end with the n ends
-    a, and on a_j - a_i for i != j, which the builders also read wp and wp'
-    from; c = constants(zeta at points); and A[i, j], the alpha_0 of
-    zeta(u - a_i) - zeta(u) + c_i at a_j: zeta(a_j - a_i) - zeta(a_j) + c_i, 0 at a_i."""
-    points = np.asarray(points, dtype=complex)
-    a, off = points[points.size - n:], ~np.eye(n, dtype=bool)
-    frame = elliptic._theta_frame(ctx, np.concatenate([points, (a[None, :] - a[:, None])[off]]))
-    values, shifted = frame.zeta(), np.zeros(off.shape, dtype=complex)
-    shifted[off] = values[points.size:]
-    c = constants(values[:points.size])
-    return frame, c, np.where(off, shifted - values[points.size - n:points.size] + c[:, None], 0.0)
-
-
 def basis_F_torus_twisted(ctx: EllipticContext, divisor: EndDivisor):
     """{phi0, t_1, ..., t_{n-1}} with t_i = (zeta(u-a_i) - zeta(u) + zeta(a_i)) phi0.
 
@@ -992,7 +1003,7 @@ def basis_F_torus_twisted(ctx: EllipticContext, divisor: EndDivisor):
     others = _torus_end_check(ctx, divisor.points).tolist()
     m = len(others)
     dom = TwistedTorusDomain(ends=EndDivisor((0.0,) + tuple(others)), ctx=ctx)
-    _, c, alpha0 = _zeta_table(ctx, others, m, lambda z: z)
+    _, c, alpha0 = dom.end_values
     laurent = np.zeros((m + 1, m + 1, 2), dtype=complex)
     laurent[0, :, 1], laurent[1:, 0, 0] = 1.0, -1.0
     laurent[1:, 1:] = np.stack([np.eye(m), alpha0], axis=-1)
@@ -1008,17 +1019,10 @@ def basis_F_torus_untwisted(ctx: EllipticContext, r: int, divisor: EndDivisor):
     the honest charts the pole data of t_i at a_i is (1/wp_r(a_i), 0);
     values at the other ends pick up no chart correction.
     """
-    return _untwisted_basis(ctx, r, divisor)[0].members()
-
-
-def _untwisted_basis(ctx: EllipticContext, r: int, divisor: EndDivisor):
-    """(basis, wp_r, wp'): the untwisted zeta basis, and wp_r, wp' at its ends, from one frame."""
-    wr = ctx.half_period(r)
-    a = _torus_end_check(ctx, divisor.points, wr)
-    dom, ends = UntwistedTorusDomain(ends=divisor, ctx=ctx, r=r), slice(a.size + 1, 2 * a.size + 1)
-    frame, c, alpha0 = _zeta_table(ctx, np.concatenate([[wr], wr - a, a]), a.size,
-                                   lambda z: -z[1:a.size + 1] + z[0])
-    wp_r = np.subtract(frame.wp(ends), ctx.e(r))
+    _torus_end_check(ctx, divisor.points, ctx.half_period(r))
+    dom = UntwistedTorusDomain(ends=divisor, ctx=ctx, r=r)
+    at, c, alpha0 = dom.end_values
+    wp_r = dom.wp_r(at)
     if np.any(wp_r == 0):
         # the ends keep off omega_r: e_r rounded onto another root of the cubic
         raise elliptic.DegenerateLatticeError(
@@ -1026,9 +1030,8 @@ def _untwisted_basis(ctx: EllipticContext, r: int, divisor: EndDivisor):
             "onto another root, the lattice is too thin for double precision")
     # the pole data 1/wp_r by Python's complex division, whose rounding the tables keep
     laurent = np.stack([np.diag((1.0 / wp_r.astype(object)).astype(complex)), alpha0], axis=-1)
-    basis = _ZetaBasis(dom, [f"t{i + 1}" for i in range(a.size)], laurent,
-                       np.full(a.size, 0.5), list(divisor.points), c.tolist())
-    return basis, wp_r, frame.wp_prime(ends)
+    return _ZetaBasis(dom, [f"t{i + 1}" for i in range(divisor.n)], laurent,
+                      np.full(divisor.n, 0.5), list(divisor.points), c.tolist()).members()
 
 
 def basis_F_torus_untwisted_paired(ctx: EllipticContext, r: int, half_points):
@@ -1042,14 +1045,16 @@ def basis_F_torus_untwisted_paired(ctx: EllipticContext, r: int, half_points):
     ends (a_1 .. a_m, -a_1 .. -a_m) in another basis: t-hat_i =
     k_i (t_i - t_{m+i}) and t-hat_{m+i} = t_i + t_{m+i}, k_i = p_i/wp'(a_i).
     So the table (through that change of basis), the end checks, p_i and
-    wp'(a_i) come from the untwisted build and its one theta frame.  The
-    rows stay wp quotients of the frame on u, where the zeta rows add the
-    2m shifts to it by the addition theorem.  A wp'(a_i) that rounds to
-    0 raises DegenerateLatticeError, before k_i divides by it.
+    wp'(a_i) come from the untwisted build and its domain's one evaluation
+    of its ends (end_values).  The rows stay wp quotients of the frame on
+    u, where the zeta rows add the 2m shifts to it by the addition
+    theorem.  A wp'(a_i) that rounds to 0 raises DegenerateLatticeError,
+    before k_i divides by it.
     """
     a = np.array(half_points, dtype=complex)
-    rows, wp_r, dp = _untwisted_basis(ctx, r, EndDivisor(tuple(a) + tuple(-a)))
-    pvals, dp = wp_r[:a.size], dp[:a.size]
+    rows = basis_F_torus_untwisted(ctx, r, EndDivisor(tuple(a) + tuple(-a)))[0].basis
+    at = rows.domain.end_values[0]
+    pvals, dp = rows.domain.wp_r(at)[:a.size], at.wp_prime[:a.size]
     if np.any(dp == 0):
         raise elliptic.DegenerateLatticeError(f"wp'(a) = 0 at the end a = {a[np.argmax(dp == 0)]}: "
                                               "the lattice is too thin for double precision")

@@ -24,7 +24,7 @@ A block's chart points are chart.rows, masked; a block of cell rows gets
 its faces from one cumsum of the vertex mask over its grid rows (_faces),
 and its loop closures from its vertices scattered onto those rows a
 coordinate at a time, as differences of grid slices.  On a torus a block
-of vertices takes one theta frame (spinor.chart_points), which the rows,
+of vertices takes one theta frame (the domain's points), which the rows,
 the chart weight and the primitive each read.  Each stage works in place
 on block-sized arrays, each dropped before the next, so a mesh's memory
 is the finished mesh plus one block, and every step is pointwise, so a
@@ -60,7 +60,6 @@ from .reportio import check, overwrite
 from .spinor import (
     SectionDataError,
     SpinorSection,
-    chart_points,
     form_primitive,
     is_infinity,
     period_matrix,
@@ -114,12 +113,10 @@ class WeierstrassData:
             raise ValueError("end clearance must be positive")
 
     def _min_end_separation(self) -> float:
-        dom = self.s1.domain
-        a = np.array(dom.ends.points, dtype=complex)
+        a = np.array(self.domain.ends.points, dtype=complex)
         a = a[~np.isinf(a)]
-        d = (a[:, None] - a)[np.triu_indices(a.size, 1)]
-        # on the sphere abs(p - q), by hypot as abs() of a Python complex rounds
-        d = dom.ctx.lattice_distance(d) if dom.genus == 1 else np.hypot(d.real, d.imag)
+        i, j = np.triu_indices(a.size, 1)
+        d = self.domain.distance(a[i], a[j])
         return float(d.min()) if d.size else 1.0
 
     @property
@@ -128,7 +125,7 @@ class WeierstrassData:
 
     def omega(self, u):
         """The three 1-form coefficients of dX at u, shape (3, ...)."""
-        at = chart_points((self.s1, self.s2))(u)
+        at = self.domain.points(u)
         f1, f2 = section_values((self.s1, self.s2), at)
         return np.stack(sigma_map(f1, f2)) * self.domain.form_weight(at)
 
@@ -203,15 +200,13 @@ class ChartMap:
         return np.stack([(w.conjugate() * q).imag, (p.conjugate() * w).imag]) / det
 
     def nearest(self, u):
-        """(i, j), the grid point nearest the chart point u: u's coordinates
-        along the grid's two steps, rounded and clipped to the grid (a
-        coordinate that is not finite reads 0), in Python's complex
-        arithmetic, which takes inf without a warning."""
-        p, q = self.steps
-        w, det = complex(u) - complex(self.x[0] + self.y[0]), (p.conjugate() * q).imag
-        st = (w.conjugate() * q).imag / det, (p.conjugate() * w).imag / det
-        return tuple(min(max(round(t), 0), n - 1) if math.isfinite(t) else 0
-                     for t, n in zip(st, self.shape))
+        """(i, j), the grid point nearest the chart point u: its positions,
+        rounded and clipped to the grid; a coordinate that is not finite,
+        as inf and nan make, reads 0."""
+        with np.errstate(all="ignore"):
+            t = self.positions(u)[:, 0].tolist()
+        return tuple(min(max(round(x), 0), n - 1) if math.isfinite(x) else 0
+                     for x, n in zip(t, self.shape))
 
     def snaps(self, ij, u) -> bool:
         """Whether the chart point u is grid point ij = (i, j): within
@@ -444,7 +439,6 @@ def integrate_surface(data: WeierstrassData, grid: GridSpec, basepoint) -> Surfa
 
     s1, s2 = data.s1, data.s2
     prim = form_primitive(((s1, s1), (s2, s2), (s1, s2)))
-    points = chart_points((s1, s2))
     starts = _row_starts(valid)
     count = int(starts[-1])
     verts, gauss = np.empty((count, 3)), np.empty((count, 3))
@@ -460,7 +454,7 @@ def integrate_surface(data: WeierstrassData, grid: GridSpec, basepoint) -> Surfa
             # the root leads the first block: its Phi comes from that call,
             # not from a call of its own (one more theta frame on a torus)
             pts = np.concatenate([[chart.x[root[0]] + chart.y[root[1]]], pts])
-        at = points(pts)
+        at = data.domain.points(pts)
         f1, f2 = section_values((s1, s2), at)
         products = np.empty((3,) + f1.shape, complex)
         np.multiply(f1, f1, out=products[0])
@@ -629,11 +623,11 @@ def gauss_degree(data: WeierstrassData) -> float:
     reads as a branch point.  So the count can come out low, never high.
     """
     pair = (data.s1, data.s2)
-    points, estimates = chart_points(pair), []
+    estimates = []
     for m in _DEGREE_LEVELS:
         total = 0.0
         for u, w in _degree_blocks(data.domain, m):
-            (f1, f2), (d1, d2) = section_values(pair, points(u), derivative=True)
+            (f1, f2), (d1, d2) = section_values(pair, data.domain.points(u), derivative=True)
             density = np.abs((f1 * d2 - f2 * d1) / (np.abs(f1) ** 2 + np.abs(f2) ** 2)) ** 2
             total += float(np.sum(density * w))
         estimates.append(total / np.pi)

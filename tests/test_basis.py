@@ -20,7 +20,6 @@ from spinorminimal.spinor import (
     basis_F_torus_twisted,
     basis_F_torus_untwisted,
     basis_F_torus_untwisted_paired,
-    chart_points,
     extract_K,
     form_primitive,
     omega_matrix,
@@ -332,19 +331,17 @@ class TestFrameCounts:
 
     @pytest.mark.parametrize("name", ["torus4", "klein4-zeta", "klein4"])
     def test_one_frame_per_block(self, monkeypatch, count_calls, klein, name):
-        # after form_primitive's own frames, each block of integrate_surface
-        # takes one frame, on its vertices (and the basepoint) alone: on
-        # torus-4 the ends are 0 and the half periods, on the Klein pair
-        # the eight ends +-a_i, whose shifts the rows and the primitive read
-        # from it by the addition theorem, in either basis
+        # form_primitive takes one frame, on its probe point alone, as the
+        # domain's shift rules and its chart weight at the ends are read
+        # from the evaluation of its ends that its build took; then each
+        # block of integrate_surface takes one frame, on its vertices (and
+        # the basepoint) alone: on torus-4 the ends are 0 and the half
+        # periods, on the Klein pair the eight ends +-a_i, whose shifts the
+        # rows and the primitive read from it by the addition theorem, in
+        # either basis
         (s1, s2), fractions = _mesh_pair(name, klein)
         data = WeierstrassData(s1=s1, s2=s2)
-        # the domain's shift rules take a frame on the ends, once
-        form_primitive(((s1, s1), (s2, s2), (s1, s2)))
         calls = count_calls(elliptic, "_theta_frame")
-        form_primitive(((s1, s1), (s2, s2), (s1, s2)))
-        setup = len(calls)
-        calls.clear()
         monkeypatch.setattr(surface, "_BLOCK", 100)
         base = _lattice_vertex(data.domain, 17, fractions)
         mesh = integrate_surface(data, GridSpec(17, 17), base)
@@ -352,7 +349,7 @@ class TestFrameCounts:
         # the first block
         sizes = [np.count_nonzero(mesh.valid[r:r + 5]) + (r == 0) for r in range(0, 17, 5)]
         assert len(sizes) > 2 and all(sizes)
-        assert [np.size(args[1]) for args in calls[setup:]] == sizes
+        assert [np.size(args[1]) for args in calls] == [1] + sizes
 
     @pytest.mark.parametrize("paired", [False, True])
     def test_one_frame_per_integrand_call(self, monkeypatch, count_calls, ctx, paired):
@@ -374,6 +371,28 @@ class TestFrameCounts:
         nodes.clear()
         omega_qres_matrix(basis)
         assert len(frames) == len(nodes) > 0
+
+    def test_form_primitive_takes_its_probe_frame_alone(self, count_calls, ctx):
+        # an untwisted domain with the ends +-a, whose shifts have a rule,
+        # and b, whose negative is no end: the shift rules and the chart
+        # weight at the ends read the evaluation of the ends that the build
+        # took, so form_primitive takes one frame, on its probe point u0 and
+        # the row u0 - b
+        a, b = 0.31 + 0.4j, 0.9 + 0.77j
+        t = basis_F_torus_untwisted(ctx, 2, EndDivisor((a, b, -a)))[0]
+        calls = count_calls(elliptic, "_theta_frame")
+        assert set(t.domain.shift_rules) == {a, -a} and not calls
+        form_primitive(((t, t),))
+        assert [np.size(args[1]) for args in calls] == [2]
+
+    def test_klein4_construct(self, count_calls):
+        # two contexts, seven frames placing a, two on its table-3 values,
+        # the paired build's evaluation of its ends, three of the deck
+        # check, one node batch of each period quadrature, and
+        # form_primitive's probe
+        calls = count_calls(elliptic, "_theta_frame")
+        klein4_construct()
+        assert len(calls) == 18
 
     def test_zeta_bases_build_from_one_zeta_frame(self, count_calls, ctx):
         calls = count_calls(elliptic, "_theta_frame")
@@ -556,7 +575,7 @@ def test_one_frame_is_pointwise_and_near_a_frame_per_shift(re_tau, thinness, siz
     # a section without the row of omega1 shares the frame with the
     # primitive, which reads the ends (0, omega2, omega3, omega1)
     gap = K[0].basis.section([1.0, 0.0, 1.0, 1.0], "gap")
-    shared = chart_points([gap])(u)
+    shared = gap.domain.points(u)
     whole = prim.evaluate(shared)
     want = _per_end_primitive(prim, u)
     for got, one, per_end in zip(whole, prim.evaluate(u[0]), want):

@@ -128,8 +128,12 @@ class TestVertexAt:
             sphere4_mesh[2].vertex_at(0.0)
 
     def test_a_point_that_is_not_finite_is_no_vertex(self, enneper_mesh):
-        # NaN compares false with every bound, so no snap may read it as passing
-        for u in (math.nan, complex(math.nan, 0.0), complex(math.inf, 0.0)):
+        # NaN compares false with every bound, so no snap may read it as
+        # passing; a point far off the grid reads its clipped corner, and
+        # none of them warns
+        for u in (math.nan, complex(math.nan, 0.0), complex(math.inf, 0.0),
+                  complex(-math.inf, 0.0), complex(0.0, math.inf), complex(math.inf, -math.inf),
+                  complex(1e300, -1e300), complex(-3e300, 2e300)):
             with pytest.raises(KeyError, match="no mesh vertex"):
                 enneper_mesh.vertex_at(u)
             with pytest.raises(ValueError, match="grid vertex"):

@@ -17,7 +17,7 @@ from operator import attrgetter
 import numpy as np
 
 from . import arf as arfmod
-from .elliptic import build_context, wp, wp_prime
+from .elliptic import build_context, wp_with_prime
 from .numkit import QuadraturePath, SkewMatrix, pfaffian
 from .reportio import CheckResult, check
 from .spinor import (
@@ -135,7 +135,7 @@ def criterion_2_elliptic(seed=0):
         x = rng.uniform(0.05, 0.45, 100)
         y = rng.uniform(0.05, 0.45, 100)
         u = x * 2 * ctx.omega1 + y * 2 * ctx.omega3
-        p, dp = wp(ctx, u), wp_prime(ctx, u)
+        p, dp = wp_with_prime(ctx, u)
         resid = dp**2 - (4 * p**3 - ctx.g2 * p - ctx.g3)
         scale = np.abs(dp) ** 2 + np.abs(4 * p**3) + abs(ctx.g2) * np.abs(p) + abs(ctx.g3)
         ode_worst = max(ode_worst, float(np.max(np.abs(resid) / scale)))

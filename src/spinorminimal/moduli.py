@@ -706,46 +706,37 @@ class KleinFourEnd:
 KLEIN_TOL = 1e-8  # each of the Klein bottle's period residuals
 
 
-def _klein_table3(ctx, r, a):
-    """The eight ends with their published wp / wp' values and I-pairing."""
-    w2 = ctx.omega1 + ctx.omega3
-    rp = wp_prime(ctx, a)
-    half = [a, a + w2, -1j * a, -1j * a + w2]
-    wp_vals = [r, -1.0 / r, -r, 1.0 / r]
-    wpp_vals = [rp, rp / r**2, -1j * rp, -1j * rp / r**2]
-    ends8 = half + [-u for u in half]
-    wp8 = wp_vals + wp_vals
-    wpp8 = wpp_vals + [-v for v in wpp_vals]
-    return half, ends8, wp8, wpp8
-
-
 def klein4_construct() -> KleinFourEnd:
     """The amphichiral minimal Klein bottle with four planar ends.
 
     Steps: normalize the square lattice to e1 = 1; take the
     fourth-quadrant root r of r^4 + m r^2 + 1; place a on the I(a) = -a
     locus with wp(a) = r and lay out the eight ends; build the paired
-    basis and check rank(Omega) = 4 and the W block; assemble the kernel
-    sections s-hat (the deck conjugates live on the wp'-type half of the
-    basis); solve the single period equation with the closed-form A, B, C
-    and cross-check every identity by quadrature.  Whether the pair is
+    basis, read Table 3 at the ends from its domain, and check
+    rank(Omega) = 4 and the W block; assemble the kernel sections s-hat
+    (the deck conjugates live on the wp'-type half of the basis); solve
+    the single period equation with the closed-form A, B, C and
+    cross-check every identity by quadrature.  Whether the pair is
     unbranched is surface.gauss_degree's question: it reads g + n - 1 = 8
     exactly when s1 and s2 share no zero (acceptance 9g).
     """
     ctx = square_context_e1_normalized()
     r = klein_fourth_quadrant_root()
     a = _locate_a(ctx, r)
-    residuals = {}
-    half, ends8, wp8, wpp8 = _klein_table3(ctx, r, a)
-    u8 = np.array(ends8)
-    wp_ends, wpp_ends = wp_with_prime(ctx, u8)
-    residuals["table3"] = float(max(np.max(np.abs(wp_ends - wp8)),
-                                    np.max(np.abs(wpp_ends - wpp8))))
+    half = [a, a + ctx.omega2, -1j * a, -1j * a + ctx.omega2]
+    basis = basis_F_torus_untwisted_paired(ctx, 2, half)
+    dom = basis[0].domain
+    # Table 3: the published wp and wp' at the eight ends +-a_i, read
+    # against the domain's evaluation of its ends, and their I-pairing
+    at = dom.end_values[0]
+    rp = at.wp_prime[0]
+    wpp4 = [rp, rp / r**2, -1j * rp, -1j * rp / r**2]
+    residuals = {"table3": float(max(np.max(np.abs(at.wp - [r, -1.0 / r, -r, 1.0 / r] * 2)),
+                                     np.max(np.abs(at.wp_prime - (wpp4 + [-v for v in wpp4])))))}
     I = lambda u: np.conj(u) + ctx.omega1
     residuals["deck_pairing"] = float(np.max(
-        ctx.lattice_distance(I(u8) - u8[[4, 5, 3, 2, 0, 1, 7, 6]])))
+        ctx.lattice_distance(I(at.u) - at.u[[4, 5, 3, 2, 0, 1, 7, 6]])))
 
-    basis = basis_F_torus_untwisted_paired(ctx, 2, half)
     form = omega_matrix(basis)
     rank, _ = form.rank_kernel()
     if rank != 4:
@@ -779,9 +770,9 @@ def klein4_construct() -> KleinFourEnd:
     rng = np.random.default_rng(17)
     pts = (rng.uniform(0.04, 0.96, 50) * 2 * ctx.omega1
            + rng.uniform(0.04, 0.96, 50) * 2 * ctx.omega3)
-    lhs = section_values((s3h, s4h), pts)
-    p, dp = wp_with_prime(ctx, pts)
-    pull = dp / (2.0 * (p + 1.0))
+    on = dom.points(pts)
+    lhs = section_values((s3h, s4h), on)
+    pull = on.wp_prime / (2.0 * (on.wp + 1.0))
     rhs = 1j * np.conj(section_values((s1h, s2h), I(pts))) * pull
     residuals["deck_conjugate"] = float(max(
         np.max(np.abs(lhs[k] - rhs[k])) / np.max(np.abs(lhs[k])) for k in range(2)))

@@ -10,15 +10,17 @@ on the sphere without ends, Enneper's rows.  A section (N/D) phi of F is a
 coefficient vector on the sphere rows (_SphereBasis.fraction).
 A kernel evaluates only the rows some coefficient uses, and adds each
 row into every section it evaluates.  On a torus the rows read zeta and
-wp at u and at u - a_i from one theta frame, the shift of an end whose
-negative is an end by the addition theorem from the frame's values on u,
-any other end's from its rows u - a_i (_Points.shifts); a caller that
-also needs the chart weight or a primitive at the same points takes that
-frame for all of them (the domain's points(u)) and passes it in place of
-u.  A torus domain evaluates its ends once, in one theta frame
-(_TorusDomain.end_values), which the zeta table, the pole data, the
-shift rules and the chart weight at the ends all read; both torus
-builders check their ends in one lattice distance call (_torus_end_check).
+wp at u and at u - a_i from one theta frame, each end's shift by the one
+rule its domain decides for it (_TorusDomain.shift_rules): from the
+frame's values on u when its negative is an end, by the addition theorem
+or, at a half-period, from theta quotients, and otherwise from its rows
+u - a_i (_Points.shifts); a caller that also needs the chart weight or a
+primitive at the same points takes that frame for all of them (the
+domain's points(u)) and passes it in place of u.  A torus domain
+evaluates its ends once, in one theta frame (_TorusDomain.end_values),
+which the zeta table, the pole data, the shift rules and the chart
+weight at the ends all read; both torus builders check their ends in one
+lattice distance call (_torus_end_check).
 A linear combination is a coefficient sum.  The Laurent data of a basis
 is one (rows, ends, 2) table T of (alpha_-1, alpha_0); a section's table
 is its coefficients contracted with T.  Omega, its residue-sum check, the
@@ -121,6 +123,8 @@ class EndDivisor:
     def __post_init__(self):
         pts = tuple(map(complex, self.points))
         a = np.array(pts, dtype=complex)
+        if np.isnan(a).any():
+            raise ValueError(f"the end {pts[np.argmax(np.isnan(a))]} is not a number")
         if np.isinf(a).sum() > 1:
             raise ValueError("at most one end at infinity")
         a = a[~np.isinf(a)]
@@ -142,19 +146,18 @@ class EndDivisor:
 class _Points:
     """Chart points u on a torus with one theta frame, which the basis rows,
     the chart weight and the closed-form primitive all read.  The frame is
-    taken here, once: on u, and on u - a for each end a without a shift
-    rule (_TorusDomain.unruled_ends), laid end to end, with the
-    half-period thetas when the domain has half-period ends.  A point u
-    within the pole tolerance of the lattice raises PoleEvaluationError; a
-    row u - a there is summed at b1/2 and raises only when read (shifts),
-    so a section is evaluated at an end whose row it does not read as at
-    any other point.  zeta, wp and
-    wp' at u are each formed when first read; on a domain without
-    half-period ends and more points than the frame sums at a time (a mesh
-    block) all three are formed here and the frame let go, as they are a
-    third of its memory.  A frame's bits do not depend on its batch, so a
-    point's values are its own.  Given a frame whose points begin with u
-    (the ends: _TorusDomain.end_values), u's values are read from it, and
+    taken here, once: on u, and on u - a for each end a whose shift rule is
+    None (_TorusDomain.shift_rules), laid end to end, with the half-period
+    thetas when an end is a half-period.  A point u within the pole
+    tolerance of the lattice raises PoleEvaluationError; a row u - a there
+    is summed at b1/2 and raises only when read (shifts), so a section is
+    evaluated at an end whose row it does not read as at any other point.
+    zeta, wp and wp' at u are each formed when first read; on a domain
+    without half-period ends and more points than the frame sums at a time
+    (a mesh block) all three are formed here and the frame let go, as they
+    are a third of its memory.  A frame's bits do not depend on its batch,
+    so a point's values are its own.  Given a frame whose points begin with
+    u (the ends: _TorusDomain.end_values), u's values are read from it, and
     there are no rows."""
 
     def __init__(self, dom, u, frame=None):
@@ -163,9 +166,10 @@ class _Points:
         self.size, self.rows, self.frame = self.u.size, {}, frame
         if frame is not None:
             return
-        own = dom.unruled_ends
+        own = [a for a, rule in dom.shift_rules.items() if rule is None]
+        halves = any(rule and rule[0] for rule in dom.shift_rules.values())
         self.frame = elliptic._theta_frame(
-            dom.ctx, (self.u - np.array([0j, *own])[:, None]).ravel(), dom.half_periods, True)
+            dom.ctx, (self.u - np.array([0j, *own])[:, None]).ravel(), halves, True)
         rows = (len(own) + 1, self.size)
         pole = self.frame.pole.reshape(rows)
         if pole[0].any():
@@ -175,7 +179,7 @@ class _Points:
             zeta, wp = (x.reshape(rows) for x in (self.frame.zeta(), self.frame.wp()))
             self.zeta, self.wp = zeta[0], wp[0]
             self.rows = dict(zip(own, zip(zeta[1:] - zeta[0], wp[1:], pole[1:])))
-        if not dom.half_periods and self.size > elliptic._CHUNK:
+        if not halves and self.size > elliptic._CHUNK:
             for name in ("zeta", "wp", "wp_prime"):
                 getattr(self, name)
             self.frame = None
@@ -194,36 +198,32 @@ class _Points:
 
     def shifts(self, ends):
         """(zeta(u - a) - zeta(u), wp(u - a)) for each end a of ends in turn,
-        each made as it is read: (0.0, wp(u)) at a = 0, and the frame's rows
-        u - a at an end without a shift rule, as a random divisor's.  At an
-        end with a rule (_TorusDomain.shift_rules), from the frame on u by
-        the addition theorem (DLMF 23.10.1-23.10.2 at v = -a), D = wp(u) -
-        wp(a):
-
-            zeta(u - a) - zeta(u) = R/2 - zeta(a),  R = (wp'(u) + wp'(a))/D,
-            wp(u - a) = R^2/4 - wp(u) - wp(a),
-
-        which at a half-period, wp'(a) = 0, is R/2 = wp'(u)/2D and wp(u - a)
-        = wp(a) + (e - e_j)(e - e_k)/D, both from theta quotients
-        (_Frame.half_shifts).  Within about the pole tolerance of a (and of
-        -a, where D vanishes), PoleEvaluationError."""
+        each made as it is read, by the end's rule (_TorusDomain.shift_rules):
+        (0.0, wp(u)) at a = 0; the frame's rows u - a at an end whose rule is
+        None, as a random divisor's; otherwise from the frame on u, D = wp(u)
+        - wp(a): at a half-period, where wp'(a) = 0, wp'(u)/2D - zeta(a) and
+        wp(a) + (e - e_j)(e - e_k)/D from theta quotients (_Frame.half_shifts),
+        and at any other end by the addition theorem (_added).  Within about
+        the pole tolerance of a, and of -a where D vanishes too,
+        PoleEvaluationError names the end, or both."""
         for a in ends:
             if a == 0:
                 yield 0.0, self.wp
-            elif a in self.rows:
+                continue
+            rule, end = self.dom.shift_rules[a], f"a = {a}"
+            if rule is None:
                 zeta, wp, pole = self.rows[a]
-                yield self._checked(a, pole, zeta, wp)
+            elif rule[0]:
+                zeta, wp, pole = (x[rule[0] - 1] for x in self._halves)
+                zeta, wp = zeta - rule[1], wp + rule[2]
             else:
-                yield self._ruled(a, *self.dom.shift_rules[complex(a)])
-
-    def _checked(self, a, pole, *values):
-        """values, or PoleEvaluationError where pole marks a point u within
-        about the pole tolerance of the end a."""
-        if pole.any():
-            raise elliptic.PoleEvaluationError(
-                f"zeta(u - a) at u = {self.u[np.argmax(pole)]} for the end a = {a}: "
-                "u is within 1e-12 of an end")
-        return values
+                zeta, wp, pole = self._added(*rule[1:])
+                end += f" or -a = {-a}"
+            if pole.any():
+                raise elliptic.PoleEvaluationError(
+                    f"zeta(u - a) at u = {self.u[np.argmax(pole)]} for the end {end}: "
+                    "u is within 1e-12 of an end")
+            yield zeta, wp
 
     @cached_property
     def _halves(self):
@@ -232,21 +232,24 @@ class _Points:
         slope, product = self.frame.half_shifts(slice(0, self.size))
         return slope, product, np.abs(slope) >= 0.5 / self.dom.ctx.lattice.pole_tolerance
 
-    def _ruled(self, a, h, zeta_a, wp_a, wp_prime_a):
-        if h:
-            slope, product, near = self._halves
-            z, w, pole = slope[h - 1] - zeta_a, product[h - 1] + wp_a, near[h - 1]
-        else:
-            den = np.subtract(self.wp, wp_a)
-            pole = np.abs(den) <= self.dom.ctx.lattice.pole_tolerance * np.abs(self.wp_prime)
-            z = np.divide(self.wp_prime + wp_prime_a, den, out=den)
-            w = z * z
-            w *= 0.25
-            w -= self.wp
-            w -= wp_a
-            z *= 0.5
-            z -= zeta_a
-        return self._checked(a, pole, z, w)
+    def _added(self, zeta_a, wp_a, wp_prime_a):
+        """(zeta(u - a) - zeta(u), wp(u - a), pole) by the addition theorem
+        (DLMF 23.10.1-23.10.2 at v = -a), in place on D = wp(u) - wp(a):
+
+            zeta(u - a) - zeta(u) = R/2 - zeta(a),  R = (wp'(u) + wp'(a))/D,
+            wp(u - a) = R^2/4 - wp(u) - wp(a);
+
+        pole marks D within about the pole tolerance of 0, u next to +-a."""
+        den = np.subtract(self.wp, wp_a)
+        pole = np.abs(den) <= self.dom.ctx.lattice.pole_tolerance * np.abs(self.wp_prime)
+        z = np.divide(self.wp_prime + wp_prime_a, den, out=den)
+        w = z * z
+        w *= 0.25
+        w -= self.wp
+        w -= wp_a
+        z *= 0.5
+        z -= zeta_a
+        return z, w, pole
 
 
 class _DomainBase:
@@ -349,45 +352,29 @@ class _TorusDomain(_DomainBase):
         return at, c, np.where(off, shifted - values[:a.size] + c[:, None], 0.0)
 
     @cached_property
-    def _labels(self):
-        """Lattice.half_period_labels of the ends."""
-        return self.ctx.lattice.half_period_labels(self.ends.points)
-
-    @cached_property
-    def half_periods(self) -> bool:
-        """Whether an end is a half-period: a frame on u then adds theta2,
-        theta3 and theta4 (_Frame.half_shifts)."""
-        return bool(self._labels[0].any())
-
-    @cached_property
-    def unruled_ends(self) -> list:
-        """The ends whose negative is no end: a + b lies farther than its pole
-        tolerance from the lattice for every end b.  They have no shift rule,
-        and a frame on u takes their rows u - a too (_Points).  0 and the
-        half-periods are their own negatives."""
-        b = np.array([p for p, h in zip(self.ends.points, self._labels[0]) if p != 0 and not h])
-        if not b.size:
-            return []
-        red = self.ctx.lattice.reduce(b[:, None] + b)[0]
-        return b[~(np.abs(red) < self.ctx.lattice.pole_tolerance).any(axis=1)].tolist()
-
-    @cached_property
     def shift_rules(self) -> dict:
-        """{a: (h, zeta(a), wp(a), wp'(a))} for each end a != 0 whose negative
-        is an end, h its half-period label (0 unless a is its own
-        negative): its shift is read from the frame on u (_Points.shifts),
-        as wp(u) - wp(a) vanishes only at u = +-a, both ends.  A half-period
-        a = m b1/2 + n b2/2 has zeta(a) = m eta_a + n eta_b, eta_a and eta_b
-        those of b1/2 and b2/2 (EllipticContext._eta_reduced), wp(a) its e
-        and wp'(a) = 0; the other ends' values are read from the domain's
-        evaluation of its ends (end_values)."""
-        ctx, (eta_a, eta_b), rules = self.ctx, self.ctx._eta_reduced, {}
-        for a, h, m, n in zip(self.ends.points, *self._labels):
+        """{a: rule} for each end a != 0, the one place that decides how its
+        shift is read (_Points.shifts).  The rule is None when -a is no end,
+        a + b farther than the pole tolerance from the lattice for every end
+        b: a frame on u takes the row u - a too (_Points).  Otherwise it is
+        (h, zeta(a), wp(a), wp'(a)), h the half-period label (0 unless a is
+        its own negative), and the shift is read from the frame on u, as
+        wp(u) - wp(a) vanishes only at u = +-a, both ends.  A half-period a =
+        m b1/2 + n b2/2 has zeta(a) = m eta_a + n eta_b, eta_a and eta_b those
+        of b1/2 and b2/2 (EllipticContext._eta_reduced), wp(a) its e and
+        wp'(a) = 0; the other ends' values are read from the domain's
+        evaluation of its ends (end_values), whose points are these ends."""
+        ctx, lat, (eta_a, eta_b) = self.ctx, self.ctx.lattice, self.ctx._eta_reduced
+        a, rules = [p for p in self.ends.points if p != 0], {}
+        paired = (np.abs(lat.reduce(np.add.outer(a, a))[0]) < lat.pole_tolerance).any(axis=1)
+        for i, (p, h, m, n) in enumerate(zip(a, *lat.half_period_labels(a))):
             if h:
-                rules[a] = (h, m * eta_a + n * eta_b, ctx.e(ctx._half_labels.index(h) + 1), 0.0)
-            elif a != 0 and a not in self.unruled_ends:
+                rules[p] = (h, m * eta_a + n * eta_b, ctx.e(ctx._half_labels.index(h) + 1), 0.0)
+            elif paired[i]:
                 at = self.end_values[0]
-                rules[a] = (0, *(x[at.u == a][0] for x in (at.zeta, at.wp, at.wp_prime)))
+                rules[p] = (0, at.zeta[i], at.wp[i], at.wp_prime[i])
+            else:
+                rules[p] = None
         return rules
 
     def qres_radius(self, p) -> float:
@@ -713,12 +700,8 @@ class FormPrimitive:
         u, shape = at.u if self.domain.genus else at.reshape(-1), (len(self.c), at.size)
         # the ends summed in their order into the arrays returned, so a
         # point's bits are its own, one end's Z and W at a time (read from
-        # the frame on a torus) through one product buffer.  By tracemalloc
-        # on 8,193 points this peaks at 1.6 MiB on sphere-4 and 1.9 MiB on
-        # torus-4, against 3.2 and 2.7 MiB with all ends' 1/(u - a) at once
-        # and whole temporaries; with the mesh's other stages in place too,
-        # mesh-sphere's peak RSS fell by about 3 MB (it rose when one end at
-        # a time was all that changed)
+        # the frame on a torus) through one product buffer, which bounds a
+        # block's memory
         cZ, cW, size = np.zeros(shape, complex), np.zeros(shape, complex), np.zeros(shape)
         product = np.empty(shape, complex)
         # |c_k| |W| goes to a real array on product's first half

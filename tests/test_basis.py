@@ -381,18 +381,20 @@ class TestFrameCounts:
         a, b = 0.31 + 0.4j, 0.9 + 0.77j
         t = basis_F_torus_untwisted(ctx, 2, EndDivisor((a, b, -a)))[0]
         calls = count_calls(elliptic, "_theta_frame")
-        assert set(t.domain.shift_rules) == {a, -a} and not calls
+        rules = t.domain.shift_rules
+        assert rules[b] is None and {p for p, rule in rules.items() if rule} == {a, -a}
+        assert not calls
         form_primitive(((t, t),))
         assert [np.size(args[1]) for args in calls] == [2]
 
     def test_klein4_construct(self, count_calls):
-        # two contexts, seven frames placing a, two on its table-3 values,
-        # the paired build's evaluation of its ends, three of the deck
-        # check, one node batch of each period quadrature, and
+        # two contexts, seven frames placing a, the paired build's
+        # evaluation of its ends, which its table-3 values read, two of the
+        # deck check, one node batch of each period quadrature, and
         # form_primitive's probe
         calls = count_calls(elliptic, "_theta_frame")
         klein4_construct()
-        assert len(calls) == 18
+        assert len(calls) == 15
 
     def test_zeta_bases_build_from_one_zeta_frame(self, count_calls, ctx):
         calls = count_calls(elliptic, "_theta_frame")
@@ -603,8 +605,9 @@ def test_a_divisor_with_both_kinds_of_end(lattice, family):
     ctx, b = build_context(*lattice), 0.3 + 0.2j
     basis = basis_F_torus_twisted(ctx, EndDivisor((0.0, ctx.omega1, b))) if family == "twisted" \
         else basis_F_torus_untwisted(ctx, 1, EndDivisor((ctx.omega3, b)))
-    dom = basis[0].domain
-    assert dom.half_periods and dom.unruled_ends == [b]
+    dom, half = basis[0].domain, ctx.omega1 if family == "twisted" else ctx.omega3
+    assert dom.shift_rules.keys() == {half, b} and dom.shift_rules[half][0]
+    assert dom.shift_rules[b] is None
     sections = list(basis) + [basis[0].basis.section(np.arange(1.0, len(basis) + 1), "combo")]
     C = np.array([s.coefficients for s in sections])
     rng = np.random.default_rng(11)
@@ -622,6 +625,35 @@ def test_a_divisor_with_both_kinds_of_end(lattice, family):
         section_values(sections, [u[0], 2 * ctx.omega1])
     row = basis[0].basis.shifts.index(b)
     assert np.all(np.isfinite(section_values([s for s in basis if s.coefficients[row] == 0], b)))
+
+
+def test_a_divisor_with_all_four_kinds_of_end():
+    # the twisted (0, omega1, b, -b, c) on (1, i): 0, a half-period, the
+    # pair +-b read by the addition theorem, and c, whose negative is no
+    # end, read from its row u - c.  The table gives each end one rule;
+    # within 1e-14 of each end a section raises and names the end, or both
+    # ends of the pair where wp(u) - wp(b) vanishes
+    ctx, b, c = build_context(1.0, 1.0j), 0.31 + 0.4j, 0.9 + 0.77j
+    basis = basis_F_torus_twisted(ctx, EndDivisor((0.0, ctx.omega1, b, -b, c)))
+    dom = basis[0].domain
+    rules, at = dom.shift_rules, dom.end_values[0]
+    assert rules.keys() == {ctx.omega1, b, -b, c} and rules[ctx.omega1][0] != 0
+    for p in (b, -b):
+        k = np.flatnonzero(at.u == p)[0]
+        assert rules[p] == (0, at.zeta[k], at.wp[k], at.wp_prime[k])
+    assert rules[c] is None
+    u = _points(ctx, n=20, seed=12)
+    C = np.eye(len(basis))
+    for got, want in zip(section_values(basis, u, derivative=True),
+                         _per_shift_values(basis[0].basis, C, u)):
+        assert np.all(np.abs(got - want) <= SHIFT_TOL * np.max(np.abs(want), axis=1, keepdims=True))
+    pair = f"for the end a = {b!r} or -a = {-b!r}:"
+    for p, named in ((ctx.omega1, f"for the end a = {ctx.omega1!r}:"), (b, pair), (-b, pair),
+                     (c, f"for the end a = {c!r}:")):
+        with pytest.raises(PoleEvaluationError, match=re.escape(named)):
+            section_values(basis, [u[0], p + 1e-14])
+    omega = omega_matrix(basis).matrix.entries
+    assert np.all(np.abs(omega_qres_matrix(basis) - omega) <= 1e-12 * np.maximum(1.0, np.abs(omega)))
 
 
 @pytest.mark.parametrize("name", ["klein4", "klein4-zeta"])

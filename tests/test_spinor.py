@@ -288,6 +288,13 @@ class TestSphereBasis:
         with pytest.raises(ValueError):
             basis_F_sphere(EndDivisor((0.0, 1.0)))
 
+    @pytest.mark.parametrize("end", [complex("nan"), complex(0.3, float("nan"))])
+    def test_a_nan_end_is_refused(self, end):
+        # a NaN is no point of the sphere, and INF is one
+        with pytest.raises(ValueError, match=re.escape(f"the end {end} is not a number")):
+            basis_F_sphere(EndDivisor((end, INF)))
+        assert basis_F_sphere(EndDivisor((0.3, INF)))[0].domain.ends.points == (0.3, INF)
+
     def test_laurent_consistency(self):
         basis = basis_F_sphere(EndDivisor((0.4 + 0.1j, -1.2, INF)))
         for s in basis:
@@ -330,6 +337,12 @@ class TestTwistedBasis:
     def test_end_on_lattice_rejected(self, ctx):
         with pytest.raises(ValueError):
             basis_F_torus_twisted(ctx, EndDivisor((0.0, 2 * ctx.omega1 + 1e-12, 0.5)))
+
+    @pytest.mark.parametrize("end", [complex("nan"), complex(float("nan"), 0.2)])
+    def test_a_nan_end_is_refused(self, ctx, end):
+        # refused by the divisor, before the builder reads it
+        with pytest.raises(ValueError, match=re.escape(f"the end {end} is not a number")):
+            basis_F_torus_twisted(ctx, EndDivisor((0.0, end, 0.3 + 0.2j)))
 
     def test_oracle_on_skewed_lattice(self):
         # (1, 0.5+0.1i) is far from reduced; a qres radius from rounding in

@@ -10,7 +10,9 @@ which the CLI and the acceptance gate both read.  Both spheres are SphereFamily:
 their printed K pairs are built by printed_K_pair, as coefficient vectors
 on basis_F_sphere, the basis of the Omega they test.
 CONSTRUCTIONS is the one table of named constructions: the CLI, the
-tests and the acceptance gate build and mesh through it.
+tests and the acceptance gate build and mesh through it.  Each entry names
+one chart point of its domain, and its meshes start from the grid vertex
+ChartMap.nearest snaps that point to (Construction.basepoint).
 
 Conventions pinned here (each cross-checked numerically at build time):
 
@@ -21,6 +23,10 @@ Conventions pinned here (each cross-checked numerically at build time):
 * the 3-ended-torus basis rotation is the cube root EPSILON, not the
   printed (-1+sqrt3)/2, which misses the identity int t1 t2 = -6 eta_k
   along the periods; torus3_degeneracy reports EPSILON's residual;
+* the Klein bottle's lattice is the square one with e1 = 1, from the
+  lemniscatic closed form, and its end a is the root of wp(a) = r that
+  elliptic.wp_inverse finds, taken with the sign that puts it on the
+  anti-invariant locus;
 * the Klein bottle solves its period equation with the closed-form
   A, B, C coefficients, which match the full 8-end principal-part sums
   up to one overall factor (irrelevant: the equation is homogeneous).
@@ -37,7 +43,7 @@ from typing import Callable
 import numpy as np
 
 from .elliptic import EllipticContext, build_context, wp, wp_inverse, wp_prime, wp_with_prime
-from .numkit import NonConvergenceError, QuadraturePath, pfaffian, poly_roots, scale_parts
+from .numkit import QuadraturePath, pfaffian, poly_roots, scale_parts
 from .reportio import check, jsonify
 from .spinor import (
     INF,
@@ -55,7 +61,7 @@ from .spinor import (
     section_combination,
     section_values,
 )
-from .surface import GridSpec, WeierstrassData, enneper_data, integrate_surface
+from .surface import GridSpec, WeierstrassData, _chart_map, enneper_data, integrate_surface
 
 __all__ = [
     "ConstructionError",
@@ -402,6 +408,14 @@ def _epsilon_residual(ctx: EllipticContext, a1, a2, eps) -> float:
     return max(miss(1, ctx.eta1), miss(3, ctx.eta3))
 
 
+def _real_structure(ctx: EllipticContext) -> np.ndarray:
+    """B = A^{-1} conj(A) for A = [[eta1, omega1], [eta3, omega3]], so that
+    conj(A) = A B: complex conjugation of the rows (eta_k, omega_k) in
+    their own basis, and B conj(B) = 1."""
+    A = np.array([[ctx.eta1, ctx.omega1], [ctx.eta3, ctx.omega3]], dtype=complex)
+    return np.linalg.solve(A, np.conj(A))
+
+
 def torus3_degeneracy(ctx: EllipticContext, a1, a2) -> Torus3Report:
     """Degeneracy data for the three-ended twisted torus at ends {0, a1, a2}.
 
@@ -418,8 +432,7 @@ def torus3_degeneracy(ctx: EllipticContext, a1, a2) -> Torus3Report:
     q1 = -((EPSILON - EPSILON**2) * p1 + (EPSILON - 1.0) * p2) / 3.0
     q2 = -((EPSILON**2 - EPSILON) * p1 + (EPSILON**2 - 1.0) * p2) / 3.0
     q1q2_identity = abs(q1 * q2 - ctx.g2 / 12.0)
-    A = np.array([[ctx.eta1, ctx.omega1], [ctx.eta3, ctx.omega3]], dtype=complex)
-    B = np.linalg.solve(A, np.conj(A))
+    B = _real_structure(ctx)
     a_, b_ = B[0, 0], B[0, 1]
     d_ = B[1, 1]
     degeneracy = -np.conj(a_) - a_ * b_ * b_ * q1 * q2 + a_ * d_ * d_
@@ -538,9 +551,7 @@ def torus4_construct(ctx: EllipticContext, choice=(1, 2, 3)) -> TorusFourEnd:
     that = [section_combination(np.concatenate([[0.0], TORUS4_MIX[m]]), tw, f"that{m + 1}")
             for m in range(3)]
 
-    A = np.array([[ctx.eta1, ctx.omega1], [ctx.eta3, ctx.omega3]], dtype=complex)
-    B = np.linalg.solve(A, np.conj(A))
-    rhs = B @ np.array([1.0, np.conj(ctx.e(k))])
+    rhs = _real_structure(ctx) @ np.array([1.0, np.conj(ctx.e(k))])
     # the e row read in the unit chart, times s^2 for the chart scale s, so
     # that the solve's pivot, and so x, do not depend on s
     unit = np.array([1.0, s * s])
@@ -594,9 +605,11 @@ KLEIN_M = -2.0 * (1.0 - 4.0 * np.sqrt(2.0) * 1j) / 3.0
 
 
 def square_context_e1_normalized() -> EllipticContext:
-    """Square lattice scaled so that wp(w1) = 1 (then e2 = 0, e3 = -1)."""
-    base = build_context(1.0, 1.0j)
-    lam = np.sqrt(base.e1)
+    """Square lattice (lam, i lam) with wp(w1) = 1 (then e2 = 0, e3 = -1):
+    on (1, i), the lemniscatic case, e1 = Gamma(1/4)^4 / (32 pi) (DLMF
+    23.5(iii)), so lam = sqrt(e1) = Gamma(1/4)^2 / sqrt(32 pi), real, and
+    omega1 is exactly real and omega3 exactly imaginary."""
+    lam = math.gamma(0.25) ** 2 / math.sqrt(32.0 * math.pi)
     return build_context(lam, lam * 1.0j)
 
 
@@ -645,30 +658,16 @@ def klein_fourth_quadrant_root() -> complex:
     return fourth[0]
 
 
-def _locate_a(ctx: EllipticContext, r: complex) -> complex:
-    """Point a with wp(a) = r on the anti-invariant locus I(a) = -a.
-
-    That locus is the vertical line Re(u) = w1/2 (mod lattice); a coarse
-    scan seeds a one-real-parameter Gauss-Newton iteration.
-    """
-    w1 = ctx.omega1.real
-    h3 = ctx.omega3.imag
-    ys = np.linspace(0.03, 0.97, 600) * h3
-    us = w1 / 2.0 + 1j * ys
-    y = ys[int(np.argmin(np.abs(wp(ctx, us) - r)))]
-    for _ in range(100):
-        u = w1 / 2.0 + 1j * y
-        p, dp = wp_with_prime(ctx, u)
-        f = p - r
-        d = 1j * dp
-        step = (np.conj(d) * f).real / abs(d) ** 2
-        y -= step
-        if abs(step) < 1e-16 * h3:
-            break
-    a = w1 / 2.0 + 1j * y
-    if abs(wp(ctx, a) - r) > 1e-10 * max(ctx.wp_floor(2), abs(r)):
-        raise NonConvergenceError("failed to locate the end point a with wp(a) = r")
-    return a
+def _klein_end(ctx: EllipticContext, r: complex) -> complex:
+    """The end a with wp(a) = r on the anti-invariant locus I(a) = -a:
+    whichever of +-wp_inverse(ctx, r) has its lattice representative
+    (Lattice.reduce) on the segment Re a = w1/2, 0 < Im a < Im w3."""
+    root = wp_inverse(ctx, r)
+    w1, h3 = ctx.omega1.real, ctx.omega3.imag
+    for a in ctx.lattice.reduce(np.array([root, -root]))[0].tolist():
+        if abs(a.real - w1 / 2.0) <= 1e-9 * w1 and 0.0 < a.imag < h3:
+            return a
+    raise ConstructionError(f"wp(a) = {r:.6g} has no root a on the anti-invariant locus")
 
 
 @dataclass(frozen=True)
@@ -711,8 +710,8 @@ def klein4_construct() -> KleinFourEnd:
 
     Steps: normalize the square lattice to e1 = 1; take the
     fourth-quadrant root r of r^4 + m r^2 + 1; place a on the I(a) = -a
-    locus with wp(a) = r and lay out the eight ends; build the paired
-    basis, read Table 3 at the ends from its domain, and check
+    locus with wp(a) = r (_klein_end) and lay out the eight ends; build
+    the paired basis, read Table 3 at the ends from its domain, and check
     rank(Omega) = 4 and the W block; assemble the kernel sections s-hat
     (the deck conjugates live on the wp'-type half of the basis); solve
     the single period equation with the closed-form A, B, C and
@@ -722,7 +721,7 @@ def klein4_construct() -> KleinFourEnd:
     """
     ctx = square_context_e1_normalized()
     r = klein_fourth_quadrant_root()
-    a = _locate_a(ctx, r)
+    a = _klein_end(ctx, r)
     half = [a, a + ctx.omega2, -1j * a, -1j * a + ctx.omega2]
     basis = basis_F_torus_untwisted_paired(ctx, 2, half)
     dom = basis[0].domain
@@ -770,10 +769,12 @@ def klein4_construct() -> KleinFourEnd:
     rng = np.random.default_rng(17)
     pts = (rng.uniform(0.04, 0.96, 50) * 2 * ctx.omega1
            + rng.uniform(0.04, 0.96, 50) * 2 * ctx.omega3)
-    on = dom.points(pts)
-    lhs = section_values((s3h, s4h), on)
-    pull = on.wp_prime / (2.0 * (on.wp + 1.0))
-    rhs = 1j * np.conj(section_values((s1h, s2h), I(pts))) * pull
+    # the sections at pts and at I(pts), and wp and wp' at pts, from one frame
+    on, n = dom.points(np.concatenate([pts, I(pts)])), len(pts)
+    values = section_values((s3h, s4h, s1h, s2h), on)
+    lhs = values[:2, :n]
+    pull = on.wp_prime[:n] / (2.0 * (on.wp[:n] + 1.0))
+    rhs = 1j * np.conj(values[2:, n:]) * pull
     residuals["deck_conjugate"] = float(max(
         np.max(np.abs(lhs[k] - rhs[k])) / np.max(np.abs(lhs[k])) for k in range(2)))
 
@@ -819,35 +820,21 @@ def klein4_construct() -> KleinFourEnd:
 # the construction table
 # ---------------------------------------------------------------------------
 
-def _lattice_point(fx, fy):
-    """The vertex of a torus grid at the lattice fractions (fx, fy), each
-    snapped to the nearest grid line."""
-    def basepoint(domain, grid: GridSpec):
-        ctx = domain.ctx
-        return (round((grid.nx - 1) * fx) / (grid.nx - 1) * 2 * ctx.omega1
-                + round((grid.ny - 1) * fy) / (grid.ny - 1) * 2 * ctx.omega3)
-    return basepoint
-
-
-def _chart_point(u):
-    """The vertex of a sphere-chart grid nearest the chart point u."""
-    def basepoint(domain, grid: GridSpec):
-        xs = np.linspace(-grid.extent, grid.extent, grid.nx)
-        ys = np.linspace(-grid.extent, grid.extent, grid.ny)
-        return complex(xs[np.argmin(np.abs(xs - u.real))], ys[np.argmin(np.abs(ys - u.imag))])
-    return basepoint
-
-
 @dataclass(frozen=True)
 class Construction:
     """How a named construction is built, the spinor pair it meshes, and
-    the basepoint rule (domain, grid) -> chart point of its meshes: the
-    grid vertex nearest a fixed sphere-chart point, or lattice fractions
-    on a torus."""
+    the chart point of its domain, domain -> point, that its meshes start
+    from (basepoint)."""
 
     build: Callable
     pair: Callable
-    basepoint: Callable
+    point: Callable
+
+    def basepoint(self, domain, grid: GridSpec) -> complex:
+        """The grid vertex nearest the chart point (ChartMap.nearest)."""
+        chart = _chart_map(domain, grid)
+        i, j = chart.nearest(self.point(domain))
+        return complex(chart.x[i] + chart.y[j])
 
     def weierstrass(self, built, eps=None) -> WeierstrassData:
         s1, s2 = self.pair(built)
@@ -863,14 +850,15 @@ class Construction:
 # so that a function replaced on the module (a wrapper or a test double)
 # is the one called
 CONSTRUCTIONS = {
-    "enneper": Construction(enneper_data, lambda d: (d.s1, d.s2), _chart_point(0j)),
+    "enneper": Construction(enneper_data, lambda d: (d.s1, d.s2), lambda dom: 0j),
     "sphere4": Construction(lambda: sphere4_solve(), attrgetter("K_basis"),
-                            _chart_point(-1.0 - 1.0j)),
+                            lambda dom: -1.0 - 1.0j),
     "sphere6": Construction(lambda sigma: sphere6_K_basis(sigma), attrgetter("K_basis"),
-                            _chart_point(-1.5 - 1.5j)),
+                            lambda dom: -1.5 - 1.5j),
     "torus4": Construction(lambda omega1=1.0, omega3=1.0j, choice=(1, 2, 3):
                            torus4_construct(build_context(omega1, omega3), choice),
-                           lambda t4: (t4.s1, t4.s2), _lattice_point(0.5, 0.25)),
-    "klein4": Construction(lambda: klein4_construct(),
-                           lambda kb: (kb.s1, kb.s2), _lattice_point(0.5, 0.125)),
+                           lambda t4: (t4.s1, t4.s2),
+                           lambda dom: dom.ctx.omega1 + dom.ctx.omega3 / 2),
+    "klein4": Construction(lambda: klein4_construct(), lambda kb: (kb.s1, kb.s2),
+                           lambda dom: dom.ctx.omega1 + dom.ctx.omega3 / 4),
 }

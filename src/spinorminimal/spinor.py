@@ -801,8 +801,12 @@ class OmegaForm:
         Omega of the unit-chart rows.  Its entries at most RANK_TOL times
         their pair's alpha scale (_omega_table) are rounding, set to 0, so an
         Omega of rounding alone has rank 0.  Kernel vectors are on the
-        unit-chart rows."""
+        unit-chart rows.  A form on sections other than the members of one
+        Basis in order raises SectionDataError."""
         rows = self.basis[0].basis
+        if not (all(s.basis is rows for s in self.basis) and np.array_equal(
+                [s.coefficients for s in self.basis], np.eye(len(rows.labels)))):
+            raise SectionDataError("Omega's sections are not the basis members in order")
         d = rows.row_factors
         sizes = rows.domain.unit_sizes(rows.laurent).sum(axis=-1) * d[:, None]
         omega = scale_parts(self.matrix.entries, np.outer(d, d))

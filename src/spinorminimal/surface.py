@@ -15,11 +15,14 @@ independently, and quadrature_loop_residual closes its cells.
 
 A mesh stores its vertices, its normals and the grid it was made on: the
 chart map, grid point (i, j) at the chart point x[i] + y[j] (ChartMap),
-and the vertex and cell masks, the cells with four valid corners whose
-closed chart square holds no end.  One walk covers that grid: the mask,
-vertex and cell stages of integrate_surface and both exporters work on
-blocks of whole grid rows (_row_blocks), and the ordinal of the first
-vertex of each grid row (_row_starts) says which vertices a block holds.
+made once a mesh and read by every stage, and the vertex and cell masks,
+the cells with four valid corners whose closed chart square holds no end.
+The vertex mask reads the data's end_distance and chart_singular_distance
+on the grid points near an end or a chart singularity alone.  One walk
+covers that grid: the mask, vertex and cell stages of integrate_surface
+and both exporters work on blocks of whole grid rows (_row_blocks), and
+the ordinal of the first vertex of each grid row (_row_starts) says
+which vertices a block holds.
 A block's chart points are chart.rows, masked; a block of cell rows gets
 its faces from one cumsum of the vertex mask over its grid rows (_faces),
 and its loop closures from its vertices scattered onto those rows a
@@ -141,11 +144,11 @@ class WeierstrassData:
 
 
 def _nearest(dom, points, u) -> np.ndarray:
-    """min over points p of dom.distance(u, p), one array distance per point."""
+    """min over points p of dom.distance(u, p), from one array distance."""
     u = np.atleast_1d(np.asarray(u, dtype=complex))
     if not points:
         return np.full(u.shape, np.inf)
-    return np.min([dom.distance(u, p) for p in points], axis=0)
+    return np.min(dom.distance(u[..., None], np.array(points, dtype=complex)), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -271,10 +274,10 @@ GRID_LINE_TOL = 1e-9
 GRID_SNAP_TOL = 1e-9
 
 
-def _chart_map(data: WeierstrassData, grid: GridSpec) -> ChartMap:
-    """The grid's chart map: its sums are the whole grid's X + iY on the
-    sphere and FX 2 omega1 + FY 2 omega3 on a torus, bit for bit."""
-    dom = data.domain
+def _chart_map(dom, grid: GridSpec) -> ChartMap:
+    """The grid's chart map on the domain: its sums are the whole grid's X
+    + iY on the sphere and FX 2 omega1 + FY 2 omega3 on a torus, bit for
+    bit."""
     if dom.genus == 1:
         return ChartMap(np.linspace(0.0, 1.0, grid.nx) * (2 * dom.ctx.omega1),
                         np.linspace(0.0, 1.0, grid.ny) * (2 * dom.ctx.omega3))
@@ -335,14 +338,14 @@ def _valid_mask(data: WeierstrassData, chart: ChartMap) -> np.ndarray:
     is regular there).  Only the grid points of the box of grid steps
     around each end's or singularity's disk (_stamps), one step wider on
     every side, can miss either, so every other grid point is valid, and
-    the distances are taken on those boxes alone, from each point to every
-    end and singularity in one call per block of about _BLOCK distances."""
+    the distances are taken on those boxes alone: end_distance and
+    chart_singular_distance, each in one call per block of about _BLOCK
+    distances."""
     dom = data.domain
     points = [p for p in dom.ends.points if not is_infinity(p)]
     singular = dom.chart_singularities()
     reach = np.repeat([data.end_clearance, CHART_SINGULAR_TOL], [len(points), len(singular)])
-    points = np.array(points + singular, dtype=complex)
-    g, e = _stamps(dom, chart, points, reach)
+    g, e = _stamps(dom, chart, points + singular, reach)
     lo = np.maximum(np.ceil(g - e) - 1, 0).astype(int)
     hi = np.minimum(np.floor(g + e) + 2, np.reshape(chart.shape, (2, 1))).astype(int)
     near, meets = np.zeros(chart.shape, bool), (lo < hi).all(axis=0)
@@ -350,15 +353,16 @@ def _valid_mask(data: WeierstrassData, chart: ChartMap) -> np.ndarray:
         near[i0:i1, j0:j1] = True
     valid = np.ones(chart.shape, bool)
     i, j = np.nonzero(near)
-    step = max(1, _BLOCK // max(len(points), 1))
+    step = max(1, _BLOCK // max(len(reach), 1))
     for k in range(0, i.size, step):
         ij = i[k:k + step], j[k:k + step]
         u = chart.x[ij[0]] + chart.y[ij[1]]
-        valid[ij] = (dom.distance(u[:, None], points) > reach).all(axis=1)
+        valid[ij] = (data.end_distance(u) > data.end_clearance) \
+            & (data.chart_singular_distance(u) > CHART_SINGULAR_TOL)
     return valid
 
 
-def _cell_mask(data: WeierstrassData, grid: GridSpec, valid) -> np.ndarray:
+def _cell_mask(data: WeierstrassData, chart: ChartMap, valid) -> np.ndarray:
     """Cells (i, j), corners (i, j) to (i+1, j+1), with four valid corners
     and no finite end in their closed chart square: on a torus the square
     in lattice fractions, and the ends' lattice translates (_stamps).  Each
@@ -368,8 +372,7 @@ def _cell_mask(data: WeierstrassData, grid: GridSpec, valid) -> np.ndarray:
     grid step."""
     cell = valid[:-1, :-1] & valid[1:, :-1] & valid[1:, 1:] & valid[:-1, 1:]
     dom = data.domain
-    g, _ = _stamps(dom, _chart_map(data, grid),
-                   [p for p in dom.ends.points if not is_infinity(p)], 0.0)
+    g, _ = _stamps(dom, chart, [p for p in dom.ends.points if not is_infinity(p)], 0.0)
     lo = np.maximum(np.ceil(g - GRID_LINE_TOL) - 1, 0).astype(int)
     hi = np.clip(np.floor(g + GRID_LINE_TOL), -1, np.reshape(cell.shape, (2, 1)) - 1).astype(int)
     for (i0, j0), (i1, j1) in zip(lo.T, hi.T):
@@ -428,7 +431,7 @@ def integrate_surface(data: WeierstrassData, grid: GridSpec, basepoint) -> Surfa
     results are written straight into the mesh; closures on blocks of
     about _BLOCK cells, from the block's vertices laid out on its grid rows.
     """
-    chart = _chart_map(data, grid)
+    chart = _chart_map(data.domain, grid)
     valid = _valid_mask(data, chart)
     base = complex(basepoint)
     root = chart.nearest(base)
@@ -487,7 +490,7 @@ def integrate_surface(data: WeierstrassData, grid: GridSpec, basepoint) -> Surfa
         hi = np.maximum(hi, x.max(axis=1, initial=-np.inf))
         del x
 
-    cell, resid = _cell_mask(data, grid, valid), 0.0
+    cell, resid = _cell_mask(data, chart, valid), 0.0
     for r0, r1 in _row_blocks(grid.nx - 1, grid.ny - 1, _BLOCK):
         # the block's cell rows and the grid rows of their corners, onto
         # which the block's vertices are scattered a coordinate at a time,
@@ -527,7 +530,7 @@ def quadrature_edges(data: WeierstrassData, grid: GridSpec):
     v[i, j] from U[i, j] to U[i, j+1], NaN where an edge leaves the mask.
 
     The test oracle for integrate_surface."""
-    chart = _chart_map(data, grid)
+    chart = _chart_map(data.domain, grid)
     U, valid = chart.rows(0, grid.nx), _valid_mask(data, chart)
     h = np.full((U.shape[0] - 1, U.shape[1], 3), np.nan)
     v = np.full((U.shape[0], U.shape[1] - 1, 3), np.nan)
@@ -544,7 +547,8 @@ def quadrature_loop_residual(data: WeierstrassData, grid: GridSpec, edges) -> fl
     valid, h, v = edges
     h, v = np.moveaxis(h, -1, 0), np.moveaxis(v, -1, 0)
     closure = _closure(h[:, :, :-1], v[:, 1:], h[:, :, 1:], v[:, :-1])
-    return float(np.max(closure[_cell_mask(data, grid, valid)], initial=0.0))
+    return float(np.max(closure[_cell_mask(data, _chart_map(data.domain, grid), valid)],
+                        initial=0.0))
 
 
 def period_vector(data: WeierstrassData, loop: QuadraturePath):

@@ -388,13 +388,14 @@ class TestFrameCounts:
         assert [np.size(args[1]) for args in calls] == [2]
 
     def test_klein4_construct(self, count_calls):
-        # two contexts, seven frames placing a, the paired build's
-        # evaluation of its ends, which its table-3 values read, two of the
-        # deck check, one node batch of each period quadrature, and
+        # one context, six frames placing a (wp_inverse's scan and five
+        # Newton steps), the paired build's evaluation of its ends, which
+        # its table-3 values read, one of the deck check on its points and
+        # their images, one node batch of each period quadrature, and
         # form_primitive's probe
         calls = count_calls(elliptic, "_theta_frame")
         klein4_construct()
-        assert len(calls) == 15
+        assert len(calls) == 12
 
     def test_zeta_bases_build_from_one_zeta_frame(self, count_calls, ctx):
         calls = count_calls(elliptic, "_theta_frame")
@@ -414,10 +415,10 @@ class TestDistanceCalls:
     took one per end or pair of ends: the torus bases' end check, the end
     separation of WeierstrassData, form_primitive's probe and the mesh
     mask, which takes the distances of the grid points around the ends to
-    every end and chart singularity in one call."""
+    every end in one call, and to every chart singularity in another."""
 
     @pytest.mark.parametrize("name, build, construct, mesh", [
-        ("klein4", {}, 3, 3),
+        ("klein4", {}, 3, 4),
         ("torus4", {"omega1": 1 + 0.4j, "omega3": 1 - 0.4j}, 1, 3),
     ])
     def test_budget(self, count_calls, name, build, construct, mesh):
@@ -428,7 +429,9 @@ class TestDistanceCalls:
         # the end check
         assert len(calls) == construct
         entry.mesh(built, GridSpec(33, 33))
-        # the end separation, the probe and the mask's one block
+        # the end separation, the probe and the mask's one block, which on
+        # klein4 takes one call to its ends and one to its chart
+        # singularities
         assert len(calls) == construct + mesh
         assert all(np.size(u) > 1 for _, u in calls)
 

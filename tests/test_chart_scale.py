@@ -13,13 +13,14 @@ from hypothesis import given, settings, strategies as st
 from spinorminimal.cli import main
 from spinorminimal.elliptic import build_context, wp_inverse
 from spinorminimal.moduli import (
-    _locate_a,
+    ConstructionError,
+    _klein_end,
     klein_fourth_quadrant_root,
     square_context_e1_normalized,
     torus3_admissible_pair,
     torus4_construct,
 )
-from spinorminimal.numkit import NonConvergenceError, scale_parts
+from spinorminimal.numkit import scale_parts
 from spinorminimal.surface import GridSpec, enneper_data, integrate_surface
 from spinorminimal.spinor import (
     INF,
@@ -171,14 +172,15 @@ def test_wp_floors_scale_with_the_lattice(lattice, k):
 
 @pytest.mark.parametrize("k", [-20, 0, 20])
 def test_the_klein_end_check_scales_with_the_lattice(k):
-    # _locate_a's check reads |wp(a) - r| against |r| and |b1|^-2: at every
-    # scale it finds the Klein end, 2^k times the unit one, and refuses a
-    # value off the anti-invariant locus, which the floor 1 let pass at 2^20
+    # _klein_end reads wp_inverse, whose check reads |wp(a) - r| against |r|
+    # and |b1|^-2, and the locus against w1: at every scale it finds the
+    # Klein end, 2^k times the unit one, and refuses a value off the
+    # anti-invariant locus, which the floor 1 let pass at 2^20
     s, ctx = 2.0**k, square_context_e1_normalized()
     scaled, r = build_context(s * ctx.omega1, s * ctx.omega3), klein_fourth_quadrant_root()
-    assert _locate_a(scaled, r / s**2) == s * _locate_a(ctx, r)
-    with pytest.raises(NonConvergenceError, match="failed to locate"):
-        _locate_a(scaled, (5.0 + 5.0j) / s**2)
+    assert _klein_end(scaled, r / s**2) == s * _klein_end(ctx, r)
+    with pytest.raises(ConstructionError, match="no root a on the anti-invariant locus"):
+        _klein_end(scaled, (5.0 + 5.0j) / s**2)
 
 
 @pytest.mark.parametrize("k", [-20, 0, 20])

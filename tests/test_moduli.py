@@ -35,7 +35,7 @@ from spinorminimal.moduli import (
     torus3_degeneracy,
     torus4_construct,
 )
-from spinorminimal.numkit import NonConvergenceError, QuadraturePath, contour_integral
+from spinorminimal.numkit import QuadraturePath, contour_integral
 from spinorminimal.spinor import INF, EndDivisor, basis_F_sphere, planar_ends
 from spinorminimal.surface import gauss_degree
 
@@ -537,6 +537,30 @@ class TestKlein:
         assert abs(ctx.e2) < 1e-12
         assert ctx.e3 == pytest.approx(-1.0, abs=1e-12)
 
+    def test_the_lattice_is_exactly_square_from_one_build(self, count_calls):
+        # lam = Gamma(1/4)^2 / sqrt(32 pi) is real: omega1 is real and
+        # omega3 imaginary, both exactly, so the deck map conj(u) + omega1
+        # and the locus Re a = omega1/2 are exact
+        calls = count_calls(moduli, "build_context")
+        ctx = square_context_e1_normalized()
+        assert len(calls) == 1
+        assert ctx.omega1.imag == 0.0 and ctx.omega3.real == 0.0
+        assert ctx.omega3.imag == ctx.omega1.real
+        assert abs(ctx.e1 - 1.0) < 1e-15
+
+    def test_the_end_is_the_root_on_the_anti_invariant_locus(self, monkeypatch, klein):
+        # whichever sign of the root wp_inverse returns, the end is the one
+        # whose lattice representative lies on Re a = w1/2, 0 < Im a < Im w3
+        ctx, r, a = klein.ctx, klein.r, klein.a
+        w1 = ctx.omega1.real
+        assert abs(a.real - w1 / 2) <= 1e-15 * w1 and 0 < a.imag < ctx.omega3.imag
+        assert abs(wp(ctx, a) - r) <= 1e-13 * abs(r)
+        assert klein.residuals["deck_pairing"] == 0.0
+        root = elliptic.wp_inverse(ctx, r)
+        for sign in (1, -1):
+            monkeypatch.setattr(moduli, "wp_inverse", lambda c, value: sign * root)
+            assert moduli._klein_end(ctx, r) == a
+
     def test_fourth_quadrant_root(self, klein):
         r = klein.r
         assert r.real > 0 and r.imag < 0
@@ -608,6 +632,16 @@ class TestKlein:
         assert prim.poly[0, 0] == pytest.approx(B, rel=1e-8)
 
 
+@pytest.mark.parametrize("name, lattice", ACCEPTANCE_LATTICES)
+def test_the_real_structure_is_an_involution(name, lattice):
+    # B = A^-1 conj(A) has B conj(B) = 1, and both constructions read it
+    ctx = build_context(*lattice)
+    B = moduli._real_structure(ctx)
+    assert np.abs(B @ np.conj(B) - np.eye(2)).max() < 1e-12
+    a1 = 0.57 * ctx.omega1 + 0.41 * ctx.omega3
+    assert torus3_degeneracy(ctx, a1, torus3_admissible_pair(ctx, a1)).abs_a == abs(B[0, 0])
+
+
 def test_an_unplaceable_second_end_is_a_construction_error(monkeypatch):
     # a wp' that matches neither sign of the root
     monkeypatch.setattr(moduli, "wp_prime", lambda ctx, u: 1e3 + 1e3j)
@@ -627,7 +661,8 @@ def test_no_fourth_quadrant_root_is_one_error_line(monkeypatch, capsys):
 def test_an_end_off_the_anti_invariant_locus_is_non_convergence(monkeypatch, capsys):
     # wp takes 5 + 5i nowhere on the line Re(u) = w1/2
     monkeypatch.setattr(moduli, "klein_fourth_quadrant_root", lambda: 5.0 + 5.0j)
-    with pytest.raises(NonConvergenceError, match="wp\\(a\\) = r"):
+    with pytest.raises(ConstructionError, match="wp\\(a\\) = 5\\+5j has no root"):
         klein4_construct()
     assert main(["klein4"]) == 1
-    assert capsys.readouterr().err == "error: failed to locate the end point a with wp(a) = r\n"
+    assert capsys.readouterr().err == \
+        "error: wp(a) = 5+5j has no root a on the anti-invariant locus\n"

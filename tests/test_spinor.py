@@ -728,6 +728,22 @@ def test_ends_equal_modulo_the_lattice_are_named(ctx):
         basis_F_torus_untwisted_paired(ctx, 1, [ctx.omega3])
 
 
+@pytest.mark.parametrize("family", ["sphere4", "twisted"])
+def test_a_form_off_the_basis_members_is_refused(ctx, family):
+    # rank_kernel and extract_K read Omega's sections as the members of one
+    # basis in order: a permutation of them, a part of them or a combination
+    # in place of one is refused, not read as another kernel
+    b = list(moduli.sphere4_solve().form.basis if family == "sphere4" else basis_F_torus_twisted(
+        ctx, EndDivisor((0.0, 0.4 + 0.33j, 1.1 + 0.7j, 0.5 + 1.4j))))
+    mixed = section_combination([1.0, 1.0, 0.0, 0.0], b, "b0+b1")
+    for sections in ([b[1], b[0], b[2], b[3]], b[:3], [mixed] + b[1:]):
+        form = omega_matrix(sections)
+        for read in (spinor.OmegaForm.rank_kernel, extract_K):
+            with pytest.raises(SectionDataError, match="not the basis members in order"):
+                read(form)
+    extract_K(omega_matrix(b))
+
+
 class TestOmegaPairProperties:
     def test_antisymmetry(self, ctx):
         basis = basis_F_torus_twisted(ctx, EndDivisor((0.0, 0.4 + 0.33j, 1.1 + 0.7j)))

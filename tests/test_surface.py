@@ -549,7 +549,7 @@ class TestCellMask:
         except (ValueError, NonConvergenceError):
             assume(False)
         grid = GridSpec(n, n)
-        valid = _valid_mask(data, _chart_map(data, grid))
+        valid = _valid_mask(data, _chart_map(data.domain, grid))
         assume(data.end_clearance < 4.0 / (n - 1) and valid[0, 0])
         mesh = integrate_surface(data, grid, -2.0 - 2.0j)
         assert _faces_holding_an_end(data, mesh).size == 0
@@ -565,7 +565,7 @@ class TestCellMask:
         data = entry.weierstrass(built)
         mesh = entry.mesh(built, GridSpec(n, n))
         assert _faces_holding_an_end(data, mesh).size == 0
-        valid = _valid_mask(data, _chart_map(data, GridSpec(n, n)))
+        valid = _valid_mask(data, _chart_map(data.domain, GridSpec(n, n)))
         cells = valid[:-1, :-1] & valid[1:, :-1] & valid[1:, 1:] & valid[:-1, 1:]
         held = _cells_holding_an_end(data, GridSpec(n, n)) & cells
         assert held.any() and len(mesh.faces) == 2 * np.count_nonzero(cells & ~held)
@@ -578,7 +578,8 @@ class TestCellMask:
                               ((2.01j, 0.5, INF), [[4, 3], [4, 4], [5, 3], [5, 4]])):
             basis = basis_F_sphere(EndDivisor(ends))
             data = WeierstrassData(s1=basis[0], s2=basis[1], end_clearance=1e-3)
-            cell = surface._cell_mask(data, GridSpec(9, 9), np.ones((9, 9), dtype=bool))
+            cell = surface._cell_mask(data, _chart_map(data.domain, GridSpec(9, 9)),
+                                      np.ones((9, 9), dtype=bool))
             assert np.argwhere(~cell).tolist() == cleared
 
     def test_the_named_mesh_cuts_keep_their_values(self):
@@ -592,7 +593,8 @@ class TestCellMask:
         # lies on the line and clears the cells on both sides of it
         basis = basis_F_sphere(EndDivisor((times * 1e-9 + 0.5j, INF)))
         data = WeierstrassData(s1=basis[0], s2=basis[1], end_clearance=1e-3)
-        cell = surface._cell_mask(data, GridSpec(5, 5), np.ones((5, 5), dtype=bool))
+        cell = surface._cell_mask(data, _chart_map(data.domain, GridSpec(5, 5)),
+                                  np.ones((5, 5), dtype=bool))
         assert np.argwhere(~cell).tolist() == ([[2, 2]] if times > 1 else [[1, 2], [2, 2]])
 
     @pytest.mark.parametrize("times", [0.5, 2.0])
@@ -614,7 +616,9 @@ class TestCellMask:
         calls = count_calls(surface, "_cell_mask")
         mesh = entry.mesh(built, grid)
         quadrature_loop_residual(data, grid, quadrature_edges(data, grid))
-        assert len(calls) == 2 and all(args[1] == grid for args in calls)
+        want = _chart_map(data.domain, grid).rows(0, grid.nx)
+        assert len(calls) == 2 and all(np.array_equal(args[1].rows(0, grid.nx), want)
+                                       for args in calls)
         assert np.array_equal(calls[0][2], calls[1][2])
         # the four ends at +-0.934 +-0.357i each sat inside one face
         assert len(mesh.faces) == 2040 - 8
@@ -711,7 +715,7 @@ class TestBlocks:
         data, mesh = entry.weierstrass(built), entry.mesh(built, grid)
         U, faces = _whole_grid(data, grid, mesh)
         assert len(faces) >= 64
-        for got, want in ((_chart_map(data, grid).rows(0, grid.nx), U),
+        for got, want in ((_chart_map(data.domain, grid).rows(0, grid.nx), U),
                           (mesh.domain_uv, U[mesh.valid]), (mesh.faces, faces)):
             assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
 
@@ -752,7 +756,7 @@ class TestBlocks:
         monkeypatch.setattr(surface, "_BLOCK", 7)
         mesh = integrate_surface(data, GridSpec(grid, grid),
                                  entry.basepoint(data.domain, GridSpec(grid, grid)))
-        valid = _valid_mask(data, _chart_map(data, GridSpec(grid, grid)))
+        valid = _valid_mask(data, _chart_map(data.domain, GridSpec(grid, grid)))
         index = np.cumsum(valid).reshape(valid.shape) - 1
         cell = valid[:-1, :-1] & valid[1:, :-1] & valid[1:, 1:] & valid[:-1, 1:]
         held = _cells_holding_an_end(data, GridSpec(grid, grid)) & cell
@@ -1175,12 +1179,12 @@ class TestArrayMeshPipeline:
         extra = [p for p in dom.singular_points()
                  if all(dom.distance(p, q) > 1e-9 for q in ends)]
         assert len(extra) == (2 if which == "klein4" else 0)
-        U = _chart_map(data, GridSpec(nx=33, ny=33)).rows(0, 33)
+        U = _chart_map(data.domain, GridSpec(nx=33, ny=33)).rows(0, 33)
         u = U.ravel()
         singular = np.min([dom.distance(u, p) for p in extra], axis=0) if extra \
             else np.full(u.shape, np.inf)
         oracle = (data.end_distance(u) > data.end_clearance) & (singular > 1e-9)
-        assert np.array_equal(_valid_mask(data, _chart_map(data, GridSpec(nx=33, ny=33))),
+        assert np.array_equal(_valid_mask(data, _chart_map(data.domain, GridSpec(nx=33, ny=33))),
                               oracle.reshape(U.shape))
 
 
@@ -1234,7 +1238,7 @@ class TestStampedMask:
 
     @pytest.mark.parametrize("n", [2, 3, 17, 33, 129])
     def test_the_mask_is_the_full_grid_mask(self, data, n):
-        chart = _chart_map(data, GridSpec(n, n))
+        chart = _chart_map(data.domain, GridSpec(n, n))
         want = _full_grid_mask(data, chart)
         assert np.array_equal(_valid_mask(data, chart), want)
         if n == 129:
@@ -1242,12 +1246,55 @@ class TestStampedMask:
 
     def test_the_distances_are_taken_around_the_ends(self, count_calls):
         # klein-4 at grid 129: the boxes of its ten disks hold few of the
-        # 16641 grid points, and the mask takes their distances to the ten
-        # points in one call
+        # 16641 grid points, and the mask takes their distances to the
+        # eight ends in one call, then to the two chart singularities in one
         data = MASK_CASES["klein4"]()
         calls = count_calls(Lattice, "distance")
-        _valid_mask(data, _chart_map(data, GridSpec(129, 129)))
-        assert len(calls) == 1 and 0 < np.size(calls[0][1]) < 0.05 * 16641 * 10
+        _valid_mask(data, _chart_map(data.domain, GridSpec(129, 129)))
+        assert len(calls) == 2 and np.size(calls[0][1]) == 4 * np.size(calls[1][1])
+        assert 0 < np.size(calls[0][1]) + np.size(calls[1][1]) < 0.05 * 16641 * 10
+
+
+BASEPOINT_BUILDS = {"enneper": (), "sphere4": (),
+                    "sphere6": ((0.0, 2.0 * math.sqrt(5.0) / 3.0, 0.0),),
+                    "torus4": (1.1 - 0.2j, 0.3 + 0.9j), "klein4": ()}
+
+
+class TestBasepoint:
+    """Construction.basepoint snaps its construction's chart point to the
+    grid by ChartMap.nearest, the snap integrate_surface reads it back by."""
+
+    @pytest.fixture(scope="class", params=BASEPOINT_BUILDS, ids=BASEPOINT_BUILDS)
+    def named(self, request):
+        entry = CONSTRUCTIONS[request.param]
+        return (request.param, entry,
+                entry.weierstrass(entry.build(*BASEPOINT_BUILDS[request.param])).domain)
+
+    @pytest.mark.parametrize("n", [16, 17, 40, 61])
+    def test_the_basepoint_is_a_grid_vertex_nearest_the_chart_point(self, named, n):
+        # within half a grid step of the point along each step: on an even
+        # grid a point at a half-step tie may snap to either side
+        _, entry, dom = named
+        chart = _chart_map(dom, GridSpec(n, n))
+        base = entry.basepoint(dom, GridSpec(n, n))
+        i, j = chart.nearest(base)
+        assert base == chart.x[i] + chart.y[j]
+        assert np.abs(chart.positions(base) - chart.positions(entry.point(dom))).max() \
+            <= 0.5 + 1e-9
+
+    def test_the_named_points(self, named):
+        # on grids of 2^k steps each chart point is a grid vertex, bit for
+        # bit: 0, -1-1i, -1.5-1.5i, omega1 + omega3/2 and omega1 + omega3/4
+        name, entry, dom = named
+        if dom.genus == 1:
+            w1, w3 = dom.ctx.omega1, dom.ctx.omega3
+            want = {"torus4": w1 + w3 / 2, "klein4": w1 + w3 / 4}
+        else:
+            want = {"enneper": 0j, "sphere4": -1 - 1j, "sphere6": -1.5 - 1.5j}
+        point = entry.point(dom)
+        assert point == want[name]
+        for n in (65, 129):
+            assert entry.basepoint(dom, GridSpec(n, n)) == point
 
 
 def _edge_agreement(data, mesh, grid, near=0.0):
@@ -1257,7 +1304,7 @@ def _edge_agreement(data, mesh, grid, near=0.0):
     valid, h, v = quadrature_edges(data, grid)
     X = np.full(valid.shape + (3,), np.nan)
     X[valid] = mesh.vertices
-    U, worst = _chart_map(data, grid).rows(0, grid.nx), 0.0
+    U, worst = _chart_map(data.domain, grid).rows(0, grid.nx), 0.0
     for edge, quad, a, b in ((X[1:] - X[:-1], h, U[:-1], U[1:]),
                              (X[:, 1:] - X[:, :-1], v, U[:, :-1], U[:, 1:])):
         far = data.end_distance((a + b) / 2) >= near * np.abs(b - a)

@@ -141,8 +141,8 @@ class Lattice:
     def pole_tolerance(self) -> float:
         """POLE_DISTANCE_TOL * max(s, |b2|) = POLE_DISTANCE_TOL * |b2|, as
         the chart scale s is at most |b1|: the distance from the lattice
-        within which a theta frame, the paired rows and the torus end check
-        see a pole."""
+        within which a theta frame, the shifts by the addition theorem and
+        the torus end check see a pole."""
         return POLE_DISTANCE_TOL * abs(self.reduced_periods[1])
 
     @cached_property
@@ -524,10 +524,12 @@ def zeta(ctx: EllipticContext, u):
 def wp_inverse(ctx: EllipticContext, value):
     """One point u (up to sign and lattice) with wp(u) = value.
 
-    Coarse 36 x 36 fundamental-domain scan followed by Newton on wp(u) - value.
+    Coarse scan of the half y > 1/2 of the fundamental domain, 36 x 18
+    fractions (x, y) of 2 w1 and 2 w3, followed by Newton on wp(u) - value:
+    wp(-u) = wp(u), and -u is the point (1 - x, 1 - y) of the other half.
     """
     xs = np.linspace(0.04, 0.96, 36)
-    X, Y = np.meshgrid(xs, xs)
+    X, Y = np.meshgrid(xs, xs[18:])
     grid = X.ravel() * 2 * ctx.omega1 + Y.ravel() * 2 * ctx.omega3
     vals = wp(ctx, grid)
     u = grid[int(np.argmin(np.abs(vals - value)))]

@@ -425,7 +425,7 @@ def torus3_degeneracy(ctx: EllipticContext, a1, a2) -> Torus3Report:
     for the |a| > 1 obstruction, and EPSILON's _epsilon_residual.
     """
     a1, a2 = complex(a1), complex(a2)
-    if ctx.lattice_distance(a1 + a2) < 1e-9:
+    if ctx.lattice_distance(a1 + a2) < 1e-9 * 4.0 ** ctx.lattice.chart_exponent:
         raise ValueError("a1 + a2 = 0 is a limit case, not handled directly")
     p1, p2 = wp(ctx, a1), wp(ctx, a2)
     g2_condition = ctx.g2 - 4.0 * (p1 * p1 + p1 * p2 + p2 * p2)
@@ -711,13 +711,14 @@ def klein4_construct() -> KleinFourEnd:
     Steps: normalize the square lattice to e1 = 1; take the
     fourth-quadrant root r of r^4 + m r^2 + 1; place a on the I(a) = -a
     locus with wp(a) = r (_klein_end) and lay out the eight ends; build
-    the paired basis, read Table 3 at the ends from its domain, and check
-    rank(Omega) = 4 and the W block; assemble the kernel sections s-hat
-    (the deck conjugates live on the wp'-type half of the basis); solve
-    the single period equation with the closed-form A, B, C and
-    cross-check every identity by quadrature.  Whether the pair is
-    unbranched is surface.gauss_degree's question: it reads g + n - 1 = 8
-    exactly when s1 and s2 share no zero (acceptance 9g).
+    the paired sections on the zeta rows of those ends, read Table 3 at the
+    ends from their domain, and check rank(Omega) = 4 and the W block;
+    assemble the kernel sections s-hat (the deck conjugates live on the
+    wp'-type half of the paired sections); solve the single period
+    equation with the closed-form A, B, C and cross-check every identity
+    by quadrature.  Whether the pair is unbranched is surface.gauss_degree's
+    question: it reads g + n - 1 = 8 exactly when s1 and s2 share no zero
+    (acceptance 9g).
     """
     ctx = square_context_e1_normalized()
     r = klein_fourth_quadrant_root()
@@ -736,8 +737,10 @@ def klein4_construct() -> KleinFourEnd:
     residuals["deck_pairing"] = float(np.max(
         ctx.lattice_distance(I(at.u) - at.u[[4, 5, 3, 2, 0, 1, 7, 6]])))
 
+    # Omega on the paired sections, whose rank is that of the zeta rows they
+    # combine, as the change of basis is invertible
     form = omega_matrix(basis)
-    rank, _ = form.rank_kernel()
+    rank, _ = omega_matrix(basis[0].basis.members()).rank_kernel()
     if rank != 4:
         raise ConstructionError(f"rank Omega = {rank}, expected 4 at the quartic root")
     W_num = -2.0 * form.matrix.entries[:4, 4:]
@@ -747,8 +750,6 @@ def klein4_construct() -> KleinFourEnd:
                    (r**2 + 1) * (3 * r**2 - 1), -2 * (r**2 - 1) ** 2], dtype=complex)
     c2 = np.array([(r**2 + 1) * (3 * r**2 - 1), -2 * (r**2 - 1) ** 2,
                    2 * (r**2 - 1) ** 2, (r**2 + 1) * (r**2 - 3)], dtype=complex)
-    s1h = section_combination(np.concatenate([c1, np.zeros(4)]), basis, "s1hat")
-    s2h = section_combination(np.concatenate([c2, np.zeros(4)]), basis, "s2hat")
 
     # deck conjugates i conj(I* s): on the wp'-type half, with the
     # wp-value classes permuted (3 <-> 4) by conjugation
@@ -758,12 +759,13 @@ def klein4_construct() -> KleinFourEnd:
         v = np.zeros(8, dtype=complex)
         v[4], v[5], v[7], v[6] = d[0], d[1], d[2], d[3]
         return v
-    s3h = section_combination(deck_coefficients(c1), basis, "s3hat")
-    s4h = section_combination(deck_coefficients(c2), basis, "s4hat")
-    kernel_res = max(
-        float(np.linalg.norm(form.matrix.entries @ np.asarray(s.coefficients))
-              / np.linalg.norm(s.coefficients))
-        for s in (s1h, s2h, s3h, s4h))
+    # s-hat in the coordinates of the paired sections, which Omega's kernel reads
+    paired = [np.concatenate([c1, np.zeros(4)]), np.concatenate([c2, np.zeros(4)]),
+              deck_coefficients(c1), deck_coefficients(c2)]
+    s1h, s2h, s3h, s4h = (section_combination(v, basis, f"s{k + 1}hat")
+                          for k, v in enumerate(paired))
+    kernel_res = max(float(np.linalg.norm(form.matrix.entries @ v) / np.linalg.norm(v))
+                     for v in paired)
     residuals["kernel"] = kernel_res / np.abs(form.matrix.entries).max()
 
     rng = np.random.default_rng(17)

@@ -3,11 +3,12 @@
 A section is (basis, coefficients): a coefficient vector on the rows of
 one Basis.  Each family of F has one basis kernel: phi/(z - a_i) and phi
 on the sphere; one zeta-difference form zeta(u - a_i) - zeta(u) + c_i
-(with an optional constant row) on the twisted and untwisted tori;
-wp_r/(wp_r - p_i) and wp'/(wp_r - p_i) for paired untwisted ends, whose
-table is the untwisted one in another basis; and the monomials z^j phi
-on the sphere without ends, Enneper's rows.  A section (N/D) phi of F is a
-coefficient vector on the sphere rows (_SphereBasis.fraction).
+(with an optional constant row) on every torus; and the monomials z^j
+phi on the sphere without ends, Enneper's rows.  A section (N/D) phi of F
+is a coefficient vector on the sphere rows (_SphereBasis.fraction), and
+the paired sections wp_r/(wp_r - p_i) phi_r and wp'/(wp_r - p_i) phi_r of
+the ends +-a_i are coefficient vectors on the untwisted zeta rows of
+those ends (basis_F_torus_untwisted_paired).
 A kernel evaluates only the rows some coefficient uses, and adds each
 row into every section it evaluates.  On a torus the rows read zeta and
 wp at u and at u - a_i from one theta frame, each end's shift by the one
@@ -239,9 +240,12 @@ class _Points:
             zeta(u - a) - zeta(u) = R/2 - zeta(a),  R = (wp'(u) + wp'(a))/D,
             wp(u - a) = R^2/4 - wp(u) - wp(a);
 
-        pole marks D within about the pole tolerance of 0, u next to +-a."""
+        pole marks D within about the pole tolerance of 0, u next to +-a, and
+        then nothing is divided, as shifts raises."""
         den = np.subtract(self.wp, wp_a)
         pole = np.abs(den) <= self.dom.ctx.lattice.pole_tolerance * np.abs(self.wp_prime)
+        if pole.any():
+            return None, None, pole
         z = np.divide(self.wp_prime + wp_prime_a, den, out=den)
         w = z * z
         w *= 0.25
@@ -415,8 +419,8 @@ class UntwistedTorusDomain(_TorusDomain):
 
     def wp_r(self, u):
         """wp(u) - e_r, shaped as u, from the frame of points(u): the only
-        place it is formed, for the chart weight, the paired rows and the
-        pole data at the ends (end_values)."""
+        place it is formed, for the chart weight, the pole data at the ends
+        (end_values) and the paired sections' p_i."""
         at = self.points(u)
         return np.subtract(at.wp.reshape(at.shape), self.ctx.e(self.r))
 
@@ -560,41 +564,6 @@ class _ZetaBasis(Basis):
                 continue
             zeta, wp = next(shifts)
             yield j, zeta + self.constants[j], (at.wp - wp if derivative else None)
-
-
-@dataclass(eq=False)
-class _PairedBasis(Basis):
-    """wp_r/(wp_r - p_i) phi_r, then wp'/(wp_r - p_i) phi_r, on the frame on
-    u: wp_r as the chart weight reads it, and wp'.  Within about 1e-12
-    of an end +-a_i, where wp_r(u) - p_i ~ wp'(u) (u -+ a_i) vanishes, the
-    rows raise PoleEvaluationError, as the zeta rows do next to their ends."""
-
-    pvals: list
-
-    def _rows(self, active, at, derivative):
-        if not active.size:
-            return
-        dom = self.domain
-        pr = dom.wp_r(at).reshape(-1)
-        dp = at.wp_prime
-        if derivative:
-            p = at.wp
-            ddp = 6.0 * p * p - dom.ctx.g2 / 2.0
-        near = dom.ctx.lattice.pole_tolerance * np.abs(dp)
-        m = len(self.pvals)
-        for j in active:
-            p_i = self.pvals[j % m]
-            den = pr - p_i
-            pole = np.abs(den) <= near
-            if pole.any():
-                u = at.u[np.argmax(pole)]
-                raise elliptic.PoleEvaluationError(
-                    f"paired row {self.labels[j]} at u = {u}: wp_r(u) = wp_r(a{j % m + 1}), "
-                    "u is within 1e-12 of an end")
-            if j < m:
-                yield j, pr / den, (-p_i * dp / den**2 if derivative else None)
-            else:
-                yield j, dp / den, ((ddp * den - dp * dp) / den**2 if derivative else None)
 
 
 @dataclass(eq=False)
@@ -1022,21 +991,21 @@ def basis_F_torus_untwisted(ctx: EllipticContext, r: int, divisor: EndDivisor):
 
 
 def basis_F_torus_untwisted_paired(ctx: EllipticContext, r: int, half_points):
-    """Paired-end basis t-hat for ends {a_i} u {-a_i}.
+    """Paired-end sections t-hat for ends {a_i} u {-a_i}.
 
     t-hat_i = wp_r/(wp_r - p_i) phi_r and t-hat_{m+i} = wp'/(wp_r - p_i) phi_r,
-    with p_i = wp_r(a_i).  Omega in this basis is block off-diagonal; the
+    with p_i = wp_r(a_i).  Omega on them is block off-diagonal; the
     textbook W matrix equals -2 times the upper block.
 
-    By the zeta addition theorem these are the untwisted rows t_j of the
-    ends (a_1 .. a_m, -a_1 .. -a_m) in another basis: t-hat_i =
-    k_i (t_i - t_{m+i}) and t-hat_{m+i} = t_i + t_{m+i}, k_i = p_i/wp'(a_i).
-    So the table (through that change of basis), the end checks, p_i and
-    wp'(a_i) come from the untwisted build and its domain's one evaluation
-    of its ends (end_values).  The rows stay wp quotients of the frame on
-    u, where the zeta rows add the 2m shifts to it by the addition
-    theorem.  A wp'(a_i) that rounds to 0 raises DegenerateLatticeError,
-    before k_i divides by it.
+    By the zeta addition theorem they are combinations of the untwisted rows
+    t_j of the ends (a_1 .. a_m, -a_1 .. -a_m): t-hat_i = k_i (t_i -
+    t_{m+i}) and t-hat_{m+i} = t_i + t_{m+i}, k_i = p_i/wp'(a_i).  So they
+    are returned as sections on that zeta basis, with those coefficients:
+    the end checks, p_i and wp'(a_i) come from its build and its domain's
+    one evaluation of its ends (end_values), their tables are the change of
+    basis on its table, and they evaluate as its rows do.  Their rank is
+    that basis's (OmegaForm.rank_kernel reads its members).  A wp'(a_i)
+    that rounds to 0 raises DegenerateLatticeError, before k_i divides by it.
     """
     a = np.array(half_points, dtype=complex)
     rows = basis_F_torus_untwisted(ctx, r, EndDivisor(tuple(a) + tuple(-a)))[0].basis
@@ -1046,9 +1015,8 @@ def basis_F_torus_untwisted_paired(ctx: EllipticContext, r: int, half_points):
         raise elliptic.DegenerateLatticeError(f"wp'(a) = 0 at the end a = {a[np.argmax(dp == 0)]}: "
                                               "the lattice is too thin for double precision")
     k, one = np.diag(pvals / dp), np.eye(a.size)
-    labels = [f"that{i + 1}" for i in range(2 * a.size)]
-    return _PairedBasis(rows.domain, labels, rows.table(np.block([[k, -k], [one, one]])),
-                        np.repeat([1.5, 0.5], a.size), list(pvals)).members()
+    return [rows.section(g, f"that{i + 1}")
+            for i, g in enumerate(np.block([[k, -k], [one, one]]))]
 
 
 def polynomial_sphere_basis(degree: int):

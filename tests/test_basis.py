@@ -100,9 +100,11 @@ class TestBasisRows:
         _check_rows(basis, formulas, _points(ctx, seed=4))
 
     def test_paired_rows_at_an_end_raise(self, klein):
-        # wp_r(u) - p_i vanishes at the ends +-a_i: within 1e-12 of one the
-        # rows raise PoleEvaluationError naming the point, with no numpy
-        # warning, as a zeta section does at its end
+        # the Klein pair's zeta rows read each end's shift by the addition
+        # theorem, whose denominator wp(u) - wp(a_i) vanishes at a_i and -a_i:
+        # within 1e-12 of either they raise PoleEvaluationError naming the
+        # point and the end a_i or -a_i, with no numpy warning, as a zeta
+        # section does at its end
         ends = klein.s1.domain.ends.points
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -111,6 +113,7 @@ class TestBasisRows:
                     with pytest.raises(PoleEvaluationError, match="within 1e-12 of an end") as err:
                         s.evaluate([1.0 + 0.5j, u])
                     assert repr(complex(u)) in str(err.value)
+                    assert re.search(r"for the end a = \S+ or -a = \S+:", str(err.value))
                 assert np.all(np.isfinite(s.evaluate(np.array(ends) + 1e-6)))
             t4 = torus4_construct(build_context(1.0, 1.0j))
             with pytest.raises(PoleEvaluationError):
@@ -181,7 +184,10 @@ class TestCombinations:
         want = x1 * np.asarray(s1h.coefficients) + x2 * np.asarray(s2h.coefficients)
         assert np.allclose(klein.s1.coefficients, want, rtol=1e-15, atol=0)
         assert klein.s1.basis is s1h.basis and len(klein.s1.coefficients) == 8
-        assert not np.any(klein.s1.coefficients[4:])
+        # s1 lies on the wp_r-type paired sections k_i (t_i - t_{4+i}): on the
+        # zeta rows its coefficient at -a_i is minus that at a_i
+        c = np.asarray(klein.s1.coefficients)
+        assert np.array_equal(c[4:], -c[:4]) and np.all(c[:4])
 
     def test_mixed_bases_rejected(self, ctx):
         b1 = basis_F_sphere(EndDivisor((0.0, 1.0, INF)))
@@ -209,11 +215,20 @@ def test_every_basis_carries_its_table(ctx, family):
         "monomial": lambda: polynomial_sphere_basis(3),
     }.get(family, lambda: basis_F_torus_untwisted(ctx, int(family[-1]), EndDivisor(ends)))()
     basis = members[0].basis
-    rows, n_ends = len(members), basis.domain.ends.n
+    rows, n_ends = len(basis.labels), basis.domain.ends.n
     assert isinstance(basis.laurent, np.ndarray) and basis.laurent.dtype == complex
     assert basis.laurent.shape == (rows, n_ends, 2)
     assert isinstance(basis.weights, np.ndarray) and basis.weights.shape == (rows,)
     assert np.all(basis.weights % 1 == 0.5)
+    if family == "paired":
+        # the paired sections are combinations of the zeta rows of their
+        # ends +-a_i, with the rows' table contracted
+        assert isinstance(basis, spinor._ZetaBasis) and basis.domain.r == 1
+        assert rows == len(members) == n_ends == 4
+        for s in members:
+            assert np.array_equal(s.expansions, basis.table([s.coefficients])[0])
+        return
+    assert rows == len(members)
     for j, s in enumerate(members):
         assert np.array_equal(s.expansions, basis.laurent[j])
 
@@ -274,25 +289,12 @@ class TestQresRadius:
         assert np.all(np.abs(oracle - omega) <= 1e-12 * np.maximum(1.0, np.abs(omega)))
 
 
-def _klein_on_zeta_rows(klein):
-    """The Klein pair on the untwisted zeta rows t_j of its eight ends, from
-    the change of basis t-hat_i = k_i (t_i - t_{4+i}), t-hat_{4+i} = t_i +
-    t_{4+i}, k_i = p_i/wp'(a_i) (see basis_F_torus_untwisted_paired)."""
-    dom = klein.s1.domain
-    half = np.array(dom.ends.points[:4])
-    rows = basis_F_torus_untwisted(klein.ctx, dom.r, dom.ends)[0].basis
-    k, one = np.diag(dom.wp_r(half) / wp_prime(klein.ctx, half)), np.eye(4)
-    M = np.block([[k, -k], [one, one]])
-    return tuple(rows.section(np.asarray(s.coefficients) @ M, s.label)
-                 for s in (klein.s1, klein.s2))
-
-
 def _mesh_pair(name, klein):
     """(s1, s2) and the basepoint fractions of a torus mesh."""
     if name == "torus4":
         t4 = torus4_construct(build_context(1.0, 1.0j))
         return (t4.s1, t4.s2), (0.5, 0.25)
-    return ((klein.s1, klein.s2) if name == "klein4" else _klein_on_zeta_rows(klein)), (0.5, 0.125)
+    return (klein.s1, klein.s2), (0.5, 0.125)
 
 
 def _lattice_vertex(dom, n, fractions):
@@ -325,11 +327,12 @@ class TestFrameCounts:
         assert self._frames(count_calls, prim.evaluate, u) == 1
 
     def test_klein4(self, count_calls, klein):
-        # the paired rows and the chart weight read the one frame row of u
+        # the zeta rows of the eight ends and the chart weight read the one
+        # frame row of u
         u = _points(klein.ctx, 40)
         assert self._frames(count_calls, WeierstrassData(s1=klein.s1, s2=klein.s2).omega, u) == 1
 
-    @pytest.mark.parametrize("name", ["torus4", "klein4-zeta", "klein4"])
+    @pytest.mark.parametrize("name", ["torus4", "klein4"])
     def test_one_frame_per_block(self, monkeypatch, count_calls, klein, name):
         # form_primitive takes one frame, on its probe point alone, as the
         # domain's shift rules and its chart weight at the ends are read
@@ -337,8 +340,7 @@ class TestFrameCounts:
         # block of integrate_surface takes one frame, on its vertices (and
         # the basepoint) alone: on torus-4 the ends are 0 and the half
         # periods, on the Klein pair the eight ends +-a_i, whose shifts the
-        # rows and the primitive read from it by the addition theorem, in
-        # either basis
+        # rows and the primitive read from it by the addition theorem
         (s1, s2), fractions = _mesh_pair(name, klein)
         data = WeierstrassData(s1=s1, s2=s2)
         calls = count_calls(elliptic, "_theta_frame")
@@ -465,20 +467,21 @@ def _per_shift_values(basis, C, u):
     return out
 
 
-def _per_row_paired(basis, C, u):
-    """Values of the sections with coefficient rows C on a paired basis, from
-    a theta frame of their own on u, each row added in turn."""
-    ctx, r = basis.domain.ctx, basis.domain.r
-    frame = elliptic._theta_frame(ctx, u)
-    p, dp = frame.wp(), frame.wp_prime()
-    pr = p - ctx.e(r)
-    m = len(basis.pvals)
-    out = np.zeros((len(C), u.size), dtype=complex)
-    for j in range(2 * m):
-        den = pr - basis.pvals[j % m]
-        for k in np.flatnonzero(C[:, j]):
-            out[k] += C[k, j] * (pr / den if j < m else dp / den)
-    return out
+def _per_row_paired(ctx, r, half, u):
+    """Values and derivatives of the paired sections wp_r/(wp_r - p_i) and
+    wp'/(wp_r - p_i) of the ends +-a_i at u, p_i = wp_r(a_i), from a theta
+    frame of their own on u and the a_i, and the closed form wp'' = 6 wp^2 -
+    g2/2: the row kernel that evaluated them before they became
+    combinations of the zeta rows of their ends."""
+    u = np.reshape(u, -1)
+    frame = elliptic._theta_frame(ctx, np.concatenate([u, half]))
+    p, dp = frame.wp()[:u.size], frame.wp_prime()[:u.size]
+    pr, pvals = p - ctx.e(r), frame.wp()[u.size:] - ctx.e(r)
+    ddp = 6.0 * p * p - ctx.g2 / 2.0
+    dens = [pr - q for q in pvals]
+    values = [pr / d for d in dens] + [dp / d for d in dens]
+    slopes = [-q * dp / d**2 for q, d in zip(pvals, dens)] + [(ddp * d - dp * dp) / d**2 for d in dens]
+    return np.array(values), np.array(slopes)
 
 
 def _per_consumer_mesh(data, mesh):
@@ -488,8 +491,7 @@ def _per_consumer_mesh(data, mesh):
     basis, dom = data.s1.basis, data.domain
     C = np.array([data.s1.coefficients, data.s2.coefficients])
     u = np.concatenate([[mesh.metadata["basepoint"]], mesh.domain_uv])
-    f1, f2 = _per_row_paired(basis, C, u) if hasattr(basis, "pvals") \
-        else _per_shift_values(basis, C, u)[0]
+    f1, f2 = _per_shift_values(basis, C, u)[0]
     weight = 1.0 / (wp(dom.ctx, u) - dom.ctx.e(dom.r)) if dom.h_dim == 0 else 1.0
     prim = form_primitive(((data.s1, data.s1), (data.s2, data.s2), (data.s1, data.s2)))
     products = np.stack([f1 * f1, f2 * f2, f1 * f2]) * weight
@@ -659,11 +661,25 @@ def test_a_divisor_with_all_four_kinds_of_end():
     assert np.all(np.abs(omega_qres_matrix(basis) - omega) <= 1e-12 * np.maximum(1.0, np.abs(omega)))
 
 
-@pytest.mark.parametrize("name", ["klein4", "klein4-zeta"])
-def test_klein_mesh_is_near_a_frame_per_consumer(klein, name):
-    # the paired rows and the zeta rows of the same pair: the rows, the
-    # weight and the primitive share one frame per block, on u alone, and
-    # come within SHIFT_TOL of a frame per shift
-    (s1, s2), fractions = _mesh_pair(name, klein)
+@pytest.mark.parametrize("lattice", ["klein", "square"])
+def test_paired_sections_are_the_wp_quotients(klein, lattice):
+    # the paired sections, combinations of zeta rows, against the row kernel
+    # they replace, on the Klein ends (r = 2) and on (1, i) with r = 1:
+    # values and derivatives within SHIFT_TOL of each section's scale
+    if lattice == "klein":
+        ctx, r, half = klein.ctx, 2, np.array(klein.ends.points[:4])
+    else:
+        ctx, r, half = build_context(1.0, 1.0j), 1, np.array([0.31 + 0.4j, 0.9 + 0.77j])
+    paired = basis_F_torus_untwisted_paired(ctx, r, half)
+    u = _points(ctx, n=40, seed=14)
+    for got, want in zip(section_values(paired, u, derivative=True),
+                         _per_row_paired(ctx, r, half, u)):
+        assert np.all(np.abs(got - want) <= SHIFT_TOL * np.max(np.abs(want), axis=1, keepdims=True))
+
+
+def test_klein_mesh_is_near_a_frame_per_consumer(klein):
+    # the rows, the weight and the primitive share one frame per block, on u
+    # alone, and come within SHIFT_TOL of a frame per shift
+    (s1, s2), fractions = _mesh_pair("klein4", klein)
     data = WeierstrassData(s1=s1, s2=s2)
     _assert_mesh_is_per_consumer(data, 17, _lattice_vertex(data.domain, 17, fractions))

@@ -18,6 +18,7 @@ from spinorminimal.moduli import (
     klein_fourth_quadrant_root,
     square_context_e1_normalized,
     torus3_admissible_pair,
+    torus3_degeneracy,
     torus4_construct,
 )
 from spinorminimal.numkit import scale_parts
@@ -103,13 +104,18 @@ def _omega_exit_code(family, lattice, ends, r, lam):
 def test_a_chart_scaled_by_a_power_of_four_changes_no_decision(family, seed, k):
     spec = _divisor(family, seed)
     forms = [omega_matrix(_scaled(family, *spec, lam)) for lam in (1.0, 4.0 ** k)]
-    w = forms[0].basis[0].basis.weights
+    # the paired sections wp_r/(wp_r - p_i) phi_r and wp'/(wp_r - p_i) phi_r
+    # have the weights 3/2 and 1/2, each row of their basis 1/2
+    w = np.repeat([1.5, 0.5], 2) if family == "paired" else forms[0].basis[0].basis.weights
     # Omega_k = D_k Omega_0 D_k with D_k = diag(4^(k w_j)), to the bit
     factor = np.ldexp(1.0, (2 * k * (w[:, None] + w)).astype(int))
     assert _bits(forms[1].matrix.entries) == _bits(scale_parts(forms[0].matrix.entries, factor))
-    assert forms[1].rank_kernel()[0] == forms[0].rank_kernel()[0]
     if family == "paired":
+        # their rank is that of the rows they combine
+        rows = [omega_matrix(form.basis[0].basis.members()) for form in forms]
+        assert rows[1].rank_kernel()[0] == rows[0].rank_kernel()[0] == 4
         return
+    assert forms[1].rank_kernel()[0] == forms[0].rank_kernel()[0]
     K0, Kk = (_K(form) for form in forms)
     if isinstance(K0, str):
         assert Kk == K0
@@ -168,6 +174,26 @@ def test_wp_floors_scale_with_the_lattice(lattice, k):
     for fx, fy in ((0.285, 0.205), (0.15, 0.35), (0.4, 0.175)):
         a1 = fx * 2 * ctx.omega1 + fy * 2 * ctx.omega3
         assert torus3_admissible_pair(scaled, s * a1) == s * torus3_admissible_pair(ctx, a1)
+
+
+@pytest.mark.parametrize("lattice", [(1.0, 1.0j), (1.1 - 0.2j, 0.3 + 0.9j)])
+@pytest.mark.parametrize("k", [-40, 40])
+def test_the_three_ended_torus_limit_case_scales_with_the_lattice(lattice, k):
+    # a1 + a2 lies as far off the lattice, relative to the lattice, at every
+    # scale (its distance reads 1.07 on (1, i)): the ends are taken at 2^k as
+    # at 1, with the same |a|, and a true a2 = -a1 is refused.  The absolute
+    # bound 1e-9 refused the admissible pair at 2^-40
+    reports = []
+    for s in (1.0, 2.0**k):
+        ctx = build_context(s * lattice[0], s * lattice[1])
+        a1 = 0.57 * ctx.omega1 + 0.41 * ctx.omega3
+        reports.append(torus3_degeneracy(ctx, a1, torus3_admissible_pair(ctx, a1)))
+        with pytest.raises(ValueError, match="a1 \\+ a2 = 0 is a limit case"):
+            torus3_degeneracy(ctx, a1, -a1)
+    one = reports[0]
+    if lattice == (1.0, 1.0j):
+        assert abs(one.ctx.lattice_distance(one.a1 + one.a2) - 1.07) < 0.005
+    assert reports[1].abs_a == one.abs_a
 
 
 @pytest.mark.parametrize("k", [-20, 0, 20])

@@ -96,20 +96,30 @@ def test_skew_and_equal_to_the_per_end_loop_to_the_bit(family):
     # to the bit with +0.0 on the diagonal; the rows stop together on a floor
     # summed over the ends, so the per-end loop, each end with its own stop,
     # agrees to rounding, and so does the pair's own two-row quadrature
+    # The paired sections are combinations of zeta rows, not members: their
+    # pair call reads the rows' matrix bilinearly, within the bound of their
+    # own quadrature, and their Omega(s, s) is rounding where the per-end
+    # loop reads exactly 0
     basis = _bases()[family]
+    members = family != "paired"
     W = omega_qres_matrix(basis)
     bound = 1e-12 * np.abs(omega_matrix(basis).matrix.entries).max()
     for i in range(len(basis)):
         for j in range(len(basis)):
             got = omega_qres_oracle(basis[i], basis[j])
-            assert _bits(got) == _bits(W[i, j])
-            assert got == -omega_qres_oracle(basis[j], basis[i])
-            want, scale = _per_end_oracle(basis[i], basis[j])
-            assert abs(got - want) <= 1e-13 * max(abs(want), scale)
+            if members:
+                assert _bits(got) == _bits(W[i, j])
+                assert got == -omega_qres_oracle(basis[j], basis[i])
+            else:
+                assert abs(got - W[i, j]) <= bound
+                assert abs(got + omega_qres_oracle(basis[j], basis[i])) <= bound
             if i == j:
-                assert _bits(got) == _bits(0j)
+                assert _bits(got) == _bits(0j) if members else abs(got) <= bound
             else:
                 assert abs(got - omega_qres_matrix((basis[i], basis[j]))[0, 1]) <= bound
+            if members or i != j:
+                want, scale = _per_end_oracle(basis[i], basis[j])
+                assert abs(got - want) <= 1e-13 * max(abs(want), scale)
 
 
 @pytest.mark.parametrize("family", ["sphere", "twisted", "untwisted", "paired"])

@@ -6,10 +6,9 @@ import mpmath
 import numpy as np
 import pytest
 
-from spinorminimal import elliptic
 from spinorminimal.elliptic import build_context
 from spinorminimal.moduli import klein4_construct
-from spinorminimal.spinor import EndDivisor, basis_F_torus_twisted, basis_F_torus_untwisted
+from spinorminimal.spinor import EndDivisor, basis_F_torus_twisted
 
 from mp_weierstrass import MpWeierstrass
 
@@ -74,15 +73,13 @@ def test_klein_shifts(klein):
 
 
 def test_klein_pair_on_zeta_rows(klein):
-    # the Klein pair on the untwisted zeta rows of its eight ends: sum_j
-    # C_j (zeta(u - a_j) - zeta(u) + c_j), within SHIFT_MP_TOL of the
-    # mpmath rows' sum, relative to the sum of its terms' sizes
-    dom = klein.s1.domain
-    rows = basis_F_torus_untwisted(klein.ctx, dom.r, dom.ends)[0].basis
-    half = np.array(dom.ends.points[:4])
-    k = np.diag(dom.wp_r(half) / elliptic.wp_prime(klein.ctx, half))
-    C = np.array([s.coefficients for s in (klein.s1, klein.s2)]) \
-        @ np.block([[k, -k], [np.eye(4), np.eye(4)]])
+    # the Klein pair, whose coefficients are on the untwisted zeta rows of its
+    # eight ends: sum_j C_j (zeta(u - a_j) - zeta(u) + c_j), within
+    # SHIFT_MP_TOL of the mpmath rows' sum, relative to the sum of its terms'
+    # sizes
+    dom, rows = klein.s1.domain, klein.s1.basis
+    assert rows.shifts == list(dom.ends.points)
+    C = np.array([s.coefficients for s in (klein.s1, klein.s2)])
     u = _away(klein.ctx, dom.ends.points, 16, seed=7)
     mp = MpWeierstrass(*klein.ctx.lattice.reduced_periods)
     zeta_u = np.array([mp.zeta(v) for v in u])

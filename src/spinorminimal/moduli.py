@@ -402,10 +402,9 @@ def _epsilon_residual(ctx: EllipticContext, a1, a2, eps) -> float:
     tw = basis_F_torus_twisted(ctx, EndDivisor((0.0, complex(a1), complex(a2))))
     sections = [section_combination([0.0, 1.0, c], tw, "that") for c in (eps, eps * eps)]
 
-    def miss(k, eta_k):
-        t1t2 = period_matrix(sections, _torus_cycle(tw[0].domain, k))[0, 1]
-        return abs(t1t2 + 6.0 * eta_k) / max(abs(6.0 * eta_k), 1e-300)
-    return max(miss(1, ctx.eta1), miss(3, ctx.eta3))
+    cycles = period_matrix(sections, [_torus_cycle(tw[0].domain, k) for k in (1, 3)])
+    return max(abs(M[0, 1] + 6.0 * eta_k) / max(abs(6.0 * eta_k), 1e-300)
+               for M, eta_k in zip(cycles, (ctx.eta1, ctx.eta3)))
 
 
 def _real_structure(ctx: EllipticContext) -> np.ndarray:
@@ -566,11 +565,12 @@ def torus4_construct(ctx: EllipticContext, choice=(1, 2, 3)) -> TorusFourEnd:
     s1 = section_combination(np.concatenate([[0.0], coeff]), tw, "s1")
     s2 = that[k - 1]
 
-    # one period matrix per cycle on (that1, that2, that3, s1); s2 = that_k
+    # the period matrices of both cycles on (that1, that2, that3, s1) from one
+    # quadrature; s2 = that_k
     periods_closed, periods_quad = {}, {}
     worst_diag, worst_off, period1_res = 0.0, 0.0, 0.0
-    for kk, eta_k, w_k in ((1, ctx.eta1, ctx.omega1), (3, ctx.eta3, ctx.omega3)):
-        M = period_matrix(that + [s1], _torus_cycle(tw[0].domain, kk))
+    cycles = period_matrix(that + [s1], [_torus_cycle(tw[0].domain, kk) for kk in (1, 3)])
+    for kk, eta_k, w_k, M in zip((1, 3), (ctx.eta1, ctx.eta3), (ctx.omega1, ctx.omega3), cycles):
         for m in range(3):
             closed = -8.0 * (eta_k + w_k * ctx.e(m + 1))
             periods_closed[f"P{kk}^{m + 1}{m + 1}"] = closed
@@ -795,14 +795,13 @@ def klein4_construct() -> KleinFourEnd:
 
     s1 = section_combination([x1, x2], [s1h, s2h], "s1")
     s2 = section_combination([np.conj(x1), np.conj(x2)], [s3h, s4h], "s2")
-    (q11, q12), (_, q22) = period_matrix(
-        (s1, s2), QuadraturePath.segment(-ctx.omega1, ctx.omega1, samples=128))
+    # both cycles from one quadrature
+    ((q11, q12), (_, q22)), ((g11, g12), (_, g22)) = period_matrix(
+        (s1, s2), [QuadraturePath.segment(-w, w, samples=128) for w in (ctx.omega1, ctx.omega3)])
     scale = sum(abs(x) for x in (P11, P12, P22)) * max(abs(x1), 1.0) ** 2
     residuals["gamma1_s1sq_quadrature"] = float(abs(q11) / scale)
     residuals["gamma1_s1s2_quadrature"] = float(abs(q12) / scale)
     residuals["gamma1_conj_pair"] = float(abs(q11 - np.conj(q22)) / scale)
-    (g11, g12), (_, g22) = period_matrix(
-        (s1, s2), QuadraturePath.segment(-ctx.omega3, ctx.omega3, samples=128))
     residuals["gamma3_auto"] = float(
         max(abs(g11 - np.conj(g22)), abs(g12.real)) / scale)
 

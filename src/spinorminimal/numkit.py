@@ -7,7 +7,8 @@ and in acceptance.criterion_1_pfaffian.  Polynomial roots come from the companio
 polish per root.  Contour integrals double their nodes until stable:
 Gauss-Legendre panels on open segments, the geometrically convergent
 trapezoid on periodic paths; a vector integrand gives m integrals from one
-set of path points, stopping when every entry is.
+set of path points, stopping when every entry is, and several paths share
+each call of the integrand, each path stopping at its own level.
 """
 
 from __future__ import annotations
@@ -227,70 +228,91 @@ def _gl_rule(panels: int):
     return t, w
 
 
-def _gl_levels(f: Callable, path: QuadraturePath, max_panels: int):
-    """(previous, current, L1) sums of the Gauss-Legendre panels at each
-    doubling.  The first two levels take one call of f; f acts pointwise, so
-    each level's sums are those of a call on its own nodes alone."""
+def _gl_levels(path: QuadraturePath, max_panels: int):
+    """The Gauss-Legendre panels' doubling levels on a segment, as a
+    coroutine: it yields the points of each call of f, is sent f's values
+    there, and yields (previous, current, L1) sums.  The first two levels
+    take one call; f acts pointwise, so each level's sums are those of a
+    call on its own nodes alone."""
     z0, span = path.start, path.end - path.start
 
     def sums(*panel_counts):
         t, w = (np.concatenate(x) for x in zip(*map(_gl_rule, panel_counts)))
-        terms = np.asarray(f(z0 + span * t), dtype=complex) * span * w
+        terms = np.asarray((yield z0 + span * t), dtype=complex) * span * w
         ends = np.cumsum([_GL_ORDER * n for n in panel_counts])[:-1]
         return [(np.sum(c, axis=-1), np.sum(np.abs(c), axis=-1))
                 for c in np.split(terms, ends, axis=-1)]
     panels = max(1, int(np.ceil(path.samples / _GL_ORDER)))
-    levels = sums(panels, 2 * panels) if panels <= max_panels else []
+    levels = (yield from sums(panels, 2 * panels)) if panels <= max_panels else []
     while levels:
         (prev, _), (cur, l1) = levels
         yield prev, cur, l1
         panels *= 2
-        levels = [(cur, l1)] + sums(2 * panels) if panels <= max_panels else []
+        levels = [(cur, l1)] + (yield from sums(2 * panels)) if panels <= max_panels else []
 
 
-def _trapezoid_levels(f: Callable, path: QuadraturePath, max_points: int):
-    """(previous, current, L1) sums of the trapezoid at each doubling of its
-    N nodes.  The first call takes N nodes, of which the even-indexed half
-    is the level before; each doubling evaluates only the N new nodes."""
+def _trapezoid_levels(path: QuadraturePath, max_points: int):
+    """The trapezoid's levels at each doubling of its N nodes on a period
+    path, a coroutine as _gl_levels is.  The first call takes N nodes, of
+    which the even-indexed half is the level before; each doubling
+    evaluates only the N new nodes."""
     z0, span, n = path.start, path.end - path.start, path.samples
 
     def sums(t):
-        out = f(z0 + span * t)
+        out = yield z0 + span * t
         values, mags = out if isinstance(out, tuple) else (out, np.abs(out))
         return values, np.sum(values, axis=-1), np.sum(mags, axis=-1)
     if n <= max_points:
-        values, total, l1 = sums(np.arange(n) / n)
+        values, total, l1 = yield from sums(np.arange(n) / n)
         prev = np.sum(values[..., ::2], axis=-1) * (2 * span / n)
     while n <= max_points:
         cur = total * (span / n)
         yield prev, cur, l1 * abs(span / n)
         if 2 * n <= max_points:
-            _, new, new_l1 = sums((np.arange(n) + 0.5) / n)
+            _, new, new_l1 = yield from sums((np.arange(n) + 0.5) / n)
             total, l1 = total + new, l1 + new_l1
         prev, n = cur, 2 * n
 
 
-def contour_integral(f: Callable, path: QuadraturePath,
-                     rel_tol: float = 1e-8, max_panels: int = 4096):
-    """Integrate f dz along the path, doubling its nodes until stable.
+def contour_integral(f: Callable, path, rel_tol: float = 1e-8, max_panels: int = 4096):
+    """Integrate f dz along a path, or along each of a sequence of paths,
+    doubling the nodes until stable.
 
     f is called on an array of path points and returns their values, or
     an (m, points) array for m integrands at once.  Each entry must pass
     the stopping rule with its own L1 floor, all at the same level; the
     result is a complex for a scalar integrand and an (m,) array for a
-    vector one.  A segment's lower level takes at most max_panels panels,
-    a period path at most 16 * max_panels nodes.  On a period path f may
-    return (values, magnitudes), the magnitudes of uncancelled terms >=
-    |values|, whose L1 sum then sets the floor.
+    vector one, and a list of those for a sequence of paths.  A sequence's
+    paths are summed together: one call of f takes the points of each
+    level of every path not yet stable, laid end to end, and each path
+    stops at its own level, f acting pointwise.  A segment's lower level
+    takes at most max_panels panels, a period path at most 16 * max_panels
+    nodes.  On a period path f may return (values, magnitudes), the
+    magnitudes of uncancelled terms >= |values|, whose L1 sum then sets
+    the floor.
     """
-    levels = (_gl_levels(f, path, max_panels) if path.kind == "segment"
-              else _trapezoid_levels(f, path, _GL_ORDER * max_panels))
-    for prev, cur, l1 in levels:
-        # the L1 term is a rounding-noise floor for integrals that vanish
-        if np.all(np.abs(cur - prev) <= rel_tol * np.abs(cur) + 500 * np.finfo(float).eps * l1):
-            return complex(cur) if np.ndim(cur) == 0 else cur
-    raise NonConvergenceError(
-        f"contour integral did not stabilize to {rel_tol:.1e} within {max_panels} panels")
+    paths = [path] if isinstance(path, QuadraturePath) else list(path)
+    runs = [_gl_levels(p, max_panels) if p.kind == "segment"
+            else _trapezoid_levels(p, _GL_ORDER * max_panels) for p in paths]
+    results, points = [None] * len(runs), dict(enumerate(next(run, None) for run in runs))
+    while points:
+        if any(z is None for z in points.values()):
+            raise NonConvergenceError(f"contour integral did not stabilize to {rel_tol:.1e} "
+                                      f"within {max_panels} panels")
+        cuts = np.cumsum([z.size for z in points.values()])[:-1]
+        out = f(np.concatenate(list(points.values())))
+        parts = zip(*(np.split(x, cuts, axis=-1) for x in out)) if isinstance(out, tuple) \
+            else np.split(np.asarray(out), cuts, axis=-1)
+        for k, part in zip(list(points), parts):
+            prev, cur, l1 = runs[k].send(part)
+            # the L1 term is a rounding-noise floor for integrals that vanish
+            if np.all(np.abs(cur - prev) <= rel_tol * np.abs(cur)
+                      + 500 * np.finfo(float).eps * l1):
+                results[k] = complex(cur) if np.ndim(cur) == 0 else cur
+                del points[k]
+            else:
+                points[k] = next(runs[k], None)
+    return results[0] if isinstance(path, QuadraturePath) else results
 
 
 def chart_exponent(length: float) -> int:

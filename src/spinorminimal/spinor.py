@@ -10,14 +10,16 @@ the paired sections wp_r/(wp_r - p_i) phi_r and wp'/(wp_r - p_i) phi_r of
 the ends +-a_i are coefficient vectors on the untwisted zeta rows of
 those ends (basis_F_torus_untwisted_paired).
 A kernel evaluates only the rows some coefficient uses, and adds each
-row into every section it evaluates.  On a torus the rows read zeta and
-wp at u and at u - a_i from one theta frame, each end's shift by the one
-rule its domain decides for it (_TorusDomain.shift_rules): from the
-frame's values on u when its negative is an end, by the addition theorem
-or, at a half-period, from theta quotients, and otherwise from its rows
-u - a_i (_Points.shifts); a caller that also needs the chart weight or a
-primitive at the same points takes that frame for all of them (the
-domain's points(u)) and passes it in place of u.  A torus domain
+row into every section it evaluates at once.  On a torus the rows read
+zeta and wp at u and at u - a_i from one theta frame, through one shift
+table of every end of the domain, formed once for all its readers (_Points):
+each group of ends by the one rule its domain decides for it
+(_TorusDomain.shift_rules), from the frame's values on u when its negative
+is an end, in one broadcast of the addition theorem or, at the
+half-periods, one read of theta quotients, and otherwise from its rows
+u - a_i; a caller that also needs the chart weight or a primitive at the
+same points takes that frame and table for all of them (the domain's
+points(u)) and passes it in place of u.  A torus domain
 evaluates its ends once, in one theta frame (_TorusDomain.end_values),
 which the zeta table, the pole data, the shift rules and the chart
 weight at the ends all read; both torus builders check their ends in one
@@ -28,10 +30,11 @@ is its coefficients contracted with T.  Omega, its residue-sum check, the
 K test and the log-end residues and pole coefficients of form_primitive all contract
 the stacked tables of the sections they read: Omega(s_i, s_j) is
 einsum('ik,jk->ij', A_0, A_-1), antisymmetrized.  The periods int s t are
-bilinear too: period_matrix gives int s_i s_j along a path for every pair
-of sections on one basis from one quadrature, each node evaluating the
-basis rows once.  For pairs whose forms s t have no residues,
-form_primitive gives the primitive of s t in closed form (see FormPrimitive).
+bilinear too: period_matrix gives int s_i s_j along a path, or along each
+of several paths, for every pair of sections on one basis from one
+quadrature, each level's nodes evaluating the basis rows once.  For pairs
+whose forms s t have no residues, form_primitive gives the primitive of s t
+in closed form (see FormPrimitive).
 
 Every decision reads magnitudes in the unit chart u / s, those in u times
 exact powers of two (_DomainBase): scaling u by 4^k changes none.
@@ -98,6 +101,7 @@ __all__ = [
     "section_values",
     "period_matrix",
     "FormPrimitive",
+    "open_primitive",
     "form_primitive",
     "polynomial_sphere_basis",
 ]
@@ -153,12 +157,13 @@ class _Points:
     tolerance of the lattice raises PoleEvaluationError; a row u - a there
     is summed at b1/2 and raises only when read (shifts), so a section is
     evaluated at an end whose row it does not read as at any other point.
-    zeta, wp and wp' at u are each formed when first read; on a domain
-    without half-period ends and more points than the frame sums at a time
-    (a mesh block) all three are formed here and the frame let go, as they
-    are a third of its memory.  A frame's bits do not depend on its batch,
-    so a point's values are its own.  Given a frame whose points begin with
-    u (the ends: _TorusDomain.end_values), u's values are read from it, and
+    zeta, wp and wp' at u and the shift table of every end (_table), which
+    the rows, their derivatives and the primitive read, are each formed
+    when first read; on more points than the frame sums at a time (a mesh
+    block) all four are formed here and the frame, which only they read,
+    let go.  A frame's bits do not depend on its batch, so a point's values
+    are its own.  Given a frame whose points begin with u
+    (the ends: _TorusDomain.end_values), u's values are read from it, and
     there are no rows."""
 
     def __init__(self, dom, u, frame=None):
@@ -180,8 +185,8 @@ class _Points:
             zeta, wp = (x.reshape(rows) for x in (self.frame.zeta(), self.frame.wp()))
             self.zeta, self.wp = zeta[0], wp[0]
             self.rows = dict(zip(own, zip(zeta[1:] - zeta[0], wp[1:], pole[1:])))
-        if not halves and self.size > elliptic._CHUNK:
-            for name in ("zeta", "wp", "wp_prime"):
+        if self.size > elliptic._CHUNK:
+            for name in ("zeta", "wp", "wp_prime", "_table"):
                 getattr(self, name)
             self.frame = None
 
@@ -198,56 +203,65 @@ class _Points:
         return self.frame.wp_prime(slice(0, self.size))
 
     def shifts(self, ends):
-        """(zeta(u - a) - zeta(u), wp(u - a)) for each end a of ends in turn,
-        each made as it is read, by the end's rule (_TorusDomain.shift_rules):
-        (0.0, wp(u)) at a = 0; the frame's rows u - a at an end whose rule is
-        None, as a random divisor's; otherwise from the frame on u, D = wp(u)
-        - wp(a): at a half-period, where wp'(a) = 0, wp'(u)/2D - zeta(a) and
-        wp(a) + (e - e_j)(e - e_k)/D from theta quotients (_Frame.half_shifts),
-        and at any other end by the addition theorem (_added).  Within about
-        the pole tolerance of a, and of -a where D vanishes too,
-        PoleEvaluationError names the end, or both."""
+        """(zeta(u - a) - zeta(u), wp(u - a)) for each end a of ends in turn:
+        (0.0, wp(u)) at a = 0, and otherwise the end's rows of the shift
+        table (_table).  Within about the pole tolerance of a, and of -a
+        where wp(u) - wp(a) vanishes too, PoleEvaluationError names the
+        end, or both."""
         for a in ends:
             if a == 0:
                 yield 0.0, self.wp
                 continue
-            rule, end = self.dom.shift_rules[a], f"a = {a}"
-            if rule is None:
-                zeta, wp, pole = self.rows[a]
-            elif rule[0]:
-                zeta, wp, pole = (x[rule[0] - 1] for x in self._halves)
-                zeta, wp = zeta - rule[1], wp + rule[2]
-            else:
-                zeta, wp, pole = self._added(*rule[1:])
-                end += f" or -a = {-a}"
-            if pole.any():
+            zeta, wp, pole = self._table[a]
+            if pole is not None:
+                rule = self.dom.shift_rules[a]
+                end = f"a = {a}" + (f" or -a = {-a}" if rule and not rule[0] else "")
                 raise elliptic.PoleEvaluationError(
                     f"zeta(u - a) at u = {self.u[np.argmax(pole)]} for the end {end}: "
                     "u is within 1e-12 of an end")
             yield zeta, wp
 
     @cached_property
-    def _halves(self):
-        """_Frame.half_shifts, and where u is within about the pole
-        tolerance of each half-period, wp'/2D ~ 1/(u - a)."""
-        slope, product = self.frame.half_shifts(slice(0, self.size))
-        return slope, product, np.abs(slope) >= 0.5 / self.dom.ctx.lattice.pole_tolerance
+    def _table(self):
+        """{a: (Z, W, pole)} for every end a != 0 of the domain: Z = zeta(u -
+        a) - zeta(u) and W = wp(u - a) on the points, rows of (ends, points)
+        arrays formed once for all their readers, each group of ends by its
+        rule (_TorusDomain.shift_rules), and pole the row's marks, None when
+        it has none.  An end whose rule is None has the frame's rows u - a.
+        The half-periods, where wp'(a) = 0, are one indexed read of
+        _Frame.half_shifts: wp'(u)/2D - zeta(a) and wp(a) + (e - e_j)(e -
+        e_k)/D, D = wp(u) - wp(a), from theta quotients, marked where
+        |wp'/2D| ~ 1/|u - a| passes half the inverse pole tolerance.  The
+        other ends are one broadcast of the addition theorem (_added)."""
+        rules, table = self.dom.shift_rules, dict(self.rows)
+        half = [a for a, rule in rules.items() if rule and rule[0]]
+        paired = [a for a, rule in rules.items() if rule and not rule[0]]
+        if half:
+            h = [rules[a][0] - 1 for a in half]
+            zeta_a, wp_a = (np.array([rules[a][k] for a in half])[:, None] for k in (1, 2))
+            slope, product = (x[h] for x in self.frame.half_shifts(slice(0, self.size)))
+            pole = np.abs(slope) >= 0.5 / self.dom.ctx.lattice.pole_tolerance
+            table.update(zip(half, zip(slope - zeta_a, np.add(product, wp_a, out=product), pole)))
+        if paired:
+            table.update(zip(paired, zip(*self._added(
+                *(np.array([rules[a][k] for a in paired])[:, None] for k in (1, 2, 3))))))
+        return {a: (z, w, pole if pole.any() else None) for a, (z, w, pole) in table.items()}
 
     def _added(self, zeta_a, wp_a, wp_prime_a):
-        """(zeta(u - a) - zeta(u), wp(u - a), pole) by the addition theorem
-        (DLMF 23.10.1-23.10.2 at v = -a), in place on D = wp(u) - wp(a):
+        """(Z, W, pole), shape (ends, points), by the addition theorem (DLMF
+        23.10.1-23.10.2 at v = -a) for the ends' columns zeta(a), wp(a) and
+        wp'(a), in place on D = wp(u) - wp(a):
 
             zeta(u - a) - zeta(u) = R/2 - zeta(a),  R = (wp'(u) + wp'(a))/D,
             wp(u - a) = R^2/4 - wp(u) - wp(a);
 
-        pole marks D within about the pole tolerance of 0, u next to +-a, and
-        then nothing is divided, as shifts raises."""
+        pole marks D within about the pole tolerance of 0, u next to +-a,
+        and there nothing is divided, as shifts raises."""
         den = np.subtract(self.wp, wp_a)
         pole = np.abs(den) <= self.dom.ctx.lattice.pole_tolerance * np.abs(self.wp_prime)
-        if pole.any():
-            return None, None, pole
-        z = np.divide(self.wp_prime + wp_prime_a, den, out=den)
-        w = z * z
+        w = np.add(self.wp_prime, wp_prime_a)
+        z = np.divide(w, den, out=den, where=~pole if pole.any() else True)
+        np.multiply(z, z, out=w)
         w *= 0.25
         w -= self.wp
         w -= wp_a
@@ -491,23 +505,23 @@ class Basis:
         (values, derivatives) when derivative is set.
 
         Basis rows are evaluated one at a time, and only where some
-        coefficient is nonzero, then added into each section.
+        coefficient is nonzero, then added into every section at once, each
+        section's sum taken row by row, so a point's bits are its own.
         """
         C = np.asarray(coefficients, dtype=complex).reshape(-1, len(self.labels))
         active = np.flatnonzero(C.any(axis=0))
         at = self.domain.points(u)
         out = np.zeros((2 if derivative else 1, len(C), at.size), dtype=complex)
         for j, *jet in self._rows(active, at, derivative):
-            for k in np.flatnonzero(C[:, j]):
-                for acc, f in zip(out, jet):
-                    acc[k] += C[k, j] * f
+            for acc, f in zip(out, jet):
+                acc += C[:, j, None] * f
         out = out.reshape(out.shape[:2] + at.shape)
         return (out[0], out[1]) if derivative else out[0]
 
     def _polynomial_part(self, pairs):
         """Ascending coefficients, shape (degree + 1, pairs), of the polynomial
         part of f g for each pair; None on a torus, where it is a constant
-        that form_primitive fixes at a probe point."""
+        that FormPrimitive.fixed reads at a probe point."""
         return None
 
 
@@ -623,9 +637,11 @@ def section_values(sections, u, derivative=False):
     return _shared_basis(sections).evaluate([s.coefficients for s in sections], u, derivative)
 
 
-def period_matrix(sections, path: QuadraturePath, rel_tol=1e-10) -> np.ndarray:
+def period_matrix(sections, path, rel_tol=1e-10):
     """Symmetric M[i, j] = int s_i s_j = int f_i f_j mu du along the path for
-    sections on one basis: one quadrature of the upper triangle gives all."""
+    sections on one basis: one quadrature of the upper triangle gives all.
+    Given a sequence of paths, a list of their M from one quadrature, each
+    level of every path read from one evaluation (contour_integral)."""
     dom = _shared_basis(sections).domain
     i, j = np.triu_indices(len(sections))
 
@@ -633,9 +649,13 @@ def period_matrix(sections, path: QuadraturePath, rel_tol=1e-10) -> np.ndarray:
         at = dom.points(u)
         f = section_values(sections, at)
         return f[i] * f[j] * dom.form_weight(at)
-    M = np.zeros((len(sections), len(sections)), dtype=complex)
-    M[i, j] = M[j, i] = contour_integral(integrand, path, rel_tol=rel_tol)
-    return M
+
+    def matrix(upper):
+        M = np.zeros((len(sections), len(sections)), dtype=complex)
+        M[i, j] = M[j, i] = upper
+        return M
+    upper = contour_integral(integrand, path, rel_tol=rel_tol)
+    return matrix(upper) if isinstance(path, QuadraturePath) else list(map(matrix, upper))
 
 
 # relative end residue above which a pair has a log end; the mesh gate
@@ -651,7 +671,11 @@ class FormPrimitive:
     ends a_k, pair p's form is (P_p(u) + sum_k c[p, k] W(u - a_k)) du and
     its primitive Phi_p(u) = (int P_p)(u) - sum_k c[p, k] Z(u - a_k), with
     (Z, W) = (zeta, wp) on a torus and (1/z, 1/z^2) on the sphere.  The
-    columns of poly hold the ascending coefficients of the P_p.
+    columns of poly hold the ascending coefficients of the P_p.  On a torus
+    P_p is a constant, open (poly None) until fixed reads it at the probe
+    point, the one of 7 x 7 lattice fractions farthest from the chart's
+    singular points: form_primitive evaluates the probe alone, and
+    integrate_surface with the first block of its mesh.
     """
 
     domain: _DomainBase
@@ -659,19 +683,22 @@ class FormPrimitive:
     poly: np.ndarray
     c: np.ndarray
     end_residue_max: float
+    probe: complex = None
 
     def evaluate(self, u):
         """(Phi, form, size) at u, each of shape (pairs,) + u.shape; on a torus
-        Z and W at u - a_k for each end from the one frame on u
-        (_Points.shifts; u may come from the domain's points); size = |P| +
-        sum_k |c_k W(u - a_k)| sets the scale of the form's rounding error."""
+        Z and W at u - a_k for each end from the shift table of the one frame
+        on u (_Points.shifts; u may come from the domain's points); size =
+        |P| + sum_k |c_k W(u - a_k)| sets the scale of the form's rounding
+        error.  While P is open the three leave out its terms, which
+        add_polynomial adds once it is fixed."""
         at = self.domain.points(u)
-        u, shape = at.u if self.domain.genus else at.reshape(-1), (len(self.c), at.size)
+        shape = (len(self.c), at.size)
         # the ends summed in their order into the arrays returned, so a
-        # point's bits are its own, one end's Z and W at a time (read from
-        # the frame on a torus) through one product buffer, which bounds a
+        # point's bits are its own, one end's Z and W at a time (rows of the
+        # shift table on a torus) through one product buffer, which bounds a
         # block's memory
-        cZ, cW, size = np.zeros(shape, complex), np.zeros(shape, complex), np.zeros(shape)
+        phi, form, size = np.zeros(shape, complex), np.zeros(shape, complex), np.zeros(shape)
         product = np.empty(shape, complex)
         # |c_k| |W| goes to a real array on product's first half
         scale = product.reshape(-1).view(float)[:product.size].reshape(shape)
@@ -681,17 +708,30 @@ class FormPrimitive:
                 z, w = next(shifts)
                 z = np.add(z, at.zeta)
             else:
-                z = np.subtract(u, a)
+                z = np.subtract(at.reshape(-1), a)
                 np.divide(1.0, z, out=z)
                 w = z * z
-            cZ += np.multiply(c, z, out=product)
-            cW += np.multiply(c, w, out=product)
+            phi -= np.multiply(c, z, out=product)
+            form += np.multiply(c, w, out=product)
             size += np.multiply(np.abs(c), np.abs(w), out=scale)
             del z, w
-        np.subtract(_polyval(u, P.polyint(self.poly), product), cZ, out=cZ)
-        np.add(_polyval(u, self.poly, product), cW, out=cW)
+        del product, scale
+        if self.poly is not None:
+            self.add_polynomial(at, phi, form, size)
+        return tuple(x.reshape((len(self.c),) + at.shape) for x in (phi, form, size))
+
+    def add_polynomial(self, at, phi, form, size):
+        """Adds (int P)(u), P(u) and |P(u)| to the (pairs, points) arrays phi,
+        form and size in place, at the points of at, the domain's points."""
+        u, product = at.u if self.domain.genus else at.reshape(-1), np.empty(phi.shape, complex)
+        phi += _polyval(u, P.polyint(self.poly), product)
+        form += _polyval(u, self.poly, product)
         size += np.abs(product)
-        return tuple(x.reshape((len(self.c),) + at.shape) for x in (cZ, cW, size))
+
+    def fixed(self, fg, form):
+        """The primitive with P = fg - form, from f g mu and the open form at
+        the probe, each of shape (pairs,): the one place P is fixed."""
+        return replace(self, poly=np.subtract(fg, form)[None, :])
 
 
 def _polyval(u, coefficients, out):
@@ -705,14 +745,13 @@ def _polyval(u, coefficients, out):
     return out
 
 
-def form_primitive(pairs) -> FormPrimitive:
-    """FormPrimitive of the forms s t for pairs (s, t) on one basis.
+def open_primitive(pairs) -> FormPrimitive:
+    """FormPrimitive of the forms s t for pairs (s, t) on one basis, with a
+    torus's constant P open, and its probe point.
 
     A residue above LOG_END_TOL of the pair's alpha scale is a log end,
     which the closed form does not cover: SectionDataError names the end,
     as it does a NaN residue.
-    On a torus P_p is a constant: f g mu minus the wp sum at the one of
-    7 x 7 lattice fractions farthest from the chart's singular points.
     """
     basis = _shared_basis([x for pair in pairs for x in pair])
     dom = basis.domain
@@ -733,16 +772,27 @@ def form_primitive(pairs) -> FormPrimitive:
     ends = tuple(dom.ends.points[k] for k in finite)
     # einsum rounds as the scalar product does
     c = np.einsum("pk,pk->pk", s[:, finite, 0], t[:, finite, 0]) / dom.weight_at_ends
-    poly = basis._polynomial_part(pairs)
-    prim = FormPrimitive(dom, ends, np.zeros((1, len(pairs))) if poly is None else poly, c,
-                         float(res.max(initial=0.0)))
+    poly, probe = basis._polynomial_part(pairs), None
     if poly is None:
         frac = (np.arange(7) + 0.5) / 7
         grid = (frac[:, None] * 2 * dom.ctx.omega1 + frac * 2 * dom.ctx.omega3).ravel()
-        u0 = grid[np.argmax(np.min(dom.distance(grid, np.c_[dom.singular_points()]), 0))]
-        at = dom.points(u0)
-        fg = np.array([np.prod(section_values(pair, at)) for pair in pairs]) * dom.form_weight(at)
-        prim = replace(prim, poly=(fg - prim.evaluate(at)[1])[None, :])
+        probe = complex(grid[np.argmax(np.min(dom.distance(grid, np.c_[dom.singular_points()]),
+                                              0))])
+    return FormPrimitive(dom, ends, poly, c, float(res.max(initial=0.0)), probe)
+
+
+def form_primitive(pairs) -> FormPrimitive:
+    """open_primitive of the pairs with P fixed: on a torus from one
+    evaluation of their distinct sections at the probe, f g mu less the
+    open form there (FormPrimitive.fixed)."""
+    prim = open_primitive(pairs)
+    if prim.poly is None:
+        sections = list({id(x): x for pair in pairs for x in pair}.values())
+        i, j = ([sections.index(x) for x in side] for side in zip(*pairs))
+        at = prim.domain.points([prim.probe])
+        f = section_values(sections, at)
+        fg = f[i] * f[j] * prim.domain.form_weight(at)
+        prim = prim.fixed(fg[:, 0], prim.evaluate(at)[1][:, 0])
     return prim
 
 

@@ -27,8 +27,10 @@ A block's chart points are chart.rows, masked; a block of cell rows gets
 its faces from one cumsum of the vertex mask over its grid rows (_faces),
 and its loop closures from its vertices scattered onto those rows a
 coordinate at a time, as differences of grid slices.  On a torus a block
-of vertices takes one theta frame (the domain's points), which the rows,
-the chart weight and the primitive each read.  Each stage works in place
+of vertices takes one theta frame and one shift table of every end (the
+domain's points), which the rows, the chart weight and the primitive each
+read, and the first block fixes the primitive's constant at its probe
+point.  Each stage works in place
 on block-sized arrays, each dropped before the next, so a mesh's memory
 is the finished mesh plus one block, and every step is pointwise, so a
 vertex's bits depend only on that vertex and not on the blocks.
@@ -63,8 +65,8 @@ from .reportio import check, overwrite
 from .spinor import (
     SectionDataError,
     SpinorSection,
-    form_primitive,
     is_infinity,
+    open_primitive,
     period_matrix,
     polynomial_sphere_basis,
     section_values,
@@ -92,9 +94,10 @@ __all__ = [
 
 _GL_EDGE = 12
 # grid points or cells, in whole grid rows, per block of integrate_surface's
-# mask, vertex and cell stages: a mesh's memory is the finished mesh plus
-# one block, and on a torus that block's theta frame sets the rest of the
-# peak.  Every step is pointwise, so any block gives a mesh the same bits
+# mask, vertex and cell stages, and half as many vertices a block on a
+# torus, where a block also holds the shift table of its points, two arrays
+# an end (spinor._Points): a mesh's memory is the finished mesh plus one
+# block.  Every step is pointwise, so any block gives a mesh the same bits
 _BLOCK = 8192
 _EDGE_NODES, _EDGE_WEIGHTS = np.polynomial.legendre.leggauss(_GL_EDGE)
 
@@ -427,9 +430,13 @@ def integrate_surface(data: WeierstrassData, grid: GridSpec, basepoint) -> Surfa
     the largest relative end residue; and the largest loop closure of a
     cell's four edge increments.  Every stage works on blocks of whole grid
     rows (_row_blocks): vertices and normals on blocks of about _BLOCK grid
-    points, whose vertices' chart points are read from the grid and whose
-    results are written straight into the mesh; closures on blocks of
-    about _BLOCK cells, from the block's vertices laid out on its grid rows.
+    points (half that on a torus), whose vertices' chart points are read
+    from the grid and whose results are written straight into the mesh;
+    closures on blocks of about _BLOCK cells, from the block's vertices laid
+    out on its grid rows.  On a torus the primitive's constant is fixed in
+    the first block (spinor.FormPrimitive.fixed), at its probe point, which
+    leads that block before the basepoint, so the mesh takes one theta
+    frame a block and no other.
     """
     chart = _chart_map(data.domain, grid)
     valid = _valid_mask(data, chart)
@@ -441,22 +448,26 @@ def integrate_surface(data: WeierstrassData, grid: GridSpec, basepoint) -> Surfa
         raise ValueError("basepoint must be a grid vertex")
 
     s1, s2 = data.s1, data.s2
-    prim = form_primitive(((s1, s1), (s2, s2), (s1, s2)))
+    prim = open_primitive(((s1, s1), (s2, s2), (s1, s2)))
+    # the first block leads with the probe of an open primitive, where its
+    # constant is fixed, then the root, whose Phi is the origin: neither
+    # takes a call or a theta frame of its own
+    head = [chart.x[root[0]] + chart.y[root[1]]]
+    if prim.poly is None:
+        head.insert(0, prim.probe)
     starts = _row_starts(valid)
     count = int(starts[-1])
     verts, gauss = np.empty((count, 3)), np.empty((count, 3))
     # each coordinate's range, kept per block: a reduction down the
     # columns of verts would step through its rows three values at a time
     identity, lo, hi = 0.0, np.inf, -np.inf
-    for r0, r1 in _row_blocks(grid.nx, grid.ny, _BLOCK):
-        k0, k1, lead = starts[r0], starts[r1], int(r0 == 0)
+    for r0, r1 in _row_blocks(grid.nx, grid.ny, _BLOCK >> data.domain.genus):
+        k0, k1, lead = starts[r0], starts[r1], len(head) if r0 == 0 else 0
         if k0 == k1 and not lead:
             continue
         pts = chart.rows(r0, r1)[valid[r0:r1]]
         if lead:
-            # the root leads the first block: its Phi comes from that call,
-            # not from a call of its own (one more theta frame on a torus)
-            pts = np.concatenate([[chart.x[root[0]] + chart.y[root[1]]], pts])
+            pts = np.concatenate([head, pts])
         at = data.domain.points(pts)
         f1, f2 = section_values((s1, s2), at)
         products = np.empty((3,) + f1.shape, complex)
@@ -470,9 +481,14 @@ def integrate_surface(data: WeierstrassData, grid: GridSpec, basepoint) -> Surfa
         _normals(f1[lead:], f2[lead:], gauss[k0:k1])
         del f1, f2
         phi, form, size = prim.evaluate(at)
+        if prim.poly is None:
+            prim = prim.fixed(products[:, 0], form[:, 0])
+            prim.add_polynomial(at, phi, form, size)
         del at, pts  # the frame goes with its block, before the next one is taken
         # |products - form| / max(|products| + size, 1e-300), in the
-        # buffers of form and size
+        # buffers of form and size, at the root and the vertices
+        skip = max(lead - 1, 0)  # the probe, which leads the root
+        form, size, products = form[:, skip:], size[:, skip:], products[:, skip:]
         np.subtract(products, form, out=form)
         size += np.abs(products)
         del products
@@ -481,7 +497,7 @@ def integrate_surface(data: WeierstrassData, grid: GridSpec, basepoint) -> Surfa
                                                initial=0.0))
         del form, size
         if lead:
-            origin = phi[:, :1].copy()
+            origin = phi[:, lead - 1:lead].copy()
         x = real_period(np.subtract(phi[:, lead:], origin, out=phi[:, lead:]))
         del phi
         verts[k0:k1] = x.T
@@ -760,10 +776,12 @@ class _Buffers:
         return np.frombuffer(getattr(self, name), dtype, math.prod(shape)).reshape(shape)
 
     def text(self, size):
-        """The bytes of slots' first size bytes that are not NUL, its other
-        bytes made NUL first; bytearray.translate makes no mask."""
-        np.frombuffer(self.slots, np.uint8)[size:] = 0
-        return self.slots.translate(None, b"\0")
+        """The bytes of slots' first size bytes that are not NUL, from
+        bytearray.translate, which makes no mask: on the whole buffer, or on
+        a copy of those bytes alone when a block is shorter than it, so that
+        the buffer, kept for the table's later blocks, is never cut."""
+        slots = self.slots if size == len(self.slots) else self.slots[:size]
+        return slots.translate(None, b"\0")
 
 
 # values per block of the exporters, in whole grid rows (about 4096 OBJ

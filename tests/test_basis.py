@@ -334,24 +334,42 @@ class TestFrameCounts:
 
     @pytest.mark.parametrize("name", ["torus4", "klein4"])
     def test_one_frame_per_block(self, monkeypatch, count_calls, klein, name):
-        # form_primitive takes one frame, on its probe point alone, as the
+        # each block of integrate_surface takes one frame, on its vertices
+        # alone, and the first block on the primitive's probe point and the
+        # basepoint too, where the primitive's constant is fixed, as the
         # domain's shift rules and its chart weight at the ends are read
-        # from the evaluation of its ends that its build took; then each
-        # block of integrate_surface takes one frame, on its vertices (and
-        # the basepoint) alone: on torus-4 the ends are 0 and the half
-        # periods, on the Klein pair the eight ends +-a_i, whose shifts the
-        # rows and the primitive read from it by the addition theorem
+        # from the evaluation of its ends that its build took: on torus-4
+        # the ends are 0 and the half periods, on the Klein pair the eight
+        # ends +-a_i, whose shifts the rows and the primitive read from the
+        # block's one shift table
         (s1, s2), fractions = _mesh_pair(name, klein)
         data = WeierstrassData(s1=s1, s2=s2)
         calls = count_calls(elliptic, "_theta_frame")
         monkeypatch.setattr(surface, "_BLOCK", 100)
         base = _lattice_vertex(data.domain, 17, fractions)
         mesh = integrate_surface(data, GridSpec(17, 17), base)
-        # a block is 100 // 17 = 5 whole grid rows, and the basepoint leads
-        # the first block
-        sizes = [np.count_nonzero(mesh.valid[r:r + 5]) + (r == 0) for r in range(0, 17, 5)]
+        # a torus block is 100 // 2 // 17 = 2 whole grid rows, and the probe
+        # and the basepoint lead the first block
+        sizes = [np.count_nonzero(mesh.valid[r:r + 2]) + 2 * (r == 0) for r in range(0, 17, 2)]
         assert len(sizes) > 2 and all(sizes)
-        assert [np.size(args[1]) for args in calls] == [1] + sizes
+        assert [np.size(args[1]) for args in calls] == sizes
+
+    @pytest.mark.parametrize("name", ["torus4", "klein4"])
+    def test_each_shift_is_formed_once_per_block(self, monkeypatch, count_calls, klein, name):
+        # the rows and the primitive of a block read one shift table, whose
+        # ends are formed together once: on torus-4 the three half periods
+        # from one read of the theta quotients, on the Klein pair the eight
+        # ends +-a_i from one broadcast of the addition theorem
+        (s1, s2), fractions = _mesh_pair(name, klein)
+        data = WeierstrassData(s1=s1, s2=s2)
+        rule = count_calls(elliptic._Frame, "half_shifts") if name == "torus4" \
+            else count_calls(spinor._Points, "_added")
+        frames = count_calls(elliptic, "_theta_frame")
+        monkeypatch.setattr(surface, "_BLOCK", 100)
+        integrate_surface(data, GridSpec(17, 17), _lattice_vertex(data.domain, 17, fractions))
+        assert len(rule) == len(frames) > 2
+        if name == "klein4":
+            assert all(np.shape(args[1]) == (8, 1) for args in rule)
 
     @pytest.mark.parametrize("paired", [False, True])
     def test_one_frame_per_integrand_call(self, monkeypatch, count_calls, ctx, paired):
@@ -393,11 +411,11 @@ class TestFrameCounts:
         # one context, six frames placing a (wp_inverse's scan and five
         # Newton steps), the paired build's evaluation of its ends, which
         # its table-3 values read, one of the deck check on its points and
-        # their images, one node batch of each period quadrature, and
-        # form_primitive's probe
+        # their images, one node batch of the two cycles' joint period
+        # quadrature, and form_primitive's probe
         calls = count_calls(elliptic, "_theta_frame")
         klein4_construct()
-        assert len(calls) == 12
+        assert len(calls) == 11
 
     def test_zeta_bases_build_from_one_zeta_frame(self, count_calls, ctx):
         calls = count_calls(elliptic, "_theta_frame")

@@ -221,14 +221,15 @@ class TestMeshGate:
         # a constant C_st off by 1e-4 of the double-pole coefficients leaves
         # every cell closed (the vertices still come from one function) but
         # breaks the identity the gate reads
+        # (FormPrimitive.fixed, where the mesh's first block fixes it)
         from dataclasses import replace
-        from spinorminimal import surface
-        exact = surface.form_primitive
+        from spinorminimal.spinor import FormPrimitive
+        exact = FormPrimitive.fixed
 
-        def perturbed(pairs):
-            prim = exact(pairs)
+        def perturbed(self, fg, form):
+            prim = exact(self, fg, form)
             return replace(prim, poly=prim.poly + 1e-4 * np.abs(prim.c).max())
-        monkeypatch.setattr(surface, "form_primitive", perturbed)
+        monkeypatch.setattr(FormPrimitive, "fixed", perturbed)
         assert main(["torus4", "1", "1j", "--mesh", str(tmp_path / "t.obj"), "--grid", "17",
                      "--out", str(tmp_path)]) == 2
         mesh = json.loads((tmp_path / "torus4.json").read_text())["mesh"]

@@ -366,6 +366,28 @@ class TestContourIntegral:
             assert [z.size for z, in calls] == [3 * base] + sizes[2:]
         assert sizes[:2] == [sizes[1] // 2, sizes[1]]
 
+    def test_paths_share_each_call_and_stop_at_their_own_level(self, count_calls):
+        # 1 / (1 - 0.9 e^(2 pi i z)) and its square on three paths: a period
+        # path along the real axis, which passes at 1024 nodes, one 0.2i off
+        # it, which passes sooner, and a segment.  One call a level takes
+        # the nodes of every path still open, laid end to end, and each
+        # path's integrals are bitwise those of a quadrature of its own
+        h = lambda z: 1.0 / (1.0 - 0.9 * np.exp(2j * np.pi * z))
+        f = lambda z: np.array([h(z), h(z) ** 2])
+        paths = [QuadraturePath.period(0.0, 1.0, 16), QuadraturePath.period(0.2j, 1 + 0.2j, 16),
+                 QuadraturePath.segment(0.1, 0.4 + 0.1j)]
+        alone, sizes = [], []
+        for path in paths:
+            calls = count_calls(f)
+            alone.append(contour_integral(calls.fn, path, rel_tol=1e-12))
+            sizes.append([z.size for z, in calls])
+        assert len(set(map(len, sizes))) == 3
+        calls = count_calls(f)
+        got = contour_integral(calls.fn, paths, rel_tol=1e-12)
+        assert [z.size for z, in calls] == [sum(s[k] for s in sizes if k < len(s))
+                                             for k in range(max(map(len, sizes)))]
+        assert len(got) == 3 and all(np.array_equal(g, a) for g, a in zip(got, alone))
+
     def test_path_validation(self):
         with pytest.raises(ValueError):
             QuadraturePath.period(0.0, 1.0, samples=33)

@@ -181,12 +181,14 @@ class TestPeriodMatrix:
         return len(calls)
 
     def test_one_quadrature_per_cycle(self, count_calls):
+        # each construction's two cycles share one quadrature, whose every
+        # level evaluates the sections on both cycles at once
         ctx = build_context(1.0, 1.0j)
         a1 = 0.3 + 0.2j
         a2 = torus3_admissible_pair(ctx, a1)
         for fn in (lambda: torus4_construct(ctx), moduli.klein4_construct,
                    lambda: torus3_degeneracy(ctx, a1, a2)):
-            assert self._quadratures(count_calls, fn) == 2
+            assert self._quadratures(count_calls, fn) == 1
 
 
 def _sphere6_mesh():
@@ -268,3 +270,25 @@ def test_evaluate_is_pointwise(name, build):
     for i, got in enumerate(whole):
         assert np.array_equal(got, np.concatenate([b[i] for b in blocks], axis=1))
         assert np.array_equal(got, np.stack([prim.evaluate(v)[i] for v in u], axis=1))
+
+
+@pytest.mark.parametrize("name, build", [
+    ("torus4", {"omega1": 1.0, "omega3": 0.5 + 0.1j}),
+    ("klein4", {}),
+])
+def test_a_mesh_fixes_the_constant_of_form_primitive(monkeypatch, count_calls, name, build):
+    # integrate_surface fixes P once, in its first block, at the probe point
+    # that form_primitive evaluates alone, in one call on the pairs'
+    # distinct sections: one definition, and the same bits
+    entry = CONSTRUCTIONS[name]
+    built = entry.build(**build)
+    s1, s2 = entry.pair(built)
+    fixed, exact = [], spinor.FormPrimitive.fixed
+    monkeypatch.setattr(spinor.FormPrimitive, "fixed",
+                        lambda self, fg, form: fixed.append(exact(self, fg, form)) or fixed[-1])
+    entry.mesh(built, GridSpec(17, 17))
+    assert len(fixed) == 1
+    calls = count_calls(spinor, "section_values")
+    want = form_primitive(((s1, s1), (s2, s2), (s1, s2)))
+    assert [list(args[0]) for args in calls] == [[s1, s2]]
+    assert np.array_equal(fixed[0].poly, want.poly) and want.poly.shape == (1, 3)

@@ -506,7 +506,10 @@ class Basis:
 
         Basis rows are evaluated one at a time, and only where some
         coefficient is nonzero, then added into every section at once, each
-        section's sum taken row by row, so a point's bits are its own.
+        section's sum taken row by row, so a point's bits are its own.  Each
+        product is of a (sections, 1) and a (1, points) array: numpy rounds
+        the complex product of a single section and point apart from a
+        batch's when it broadcasts a (points,) row.
         """
         C = np.asarray(coefficients, dtype=complex).reshape(-1, len(self.labels))
         active = np.flatnonzero(C.any(axis=0))
@@ -514,7 +517,7 @@ class Basis:
         out = np.zeros((2 if derivative else 1, len(C), at.size), dtype=complex)
         for j, *jet in self._rows(active, at, derivative):
             for acc, f in zip(out, jet):
-                acc += C[:, j, None] * f
+                acc += C[:, j, None] * np.reshape(f, (1, -1))
         out = out.reshape(out.shape[:2] + at.shape)
         return (out[0], out[1]) if derivative else out[0]
 
@@ -791,7 +794,7 @@ def form_primitive(pairs) -> FormPrimitive:
         i, j = ([sections.index(x) for x in side] for side in zip(*pairs))
         at = prim.domain.points([prim.probe])
         f = section_values(sections, at)
-        fg = f[i] * f[j] * prim.domain.form_weight(at)
+        fg = f[i] * f[j] * np.reshape(prim.domain.form_weight(at), (1, -1))
         prim = prim.fixed(fg[:, 0], prim.evaluate(at)[1][:, 0])
     return prim
 

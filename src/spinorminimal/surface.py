@@ -461,7 +461,7 @@ def integrate_surface(data: WeierstrassData, grid: GridSpec, basepoint) -> Surfa
     # each coordinate's range, kept per block: a reduction down the
     # columns of verts would step through its rows three values at a time
     identity, lo, hi = 0.0, np.inf, -np.inf
-    for r0, r1 in _row_blocks(grid.nx, grid.ny, _BLOCK >> data.domain.genus):
+    for r0, r1 in _row_blocks(grid.nx, grid.ny, _BLOCK // 2 if data.domain.genus else _BLOCK):
         k0, k1, lead = starts[r0], starts[r1], len(head) if r0 == 0 else 0
         if k0 == k1 and not lead:
             continue

@@ -273,6 +273,30 @@ def test_evaluate_is_pointwise(name, build):
 
 
 @pytest.mark.parametrize("name, build", [
+    ("sphere4", {}),
+    ("torus4", {"omega1": 1.0, "omega3": 0.5 + 0.1j}),
+    ("klein4", {}),
+])
+def test_section_values_are_pointwise(name, build):
+    # each row is added into every section at once, so a section's values
+    # and derivatives at a point are the same bits alone, with the other
+    # section and in any batch, one section at one point included
+    entry = CONSTRUCTIONS[name]
+    s1, s2 = entry.pair(entry.build(**build))
+    x, y = np.random.default_rng(23).uniform(0.05, 0.95, (2, 30))
+    if s1.domain.genus == 1:
+        u = x * 2 * s1.domain.ctx.omega1 + y * 2 * s1.domain.ctx.omega3
+    else:
+        u = 3.0 * (x - 0.5) + 3j * (y - 0.5)
+    both = spinor.section_values((s1, s2), u, derivative=True)
+    for k, s in enumerate((s1, s2)):
+        for v in range(len(u)):
+            for got in (spinor.section_values((s,), u[v], derivative=True),
+                        spinor.section_values((s,), u[v:v + 1], derivative=True)):
+                assert all(np.array_equal(g.ravel(), w[k, v:v + 1]) for g, w in zip(got, both))
+
+
+@pytest.mark.parametrize("name, build", [
     ("torus4", {"omega1": 1.0, "omega3": 0.5 + 0.1j}),
     ("klein4", {}),
 ])

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from typing import Callable
 
 import numpy as np
@@ -299,11 +300,11 @@ def contour_integral(f: Callable, path, rel_tol: float = 1e-8, max_panels: int =
         if any(z is None for z in points.values()):
             raise NonConvergenceError(f"contour integral did not stabilize to {rel_tol:.1e} "
                                       f"within {max_panels} panels")
-        cuts = np.cumsum([z.size for z in points.values()])[:-1]
+        ends = list(accumulate(z.size for z in points.values()))
         out = f(np.concatenate(list(points.values())))
-        parts = zip(*(np.split(x, cuts, axis=-1) for x in out)) if isinstance(out, tuple) \
-            else np.split(np.asarray(out), cuts, axis=-1)
-        for k, part in zip(list(points), parts):
+        for k, a, b in zip(list(points), [0] + ends, ends):
+            part = tuple(x[..., a:b] for x in out) if isinstance(out, tuple) \
+                else np.asarray(out)[..., a:b]
             prev, cur, l1 = runs[k].send(part)
             # the L1 term is a rounding-noise floor for integrals that vanish
             if np.all(np.abs(cur - prev) <= rel_tol * np.abs(cur)

@@ -169,13 +169,12 @@ class _Points:
     def __init__(self, dom, u, frame=None):
         u = np.asarray(u, dtype=complex)
         self.dom, self.shape, self.u = dom, u.shape, u.reshape(-1)
-        self.size, self.rows, self.frame = self.u.size, {}, frame
+        self.size, self.frame = self.u.size, frame
         if frame is not None:
             return
-        own = [a for a, rule in dom.shift_rules.items() if rule is None]
-        halves = any(rule and rule[0] for rule in dom.shift_rules.values())
+        own, (half, *_), _ = dom.shift_groups
         self.frame = elliptic._theta_frame(
-            dom.ctx, (self.u - np.array([0j, *own])[:, None]).ravel(), halves, True)
+            dom.ctx, (self.u - np.array([0j, *own])[:, None]).ravel(), bool(half), True)
         rows = (len(own) + 1, self.size)
         pole = self.frame.pole.reshape(rows)
         if pole[0].any():
@@ -184,7 +183,7 @@ class _Points:
         if own:
             zeta, wp = (x.reshape(rows) for x in (self.frame.zeta(), self.frame.wp()))
             self.zeta, self.wp = zeta[0], wp[0]
-            self.rows = dict(zip(own, zip(zeta[1:] - zeta[0], wp[1:], pole[1:])))
+            self.rows = zeta[1:] - zeta[0], wp[1:], pole[1:]
         if self.size > elliptic._CHUNK:
             for name in ("zeta", "wp", "wp_prime", "_table"):
                 getattr(self, name)
@@ -203,14 +202,14 @@ class _Points:
         return self.frame.wp_prime(slice(0, self.size))
 
     def shifts(self, ends):
-        """(zeta(u - a) - zeta(u), wp(u - a)) for each end a of ends in turn:
-        (0.0, wp(u)) at a = 0, and otherwise the end's rows of the shift
-        table (_table).  Within about the pole tolerance of a, and of -a
-        where wp(u) - wp(a) vanishes too, PoleEvaluationError names the
-        end, or both."""
+        """(zeta(u - a) - zeta(u), wp(u - a)) for each end a of ends in turn,
+        as (1, points) rows: (0.0, wp(u)) at a = 0, and otherwise the end's
+        rows of the shift table (_table).  Within about the pole tolerance
+        of a, and of -a where wp(u) - wp(a) vanishes too,
+        PoleEvaluationError names the end, or both."""
         for a in ends:
             if a == 0:
-                yield 0.0, self.wp
+                yield 0.0, self.wp[None]
                 continue
             zeta, wp, pole = self._table[a]
             if pole is not None:
@@ -224,28 +223,33 @@ class _Points:
     @cached_property
     def _table(self):
         """{a: (Z, W, pole)} for every end a != 0 of the domain: Z = zeta(u -
-        a) - zeta(u) and W = wp(u - a) on the points, rows of (ends, points)
-        arrays formed once for all their readers, each group of ends by its
-        rule (_TorusDomain.shift_rules), and pole the row's marks, None when
-        it has none.  An end whose rule is None has the frame's rows u - a.
-        The half-periods, where wp'(a) = 0, are one indexed read of
+        a) - zeta(u) and W = wp(u - a) on the points, (1, points) rows of
+        (ends, points) arrays formed once for all their readers, each group
+        of ends by its rule (_TorusDomain.shift_groups), and pole the row's
+        marks, None when it has none.  An end whose rule is None has the frame's rows u - a.
+        The half-periods, where wp'(a) = 0, are the rows of their labels in
         _Frame.half_shifts: wp'(u)/2D - zeta(a) and wp(a) + (e - e_j)(e -
         e_k)/D, D = wp(u) - wp(a), from theta quotients, marked where
         |wp'/2D| ~ 1/|u - a| passes half the inverse pole tolerance.  The
         other ends are one broadcast of the addition theorem (_added)."""
-        rules, table = self.dom.shift_rules, dict(self.rows)
-        half = [a for a, rule in rules.items() if rule and rule[0]]
-        paired = [a for a, rule in rules.items() if rule and not rule[0]]
+        own, (half, labels, zeta_h, wp_h), (paired, *columns) = self.dom.shift_groups
+        table = {}
+
+        def add(ends, rows, zeta, wp, pole):
+            bad = pole.any(axis=1)
+            table.update((a, (zeta[i:i + 1], wp[i:i + 1], pole[i] if bad[i] else None))
+                         for a, i in zip(ends, rows))
+        if own:
+            add(own, range(len(own)), *self.rows)
         if half:
-            h = [rules[a][0] - 1 for a in half]
-            zeta_a, wp_a = (np.array([rules[a][k] for a in half])[:, None] for k in (1, 2))
-            slope, product = (x[h] for x in self.frame.half_shifts(slice(0, self.size)))
+            slope, product = self.frame.half_shifts(slice(0, self.size))
             pole = np.abs(slope) >= 0.5 / self.dom.ctx.lattice.pole_tolerance
-            table.update(zip(half, zip(slope - zeta_a, np.add(product, wp_a, out=product), pole)))
+            slope -= zeta_h
+            product += wp_h
+            add(half, labels, slope, product, pole)
         if paired:
-            table.update(zip(paired, zip(*self._added(
-                *(np.array([rules[a][k] for a in paired])[:, None] for k in (1, 2, 3))))))
-        return {a: (z, w, pole if pole.any() else None) for a, (z, w, pole) in table.items()}
+            add(paired, range(len(paired)), *self._added(*columns))
+        return table
 
     def _added(self, zeta_a, wp_a, wp_prime_a):
         """(Z, W, pole), shape (ends, points), by the addition theorem (DLMF
@@ -395,6 +399,24 @@ class _TorusDomain(_DomainBase):
                 rules[p] = None
         return rules
 
+    @cached_property
+    def shift_groups(self):
+        """shift_rules as the groups and columns every _Points reads: the
+        ends whose rule is None; the half-periods, their labels less one,
+        and zeta(a) and wp(a) as (3, 1) columns by label; and the other
+        ends with a rule, with zeta(a), wp(a) and wp'(a) as (ends, 1)
+        columns."""
+        rules = self.shift_rules.items()
+        half = [(a, rule) for a, rule in rules if rule and rule[0]]
+        paired = [(a, rule) for a, rule in rules if rule and not rule[0]]
+        by_label = np.zeros((2, 3, 1), dtype=complex)
+        for _, (h, zeta_a, wp_a, _) in half:
+            by_label[:, h - 1, 0] = zeta_a, wp_a
+        return ([a for a, rule in rules if rule is None],
+                ([a for a, _ in half], [rule[0] - 1 for _, rule in half], *by_label),
+                ([a for a, _ in paired],
+                 *(np.array([rule[k] for _, rule in paired])[:, None] for k in (1, 2, 3))))
+
     def qres_radius(self, p) -> float:
         # the distances leave out p itself, and with it its translates p +- b1
         return min(super().qres_radius(p), 0.25 * abs(self.ctx.lattice.reduced_periods[0]))
@@ -461,7 +483,9 @@ class Basis:
     times s equal to s^w_j times row j.  A family adds its
     row data and _rows(active, at, derivative), which yields (j, f_j(u),
     f_j'(u) or None) for each active j at the flat points of at, the
-    domain's points(u).
+    domain's points(u), as (1, points) rows or constants: numpy rounds the
+    complex product of a (1, 1) coefficient and a (points,) row at a single
+    point apart from a batch's, and not that of a (1, points) row.
     """
 
     domain: _DomainBase
@@ -505,19 +529,21 @@ class Basis:
         (values, derivatives) when derivative is set.
 
         Basis rows are evaluated one at a time, and only where some
-        coefficient is nonzero, then added into every section at once, each
-        section's sum taken row by row, so a point's bits are its own.  Each
-        product is of a (sections, 1) and a (1, points) array: numpy rounds
-        the complex product of a single section and point apart from a
-        batch's when it broadcasts a (points,) row.
+        coefficient is nonzero, then added at once into the run of sections
+        from the first to the last that reads the row, each section's sum
+        taken row by row, so a point's bits are its own.
         """
         C = np.asarray(coefficients, dtype=complex).reshape(-1, len(self.labels))
-        active = np.flatnonzero(C.any(axis=0))
+        used = C != 0
+        active = np.flatnonzero(used.any(axis=0))
+        first, last = used.argmax(axis=0), len(C) - used[::-1].argmax(axis=0)
         at = self.domain.points(u)
         out = np.zeros((2 if derivative else 1, len(C), at.size), dtype=complex)
         for j, *jet in self._rows(active, at, derivative):
+            k = slice(first[j], last[j])
+            c = C[k, j, None]
             for acc, f in zip(out, jet):
-                acc += C[:, j, None] * np.reshape(f, (1, -1))
+                acc[k] += c * f
         out = out.reshape(out.shape[:2] + at.shape)
         return (out[0], out[1]) if derivative else out[0]
 
@@ -535,7 +561,7 @@ class _SphereBasis(Basis):
     poles: list
 
     def _rows(self, active, at, derivative):
-        z = at.reshape(-1)
+        z = at.reshape(1, -1)
         for j in active:
             if j == len(self.poles):
                 yield j, 1.0, 0.0
@@ -588,7 +614,7 @@ class _PolynomialBasis(Basis):
     """Rows z^j phi, j = 0 .. degree, on the sphere without ends."""
 
     def _rows(self, active, at, derivative):
-        z = at.reshape(-1)
+        z = at.reshape(1, -1)
         for j in active:
             yield j, z**j, ((j * z**(j - 1) if j else 0.0) if derivative else None)
 
@@ -709,9 +735,9 @@ class FormPrimitive:
         for a, c in zip(self.ends, self.c.T[..., None]):
             if self.domain.genus:
                 z, w = next(shifts)
-                z = np.add(z, at.zeta)
+                z = np.add(z, at.zeta[None])
             else:
-                z = np.subtract(at.reshape(-1), a)
+                z = np.subtract(at.reshape(1, -1), a)
                 np.divide(1.0, z, out=z)
                 w = z * z
             phi -= np.multiply(c, z, out=product)

@@ -162,9 +162,9 @@ class _Points:
     when first read; on more points than the frame sums at a time (a mesh
     block) all four are formed here and the frame, which only they read,
     let go.  A frame's bits do not depend on its batch, so a point's values
-    are its own.  Given a frame whose points begin with u
-    (the ends: _TorusDomain.end_values), u's values are read from it, and
-    there are no rows."""
+    are its own.  Given a frame whose points begin with u (the ends:
+    _TorusDomain.end_values), u's values are read from it, and there are
+    no rows."""
 
     def __init__(self, dom, u, frame=None):
         u = np.asarray(u, dtype=complex)
@@ -226,12 +226,13 @@ class _Points:
         a) - zeta(u) and W = wp(u - a) on the points, (1, points) rows of
         (ends, points) arrays formed once for all their readers, each group
         of ends by its rule (_TorusDomain.shift_groups), and pole the row's
-        marks, None when it has none.  An end whose rule is None has the frame's rows u - a.
-        The half-periods, where wp'(a) = 0, are the rows of their labels in
-        _Frame.half_shifts: wp'(u)/2D - zeta(a) and wp(a) + (e - e_j)(e -
-        e_k)/D, D = wp(u) - wp(a), from theta quotients, marked where
-        |wp'/2D| ~ 1/|u - a| passes half the inverse pole tolerance.  The
-        other ends are one broadcast of the addition theorem (_added)."""
+        marks, None when it has none.  An end whose rule is None has the
+        frame's rows u - a.  The half-periods, where wp'(a) = 0, are the
+        rows of their labels in _Frame.half_shifts: wp'(u)/2D - zeta(a) and
+        wp(a) + (e - e_j)(e - e_k)/D, D = wp(u) - wp(a), from theta
+        quotients, marked where |wp'/2D| ~ 1/|u - a| passes half the
+        inverse pole tolerance.  The other ends are one broadcast of the
+        addition theorem (_added)."""
         own, (half, labels, zeta_h, wp_h), (paired, *columns) = self.dom.shift_groups
         table = {}
 

@@ -522,7 +522,7 @@ def zeta(ctx: EllipticContext, u):
 
 
 def wp_inverse(ctx: EllipticContext, value):
-    """One point u (up to sign and lattice) with wp(u) = value.
+    """One point u, up to sign, with wp(u) = value: the Lattice.reduce representative.
 
     Coarse scan of the half y > 1/2 of the fundamental domain, 36 x 18
     fractions (x, y) of 2 w1 and 2 w3, followed by Newton on wp(u) - value:
@@ -537,7 +537,7 @@ def wp_inverse(ctx: EllipticContext, value):
         p, d = wp_with_prime(ctx, u)
         f = p - value
         if abs(f) < 1e-13 * max(ctx.wp_floor(2), abs(value)):
-            return complex(u)
+            return complex(ctx.lattice.reduce(u)[0])
         if d == 0:
             break
         step = f / d
@@ -546,4 +546,4 @@ def wp_inverse(ctx: EllipticContext, value):
         u = u - step
     if abs(wp(ctx, u) - value) > 1e-9 * max(ctx.wp_floor(2), abs(value)):
         raise NonConvergenceError(f"wp_inverse failed to converge for value {value}")
-    return complex(u)
+    return complex(ctx.lattice.reduce(u)[0])

@@ -463,8 +463,8 @@ class UntwistedTorusDomain(_TorusDomain):
 
     def form_weight(self, u):
         w = self.wp_r(u)
-        # in place on a block: one array for the weight, as for wp_r
-        return 1.0 / complex(w) if w.ndim == 0 else np.divide(1.0, w, out=w)
+        # numpy's division at every shape, as a batch rounds it; in place on a block
+        return np.divide(1.0, w, out=w if w.ndim else None)
 
     @cached_property
     def weight_at_ends(self):

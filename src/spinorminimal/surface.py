@@ -17,12 +17,13 @@ A mesh stores its vertices, its normals and the grid it was made on: the
 chart map, grid point (i, j) at the chart point x[i] + y[j] (ChartMap),
 made once a mesh and read by every stage, and the vertex and cell masks,
 the cells with four valid corners whose closed chart square holds no end.
-The vertex mask reads the data's end_distance and chart_singular_distance
-on the grid points near an end or a chart singularity alone.  One walk
-covers that grid: the mask, vertex and cell stages of integrate_surface
-and both exporters work on blocks of whole grid rows (_row_blocks), and
-the ordinal of the first vertex of each grid row (_row_starts) says
-which vertices a block holds.
+One pass (_masks) makes both from one table of the disks of the ends and
+chart singularities, and on a torus their lattice translates (_stamps),
+and reads the data's end_distance and chart_singular_distance near those
+disks alone.  One walk covers that grid: the vertex and cell stages of
+integrate_surface and both exporters work on blocks of whole grid rows
+(_row_blocks), and the ordinal of the first vertex of each grid row
+(_row_starts) says which vertices a block holds.
 A block's chart points are chart.rows, masked; a block of cell rows gets
 its faces from one cumsum of the vertex mask over its grid rows (_faces),
 and its loop closures from its vertices scattered onto those rows a
@@ -94,10 +95,11 @@ __all__ = [
 
 _GL_EDGE = 12
 # grid points or cells, in whole grid rows, per block of integrate_surface's
-# mask, vertex and cell stages, and half as many vertices a block on a
-# torus, where a block also holds the shift table of its points, two arrays
-# an end (spinor._Points): a mesh's memory is the finished mesh plus one
-# block.  Every step is pointwise, so any block gives a mesh the same bits
+# vertex and cell stages (distances per block of _masks), and half as many
+# vertices a block on a torus, where a block also holds the shift table of
+# its points, two arrays an end (spinor._Points): a mesh's memory is the
+# finished mesh plus one block.  Every step is pointwise, so any block
+# gives a mesh the same bits
 _BLOCK = 8192
 _EDGE_NODES, _EDGE_WEIGHTS = np.polynomial.legendre.leggauss(_GL_EDGE)
 
@@ -267,10 +269,10 @@ class SurfaceMesh:
 
 MESH_TOL = 1e-6  # the bound of each of SurfaceMesh.checks
 # a grid point within CHART_SINGULAR_TOL (chart units) of a chart
-# singularity is no vertex (_valid_mask)
+# singularity is no vertex (_masks)
 CHART_SINGULAR_TOL = 1e-9
 # an end within GRID_LINE_TOL of a grid step of a grid line lies on it,
-# and clears the cells on both sides of that line (_cell_mask)
+# and clears the cells on both sides of that line (_masks)
 GRID_LINE_TOL = 1e-9
 # a chart point within GRID_SNAP_TOL of the least grid step of a grid
 # point is that point (integrate_surface's basepoint, SurfaceMesh.vertex_at)
@@ -335,25 +337,41 @@ def _stamps(dom, chart: ChartMap, points, reach):
     return np.clip(chart.positions(a), -2, np.reshape(chart.shape, (2, 1)) + 1), reach * extent
 
 
-def _valid_mask(data: WeierstrassData, chart: ChartMap) -> np.ndarray:
-    """Grid points outside the end clearance and off chart singularities
-    (the lattice point and omega_r when those are not ends; the form itself
-    is regular there).  Only the grid points of the box of grid steps
-    around each end's or singularity's disk (_stamps), one step wider on
-    every side, can miss either, so every other grid point is valid, and
-    the distances are taken on those boxes alone: end_distance and
-    chart_singular_distance, each in one call per block of about _BLOCK
-    distances."""
+def _masks(data: WeierstrassData, chart: ChartMap):
+    """(valid, cell), the vertex and cell masks, from one stamp table
+    (_stamps) of the finite ends, at the end clearance, then the chart
+    singularities, at CHART_SINGULAR_TOL; each loop over the stamps' boxes
+    takes the boxes that meet the grid alone.
+
+    valid: the grid points outside the end clearance and off the chart
+    singularities (the lattice point and omega_r when those are not ends;
+    the form itself is regular there).  Only the grid points of the box of
+    grid steps around a stamp, one step wider on every side, can miss
+    either, so the distances (end_distance and chart_singular_distance)
+    are taken on those boxes alone, each in one call per block of about
+    _BLOCK distances.  cell: the cells (i, j), corners (i, j) to (i+1,
+    j+1), with four valid corners and no finite end in their closed chart
+    square (in lattice fractions on a torus): an end's stamps clear the
+    cells i <= g <= i + 1 on each axis around their grid positions g, a
+    position within GRID_LINE_TOL of a grid line counting as on it, so no
+    face spans an end when the end clearance is below the grid step."""
     dom = data.domain
     points = [p for p in dom.ends.points if not is_infinity(p)]
     singular = dom.chart_singularities()
     reach = np.repeat([data.end_clearance, CHART_SINGULAR_TOL], [len(points), len(singular)])
     g, e = _stamps(dom, chart, points + singular, reach)
-    lo = np.maximum(np.ceil(g - e) - 1, 0).astype(int)
-    hi = np.minimum(np.floor(g + e) + 2, np.reshape(chart.shape, (2, 1))).astype(int)
-    near, meets = np.zeros(chart.shape, bool), (lo < hi).all(axis=0)
-    for (i0, j0), (i1, j1) in zip(lo.T[meets].tolist(), hi.T[meets].tolist()):
-        near[i0:i1, j0:j1] = True
+    # the ends' stamps lead the table, as many translates each as a singularity's
+    ends = g[:, :g.shape[1] * len(points) // max(len(reach), 1)]
+    # the boxes of grid points near each stamp, and of cells an end's stamp holds
+    near, held = np.zeros(chart.shape, bool), np.zeros(np.subtract(chart.shape, 1), bool)
+    for mask, lo, hi in ((near, np.ceil(g - e) - 1, np.floor(g + e) + 2),
+                         (held, np.ceil(ends - GRID_LINE_TOL) - 1,
+                          np.floor(ends + GRID_LINE_TOL) + 1)):
+        lo = np.maximum(lo, 0).astype(int)
+        hi = np.minimum(hi, np.reshape(mask.shape, (2, 1))).astype(int)
+        meets = (lo < hi).all(axis=0)
+        for (i0, j0), (i1, j1) in zip(lo.T[meets].tolist(), hi.T[meets].tolist()):
+            mask[i0:i1, j0:j1] = True
     valid = np.ones(chart.shape, bool)
     i, j = np.nonzero(near)
     step = max(1, _BLOCK // max(len(reach), 1))
@@ -362,25 +380,7 @@ def _valid_mask(data: WeierstrassData, chart: ChartMap) -> np.ndarray:
         u = chart.x[ij[0]] + chart.y[ij[1]]
         valid[ij] = (data.end_distance(u) > data.end_clearance) \
             & (data.chart_singular_distance(u) > CHART_SINGULAR_TOL)
-    return valid
-
-
-def _cell_mask(data: WeierstrassData, chart: ChartMap, valid) -> np.ndarray:
-    """Cells (i, j), corners (i, j) to (i+1, j+1), with four valid corners
-    and no finite end in their closed chart square: on a torus the square
-    in lattice fractions, and the ends' lattice translates (_stamps).  Each
-    end clears the cells i <= g <= i + 1 on each axis around its grid
-    position g, a position within GRID_LINE_TOL of a grid line counting as
-    on it, so no face spans an end when the end clearance is below the
-    grid step."""
-    cell = valid[:-1, :-1] & valid[1:, :-1] & valid[1:, 1:] & valid[:-1, 1:]
-    dom = data.domain
-    g, _ = _stamps(dom, chart, [p for p in dom.ends.points if not is_infinity(p)], 0.0)
-    lo = np.maximum(np.ceil(g - GRID_LINE_TOL) - 1, 0).astype(int)
-    hi = np.clip(np.floor(g + GRID_LINE_TOL), -1, np.reshape(cell.shape, (2, 1)) - 1).astype(int)
-    for (i0, j0), (i1, j1) in zip(lo.T, hi.T):
-        cell[i0:i1 + 1, j0:j1 + 1] = False
-    return cell
+    return valid, valid[:-1, :-1] & valid[1:, :-1] & valid[1:, 1:] & valid[:-1, 1:] & ~held
 
 
 def _closure(h0, v1, h1, v0) -> np.ndarray:
@@ -439,7 +439,7 @@ def integrate_surface(data: WeierstrassData, grid: GridSpec, basepoint) -> Surfa
     frame a block and no other.
     """
     chart = _chart_map(data.domain, grid)
-    valid = _valid_mask(data, chart)
+    valid, cell = _masks(data, chart)
     base = complex(basepoint)
     root = chart.nearest(base)
     if not valid[root]:
@@ -506,7 +506,7 @@ def integrate_surface(data: WeierstrassData, grid: GridSpec, basepoint) -> Surfa
         hi = np.maximum(hi, x.max(axis=1, initial=-np.inf))
         del x
 
-    cell, resid = _cell_mask(data, chart, valid), 0.0
+    resid = 0.0
     for r0, r1 in _row_blocks(grid.nx - 1, grid.ny - 1, _BLOCK):
         # the block's cell rows and the grid rows of their corners, onto
         # which the block's vertices are scattered a coordinate at a time,
@@ -547,7 +547,7 @@ def quadrature_edges(data: WeierstrassData, grid: GridSpec):
 
     The test oracle for integrate_surface."""
     chart = _chart_map(data.domain, grid)
-    U, valid = chart.rows(0, grid.nx), _valid_mask(data, chart)
+    U, (valid, _) = chart.rows(0, grid.nx), _masks(data, chart)
     h = np.full((U.shape[0] - 1, U.shape[1], 3), np.nan)
     v = np.full((U.shape[0], U.shape[1] - 1, 3), np.nan)
     for out, start, end, has in ((h, U[:-1], U[1:], valid[:-1] & valid[1:]),
@@ -560,11 +560,11 @@ def quadrature_edges(data: WeierstrassData, grid: GridSpec):
 
 def quadrature_loop_residual(data: WeierstrassData, grid: GridSpec, edges) -> float:
     """Largest closure of edges = quadrature_edges(data, grid) on integrate_surface's cells."""
-    valid, h, v = edges
+    _, h, v = edges
     h, v = np.moveaxis(h, -1, 0), np.moveaxis(v, -1, 0)
     closure = _closure(h[:, :, :-1], v[:, 1:], h[:, :, 1:], v[:, :-1])
-    return float(np.max(closure[_cell_mask(data, _chart_map(data.domain, grid), valid)],
-                        initial=0.0))
+    _, cell = _masks(data, _chart_map(data.domain, grid))
+    return float(np.max(closure[cell], initial=0.0))
 
 
 def period_vector(data: WeierstrassData, loop: QuadraturePath):

@@ -244,7 +244,17 @@ class TestChartWeight:
         # untwisted tori: s t = f g mu du
         assert [dom.form_weight(p) for dom in doms[:2]] == [1.0, 1.0]
         for r, dom in zip((1, 2, 3), doms[2:]):
-            assert dom.form_weight(p) == 1.0 / (wp(ctx, p) - ctx.e(r))
+            assert dom.form_weight(p) == np.divide(1.0, wp(ctx, p) - ctx.e(r))
+
+    def test_a_point_weighs_as_in_a_batch(self, ctx, klein):
+        # a 0-d point's weight is its weight in a batch, to the bit, on 200
+        # Klein points and on the untwisted tori r = 1, 2 and 3
+        doms = [klein.s1.domain] + [basis_F_torus_untwisted(
+            ctx, r, EndDivisor((0.9 + 0.77j,)))[0].domain for r in (1, 2, 3)]
+        for dom in doms:
+            u = _points(dom.ctx, 200, seed=1)
+            one = np.array([dom.form_weight(x) for x in u.tolist()])
+            assert one.tobytes() == dom.form_weight(u).tobytes()
 
 
 class TestQresRadius:

@@ -266,6 +266,8 @@ class TestWpInverse:
         for _ in range(5):
             target = complex(rng.standard_normal(), rng.standard_normal()) * abs(ctx.e1)
             u = wp_inverse(ctx, target)
+            # the Lattice.reduce representative, wherever Newton lands
+            assert complex(ctx.lattice.reduce(u)[0]) == u
             assert abs(wp(ctx, u) - target) < 1e-9 * max(1.0, abs(target))
 
 

@@ -33,7 +33,7 @@ from spinorminimal.surface import (
     SurfaceMesh,
     WeierstrassData,
     _chart_map,
-    _valid_mask,
+    _masks,
     enneper_data,
     export_csv,
     export_obj,
@@ -549,7 +549,7 @@ class TestCellMask:
         except (ValueError, NonConvergenceError):
             assume(False)
         grid = GridSpec(n, n)
-        valid = _valid_mask(data, _chart_map(data.domain, grid))
+        valid, _ = _masks(data, _chart_map(data.domain, grid))
         assume(data.end_clearance < 4.0 / (n - 1) and valid[0, 0])
         mesh = integrate_surface(data, grid, -2.0 - 2.0j)
         assert _faces_holding_an_end(data, mesh).size == 0
@@ -565,10 +565,23 @@ class TestCellMask:
         data = entry.weierstrass(built)
         mesh = entry.mesh(built, GridSpec(n, n))
         assert _faces_holding_an_end(data, mesh).size == 0
-        valid = _valid_mask(data, _chart_map(data.domain, GridSpec(n, n)))
+        valid, _ = _masks(data, _chart_map(data.domain, GridSpec(n, n)))
         cells = valid[:-1, :-1] & valid[1:, :-1] & valid[1:, 1:] & valid[:-1, 1:]
         held = _cells_holding_an_end(data, GridSpec(n, n)) & cells
         assert held.any() and len(mesh.faces) == 2 * np.count_nonzero(cells & ~held)
+
+    @pytest.mark.parametrize("name, args, n", [("torus4", (1.0, 7.0j), 33), ("klein4", (), 17)])
+    def test_ends_on_cell_edges_clear_the_reference_cells(self, name, args, n):
+        # every end lies on a cell edge: torus-4's half periods on grid
+        # points of the thin cell's even grid, each Klein end between two
+        # cells; the cell mask is the brute-force one
+        entry = CONSTRUCTIONS[name]
+        data, grid = entry.weierstrass(entry.build(*args)), GridSpec(n, n)
+        valid, cell = _masks(data, _chart_map(data.domain, grid))
+        cells = valid[:-1, :-1] & valid[1:, :-1] & valid[1:, 1:] & valid[:-1, 1:]
+        held = _cells_holding_an_end(data, grid)
+        assert np.count_nonzero(held) == 16
+        assert np.array_equal(cell, cells & ~held)
 
     def test_ends_off_the_grid_clear_no_cell(self):
         # an end far off the chart square, or just beyond its edge, clears
@@ -578,8 +591,7 @@ class TestCellMask:
                               ((2.01j, 0.5, INF), [[4, 3], [4, 4], [5, 3], [5, 4]])):
             basis = basis_F_sphere(EndDivisor(ends))
             data = WeierstrassData(s1=basis[0], s2=basis[1], end_clearance=1e-3)
-            cell = surface._cell_mask(data, _chart_map(data.domain, GridSpec(9, 9)),
-                                      np.ones((9, 9), dtype=bool))
+            _, cell = _masks(data, _chart_map(data.domain, GridSpec(9, 9)))
             assert np.argwhere(~cell).tolist() == cleared
 
     def test_the_named_mesh_cuts_keep_their_values(self):
@@ -593,8 +605,7 @@ class TestCellMask:
         # lies on the line and clears the cells on both sides of it
         basis = basis_F_sphere(EndDivisor((times * 1e-9 + 0.5j, INF)))
         data = WeierstrassData(s1=basis[0], s2=basis[1], end_clearance=1e-3)
-        cell = surface._cell_mask(data, _chart_map(data.domain, GridSpec(5, 5)),
-                                  np.ones((5, 5), dtype=bool))
+        _, cell = _masks(data, _chart_map(data.domain, GridSpec(5, 5)))
         assert np.argwhere(~cell).tolist() == ([[2, 2]] if times > 1 else [[1, 2], [2, 2]])
 
     @pytest.mark.parametrize("times", [0.5, 2.0])
@@ -607,19 +618,22 @@ class TestCellMask:
         data = WeierstrassData(s1=basis[0], s2=basis[1], end_clearance=1e-3)
         chart = ChartMap(np.array([0.0, ctx.omega1]) + times * 1e-9j, np.array([0.0, ctx.omega3]))
         assert data.domain.chart_singularities() == [0.0, ctx.omega1]
-        assert _valid_mask(data, chart).tolist() == [[times > 1, True], [times > 1, True]]
+        assert _masks(data, chart)[0].tolist() == [[times > 1, True], [times > 1, True]]
 
-    def test_the_loop_oracle_reads_the_same_mask(self, count_calls):
+    def test_the_loop_oracle_reads_the_same_mask(self, monkeypatch):
         entry = CONSTRUCTIONS["sphere6"]
         built = entry.build((0.0, 2.0 * math.sqrt(5.0) / 3.0, 0.0))
         data, grid = entry.weierstrass(built), GridSpec(33, 33)
-        calls = count_calls(surface, "_cell_mask")
+        calls, masks = [], surface._masks
+        monkeypatch.setattr(surface, "_masks", lambda *args: calls.append(
+            (args, masks(*args))) or calls[-1][1])
         mesh = entry.mesh(built, grid)
         quadrature_loop_residual(data, grid, quadrature_edges(data, grid))
         want = _chart_map(data.domain, grid).rows(0, grid.nx)
-        assert len(calls) == 2 and all(np.array_equal(args[1].rows(0, grid.nx), want)
-                                       for args in calls)
-        assert np.array_equal(calls[0][2], calls[1][2])
+        # the mesh's, the edges' and the loops' masks
+        assert len(calls) == 3 and all(np.array_equal(args[1].rows(0, grid.nx), want)
+                                       for args, _ in calls)
+        assert all(np.array_equal(a, b) for _, got in calls[1:] for a, b in zip(got, calls[0][1]))
         # the four ends at +-0.934 +-0.357i each sat inside one face
         assert len(mesh.faces) == 2040 - 8
 
@@ -756,7 +770,7 @@ class TestBlocks:
         monkeypatch.setattr(surface, "_BLOCK", 7)
         mesh = integrate_surface(data, GridSpec(grid, grid),
                                  entry.basepoint(data.domain, GridSpec(grid, grid)))
-        valid = _valid_mask(data, _chart_map(data.domain, GridSpec(grid, grid)))
+        valid, _ = _masks(data, _chart_map(data.domain, GridSpec(grid, grid)))
         index = np.cumsum(valid).reshape(valid.shape) - 1
         cell = valid[:-1, :-1] & valid[1:, :-1] & valid[1:, 1:] & valid[:-1, 1:]
         held = _cells_holding_an_end(data, GridSpec(grid, grid)) & cell
@@ -839,20 +853,21 @@ class TestBlocks:
 
     def test_the_klein_vertex_stage_holds_the_mesh_and_one_block(self, monkeypatch):
         # the grid-257 Klein mesh stores 3.2 MiB: its vertex stage, up to the
-        # cell mask, peaks within 6 MiB, as each block's one theta frame is
-        # on its vertices alone and the block keeps only zeta, wp and wp'
+        # first loop closure, peaks within 6 MiB, as each block's one theta
+        # frame is on its vertices alone and the block keeps only zeta, wp
+        # and wp'
         entry = CONSTRUCTIONS["klein4"]
         built = entry.build()
         entry.mesh(built, GridSpec(17, 17))
-        peaks, cell_mask = [], surface._cell_mask
-        monkeypatch.setattr(surface, "_cell_mask", lambda *args: peaks.append(
-            tracemalloc.get_traced_memory()[1]) or cell_mask(*args))
+        peaks, closure = [], surface._closure
+        monkeypatch.setattr(surface, "_closure", lambda *args: peaks.append(
+            tracemalloc.get_traced_memory()[1]) or closure(*args))
         tracemalloc.start()
         try:
             entry.mesh(built, GridSpec(257, 257))
         finally:
             tracemalloc.stop()
-        assert len(peaks) == 1 and peaks[0] <= 6 * 2**20, peaks
+        assert peaks and peaks[0] <= 6 * 2**20, peaks[0]
 
     def test_a_mesh_formats_each_face_index_once_per_block(self, monkeypatch, tmp_path,
                                                             count_calls):
@@ -1184,7 +1199,7 @@ class TestArrayMeshPipeline:
         singular = np.min([dom.distance(u, p) for p in extra], axis=0) if extra \
             else np.full(u.shape, np.inf)
         oracle = (data.end_distance(u) > data.end_clearance) & (singular > 1e-9)
-        assert np.array_equal(_valid_mask(data, _chart_map(data.domain, GridSpec(nx=33, ny=33))),
+        assert np.array_equal(_masks(data, _chart_map(data.domain, GridSpec(nx=33, ny=33)))[0],
                               oracle.reshape(U.shape))
 
 
@@ -1228,9 +1243,8 @@ MASK_CASES = {
 
 
 class TestStampedMask:
-    """_valid_mask takes distances only around each end's and chart
-    singularity's disk and its lattice translates; its booleans are the full
-    grid's."""
+    """_masks takes distances only around each end's and chart singularity's
+    disk and its lattice translates; its vertex mask is the full grid's."""
 
     @pytest.fixture(scope="class", params=MASK_CASES.values(), ids=MASK_CASES.keys())
     def data(self, request):
@@ -1240,7 +1254,7 @@ class TestStampedMask:
     def test_the_mask_is_the_full_grid_mask(self, data, n):
         chart = _chart_map(data.domain, GridSpec(n, n))
         want = _full_grid_mask(data, chart)
-        assert np.array_equal(_valid_mask(data, chart), want)
+        assert np.array_equal(_masks(data, chart)[0], want)
         if n == 129:
             assert 0 < np.count_nonzero(want) < want.size
 
@@ -1250,9 +1264,19 @@ class TestStampedMask:
         # eight ends in one call, then to the two chart singularities in one
         data = MASK_CASES["klein4"]()
         calls = count_calls(Lattice, "distance")
-        _valid_mask(data, _chart_map(data.domain, GridSpec(129, 129)))
+        _masks(data, _chart_map(data.domain, GridSpec(129, 129)))
         assert len(calls) == 2 and np.size(calls[0][1]) == 4 * np.size(calls[1][1])
         assert 0 < np.size(calls[0][1]) + np.size(calls[1][1]) < 0.05 * 16641 * 10
+
+    @pytest.mark.parametrize("name", ["sphere4", "torus4", "klein4"])
+    def test_a_mesh_makes_one_stamp_table(self, count_calls, name):
+        # the vertex and the cell mask read the one table of the ends' and
+        # the chart singularities' stamps
+        entry = CONSTRUCTIONS[name]
+        data, grid = entry.weierstrass(entry.build()), GridSpec(33, 33)
+        calls = count_calls(surface, "_stamps")
+        integrate_surface(data, grid, entry.basepoint(data.domain, grid))
+        assert len(calls) == 1
 
 
 BASEPOINT_BUILDS = {"enneper": (), "sphere4": (),

@@ -304,8 +304,7 @@ def criterion_10_geometry(seed=0):
     grid61 = GridSpec(nx=61, ny=61, extent=2.0)
     mesh4, edges61 = sphere4.mesh(fam, grid61), quadrature_edges(data, grid61)
     out.append(check("10b sphere-4 mesh loop periods",
-                     quadrature_loop_residual(data, grid61, edges61)
-                     / mesh4.metadata["mesh_scale"], 1e-7))
+                     quadrature_loop_residual(edges61) / mesh4.metadata["mesh_scale"], 1e-7))
     rng = np.random.default_rng(seed)
     z = rng.standard_normal(200) + 1j * rng.standard_normal(200)
     keep = data.end_distance(z) > 0.05
@@ -333,8 +332,8 @@ def criterion_10_geometry(seed=0):
     t4 = _build("torus4", 1.0, 1.0j)
     data4, grid33 = torus4.weierstrass(t4), GridSpec(nx=33, ny=33)
     worst = 0.0
-    for (valid, h, v), mesh in ((edges61, mesh4),
-                                (quadrature_edges(data4, grid33), torus4.mesh(t4, grid33))):
+    for (valid, _, h, v), mesh in ((edges61, mesh4),
+                                   (quadrature_edges(data4, grid33), torus4.mesh(t4, grid33))):
         X = np.full(valid.shape + (3,), np.nan)
         X[valid] = mesh.vertices
         gap = max(np.nanmax(np.abs(X[1:] - X[:-1] - h)), np.nanmax(np.abs(X[:, 1:] - X[:, :-1] - v)))

@@ -344,6 +344,14 @@ class EllipticContext:
         return 1.0 / math.prod((abs(self.lattice.reduced_periods[0]),) * weight)
 
 
+@lru_cache(maxsize=1)
+def _ode_fractions():
+    """The lattice fractions of build_context's six ODE check points along
+    2 omega1 (row 0) and 2 omega3 (row 1), drawn once, at the first build:
+    numpy.random is not imported with the package."""
+    return np.random.default_rng(7).uniform(0.07, 0.43, (2, 6))
+
+
 def build_context(omega1, omega3) -> EllipticContext:
     """Build an EllipticContext from the q-series in the reduced basis.
 
@@ -351,8 +359,8 @@ def build_context(omega1, omega3) -> EllipticContext:
     the lattice is out of double range, or an invariant check fails (_validate).
     """
     lat = Lattice(complex(omega1), complex(omega3))
-    rng = np.random.default_rng(7)
-    ode = rng.uniform(0.07, 0.43, 6) * 2 * lat.omega1 + rng.uniform(0.07, 0.43, 6) * 2 * lat.omega3
+    f1, f3 = _ode_fractions()
+    ode = f1 * 2 * lat.omega1 + f3 * 2 * lat.omega3
     # one frame on the half-periods, b1/2 and the ODE points: a frame's
     # values do not depend on its batch.  Out of double range the build fails
     # by the frame (|b1|^2 or w^-4 under- or overflows, or b1/2 lies within

@@ -4,9 +4,10 @@ the 4-ended Klein bottle, and the 3-ended-torus degeneracy evaluators.
 sphere4_solve, sphere6_K_basis, torus3_degeneracy, torus4_construct and
 klein4_construct each return a dataclass bundling the inputs, the results
 (Omega, kernel sections, periods, as each construction has them) and the
-residuals of every identity checked; all but the 3-ended torus serialize
-it to a JSON-ready dict with `.report()` and judge it with `.checks()`,
-which the CLI and the acceptance gate both read.  Both spheres are SphereFamily:
+residuals of every identity checked; all but the 3-ended torus give
+their report payload, as built, with `.report()` (reportio.report_text
+writes it in one walk) and judge it with `.checks()`, which the CLI and
+the acceptance gate both read.  Both spheres are SphereFamily:
 their printed K pairs are built by printed_K_pair, as coefficient vectors
 on basis_F_sphere, the basis of the Omega they test.
 CONSTRUCTIONS is the one table of named constructions: the CLI, the
@@ -44,7 +45,7 @@ import numpy as np
 
 from .elliptic import EllipticContext, build_context, wp, wp_inverse, wp_prime, wp_with_prime
 from .numkit import QuadraturePath, pfaffian, poly_roots, scale_parts
-from .reportio import check, jsonify
+from .reportio import check
 from .spinor import (
     INF,
     EndDivisor,
@@ -135,14 +136,14 @@ class SphereFamily:
     residuals: dict
 
     def report(self):
-        return jsonify({
+        return {
             "n": self.n,
             "parameter": self.parameter,
             "ends": self.ends.points,
             "omega": self.form.matrix.entries,
             "K_coefficients": [k.coefficients for k in self.K_basis],
             "residuals": self.residuals,
-        })
+        }
 
     def checks(self) -> list:
         """reportio.CheckResult of each verdict on the residuals."""
@@ -464,7 +465,7 @@ class TorusFourEnd:
     residuals: dict
 
     def report(self):
-        return jsonify({
+        return {
             "omega1": self.ctx.omega1, "omega3": self.ctx.omega3,
             "choice": self.choice,
             "ends": self.ends.points,
@@ -474,7 +475,7 @@ class TorusFourEnd:
             "branch_condition": self.branch_condition,
             "branch_relative": self.branch_relative,
             "residuals": self.residuals,
-        })
+        }
 
     def checks(self) -> list:
         """The period checks, and the branch condition relative to its two
@@ -687,14 +688,14 @@ class KleinFourEnd:
     residuals: dict
 
     def report(self):
-        return jsonify({
+        return {
             "r": self.r, "a": self.a,
             "ends": self.ends.points,
             "W": self.W,
             "period_coeffs": self.period_coeffs,
             "solution": self.solution,
             "residuals": self.residuals,
-        })
+        }
 
     def checks(self) -> list:
         return [check("rank", abs(self.rank - 4), 0.0),

@@ -10,14 +10,16 @@ ensure_ascii escaping, and a float is written as float.__repr__ writes it.
 Infinity stays: [Infinity, 0.0] encodes the end at infinity.  A NaN is
 refused with a ReportValueError that names its field.
 
-A Table reached through the report's dicts, {name: column} with a float
-array or a list of str per name (a scan's points), is written column by
-column into one `%` template: with an indent, `json` encodes in pure
-Python, which would be most of the time of a report of thousands of rows.
-Within a column each distinct value is formatted once, and each row takes
-its text from there.  Only a Table is templated: a list of row dicts (a
-suite's results), a Table with any other column, and everything else go
-through jsonify and json.dumps, which expands a Table to its row dicts.
+One walk (_text) writes that text from the payload as built: a dict by
+its sorted str keys, a list, tuple or array item by item, and any other
+value as jsonify converts it, written as json writes it.  No json pass is
+made: with an indent `json` encodes in pure Python, and a report would be
+walked once to convert it and again to encode it.  A Table reached
+anywhere in the payload, {name: column} with a float array or a list of
+str per name (a scan's points), is written column by column into one `%`
+template, the one that pays on a report of thousands of rows.  Within a
+column each distinct value is formatted once, and each row takes its text
+from there.  A Table with any other column is written by its rows.
 
 A CheckResult is one verdict on a residual: a construction's checks() and
 the acceptance gate's rows.
@@ -25,7 +27,6 @@ the acceptance gate's rows.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import stat
@@ -80,7 +81,8 @@ def jsonify(obj):
     """Recursively convert to JSON-ready values; complex -> [re, im].
 
     A NaN raises ReportValueError naming its field.  Infinities stay:
-    [Infinity, 0.0] encodes the end at infinity.
+    [Infinity, 0.0] encodes the end at infinity.  The report walk converts
+    each leaf with it, and report_text names a NaN's field with it.
     """
     if isinstance(obj, (float, np.floating)):
         x = float(obj)
@@ -137,33 +139,28 @@ class Table:
             raise ValueError("the columns of a table differ in length")
 
     def rows(self) -> list:
-        values = [c.tolist() if isinstance(c, np.ndarray) else list(c)
-                  for c in self.columns.values()]
-        return [dict(zip(self.columns, row)) for row in zip(*values)]
-
-
-def _dumps(obj, pad: str) -> str:
-    """The json.dumps text of jsonify(obj), for a value whose lines sit at
-    the indentation pad."""
-    return json.dumps(jsonify(obj), sort_keys=True, indent=2).replace("\n", "\n" + pad)
-
-
-def _holds_table(obj) -> bool:
-    return isinstance(obj, Table) \
-        or isinstance(obj, dict) and any(map(_holds_table, obj.values()))
+        """The row dicts, holding the columns' own items: numpy scalars and
+        rows of a 2-D column are converted where the rows are written."""
+        return [dict(zip(self.columns, row)) for row in zip(*self.columns.values())]
 
 
 def _text(obj, pad: str) -> str:
-    """The report text of obj at the indentation pad: a dict that holds a
-    Table key by key, a Table by _columns_text, anything else by _dumps."""
+    """The report text of obj at the indentation pad: the json.dumps text of
+    jsonify(obj), sorted keys and indent 2, written in one walk."""
     if isinstance(obj, Table):
-        return _columns_text(obj.columns, pad) or _dumps(obj, pad)
-    if not (isinstance(obj, dict) and _holds_table(obj)):
-        return _dumps(obj, pad)
-    items = {str(k): v for k, v in obj.items()}
+        return _columns_text(obj.columns, pad) or _text(obj.rows(), pad)
+    if not isinstance(obj, (dict, list, tuple)):
+        obj = jsonify(obj)  # a leaf, or the list of an array or a complex
+        if not isinstance(obj, list):
+            return _quote(obj) if isinstance(obj, str) else _LITERALS.get(t := repr(obj), t)
+    if not obj:
+        return "{}" if isinstance(obj, dict) else "[]"
     inner = pad + "  "
-    return "{\n" + ",\n".join(f"{inner}{_quote(k)}: {_text(items[k], inner)}"
-                               for k in sorted(items)) + "\n" + pad + "}"
+    if isinstance(obj, dict):
+        items = {str(k): v for k, v in obj.items()}
+        return "{\n" + ",\n".join(f"{inner}{_quote(k)}: {_text(items[k], inner)}"
+                                   for k in sorted(items)) + "\n" + pad + "}"
+    return "[\n" + ",\n".join([inner + _text(v, inner) for v in obj]) + "\n" + pad + "]"
 
 
 def _columns_text(columns: dict, pad: str):
@@ -197,7 +194,10 @@ def _columns_text(columns: dict, pad: str):
     return "[\n" + ",\n".join([template] * count) % leaves + "\n" + pad + "]"
 
 
-_INFINITIES = {"inf": "Infinity", "-inf": "-Infinity"}
+# the json text of the leaves whose repr is not it, a str aside: jsonify
+# returns the base types, whose repr is float.__repr__ or int.__repr__
+_LITERALS = {"inf": "Infinity", "-inf": "-Infinity", "None": "null", "True": "true",
+             "False": "false"}
 
 
 def _float_texts(x: np.ndarray) -> list:
@@ -209,7 +209,7 @@ def _float_texts(x: np.ndarray) -> list:
     values = bits.view(float)
     if np.isnan(values).any():
         raise ReportValueError()
-    texts = [_INFINITIES.get(t, t) for t in map(repr, values.tolist())]
+    texts = [_LITERALS.get(t, t) for t in map(repr, values.tolist())]
     return np.array(texts, dtype=object).take(inverse).tolist()
 
 

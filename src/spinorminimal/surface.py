@@ -11,7 +11,8 @@ closed form's evidence: the identity residual of the forms at every
 vertex, the end residues, and every cell's loop closure, which
 SurfaceMesh.checks bounds by MESH_TOL.  Gauss-Legendre edge quadrature
 stays as the oracle: quadrature_edges integrates every grid edge
-independently, and quadrature_loop_residual closes its cells.
+independently, and quadrature_loop_residual closes the cells of the
+mask that quadrature_edges hands on with them.
 
 A mesh stores its vertices, its normals and the grid it was made on: the
 chart map, grid point (i, j) at the chart point x[i] + y[j] (ChartMap),
@@ -541,13 +542,14 @@ def integrate_surface(data: WeierstrassData, grid: GridSpec, basepoint) -> Surfa
 
 
 def quadrature_edges(data: WeierstrassData, grid: GridSpec):
-    """(valid, h, v): the vertex mask and Re int omega by 12-node Gauss-Legendre
-    quadrature along every grid edge, h[i, j] from U[i, j] to U[i+1, j] and
-    v[i, j] from U[i, j] to U[i, j+1], NaN where an edge leaves the mask.
+    """(valid, cell, h, v): the vertex and cell masks of integrate_surface
+    (_masks) and Re int omega by 12-node Gauss-Legendre quadrature along
+    every grid edge, h[i, j] from U[i, j] to U[i+1, j] and v[i, j] from
+    U[i, j] to U[i, j+1], NaN where an edge leaves the mask.
 
     The test oracle for integrate_surface."""
     chart = _chart_map(data.domain, grid)
-    U, (valid, _) = chart.rows(0, grid.nx), _masks(data, chart)
+    U, (valid, cell) = chart.rows(0, grid.nx), _masks(data, chart)
     h = np.full((U.shape[0] - 1, U.shape[1], 3), np.nan)
     v = np.full((U.shape[0], U.shape[1] - 1, 3), np.nan)
     for out, start, end, has in ((h, U[:-1], U[1:], valid[:-1] & valid[1:]),
@@ -555,15 +557,14 @@ def quadrature_edges(data: WeierstrassData, grid: GridSpec):
         mid, half = (start[has] + end[has]) / 2.0, (end[has] - start[has]) / 2.0
         w = data.omega(mid[:, None] + half[:, None] * _EDGE_NODES).reshape(3, -1, _GL_EDGE)
         out[has] = np.einsum("kej,j,e->ek", w, _EDGE_WEIGHTS, half).real
-    return valid, h, v
+    return valid, cell, h, v
 
 
-def quadrature_loop_residual(data: WeierstrassData, grid: GridSpec, edges) -> float:
-    """Largest closure of edges = quadrature_edges(data, grid) on integrate_surface's cells."""
-    _, h, v = edges
+def quadrature_loop_residual(edges) -> float:
+    """Largest closure of edges = quadrature_edges(data, grid) on its cells."""
+    _, cell, h, v = edges
     h, v = np.moveaxis(h, -1, 0), np.moveaxis(v, -1, 0)
     closure = _closure(h[:, :, :-1], v[:, 1:], h[:, :, 1:], v[:, :-1])
-    _, cell = _masks(data, _chart_map(data.domain, grid))
     return float(np.max(closure[cell], initial=0.0))
 
 

@@ -124,12 +124,15 @@ def test_one_run_builds_each_construction_once(count_everywhere):
 def test_the_geometry_suite_meshes_each_construction_once(count_everywhere):
     meshes = count_everywhere(surface, "integrate_surface")
     edges = count_everywhere(surface, "quadrature_edges")
+    masks = count_everywhere(surface, "_masks")
     results = acceptance.criterion_10_geometry()
     assert results and all(r.passed for r in results)
     # enneper, sphere-4 (shared by 10b and 10e) and torus-4
     assert sorted(grid.nx for calls in meshes for _, grid, _ in calls) == [33, 61, 65]
     # and one edge quadrature of the sphere-4 grid, also shared
     assert sorted(grid.nx for calls in edges for _, grid in calls) == [33, 61]
+    # one mask pass per mesh and per edge quadrature: 10b's loops read the edges' cells
+    assert sorted(chart.shape[0] for calls in masks for _, chart in calls) == [33, 33, 61, 61, 65]
 
 
 def _row_11c():

@@ -425,3 +425,25 @@ def test_a_printed_report_is_the_json_dumps_text_rendered_once(argv, tmp_path, c
     path = next(tmp_path.iterdir())
     assert capsys.readouterr().out == f"wrote {path}\n" + text
     assert path.read_text() == text
+
+
+@pytest.mark.parametrize("argv", [
+    ["torus4", "1", "1j"],
+    ["klein4"],
+    ["sphere6", "--scan", "10", "--seed", "3"],
+    ["rp2", "--boundary-scan", "41"],
+], ids=["torus4", "klein4", "sphere6-scan", "rp2-scan"])
+def test_a_report_is_written_without_an_indented_json_pass(argv, tmp_path, monkeypatch,
+                                                           count_calls):
+    # json.dumps with an indent encodes in pure Python; report_text walks
+    # the payload once instead, to the same text
+    dumps = json.dumps
+
+    def unindented(obj, *args, **kwargs):
+        assert kwargs.get("indent") is None, "an indented json.dumps call"
+        return dumps(obj, *args, **kwargs)
+    calls = count_calls(reportio, "report_text")
+    monkeypatch.setattr(json, "dumps", unindented)
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    monkeypatch.setattr(json, "dumps", dumps)
+    assert next(tmp_path.iterdir()).read_text() == _reference_text(calls[0][0])

@@ -1,6 +1,10 @@
 """Weierstrass layer tests: invariants, identities, and parities."""
 
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -131,6 +135,23 @@ class TestBuildContext:
     def test_an_unrepresentable_lattice_raises_typed_error(self, omega1, omega3, named):
         with pytest.raises(DegenerateLatticeError, match=re.escape(named)):
             build_context(omega1, omega3)
+
+    def test_the_ode_points_are_drawn_once(self, count_calls):
+        # the bits of two successive draws of six, and no draw per build
+        rng = np.random.default_rng(7)
+        want = [rng.uniform(0.07, 0.43, 6), rng.uniform(0.07, 0.43, 6)]
+        assert np.array_equal(elliptic._ode_fractions(), want)
+        draws = count_calls(np.random, "default_rng")
+        build_context(1.0, 1.0j)
+        build_context(0.5, 0.3 + 0.9j)
+        assert draws == []
+
+    def test_the_package_does_not_import_numpy_random(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(elliptic.__file__).parents[1]))
+        code = "import sys, spinorminimal.cli; print('numpy.random' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        assert out.stdout == "False\n"
 
 
 class TestEvaluators:

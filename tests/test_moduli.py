@@ -36,6 +36,7 @@ from spinorminimal.moduli import (
     torus4_construct,
 )
 from spinorminimal.numkit import QuadraturePath, contour_integral
+from spinorminimal.reportio import report_text
 from spinorminimal.spinor import INF, EndDivisor, basis_F_sphere, planar_ends
 from spinorminimal.surface import gauss_degree
 
@@ -608,9 +609,8 @@ class TestKlein:
         assert planar_ends(klein.s1, klein.s2).tolist() == [True] * 8
 
     def test_report_serializes(self, klein):
-        import json
         payload = klein.report()
-        text = json.dumps(payload, sort_keys=True)
+        text = report_text(payload)
         assert "residuals" in payload and len(text) > 100
 
     def test_s1hat_squared_principal_part_reconstruction(self, klein):

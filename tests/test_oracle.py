@@ -142,10 +142,7 @@ def _bits(z):
     return complex(z).real.hex(), complex(z).imag.hex()
 
 
-@given(st.floats(-0.5, 0.5), st.floats(0.0, 1.0), st.floats(0.3, 3.0), st.floats(-np.pi, np.pi),
-       st.integers(-2, 2), st.integers(-2, 2), st.integers(0, 2**16))
-@settings(max_examples=12, deadline=None)
-def test_matches_the_per_end_quadratures(re_tau, thinness, size, angle, k1, k2, seed):
+def _check_the_per_end_quadratures(re_tau, thinness, size, angle, k1, k2, seed):
     # the skewed lattices and cell fractions of test_oracle_on_random_skewed_lattices
     # (reduced Im(tau) up to 4), and the same ends with infinity on the sphere
     lo = np.sqrt(1.0 - re_tau**2)
@@ -165,6 +162,22 @@ def test_matches_the_per_end_quadratures(re_tau, thinness, size, angle, k1, k2, 
         for i, j in zip(*np.triu_indices(len(basis), 1)):
             want, scale = _per_end_oracle(basis[i], basis[j])
             assert abs(W[i, j] - want) <= 1e-13 * max(abs(want), scale)
+
+
+@given(st.floats(-0.5, 0.5), st.floats(0.0, 1.0), st.floats(0.3, 3.0), st.floats(-np.pi, np.pi),
+       st.integers(-2, 2), st.integers(-2, 2), st.integers(0, 2**16))
+@settings(max_examples=12, deadline=None)
+def test_matches_the_per_end_quadratures(re_tau, thinness, size, angle, k1, k2, seed):
+    _check_the_per_end_quadratures(re_tau, thinness, size, angle, k1, k2, seed)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 1: on tau = 3.978i, entry (0, 2) of the untwisted r = 3 table reads "
+    "2.97e-14 from the per-end oracle against the bound 2.33e-14; wp_r's subtraction "
+    "is the likely cause"))
+def test_the_recorded_thin_example_matches_the_per_end_quadratures():
+    # a draw of test_matches_the_per_end_quadratures that fails on every run
+    _check_the_per_end_quadratures(0.0, 0.99609375, 1.0, 0.0625, 0, 0, 45719)
 
 
 def test_thin_cell_end_agrees(thin_cell):

@@ -79,7 +79,7 @@ class TestEnneper:
         scale = enneper_mesh.metadata["mesh_scale"]
         grid = GridSpec(nx=65, ny=65, extent=2.0)
         data = enneper_data()
-        assert quadrature_loop_residual(data, grid, quadrature_edges(data, grid)) < 1e-7 * scale
+        assert quadrature_loop_residual(quadrature_edges(data, grid)) < 1e-7 * scale
         assert enneper_mesh.metadata["identity_residual_max"] < 1e-12
 
     def test_entire_loops_vanish(self):
@@ -293,7 +293,7 @@ class TestSphere4Geometry:
         _, data = sphere4_data
         grid = GridSpec(nx=61, ny=61, extent=2.0)
         mesh = integrate_surface(data, grid, -1.0 - 1.0j)
-        assert quadrature_loop_residual(data, grid, quadrature_edges(data, grid)) \
+        assert quadrature_loop_residual(quadrature_edges(data, grid)) \
             < 1e-7 * mesh.metadata["mesh_scale"]
         assert mesh.metadata["identity_residual_max"] < 1e-12
 
@@ -628,12 +628,14 @@ class TestCellMask:
         monkeypatch.setattr(surface, "_masks", lambda *args: calls.append(
             (args, masks(*args))) or calls[-1][1])
         mesh = entry.mesh(built, grid)
-        quadrature_loop_residual(data, grid, quadrature_edges(data, grid))
+        edges = quadrature_edges(data, grid)
+        quadrature_loop_residual(edges)
         want = _chart_map(data.domain, grid).rows(0, grid.nx)
-        # the mesh's, the edges' and the loops' masks
-        assert len(calls) == 3 and all(np.array_equal(args[1].rows(0, grid.nx), want)
+        # the mesh's and the edges' masks; the loops read the edges' cells
+        assert len(calls) == 2 and all(np.array_equal(args[1].rows(0, grid.nx), want)
                                        for args, _ in calls)
-        assert all(np.array_equal(a, b) for _, got in calls[1:] for a, b in zip(got, calls[0][1]))
+        assert all(np.array_equal(a, b) for a, b in zip(calls[1][1], calls[0][1]))
+        assert all(np.array_equal(a, b) for a, b in zip(edges[:2], calls[0][1]))
         # the four ends at +-0.934 +-0.357i each sat inside one face
         assert len(mesh.faces) == 2040 - 8
 
@@ -1071,7 +1073,7 @@ class TestTorusMesh:
         mesh = integrate_surface(data, grid, base)
         assert mesh.metadata["vertex_count"] > 1000
         scale = mesh.metadata["mesh_scale"]
-        assert quadrature_loop_residual(data, grid, quadrature_edges(data, grid)) < 1e-6 * scale
+        assert quadrature_loop_residual(quadrature_edges(data, grid)) < 1e-6 * scale
         assert mesh.metadata["identity_residual_max"] < 1e-12
 
 
@@ -1325,7 +1327,7 @@ def _edge_agreement(data, mesh, grid, near=0.0):
     """The largest |mesh edge increment - quadrature_edges| over the mesh
     scale, on the edges whose midpoint lies at least near times the edge's
     length from every finite end."""
-    valid, h, v = quadrature_edges(data, grid)
+    valid, _, h, v = quadrature_edges(data, grid)
     X = np.full(valid.shape + (3,), np.nan)
     X[valid] = mesh.vertices
     U, worst = _chart_map(data.domain, grid).rows(0, grid.nx), 0.0
